@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .functions.image import encode_image, phash64
-from .schemas import CORPUS, FRONTIER
+from .schemas import CORPUS
 
 _VOCAB = (
     "sun moon river stone cloud forest ember glass tide harbor lantern meadow "
@@ -459,50 +459,6 @@ def make_seeds(pages: pa.Table, k: int = 12, seed: int = 42) -> list[str]:
     host0 = urls[0].split("/")[2] if urls else "host0.example"
     out.append(f"http://{host0}/r/0")
     return out
-
-
-def make_frontier_bench(n_rows: int, n_hosts: int = 1000, seed: int = 42,
-                        dup_frac: float = 0.08) -> pa.Table:
-    """Scale-model frontier (FIXTURES.md §5): Zipf hosts, uniform priorities,
-    ~dup_frac duplicate surts — the input to the bench schedule pipeline."""
-    rng = np.random.default_rng(seed)
-    hostidx = rng.zipf(1.3, size=n_rows) % n_hosts
-    pageid = rng.integers(0, 10_000_000, size=n_rows)
-    n_dup = int(n_rows * dup_frac)
-    if n_dup:
-        src = rng.integers(0, n_rows, size=n_dup)
-        dst = rng.integers(0, n_rows, size=n_dup)
-        hostidx[dst] = hostidx[src]
-        pageid[dst] = pageid[src]
-    hosts = np.char.add(np.char.add("host", hostidx.astype("U8")), ".example")
-    urls = np.char.add(
-        np.char.add(np.char.add("http://", hosts), "/p/"), pageid.astype("U8")
-    )
-    surts = np.char.add(
-        np.char.add(
-            np.char.add("http://(example,host", hostidx.astype("U8")),
-            ",)/p/",
-        ),
-        pageid.astype("U8"),
-    )
-    now = np.int64(1_700_000_000_000_000)
-    return pa.table(
-        {
-            "url": pa.array(urls.tolist(), pa.string()),
-            "surt": pa.array(surts.tolist(), pa.string()),
-            "host": pa.array(hosts.tolist(), pa.string()),
-            "priority": pa.array(rng.random(n_rows), pa.float64()),
-            "depth": pa.array(rng.integers(0, 12, size=n_rows, dtype=np.int32), pa.int32()),
-            "parent_surt": pa.array([""] * n_rows, pa.string()),
-            "discovered_at": pa.array(
-                np.full(n_rows, now), pa.timestamp("us")
-            ),
-            "state": pa.array(np.zeros(n_rows, dtype=np.uint8), pa.uint8()),
-            "retries": pa.array(np.zeros(n_rows, dtype=np.int32), pa.int32()),
-            "epoch": pa.array(np.zeros(n_rows, dtype=np.int64), pa.int64()),
-        },
-        schema=FRONTIER,
-    )
 
 
 def write_fixture_dir(

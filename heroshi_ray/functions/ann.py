@@ -43,15 +43,6 @@ def cosine_topk_batch(
     return ids[order], sims[order]
 
 
-def merge_topk(
-    parts: list[tuple[np.ndarray, np.ndarray]], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.concatenate([p[0] for p in parts]) if parts else np.array([], np.int64)
-    sims = np.concatenate([p[1] for p in parts]) if parts else np.array([], np.float64)
-    order = np.lexsort((ids, -sims))[:k]
-    return ids[order], sims[order]
-
-
 class IVFIndex:
     """Coarse inverted-file quantizer (seeded k-means, fixed 10 iters)."""
 

@@ -34,10 +34,6 @@ def hash64(values) -> np.ndarray:
     return s.hash(seed=_SEED).to_numpy()
 
 
-def hash64_one(value: str) -> int:
-    return int(hash64([value])[0])
-
-
 def shard_of(values, n_shards: int) -> np.ndarray:
     """Routing key for seen-set shards / host partitions."""
     return (hash64(values) % np.uint64(n_shards)).astype(np.int64)

@@ -21,22 +21,6 @@ import xml.etree.ElementTree as ET
 _NS = "{http://www.sitemaps.org/schemas/sitemap/0.9}"
 
 
-def build_urlset(locs, lastmods, priorities_e1) -> str:
-    """Render a `<urlset>` document (used by fixtures and the synthetic
-    feed in q_sitemap_extract; real crawls would fetch these bytes)."""
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<urlset xmlns="http://www.sitemaps.org/schemas/sitemap/0.9">',
-    ]
-    for loc, lm, pe1 in zip(locs, lastmods, priorities_e1):
-        parts.append(
-            f"<url><loc>{loc}</loc><lastmod>{lm}</lastmod>"
-            f"<priority>0.{int(pe1)}</priority></url>"
-        )
-    parts.append("</urlset>")
-    return "\n".join(parts)
-
-
 def parse_urlset(xml_text: str):
     """Parse one `<urlset>` document -> list of
     (loc, host, lastmod, priority_e1) tuples.

@@ -156,48 +156,3 @@ class TDigest:
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.means, self.weights
-
-
-class BloomFilter:
-    """Deterministic Bloom filter over int64 keys (join pre-filter /
-    seen-set companion; Bloom 1970). Double hashing (Kirsch &
-    Mitzenmacher 2006): position_i = (h1 + i*h2) mod m with h1 = the
-    engine-wide hash64 and h2 a cheap odd multiplicative mix, so every
-    node computes identical bitmaps. All add/contains paths are
-    vectorized numpy; bitmaps OR-merge, so per-block partials combine
-    associatively (tree-reduce at scale, driver OR below it)."""
-
-    K = 7
-
-    def __init__(self, n_keys: int, bits_per_key: int = 12):
-        m = max(64, int(n_keys) * bits_per_key)
-        self.m = ((m + 63) // 64) * 64
-        self.bits = np.zeros(self.m // 64, dtype=np.uint64)
-
-    def _positions(self, keys: np.ndarray) -> np.ndarray:
-        from .hashing import hash64
-
-        k = np.asarray(keys, dtype=np.int64)
-        h1 = hash64(k)
-        h2 = (k.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) | np.uint64(1)
-        i = np.arange(self.K, dtype=np.uint64)[:, None]
-        return (h1[None, :] + i * h2[None, :]) % np.uint64(self.m)
-
-    def add(self, keys) -> "BloomFilter":
-        pos = self._positions(keys).ravel()
-        np.bitwise_or.at(
-            self.bits, (pos // 64).astype(np.int64),
-            np.uint64(1) << (pos % np.uint64(64)),
-        )
-        return self
-
-    def contains(self, keys) -> np.ndarray:
-        pos = self._positions(keys)
-        word = self.bits[(pos // 64).astype(np.int64)]
-        hit = (word >> (pos % np.uint64(64))) & np.uint64(1)
-        return hit.all(axis=0).astype(bool)
-
-    def merge(self, other: "BloomFilter") -> "BloomFilter":
-        assert self.m == other.m
-        self.bits |= other.bits
-        return self

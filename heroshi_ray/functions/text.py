@@ -126,15 +126,6 @@ def fingerprint64(texts: list[str]) -> np.ndarray:
     return out
 
 
-def crc_fingerprint(texts: list[str]) -> np.ndarray:
-    """Fast 32-bit content key (zlib.crc32) for bucketing."""
-    return np.array(
-        [zlib.crc32(" ".join(t.split()).lower().encode()) if t else 0 for t in texts],
-        np.int64,
-    )
-
-
-# ---------------------------------------------------------------- shingles
 def shingles(text: str, k: int = 3) -> set[int]:
     """Word k-shingles hashed to 32-bit ints."""
     words = text.lower().split()

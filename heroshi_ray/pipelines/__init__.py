@@ -3,6 +3,10 @@
 - crawl: the epoch loop (seed -> crawl -> checkpoint -> resume)
 - frontier: flagship schedule pipeline + bench input synthesis
 - verify: M10 corpus invariant vs reference
-- relational: DuckDB-oracled relational operators
+- relational: DuckDB-oracled window/aggregate operators over the
+  events and documents tables and single TPC-H tables
+- curation: image+caption curation to tar shards, LLM-text composite
+- webops: DuckDB-oracled crawl-web operators (sitemaps, traps, recrawl,
+  redirects, politeness plans)
 - dataops: dedup / ANN / text-analysis / multimodal operators
 """

@@ -128,9 +128,9 @@ def q_curate_shards(sf_dir: str):
     (rows-only check — tar bytes aren't SQL-derivable; the composite's
     survivor set, bucket purity, round-trip and idempotency are pinned
     in tests/test_curation_pipeline.py)."""
-    from .dataops import _ensure_curate_corpus
+    from .dataops import _cache_path, _ensure_curate_corpus
 
-    out = "/tmp/heroshi_ray_cache/curate_shards"
+    out = _cache_path("curate_shards")
     return curate_to_shards(_ensure_curate_corpus(), out, samples_per_shard=64)
 
 
@@ -373,6 +373,8 @@ def q_llm_corpus_run(sf_dir: str):
     round-trip are pinned in tests/test_curation_pipeline.py)."""
     import shutil
 
-    out = "/tmp/heroshi_ray_cache/llm_corpus_run"
+    from .dataops import _cache_path
+
+    out = _cache_path("llm_corpus_run")
     shutil.rmtree(out, ignore_errors=True)  # fresh run per invocation
     return llm_corpus_run(sf_dir, out)

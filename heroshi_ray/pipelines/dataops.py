@@ -51,6 +51,23 @@ from ..functions.text import (
 from ..runtime import arrow_blocks, default_buckets, join_partitions, tune_join_resources
 from ..stages.dedup import dedup_first
 
+_CACHE_DIR = "/tmp/heroshi_ray_cache"
+
+
+def _cache_path(name: str, sf_dir: str | None = None) -> str:
+    """Path of a derived fixture file under the shared cache dir (which
+    is created). A file built from ``sf_dir``'s tables must pass it: a
+    digest of the resolved dir is folded into the name, so fixtures of
+    two scale factors (or two test dirs) never share one cache file."""
+    os.makedirs(_CACHE_DIR, exist_ok=True)
+    if sf_dir is not None:
+        import hashlib
+
+        tag = hashlib.sha1(os.path.realpath(sf_dir).encode()).hexdigest()[:10]
+        stem, ext = os.path.splitext(name)
+        name = f"{stem}_{tag}{ext}"
+    return os.path.join(_CACHE_DIR, name)
+
 
 def _pq(sf_dir: str, name: str, columns=None, split: bool = False):
     """Pruned parquet read. ``split=True`` forces the read across
@@ -1743,9 +1760,7 @@ def _ensure_corpus64() -> str:
 
     from ..fixtures import make_corpus
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "corpus64.parquet")
+    path = _cache_path("corpus64.parquet")
     if not os.path.exists(path):
         tmp = path + ".tmp"
         pq.write_table(make_corpus(64, seed=123), tmp)
@@ -1762,10 +1777,8 @@ def _ensure_corpus_jpeg() -> tuple[str, str]:
 
     from ..fixtures import make_corpus_pair
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    cpath = os.path.join(cache, "corpus96_jpeg.parquet")
-    rpath = os.path.join(cache, "corpus96_jpeg_ref.parquet")
+    cpath = _cache_path("corpus96_jpeg.parquet")
+    rpath = _cache_path("corpus96_jpeg_ref.parquet")
     if not (os.path.exists(cpath) and os.path.exists(rpath)):
         corpus, ref = make_corpus_pair(96, seed=321, jpeg_frac=0.25)
         for tbl, path in ((corpus, cpath), (ref, rpath)):
@@ -1783,10 +1796,8 @@ def _ensure_corpus_gif() -> tuple[str, str]:
 
     from ..fixtures import make_corpus_pair
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    cpath = os.path.join(cache, "corpus96_gif.parquet")
-    rpath = os.path.join(cache, "corpus96_gif_ref.parquet")
+    cpath = _cache_path("corpus96_gif.parquet")
+    rpath = _cache_path("corpus96_gif_ref.parquet")
     if not (os.path.exists(cpath) and os.path.exists(rpath)):
         corpus, ref = make_corpus_pair(96, seed=654, jpeg_frac=0.15, gif_frac=0.2)
         for tbl, path in ((corpus, cpath), (ref, rpath)):
@@ -1847,9 +1858,7 @@ def _ensure_codec_oracle(sf_dir: str) -> str:
     from ..fixtures import _pixels
     from ..functions.image import encode_image
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "codec_oracle96.parquet")
+    path = _cache_path("codec_oracle96.parquet", sf_dir)
     if not os.path.exists(path):
         keys = pq_mod.read_table(
             os.path.join(sf_dir, "part.parquet"), columns=["p_partkey"]
@@ -1932,9 +1941,7 @@ def _ensure_media(kind: str) -> str:
 
     from ..fixtures import make_audio_corpus, make_video_corpus
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, f"{kind}64.parquet")
+    path = _cache_path(f"{kind}64.parquet")
     if not os.path.exists(path):
         tbl = make_audio_corpus(64) if kind == "audio" else make_video_corpus(48)
         tmp = path + ".tmp"
@@ -2256,9 +2263,7 @@ def _ensure_neardup_corpus() -> str:
 
     from ..fixtures import make_corpus
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "corpus_neardup.parquet")
+    path = _cache_path("corpus_neardup.parquet")
     if not os.path.exists(path):
         base = make_corpus(48, seed=321)
         from ..functions.image import decode_image, encode_image, phash64
@@ -3941,7 +3946,7 @@ def _ann_index_dir(sf_dir: str) -> str:
     st = os.stat(os.path.join(sf_dir, "embeddings.parquet"))
     key = f"{sf_dir}|{st.st_size}|{st.st_mtime_ns}"
     tag = hashlib.sha1(key.encode()).hexdigest()[:10]
-    return f"/tmp/heroshi_ray_cache/annidx_{tag}_v1"
+    return _cache_path(f"annidx_{tag}_v1")
 
 
 def build_ann_index(sf_dir: str, out_dir: str, n_centroids: int = 16) -> None:
@@ -4728,8 +4733,8 @@ def q_bpe_train(
     - above the bound (or ``force_distributed``): the tokenized vocab
       stays a Dataset of (word, cnt, toks); each round = one per-batch
       weighted pair-count combiner -> pair groupby-sum -> per-block
-      top-1 + driver merge of block winners (the global-argmax pattern
-      q_top_supplier uses; ties to the lexicographically smallest pair
+      top-1 + driver merge of block winners (global argmax; ties to the
+      lexicographically smallest pair
       on BOTH paths) -> one re-tokenize map. Both paths
       equivalence-tested."""
     import polars as pl
@@ -5352,7 +5357,7 @@ def q_containment_neardup(
     n_docs = sizes_ds.count()
     assert n_docs <= size_broadcast_limit, (
         "above the broadcast bound, attach sizes via the distributed "
-        "attach-by-key join (_attach_by_key pattern) — fixture path is "
+        "attach-by-key join — fixture path is "
         "the broadcast"
     )
     sz_df = sizes_ds.to_pandas()
@@ -5796,9 +5801,7 @@ def _ensure_curate_corpus() -> str:
 
     from ..fixtures import make_corpus
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "corpus_curate_v2.parquet")
+    path = _cache_path("corpus_curate_v2.parquet")
     if not os.path.exists(path):
         base = make_corpus(256, seed=777)
         # plant one foreign-codec row so the fmt gate has REAL
@@ -10272,9 +10275,7 @@ def _ensure_letterbox_oracle(sf_dir: str) -> str:
     from ..fixtures import _pixels
     from ..functions.image import encode_image
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "letterbox_oracle96.parquet")
+    path = _cache_path("letterbox_oracle96.parquet", sf_dir)
     if not os.path.exists(path):
         keys = pq_mod.read_table(
             os.path.join(sf_dir, "part.parquet"), columns=["p_partkey"]
@@ -10476,7 +10477,12 @@ def q_minhash_est_error(sf_dir: str, threshold: float = 0.6, n_perms: int = 128)
     out_j, out_e, out_d = [], [], []
     for a, b in zip(pairs["doc_a"].astype(int), pairs["doc_b"].astype(int)):
         exact = jaccard(sh_cache[a], sh_cache[b])
-        est = float(np.mean(sig_cache[a] == sig_cache[b]))
+        if a in sig_cache and b in sig_cache:
+            est = float(np.mean(sig_cache[a] == sig_cache[b]))
+        else:
+            # an empty shingle set has no signature; the estimate takes
+            # jaccard()'s empty-set convention (1.0 for two empty docs)
+            est = exact
         je4 = int(np.floor(exact * 10_000 + 0.5))
         ee4 = int(np.floor(est * 10_000 + 0.5))
         out_j.append(je4)
@@ -10954,9 +10960,7 @@ def _ensure_blur_oracle(sf_dir: str) -> str:
     from ..fixtures import _pixels
     from ..functions.image import encode_image
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "blur_oracle96.parquet")
+    path = _cache_path("blur_oracle96.parquet", sf_dir)
     if not os.path.exists(path):
         keys = pq_mod.read_table(
             os.path.join(sf_dir, "part.parquet"), columns=["p_partkey"]
@@ -11077,9 +11081,7 @@ def _ensure_corrupt_oracle(sf_dir: str) -> str:
     from ..fixtures import _pixels
     from ..functions.image import encode_image
 
-    cache = "/tmp/heroshi_ray_cache"
-    os.makedirs(cache, exist_ok=True)
-    path = os.path.join(cache, "corrupt_oracle96.parquet")
+    path = _cache_path("corrupt_oracle96.parquet", sf_dir)
     if not os.path.exists(path):
         keys = pq_mod.read_table(
             os.path.join(sf_dir, "part.parquet"), columns=["p_partkey"]

@@ -22,8 +22,6 @@ import ray.data
 from ..functions.hashing import assert_uniform_hashing
 from ..runtime import arrow_blocks
 from ..stages.canonicalize import canonicalize_dataset
-from ..stages.dedup import dedup_first
-from ..stages.schedule import global_order, per_host_topk
 from ..state.seen import SeenSet
 
 
@@ -328,41 +326,6 @@ def fused_schedule_pipeline(
         order = np.lexsort((sh, -prio))[:epoch_budget]  # K2: deterministic
         out = out.take(pa.array(order)).drop_columns(["__sh", "__hh", "__hs"])
         return ray.data.from_arrow(out)
-    finally:
-        if own_seen:
-            seen.shutdown()
-
-
-def schedule_pipeline(
-    urls: "ray.data.Dataset",
-    *,
-    per_host_budget: int = 64,
-    epoch_budget: int = 100_000,
-    n_seen_shards: int = 8,
-    seen_capacity: int = 1 << 22,
-    n_buckets: int = 32,
-    seen: SeenSet | None = None,
-):
-    """url table -> scheduled FRONTIER rows (one politeness epoch).
-
-    Owns a SeenSet actor pool unless one is passed in; caller must
-    ``SeenSet.shutdown()`` when done if it passed its own."""
-    own_seen = seen is None
-    if seen is None:
-        seen = SeenSet(n_seen_shards, seen_capacity)
-    try:
-        cand = canonicalize_dataset(urls)
-        cand = dedup_first(cand, n_buckets=n_buckets)
-        admitted = seen.filter_new(cand)
-        budgets_ref = ray.put({})
-        k1 = per_host_topk(
-            admitted, budgets_ref, n_shards=n_buckets, default_budget=per_host_budget
-        )
-        sched = global_order(k1, epoch_budget)
-        # consume here (count() executes the plan) so the actor pool can be
-        # torn down before returning a materialized result
-        out = sched.materialize()
-        return out
     finally:
         if own_seen:
             seen.shutdown()

@@ -11,8 +11,8 @@ Patterns exercised (with their 100-TB rationale):
   (q_groupby_host) — the combiner pattern;
 - bucketed vectorized per-group top-k (q_topk_per_host) and first-per-key
   dedup (q_dedup_first) — O(buckets) Python calls, not O(groups);
-- broadcast hash join / semi / anti joins (q_join_enrich, q_anti_join) —
-  ``ray.put`` the small side once, probe per batch, no shuffle;
+- broadcast hash join (q_small_qty_revenue) — ``ray.put`` the small
+  side once, probe per batch, no shuffle;
 - column pruning at the read for every query.
 """
 
@@ -152,97 +152,6 @@ def q_dedup_first(sf_dir: str):
         tie_cols=("l_linenumber", "l_partkey", "l_quantity"),
         n_buckets=default_buckets(),
     )
-
-
-# ---------------------------------------------------------------- J3 ----
-def q_join_enrich(sf_dir: str):
-    """Broadcast hash join: customer (small dim) shipped once via ray.put,
-    probed per batch — no shuffle of the fact table."""
-    cust = (
-        _pq(sf_dir, "customer", columns=["c_custkey", "c_name", "c_mktsegment"])
-        .to_pandas()
-        .set_index("c_custkey")
-    )
-    cust_ref = ray.put(cust)
-    orders = _pq(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
-
-    def probe(batch: pa.Table) -> pa.Table:
-        c = ray.get(cust_ref)
-        df = batch.to_pandas()
-        j = df.join(c, on="o_custkey", how="inner")
-        return pa.table(
-            {
-                "o_orderkey": pa.array(j["o_orderkey"], pa.int64()),
-                "o_totalprice": pa.array(j["o_totalprice"], pa.float64()),
-                "c_name": pa.array(j["c_name"], pa.string()),
-                "c_mktsegment": pa.array(j["c_mktsegment"], pa.string()),
-            }
-        )
-
-    return orders.map_batches(probe, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------- J1 ----
-def q_anti_join(sf_dir: str, broadcast_limit: int = 500_000):
-    """Anti join: customers with no finished ('F') order.
-
-    Size-adaptive on the probe side (the 'F' custkey set grows with the
-    corpus, so a fixed broadcast would eventually OOM the driver):
-    - small: broadcast the key set once (ray.put) and filter inside
-      map_batches — the exact twin of the seen-filter shape, zero
-      shuffles;
-    - large: distributed ``left_anti`` hash join — nothing key-set-
-      sized ever touches the driver.
-    Both paths are equivalence-tested (tests/test_queries_oracle.py)."""
-    forders = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"]).map_batches(
-        lambda b: b.filter(pc.equal(b.column("o_orderstatus"), "F")).select(
-            ["o_custkey"]
-        ),
-        batch_format="pyarrow",
-    )
-    cust = _pq(sf_dir, "customer", columns=["c_custkey", "c_name"])
-    forders = forders.materialize()
-    n_f = forders.count()  # row count bounds the distinct-key count
-
-    if n_f <= broadcast_limit:
-        okeys = sorted(forders.unique("o_custkey"))
-        keys_ref = ray.put(pa.array(okeys, pa.int64()))
-
-        def anti(batch: pa.Table) -> pa.Table:
-            ks = ray.get(keys_ref)  # broadcast pa.Array of keys
-            mask = pc.invert(pc.is_in(batch.column("c_custkey"), value_set=ks))
-            return batch.filter(mask)
-
-        return cust.map_batches(anti, batch_format="pyarrow", zero_copy_batch=True)
-
-    # distributed path: bucketed left_anti hash join; repartition first
-    # to squeeze out empty blocks (Ray 2.49 hash-join abort) and keep
-    # partition count proportional to data, not file layout
-    tune_join_resources()
-    cust = cust.materialize()
-    n_c = cust.count()
-    if n_c == 0:
-        return cust
-    cust = cust.repartition(max(1, min(join_partitions(), n_c // 4096)))
-    forders = forders.repartition(max(1, min(join_partitions(), n_f // 4096)))
-    return cust.join(
-        forders, join_type="left_anti", num_partitions=join_partitions(),
-        on=("c_custkey",), right_on=("o_custkey",),
-    )
-
-
-# ---------------------------------------------------------------- D2 ----
-def q_union_distinct(sf_dir: str):
-    a = _pq(sf_dir, "nation", columns=["n_regionkey"]).map_batches(
-        lambda b: pa.table({"regionkey": b.column("n_regionkey")}),
-        batch_format="pyarrow",
-    )
-    b = _pq(sf_dir, "region", columns=["r_regionkey"]).map_batches(
-        lambda t: pa.table({"regionkey": t.column("r_regionkey")}),
-        batch_format="pyarrow",
-    )
-    vals = sorted(a.union(b).unique("regionkey"))
-    return pa.table({"regionkey": pa.array(vals, pa.int32())})
 
 
 # ---------------------------------------------------------------- M2 ----
@@ -530,7 +439,7 @@ def q_small_qty_revenue(sf_dir: str, broadcast_limit: int = 500_000):
     - small: broadcast the per-part map (ray.put) and probe inside
       map_batches — lineitem streams with zero extra shuffles;
     - large: distributed hash join lineitem ⋈ per-part partials on
-      l_partkey (q_hash_join's path), same integer predicate applied
+      l_partkey, same integer predicate applied
       per joined batch — nothing |parts|-sized touches the driver.
     Both paths are equivalence-tested (tests/test_queries_oracle.py)."""
     from ray.data.aggregate import Sum
@@ -761,148 +670,6 @@ def q_asof_join(sf_dir: str):
     )
 
 
-# ---------------------------------------------------- shipping priority --
-def q_shipping_priority(
-    sf_dir: str,
-    segment: str = "BUILDING",
-    n: int = 10,
-    broadcast_limit: int = 500_000,
-):
-    """TPC-H-Q3-shaped composite: segment-filtered customers ⋈ date-
-    filtered orders ⋈ shipdate-filtered lineitem → integer-exact revenue
-    per order → global top-10 (per-block partial top-n + tiny merge).
-
-    Two layouts by the size of the filtered orders side:
-    - small (fits a broadcast): probe a ray.put lookup inside
-      map_batches — the fact table streams with zero extra shuffles;
-    - large: the true 100-TB plan — customer⋈orders and
-      (pre-aggregated lineitem)⋈orders as distributed hash joins, with
-      the lineitem side COMBINED to one row per orderkey before the
-      join so the join moves partials, not line items.
-    Both paths are equivalence-tested."""
-    cutoff = pd.Timestamp("1995-03-15")
-    q3_schema = pa.schema(
-        [("l_orderkey", pa.int64()), ("revenue_e4", pa.int64()),
-         ("o_orderdate", pa.timestamp("us")), ("o_orderpriority", pa.string())]
-    )
-    keys = [("revenue_e4", "descending"), ("l_orderkey", "ascending")]
-    from ray.data.aggregate import Sum
-
-    li = _pq(sf_dir, "lineitem",
-             columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])
-
-    def li_partial(batch: pa.Table, order_keys=None) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["l_shipdate"] > cutoff]
-        if order_keys is not None:
-            df = df[df["l_orderkey"].isin(order_keys)]
-        if not len(df):
-            return pa.table(
-                {"l_orderkey": pa.array([], pa.int64()),
-                 "rev": pa.array([], pa.int64())}
-            )
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        df2 = pd.DataFrame({"l_orderkey": df["l_orderkey"], "rev": e2 * (100 - d2)})
-        g = df2.groupby("l_orderkey", sort=False)["rev"].sum().reset_index()
-        return pa.table(
-            {"l_orderkey": pa.array(g["l_orderkey"], pa.int64()),
-             "rev": pa.array(g["rev"], pa.int64())}
-        )
-
-    def topn_merge(parts) -> pa.Table:
-        blocks = arrow_blocks(parts)
-        if not blocks:
-            return q3_schema.empty_table()
-        merged = pa.concat_tables(blocks, promote_options="none").cast(q3_schema)
-        return merged.take(pc.sort_indices(merged, sort_keys=keys)[:n])
-
-    cust = _pq(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]).map_batches(
-        lambda b: b.filter(pc.equal(b.column("c_mktsegment"), segment)).select(
-            ["c_custkey"]
-        ),
-        batch_format="pyarrow",
-    )
-    orders_cols = ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]
-    orders_dated = _pq(sf_dir, "orders", columns=orders_cols).map_batches(
-        lambda b: b.filter(pc.less(b.column("o_orderdate"), pa.scalar(cutoff))),
-        batch_format="pyarrow",
-    )
-
-    ckeys = pa.array(sorted(cust.unique("c_custkey")), pa.int64())
-    ckeys_ref = ray.put(ckeys)
-    orders_f_ds = orders_dated.map_batches(
-        lambda b: b.filter(
-            pc.is_in(b.column("o_custkey"), value_set=ray.get(ckeys_ref))
-        ).select(["o_orderkey", "o_orderdate", "o_orderpriority"]),
-        batch_format="pyarrow",
-    ).materialize()
-    n_orders = orders_f_ds.count()
-
-    if n_orders <= broadcast_limit:
-        # ---- broadcast path: filtered orders probe inside map_batches
-        od = orders_f_ds.to_pandas().set_index("o_orderkey")
-        orders_ref = ray.put(od)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            return li_partial(batch, order_keys=ray.get(orders_ref).index)
-
-        agg = (
-            li.map_batches(partial, batch_format="pyarrow")
-            .groupby("l_orderkey")
-            .aggregate(Sum("rev", alias_name="revenue_e4"))
-        )
-
-        def attach_topn(batch: pa.Table) -> pa.Table:
-            odx = ray.get(orders_ref)
-            idx = pc.sort_indices(batch, sort_keys=keys)[:n]
-            b = batch.take(idx)
-            ok = b.column("l_orderkey").to_pylist()
-            return pa.table(
-                {
-                    "l_orderkey": b.column("l_orderkey"),
-                    "revenue_e4": b.column("revenue_e4"),
-                    "o_orderdate": pa.array(
-                        [odx.loc[k, "o_orderdate"] for k in ok], pa.timestamp("us")
-                    ),
-                    "o_orderpriority": pa.array(
-                        [odx.loc[k, "o_orderpriority"] for k in ok], pa.string()
-                    ),
-                }
-            )
-
-        return topn_merge(agg.map_batches(attach_topn, batch_format="pyarrow"))
-
-    # ---- hash-join path: nothing broadcast, everything partitioned
-    tune_join_resources()
-    agg = (
-        li.map_batches(li_partial, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum("rev", alias_name="revenue_e4"))
-        .materialize()
-    )
-    n_agg = agg.count()
-    if n_agg == 0:
-        return q3_schema.empty_table()
-    # squeeze out empty blocks before joining (Ray 2.49 hash-join abort)
-    agg = agg.repartition(max(1, min(join_partitions(), n_agg // 4096)))
-    orders_f_ds = orders_f_ds.repartition(
-        max(1, min(join_partitions(), n_orders // 4096))
-    )
-    joined = agg.join(
-        orders_f_ds, join_type="inner", num_partitions=join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
-
-    def topn(batch: pa.Table) -> pa.Table:
-        b = batch.select(
-            ["l_orderkey", "revenue_e4", "o_orderdate", "o_orderpriority"]
-        )
-        return b.take(pc.sort_indices(b, sort_keys=keys)[:n])
-
-    return topn_merge(joined.map_batches(topn, batch_format="pyarrow"))
-
-
 # ----------------------------------------------------------- range join --
 RANGE_BANDS = [0.0, 1000.0, 5000.0, 20000.0, 75000.0, 150000.0, 300000.0]
 
@@ -932,225 +699,6 @@ def q_range_join(sf_dir: str):
         )
 
     return ds.map_batches(band, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ------------------------------------------------------------ hash join --
-def q_hash_join(sf_dir: str):
-    """Both-sides-large join via Ray Data's native hash join
-    (``Dataset.join``, Ray >= 2.46): lineitem ⋈ orders on orderkey —
-    the J3 scale path when neither side is broadcastable."""
-    tune_join_resources()
-    li = _pq(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity", "l_linenumber"])
-    o = _pq(sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_totalprice"])
-    joined = li.join(
-        o, join_type="inner", num_partitions=join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
-    return joined.map_batches(
-        lambda b: b.select(
-            ["l_orderkey", "l_linenumber", "l_quantity", "o_totalprice"]
-        ),
-        batch_format="pyarrow",
-    )
-
-# ---------------------------------------------------- revenue by nation --
-def q_revenue_by_nation(
-    sf_dir: str,
-    region: str = "ASIA",
-    date_lo: str = "1996-01-01",
-    date_hi: str = "1997-01-01",
-    broadcast_limit: int = 500_000,
-):
-    """TPC-H-Q5-shaped six-table composite: revenue per nation for
-    orders where the customer and the line's supplier share a nation
-    inside one region, over a one-year order-date window.
-
-    Physical plan (the 100-TB layout):
-    - region ⋈ nation collapses to a broadcast {nationkey → name} dict
-      (≤ 25 rows at any scale); supplier and customer to broadcast
-      {key → nationkey} int64 lookups probed inside map_batches
-      (supplier is always small; customer's lookup is 8 bytes/row —
-      ~1 GiB per 10^8 customers, still broadcastable; past that, swap
-      the probe for the hash join below). Dimension parquet is read
-      driver-side with pyarrow — kilobytes, no Dataset launch;
-    - orders filtered by date + region in one streaming pass. Then
-      adaptively, by the filtered-orders size:
-      * small (the common case — a 1-year window prunes hard): the
-        {orderkey → cust_nation} map is broadcast and BOTH the order
-        semi-join and the cust-nation = supp-nation equality are
-        pushed into the lineitem combiner, which then partial-sums
-        straight to per-NATION rows — the fact table never shuffles
-        at all, the groupby moves ≤|nations| rows per block;
-      * large: the lineitem side is pre-aggregated to one (orderkey,
-        supp_nation) partial per key pair, then meets orders in a
-        distributed hash join — the shuffle moves partials, not line
-        items.
-    Revenue in scaled int64 (e4) — bit-exact under any shuffle order."""
-    import pyarrow.parquet as _pqt
-
-    from ray.data.aggregate import Sum
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    def _dim(name: str, columns=None) -> pd.DataFrame:
-        return _pqt.read_table(
-            os.path.join(sf_dir, f"{name}.parquet"), columns=columns
-        ).to_pandas()
-
-    nr = _dim("nation").merge(
-        _dim("region"), left_on="n_regionkey", right_on="r_regionkey"
-    )
-    nr = nr[nr["r_name"] == region]
-    nat_name = dict(zip(nr["n_nationkey"].astype(int), nr["n_name"]))
-    sup = _dim("supplier", columns=["s_suppkey", "s_nationkey"])
-    sup_map_ref = ray.put(
-        dict(zip(sup["s_suppkey"].astype(int), sup["s_nationkey"].astype(int)))
-    )
-    cust = _dim("customer", columns=["c_custkey", "c_nationkey"])
-    cust_map_ref = ray.put(
-        dict(zip(cust["c_custkey"].astype(int), cust["c_nationkey"].astype(int)))
-    )
-    asia_ref = ray.put(frozenset(nat_name))
-
-    def orders_probe(batch: pa.Table) -> pa.Table:
-        cm = ray.get(cust_map_ref)
-        ok_nat = ray.get(asia_ref)
-        df = batch.to_pandas()
-        df = df[(df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi)]
-        c_nat = df["o_custkey"].map(cm)
-        df = df[c_nat.isin(ok_nat)]
-        return pa.table(
-            {
-                "o_orderkey": pa.array(df["o_orderkey"], pa.int64()),
-                "c_nat": pa.array(
-                    df["o_custkey"].map(cm).astype("int64"), pa.int64()
-                ),
-            }
-        )
-
-    orders_f = _pq(
-        sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(orders_probe, batch_format="pyarrow").materialize()
-    n_ord = orders_f.count()
-    out_schema = pa.schema(
-        [("n_name", pa.string()), ("revenue_e4", pa.int64())]
-    )
-    li = _pq(
-        sf_dir, "lineitem",
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    def finish(agg: pd.DataFrame) -> pa.Table:
-        agg["n_name"] = agg["s_nat"].astype(int).map(nat_name)
-        agg = agg.sort_values(["revenue_e4", "n_name"], ascending=[False, True],
-                              kind="mergesort")
-        return pa.table(
-            {
-                "n_name": pa.array(agg["n_name"], pa.string()),
-                "revenue_e4": pa.array(agg["revenue_e4"], pa.int64()),
-            }
-        )
-
-    if n_ord == 0:
-        return out_schema.empty_table()
-
-    if n_ord <= broadcast_limit:
-        # ---- broadcast path: the order semi-join AND the
-        # cust-nation = supp-nation equality run inside the lineitem
-        # combiner; partials are per NATION, so nothing fact-sized
-        # ever shuffles (c_nat keys are region-filtered already, so
-        # the equality implies the region test too)
-        om = orders_f.to_pandas()
-        ord_map_ref = ray.put(
-            dict(zip(om["o_orderkey"].astype(int), om["c_nat"].astype(int)))
-        )
-
-        def li_nation_partial(batch: pa.Table) -> pa.Table:
-            sm = ray.get(sup_map_ref)
-            omap = ray.get(ord_map_ref)
-            df = batch.to_pandas()
-            c_nat = df["l_orderkey"].map(omap)
-            s_nat = df["l_suppkey"].map(sm)
-            df = df[c_nat.notna() & (c_nat == s_nat)]
-            if not len(df):
-                return pa.table(
-                    {"s_nat": pa.array([], pa.int64()),
-                     "rev": pa.array([], pa.int64())}
-                )
-            e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-            d2 = (df["l_discount"] * 100).round().astype("int64")
-            df2 = pd.DataFrame(
-                {"s_nat": df["l_suppkey"].map(sm).astype("int64"),
-                 "rev": e2 * (100 - d2)}
-            )
-            g = df2.groupby("s_nat", sort=False)["rev"].sum().reset_index()
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        agg = (
-            li.map_batches(li_nation_partial, batch_format="pyarrow")
-            .groupby("s_nat")
-            .aggregate(Sum("rev", alias_name="revenue_e4"))
-            .to_pandas()  # ≤ |nations| rows
-        )
-        if not len(agg):
-            return out_schema.empty_table()
-        return finish(agg)
-
-    # ---- hash-join path: nothing broadcast beyond the dims
-    def li_partial(batch: pa.Table) -> pa.Table:
-        sm = ray.get(sup_map_ref)
-        ok_nat = ray.get(asia_ref)
-        df = batch.to_pandas()
-        s_nat = df["l_suppkey"].map(sm)
-        df = df[s_nat.isin(ok_nat)]
-        if not len(df):
-            return pa.table(
-                {"l_orderkey": pa.array([], pa.int64()),
-                 "s_nat": pa.array([], pa.int64()),
-                 "rev": pa.array([], pa.int64())}
-            )
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        df2 = pd.DataFrame(
-            {"l_orderkey": df["l_orderkey"],
-             "s_nat": df["l_suppkey"].map(sm).astype("int64"),
-             "rev": e2 * (100 - d2)}
-        )
-        g = df2.groupby(["l_orderkey", "s_nat"], sort=False)["rev"].sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    li_agg = (
-        li.map_batches(li_partial, batch_format="pyarrow")
-        .groupby(["l_orderkey", "s_nat"])
-        .aggregate(Sum("rev", alias_name="rev"))
-        .materialize()
-    )
-    n_li = li_agg.count()
-    if n_li == 0:
-        return out_schema.empty_table()
-    tune_join_resources()
-    # squeeze empty blocks (Ray 2.49 hash join aborts on all-empty partitions)
-    li_agg = li_agg.repartition(max(1, min(join_partitions(), n_li // 4096)))
-    orders_f = orders_f.repartition(max(1, min(join_partitions(), n_ord // 4096)))
-    joined = li_agg.join(
-        orders_f, join_type="inner", num_partitions=join_partitions(),
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
-
-    def same_nation(batch: pa.Table) -> pa.Table:
-        keep = pc.equal(batch.column("s_nat"), batch.column("c_nat"))
-        b = batch.filter(keep)
-        return pa.table({"s_nat": b.column("s_nat"), "rev": b.column("rev")})
-
-    agg = (
-        joined.map_batches(same_nation, batch_format="pyarrow")
-        .groupby("s_nat")
-        .aggregate(Sum("rev", alias_name="revenue_e4"))
-        .to_pandas()  # ≤ |nations| rows
-    )
-    if not len(agg):
-        return out_schema.empty_table()
-    return finish(agg)
 
 
 # ----------------------------------------------------------- percentiles --
@@ -1224,70 +772,6 @@ def q_stratified_sample(sf_dir: str, n_per: int = 20):
     )
 
 
-# ---------------------------------------------------------------- rollup --
-def q_rollup(sf_dir: str):
-    """Hierarchical ROLLUP aggregate (region → nation → grand total)
-    over customers: counts + exact acctbal sums (int64 cents) at every
-    level, subtotal keys coalesced to 'ALL'. Layout: broadcast the tiny
-    nation⋈region dim (≤ 25 rows), one combiner pass + one groupby at
-    the FINEST level only; coarser levels re-aggregate the ≤|nations|
-    fine rows on the driver — rollup never touches the fact table
-    twice."""
-    from ray.data.aggregate import Sum
-
-    nr = (
-        _pq(sf_dir, "nation").to_pandas()
-        .merge(_pq(sf_dir, "region").to_pandas(),
-               left_on="n_regionkey", right_on="r_regionkey")
-    )
-    dim_ref = ray.put(
-        {int(k): (r, n) for k, r, n in zip(nr["n_nationkey"], nr["r_name"], nr["n_name"])}
-    )
-    ds = _pq(sf_dir, "customer", columns=["c_nationkey", "c_acctbal"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        dim = ray.get(dim_ref)
-        df = batch.to_pandas()
-        rn = df["c_nationkey"].astype(int).map(dim)
-        df2 = pd.DataFrame(
-            {
-                "region_name": [t[0] for t in rn],
-                "nation_name": [t[1] for t in rn],
-                "n_cust": 1,
-                "acctbal_e2": (df["c_acctbal"] * 100).round().astype("int64"),
-            }
-        )
-        g = df2.groupby(["region_name", "nation_name"], sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    fine = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["region_name", "nation_name"])
-        .aggregate(Sum("n_cust", alias_name="n_cust"),
-                   Sum("acctbal_e2", alias_name="acctbal_e2"))
-        .to_pandas()  # ≤ |nations| rows
-    )
-    per_region = (
-        fine.groupby("region_name", as_index=False)[["n_cust", "acctbal_e2"]]
-        .sum()
-        .assign(nation_name="ALL")
-    )
-    total = pd.DataFrame(
-        [{"region_name": "ALL", "nation_name": "ALL",
-          "n_cust": fine["n_cust"].sum(), "acctbal_e2": fine["acctbal_e2"].sum()}]
-    )
-    out = pd.concat([fine, per_region, total], ignore_index=True)
-    out = out.sort_values(["region_name", "nation_name"], kind="mergesort")
-    return pa.table(
-        {
-            "region_name": pa.array(out["region_name"], pa.string()),
-            "nation_name": pa.array(out["nation_name"], pa.string()),
-            "n_cust": pa.array(out["n_cust"].astype("int64"), pa.int64()),
-            "acctbal_e2": pa.array(out["acctbal_e2"].astype("int64"), pa.int64()),
-        }
-    )
-
-
 # ----------------------------------------------------------------- pivot --
 def q_pivot(sf_dir: str):
     """Pivot (long → wide) aggregate: one row per user with per-
@@ -1320,133 +804,6 @@ def q_pivot(sf_dir: str):
         .groupby("user_id")
         .aggregate(*[Sum(f"n_{t}", alias_name=f"n_{t}") for t in types])
     )
-
-
-# ------------------------------------------------------- left outer join --
-def q_order_count_dist(sf_dir: str):
-    """TPC-H-Q13-shaped distribution of per-customer order counts,
-    INCLUDING the zero-order customers — without the left join Q13 is
-    usually written with. Layout: level 1 = per-batch partial counts on
-    the single pruned o_custkey column → groupby sum (the only
-    shuffle, key-bounded at |customers|); level 2 = per-batch histogram
-    partials over the counts → tiny groupby (|distinct counts| rows).
-    The zero bucket is arithmetic: |customer| − |customers with
-    orders| — two scalar counts, no join, no second shuffle. The
-    driver only ever holds the final histogram."""
-    from ray.data.aggregate import Sum
-
-    orders = _pq(sf_dir, "orders", columns=["o_custkey"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(
-            batch.column("o_custkey").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "o_custkey": pa.array(u.astype(np.int64), pa.int64()),
-                "n": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    per_cust = (
-        orders.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_custkey")
-        .aggregate(Sum("n", alias_name="c_count"))
-    )
-
-    def hist(batch: pa.Table) -> pa.Table:
-        u, c = np.unique(
-            batch.column("c_count").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "c_count": pa.array(u.astype(np.int64), pa.int64()),
-                "n_cust": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    hdf = (
-        per_cust.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("c_count")
-        .aggregate(Sum("n_cust", alias_name="n_cust"))
-        .to_pandas()  # |distinct order counts| rows — tiny
-    )
-    n_customers = _pq(sf_dir, "customer", columns=["c_custkey"]).count()
-    zero = n_customers - int(hdf["n_cust"].sum())
-    if zero > 0:
-        hdf = pd.concat(
-            [hdf, pd.DataFrame({"c_count": [0], "n_cust": [zero]})],
-            ignore_index=True,
-        )
-    hdf = hdf.sort_values("c_count").reset_index(drop=True)
-    return pa.table(
-        {
-            "c_count": pa.array(hdf["c_count"].astype("int64"), pa.int64()),
-            "n_cust": pa.array(hdf["n_cust"].astype("int64"), pa.int64()),
-        }
-    )
-
-
-def q_left_join(sf_dir: str):
-    """LEFT OUTER join with aggregation: every customer row survives,
-    order count/revenue default to zero when no order matches. Layout:
-    the orders side collapses to per-custkey partials BEFORE any join
-    (combiner), then the partial map — |customers|-bounded, 16 bytes a
-    row — broadcasts and probes inside the customer scan, so the outer
-    side streams with no shuffle and null-extension is a vectorized
-    fillna. At a scale where the partial map outgrows a broadcast, the
-    same two inputs go through the distributed hash join with
-    join_type='left_outer' (q_hash_join's path) — layout documented,
-    broadcast chosen here because the aggregated side is key-bounded."""
-    from ray.data.aggregate import Sum
-
-    orders = _pq(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
-
-    def o_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["cents"] = (df["o_totalprice"] * 100).round().astype("int64")
-        g = df.groupby("o_custkey", sort=False).agg(
-            n=("cents", "size"), cents=("cents", "sum")
-        ).reset_index()
-        return pa.table(
-            {
-                "o_custkey": pa.array(g["o_custkey"], pa.int64()),
-                "n": pa.array(g["n"].astype("int64"), pa.int64()),
-                "cents": pa.array(g["cents"], pa.int64()),
-            }
-        )
-
-    agg = (
-        orders.map_batches(o_partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("n", alias_name="n"), Sum("cents", alias_name="cents"))
-        .to_pandas()  # one row per customer WITH orders — key-bounded
-        .set_index("o_custkey")
-    )
-    agg_ref = ray.put(agg)
-
-    cust = _pq(sf_dir, "customer", columns=["c_custkey", "c_name"])
-
-    def probe(batch: pa.Table) -> pa.Table:
-        a = ray.get(agg_ref)
-        df = batch.to_pandas()
-        j = df.join(a, on="c_custkey", how="left")
-        return pa.table(
-            {
-                "c_custkey": pa.array(df["c_custkey"], pa.int64()),
-                "c_name": pa.array(df["c_name"], pa.string()),
-                "n_orders": pa.array(
-                    j["n"].fillna(0).astype("int64"), pa.int64()
-                ),
-                "total_spent_e2": pa.array(
-                    j["cents"].fillna(0).astype("int64"), pa.int64()
-                ),
-            }
-        )
-
-    return cust.map_batches(probe, batch_format="pyarrow")
 
 
 # -------------------------------------------------- filter aggregate ----
@@ -1487,526 +844,6 @@ def q_filter_agg(sf_dir: str):
             "revenue_e4": pa.array([int(parts["revenue_e4"].sum())], pa.int64()),
             "n": pa.array([int(parts["n"].sum())], pa.int64()),
         }
-    )
-
-
-# ------------------------------------------------------- semi join ------
-def q_semi_join(sf_dir: str, broadcast_limit: int = 2_000_000):
-    """TPC-H-Q4-shaped EXISTS semi-join: count open orders per priority
-    where at least one line item was returned. The semi side is reduced
-    FIRST to a distinct key set (two-level: per-batch unique → global
-    groupby-count — keys never concentrate in one task), then applied
-    size-adaptively:
-
-    - |keys| <= broadcast_limit: keys broadcast once via ray.put, the
-      orders scan keeps rows with pc.is_in — zero shuffle on the big
-      side (the anti-join's mirror);
-    - above the bound: distributed inner hash join orders ⋈ distinct
-      keys (a semi-join, since the key side is distinct by
-      construction), then the same tiny groupby.
-    """
-    from ray.data.aggregate import Count, Sum
-
-    li = _pq(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
-
-    def ret_keys(batch: pa.Table) -> pa.Table:
-        mask = pc.equal(batch.column("l_returnflag"), "R")
-        keys = pc.unique(batch.filter(mask).column("l_orderkey"))
-        return pa.table({"l_orderkey": keys})
-
-    distinct = (
-        li.map_batches(ret_keys, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_orderkey")
-        .aggregate(Count(alias_name="_c"))
-        .materialize()
-    )
-    n_keys = distinct.count()
-
-    orders = _pq(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus", "o_orderpriority"])
-
-    def open_orders(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch.column("o_orderstatus"), "O"))
-
-    orders = orders.map_batches(
-        open_orders, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-    if n_keys <= broadcast_limit:
-        keys = pa.array(
-            distinct.to_pandas()["l_orderkey"].to_numpy(), pa.int64()
-        )  # key-bounded by broadcast_limit
-        keys_ref = ray.put(keys)
-
-        def semi(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                pc.is_in(batch.column("o_orderkey"), value_set=ray.get(keys_ref))
-            )
-
-        kept = orders.map_batches(semi, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        tune_join_resources()
-        nparts = join_partitions()
-        dk = distinct.map_batches(
-            lambda b: pa.table({"o_orderkey": b.column("l_orderkey")}),
-            batch_format="pyarrow",
-        ).repartition(nparts)
-        n_o = orders.count()
-        kept = orders.repartition(max(2, min(nparts, n_o // 4096 + 1))).join(
-            dk, join_type="inner", num_partitions=nparts, on=("o_orderkey",)
-        )
-
-    def prio_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table({"o_orderpriority": batch.column("o_orderpriority")})
-        df = t.to_pandas()
-        g = df.groupby("o_orderpriority", sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(g["o_orderpriority"], pa.string()),
-                "n": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    return (
-        kept.map_batches(prio_partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Sum("n", alias_name="n_orders"))
-    )
-
-
-# --------------------------------------------------- promo revenue ------
-def q_promo_revenue(sf_dir: str, broadcast_limit: int = 50_000_000):
-    """TPC-H-Q14-shaped conditional aggregate over a dimension join:
-    promo vs total revenue for one ship-month. part is the classic
-    small side — its {p_partkey → is_promo} bitmap costs ~1 byte/row,
-    broadcast once via ray.put and probed inside the scan (searchsorted
-    over the sorted key array); above broadcast_limit parts the
-    lineitem side pre-aggregates to per-part partials and meets the
-    part dim in a bucketed hash join (the fork the other dimension
-    joins use — both paths equivalence-tested). Output is the two
-    exact integer sums (promo_e4, total_e4) — the ratio is derivable,
-    the sums are hashable."""
-    import pyarrow.parquet as pqt
-
-    lo, hi = pd.Timestamp("1996-09-01"), pd.Timestamp("1996-10-01")
-    ds = _pq(
-        sf_dir, "lineitem",
-        columns=["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    )
-
-    def _month_frame(batch: pa.Table) -> pd.DataFrame:
-        df = batch.to_pandas()
-        df = df[(df["l_shipdate"] >= lo) & (df["l_shipdate"] < hi)]
-        if len(df) == 0:
-            return df
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame(
-            {
-                "l_partkey": df["l_partkey"].astype("int64"),
-                "rev": (e2 * (100 - d2)).astype("int64"),
-            }
-        )
-
-    n_parts = pqt.read_metadata(os.path.join(sf_dir, "part.parquet")).num_rows
-    if n_parts <= broadcast_limit:
-        part = pqt.read_table(
-            os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_type"]
-        )
-        pk = part.column("p_partkey").to_numpy()
-        promo = pc.equal(part.column("p_type"), "PROMO").to_numpy(zero_copy_only=False)
-        order = np.argsort(pk)
-        lookup_ref = ray.put((pk[order], promo[order]))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            keys, promo = ray.get(lookup_ref)
-            df = _month_frame(batch)
-            if len(df) == 0:
-                return pa.table(
-                    {"promo_e4": pa.array([0], pa.int64()),
-                     "total_e4": pa.array([0], pa.int64())}
-                )
-            rev = df["rev"].to_numpy()
-            pkv = df["l_partkey"].to_numpy()
-            pos = np.clip(np.searchsorted(keys, pkv), 0, len(keys) - 1)
-            is_promo = (keys[pos] == pkv) & promo[pos]
-            return pa.table(
-                {
-                    "promo_e4": pa.array([int(rev[is_promo].sum())], pa.int64()),
-                    "total_e4": pa.array([int(rev.sum())], pa.int64()),
-                }
-            )
-
-        parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    else:
-        # distributed fork (>broadcast_limit parts): lineitem pre-
-        # aggregates to one (partkey, rev) partial per key, meets the
-        # part dim in a bucketed hash join, and two conditional sums
-        # finish — the shuffle moves per-part partials, never line items
-        part_schema = pa.schema([("l_partkey", pa.int64()), ("rev", pa.int64())])
-
-        def li_partial(batch: pa.Table) -> pa.Table:
-            df = _month_frame(batch)
-            if len(df) == 0:
-                return part_schema.empty_table()
-            g = df.groupby("l_partkey", sort=False)["rev"].sum().reset_index()
-            return pa.table(
-                {
-                    "l_partkey": pa.array(g["l_partkey"], pa.int64()),
-                    "rev": pa.array(g["rev"].astype("int64"), pa.int64()),
-                }
-            )
-
-        li_parts = ds.map_batches(li_partial, batch_format="pyarrow").materialize()
-        n_p = li_parts.count()
-        if n_p == 0:
-            return pa.table(
-                {"promo_e4": pa.array([0], pa.int64()),
-                 "total_e4": pa.array([0], pa.int64())}
-            )
-        pdim = _pq(sf_dir, "part", columns=["p_partkey", "p_type"]).map_batches(
-            lambda b: pa.table(
-                {
-                    "p_partkey": b.column("p_partkey"),
-                    "is_promo": pc.equal(b.column("p_type"), "PROMO"),
-                }
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-        tune_join_resources()
-        nparts = join_partitions()
-        li_parts = li_parts.repartition(max(1, min(nparts, n_p // 4096)))
-        pdim = pdim.repartition(max(1, min(nparts, n_parts // 4096)))
-        joined = li_parts.join(
-            pdim, join_type="inner", num_partitions=nparts,
-            on=("l_partkey",), right_on=("p_partkey",),
-        )
-
-        def sums(batch: pa.Table) -> pa.Table:
-            rev = batch.column("rev").to_numpy(zero_copy_only=False)
-            isp = batch.column("is_promo").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "promo_e4": pa.array([int(rev[isp].sum())], pa.int64()),
-                    "total_e4": pa.array([int(rev.sum())], pa.int64()),
-                }
-            )
-
-        parts = joined.map_batches(sums, batch_format="pyarrow").to_pandas()
-    return pa.table(
-        {
-            "promo_e4": pa.array([int(parts["promo_e4"].sum())], pa.int64()),
-            "total_e4": pa.array([int(parts["total_e4"].sum())], pa.int64()),
-        }
-    )
-
-
-# ------------------------------------------------- volume shipping ------
-def q_volume_shipping(
-    sf_dir: str,
-    date_lo: str = "1995-01-01",
-    date_hi: str = "1997-01-01",
-    broadcast_limit: int = 500_000,
-):
-    """TPC-H-Q7-shaped nation-pair trade volume: revenue between every
-    (supplier nation, customer nation) ordered pair with supp != cust,
-    split by ship year.
-
-    Physical plan (the 100-TB layout):
-    - nation (<= 25 rows) and the supplier {s_suppkey -> nationkey}
-      lookup are broadcast probes (supplier is the classic small dim);
-    - customer collapses INTO orders first: one streaming orders pass
-      emits (o_orderkey, c_nat) with the customer map probed per batch
-      (same 8-bytes-per-row bound as q_revenue_by_nation);
-    - then size-adaptive on |orders|:
-      * <= broadcast_limit: {orderkey -> c_nat} is broadcast as two
-        sorted parallel arrays (searchsorted probe, ~9 bytes/row) and
-        the lineitem combiner partial-sums straight to
-        (s_nat, c_nat, year) rows -- the fact table never shuffles;
-      * above: lineitem pre-aggregates to (l_orderkey, s_nat, l_year)
-        revenue partials, meets orders in a distributed hash join,
-        and a tiny 3-key groupby finishes -- the shuffle moves
-        partials, not line items.
-    Both paths are equivalence-tested (tests/test_queries_oracle.py).
-    Revenue in int64 e4 (price_e2 * (100 - disc_e2)) -- bit-exact
-    under any shuffle order, so the DuckDB twin hash-matches."""
-    import pyarrow.parquet as _pqt
-
-    from ray.data.aggregate import Sum
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    def _dim(name: str, columns=None) -> pd.DataFrame:
-        return _pqt.read_table(
-            os.path.join(sf_dir, f"{name}.parquet"), columns=columns
-        ).to_pandas()
-
-    nat = _dim("nation", columns=["n_nationkey", "n_name"])
-    nat_name = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
-    sup = _dim("supplier", columns=["s_suppkey", "s_nationkey"])
-    sup_map_ref = ray.put(
-        dict(zip(sup["s_suppkey"].astype(int), sup["s_nationkey"].astype(int)))
-    )
-    cust = _dim("customer", columns=["c_custkey", "c_nationkey"])
-    cust_map_ref = ray.put(
-        dict(zip(cust["c_custkey"].astype(int), cust["c_nationkey"].astype(int)))
-    )
-
-    def orders_probe(batch: pa.Table) -> pa.Table:
-        cm = ray.get(cust_map_ref)
-        df = batch.to_pandas()
-        return pa.table(
-            {
-                "o_orderkey": pa.array(df["o_orderkey"], pa.int64()),
-                "c_nat": pa.array(df["o_custkey"].map(cm).astype("int64"), pa.int64()),
-            }
-        )
-
-    orders_f = (
-        _pq(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-        .map_batches(orders_probe, batch_format="pyarrow")
-        .materialize()
-    )
-    n_ord = orders_f.count()
-
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    )
-
-    def _rev_frame(batch: pa.Table) -> pd.DataFrame | None:
-        # shared prep: ship window + supplier nation + e4 revenue + year
-        sm = ray.get(sup_map_ref)
-        df = batch.to_pandas()
-        df = df[(df["l_shipdate"] >= lo) & (df["l_shipdate"] < hi)]
-        if len(df) == 0:
-            return None
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame(
-            {
-                "l_orderkey": df["l_orderkey"].astype("int64"),
-                "s_nat": df["l_suppkey"].map(sm).astype("int64"),
-                "l_year": df["l_shipdate"].dt.year.astype("int64"),
-                "rev": (e2 * (100 - d2)).astype("int64"),
-            }
-        )
-
-    pair_schema = pa.schema(
-        [("s_nat", pa.int64()), ("c_nat", pa.int64()),
-         ("l_year", pa.int64()), ("rev", pa.int64())]
-    )
-
-    if n_ord <= broadcast_limit:
-        op = orders_f.to_pandas()  # bounded by broadcast_limit rows
-        okeys = op["o_orderkey"].to_numpy()
-        order = np.argsort(okeys)
-        omap_ref = ray.put((okeys[order], op["c_nat"].to_numpy()[order]))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            df = _rev_frame(batch)
-            if df is None:
-                return pair_schema.empty_table()
-            keys, cnat = ray.get(omap_ref)
-            ok = df["l_orderkey"].to_numpy()
-            pos = np.clip(np.searchsorted(keys, ok), 0, len(keys) - 1)
-            hit = keys[pos] == ok
-            df = df[hit].copy()
-            df["c_nat"] = cnat[pos[hit]]
-            df = df[df["s_nat"] != df["c_nat"]]
-            g = (
-                df.groupby(["s_nat", "c_nat", "l_year"], sort=False)["rev"]
-                .sum()
-                .reset_index()
-            )
-            return pa.table(
-                {
-                    "s_nat": pa.array(g["s_nat"], pa.int64()),
-                    "c_nat": pa.array(g["c_nat"], pa.int64()),
-                    "l_year": pa.array(g["l_year"], pa.int64()),
-                    "rev": pa.array(g["rev"].astype("int64"), pa.int64()),
-                }
-            )
-
-        agg = (
-            li.map_batches(partial, batch_format="pyarrow")
-            .groupby(["s_nat", "c_nat", "l_year"])
-            .aggregate(Sum("rev", alias_name="revenue_e4"))
-            .to_pandas()
-        )
-    else:
-        part_schema = pa.schema(
-            [("l_orderkey", pa.int64()), ("s_nat", pa.int64()),
-             ("l_year", pa.int64()), ("rev", pa.int64())]
-        )
-
-        def li_partial(batch: pa.Table) -> pa.Table:
-            df = _rev_frame(batch)
-            if df is None:
-                return part_schema.empty_table()
-            g = (
-                df.groupby(["l_orderkey", "s_nat", "l_year"], sort=False)["rev"]
-                .sum()
-                .reset_index()
-            )
-            return pa.table(
-                {
-                    "l_orderkey": pa.array(g["l_orderkey"], pa.int64()),
-                    "s_nat": pa.array(g["s_nat"], pa.int64()),
-                    "l_year": pa.array(g["l_year"], pa.int64()),
-                    "rev": pa.array(g["rev"].astype("int64"), pa.int64()),
-                }
-            )
-
-        parts = li.map_batches(li_partial, batch_format="pyarrow").materialize()
-        n_p = parts.count()
-        if n_p == 0:
-            agg = pd.DataFrame(
-                {"s_nat": [], "c_nat": [], "l_year": [], "revenue_e4": []}
-            )
-        else:
-            tune_join_resources()
-            nparts = join_partitions()
-            parts = parts.repartition(max(1, min(nparts, n_p // 4096)))
-            of = orders_f.repartition(max(1, min(nparts, n_ord // 4096)))
-            joined = parts.join(
-                of, join_type="inner", num_partitions=nparts,
-                on=("l_orderkey",), right_on=("o_orderkey",),
-            )
-            agg = (
-                joined.map_batches(
-                    lambda b: b.filter(
-                        pc.invert(pc.equal(b.column("s_nat"), b.column("c_nat")))
-                    ),
-                    batch_format="pyarrow",
-                )
-                .groupby(["s_nat", "c_nat", "l_year"])
-                .aggregate(Sum("rev", alias_name="revenue_e4"))
-                .to_pandas()
-            )
-
-    agg["supp_nation"] = agg["s_nat"].astype(int).map(nat_name)
-    agg["cust_nation"] = agg["c_nat"].astype(int).map(nat_name)
-    agg = agg.sort_values(["supp_nation", "cust_nation", "l_year"], kind="mergesort")
-    return pa.table(
-        {
-            "supp_nation": pa.array(agg["supp_nation"], pa.string()),
-            "cust_nation": pa.array(agg["cust_nation"], pa.string()),
-            "l_year": pa.array(agg["l_year"].astype("int64"), pa.int64()),
-            "revenue_e4": pa.array(agg["revenue_e4"].astype("int64"), pa.int64()),
-        }
-    )
-
-
-# --------------------------------------------- no-order customers -------
-def q_no_order_customers(
-    sf_dir: str, cutoff: str = "2001-01-01", broadcast_limit: int = 500_000
-):
-    """TPC-H-Q22-shaped global-average filter + anti join + rollup:
-    positive-balance customers strictly above the mean balance of the
-    positive set, with no RECENT order (o_orderdate >= cutoff), counted
-    and summed per nation.
-
-    The correlated global-average predicate is the integer-exact cross
-    multiply (b_e2 * n_pos > sum_e2) -- no division, so engine and
-    DuckDB twin agree bit-for-bit. Plan:
-    - pass 1: a combiner pass over customer emits per-batch
-      (n_pos, sum_e2) partials -- two ints reach the driver;
-    - the recent-order key set reduces two-level (per-batch unique ->
-      groupby) to distinct keys, then applies size-adaptively:
-      broadcast pc.is_in under the bound, distributed left_anti hash
-      join above it (q_anti_join's fork, both paths tested);
-    - the per-nation rollup is a combiner groupby (<= 25 partial rows
-      per batch)."""
-    from ray.data.aggregate import Count, Sum
-
-    cut = pd.Timestamp(cutoff)
-    cust = _pq(sf_dir, "customer", columns=["c_custkey", "c_nationkey", "c_acctbal"])
-
-    def bal_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        pos = df[df["c_acctbal"] > 0]
-        b = (pos["c_acctbal"] * 100).round().astype("int64")
-        return pa.table(
-            {
-                "n": pa.array([len(pos)], pa.int64()),
-                "s": pa.array([int(b.sum())], pa.int64()),
-            }
-        )
-
-    stats = cust.map_batches(bal_partial, batch_format="pyarrow").to_pandas()
-    n_pos, sum_e2 = int(stats["n"].sum()), int(stats["s"].sum())
-
-    def recent_keys(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        keys = df.loc[df["o_orderdate"] >= cut, "o_custkey"].unique()
-        return pa.table({"o_custkey": pa.array(keys, pa.int64())})
-
-    recent = (
-        _pq(sf_dir, "orders", columns=["o_custkey", "o_orderdate"])
-        .map_batches(recent_keys, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="_c"))
-        .materialize()
-    )
-    n_r = recent.count()
-
-    def rich(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["c_acctbal"] > 0].copy()
-        df["b"] = (df["c_acctbal"] * 100).round().astype("int64")
-        df = df[df["b"] * n_pos > sum_e2]
-        return pa.table(
-            {
-                "c_custkey": pa.array(df["c_custkey"], pa.int64()),
-                "c_nationkey": pa.array(df["c_nationkey"], pa.int64()),
-                "b": pa.array(df["b"], pa.int64()),
-            }
-        )
-
-    rich_ds = cust.map_batches(rich, batch_format="pyarrow")
-
-    if n_r <= broadcast_limit:
-        keys_ref = ray.put(
-            pa.array(sorted(recent.to_pandas()["o_custkey"].astype(int)), pa.int64())
-        )
-
-        def anti(batch: pa.Table) -> pa.Table:
-            mask = pc.invert(
-                pc.is_in(batch.column("c_custkey"), value_set=ray.get(keys_ref))
-            )
-            return batch.filter(mask)
-
-        kept = rich_ds.map_batches(anti, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        tune_join_resources()
-        nparts = join_partitions()
-        rich_ds = rich_ds.materialize()
-        n_c = rich_ds.count()
-        if n_c == 0:
-            kept = rich_ds
-        else:
-            kept = rich_ds.repartition(max(1, min(nparts, n_c // 4096))).join(
-                recent.repartition(max(1, min(nparts, n_r // 4096))),
-                join_type="left_anti", num_partitions=nparts,
-                on=("c_custkey",), right_on=("o_custkey",),
-            )
-
-    def nat_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("c_nationkey", sort=False)["b"].agg(["count", "sum"]).reset_index()
-        return pa.table(
-            {
-                "c_nationkey": pa.array(g["c_nationkey"], pa.int64()),
-                "n": pa.array(g["count"].astype("int64"), pa.int64()),
-                "s": pa.array(g["sum"].astype("int64"), pa.int64()),
-            }
-        )
-
-    return (
-        kept.map_batches(nat_partial, batch_format="pyarrow")
-        .groupby("c_nationkey")
-        .aggregate(Sum("n", alias_name="n_cust"), Sum("s", alias_name="acctbal_e2"))
     )
 
 
@@ -2051,9 +888,9 @@ def q_minmax_scale(sf_dir: str):
 def q_cube(sf_dir: str):
     """CUBE grouping sets over (returnflag, linestatus): counts + exact
     quantity sums (int64 e2) at all four levels, subtotal keys coalesced
-    to 'ALL'. Same layout as q_rollup: one combiner pass + one groupby
-    at the FINEST grouping only; the three coarser sets re-aggregate the
-    <= |R|x|S| fine rows on the driver — the fact table is read once."""
+    to 'ALL'. One combiner pass + one groupby at the FINEST grouping
+    only; the three coarser sets re-aggregate the <= |R|x|S| fine rows
+    on the driver — the fact table is read once."""
     from ray.data.aggregate import Sum
 
     ds = _pq(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus", "l_quantity"])
@@ -2157,186 +994,6 @@ def q_interarrival(sf_dir: str, n_buckets: int | None = None):
     )
 
 
-# ---------------------------------------------- returned revenue --------
-def q_returned_revenue(
-    sf_dir: str,
-    date_lo: str = "1996-07-01",
-    date_hi: str = "1996-10-01",
-    k: int = 20,
-    broadcast_limit: int = 500_000,
-):
-    """TPC-H-Q10-shaped top-k: the k customers losing the most revenue
-    to returned items in one quarter (revenue = e4-int sum over
-    returnflag='R' lines of window orders), with name + nation
-    attached. Deterministic (revenue desc, custkey asc) order.
-
-    Plan: the quarter's orders collapse to a broadcast sorted
-    {orderkey -> custkey} pair (date pruning makes this the small side;
-    above ``broadcast_limit`` the lineitem partials meet orders in a
-    distributed hash join — q_volume_shipping's fork); the lineitem
-    combiner partial-sums straight to per-CUSTOMER rows, the groupby
-    moves those partials, and the top-k is a per-block partial top-k +
-    driver merge of <= k x blocks rows (q_global_topk's layout — no
-    full sort). Customer/nation dims are broadcast probes applied to
-    the k winners on the driver."""
-    import pyarrow.parquet as _pqt
-
-    from ray.data.aggregate import Sum
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-
-    def _dim(name: str, columns=None) -> pd.DataFrame:
-        return _pqt.read_table(
-            os.path.join(sf_dir, f"{name}.parquet"), columns=columns
-        ).to_pandas()
-
-    def orders_probe(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[(df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi)]
-        return pa.table(
-            {
-                "o_orderkey": pa.array(df["o_orderkey"], pa.int64()),
-                "o_custkey": pa.array(df["o_custkey"], pa.int64()),
-            }
-        )
-
-    orders_f = (
-        _pq(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(orders_probe, batch_format="pyarrow")
-        .materialize()
-    )
-    n_ord = orders_f.count()
-
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-    )
-
-    def _returned_frame(batch: pa.Table) -> pd.DataFrame | None:
-        df = batch.to_pandas()
-        df = df[df["l_returnflag"] == "R"]
-        if len(df) == 0:
-            return None
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame(
-            {
-                "l_orderkey": df["l_orderkey"].astype("int64"),
-                "rev": (e2 * (100 - d2)).astype("int64"),
-            }
-        )
-
-    cust_schema = pa.schema([("c_custkey", pa.int64()), ("rev", pa.int64())])
-
-    if n_ord <= broadcast_limit:
-        op = orders_f.to_pandas()
-        okeys = op["o_orderkey"].to_numpy()
-        order = np.argsort(okeys)
-        omap_ref = ray.put((okeys[order], op["o_custkey"].to_numpy()[order]))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            df = _returned_frame(batch)
-            if df is None:
-                return cust_schema.empty_table()
-            keys, cust = ray.get(omap_ref)
-            ok = df["l_orderkey"].to_numpy()
-            pos = np.clip(np.searchsorted(keys, ok), 0, max(0, len(keys) - 1))
-            hit = len(keys) > 0
-            m = (keys[pos] == ok) if hit else np.zeros(len(ok), dtype=bool)
-            df = df[m].copy()
-            if len(df) == 0:
-                return cust_schema.empty_table()
-            df["c_custkey"] = cust[pos[m]]
-            g = df.groupby("c_custkey", sort=False)["rev"].sum().reset_index()
-            return pa.table(
-                {
-                    "c_custkey": pa.array(g["c_custkey"], pa.int64()),
-                    "rev": pa.array(g["rev"].astype("int64"), pa.int64()),
-                }
-            )
-
-        per_cust = (
-            li.map_batches(partial, batch_format="pyarrow")
-            .groupby("c_custkey")
-            .aggregate(Sum("rev", alias_name="revenue_e4"))
-        )
-    else:
-        part_schema = pa.schema([("l_orderkey", pa.int64()), ("rev", pa.int64())])
-
-        def li_partial(batch: pa.Table) -> pa.Table:
-            df = _returned_frame(batch)
-            if df is None:
-                return part_schema.empty_table()
-            g = df.groupby("l_orderkey", sort=False)["rev"].sum().reset_index()
-            return pa.table(
-                {
-                    "l_orderkey": pa.array(g["l_orderkey"], pa.int64()),
-                    "rev": pa.array(g["rev"].astype("int64"), pa.int64()),
-                }
-            )
-
-        parts = li.map_batches(li_partial, batch_format="pyarrow").materialize()
-        n_p = parts.count()
-        if n_p == 0 or n_ord == 0:
-            return pa.table(
-                {
-                    "c_custkey": pa.array([], pa.int64()),
-                    "c_name": pa.array([], pa.string()),
-                    "n_name": pa.array([], pa.string()),
-                    "revenue_e4": pa.array([], pa.int64()),
-                }
-            )
-        tune_join_resources()
-        nparts = join_partitions()
-        parts = parts.repartition(max(1, min(nparts, n_p // 4096)))
-        of = orders_f.repartition(max(1, min(nparts, n_ord // 4096)))
-        joined = parts.join(
-            of, join_type="inner", num_partitions=nparts,
-            on=("l_orderkey",), right_on=("o_orderkey",),
-        )
-        per_cust = (
-            joined.map_batches(
-                lambda b: pa.table(
-                    {"c_custkey": b.column("o_custkey"), "rev": b.column("rev")}
-                ),
-                batch_format="pyarrow",
-            )
-            .groupby("c_custkey")
-            .aggregate(Sum("rev", alias_name="revenue_e4"))
-        )
-
-    # partial top-k per block + tiny driver merge (no full sort)
-    def block_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(
-            ["revenue_e4", "c_custkey"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    tops = per_cust.map_batches(block_topk, batch_format="pyarrow").to_pandas()
-    tops = tops.sort_values(
-        ["revenue_e4", "c_custkey"], ascending=[False, True], kind="mergesort"
-    ).head(k)
-
-    cust = _dim("customer", columns=["c_custkey", "c_name", "c_nationkey"])
-    nat = _dim("nation", columns=["n_nationkey", "n_name"])
-    nat_name = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
-    cmap = {
-        int(ck): (nm, nat_name[int(nk)])
-        for ck, nm, nk in zip(cust["c_custkey"], cust["c_name"], cust["c_nationkey"])
-    }
-    names = [cmap[int(c)] for c in tops["c_custkey"]]
-    return pa.table(
-        {
-            "c_custkey": pa.array(tops["c_custkey"].astype("int64"), pa.int64()),
-            "c_name": pa.array([n for n, _ in names], pa.string()),
-            "n_name": pa.array([nn for _, nn in names], pa.string()),
-            "revenue_e4": pa.array(tops["revenue_e4"].astype("int64"), pa.int64()),
-        }
-    )
-
-
 # ----------------------------------------------------------- ntile ------
 def q_ntile(sf_dir: str, buckets: int = 10):
     """Global NTILE(buckets) over (value, event_id) — the exact global
@@ -2394,358 +1051,6 @@ def q_ntile(sf_dir: str, buckets: int = 10):
 
     out_refs = [_attach.remote(r, int(o)) for r, o in zip(refs, offsets)]
     return ray.data.from_arrow_refs(out_refs)
-
-
-def q_large_orders(sf_dir: str, min_qty_e2: int = 20_000, broadcast_limit: int = 500_000):
-    """TPC-H-Q18-shaped HAVING semi join: orders whose total line-item
-    quantity exceeds a threshold, with customer name and the aggregate
-    attached. The shape relational plans call "groupby-having used as a
-    join probe": the aggregate output (hot keys) is OUTPUT-scale by the
-    threshold's semantics, so it drives broadcast probes over the big
-    scans rather than shuffling them.
-
-    Plan: lineitem combiner partial-sums qty per order inside each batch
-    (the shuffle moves partials, not rows) -> ONE bucketed shuffle on
-    o_orderkey % B with a vectorized per-bucket groupby+HAVING
-    (dedup_first's layout — measured 3.5x faster than the sort-based
-    aggregate at 150k distinct keys, since the all-to-all moves B
-    coarse buckets, not a sorted key range). Under ``broadcast_limit``
-    the hot set travels once as sorted numpy arrays and the orders scan
-    probes it via searchsorted; above the bound it meets orders in a
-    distributed hash join (same fork the other adaptive joins use).
-    Customer names attach by filtering the customer scan against the
-    kept custkeys (pc.is_in, streamed) — the name map the driver holds
-    is hot-order sized, never customer-table sized."""
-    n_bkt = default_buckets()
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_quantity"],
-        override_num_blocks=n_bkt,
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        q2 = (df["l_quantity"] * 100).round().astype("int64")
-        g = (
-            pd.DataFrame({"o_orderkey": df["l_orderkey"].astype("int64"), "q": q2})
-            .groupby("o_orderkey", sort=False)["q"]
-            .sum()
-            .reset_index()
-        )
-        g["__b"] = (g["o_orderkey"].to_numpy() % n_bkt).astype(np.int32)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def bucket_agg(g: pd.DataFrame) -> pd.DataFrame:
-        s = (
-            g.groupby("o_orderkey", sort=False)["q"]
-            .sum()
-            .reset_index()
-            .rename(columns={"q": "sum_qty_e2"})
-        )
-        return s[s["sum_qty_e2"] > min_qty_e2]
-
-    hot = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_agg, batch_format="pandas")
-        .materialize()
-    )
-    n_hot = hot.count()
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
-        override_num_blocks=n_bkt,
-    )
-    out_schema = pa.schema(
-        [
-            ("o_orderkey", pa.int64()),
-            ("o_custkey", pa.int64()),
-            ("total_e2", pa.int64()),
-            ("sum_qty_e2", pa.int64()),
-        ]
-    )
-
-    if n_hot <= broadcast_limit:
-        hp = hot.to_pandas()  # hot-order scale, bounded by the threshold
-        hk = hp["o_orderkey"].to_numpy()
-        order = np.argsort(hk)
-        hot_ref = ray.put((hk[order], hp["sum_qty_e2"].to_numpy()[order]))
-
-        def probe(batch: pa.Table) -> pa.Table:
-            keys, sums = ray.get(hot_ref)
-            ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-            pos = np.clip(np.searchsorted(keys, ok), 0, max(0, len(keys) - 1))
-            m = (keys[pos] == ok) if len(keys) else np.zeros(len(ok), bool)
-            if not m.any():
-                return out_schema.empty_table()
-            kept = batch.filter(pa.array(m))
-            tp = kept.column("o_totalprice").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "o_orderkey": kept.column("o_orderkey"),
-                    "o_custkey": kept.column("o_custkey"),
-                    "total_e2": pa.array(
-                        np.round(tp * 100).astype(np.int64), pa.int64()
-                    ),
-                    "sum_qty_e2": pa.array(sums[pos[m]], pa.int64()),
-                }
-            )
-
-        kept = orders.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        tune_join_resources()
-        nparts = join_partitions()
-
-        def price_e2(batch: pa.Table) -> pa.Table:
-            tp = batch.column("o_totalprice").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {
-                    "o_orderkey": batch.column("o_orderkey"),
-                    "o_custkey": batch.column("o_custkey"),
-                    "total_e2": pa.array(
-                        np.round(tp * 100).astype(np.int64), pa.int64()
-                    ),
-                }
-            )
-
-        n_o = orders.count()
-        kept = (
-            orders.map_batches(price_e2, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(max(2, min(nparts, n_o // 4096 + 1)))
-            .join(
-                hot.repartition(max(2, min(nparts, n_hot // 4096 + 1))),
-                join_type="inner",
-                on=("o_orderkey",),
-                num_partitions=nparts,
-            )
-        )
-
-    kept = kept.materialize()
-    # customer-name attach: stream the customer scan against the kept
-    # custkeys; the dict the driver builds is hot-order sized
-    ck = np.unique(
-        np.concatenate(
-            [b["o_custkey"].to_numpy() for b in kept.iter_batches(batch_format="pandas")]
-            or [np.empty(0, np.int64)]
-        )
-    )
-    ck_ref = ray.put(pa.array(ck.astype(np.int64), pa.int64()))
-
-    cust = _pq(sf_dir, "customer", columns=["c_custkey", "c_name"]).map_batches(
-        lambda b: b.filter(pc.is_in(b.column("c_custkey"), value_set=ray.get(ck_ref))),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    cmap = {
-        int(k): v
-        for b in cust.iter_batches(batch_format="pandas")
-        for k, v in zip(b["c_custkey"], b["c_name"])
-    }
-    cmap_ref = ray.put(cmap)
-
-    def attach(batch: pa.Table) -> pa.Table:
-        m = ray.get(cmap_ref)
-        names = [m[int(k)] for k in batch.column("o_custkey").to_pylist()]
-        return batch.append_column("c_name", pa.array(names, pa.string()))
-
-    return kept.map_batches(attach, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# disjunctive predicate branches for q_disjunctive_revenue (Q19 shape):
-# (brand set, max p_size, qty lo, qty hi) — module-level so the oracle
-# twin embeds the same table. Brand SETS (vs TPC-H's single brand per
-# branch) keep every branch non-empty at the smallest fixture (sf0.001
-# has ~4 parts per brand); the OR-of-ANDs cross-side shape is identical.
-Q19_BRANCHES = (
-    (("Brand#11", "Brand#12", "Brand#13", "Brand#14", "Brand#15"), 15, 1, 11),
-    (("Brand#21", "Brand#22", "Brand#23", "Brand#24", "Brand#25"), 25, 10, 20),
-    (("Brand#31", "Brand#32", "Brand#33", "Brand#34", "Brand#35"), 35, 20, 30),
-)
-
-
-def q_disjunctive_revenue(sf_dir: str):
-    """TPC-H-Q19-shaped disjunctive (OR-of-ANDs) predicate join: revenue
-    from line items matching any of three (brand, size-range,
-    quantity-range) branches, grouped by brand. The optimizer-unfriendly
-    shape: the predicate spans BOTH join sides, so each branch's
-    part-side half prunes the build side and the lineitem-side half is
-    applied after the probe.
-
-    Plan: the part scan keeps only rows satisfying SOME branch's
-    part-half (brand + size), emitting (p_partkey, brand, branch id) —
-    the build side collapses to the predicate-selected parts (heavily
-    pruned by brand/size, the reason Q19 plans build on part). That
-    travels once as broadcast sorted arrays; the lineitem scan probes by
-    searchsorted and applies the matched branch's quantity range
-    VECTORIZED (branch id indexes the qty-bounds arrays — no per-branch
-    rescan). Per-batch partial sums by brand, then a 3-row groupby."""
-    from ray.data.aggregate import Sum
-
-    qlo = np.array([b[2] * 100 for b in Q19_BRANCHES], np.int64)
-    qhi = np.array([b[3] * 100 for b in Q19_BRANCHES], np.int64)
-
-    part = _pq(sf_dir, "part", columns=["p_partkey", "p_brand", "p_size"])
-
-    def part_side(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        keep_key, keep_br = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-        for bi, (brand_set, size_hi, _, _) in enumerate(Q19_BRANCHES):
-            m = (
-                df["p_brand"].isin(brand_set)
-                & (df["p_size"] >= 1)
-                & (df["p_size"] <= size_hi)
-            )
-            keep_key.append(df.loc[m, "p_partkey"].to_numpy().astype(np.int64))
-            keep_br.append(np.full(int(m.sum()), bi, np.int64))
-        return pa.table(
-            {
-                "p_partkey": pa.array(np.concatenate(keep_key), pa.int64()),
-                "branch": pa.array(np.concatenate(keep_br), pa.int64()),
-            }
-        )
-
-    pbatches = list(
-        part.map_batches(part_side, batch_format="pyarrow", zero_copy_batch=True)
-        .iter_batches(batch_format="numpy")
-    )
-    # predicate-selected parts: pruned by brand+size, the small side by design
-    pk = (
-        np.concatenate([b["p_partkey"] for b in pbatches])
-        if pbatches
-        else np.empty(0, np.int64)
-    )
-    pbr = (
-        np.concatenate([b["branch"] for b in pbatches])
-        if pbatches
-        else np.empty(0, np.int64)
-    )
-    order = np.argsort(pk)
-    pmap_ref = ray.put((pk[order], pbr[order]))
-
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-    )
-    out_schema = pa.schema([("branch", pa.int64()), ("revenue_e4", pa.int64())])
-    n_branch = len(Q19_BRANCHES)
-
-    def probe(batch: pa.Table) -> pa.Table:
-        keys, branch = ray.get(pmap_ref)
-        df = batch.to_pandas()
-        lk = df["l_partkey"].to_numpy()
-        pos = np.clip(np.searchsorted(keys, lk), 0, max(0, len(keys) - 1))
-        m = (keys[pos] == lk) if len(keys) else np.zeros(len(lk), bool)
-        if not m.any():
-            return out_schema.empty_table()
-        df = df[m]
-        bi = branch[pos[m]]
-        q2 = (df["l_quantity"].to_numpy() * 100).round().astype(np.int64)
-        ok = (q2 >= qlo[bi]) & (q2 <= qhi[bi])
-        if not ok.any():
-            return out_schema.empty_table()
-        df, bi = df[ok], bi[ok]
-        e2 = (df["l_extendedprice"].to_numpy() * 100).round().astype(np.int64)
-        d2 = (df["l_discount"].to_numpy() * 100).round().astype(np.int64)
-        rev = e2 * (100 - d2)
-        sums = np.bincount(bi, weights=rev.astype(np.float64), minlength=n_branch)
-        # float64 exact: per-batch partials stay far below 2^53
-        nz = sums != 0
-        return pa.table(
-            {
-                "branch": pa.array(np.flatnonzero(nz).astype(np.int64), pa.int64()),
-                "revenue_e4": pa.array(sums[nz].astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        li.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("branch")
-        .aggregate(Sum("revenue_e4", alias_name="revenue_e4"))
-    )
-
-
-def q_top_supplier(sf_dir: str, date_lo: str = "1996-01-01", date_hi: str = "1996-04-01"):
-    """TPC-H-Q15-shaped global-argmax semi join: the supplier(s) with
-    maximum revenue in one quarter (ties kept, per the spec). The
-    two-phase shape: a combiner groupby produces the per-supplier
-    aggregate (supplier-scale), the global max is ONE scalar off that
-    aggregate, and the filter re-probes the aggregate — never the fact
-    table. Supplier names attach by streaming the supplier scan against
-    the winner set (usually one key)."""
-    from ray.data.aggregate import Sum
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[(df["l_shipdate"] >= lo) & (df["l_shipdate"] < hi)]
-        if len(df) == 0:
-            return pa.table(
-                {"s_suppkey": pa.array([], pa.int64()),
-                 "rev": pa.array([], pa.int64())}
-            )
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        g = (
-            pd.DataFrame(
-                {"s_suppkey": df["l_suppkey"].astype("int64"), "rev": e2 * (100 - d2)}
-            )
-            .groupby("s_suppkey", sort=False)["rev"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "s_suppkey": pa.array(g["s_suppkey"], pa.int64()),
-                "rev": pa.array(g["rev"].astype("int64"), pa.int64()),
-            }
-        )
-
-    per_supp = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("s_suppkey")
-        .aggregate(Sum("rev", alias_name="total_revenue_e4"))
-        .materialize()
-    )
-    best = per_supp.max("total_revenue_e4")
-    winners = per_supp.map_batches(
-        lambda b: b.filter(pc.equal(b.column("total_revenue_e4"), best)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).materialize()
-
-    wk = pa.array(
-        [r["s_suppkey"] for r in winners.take_all()], pa.int64()
-    )  # winner set: ~1 key
-    wk_ref = ray.put(wk)
-    smap = {
-        int(k): v
-        for b in _pq(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
-        .map_batches(
-            lambda b: b.filter(
-                pc.is_in(b.column("s_suppkey"), value_set=ray.get(wk_ref))
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .iter_batches(batch_format="pandas")
-        for k, v in zip(b["s_suppkey"], b["s_name"])
-    }
-    smap_ref = ray.put(smap)
-
-    def attach(batch: pa.Table) -> pa.Table:
-        m = ray.get(smap_ref)
-        names = [m[int(k)] for k in batch.column("s_suppkey").to_pylist()]
-        return batch.append_column("s_name", pa.array(names, pa.string()))
-
-    return winners.map_batches(attach, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def q_retention(sf_dir: str, week_us: int = 604_800_000_000):
@@ -3028,241 +1333,6 @@ def q_skew_join(sf_dir: str, n_salts: int | None = None, force_salted: bool = Fa
     return joined.select_columns(["event_id", "event_type", "type_n"])
 
 
-def q_market_share(
-    sf_dir: str,
-    region: str = "ASIA",
-    nation: str = "NATION_7",
-    p_type: str = "ECONOMY",
-    broadcast_limit: int = 500_000,
-    force_distributed: bool = False,
-):
-    """TPC-H-Q8-shaped market share: the target nation's share of
-    revenue per order year, over ECONOMY parts sold to customers of one
-    region — the widest composite in the suite (lineitem + orders +
-    customer + part + supplier + nation + region). Share is emitted as
-    integer floor division (num * 10^4 // den) next to both exact sums,
-    so the DuckDB twin hash-matches with no float ratio.
-
-    Plan: nation/region resolve on the driver (25 + 5 rows); part and
-    customer prune to broadcast key sets (part by type ~1/|types|,
-    customer by region ~1/|regions| — the standard Q8 build sides);
-    supplier maps suppkey -> nationkey (dim-sized). The orders window
-    (orderkey -> year of region-qualified orders) is SIZE-ADAPTIVE:
-    under ``broadcast_limit`` it rides ray.put and the lineitem combiner
-    probes by searchsorted; above it (or ``force_distributed``) the
-    lineitem partials meet orders in a distributed hash join — both
-    paths equivalence-tested. One |years|-key groupby ends it."""
-    import pyarrow.parquet as _pqt
-
-    from ray.data.aggregate import Sum
-
-    def _dim(name: str, columns=None) -> pd.DataFrame:
-        return _pqt.read_table(
-            os.path.join(sf_dir, f"{name}.parquet"), columns=columns
-        ).to_pandas()
-
-    nat = _dim("nation")
-    reg = _dim("region")
-    rk = int(reg.loc[reg["r_name"] == region, "r_regionkey"].iloc[0])
-    region_nations = set(nat.loc[nat["n_regionkey"] == rk, "n_nationkey"].astype(int))
-    target_nk = int(nat.loc[nat["n_name"] == nation, "n_nationkey"].iloc[0])
-
-    # part side: type-pruned key set — the PRUNE runs in the scan tasks,
-    # only the matching keys (~1/|types| of the table) reach the driver
-    part_keys = np.sort(
-        np.concatenate(
-            [
-                b["p_partkey"].to_numpy()
-                for b in _pq(sf_dir, "part", columns=["p_partkey", "p_type"])
-                .map_batches(
-                    lambda t: t.filter(pc.equal(t.column("p_type"), p_type)),
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
-                .iter_batches(batch_format="pandas")
-            ]
-            or [np.empty(0, np.int64)]
-        )
-    ).astype(np.int64)
-    part_ref = ray.put(part_keys)
-
-    # supplier dim: suppkey -> nationkey (dim-sized by definition)
-    sup = _dim("supplier", columns=["s_suppkey", "s_nationkey"])
-    sk = sup["s_suppkey"].to_numpy()
-    so = np.argsort(sk)
-    sup_ref = ray.put((sk[so].astype(np.int64), sup["s_nationkey"].to_numpy()[so].astype(np.int64)))
-
-    # customer side: region membership key set, pruned in the scan tasks
-    # (~1/|regions| of the table reaches the driver — the Q8 build side)
-    rn_arr = pa.array(sorted(region_nations), pa.int32())
-
-    cust_keys = np.sort(
-        np.concatenate(
-            [
-                b["c_custkey"].to_numpy()
-                for b in _pq(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
-                .map_batches(
-                    lambda t: t.filter(
-                        pc.is_in(t.column("c_nationkey"), value_set=rn_arr)
-                    ),
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
-                .iter_batches(batch_format="pandas")
-            ]
-            or [np.empty(0, np.int64)]
-        )
-    ).astype(np.int64)
-    cust_ref = ray.put(cust_keys)
-
-    # orders window: (orderkey, year) of region-qualified orders
-    def owin(batch: pa.Table) -> pa.Table:
-        ck = ray.get(cust_ref)
-        ok = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(ck, ok), 0, max(0, len(ck) - 1))
-        m = (ck[pos] == ok) if len(ck) else np.zeros(len(ok), bool)
-        kept = batch.filter(pa.array(m))
-        yr = pd.to_datetime(
-            kept.column("o_orderdate").to_pandas()
-        ).dt.year.to_numpy().astype(np.int64)
-        return pa.table(
-            {
-                "o_orderkey": kept.column("o_orderkey"),
-                "o_year": pa.array(yr, pa.int64()),
-            }
-        )
-
-    orders_f = (
-        _pq(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(owin, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
-    )
-    n_ord = orders_f.count()
-
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-    part_schema = pa.schema(
-        [("o_year", pa.int64()), ("num", pa.int64()), ("den", pa.int64())]
-    )
-
-    def _li_frame(batch: pa.Table):
-        """Part-pruned lineitem rows with revenue + supplier nation."""
-        pk = ray.get(part_ref)
-        lk = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        pos = np.clip(np.searchsorted(pk, lk), 0, max(0, len(pk) - 1))
-        m = (pk[pos] == lk) if len(pk) else np.zeros(len(lk), bool)
-        if not m.any():
-            return None
-        kept = batch.filter(pa.array(m))
-        e2 = np.round(
-            kept.column("l_extendedprice").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        d2 = np.round(
-            kept.column("l_discount").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        skeys, snat = ray.get(sup_ref)
-        lsk = kept.column("l_suppkey").to_numpy(zero_copy_only=False)
-        spos = np.clip(np.searchsorted(skeys, lsk), 0, max(0, len(skeys) - 1))
-        return (
-            kept.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64),
-            e2 * (100 - d2),
-            snat[spos],
-        )
-
-    if n_ord <= broadcast_limit and not force_distributed:
-        op = orders_f.to_pandas()
-        okeys = op["o_orderkey"].to_numpy()
-        oo = np.argsort(okeys)
-        omap_ref = ray.put((okeys[oo].astype(np.int64), op["o_year"].to_numpy()[oo]))
-
-        def partial(batch: pa.Table) -> pa.Table:
-            f = _li_frame(batch)
-            if f is None:
-                return part_schema.empty_table()
-            lok, rev, lnat = f
-            keys, years = ray.get(omap_ref)
-            pos = np.clip(np.searchsorted(keys, lok), 0, max(0, len(keys) - 1))
-            m = (keys[pos] == lok) if len(keys) else np.zeros(len(lok), bool)
-            if not m.any():
-                return part_schema.empty_table()
-            yr = years[pos[m]]
-            rev, lnat = rev[m], lnat[m]
-            num = np.where(lnat == target_nk, rev, 0)
-            uy, inv = np.unique(yr, return_inverse=True)
-            return pa.table(
-                {
-                    "o_year": pa.array(uy, pa.int64()),
-                    "num": pa.array(np.bincount(inv, weights=num).astype(np.int64), pa.int64()),
-                    "den": pa.array(np.bincount(inv, weights=rev).astype(np.int64), pa.int64()),
-                }
-            )
-
-        partials = li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        tune_join_resources()
-        nparts = join_partitions()
-
-        def li_rows(batch: pa.Table) -> pa.Table:
-            f = _li_frame(batch)
-            if f is None:
-                return pa.schema(
-                    [("o_orderkey", pa.int64()), ("rev", pa.int64()), ("num", pa.int64())]
-                ).empty_table()
-            lok, rev, lnat = f
-            return pa.table(
-                {
-                    "o_orderkey": pa.array(lok, pa.int64()),
-                    "rev": pa.array(rev, pa.int64()),
-                    "num": pa.array(np.where(lnat == target_nk, rev, 0), pa.int64()),
-                }
-            )
-
-        n_li = li.count()
-        joined = (
-            li.map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(max(2, min(nparts, n_li // 4096 + 1)))
-            .join(
-                orders_f.repartition(max(2, min(nparts, n_ord // 4096 + 1))),
-                join_type="inner",
-                on=("o_orderkey",),
-                num_partitions=nparts,
-            )
-        )
-
-        def to_partials(batch: pa.Table) -> pa.Table:
-            yr = batch.column("o_year").to_numpy(zero_copy_only=False)
-            rev = batch.column("rev").to_numpy(zero_copy_only=False)
-            num = batch.column("num").to_numpy(zero_copy_only=False)
-            uy, inv = np.unique(yr, return_inverse=True)
-            return pa.table(
-                {
-                    "o_year": pa.array(uy.astype(np.int64), pa.int64()),
-                    "num": pa.array(np.bincount(inv, weights=num).astype(np.int64), pa.int64()),
-                    "den": pa.array(np.bincount(inv, weights=rev).astype(np.int64), pa.int64()),
-                }
-            )
-
-        partials = joined.map_batches(
-            to_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    agg = (
-        partials.groupby("o_year")
-        .aggregate(Sum("num", alias_name="nation_rev_e4"), Sum("den", alias_name="total_rev_e4"))
-    )
-
-    def share(batch: pa.Table) -> pa.Table:
-        num = batch.column("nation_rev_e4").to_numpy(zero_copy_only=False)
-        den = batch.column("total_rev_e4").to_numpy(zero_copy_only=False)
-        s = num * 10000 // np.maximum(den, 1)
-        return batch.append_column("share_e4", pa.array(s.astype(np.int64), pa.int64()))
-
-    return agg.map_batches(share, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def q_funnel(sf_dir: str):
     """Ordered conversion funnel (signup -> click -> purchase) counted
     on per-user FIRST timestamps: a user converts at stage k iff their
@@ -3491,856 +1561,6 @@ def q_window_dedup(sf_dir: str, window_us: int = 86_400_000_000):
         ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("__b")
         .map_groups(first_per_window, batch_format="pandas")
-    )
-
-
-# ====================================================================
-# Round-3 session-3: the remaining TPC-H query shapes. With these the
-# full 22-query TPC-H suite is covered (Q1-Q22 → see SURVEY.md §2
-# changelog), each adapted to the driver's star schema (no partsupp
-# table: per-(part,supplier) facts derive from lineitem; no
-# receipt/commit dates: lateness is l_shipdate vs o_orderdate + k).
-# ====================================================================
-
-
-def _attach_by_key(
-    ds,
-    small,
-    key: str,
-    broadcast_limit: int,
-    force_distributed: bool = False,
-):
-    """INNER-join a key-unique attribute Dataset `small` onto `ds`,
-    size-adaptively — the shared kernel behind the orders-attribute
-    attaches (Q9 year, Q12 priority class, Q21 orderdate):
-
-    - |small| <= broadcast_limit: `small` collapses to sorted parallel
-      numpy arrays, `ray.put` once, probed per batch with searchsorted
-      (~9 bytes/row of driver memory, zero shuffle on the big side);
-      rows with no match are dropped (inner semantics);
-    - above the bound: distributed hash join with the repartition
-      guard (Ray 2.49 aborts on all-empty partitions), shuffling
-      `ds` — which callers pre-reduce to partials first so the
-      exchange moves combiner rows, never raw line items.
-
-    Both physical plans are equivalence-tested per caller
-    (tests/test_queries_oracle.py)."""
-    small = small.materialize()
-    n_small = small.count()
-    if not force_distributed and n_small <= broadcast_limit:
-        sdf = small.to_pandas()  # bounded by broadcast_limit rows
-        order = np.argsort(sdf[key].to_numpy(), kind="mergesort")
-        keys = sdf[key].to_numpy()[order]
-        cols = {
-            c: sdf[c].to_numpy()[order] for c in sdf.columns if c != key
-        }
-        ref = ray.put((keys, cols))
-
-        def probe(batch: pa.Table) -> pa.Table:
-            k_arr, c_arrs = ray.get(ref)
-            k = batch.column(key).to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(k_arr, k)
-            pos = np.clip(pos, 0, len(k_arr) - 1)
-            hit = k_arr[pos] == k if len(k_arr) else np.zeros(len(k), bool)
-            if not bool(hit.all()):
-                batch = batch.filter(pa.array(hit))
-                pos = pos[hit]
-            for c, arr in c_arrs.items():
-                batch = batch.append_column(c, pa.array(arr[pos]))
-            return batch
-
-        return ds.map_batches(probe, batch_format="pyarrow")
-
-    tune_join_resources()
-    nparts = join_partitions()
-    n_big = ds.count()
-    return ds.repartition(max(2, min(nparts, n_big // 4096 + 1))).join(
-        small.repartition(max(2, min(nparts, n_small // 4096 + 1))),
-        join_type="inner",
-        num_partitions=nparts,
-        on=(key,),
-    )
-
-
-def _dim_df(sf_dir: str, name: str, columns=None) -> pd.DataFrame:
-    import pyarrow.parquet as pqt
-
-    return pqt.read_table(
-        os.path.join(sf_dir, f"{name}.parquet"), columns=columns
-    ).to_pandas()
-
-
-def _region_nationkeys(sf_dir: str, region: str) -> pd.DataFrame:
-    """nation rows (n_nationkey, n_name) for one region — <= 25 rows."""
-    nat = _dim_df(sf_dir, "nation")
-    reg = _dim_df(sf_dir, "region")
-    rk = reg.loc[reg["r_name"] == region, "r_regionkey"]
-    return nat[nat["n_regionkey"].isin(set(rk))]
-
-
-# ------------------------------------------------------------ Q2 ----
-def q_min_cost_supplier(
-    sf_dir: str,
-    region: str = "EUROPE",
-    p_type: str = "LARGE",
-    max_size: int = 10,
-    n_buckets: int | None = None,
-):
-    """TPC-H-Q2 shape: for every part in a size/type class, the
-    region-eligible supplier(s) achieving the MINIMUM supply cost,
-    ties kept (the correlated-min-subquery pattern). Without a
-    partsupp table the (part, supplier) cost is derived from
-    lineitem: cost_e2 = min line extendedprice for that pair.
-
-    Layout: both dim filters are driver-side reads of already-small
-    dimensions (eligible parts = one size×type class, eligible
-    suppliers = one region) broadcast as is_in sets / sorted attr
-    arrays; lineitem then does ONE combiner pass (per-batch
-    (part,supp) min) and ONE bucketed shuffle on part%B where the
-    per-bucket kernel merges partials and keeps rows equal to the
-    per-part min — vectorized transform('min'), no per-group Python.
-    At larger part-class cardinality the is_in set would graduate to
-    the distributed semi-join fork q_semi_join already implements."""
-    B = n_buckets or default_buckets()
-
-    part = _dim_df(
-        sf_dir, "part", columns=["p_partkey", "p_type", "p_size"]
-    )
-    elig = part[(part["p_type"] == p_type) & (part["p_size"] <= max_size)]
-    part_set_ref = ray.put(pa.array(elig["p_partkey"].to_numpy(), pa.int64()))
-
-    nat = _region_nationkeys(sf_dir, region)
-    sup = _dim_df(sf_dir, "supplier")
-    sup = sup[sup["s_nationkey"].isin(set(nat["n_nationkey"]))]
-    sup = sup.merge(
-        nat[["n_nationkey", "n_name"]],
-        left_on="s_nationkey",
-        right_on="n_nationkey",
-    ).sort_values("s_suppkey", kind="mergesort")
-    sup_ref = ray.put(
-        (
-            sup["s_suppkey"].to_numpy().astype(np.int64),
-            sup["s_name"].to_numpy(),
-            (sup["s_acctbal"] * 100).round().to_numpy().astype(np.int64),
-            sup["n_name"].to_numpy(),
-        )
-    )
-
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice"],
-    )
-
-    empty = pa.schema(
-        [
-            ("l_partkey", pa.int64()),
-            ("l_suppkey", pa.int64()),
-            ("cost_e2", pa.int64()),
-            ("__b", pa.int32()),
-        ]
-    )
-
-    def pair_min(batch: pa.Table) -> pa.Table:
-        skeys, _, _, _ = ray.get(sup_ref)
-        batch = batch.filter(
-            pc.is_in(batch.column("l_partkey"), value_set=ray.get(part_set_ref))
-        )
-        batch = batch.filter(
-            pc.is_in(
-                batch.column("l_suppkey"),
-                value_set=pa.array(skeys, pa.int64()),
-            )
-        )
-        if batch.num_rows == 0:
-            return empty.empty_table()
-        df = batch.to_pandas()
-        df["cost_e2"] = (df["l_extendedprice"] * 100).round().astype("int64")
-        g = (
-            df.groupby(["l_partkey", "l_suppkey"], sort=False)["cost_e2"]
-            .min()
-            .reset_index()
-        )
-        b = (g["l_partkey"].to_numpy().astype(np.uint64) % np.uint64(B)).astype(
-            np.int32
-        )
-        return pa.table(
-            {
-                "l_partkey": pa.array(g["l_partkey"], pa.int64()),
-                "l_suppkey": pa.array(g["l_suppkey"], pa.int64()),
-                "cost_e2": pa.array(g["cost_e2"], pa.int64()),
-                "__b": pa.array(b, pa.int32()),
-            }
-        )
-
-    def keep_min(g: pd.DataFrame) -> pd.DataFrame:
-        m = (
-            g.groupby(["l_partkey", "l_suppkey"], sort=False)["cost_e2"]
-            .min()
-            .reset_index()
-        )
-        m = m[
-            m["cost_e2"]
-            == m.groupby("l_partkey", sort=False)["cost_e2"].transform("min")
-        ]
-        return m[["l_partkey", "l_suppkey", "cost_e2"]]
-
-    def attach_sup(batch: pa.Table) -> pa.Table:
-        skeys, snames, sacct, snat = ray.get(sup_ref)
-        k = batch.column("l_suppkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(skeys, k)
-        return pa.table(
-            {
-                "p_partkey": batch.column("l_partkey"),
-                "s_suppkey": batch.column("l_suppkey"),
-                "cost_e2": batch.column("cost_e2"),
-                "s_name": pa.array(snames[pos], pa.string()),
-                "s_acctbal_e2": pa.array(sacct[pos], pa.int64()),
-                "n_name": pa.array(snat[pos], pa.string()),
-            }
-        )
-
-    return (
-        li.map_batches(pair_min, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(keep_min, batch_format="pandas")
-        .map_batches(attach_sup, batch_format="pyarrow")
-    )
-
-
-# ------------------------------------------------------------ Q9 ----
-def q_product_profit(
-    sf_dir: str,
-    name_like: str = "rod",
-    broadcast_limit: int = 500_000,
-    force_distributed: bool = False,
-):
-    """TPC-H-Q9 shape: profit per (supplier nation, order year) for
-    parts whose name contains a token. Without ps_supplycost the cost
-    term is p_retailprice·qty, so
-    profit_e4 = price_e2·(100−disc_e2) − retail_e2·qty·100 (all
-    int64, order-independent).
-
-    Layout: part {key → retail_e2} and supplier {key → nation} are
-    broadcast probes; the order YEAR attach is the size-adaptive
-    `_attach_by_key` kernel over per-(order, nation) combiner
-    partials — broadcast searchsorted under the bound, distributed
-    hash join of partials above it (both equivalence-tested). Final
-    (nation, year) groupby moves only partials."""
-    from ray.data.aggregate import Sum
-
-    part = _dim_df(sf_dir, "part", columns=["p_partkey", "p_name", "p_retailprice"])
-    part = part[part["p_name"].str.contains(name_like, regex=False)]
-    part = part.sort_values("p_partkey", kind="mergesort")
-    part_ref = ray.put(
-        (
-            part["p_partkey"].to_numpy().astype(np.int64),
-            (part["p_retailprice"] * 100).round().to_numpy().astype(np.int64),
-        )
-    )
-
-    nat = _dim_df(sf_dir, "nation", columns=["n_nationkey", "n_name"])
-    nmap = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
-    sup = _dim_df(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    sup = sup.sort_values("s_suppkey", kind="mergesort")
-    sup_ref = ray.put(
-        (
-            sup["s_suppkey"].to_numpy().astype(np.int64),
-            sup["s_nationkey"].map(nmap).to_numpy(),
-        )
-    )
-
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=[
-            "l_orderkey",
-            "l_partkey",
-            "l_suppkey",
-            "l_quantity",
-            "l_extendedprice",
-            "l_discount",
-        ],
-    )
-
-    empty = pa.schema(
-        [
-            ("l_orderkey", pa.int64()),
-            ("nation", pa.string()),
-            ("profit_e4", pa.int64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        pkeys, pretail = ray.get(part_ref)
-        skeys, snat = ray.get(sup_ref)
-        batch = batch.filter(
-            pc.is_in(
-                batch.column("l_partkey"), value_set=pa.array(pkeys, pa.int64())
-            )
-        )
-        if batch.num_rows == 0:
-            return empty.empty_table()
-        df = batch.to_pandas()
-        ppos = np.searchsorted(pkeys, df["l_partkey"].to_numpy())
-        spos = np.searchsorted(skeys, df["l_suppkey"].to_numpy())
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        qty = df["l_quantity"].round().astype("int64")
-        df["profit_e4"] = e2 * (100 - d2) - pretail[ppos] * qty * 100
-        df["nation"] = snat[spos]
-        g = (
-            df.groupby(["l_orderkey", "nation"], sort=False)["profit_e4"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "l_orderkey": pa.array(g["l_orderkey"], pa.int64()),
-                "nation": pa.array(g["nation"], pa.string()),
-                "profit_e4": pa.array(g["profit_e4"], pa.int64()),
-            }
-        )
-
-    partials = li.map_batches(partial, batch_format="pyarrow")
-
-    orders = _pq(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"]).map_batches(
-        lambda b: pa.table(
-            {
-                "l_orderkey": b.column("o_orderkey"),
-                "o_year": pc.cast(pc.year(b.column("o_orderdate")), pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    joined = _attach_by_key(
-        partials, orders, "l_orderkey", broadcast_limit, force_distributed
-    )
-
-    def rollup(batch: pa.Table) -> pa.Table:
-        df = batch.select(["nation", "o_year", "profit_e4"]).to_pandas()
-        g = (
-            df.groupby(["nation", "o_year"], sort=False)["profit_e4"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "nation": pa.array(g["nation"], pa.string()),
-                "o_year": pa.array(g["o_year"], pa.int64()),
-                "profit_e4": pa.array(g["profit_e4"], pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(rollup, batch_format="pyarrow")
-        .groupby(["nation", "o_year"])
-        .aggregate(Sum("profit_e4", alias_name="profit_e4"))
-    )
-
-
-# ----------------------------------------------------------- Q11 ----
-def q_important_parts(sf_dir: str, region: str = "ASIA", mult: int = 2):
-    """TPC-H-Q11 shape: parts whose stock value (revenue supplied by
-    one region's suppliers, here — no partsupp table) exceeds a
-    multiple of the MEAN part value: value_e4 · n_parts > mult · total
-    — all int64, scale-free (a fixed fraction threshold empties at
-    larger corpora; the mean-multiple survives any scale).
-
-    Layout: region-supplier set broadcast; lineitem does a combiner
-    partial per partkey; ONE key-bounded groupby sums; the two global
-    scalars (total, n_parts) come from Dataset aggregates of the
-    grouped result (kilobytes), then a streaming filter — the fact
-    table never shuffles raw rows and nothing corpus-sized touches
-    the driver."""
-    from ray.data.aggregate import Sum
-
-    nat = _region_nationkeys(sf_dir, region)
-    sup = _dim_df(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
-    sup = sup[sup["s_nationkey"].isin(set(nat["n_nationkey"]))]
-    sup_ref = ray.put(pa.array(sup["s_suppkey"].to_numpy(), pa.int64()))
-
-    li = _pq(
-        sf_dir,
-        "lineitem",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    empty = pa.schema([("l_partkey", pa.int64()), ("value_e4", pa.int64())])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.is_in(batch.column("l_suppkey"), value_set=ray.get(sup_ref))
-        )
-        if batch.num_rows == 0:
-            return empty.empty_table()
-        df = batch.to_pandas()
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = (df["l_discount"] * 100).round().astype("int64")
-        df["value_e4"] = e2 * (100 - d2)
-        g = df.groupby("l_partkey", sort=False)["value_e4"].sum().reset_index()
-        return pa.table(
-            {
-                "l_partkey": pa.array(g["l_partkey"], pa.int64()),
-                "value_e4": pa.array(g["value_e4"], pa.int64()),
-            }
-        )
-
-    per_part = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("value_e4", alias_name="value_e4"))
-        .materialize()
-    )
-    total = per_part.sum("value_e4") or 0
-    n_parts = per_part.count()
-
-    def keep(batch: pa.Table) -> pa.Table:
-        v = batch.column("value_e4").to_numpy(zero_copy_only=False)
-        mask = v * np.int64(n_parts) > np.int64(mult) * np.int64(total)
-        kept = batch.filter(pa.array(mask))
-        return pa.table(
-            {
-                "p_partkey": kept.column("l_partkey"),
-                "value_e4": kept.column("value_e4"),
-            }
-        )
-
-    return per_part.map_batches(keep, batch_format="pyarrow")
-
-
-# ----------------------------------------------------------- Q12 ----
-def q_ship_priority_class(
-    sf_dir: str,
-    date_lo: str = "1996-01-01",
-    date_hi: str = "1997-01-01",
-    broadcast_limit: int = 2_000_000,
-    force_distributed: bool = False,
-):
-    """TPC-H-Q12 shape: per return flag (standing in for l_shipmode,
-    absent here), how many shipped lines belong to HIGH-priority
-    orders ('1-URGENT'/'2-HIGH') vs the rest — the CASE-WHEN
-    conditional-aggregation join. Combiner partials per
-    (orderkey, flag) → size-adaptive priority-class attach
-    (`_attach_by_key`: broadcast bitmap / distributed join, both
-    equivalence-tested) → tiny 3-row groupby."""
-    from ray.data.aggregate import Sum
-
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-    li = _pq(
-        sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag", "l_shipdate"]
-    )
-
-    empty = pa.schema(
-        [
-            ("l_orderkey", pa.int64()),
-            ("l_returnflag", pa.string()),
-            ("n", pa.int64()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[(df["l_shipdate"] >= lo) & (df["l_shipdate"] < hi)]
-        if len(df) == 0:
-            return empty.empty_table()
-        g = (
-            df.groupby(["l_orderkey", "l_returnflag"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "l_orderkey": pa.array(g["l_orderkey"], pa.int64()),
-                "l_returnflag": pa.array(g["l_returnflag"], pa.string()),
-                "n": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    partials = li.map_batches(partial, batch_format="pyarrow")
-
-    orders = _pq(
-        sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"]
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "l_orderkey": b.column("o_orderkey"),
-                "is_high": pc.cast(
-                    pc.is_in(
-                        b.column("o_orderpriority"),
-                        value_set=pa.array(["1-URGENT", "2-HIGH"]),
-                    ),
-                    pa.int64(),
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    joined = _attach_by_key(
-        partials, orders, "l_orderkey", broadcast_limit, force_distributed
-    )
-
-    def split(batch: pa.Table) -> pa.Table:
-        df = batch.select(["l_returnflag", "n", "is_high"]).to_pandas()
-        df["high"] = df["n"] * df["is_high"]
-        df["low"] = df["n"] * (1 - df["is_high"])
-        g = (
-            df.groupby("l_returnflag", sort=False)[["high", "low"]]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "l_returnflag": pa.array(g["l_returnflag"], pa.string()),
-                "high": pa.array(g["high"].astype("int64"), pa.int64()),
-                "low": pa.array(g["low"].astype("int64"), pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(split, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("high", alias_name="high_count"),
-            Sum("low", alias_name="low_count"),
-        )
-    )
-
-
-# ----------------------------------------------------------- Q16 ----
-def q_part_supplier_counts(
-    sf_dir: str,
-    max_size: int = 15,
-    excl_brand: str = "Brand#5",
-    excl_type: str = "PROMO",
-    min_acct_e2: int = 100_000,
-    n_buckets: int | None = None,
-):
-    """TPC-H-Q16 shape: DISTINCT supplier count per (brand, type,
-    size), excluding a brand, a type, large sizes, and a NOT-IN
-    supplier blocklist (acctbal below a floor stands in for the
-    complaints filter).
-
-    Layout: the filtered part attrs collapse to a driver-side DISTINCT
-    attrs table (output-scale: |brand x type x size| combos), so the
-    pipeline ships (attr_id, suppkey) INT pairs only — strings never
-    enter the shuffle (the string-keyed two-shuffle version measured
-    10.7x slower at sf0.1: 11.96 -> 1.12 s, BASELINE.md session 4). Per-batch unique pairs (combiner dedup) ->
-    ONE bucketed shuffle on supp%B (a pair lives wholly in its
-    supplier's bucket, so per-bucket drop_duplicates IS the global
-    dedup) -> per-bucket partial counts per attr_id -> driver sums
-    <= |attrs| x B partial rows and joins the attr strings back. Raw
-    line items never shuffle."""
-    B = n_buckets or default_buckets()
-
-    part = _dim_df(
-        sf_dir, "part", columns=["p_partkey", "p_brand", "p_type", "p_size"]
-    )
-    part = part[
-        (part["p_brand"] != excl_brand)
-        & (part["p_type"] != excl_type)
-        & (part["p_size"] <= max_size)
-    ].sort_values("p_partkey", kind="mergesort")
-    attrs = (
-        part[["p_brand", "p_type", "p_size"]]
-        .drop_duplicates()
-        .reset_index(drop=True)
-    )
-    attr_key = {
-        t: i for i, t in enumerate(
-            zip(attrs["p_brand"], attrs["p_type"], attrs["p_size"])
-        )
-    }
-    attr_of_part = np.fromiter(
-        (attr_key[t] for t in zip(part["p_brand"], part["p_type"], part["p_size"])),
-        dtype=np.int64,
-        count=len(part),
-    )
-    part_ref = ray.put(
-        (part["p_partkey"].to_numpy().astype(np.int64), attr_of_part)
-    )
-
-    sup = _dim_df(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
-    bad = sup[(sup["s_acctbal"] * 100).round().astype("int64") < min_acct_e2]
-    bad_ref = ray.put(pa.array(bad["s_suppkey"].to_numpy(), pa.int64()))
-
-    li = _pq(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-
-    empty = pa.schema(
-        [("attr_id", pa.int64()), ("l_suppkey", pa.int64()), ("__b", pa.int32())]
-    )
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        pkeys, pattr = ray.get(part_ref)
-        batch = batch.filter(
-            pc.invert(
-                pc.is_in(batch.column("l_suppkey"), value_set=ray.get(bad_ref))
-            )
-        )
-        k = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(pkeys, k)
-        pos = np.clip(pos, 0, max(len(pkeys) - 1, 0))
-        hit = pkeys[pos] == k if len(pkeys) else np.zeros(len(k), bool)
-        if not bool(hit.any()):
-            return empty.empty_table()
-        supp = batch.column("l_suppkey").to_numpy(zero_copy_only=False)[hit]
-        aid = pattr[pos[hit]]
-        u = np.unique(np.stack([aid, supp], axis=1), axis=0)
-        b = (u[:, 1].astype(np.uint64) % np.uint64(B)).astype(np.int32)
-        return pa.table(
-            {
-                "attr_id": pa.array(u[:, 0], pa.int64()),
-                "l_suppkey": pa.array(u[:, 1], pa.int64()),
-                "__b": pa.array(b, pa.int32()),
-            }
-        )
-
-    def bucket_count(g: pd.DataFrame) -> pd.DataFrame:
-        u = g.drop_duplicates(["attr_id", "l_suppkey"])
-        out = u.groupby("attr_id", sort=False).size().reset_index(name="n")
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    parts_cnt = (
-        li.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_count, batch_format="pandas")
-        .to_pandas()  # <= |attrs| x B rows — output-scale
-    )
-    if parts_cnt.empty:  # zero survivors -> schema-less frame; empty result
-        parts_cnt = pd.DataFrame({"attr_id": pd.Series([], dtype="int64"),
-                                  "n": pd.Series([], dtype="int64")})
-    total = parts_cnt.groupby("attr_id")["n"].sum()
-    out = attrs.copy()
-    out["supplier_cnt"] = out.index.map(total).fillna(0).astype("int64")
-    out = out[out["supplier_cnt"] > 0].reset_index(drop=True)
-    out["p_size"] = out["p_size"].astype("int64")
-    return out
-
-
-# ----------------------------------------------------------- Q20 ----
-def q_dominant_suppliers(
-    sf_dir: str,
-    name_prefix: str = "cold",
-    mult: int = 2,
-    n_buckets: int | None = None,
-):
-    """TPC-H-Q20 shape: suppliers who ship MORE THAN mult× the
-    average supplier's volume of some tracked part (name-prefix
-    class) — qty·n_suppliers > mult·total_qty per part, all int64
-    and scale-free (Q20's availqty > ½·sum(qty) correlated
-    comparison, reconstructed without partsupp). Layout: tracked
-    partkeys broadcast; combiner partial qty per (part, supp); ONE
-    bucketed shuffle on part%B; per-bucket vectorized transform
-    (sum + size per part) keeps dominant pairs; distinct suppliers
-    via a key-bounded groupby; names attach from the broadcast
-    supplier dim."""
-    B = n_buckets or default_buckets()
-
-    part = _dim_df(sf_dir, "part", columns=["p_partkey", "p_name"])
-    part = part[part["p_name"].str.startswith(name_prefix)]
-    part_ref = ray.put(pa.array(part["p_partkey"].to_numpy(), pa.int64()))
-
-    sup = _dim_df(sf_dir, "supplier", columns=["s_suppkey", "s_name"]).sort_values(
-        "s_suppkey", kind="mergesort"
-    )
-    sup_ref = ray.put(
-        (sup["s_suppkey"].to_numpy().astype(np.int64), sup["s_name"].to_numpy())
-    )
-
-    li = _pq(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey", "l_quantity"])
-
-    empty = pa.schema(
-        [
-            ("l_partkey", pa.int64()),
-            ("l_suppkey", pa.int64()),
-            ("qty", pa.int64()),
-            ("__b", pa.int32()),
-        ]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(
-            pc.is_in(batch.column("l_partkey"), value_set=ray.get(part_ref))
-        )
-        if batch.num_rows == 0:
-            return empty.empty_table()
-        df = batch.to_pandas()
-        df["qty"] = df["l_quantity"].round().astype("int64")
-        g = (
-            df.groupby(["l_partkey", "l_suppkey"], sort=False)["qty"]
-            .sum()
-            .reset_index()
-        )
-        b = (g["l_partkey"].to_numpy().astype(np.uint64) % np.uint64(B)).astype(
-            np.int32
-        )
-        return pa.table(
-            {
-                "l_partkey": pa.array(g["l_partkey"], pa.int64()),
-                "l_suppkey": pa.array(g["l_suppkey"], pa.int64()),
-                "qty": pa.array(g["qty"], pa.int64()),
-                "__b": pa.array(b, pa.int32()),
-            }
-        )
-
-    def dominant(g: pd.DataFrame) -> pd.DataFrame:
-        m = (
-            g.groupby(["l_partkey", "l_suppkey"], sort=False)["qty"]
-            .sum()
-            .reset_index()
-        )
-        grp = m.groupby("l_partkey", sort=False)["qty"]
-        keep = m["qty"] * grp.transform("size") > mult * grp.transform("sum")
-        return m.loc[keep, ["l_suppkey"]].drop_duplicates()
-
-    # the dominant (part, supp) stream is KEY-BOUNDED per bucket, so
-    # the distinct-suppliers rollup is a driver merge (same replacement
-    # that took Q21's tail from 3.9 to 1.8 s — the chained
-    # groupby(suppkey) all-to-all cost more than the whole query)
-    dom = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(dominant, batch_format="pandas")
-        .to_pandas()
-    )
-    if dom.empty:
-        return pd.DataFrame({"s_suppkey": pd.Series([], dtype="int64"),
-                             "s_name": pd.Series([], dtype=object)})
-    skeys, snames = ray.get(sup_ref)
-    supp = np.unique(dom["l_suppkey"].to_numpy().astype(np.int64))
-    pos = np.searchsorted(skeys, supp)
-    return pd.DataFrame({"s_suppkey": supp, "s_name": snames[pos]})
-
-
-# ----------------------------------------------------------- Q21 ----
-def q_late_suppliers(
-    sf_dir: str,
-    late_days: int = 90,
-    broadcast_limit: int = 2_000_000,
-    force_distributed: bool = False,
-    n_buckets: int | None = None,
-):
-    """TPC-H-Q21 shape: suppliers who ALONE were late on a
-    multi-supplier finished order (EXISTS another supplier line /
-    NOT EXISTS another LATE supplier line). Late = shipped more than
-    `late_days` after the order date (no receipt/commit dates in
-    this schema). Layout: 'F' orders reduce to (orderkey,
-    orderdate_us) and attach size-adaptively (`_attach_by_key`);
-    per-batch partial max(late) per (order, supp); ONE bucketed
-    shuffle on order%B where two vectorized groupbys decide each
-    order (n_suppliers, n_late, the lone late supplier =
-    max(supp·late)); per-supplier counts then move as partials into
-    a key-bounded Sum. Names attach from the broadcast supplier
-    dim."""
-    from ray.data.aggregate import Sum
-
-    B = n_buckets or default_buckets()
-    late_us = np.int64(late_days) * np.int64(86_400_000_000)
-
-    orders = _pq(
-        sf_dir, "orders", columns=["o_orderkey", "o_orderstatus", "o_orderdate"]
-    ).map_batches(
-        lambda b: (
-            lambda f: pa.table(
-                {
-                    "l_orderkey": f.column("o_orderkey"),
-                    "o_date_us": f.column("o_orderdate").cast(pa.int64()),
-                }
-            )
-        )(b.filter(pc.equal(b.column("o_orderstatus"), "F"))),
-        batch_format="pyarrow",
-    )
-
-    li = _pq(sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey", "l_shipdate"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "l_orderkey": batch.column("l_orderkey"),
-                "l_suppkey": batch.column("l_suppkey"),
-                "ship_us": batch.column("l_shipdate").cast(pa.int64()),
-            }
-        )
-
-    joined = _attach_by_key(
-        li.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        orders,
-        "l_orderkey",
-        broadcast_limit,
-        force_distributed,
-    )
-
-    def pair_late(batch: pa.Table) -> pa.Table:
-        df = batch.select(
-            ["l_orderkey", "l_suppkey", "ship_us", "o_date_us"]
-        ).to_pandas()
-        df["late"] = (
-            df["ship_us"].to_numpy() > df["o_date_us"].to_numpy() + late_us
-        ).astype("int64")
-        g = (
-            df.groupby(["l_orderkey", "l_suppkey"], sort=False)["late"]
-            .max()
-            .reset_index()
-        )
-        b = (g["l_orderkey"].to_numpy().astype(np.uint64) % np.uint64(B)).astype(
-            np.int32
-        )
-        return pa.table(
-            {
-                "l_orderkey": pa.array(g["l_orderkey"], pa.int64()),
-                "l_suppkey": pa.array(g["l_suppkey"], pa.int64()),
-                "late": pa.array(g["late"], pa.int64()),
-                "__b": pa.array(b, pa.int32()),
-            }
-        )
-
-    def lone_late(g: pd.DataFrame) -> pd.DataFrame:
-        m = (
-            g.groupby(["l_orderkey", "l_suppkey"], sort=False)["late"]
-            .max()
-            .reset_index()
-        )
-        grp = m.groupby("l_orderkey", sort=False)
-        n_sup = grp["l_suppkey"].transform("size")
-        n_late = grp["late"].transform("sum")
-        keep = (m["late"] == 1) & (n_late == 1) & (n_sup > 1)
-        out = (
-            m.loc[keep]
-            .groupby("l_suppkey", sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    # per-bucket counts are KEY-BOUNDED (<= |suppliers| rows per
-    # bucket), so the final rollup is a driver merge like the other
-    # output-scale tails — the chained groupby(suppkey) shuffle this
-    # replaces cost more wall than the whole rest of the query
-    parts = (
-        joined.map_batches(pair_late, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(lone_late, batch_format="pandas")
-        .to_pandas()
-    )
-    if parts.empty:  # zero lone-late rows -> schema-less frame
-        parts = pd.DataFrame({"l_suppkey": pd.Series([], dtype="int64"),
-                              "n": pd.Series([], dtype="int64")})
-    sup = _dim_df(sf_dir, "supplier", columns=["s_suppkey", "s_name"]).sort_values(
-        "s_suppkey", kind="mergesort"
-    )
-    tot = parts.groupby("l_suppkey", sort=True)["n"].sum()
-    skeys = sup["s_suppkey"].to_numpy().astype(np.int64)
-    pos = np.searchsorted(skeys, tot.index.to_numpy().astype(np.int64))
-    return pd.DataFrame(
-        {
-            "s_suppkey": tot.index.to_numpy().astype(np.int64),
-            "s_name": sup["s_name"].to_numpy()[pos],
-            "numwait": tot.to_numpy().astype(np.int64),
-        }
     )
 
 
@@ -4606,96 +1826,6 @@ def q_full_outer(sf_dir: str):
         return m[["key", "n_events", "acctbal_e2", "side"]]
 
     return both.groupby("__b").map_groups(merge, batch_format="pandas")
-
-
-def q_bloom_semi_join(sf_dir: str, broadcast_limit: int = 2_000_000):
-    """Bloom-filter-accelerated semi join (revenue per returnflag of
-    line items belonging to finished orders) — the join pre-filter
-    every warehouse engine applies before an exact probe: the build
-    side's key set compresses to a ~1.5-bytes/key bitmap that rides ONE
-    broadcast, and the fact scan drops bloom-negative rows BEFORE any
-    exact work, cutting the verify volume to true-matches + the <1%
-    false-positive tail. The RESULT is exact: bloom survivors re-check
-    against the true key set (sorted-array searchsorted under
-    ``broadcast_limit`` build keys; the documented fallback above it is
-    a bucketed hash join over the ALREADY-bloom-pruned survivors — the
-    point of the bloom is that this shuffle moves ~|matches|, not
-    |fact|).
-
-    Layout: build = per-batch partial BloomFilter bitmaps + the key
-    array, OR-merged on the driver (bitmaps are associative; tree-
-    reduce at scale); probe = one streaming map_batches with vectorized
-    contains + searchsorted verify + per-batch revenue partials; final
-    = a |returnflags|-row groupby."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.sketch import BloomFilter
-
-    orders = _pq(sf_dir, "orders", columns=["o_orderkey", "o_orderstatus"])
-
-    def build_partial(batch: pa.Table) -> pa.Table:
-        f = batch.filter(pc.equal(batch.column("o_orderstatus"), "F"))
-        keys = f.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"k": pa.array(keys, pa.int64())})
-
-    key_tbl = (
-        orders.map_batches(build_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()  # build-side keys, bounded by |'F' orders|
-    )
-    keys = np.sort(key_tbl["k"].to_numpy().astype(np.int64))
-    assert len(keys) <= broadcast_limit, (
-        "above the bound the verify becomes a bucketed hash join over "
-        "bloom survivors; fixture scales stay below it"
-    )
-    bloom = BloomFilter(max(len(keys), 1)).add(keys) if len(keys) else BloomFilter(1)
-    bloom_ref = ray.put(bloom)
-    keys_ref = ray.put(keys)
-
-    li = _pq(
-        sf_dir, "lineitem",
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-    )
-
-    def probe(batch: pa.Table) -> pa.Table:
-        bf = ray.get(bloom_ref)
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        cand = bf.contains(ok)  # vectorized pre-filter: drops ~all non-matches
-        if not cand.any():
-            return pa.table(
-                {"l_returnflag": pa.array([], pa.string()),
-                 "revenue_e4": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        batch = batch.filter(pa.array(cand))
-        tk = ray.get(keys_ref)
-        ok2 = batch.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(tk, ok2)
-        pos = np.clip(pos, 0, max(len(tk) - 1, 0))
-        exact = tk[pos] == ok2 if len(tk) else np.zeros(len(ok2), bool)
-        batch = batch.filter(pa.array(exact))
-        df = batch.to_pandas()
-        e2 = (df["l_extendedprice"] * 100).round().astype("int64")
-        d2 = 100 - (df["l_discount"] * 100).round().astype("int64")
-        df["rev"] = e2 * d2
-        g = (
-            df.groupby("l_returnflag", sort=False)["rev"]
-            .agg(["sum", "size"])
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "l_returnflag": pa.array(g["l_returnflag"], pa.string()),
-                "revenue_e4": pa.array(g["sum"].astype("int64"), pa.int64()),
-                "n": pa.array(g["size"].astype("int64"), pa.int64()),
-            }
-        )
-
-    return (
-        li.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_returnflag")
-        .aggregate(Sum("revenue_e4", alias_name="revenue_e4"),
-                   Sum("n", alias_name="n"))
-    )
 
 
 def q_rolling_sum(sf_dir: str, window: int = 3, n_buckets: int | None = None):
@@ -5314,88 +2444,6 @@ def q_percent_rank(sf_dir: str):
     return ds.groupby("s_nationkey").map_groups(deciles, batch_format="pandas")
 
 
-def q_cube_agg(sf_dir: str):
-    """GROUP BY CUBE (market segment x order priority): counts and
-    revenue cents at all four grouping levels. The base grid is a
-    combiner groupby (customer segment broadcast into the orders scan —
-    J5 shape, no shuffle join); the three rollup margins are derived
-    from the O(|segments| x |priorities|) base grid on the driver, so
-    the fact table is scanned once and shuffled never."""
-    from ray.data.aggregate import Sum
-
-    seg_tbl = (
-        _pq(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-        .to_pandas()
-    )
-    seg_ref = ray.put(
-        dict(zip(seg_tbl["c_custkey"].astype("int64"), seg_tbl["c_mktsegment"]))
-    )
-
-    class Partial:
-        def __init__(self):
-            self.seg = ray.get(seg_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            df["c_mktsegment"] = df["o_custkey"].map(self.seg)
-            df["cents"] = (df["o_totalprice"] * 100).round().astype("int64")
-            g = (
-                df.groupby(["c_mktsegment", "o_orderpriority"], sort=False)["cents"]
-                .agg(["count", "sum"])
-                .reset_index()
-            )
-            return pa.table(
-                {
-                    "c_mktsegment": pa.array(g["c_mktsegment"], pa.string()),
-                    "o_orderpriority": pa.array(g["o_orderpriority"], pa.string()),
-                    "n_orders": pa.array(g["count"].astype("int64"), pa.int64()),
-                    "revenue_cents": pa.array(g["sum"].astype("int64"), pa.int64()),
-                }
-            )
-
-    ds = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderpriority", "o_totalprice"])
-    base = (
-        ds.map_batches(Partial, batch_format="pyarrow", zero_copy_batch=True,
-                       concurrency=(1, 8), num_cpus=0.5)
-        .groupby(["c_mktsegment", "o_orderpriority"])
-        .aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("revenue_cents", alias_name="revenue_cents"),
-        )
-        .to_pandas()  # output-scale: |segments x priorities|
-    )
-    vals = ["n_orders", "revenue_cents"]
-    seg_lvl = (
-        base.groupby("c_mktsegment", as_index=False)[vals]
-        .sum()
-        .assign(o_orderpriority="ALL")
-    )
-    prio_lvl = (
-        base.groupby("o_orderpriority", as_index=False)[vals]
-        .sum()
-        .assign(c_mktsegment="ALL")
-    )
-    grand = pd.DataFrame(
-        {
-            "c_mktsegment": ["ALL"],
-            "o_orderpriority": ["ALL"],
-            "n_orders": [base["n_orders"].sum()],
-            "revenue_cents": [base["revenue_cents"].sum()],
-        }
-    )
-    out = pd.concat([base, seg_lvl, prio_lvl, grand], ignore_index=True)
-    return pa.table(
-        {
-            "c_mktsegment": pa.array(out["c_mktsegment"], pa.string()),
-            "o_orderpriority": pa.array(out["o_orderpriority"], pa.string()),
-            "n_orders": pa.array(out["n_orders"].astype("int64"), pa.int64()),
-            "revenue_cents": pa.array(
-                out["revenue_cents"].astype("int64"), pa.int64()
-            ),
-        }
-    )
-
-
 def _events_bucketized(
     sf_dir: str,
     n_bkt: int,
@@ -5446,8 +2494,8 @@ def _events_bucketized(
 
 
 def _per_cust_revenue_partials(sf_dir: str):
-    """Shared per-customer order-revenue combiner (q_pareto_share /
-    q_clv_quartiles): per-batch (o_custkey, rev-cents) partial sums."""
+    """Per-customer order-revenue combiner of q_pareto_share: per-batch
+    (o_custkey, rev-cents) partial sums."""
     ds = _pq(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -5712,112 +2760,6 @@ def q_doc_stats_by_lang(sf_dir: str):
     return grid.groupby("lang").map_groups(rollup, batch_format="pandas")
 
 
-# ------------------------------------------------------- r4 wave 3 ------
-def q_top_parts(sf_dir: str, k: int = 3, driver_parts_max: int = 2_000_000):
-    """Per-brand top-k parts by lineitem revenue: the K1 partial-top-k
-    shape over a fact->dim enrichment, with deterministic
-    (revenue DESC, partkey ASC) ties. Lineitem collapses to key-bounded
-    per-batch partials; then a size-adaptive switch on the part dim's
-    EXACT row count (parquet metadata, no scan):
-    - |parts| <= driver_parts_max: partials combine in ONE vectorized
-      driver pandas pass (profiled 7.3 s -> 2.5 s at sf0.1 — the
-      Dataset sort-shuffle groupby spent 6 s of fixed overhead moving
-      ~0.5 MB of output-scale rows);
-    - larger: distributed groupby + broadcast-brand attach + per-brand
-      bucketed top-k, nothing driver-resident."""
-    import pyarrow.parquet as _pqt
-
-    from ray.data.aggregate import Sum
-
-    n_parts = _pqt.ParquetFile(
-        os.path.join(sf_dir, "part.parquet")
-    ).metadata.num_rows
-
-    ds = _pq(sf_dir, "lineitem", columns=["l_partkey", "l_extendedprice", "l_discount"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        # the price x (1-discount) product lands on exact .5-cent ties:
-        # round half-away-from-zero (floor(x+0.5), nonneg) to match
-        # DuckDB round() — np.round is half-even (the q_rrf_fusion recipe)
-        cents = np.floor(
-            (df["l_extendedprice"] * (1 - df["l_discount"]) * 100).to_numpy() + 0.5
-        ).astype("int64")
-        g = (
-            pd.DataFrame({"l_partkey": df["l_partkey"].astype("int64"), "c": cents})
-            .groupby("l_partkey", sort=False)["c"]
-            .sum()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "l_partkey": pa.array(g["l_partkey"], pa.int64()),
-                "revenue_cents": pa.array(g["c"].astype("int64"), pa.int64()),
-            }
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-
-    brand = _pqt.read_table(
-        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_brand"]
-    ).to_pandas()
-    brand_map = dict(zip(brand["p_partkey"].astype("int64"), brand["p_brand"]))
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(
-            ["p_brand", "revenue_cents", "l_partkey"],
-            ascending=[True, False, True],
-            kind="mergesort",
-        )
-        df["rk"] = df.groupby("p_brand", sort=False).cumcount() + 1
-        return df[df["rk"] <= k]
-
-    if n_parts <= driver_parts_max:
-        df = (
-            partials.to_pandas()
-            .groupby("l_partkey", sort=False)["revenue_cents"]
-            .sum()
-            .reset_index()
-        )
-        df["p_brand"] = df["l_partkey"].map(brand_map)
-        df = finish(df)
-        return pa.table(
-            {
-                "p_brand": pa.array(df["p_brand"], pa.string()),
-                "l_partkey": pa.array(df["l_partkey"].astype("int64"), pa.int64()),
-                "revenue_cents": pa.array(
-                    df["revenue_cents"].astype("int64"), pa.int64()
-                ),
-                "rk": pa.array(df["rk"].astype("int64"), pa.int64()),
-            }
-        )
-
-    # distributed fork: groupby partkey, broadcast brand attach, then a
-    # per-brand bucketed top-k (each group sees only its brand's parts)
-    brand_ref = ray.put(brand_map)
-
-    class Attach:
-        def __init__(self):
-            self.b = ray.get(brand_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            df["p_brand"] = df["l_partkey"].map(self.b)
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-    return (
-        partials.groupby("l_partkey")
-        .aggregate(Sum("revenue_cents", alias_name="revenue_cents"))
-        .map_batches(Attach, batch_format="pyarrow",
-                     concurrency=(1, 4), num_cpus=0.5)
-        .groupby("p_brand")
-        .map_groups(
-            lambda g: finish(g)[["p_brand", "l_partkey", "revenue_cents", "rk"]],
-            batch_format="pandas",
-        )
-    )
-
-
 def q_weekly_revenue(sf_dir: str, week_us: int = 604_800_000_000):
     """Weekly revenue with week-over-week delta: the window-over-
     aggregate shape. The fact table collapses to one (epoch-week,
@@ -5863,188 +2805,6 @@ def q_weekly_revenue(sf_dir: str, week_us: int = 604_800_000_000):
             "week": pa.array(weeks["week"], pa.int64()),
             "revenue_cents": pa.array(weeks["revenue_cents"], pa.int64()),
             "wow_delta": pa.array(delta, pa.int64()),
-        }
-    )
-
-
-def q_fulfillment_days(
-    sf_dir: str,
-    day_us: int = 86_400_000_000,
-    driver_fact_max: int = 8_000_000,
-    force_distributed: bool = False,
-):
-    """Order fulfillment time by priority — a BIG x BIG join done
-    right: lineitem first collapses to one (orderkey, max shipdate)
-    partial per key (combiner), THEN meets orders in the native
-    distributed hash join, so the all-to-all moves one row per order
-    on each side, never raw line items. Day arithmetic is integer
-    epoch-µs floor division on both sides.
-
-    Size-adaptive (q_top_parts' pattern, gated on the EXACT lineitem
-    parquet row count — no scan): under ``driver_fact_max`` lineitem
-    rows the per-block (orderkey, max ship) partials (<= one row per
-    lineitem row, realistically ~|orders| x blocks) combine in one
-    vectorized driver pandas pass and the priority attach is a driver
-    merge against the orders dim (<= |lineitem| rows by TPC-H
-    construction) — profiled 5.9 s -> ~1.3 s at sf0.1: the bucket
-    shuffle + distributed hash join were fixed overhead moving
-    ~|orders| rows. Above the gate (or force_distributed) the
-    distributed path below runs unchanged; forks equivalence-tested."""
-    import pyarrow.parquet as _pqt
-
-    tune_join_resources()
-    li = _pq(sf_dir, "lineitem", columns=["l_orderkey", "l_shipdate"])
-    li_rows = _pqt.read_metadata(
-        os.path.join(sf_dir, "lineitem.parquet")
-    ).num_rows
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "l_orderkey": batch.column("l_orderkey").to_numpy(zero_copy_only=False),
-                "ship_us": batch.column("l_shipdate")
-                .cast(pa.int64())
-                .to_numpy(zero_copy_only=False),
-            }
-        )
-        g = df.groupby("l_orderkey", sort=False)["ship_us"].max().reset_index()
-        return pa.table(
-            {
-                "l_orderkey": pa.array(g["l_orderkey"].astype("int64"), pa.int64()),
-                "ship_us": pa.array(g["ship_us"].astype("int64"), pa.int64()),
-            }
-        )
-
-    if li_rows <= driver_fact_max and not force_distributed:
-        parts = li.map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas()  # <= li_rows partial rows — bounded by the gate
-        last = (
-            parts.groupby("l_orderkey", sort=False)["ship_us"].max().reset_index()
-        )
-        od = _pqt.read_table(
-            os.path.join(sf_dir, "orders.parquet"),
-            columns=["o_orderkey", "o_orderdate", "o_orderpriority"],
-        )
-        odf = pd.DataFrame(
-            {
-                "o_orderkey": od.column("o_orderkey").to_numpy(),
-                "order_us": od.column("o_orderdate")
-                .cast(pa.int64())
-                .to_numpy(),
-                "o_orderpriority": od.column("o_orderpriority").to_pandas(),
-            }
-        )
-        m = last.merge(
-            odf, left_on="l_orderkey", right_on="o_orderkey", how="inner"
-        )
-        d = (m["ship_us"] - m["order_us"]) // day_us
-        g = (
-            pd.DataFrame({"o_orderpriority": m["o_orderpriority"], "d": d})
-            .groupby("o_orderpriority", sort=False)["d"]
-            .agg(["count", "sum", "max"])
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(g["o_orderpriority"], pa.string()),
-                "n_orders": pa.array(g["count"].astype("int64"), pa.int64()),
-                "avg_days": pa.array(
-                    (g["sum"] // g["count"]).astype("int64"), pa.int64()
-                ),
-                "max_days": pa.array(g["max"].astype("int64"), pa.int64()),
-            }
-        )
-
-    # collapse partials per order via the bucket idiom: the keyed
-    # sort-aggregate over ~|orders| distinct keys cost 5.9 s at sf0.1;
-    # a bucket shuffle + one vectorized per-bucket max costs ~1 s
-    n_bkt = default_buckets()
-
-    def bucketed_max(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("l_orderkey", sort=False)["ship_us"].max().reset_index()
-        return m[["l_orderkey", "ship_us"]]
-
-    last_ship = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(
-            lambda b: b.append_column(
-                "__b",
-                pa.array(
-                    (
-                        b.column("l_orderkey").to_numpy(zero_copy_only=False)
-                        % n_bkt
-                    ).astype(np.int32),
-                    pa.int32(),
-                ),
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("__b")
-        .map_groups(bucketed_max, batch_format="pandas")
-    )
-
-    orders = _pq(sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-
-    def order_us(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderkey": batch.column("o_orderkey"),
-                "order_us": batch.column("o_orderdate").cast(pa.int64()),
-                "o_orderpriority": batch.column("o_orderpriority"),
-            }
-        )
-
-    joined = last_ship.join(
-        orders.map_batches(order_us, batch_format="pyarrow"),
-        join_type="inner",
-        num_partitions=join_partitions(),
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
-    )
-
-    def days_partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        days = ((df["ship_us"] - df["order_us"]) // day_us).astype("int64")
-        g = (
-            pd.DataFrame({"o_orderpriority": df["o_orderpriority"], "d": days})
-            .groupby("o_orderpriority", sort=False)["d"]
-            .agg(["count", "sum", "max"])
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "o_orderpriority": pa.array(g["o_orderpriority"], pa.string()),
-                "n_orders": pa.array(g["count"].astype("int64"), pa.int64()),
-                "sum_days": pa.array(g["sum"].astype("int64"), pa.int64()),
-                "max_days": pa.array(g["max"].astype("int64"), pa.int64()),
-            }
-        )
-
-    # the per-batch partials are O(priorities) rows each — the final
-    # combine over O(priorities x blocks) rows runs on the driver (a
-    # Dataset groupby here spent 6.6 s of sort-shuffle fixed overhead
-    # on a <100-row table at sf0.1; profiled 7.8 s -> ~1.2 s)
-    g = (
-        joined.map_batches(days_partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("o_orderpriority", sort=False)
-        .agg(
-            n_orders=("n_orders", "sum"),
-            sum_days=("sum_days", "sum"),
-            max_days=("max_days", "max"),
-        )
-        .reset_index()
-    )
-    return pa.table(
-        {
-            "o_orderpriority": pa.array(g["o_orderpriority"], pa.string()),
-            "n_orders": pa.array(g["n_orders"].astype("int64"), pa.int64()),
-            "avg_days": pa.array(
-                (g["sum_days"] // g["n_orders"]).astype("int64"), pa.int64()
-            ),
-            "max_days": pa.array(g["max_days"].astype("int64"), pa.int64()),
         }
     )
 
@@ -6475,83 +3235,6 @@ def q_monthly_priority(sf_dir: str):
     )
 
 
-def q_clv_quartiles(sf_dir: str, driver_cust_max: int = 10_000_000):
-    """Per-segment customer-lifetime-value quartile bounds (exact
-    discrete quantiles, quantile_disc semantics sorted[ceil(q n)-1] on
-    both sides): per-customer revenue via the combiner, then a
-    size-adaptive switch on the customer dim's exact parquet row count
-    (the q_top_parts recipe — profiled 5.7 s -> ~1.5 s at sf0.1):
-    - |customers| <= driver_cust_max: partials combine in one
-      vectorized driver pass (8 B/customer — the same bounded contact
-      q_pareto_share documents), segment attach is a driver map, and
-      the quartiles are one np.partition triple per segment;
-    - larger: distributed groupby + broadcast segment attach +
-      per-segment map_groups selection."""
-    import pyarrow.parquet as _pqt
-
-    from ray.data.aggregate import Sum
-
-    n_cust = _pqt.ParquetFile(
-        os.path.join(sf_dir, "customer.parquet")
-    ).metadata.num_rows
-
-    partials = _per_cust_revenue_partials(sf_dir)
-
-    seg = _pqt.read_table(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_mktsegment"],
-    ).to_pandas()
-    seg_map = dict(zip(seg["c_custkey"].astype("int64"), seg["c_mktsegment"]))
-
-    def quartiles(g: pd.DataFrame) -> pd.DataFrame:
-        rev = g["rev"].to_numpy()
-        n = rev.shape[0]
-        out = {}
-        for name, q in (("q1_cents", 0.25), ("q2_cents", 0.5), ("q3_cents", 0.75)):
-            k = int(np.ceil(q * n)) - 1
-            out[name] = [int(np.partition(rev, k)[k])]
-        return pd.DataFrame(
-            {
-                "c_mktsegment": [g["c_mktsegment"].iloc[0]],
-                "n_customers": [n],
-                **out,
-            }
-        )
-
-    if n_cust <= driver_cust_max:
-        df = (
-            partials.to_pandas()
-            .groupby("o_custkey", sort=False)["rev"]
-            .sum()
-            .reset_index()
-        )
-        df["c_mktsegment"] = df["o_custkey"].map(seg_map)
-        out = pd.concat(
-            [quartiles(g) for _, g in df.groupby("c_mktsegment", sort=False)],
-            ignore_index=True,
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    per_cust = partials.groupby("o_custkey").aggregate(Sum("rev", alias_name="rev"))
-    seg_ref = ray.put(seg_map)
-
-    class Attach:
-        def __init__(self):
-            self.s = ray.get(seg_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            df["c_mktsegment"] = df["o_custkey"].map(self.s)
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-    return (
-        per_cust.map_batches(Attach, batch_format="pyarrow",
-                             concurrency=(1, 4), num_cpus=0.5)
-        .groupby("c_mktsegment")
-        .map_groups(quartiles, batch_format="pandas")
-    )
-
-
 def q_repeat_rate(sf_dir: str):
     """Repeat-purchase rate: one scalar row — users with >= 2 purchase
     events over users with >= 1, in e4. Per-batch (user, n_purchases)
@@ -6742,45 +3425,6 @@ def q_name_tokens(sf_dir: str, k: int = 20):
             "token": pa.array(counts["token"], pa.string()),
             "n": pa.array(counts["n"].astype("int64"), pa.int64()),
             "rk": pa.array(counts["rk"], pa.int64()),
-        }
-    )
-
-
-def q_nation_presence(sf_dir: str):
-    """Multi-source reconciliation: per nation, supplier and customer
-    counts from TWO independent combiner scans, merged FULL-OUTER on
-    the O(nations) output grids with COALESCE-0 semantics — neither
-    fact table ever joins the other directly."""
-    from ray.data.aggregate import Sum
-
-    def counted(table: str, key: str) -> pd.DataFrame:
-        ds = _pq(sf_dir, table, columns=[key])
-
-        def partial(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            g = df.groupby(key, sort=False).size().reset_index(name="n")
-            return pa.table(
-                {
-                    "nationkey": pa.array(g[key].astype("int64"), pa.int64()),
-                    "n": pa.array(g["n"].astype("int64"), pa.int64()),
-                }
-            )
-
-        return (
-            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("nationkey")
-            .aggregate(Sum("n", alias_name="n"))
-            .to_pandas()
-        )
-
-    sup = counted("supplier", "s_nationkey").rename(columns={"n": "n_suppliers"})
-    cust = counted("customer", "c_nationkey").rename(columns={"n": "n_customers"})
-    out = sup.merge(cust, on="nationkey", how="outer").fillna(0)
-    return pa.table(
-        {
-            "nationkey": pa.array(out["nationkey"].astype("int64"), pa.int64()),
-            "n_suppliers": pa.array(out["n_suppliers"].astype("int64"), pa.int64()),
-            "n_customers": pa.array(out["n_customers"].astype("int64"), pa.int64()),
         }
     )
 

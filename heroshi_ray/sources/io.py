@@ -241,11 +241,6 @@ def latest_committed_epoch(workdir: str) -> int | None:
     return best
 
 
-def load_manifest(workdir: str, epoch: int) -> dict:
-    with open(manifest_path(workdir, epoch)) as f:
-        return json.load(f)
-
-
 def append_epoch_table(table: pa.Table, workdir: str, sub: str, epoch: int) -> str | None:
     """Append-only per-epoch sink: {workdir}/{sub}/e{epoch}.parquet."""
     if table.num_rows == 0:

@@ -146,13 +146,8 @@ def test_kmeans_matches_single_process_replica(ray_session):
 
 def test_edit_neardup_short_names_and_empty_results(ray_session, tmp_path):
     """Length-0/1 names (the U0-view crash case) and planted
-    insert/delete/substitute pairs must match DuckDB's levenshtein;
-    Q16/Q21's driver merges must survive zero-row outcomes."""
+    insert/delete/substitute pairs must match DuckDB's levenshtein."""
     from heroshi_ray.pipelines.dataops import q_edit_neardup
-    from heroshi_ray.pipelines.relational import (
-        q_late_suppliers,
-        q_part_supplier_counts,
-    )
 
     pq.write_table(
         pa.table(
@@ -178,24 +173,6 @@ def test_edit_neardup_short_names_and_empty_results(ray_session, tmp_path):
         "WHERE levenshtein(a.s_name, b.s_name) <= 1 ORDER BY 1, 2"
     ).df()
     assert out.to_numpy().tolist() == exp.to_numpy().tolist()
-
-    assert len(q_part_supplier_counts(SF_DIR, min_acct_e2=10**15)) == 0
-    assert len(to_df(q_late_suppliers(SF_DIR, late_days=100000))) == 0
-
-
-def test_bloom_filter_properties():
-    """No false negatives ever; false-positive rate well under 1% at
-    the 12-bits/key design point; merge = union."""
-    from heroshi_ray.functions.sketch import BloomFilter
-
-    keys = np.arange(0, 20000, 2)
-    b = BloomFilter(len(keys)).add(keys)
-    assert b.contains(keys).all()
-    fp = b.contains(np.arange(1, 200001, 2)).mean()
-    assert fp < 0.01, fp
-    other = BloomFilter(len(keys)).add(np.array([10**12]))
-    b.merge(other)
-    assert b.contains(np.array([10**12])).all()
 
 
 def test_bpe_train_distributed_equals_driver(ray_session):

@@ -82,6 +82,24 @@ def test_hash64_deterministic():
     assert (s >= 0).all() and (s < 64).all() and len(set(s.tolist())) == 1
 
 
+def test_codec_oracle_cache_keyed_by_sf_dir(ray_session, tmp_path):
+    """The part-keyed codec corpus is built from sf_dir's part table, so
+    two dirs with different part keys below 96 must not share its cache."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from heroshi_ray.pipelines.dataops import q_codec_decode
+
+    counts = []
+    for name, keys in (("a", [0, 1, 2, 3, 200]), ("b", list(range(8)))):
+        d = tmp_path / name
+        d.mkdir()
+        pq.write_table(
+            pa.table({"p_partkey": pa.array(keys, pa.int64())}), d / "part.parquet"
+        )
+        counts.append(q_codec_decode(str(d)).count())
+    assert counts == [4, 8]
+
 def test_alignment_score_stage_matches_pure_composition(ray_session):
     """AlignmentScoreStage through Ray == composing the pure embedding
     functions without Ray, exactly (same ops, same order)."""

@@ -66,14 +66,12 @@ def test_minhash_neardup_driver_fork_equivalence(ray_session):
 
 def test_phash_neardup_matches_single_process(ray_session):
     from heroshi_ray.functions.image import hamming64
-    from heroshi_ray.pipelines.dataops import q_phash_neardup
+    from heroshi_ray.pipelines.dataops import _ensure_neardup_corpus, q_phash_neardup
 
     got = q_phash_neardup(SF_DIR).to_pandas()
     # the query builds/caches its own synthetic corpus; recompute truth
     # from the same cached file with plain loops
-    t = pq.read_table(
-        "/tmp/heroshi_ray_cache/corpus_neardup.parquet", columns=["image_id", "phash"]
-    )
+    t = pq.read_table(_ensure_neardup_corpus(), columns=["image_id", "phash"])
     ids = t.column("image_id").to_pylist()
     phs = np.array(t.column("phash").to_pylist(), dtype=np.int64)
     # multi-index candidate rule: pairs sharing >= 1 of 4 16-bit quadrants
@@ -172,19 +170,6 @@ def test_simhash_neardup_matches_single_process(ray_session):
     assert len(expect) > 0
 
 
-def test_shipping_priority_join_path_equals_broadcast(ray_session):
-    """broadcast_limit=0 forces the two-hash-join Q3 plan; results must
-    equal the broadcast-probe plan."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.relational import q_shipping_priority
-
-    a = q_shipping_priority(SF_DIR).to_pandas()
-    b = q_shipping_priority(SF_DIR, broadcast_limit=0).to_pandas()
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    assert len(a) == 10
-
-
 def test_dedup_clusters_transitive_chain(ray_session, tmp_path):
     """Label propagation must close transitively: v0~v1 and v1~v2 put
     v0,v2 in ONE cluster even though cos(v0,v2) < threshold; v3 is
@@ -217,25 +202,6 @@ def test_dedup_clusters_transitive_chain(ray_session, tmp_path):
     )
     assert out[10] == out[20] == out[30] == 10  # one transitive cluster, min id
     assert out[99] == 99  # isolated: own id
-
-
-def test_anti_join_distributed_path_equals_broadcast(ray_session):
-    """broadcast_limit=0 forces the bucketed left_anti hash join; both
-    layouts must return identical customers."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.relational import q_anti_join
-
-    cols = ["c_custkey", "c_name"]
-    a = q_anti_join(SF_DIR).to_pandas().sort_values(cols).reset_index(drop=True)
-    b = (
-        q_anti_join(SF_DIR, broadcast_limit=0)
-        .to_pandas()[cols]
-        .sort_values(cols)
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    assert len(a) > 0
 
 
 def test_small_qty_revenue_join_path_equals_broadcast(ray_session):
@@ -411,44 +377,6 @@ def test_hamming_pairs_distributed_dedup_equals_driver(ray_session):
     )
 
 
-def test_volume_shipping_distributed_path_equals_broadcast(ray_session):
-    """broadcast_limit=0 forces lineitem-partials ⋈ orders hash join;
-    both layouts must produce identical nation-pair volumes."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.relational import q_volume_shipping
-
-    cols = ["supp_nation", "cust_nation", "l_year", "revenue_e4"]
-
-    def norm(t):
-        return (
-            t.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
-        )
-
-    a = norm(q_volume_shipping(SF_DIR))
-    b = norm(q_volume_shipping(SF_DIR, broadcast_limit=0))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    assert len(a) > 0
-
-
-def test_no_order_customers_distributed_path_equals_broadcast(ray_session):
-    """broadcast_limit=0 forces the left_anti hash join on the recent-
-    order key set; both layouts must produce identical rollups."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.relational import q_no_order_customers
-
-    cols = ["c_nationkey", "n_cust", "acctbal_e2"]
-
-    def norm(ds):
-        return ds.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
-
-    a = norm(q_no_order_customers(SF_DIR))
-    b = norm(q_no_order_customers(SF_DIR, broadcast_limit=0))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    assert len(a) > 0
-
-
 def test_image_clusters_match_union_find(ray_session):
     """q_image_clusters must equal a brute-force union-find over the
     verified q_phash_neardup pair list, with the lexicographically
@@ -494,30 +422,6 @@ def test_image_clusters_match_union_find(ray_session):
         if cid != iid:
             n_nontrivial += 1
     assert n_nontrivial > 0
-
-
-def test_promo_revenue_distributed_path_equals_broadcast(ray_session):
-    """broadcast_limit=0 forces the per-part-partials ⋈ part hash join;
-    both layouts must produce the identical two sums."""
-    from heroshi_ray.pipelines.relational import q_promo_revenue
-
-    a = q_promo_revenue(SF_DIR).to_pandas()
-    b = q_promo_revenue(SF_DIR, broadcast_limit=0).to_pandas()
-    assert a["promo_e4"].iloc[0] == b["promo_e4"].iloc[0]
-    assert a["total_e4"].iloc[0] == b["total_e4"].iloc[0]
-    assert int(a["total_e4"].iloc[0]) > 0
-
-
-def test_large_orders_distributed_fork(ray_session):
-    """broadcast_limit=0 forces the hot-set hash join onto orders; both
-    plans must produce the identical Q18 result."""
-    from heroshi_ray.pipelines.relational import q_large_orders
-
-    a = q_large_orders(SF_DIR).to_pandas()
-    b = q_large_orders(SF_DIR, broadcast_limit=0).to_pandas()
-    ca = a[sorted(a.columns)].sort_values(sorted(a.columns)).reset_index(drop=True)
-    cb = b[sorted(b.columns)].sort_values(sorted(b.columns)).reset_index(drop=True)
-    pd.testing.assert_frame_equal(ca, cb, check_dtype=False, check_exact=True)
 
 
 def test_hits_distributed_path_equals_broadcast(ray_session):

@@ -153,6 +153,29 @@ def test_minhash_est_error_envelope(ray_session):
     pd.testing.assert_frame_equal(df, again)
 
 
+def test_minhash_est_error_empty_text_pair(ray_session, tmp_path):
+    """Two empty-text docs have empty shingle sets, which jaccard()
+    scores 1.0, so LSH surfaces them as a pair; they have no MinHash
+    signature and the estimate must follow the same convention
+    instead of failing the signature lookup."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from heroshi_ray.pipelines.dataops import q_minhash_est_error
+
+    texts = ["", "", "alpha beta gamma delta epsilon zeta eta theta",
+             "alpha beta gamma delta epsilon zeta eta theta iota"]
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(4), pa.int64()), "text": texts}),
+        tmp_path / "documents.parquet",
+    )
+    df = q_minhash_est_error(str(tmp_path)).to_pandas().set_index(["doc_a", "doc_b"])
+    empty = df.loc[(0, 1)]
+    assert empty["jaccard_e4"] == empty["est_e4"] == 10_000
+    assert empty["abs_err_e4"] == 0
+    assert (2, 3) in df.index
+
+
 def test_reciprocity_matches_bruteforce(ray_session):
     """Distributed bucketed count == a set-based brute force on the
     same deterministic graph."""
