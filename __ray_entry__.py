@@ -165,81 +165,36 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_blur_detect": d.q_blur_detect,
         "q_format_sniff": d.q_format_sniff,
         "q_decode_errors": d.q_decode_errors,
-        # TPC-H single-table and events/documents analytics (SQL-oracled)
-        "q_grouped_count_distinct": r.q_grouped_count_distinct,
-        "q_p99_outliers": r.q_p99_outliers,
-        "q_dense_rank": r.q_dense_rank,
         "q_full_outer": r.q_full_outer,
-        "q_rolling_sum": r.q_rolling_sum,
-        "q_mad_outliers": r.q_mad_outliers,
-        "q_transition_counts": r.q_transition_counts,
         "q_attribution": r.q_attribution,
         "q_skew_join": r.q_skew_join,
-        "q_window_dedup": r.q_window_dedup,
-        "q_late_events": r.q_late_events,
-        "q_collect_values": r.q_collect_values,
-        "q_funnel": r.q_funnel,
-        "q_retention": r.q_retention,
-        "q_corr_stats": r.q_corr_stats,
-        "q_intersect_users": r.q_intersect_users,
-        "q_except_users": r.q_except_users,
         "q_cube": r.q_cube,
         "q_filter_agg": r.q_filter_agg,
-        "q_minmax_scale": r.q_minmax_scale,
-        "q_interarrival": r.q_interarrival,
-        "q_ntile": r.q_ntile,
         "q_small_qty_revenue": r.q_small_qty_revenue,
-        "q_running_sum": r.q_running_sum,
-        "q_mode_per_key": r.q_mode_per_key,
-        "q_percentiles": r.q_percentiles,
         "q_stratified_sample": r.q_stratified_sample,
-        "q_window_count": r.q_window_count,
         "q_range_join": r.q_range_join,
-        "q_groupby_host": r.q_groupby_host,
-        "q_topk_per_host": r.q_topk_per_host,
         "q_global_topk": r.q_global_topk,
         "q_count_distinct": r.q_count_distinct,
         "q_dedup_first": r.q_dedup_first,
-        "q_sessionize": r.q_sessionize,
         "q_pricing_summary": r.q_pricing_summary,
-        "q_asof_join": r.q_asof_join,
         "q_string_norm": r.q_string_norm,
-        "q_json_extract": r.q_json_extract,
-        "q_sliding_window": r.q_sliding_window,
-        "q_pivot": r.q_pivot,
-        "q_percentile_interp": r.q_percentile_interp,
-        "q_zscore": r.q_zscore,
-        "q_session_windows": r.q_session_windows,
         "q_corpus_rollup": r.q_corpus_rollup,
         "q_pivot_status": r.q_pivot_status,
         "q_group_median": r.q_group_median,
         "q_percent_rank": r.q_percent_rank,
-        "q_event_gaps": r.q_event_gaps,
         "q_string_agg": r.q_string_agg,
-        "q_mode_value": r.q_mode_value,
         "q_histogram": r.q_histogram,
-        "q_first_last": r.q_first_last,
         "q_doc_stats_by_lang": r.q_doc_stats_by_lang,
         "q_weekly_revenue": r.q_weekly_revenue,
-        "q_weekday_activity": r.q_weekday_activity,
         "q_url_host_stats": r.q_url_host_stats,
-        "q_running_max": r.q_running_max,
         "q_second_highest": r.q_second_highest,
-        "q_distinct_event_days": r.q_distinct_event_days,
         "q_price_spread": r.q_price_spread,
         "q_share_by_flag": r.q_share_by_flag,
-        "q_gap_islands": r.q_gap_islands,
         "q_pareto_share": r.q_pareto_share,
         "q_monthly_priority": r.q_monthly_priority,
-        "q_repeat_rate": r.q_repeat_rate,
         "q_brand_type_matrix": r.q_brand_type_matrix,
-        "q_hourly_heatmap": r.q_hourly_heatmap,
-        "q_props_stats": r.q_props_stats,
         "q_name_tokens": r.q_name_tokens,
         "q_status_year_revenue": r.q_status_year_revenue,
-        "q_first_purchase": r.q_first_purchase,
-        "q_distinct_growth": r.q_distinct_growth,
-        "q_burst_detect": r.q_burst_detect,
         "q_month_over_month": r.q_month_over_month,
         "q_dedup_cluster_hist": r.q_dedup_cluster_hist,
         # rows-only (stateful, iterative or binary: not SQL-expressible;
@@ -2612,40 +2567,6 @@ def oracle_sql() -> dict[str, str]:
                    (p_partkey % 5 NOT IN (2, 4)) AS decode_ok
             FROM part WHERE p_partkey < 96
         """,
-        "q_grouped_count_distinct": """
-            SELECT event_type, CAST(count(DISTINCT user_id) AS BIGINT) AS n_users
-            FROM events GROUP BY event_type
-        """,
-        # per-type exact p99 tail filter; the percentile index rule is
-        # the same floor((n-1)*q/100) row pick q_percentiles pins
-        "q_p99_outliers": """
-            WITH v AS (
-              SELECT event_id, event_type,
-                     CAST(round(value * 100) AS BIGINT) AS v_e2
-              FROM events
-            ), r AS (
-              SELECT event_type, v_e2,
-                     row_number() OVER (PARTITION BY event_type
-                                        ORDER BY v_e2) - 1 AS rn,
-                     count(*) OVER (PARTITION BY event_type) AS n
-              FROM v
-            ), th AS (
-              SELECT event_type, v_e2 AS thr FROM r
-              WHERE rn = (n - 1) * 99 // 100
-            )
-            SELECT e.event_id, e.event_type, e.v_e2
-            FROM v e JOIN th USING (event_type)
-            WHERE e.v_e2 > thr
-        """,
-        # grouped DENSE_RANK over every event row
-        "q_dense_rank": """
-            SELECT event_id,
-                   CAST(dense_rank() OVER (
-                     PARTITION BY event_type
-                     ORDER BY CAST(round(value * 100) AS BIGINT)
-                   ) AS BIGINT) AS drank
-            FROM events
-        """,
         # FULL OUTER JOIN reconciliation of activity vs accounts
         "q_full_outer": """
             WITH e AS (
@@ -2663,64 +2584,6 @@ def oracle_sql() -> dict[str, str]:
                         WHEN e.key IS NOT NULL THEN 'events'
                         ELSE 'customer' END AS side
             FROM e FULL OUTER JOIN c ON e.key = c.key
-        """,
-        # ROWS-BETWEEN moving aggregate
-        "q_rolling_sum": """
-            WITH v AS (
-              SELECT event_id, user_id,
-                     CAST(round(value * 100) AS BIGINT) AS v_e2
-              FROM events
-            )
-            SELECT event_id,
-                   CAST(sum(v_e2) OVER (
-                     PARTITION BY user_id ORDER BY event_id
-                     ROWS BETWEEN 2 PRECEDING AND CURRENT ROW
-                   ) AS BIGINT) AS mov_sum_e2
-            FROM v
-        """,
-        # MAD robust outliers: median + MAD via the same floor((n-1)/2)
-        # row pick the engine's histogram core uses
-        "q_mad_outliers": """
-            WITH v AS (
-              SELECT event_id, event_type,
-                     CAST(round(value * 100) AS BIGINT) AS v_e2
-              FROM events
-            ), med AS (
-              SELECT event_type, v_e2 AS med FROM (
-                SELECT event_type, v_e2,
-                       row_number() OVER (PARTITION BY event_type
-                                          ORDER BY v_e2) - 1 AS rn,
-                       count(*) OVER (PARTITION BY event_type) AS n
-                FROM v
-              ) WHERE rn = (n - 1) // 2
-            ), dev AS (
-              SELECT v.event_id, v.event_type, v.v_e2,
-                     abs(v.v_e2 - med.med) AS d, med.med
-              FROM v JOIN med USING (event_type)
-            ), mad AS (
-              SELECT event_type, d AS mad FROM (
-                SELECT event_type, d,
-                       row_number() OVER (PARTITION BY event_type
-                                          ORDER BY d) - 1 AS rn,
-                       count(*) OVER (PARTITION BY event_type) AS n
-                FROM dev
-              ) WHERE rn = (n - 1) // 2
-            )
-            SELECT dev.event_id, dev.event_type, dev.v_e2
-            FROM dev JOIN mad USING (event_type)
-            WHERE dev.d > 3 * mad.mad
-        """,
-        # per-user consecutive event-type transitions (ties on ts break
-        # by event_id, exactly the engine's mergesort order)
-        "q_transition_counts": """
-            SELECT prev_type, next_type, CAST(count(*) AS BIGINT) AS n FROM (
-              SELECT event_type AS prev_type,
-                     LEAD(event_type) OVER (
-                         PARTITION BY user_id ORDER BY ts, event_id
-                     ) AS next_type
-              FROM events
-            ) WHERE next_type IS NOT NULL
-            GROUP BY prev_type, next_type
         """,
         # last-touch attribution: purchase -> most recent click by the
         # same user strictly within 1h; ties on ts resolve to max
@@ -2749,118 +2612,6 @@ def oracle_sql() -> dict[str, str]:
               FROM events GROUP BY 1
             ) t USING (event_type)
         """,
-        # first event per (user, type) per tumbling day window
-        "q_window_dedup": """
-            SELECT user_id, event_type, window_id, event_id FROM (
-              SELECT user_id, event_type,
-                     CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS window_id,
-                     event_id,
-                     row_number() OVER (
-                       PARTITION BY user_id, event_type,
-                                    CAST(epoch_us(ts) AS BIGINT) // 86400000000
-                       ORDER BY epoch_us(ts), event_id
-                     ) AS rn
-              FROM events
-            ) WHERE rn = 1
-        """,
-        # watermark late-event detection under per-user upload-replay
-        # arrival order: running-MAX window twin
-        "q_late_events": """
-            SELECT event_id, CAST(wm - ts_us AS BIGINT) AS late_by_us
-            FROM (
-              SELECT event_id, CAST(epoch_us(ts) AS BIGINT) AS ts_us,
-                     MAX(CAST(epoch_us(ts) AS BIGINT)) OVER (
-                         ORDER BY user_id, event_id
-                         ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING
-                     ) - 86400000000 AS wm
-              FROM events
-            )
-            WHERE ts_us < wm
-        """,
-        # grouped COLLECT / array_agg with explicit in-group order
-        "q_collect_values": """
-            WITH p AS (
-              SELECT user_id, event_id FROM events
-              WHERE event_type = 'purchase'
-            )
-            SELECT user_id,
-                   string_agg(CAST(event_id AS VARCHAR), ','
-                              ORDER BY event_id) AS event_ids
-            FROM p GROUP BY user_id
-            HAVING count(*) <= 40
-        """,
-        # ordered conversion funnel on per-user first timestamps
-        "q_funnel": """
-            WITH m AS (
-              SELECT user_id,
-                     min(CASE WHEN event_type = 'signup' THEN ts END) AS t1,
-                     min(CASE WHEN event_type = 'click' THEN ts END) AS t2,
-                     min(CASE WHEN event_type = 'purchase' THEN ts END) AS t3
-              FROM events GROUP BY user_id
-            )
-            SELECT stage, CAST(n_users AS BIGINT) AS n_users FROM (
-              SELECT 's1_signup' AS stage,
-                     count(*) FILTER (WHERE t1 IS NOT NULL) AS n_users FROM m
-              UNION ALL
-              SELECT 's2_click',
-                     count(*) FILTER (WHERE t1 IS NOT NULL AND t2 > t1) FROM m
-              UNION ALL
-              SELECT 's3_purchase',
-                     count(*) FILTER (WHERE t1 IS NOT NULL AND t2 > t1
-                                      AND t3 > t2) FROM m
-            )
-        """,
-        # cohort retention: first-event-week cohorts x week offsets
-        "q_retention": """
-            WITH uw AS (
-              SELECT DISTINCT user_id,
-                     CAST(floor(epoch(ts) / 604800) AS BIGINT) AS wk
-              FROM events
-            ), fw AS (
-              SELECT user_id, min(wk) AS cw FROM uw GROUP BY user_id
-            )
-            SELECT f.cw AS cohort_week, u.wk - f.cw AS week_offset,
-                   CAST(count(*) AS BIGINT) AS n_users
-            FROM uw u JOIN fw f USING (user_id)
-            GROUP BY 1, 2
-        """,
-        # per-type Pearson sufficient statistics, all-integer
-        "q_corr_stats": """
-            SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-                   CAST(sum(x) AS BIGINT) AS sum_x,
-                   CAST(sum(y) AS BIGINT) AS sum_y,
-                   CAST(sum(x * y) AS BIGINT) AS sum_xy,
-                   CAST(sum(x * x) AS BIGINT) AS sum_x2,
-                   CAST(sum(y * y) AS BIGINT) AS sum_y2
-            FROM (
-              SELECT event_type,
-                     CAST(round(value * 100) AS BIGINT) AS x,
-                     (CAST(epoch_us(ts) AS BIGINT) % 86400000000)
-                         // 3600000000 AS y
-              FROM events
-            )
-            GROUP BY event_type
-        """,
-        # INTERSECT set op, big-click AND big-purchase users
-        "q_intersect_users": """
-            SELECT user_id FROM events
-            WHERE event_type = 'click'
-              AND CAST(round(value * 100) AS BIGINT) > 15000
-            INTERSECT
-            SELECT user_id FROM events
-            WHERE event_type = 'purchase'
-              AND CAST(round(value * 100) AS BIGINT) > 15000
-        """,
-        # EXCEPT set op, big-click users with no big purchase
-        "q_except_users": """
-            SELECT user_id FROM events
-            WHERE event_type = 'click'
-              AND CAST(round(value * 100) AS BIGINT) > 15000
-            EXCEPT
-            SELECT user_id FROM events
-            WHERE event_type = 'purchase'
-              AND CAST(round(value * 100) AS BIGINT) > 15000
-        """,
         # CUBE grouping sets, subtotals coalesced to 'ALL'
         "q_cube": """
             SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
@@ -2882,40 +2633,6 @@ def oracle_sql() -> dict[str, str]:
               AND l_shipdate < DATE '1997-01-01'
               AND d2 BETWEEN 5 AND 7 AND l_quantity < 24
         """,
-        # global min-max scaling to fixed-point [0, 10000]
-        "q_minmax_scale": """
-            WITH s AS (
-                SELECT min(CAST(round(value * 100) AS BIGINT)) AS mn,
-                       max(CAST(round(value * 100) AS BIGINT)) AS mx
-                FROM events
-            )
-            SELECT event_id,
-                   CAST((CAST(round(value * 100) AS BIGINT) - mn) * 10000
-                        // greatest(mx - mn, 1) AS BIGINT) AS scaled_e4
-            FROM events, s
-        """,
-        # per-user inter-event gap statistics (lag-window twin)
-        "q_interarrival": """
-            WITH d AS (
-                SELECT user_id,
-                       date_diff('microsecond',
-                                 lag(ts) OVER (PARTITION BY user_id ORDER BY ts),
-                                 ts) AS g
-                FROM events
-            )
-            SELECT user_id,
-                   CAST(count(g) AS BIGINT) AS n_gaps,
-                   CAST(sum(g) AS BIGINT) AS sum_gap_us,
-                   CAST(max(g) AS BIGINT) AS max_gap_us
-            FROM d WHERE g IS NOT NULL GROUP BY user_id
-        """,
-        # exact global NTILE via distributed sort + block offsets
-        "q_ntile": """
-            SELECT event_id,
-                   CAST(NTILE(10) OVER (ORDER BY value, event_id) AS BIGINT)
-                       AS bucket
-            FROM events
-        """,
         "q_small_qty_revenue": """
             SELECT CAST(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT))
                         AS BIGINT) AS revenue_e2,
@@ -2928,34 +2645,6 @@ def oracle_sql() -> dict[str, str]:
             ) p ON l.l_partkey = p.l_partkey
             WHERE 5 * CAST(round(l.l_quantity) AS BIGINT) * p.cnt < p.s
         """,
-        "q_running_sum": """
-            SELECT event_id, user_id,
-                   CAST(sum(CAST(round(value * 100) AS BIGINT))
-                        OVER (PARTITION BY user_id ORDER BY ts, event_id)
-                        AS BIGINT) AS run_sum_e2
-            FROM events
-        """,
-        "q_mode_per_key": """
-            SELECT user_id, event_type AS top_type, n FROM (
-                SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS n,
-                       row_number() OVER (PARTITION BY user_id
-                                          ORDER BY count(*) DESC, event_type) AS rn
-                FROM events GROUP BY user_id, event_type
-            ) WHERE rn = 1
-        """,
-        "q_percentiles": """
-            WITH s AS (
-                SELECT user_id, CAST(round(value * 100) AS BIGINT) AS v,
-                       row_number() OVER (PARTITION BY user_id
-                                          ORDER BY value, event_id) AS rn,
-                       count(*) OVER (PARTITION BY user_id) AS n
-                FROM events)
-            SELECT user_id,
-                   max(CASE WHEN rn = (n-1)*50//100 + 1 THEN v END) AS p50_e2,
-                   max(CASE WHEN rn = (n-1)*90//100 + 1 THEN v END) AS p90_e2,
-                   max(CASE WHEN rn = (n-1)*99//100 + 1 THEN v END) AS p99_e2
-            FROM s GROUP BY user_id
-        """,
         "q_stratified_sample": """
             SELECT c_custkey, c_mktsegment, c_acctbal FROM (
                 SELECT c_custkey, c_mktsegment, c_acctbal,
@@ -2963,10 +2652,6 @@ def oracle_sql() -> dict[str, str]:
                                           ORDER BY (c_custkey * 2654435761) % 1000003,
                                                    c_custkey) AS rn
                 FROM customer) t WHERE rn <= 20
-        """,
-        "q_window_count": """
-            SELECT date_trunc('hour', ts) AS hour, CAST(count(*) AS BIGINT) AS n
-            FROM events GROUP BY 1
         """,
         "q_range_join": """
             SELECT o.o_orderkey, o.o_totalprice, b.band_id FROM orders o JOIN (
@@ -2978,20 +2663,6 @@ def oracle_sql() -> dict[str, str]:
                 UNION ALL SELECT 5, 150000.0, 300000.0
                 UNION ALL SELECT 6, 300000.0, 1e18
             ) b ON o.o_totalprice >= b.lo AND o.o_totalprice < b.hi
-        """,
-        "q_groupby_host": """
-            SELECT user_id, CAST(count(*) AS BIGINT) AS n,
-                   round(CAST(sum(CAST(round(value * 100) AS BIGINT)) AS DOUBLE)
-                         / 100.0 / count(*), 6) AS avg_value
-            FROM events GROUP BY user_id
-        """,
-        "q_topk_per_host": """
-            SELECT event_id, user_id, value FROM (
-                SELECT event_id, user_id, value,
-                       row_number() OVER (PARTITION BY user_id
-                                          ORDER BY value DESC, event_id) AS rn
-                FROM events
-            ) WHERE rn <= 3
         """,
         "q_global_topk": """
             SELECT o_orderkey, o_custkey, o_totalprice
@@ -3010,16 +2681,6 @@ def oracle_sql() -> dict[str, str]:
                 FROM lineitem
             ) WHERE rn = 1
         """,
-        "q_sessionize": """
-            SELECT user_id, CAST(sum(new_s) AS BIGINT) AS n_sessions FROM (
-                SELECT user_id,
-                       CASE WHEN lag(ts) OVER w IS NULL
-                              OR ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                            THEN 1 ELSE 0 END AS new_s
-                FROM events
-                WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ) GROUP BY user_id
-        """,
         "q_pricing_summary": """
             SELECT l_returnflag, l_linestatus,
                    CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
@@ -3037,100 +2698,10 @@ def oracle_sql() -> dict[str, str]:
             )
             GROUP BY l_returnflag, l_linestatus
         """,
-        "q_asof_join": """
-            SELECT l.event_id, l.user_id, r.value AS view_value
-            FROM (SELECT event_id, user_id, ts FROM events WHERE event_type = 'click') l
-            ASOF LEFT JOIN
-                 (SELECT user_id, ts, value FROM events WHERE event_type = 'view') r
-            ON l.user_id = r.user_id AND l.ts >= r.ts
-        """,
         "q_string_norm": """
             SELECT doc_id, lower(trim(text)) AS text_norm,
                    CAST(length(lower(trim(text))) AS BIGINT) AS n_chars_norm
             FROM documents
-        """,
-        "q_json_extract": """
-            SELECT event_id, json_extract_string(props, '$.k') AS k_val FROM events
-        """,
-        "q_sliding_window": """
-            SELECT win_start, CAST(count(*) AS BIGINT) AS n FROM (
-                SELECT make_timestamp((epoch_us(ts) // 1800000000) * 1800000000)
-                       AS win_start FROM events
-                UNION ALL
-                SELECT make_timestamp(((epoch_us(ts) // 1800000000) - 1) * 1800000000)
-                       AS win_start FROM events
-            ) GROUP BY win_start
-        """,
-        "q_pivot": """
-            SELECT user_id,
-                   CAST(count(*) FILTER (event_type = 'click') AS BIGINT) AS n_click,
-                   CAST(count(*) FILTER (event_type = 'error') AS BIGINT) AS n_error,
-                   CAST(count(*) FILTER (event_type = 'purchase') AS BIGINT) AS n_purchase,
-                   CAST(count(*) FILTER (event_type = 'signup') AS BIGINT) AS n_signup,
-                   CAST(count(*) FILTER (event_type = 'view') AS BIGINT) AS n_view
-            FROM events GROUP BY user_id
-        """,
-        "q_percentile_interp": """
-            WITH v AS (
-              SELECT user_id, CAST(round(value * 100) AS BIGINT) AS v_e2,
-                     row_number() OVER (PARTITION BY user_id
-                                        ORDER BY round(value * 100)) - 1
-                       AS rk,
-                     count(*) OVER (PARTITION BY user_id) AS n
-              FROM events
-            )
-            SELECT user_id,
-                   CAST(MAX(CASE WHEN rk = ((n - 1) * 90) // 100
-                            THEN v_e2 END) * 100
-                        + (MAX(CASE WHEN rk = LEAST(((n - 1) * 90) // 100
-                                                    + 1, n - 1)
-                               THEN v_e2 END)
-                           - MAX(CASE WHEN rk = ((n - 1) * 90) // 100
-                                 THEN v_e2 END))
-                          * (((n - 1) * 90) % 100) AS BIGINT) AS p90_e4
-            FROM v GROUP BY user_id, n
-        """,
-        "q_zscore": """
-            WITH m AS (
-              SELECT event_type, count(*) AS n,
-                     SUM(CAST(round(value * 100) AS BIGINT)) AS sx,
-                     SUM(CAST(round(value * 100) AS BIGINT)
-                         * CAST(round(value * 100) AS BIGINT)) AS sx2
-              FROM events GROUP BY event_type
-            )
-            SELECT event_id,
-                   CAST(CASE WHEN (m.sx2 / m.n - (m.sx / m.n) * (m.sx / m.n))
-                             > 0
-                        THEN round((CAST(round(e.value * 100) AS BIGINT)
-                                    - m.sx / m.n)
-                             / sqrt(m.sx2 / m.n
-                                    - (m.sx / m.n) * (m.sx / m.n))
-                             * 10000)
-                        ELSE 0 END AS BIGINT) AS z_e4
-            FROM events e JOIN m USING (event_type)
-        """,
-        "q_session_windows": r"""
-            WITH e AS (
-              SELECT user_id, event_id, epoch_us(ts) AS t FROM events
-            ), l AS (
-              SELECT user_id, event_id, t,
-                     LAG(t) OVER (PARTITION BY user_id
-                                  ORDER BY t, event_id) AS pt
-              FROM e
-            ), s AS (
-              SELECT user_id, t,
-                     SUM(CASE WHEN pt IS NULL OR t - pt > 1800000000
-                              THEN 1 ELSE 0 END)
-                       OVER (PARTITION BY user_id ORDER BY t, event_id
-                             ROWS UNBOUNDED PRECEDING) AS sess
-              FROM l
-            )
-            SELECT user_id,
-                   CAST(sess AS BIGINT) AS session_n,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(MIN(t) AS BIGINT) AS start_us,
-                   CAST(MAX(t) - MIN(t) AS BIGINT) AS dur_us
-            FROM s GROUP BY user_id, sess
         """,
         "q_corpus_rollup": r"""
             SELECT COALESCE(lang, 'ALL') AS lang,
@@ -3171,52 +2742,16 @@ def oracle_sql() -> dict[str, str]:
                      AS decile
             FROM r
         """,
-        "q_event_gaps": r"""
-            WITH g AS (
-              SELECT user_id,
-                     epoch_us(ts) - lag(epoch_us(ts)) OVER
-                       (PARTITION BY user_id ORDER BY ts, event_id) AS gap
-              FROM events)
-            SELECT user_id,
-                   CAST(count(gap) AS BIGINT) AS n_gaps,
-                   CAST(SUM(gap) // count(gap) AS BIGINT) AS avg_gap_us,
-                   CAST(max(gap) AS BIGINT) AS max_gap_us
-            FROM g WHERE gap IS NOT NULL GROUP BY user_id
-        """,
         "q_string_agg": r"""
             SELECT CAST(s_nationkey AS BIGINT) AS s_nationkey,
                    string_agg(s_name, ',' ORDER BY s_name) AS names
             FROM supplier GROUP BY s_nationkey
-        """,
-        "q_mode_value": r"""
-            WITH c AS (
-              SELECT event_type, user_id, count(*) AS n
-              FROM events GROUP BY event_type, user_id
-            ), r AS (
-              SELECT event_type, user_id, n,
-                     rank() OVER (PARTITION BY event_type
-                                  ORDER BY n DESC, user_id) AS rk
-              FROM c)
-            SELECT event_type, CAST(user_id AS BIGINT) AS mode_user,
-                   CAST(n AS BIGINT) AS n_events
-            FROM r WHERE rk = 1
         """,
         "q_histogram": r"""
             SELECT CAST(LEAST(CAST(round(o_totalprice*100) AS BIGINT)
                               // 5000000, 19) AS BIGINT) AS bin,
                    CAST(count(*) AS BIGINT) AS n_orders
             FROM orders GROUP BY 1
-        """,
-        "q_first_last": r"""
-            SELECT DISTINCT user_id,
-                   first_value(event_type) OVER
-                     (PARTITION BY user_id ORDER BY ts, event_id)
-                     AS first_type,
-                   last_value(event_type) OVER
-                     (PARTITION BY user_id ORDER BY ts, event_id
-                      ROWS BETWEEN UNBOUNDED PRECEDING
-                      AND UNBOUNDED FOLLOWING) AS last_type
-            FROM events
         """,
         "q_doc_stats_by_lang": r"""
             SELECT lang,
@@ -3238,13 +2773,6 @@ def oracle_sql() -> dict[str, str]:
                      AS BIGINT) AS wow_delta
             FROM w
         """,
-        "q_weekday_activity": r"""
-            SELECT CAST(((epoch_us(ts) // 86400000000) + 4) % 7 AS BIGINT)
-                     AS dow,
-                   event_type,
-                   CAST(count(*) AS BIGINT) AS n_events
-            FROM events GROUP BY 1, 2
-        """,
         "q_url_host_stats": r"""
             WITH u AS (
               SELECT 'h' || CAST(user_id % 40 AS VARCHAR) || '.example' AS host,
@@ -3254,15 +2782,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(count(*) AS BIGINT) AS n_urls,
                    CAST(count(DISTINCT path) AS BIGINT) AS n_paths
             FROM u GROUP BY host
-        """,
-        "q_running_max": r"""
-            SELECT event_id, user_id,
-                   CAST(max(CAST(round(value*100) AS BIGINT)) OVER
-                          (PARTITION BY user_id ORDER BY ts, event_id
-                           ROWS BETWEEN UNBOUNDED PRECEDING
-                           AND CURRENT ROW) AS BIGINT)
-                     AS running_max_cents
-            FROM events
         """,
         "q_second_highest": r"""
             WITH r AS (
@@ -3277,12 +2796,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(min(c_custkey) AS BIGINT) AS c_custkey,
                    CAST(min(cents) AS BIGINT) AS balance_cents
             FROM r WHERE dr = 2 GROUP BY c_mktsegment
-        """,
-        "q_distinct_event_days": r"""
-            SELECT user_id,
-                   CAST(count(DISTINCT epoch_us(ts) // 86400000000) AS BIGINT)
-                     AS n_days
-            FROM events GROUP BY user_id
         """,
         "q_price_spread": r"""
             WITH b AS (
@@ -3306,17 +2819,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST((sum_qty * 10000) // total AS BIGINT) AS share_e4
             FROM b, t
         """,
-        "q_gap_islands": r"""
-            WITH g AS (
-              SELECT user_id,
-                     epoch_us(ts) - lag(epoch_us(ts)) OVER
-                       (PARTITION BY user_id ORDER BY ts, event_id) AS gap
-              FROM events)
-            SELECT user_id,
-                   CAST(SUM(CASE WHEN gap IS NULL OR gap >= 1800000000
-                                 THEN 1 ELSE 0 END) AS BIGINT) AS n_islands
-            FROM g GROUP BY user_id
-        """,
         "q_pareto_share": r"""
             WITH c AS (
               SELECT o_custkey,
@@ -3337,41 +2839,11 @@ def oracle_sql() -> dict[str, str]:
                    CAST(count(*) AS BIGINT) AS n_orders
             FROM orders GROUP BY 1, 2
         """,
-        "q_repeat_rate": r"""
-            WITH p AS (
-              SELECT user_id, count(*) AS n
-              FROM events WHERE event_type = 'purchase'
-              GROUP BY user_id)
-            SELECT CAST(count(*) AS BIGINT) AS n_buyers,
-                   CAST(SUM(CASE WHEN n >= 2 THEN 1 ELSE 0 END) AS BIGINT)
-                     AS n_repeat,
-                   CAST(SUM(CASE WHEN n >= 2 THEN 1 ELSE 0 END) * 10000
-                        // count(*) AS BIGINT) AS repeat_rate_e4
-            FROM p
-        """,
         "q_brand_type_matrix": r"""
             SELECT p_brand,
                    split_part(p_type, ' ', 1) AS type_family,
                    CAST(count(*) AS BIGINT) AS n_parts
             FROM part GROUP BY 1, 2
-        """,
-        "q_hourly_heatmap": r"""
-            SELECT CAST(((epoch_us(ts) // 86400000000) + 4) % 7 AS BIGINT)
-                     AS dow,
-                   CAST((epoch_us(ts) // 3600000000) % 24 AS BIGINT) AS hour,
-                   CAST(count(*) AS BIGINT) AS n_events
-            FROM events GROUP BY 1, 2
-        """,
-        "q_props_stats": r"""
-            WITH e AS (
-              SELECT event_type,
-                     CAST(json_extract(props, '$.k') AS BIGINT) AS k
-              FROM events)
-            SELECT event_type,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(SUM(k) // count(*) AS BIGINT) AS avg_k,
-                   CAST(max(k) AS BIGINT) AS max_k
-            FROM e GROUP BY event_type
         """,
         "q_name_tokens": r"""
             WITH t AS (
@@ -3390,64 +2862,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(SUM(CAST(round(o_totalprice*100) AS BIGINT)) AS BIGINT)
                      AS revenue_cents
             FROM orders GROUP BY 1, 2
-        """,
-        "q_first_purchase": r"""
-            WITH p AS (
-              SELECT user_id,
-                     CAST(round(value*100) AS BIGINT) AS cents,
-                     row_number() OVER (PARTITION BY user_id
-                                        ORDER BY ts, event_id) AS rn
-              FROM events WHERE event_type = 'purchase')
-            SELECT user_id, CAST(cents AS BIGINT) AS first_value_cents
-            FROM p WHERE rn = 1
-        """,
-        # distinct-coverage growth: new users by first-seen day + the
-        # running cumulative (the crawl discovery curve)
-        "q_distinct_growth": r"""
-            WITH f AS (
-              SELECT user_id,
-                     min(CAST(epoch_us(ts) AS BIGINT) // 86400000000) AS day
-              FROM events GROUP BY 1
-            ), c AS (
-              SELECT day, CAST(count(*) AS BIGINT) AS new_users
-              FROM f GROUP BY 1
-            )
-            SELECT CAST(day AS BIGINT) AS day, new_users,
-                   CAST(sum(new_users) OVER (ORDER BY day) AS BIGINT)
-                     AS cum_users
-            FROM c
-        """,
-        # burst detection: per-type TOP-3 days by n / trailing-3-day sum
-        # over a COMPLETE consecutive-day window (identical IEEE division
-        # of the same int64s on both sides; day tie-break)
-        "q_burst_detect": r"""
-            WITH c AS (
-              SELECT event_type,
-                     CAST(epoch_us(ts) AS BIGINT) // 86400000000 AS day,
-                     CAST(count(*) AS BIGINT) AS n
-              FROM events GROUP BY 1, 2
-            ), w AS (
-              SELECT event_type, day, n,
-                     lag(day, 1) OVER
-                       (PARTITION BY event_type ORDER BY day) AS d1,
-                     lag(day, 2) OVER
-                       (PARTITION BY event_type ORDER BY day) AS d2,
-                     lag(day, 3) OVER
-                       (PARTITION BY event_type ORDER BY day) AS d3,
-                     lag(n, 1) OVER (PARTITION BY event_type ORDER BY day)
-                     + lag(n, 2) OVER (PARTITION BY event_type ORDER BY day)
-                     + lag(n, 3) OVER (PARTITION BY event_type ORDER BY day)
-                       AS prev3
-              FROM c
-            )
-            SELECT event_type, CAST(day AS BIGINT) AS day, n,
-                   CAST(prev3 AS BIGINT) AS prev3
-            FROM w
-            WHERE d1 = day - 1 AND d2 = day - 2 AND d3 = day - 3
-            QUALIFY row_number() OVER (
-              PARTITION BY event_type
-              ORDER BY CAST(n AS DOUBLE) / prev3 DESC, day
-            ) <= 3
         """,
         # month-over-month twin: LAG over exact int64 cents
         "q_month_over_month": """

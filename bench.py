@@ -1,28 +1,28 @@
-"""Benchmark harness (driver contract + BASELINE.json:2 scaling evidence).
+"""Command-line bench of the two end-to-end paths: the flagship frontier
+schedule and the crawl epoch loop. perfbench/run.py is the benchmark of
+record (checked reps, spread, per-layer split); this script is the quick
+look from a shell.
 
-Default mode: runs the headline frontier-schedule pipeline plus a set of
-representative operator pipelines over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1) at num_cpus=$RAY_GRAFT_CPUS (default 32) and
-prints ONE JSON line:
+    python bench.py                  # headline schedule + crawl loop
+    python bench.py --headline-only  # headline schedule only
+    python bench.py --crawl          # crawl loop only
 
-    {"metric": ..., "value": <headline sec>, "unit": "sec",
-     "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-     "frontier_urls": N, "frontier_urls_per_s": N, ...}
+Input is $GRAFT_SF_DIR (default /root/testdata/sf0.1); Ray gets
+$RAY_GRAFT_CPUS CPUs (default: the CPUs this process may run on).
+$GRAFT_BENCH_REPS (default 6) sets the headline's best-of-N reps and
+$GRAFT_CRAWL_EPOCHS (default 3) the crawl's epochs. Each mode prints ONE
+JSON line; the default one is
 
---scaling: runs the headline pipeline in FRESH processes at num_cpus=4
-and num_cpus=16 on the same (larger) input — the N->4N cluster-size
-proxy; the sandbox is one node, so N->4N Ray *nodes* is evidenced as
-N->4N worker slots, with the seen-shard pool scaled alongside. Levels
-are interleaved best-of-N to ride out host-noise phases. Prints
-throughput at both levels plus the scaling efficiency
-(thr_hi/thr_lo)/4. Results are recorded in BASELINE.md.
+    {"metric": ..., "value": <headline sec>, "unit": "sec", "sf": ...,
+     "num_cpus": N, "frontier_urls": N, "frontier_scheduled": N,
+     "frontier_urls_per_s": N, "queries": {"q_frontier_schedule": sec,
+     "q_crawl_epochs": sec}, "crawl_sec": sec, "crawl_urls_per_s": N, ...}
 """
 
 from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import time
 
@@ -34,6 +34,9 @@ import time
 # wall time at high parallelism.
 os.environ.setdefault("RAY_num_workers_soft_limit", "160")
 os.environ.setdefault("RAY_idle_worker_killing_time_threshold_ms", "10000000")
+
+# frontier rows per lineitem row of the sf tables (2.88M URLs at sf0.01)
+EXPAND = 48
 
 
 def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
@@ -67,7 +70,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
 
     robots = synth_robots()  # headline covers seen+politeness+ROBOTS
 
-    expand = int(os.environ.get("GRAFT_BENCH_EXPAND", "48"))
     num_blocks = 192  # fixed input shape; ~300k-row blocks keep per-task transient memory small (large blocks amplify host memory-pressure phases)
 
     # frontier input cached on disk (untimed, deterministic): the timed
@@ -75,14 +77,14 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
     # epoch reads its checkpoint
     cache = os.path.join(
         "/tmp/heroshi_bench",
-        f"frontier_{os.path.basename(sf_dir.rstrip('/'))}_e{expand}",
+        f"frontier_{os.path.basename(sf_dir.rstrip('/'))}_e{EXPAND}",
     )
     done_marker = os.path.join(cache, "_DONE")
     if not os.path.exists(done_marker):
         import shutil
 
         shutil.rmtree(cache, ignore_errors=True)
-        synth_frontier_from_sf(sf_dir, expand=expand, num_blocks=num_blocks).repartition(
+        synth_frontier_from_sf(sf_dir, expand=EXPAND, num_blocks=num_blocks).repartition(
             num_blocks
         ).write_parquet(cache)
         with open(done_marker, "w") as f:
@@ -119,7 +121,7 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
     # the seen-set pool is resident state of a long-running crawler —
     # created (and its actors warmed) before the timed epoch, sized with
     # the cluster like shards spread across real nodes would be.
-    # Best-of-N reps (default 3): this VM has noisy-neighbor phases where
+    # Best-of-N reps (default 6): this VM has noisy-neighbor phases where
     # identical runs swing ~2x (BASELINE.md variance note); the fastest
     # rep measures the engine, the slow ones the host. Each rep gets a
     # FRESH seen pool (the pipeline is a stateful admission pass — a
@@ -162,212 +164,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
     if headline_only:
         ray.shutdown()
         return out
-
-    import __ray_entry__ as em
-
-    q = em.queries()
-    bench_queries = [
-        "q_groupby_host",
-        "q_topk_per_host",
-        "q_global_topk",
-        "q_dedup_first",
-        "q_window_count",
-        "q_dedup_exact",
-        "q_minhash_neardup",
-        "q_simhash_neardup",
-        "q_embed_neardup",
-        "q_sliding_window",
-        "q_range_join",
-        "q_ann_knn",
-        "q_text_stats",
-        "q_canonicalize",
-        "q_ngram_jaccard",
-        "q_running_sum",
-        "q_quality_stats",
-        "q_vocab_topk",
-        "q_chunk",
-        "q_decontaminate",
-        "q_pack_sequences",
-        "q_data_mix",
-        "q_quantize_embeddings",
-        "q_triangle_count",
-        "q_retention",
-        "q_skew_join",
-        "q_corr_stats",
-        "q_funnel",
-        "q_pii_redact",
-        "q_repetition_stats",
-        "q_chunk_dedup",
-        "q_inverted_index",
-        "q_p99_outliers",
-        "q_dense_rank",
-        "q_full_outer",
-        "q_kmeans",
-        "q_edit_neardup",
-        "q_rolling_sum",
-        "q_semantic_decontaminate",
-        "q_containment_neardup",
-        "q_transition_counts",
-        "q_grouped_hll",
-        "q_compression_stats",
-        "q_dup_spans",
-        "q_bigram_lift",
-        "q_grouped_tdigest",
-        "q_image_curate",
-        "q_attribution",
-        "q_dup_span_removal",
-        "q_ann_range",
-        "q_entropy",
-        "q_sitemap_extract",
-        "q_trap_detect",
-        "q_recrawl_schedule",
-        "q_host_quota",
-        "q_caption_align",
-        "q_lm_score",
-        "q_gopher_gate",
-        "q_dsir_weights",
-        "q_url_strip_params",
-        "q_mirror_detect",
-        "q_minhash_sig",
-        "q_simhash_sig",
-        "q_aspect_bucket",
-        "q_frontier_compact",
-        "q_percentile_interp",
-        "q_curate_shards",
-        "q_hits",
-        "q_ann_filtered",
-        "q_bm25",
-        "q_cooccur_pairs",
-        "q_dup_rate_by_source",
-        "q_maxsim",
-        "q_anchor_agg",
-        "q_zscore",
-        "q_temperature_mix",
-        "q_rrf_fusion",
-        "q_c4_clean",
-        "q_quality_classifier",
-        "q_ccnet_bucket",
-        "q_semdedup",
-        "q_train_val_split",
-        "q_shard_assign",
-        "q_opic",
-        "q_clip_retrieval_eval",
-        "q_llm_corpus_run",
-        "q_crawl_delta",
-        "q_winnowing",
-        "q_corpus_card",
-        "q_session_windows",
-        "q_corpus_rollup",
-        "q_phash_clusters",
-        "q_minhash_clusters",
-        "q_url_templates",
-        "q_scd2_history",
-        "q_dominant_color",
-        "q_cdx_revisits",
-        "q_degree_stats",
-        "q_kl_drift",
-        "q_incremental_dedup",
-        "q_ann_recall_eval",
-        "q_zipf_fit",
-        "q_jpeg_decode",
-        "q_gif_decode",
-        "q_audio_features",
-        "q_video_frames",
-        "q_video_neardup",
-        "q_pivot_status",
-        "q_group_median",
-        "q_percent_rank",
-        "q_event_gaps",
-        "q_embedding_norms",
-        "q_string_agg",
-        "q_mode_value",
-        "q_histogram",
-        "q_first_last",
-        "q_doc_stats_by_lang",
-        "q_weekly_revenue",
-        "q_weekday_activity",
-        "q_url_host_stats",
-        "q_running_max",
-        "q_second_highest",
-        "q_distinct_event_days",
-        "q_price_spread",
-        "q_share_by_flag",
-        "q_gap_islands",
-        "q_pareto_share",
-        "q_monthly_priority",
-        "q_repeat_rate",
-        "q_brand_type_matrix",
-        "q_word_len_hist",
-        "q_punct_density",
-        "q_ttr_by_source",
-        "q_source_lang_matrix",
-        "q_hourly_heatmap",
-        "q_props_stats",
-        "q_embedding_dim_stats",
-        "q_name_tokens",
-        "q_status_year_revenue",
-        "q_first_purchase",
-        "q_freq_filter",
-        "q_cross_source_dups",
-        "q_ndcg",
-        "q_dedup_keep_best",
-        "q_host_gini",
-        "q_soft_dedup",
-        "q_theta_intersect",
-        "q_weighted_sample",
-        "q_cdc_chunks",
-        "q_davies_bouldin",
-        "q_common_neighbors",
-        "q_tokenizer_fertility",
-        "q_distinct_growth",
-        "q_burst_detect",
-        "q_degree_assortativity",
-        "q_ppr",
-        "q_pagerank",
-        "q_bfs_distance",
-        "q_drain_epochs",
-        "q_pca_variance",
-        "q_thumbnail",
-        "q_letterbox",
-        "q_budget_alloc",
-        "q_handout_interleave",
-        "q_month_over_month",
-        "q_center_crop",
-        "q_crawl_delay_plan",
-        "q_dedup_cluster_hist",
-        "q_minhash_est_error",
-        "q_reciprocity",
-        "q_seen_fpr_eval",
-        "q_cc_sizes",
-        "q_hll_error_eval",
-        "q_tdigest_error_eval",
-        "q_blur_detect",
-        "q_redirect_resolve",
-        "q_robots_sitemaps",
-        "q_redirect_cycles",
-        "q_format_sniff",
-        "q_decode_errors",
-        "q_fetch_makespan",
-        "q_politeness_audit",
-    ]
-    # per-query best-of-2 with the same rationale as the headline reps.
-    # The sub-2 s fixed-overhead-dominated query gets extra reps: its
-    # wall time is almost pure scheduling latency, so a single
-    # degraded-phase rep can inflate it 2-3x while every heavier query
-    # amortizes the noise (VERDICT r2 flagged it as a >2x-vs-claim
-    # outlier; extra reps cost ~2 s total).
-    q_reps = int(os.environ.get("GRAFT_BENCH_QUERY_REPS", "2"))
-    extra_reps = {"q_window_count": 5}
-    for name in bench_queries:
-        best = float("inf")
-        for _ in range(max(q_reps, extra_reps.get(name, 0))):
-            t0 = time.time()
-            res = q[name](sf_dir)
-            # consume: count() executes lazy Datasets; tables are already done
-            if hasattr(res, "count") and not hasattr(res, "num_rows"):
-                res.count()
-            best = min(best, time.time() - t0)
-        out["queries"][name] = round(best, 3)
 
     # crawl-epoch e2e: the fetch->extract->frontier-update loop the
     # headline path does NOT cover (VERDICT r2 #7). One timed run — the
@@ -456,69 +252,9 @@ def run_crawl_bench() -> dict:
     }
 
 
-def run_subprocess(ncpu: int, sf_dir: str, expand: int | None = None) -> dict:
-    # one rep per subprocess: --scaling interleaves its own best-of-N
-    # across fresh processes, so inner reps would only triple the wall
-    env = dict(
-        os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_SF_DIR=sf_dir,
-        GRAFT_BENCH_REPS="1",
-    )
-    if expand is not None:
-        env["GRAFT_BENCH_EXPAND"] = str(expand)
-    res = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--headline-only"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(res.stdout.strip().splitlines()[-1])
-
-
 def main() -> None:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-
-    if "--scaling" in sys.argv:
-        # N -> 4N worker slots as the cluster-size proxy (sandbox = one
-        # node). 4 -> 16 rather than 8 -> 32: this VM's memory bandwidth
-        # saturates near 32-way for string-heavy work (per-task CPU time
-        # inflates ~1.8x), which would measure the box, not the engine.
-        # The scaling input is larger (expand=96, ~57.6M URLs) so the
-        # bigger configuration is saturated with real work.
-        lo, hi = 4, 16
-        expand = int(os.environ.get("GRAFT_SCALING_EXPAND", "96"))
-        reps = int(os.environ.get("GRAFT_SCALING_REPS", "2"))
-        # best-of-N per level: this sandbox VM shows noisy-neighbor phases
-        # (idle loadavg 8-11, wall time swings ~2x with identical code);
-        # the fastest rep measures the engine, the slow ones the host.
-        # Levels are interleaved so both sample the same host conditions.
-        runs_lo, runs_hi = [], []
-        for _ in range(reps):
-            runs_lo.append(run_subprocess(lo, sf_dir, expand))
-            runs_hi.append(run_subprocess(hi, sf_dir, expand))
-        r_lo = min(runs_lo, key=lambda r: r["value"])
-        r_hi = min(runs_hi, key=lambda r: r["value"])
-        thr_lo = r_lo["frontier_urls_per_s"]
-        thr_hi = r_hi["frontier_urls_per_s"]
-        eff = (thr_hi / thr_lo) / (hi / lo)
-        print(
-            json.dumps(
-                {
-                    "metric": "frontier throughput scaling (num_cpus proxy for cluster size)",
-                    "sf": sf_dir,
-                    "cpus_lo": lo,
-                    "cpus_hi": hi,
-                    "frontier_urls": r_lo["frontier_urls"],
-                    "sec_lo": r_lo["value"],
-                    "sec_hi": r_hi["value"],
-                    "urls_per_s_lo": thr_lo,
-                    "urls_per_s_hi": thr_hi,
-                    "scaling_efficiency": round(eff, 3),
-                }
-            )
-        )
-        return
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
     if "--crawl" in sys.argv:
         import logging

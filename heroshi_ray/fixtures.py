@@ -16,7 +16,6 @@ Tables produced:
 - ``robots``  — per-host robots.txt bodies (allow-all, Disallow,
   Crawl-delay, longest-match pairs, 404).
 - ``seeds``   — seed URLs with canonicalization edge cases + duplicates.
-- ``frontier_bench`` — scale-model frontier (T2 schema) for bench.py.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 - crawl: the epoch loop (seed -> crawl -> checkpoint -> resume)
 - frontier: flagship schedule pipeline + bench input synthesis
 - verify: M10 corpus invariant vs reference
-- relational: DuckDB-oracled window/aggregate operators over the
-  events and documents tables and single TPC-H tables
+- relational: DuckDB-oracled aggregate and join operators over single
+  TPC-H tables, the documents table and four events ops
 - curation: image+caption curation to tar shards, LLM-text composite
 - webops: DuckDB-oracled crawl-web operators (sitemaps, traps, recrawl,
   redirects, politeness plans)

@@ -186,7 +186,6 @@ class Crawler:
     holds only broadcast handles and small dicts."""
 
     def __init__(self, fixture_paths: dict, workdir: str, cfg: CrawlConfig | None = None):
-        _t_init = time.time()
         self.cfg = cfg or CrawlConfig()
         self.workdir = workdir
         os.makedirs(workdir, exist_ok=True)
@@ -230,8 +229,6 @@ class Crawler:
         from ..state.counters import CountersActor
 
         self.counters = CountersActor.remote()
-        if os.environ.get("GRAFT_CRAWL_PROFILE"):
-            print(f"[init] total: {time.time() - _t_init:.2f}s", flush=True)
 
     # ------------------------------------------------------------------
     def _now_us(self, epoch: int) -> int:
@@ -249,7 +246,6 @@ class Crawler:
         ``seed_driver_max_bytes`` the original streaming plan runs —
         identical semantics, golden-tested."""
         cfg = self.cfg
-        _t_seed = time.time()
         try:
             small = (
                 os.path.getsize(self.paths["seeds"]) <= cfg.seed_driver_max_bytes
@@ -285,8 +281,6 @@ class Crawler:
             write_frontier(admitted, self.workdir, 0, cfg.n_host_shards)
         n = frontier_row_count(self.workdir, 0)
         self._save_state(0, {"pending": n, "phase": "seeded"})
-        if os.environ.get("GRAFT_CRAWL_PROFILE"):
-            print(f"[seed] total: {time.time() - _t_seed:.2f}s", flush=True)
         return n
 
     # ------------------------------------------------------------------
@@ -322,19 +316,6 @@ class Crawler:
         now_s = e * cfg.epoch_seconds
         now_us = self._now_us(e)
         t0 = time.time()
-
-        # phase wall-clock attribution (GRAFT_CRAWL_PROFILE=1): the epoch
-        # loop is ~12 sequential Dataset executions whose FIXED cost (plan
-        # launch, actor spin-up) dominates small epochs — this is the
-        # measurement tool for shaving it.
-        _prof = os.environ.get("GRAFT_CRAWL_PROFILE")
-        _tprev = [time.time()]
-
-        def _pf(name: str) -> None:
-            if _prof:
-                now = time.time()
-                print(f"[epoch {e}] {name}: {now - _tprev[0]:.2f}s", flush=True)
-                _tprev[0] = now
 
         # size-adaptive epoch fork: under ``frontier_driver_max`` pending
         # rows (parquet footers — no read) the robots gate, politeness
@@ -377,7 +358,6 @@ class Crawler:
         else:
             robots_ref = self.robots_ref
             rules_lookup = self.robots
-        _pf("read+cleanup+robots_prep")
         # ONE robots evaluation pass (VectorRobots, materialized once);
         # then ONE per-block task round extracts the two driver-bound
         # trickles together — denied rows (for the log) and the allowed
@@ -431,12 +411,10 @@ class Crawler:
             )
             append_epoch_table(denied_tbl, self.workdir, "denied", e)
 
-        _pf("robots_split+denied_log")
         # politeness budgets (A-P): O(distinct hosts) driver<->actor exchange
         delays = {h: crawl_delay(rules_lookup.get(h, ALLOW_ALL)) for h in hosts}
         budgets = self.pol.budgets(hosts, now_s, [delays[h] for h in hosts])
 
-        _pf("politeness_budgets")
         # K1 + K2 as the zero-shuffle combiner (budget_topk_order): local
         # per-batch budget cap -> bounded driver merge -> exact cap +
         # deterministic (priority desc, surt asc) order + limit; falls
@@ -453,7 +431,6 @@ class Crawler:
         if sched_tbl is None:
             sched_tbl = FRONTIER.empty_table()
         n_sched = sched_tbl.num_rows
-        _pf("k1_topk+global_order")
 
         if n_sched == 0:
             # nothing schedulable this epoch (budgets exhausted) — frontier
@@ -486,13 +463,11 @@ class Crawler:
             fetcher_kwargs=cfg.fetcher_kwargs,
         ).materialize()
 
-        _pf("fetch")
         # fetch log without bodies (resumable, append-only)
         log_dir = os.path.join(self.workdir, "fetchlog", f"e{e}")
         os.makedirs(log_dir, exist_ok=True)
         fetched.drop_columns(["content"]).write_parquet(log_dir)
 
-        _pf("fetchlog_write")
         # redirect-discovered URLs (3xx chase targets) flow through
         # canonicalize -> seen: marked as crawled so they are never
         # re-fetched as links, but NOT admitted as pending (their content
@@ -518,7 +493,6 @@ class Crawler:
             if surts:
                 self.seen.check_and_add(surts)
 
-        _pf("redirect_seen")
         # X1: links + captions
         if mode == "tasks":
             links = fetched.map_batches(
@@ -558,7 +532,6 @@ class Crawler:
                 e,
             )
 
-        _pf("links+captions")
         # corpus rows from fetched images; caption attached by JOINING
         # the captions sink on url (first-wins across epochs = min epoch)
         corpus_dir = os.path.join(self.workdir, "corpus", f"e{e}")
@@ -583,7 +556,6 @@ class Crawler:
             img_rows = img_rows.repartition(max(1, min(4, n_img // 64)))
             self._attach_captions(img_rows, e).write_parquet(corpus_dir)
 
-        _pf("corpus_imgrows+caption_join")
         # candidates: canonicalize -> D1 exact dedup -> J1 seen gate.
         # Size-adaptive like the seed bootstrap: links are epoch-scale
         # and already materialized, so under ``frontier_driver_max``
@@ -651,7 +623,6 @@ class Crawler:
                     e + 1,
                 )
 
-        _pf("canonicalize+dedup+seen_admit")
         # retries / permanent failures (nested cols dropped: pandas is
         # only a carrier for the scalar retry fields)
         fail_tbl = fetched.map_batches(
@@ -736,7 +707,6 @@ class Crawler:
                     ray.data.from_arrow(retry_rows)
                 )
 
-        _pf("retries+frontier_assemble")
         self._finish_epoch(
             e, new_frontier, sched_tbl,
             (report.fetch_ok - ok0, report.fetch_err - err0),
@@ -883,17 +853,12 @@ class Crawler:
         n_failed, t0, report,
     ) -> None:
         cfg = self.cfg
-        _prof = os.environ.get("GRAFT_CRAWL_PROFILE")
-        _tp = time.time()
         if isinstance(new_frontier, pa.Table):
             write_frontier_table(
                 new_frontier, self.workdir, e + 1, cfg.n_host_shards
             )
         else:
             write_frontier(new_frontier, self.workdir, e + 1, cfg.n_host_shards)
-        if _prof:
-            print(f"[epoch {e}] finish:write_frontier: {time.time() - _tp:.2f}s", flush=True)
-            _tp = time.time()
         # schedule-order log (rank column = deterministic within-epoch order)
         if sched_tbl.num_rows:
             log = sched_tbl.select(["url", "surt", "host", "priority"]).append_column(
@@ -929,8 +894,6 @@ class Crawler:
             e + 1,
             {"pending": "deferred", "scheduled": n_sched, "admitted": n_admitted},
         )
-        if _prof:
-            print(f"[epoch {e}] finish:logs+save_state: {time.time() - _tp:.2f}s", flush=True)
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = True) -> CrawlReport:

@@ -2791,7 +2791,7 @@ def q_frequent_items(sf_dir: str, phi_e4: int = 75, k: int = 134):
 
 def q_tdigest_quantiles(sf_dir: str, qs: tuple = (50, 90, 99)):
     """Approximate global quantiles via t-digest (the sketch-family
-    counterpart of q_percentiles' exact per-group path): each block
+    counterpart of an exact per-group sort): each block
     emits ONE digest (<= ~200 centroids, kilobytes), the driver merges
     the digests — the classic mergeable-summary layout where the
     shuffle moves sketches, not the value column. Rank error is
@@ -3191,7 +3191,7 @@ def q_pack_sequences(sf_dir: str, budget: int = 512):
     truncated/continued downstream) — the deterministic, shuffle-light
     variant used when exact first-fit is not worth a sequential pass.
 
-    Distributed layout = the q_ntile row-number core: ONE range sort on
+    Distributed layout = the row-number core: ONE range sort on
     doc_id (the only all-to-all; payload is (doc_id, n_tokens) ints),
     a metadata round of per-block token SUMS (two ints per block to the
     driver, never rows), block offsets by cumsum, then an
@@ -3293,7 +3293,7 @@ def q_quantize_embeddings(sf_dir: str, dims: int = 64, levels: int = 255):
     Pass 1 is a per-batch per-dim (min, max) combiner -> a ``dims``-key
     groupby (the all-to-all moves <= dims x blocks tiny rows); pass 2
     re-maps the scan with the 2 x dims constants closed over — same
-    two-pass zero-data-shuffle layout as q_minmax_scale, vectorized over
+    two-pass zero-data-shuffle layout as a min-max scaler, vectorized over
     the ListArray's flattened (n, dims) numpy view."""
     from ray.data.aggregate import Max, Min
 
@@ -5437,8 +5437,8 @@ def q_containment_neardup(
 # ------------------------------------------ grouped approx distinct -----
 def q_grouped_hll(sf_dir: str, p: int = 12):
     """Per-event-type APPROXIMATE distinct users via mergeable
-    HyperLogLog registers — the 100-TB fallback for
-    q_grouped_count_distinct when exact grouped distinct counts stop
+    HyperLogLog registers — the 100-TB fallback for exact grouped
+    distinct counts when those stop
     being worth an all-to-all of the key pairs: each map task emits ONE
     (group, 4-KB register blob) row per group per batch, the groupby
     merges register maxima, and NOTHING user-cardinality-sized ever
@@ -5726,7 +5726,7 @@ def q_bigram_lift(sf_dir: str, min_count: int = 5):
 # ------------------------------------------ grouped t-digest quantiles --
 def q_grouped_tdigest(sf_dir: str, qs: tuple = (50, 90, 99)):
     """PER-GROUP approximate quantiles via mergeable t-digests — the
-    100-TB fallback for q_percentiles' exact per-group path, exactly as
+    100-TB fallback for an exact per-group quantile sort, exactly as
     q_grouped_hll is for grouped exact distinct: when a single group's
     value column stops fitting one task (billions of rows per
     event_type), the exact bucketed sort dies, but each map task can
@@ -8714,7 +8714,7 @@ def q_zipf_fit(sf_dir: str):
 
         slope = (n·Σxy − Σx·Σy) / (n·Σxx − (Σx)²),  e4 fixed-point
 
-    — the q_corr_stats sufficient-statistics shape, float only in the
+    — the Pearson sufficient-statistics shape, float only in the
     final sums (e4 rounding absorbs summation-order ulp).
 
     Scale shape: ONE (token) combiner groupby (shuffle payload =
@@ -9348,7 +9348,7 @@ def q_dedup_keep_best(sf_dir: str):
     — keyed on the COARSE bucket h % n_buckets, the dedup_first
     discipline: O(n_buckets) Python group calls, not O(#texts) —
     moves at most one row per (batch, key); a template-heavy corpus
-    collapses map-side, the q_groupby_host combiner discipline.
+    collapses map-side, the combiner discipline.
     Output: (doc_id, n_chars) of the keepers."""
     import polars as pl
 
@@ -10766,8 +10766,7 @@ def q_hll_error_eval(sf_dir: str, p_list: tuple = (8, 10, 12, 14)):
     side collapses per-block distinct partials on the driver, which is
     bounded by the user-id DOMAIN (the audit's reference must be exact
     by definition; at 10^10 keys you audit on a keyspace sample, or
-    lift the exact side to the salted two-level distinct layout of
-    q_grouped_count_distinct)."""
+    lift the exact side to a salted two-level distinct layout)."""
     from ..functions.hashing import hash64
     from ..functions.sketch import HyperLogLog
 
@@ -10826,7 +10825,7 @@ def q_tdigest_error_eval(
     """t-digest accuracy audit: the distributed merge-tree estimate at
     three compression levels vs the EXACT quantiles, per (delta, q).
     Values are integer cents so the exact side is the distributed
-    VALUE-HISTOGRAM layout (q_p99_outliers') — a bounded-domain
+    VALUE-HISTOGRAM layout — a bounded-domain
     groupby-count + one driver cumsum, exact at any corpus size — and
     the digest side is the production per-block from_values + merge
     tree. The output is the sizing table a pipeline owner reads before

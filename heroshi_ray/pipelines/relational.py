@@ -7,10 +7,8 @@ sorting columns by name). Float aggregates are rounded on BOTH sides so
 summation order can't break the value hash.
 
 Patterns exercised (with their 100-TB rationale):
-- partial aggregation inside map_batches before the groupby shuffle
-  (q_groupby_host) — the combiner pattern;
-- bucketed vectorized per-group top-k (q_topk_per_host) and first-per-key
-  dedup (q_dedup_first) — O(buckets) Python calls, not O(groups);
+- bucketed vectorized first-per-key dedup (q_dedup_first) — O(buckets)
+  Python calls, not O(groups);
 - broadcast hash join (q_small_qty_revenue) — ``ray.put`` the small
   side once, probe per batch, no shuffle;
 - column pruning at the read for every query.
@@ -18,7 +16,6 @@ Patterns exercised (with their 100-TB rationale):
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -32,90 +29,10 @@ import ray.data
 from ..runtime import arrow_blocks, default_buckets, join_partitions, tune_join_resources
 from ..stages.dedup import dedup_first
 
-ROUND = 6
-
 
 def _pq(sf_dir: str, name: str, columns=None):
     return ray.data.read_parquet(
         os.path.join(sf_dir, f"{name}.parquet"), columns=columns
-    )
-
-
-# ---------------------------------------------------------------- G2 ----
-def q_groupby_host(sf_dir: str):
-    """Per-key count + mean with PARTIAL aggregation before the shuffle:
-    each batch emits one (user_id, cnt, sm) row per key, the groupby then
-    moves only partials — the combiner pattern that keeps a 100-TB
-    groupby's shuffle proportional to #keys, not #rows."""
-    ds = _pq(sf_dir, "events", columns=["user_id", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        # exact integer partials (value has 2-decimal precision): summing
-        # int cents is order-independent, so the final avg is bit-identical
-        # across any shuffle order AND matches the SQL twin exactly
-        df["cents"] = (df["value"] * 100).round().astype("int64")
-        g = df.groupby("user_id", sort=False)["cents"].agg(["count", "sum"]).reset_index()
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"], pa.int64()),
-                "cnt": pa.array(g["count"], pa.int64()),
-                "sm": pa.array(g["sum"], pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("cnt", alias_name="n"), Sum("sm", alias_name="sm"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        # final rollup is one row per key — Python's correctly-rounded
-        # round() here (pc.round is not correctly rounded to decimal and
-        # diverges from SQL ROUND at representation boundaries)
-        sm = batch.column("sm").to_numpy(zero_copy_only=False).astype(np.float64)
-        n = batch.column("n").to_numpy(zero_copy_only=False).astype(np.float64)
-        # SQL ROUND replica, bit-exact vs DuckDB: floor(x*1e6 + 0.5) / 1e6
-        x = sm / 100.0 / n
-        avg = pa.array(np.floor(x * 1e6 + 0.5) / 1e6, pa.float64())
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "n": batch.column("n"),
-                "avg_value": avg,
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------- K1 ----
-def q_topk_per_host(sf_dir: str, k: int = 3, n_buckets: int | None = None):
-    """Per-key top-k, bucketed: shuffle on hash(user)%B, vectorized
-    sort+cumcount per bucket. B scales with the cluster (runtime.py)."""
-    B = n_buckets or default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "value"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(B)
-        ).astype(np.int32)
-        return batch.append_column("__b", pa.array(b, pa.int32()))
-
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "value", "event_id"], ascending=[True, False, True],
-                          kind="mergesort")
-        return g[g.groupby("user_id", sort=False).cumcount() < k]
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(topk, batch_format="pandas")
-        .drop_columns(["__b"])
     )
 
 
@@ -169,261 +86,6 @@ def q_string_norm(sf_dir: str):
         )
 
     return ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ------------------------------------------------------------- scalar ---
-def q_json_extract(sf_dir: str):
-    ds = _pq(sf_dir, "events", columns=["event_id", "props"])
-
-    def ext(batch: pa.Table) -> pa.Table:
-        vals = []
-        for p in batch.column("props").to_pylist():
-            try:
-                v = json.loads(p).get("k")
-            except (TypeError, ValueError):
-                v = None
-            vals.append(None if v is None else str(v))
-        return pa.table(
-            {
-                "event_id": batch.column("event_id"),
-                "k_val": pa.array(vals, pa.string()),
-            }
-        )
-
-    return ds.map_batches(ext, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------------------------------------------------------------- G3 ----
-def q_window_count(sf_dir: str):
-    """Hourly tumbling-window counts over the event stream (the epoch
-    rollup shape): floor ts to hour per batch, partial-count, tiny final
-    groupby."""
-    ds = _pq(sf_dir, "events", columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        df = pd.DataFrame({"hour": hour.to_pandas()})
-        g = df.groupby("hour", sort=False).size().reset_index(name="cnt")
-        return pa.table(
-            {
-                "hour": pa.array(g["hour"], pa.timestamp("us")),
-                "cnt": pa.array(g["cnt"], pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum("cnt", alias_name="n"))
-    )
-
-
-# ------------------------------------------------------ sliding window --
-def q_sliding_window(sf_dir: str):
-    """1-hour windows sliding every 30 minutes over the event stream:
-    each event lands in exactly the two half-hour-grid windows covering
-    it, emitted and partial-counted inside map_batches (combiner), then
-    one tiny groupby over window starts. The streaming-window shape with
-    overlap — no self-join, no range shuffle."""
-    ds = _pq(sf_dir, "events", columns=["ts"])
-    W = 1_800_000_000  # 30 min in us
-
-    def partial(batch: pa.Table) -> pa.Table:
-        us = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        w0 = (us // W) * W
-        wins = np.concatenate([w0, w0 - W])
-        u, c = np.unique(wins, return_counts=True)
-        return pa.table(
-            {
-                "win_start": pa.array(u, pa.timestamp("us")),
-                "cnt": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("win_start")
-        .aggregate(Sum("cnt", alias_name="n"))
-    )
-
-
-# ------------------------------------------------------------ sessions --
-def q_sessionize(sf_dir: str, gap_minutes: int = 30):
-    """Session windows over the event stream (streaming-shaped workload,
-    ray_guide 'Streaming-shaped workloads'): partition by user, sort by
-    (ts, event_id) within partition, new session when gap > 30min.
-    One bucketed shuffle; per-bucket body is vectorized pandas."""
-    B = default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(B)
-        ).astype(np.int32)
-        return batch.append_column("__b", pa.array(b, pa.int32()))
-
-    gap = pd.Timedelta(minutes=gap_minutes)
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        new_user = g["user_id"].ne(g["user_id"].shift())
-        gap_hit = g["ts"].diff() > gap
-        new_sess = (new_user | gap_hit)
-        out = (
-            pd.DataFrame({"user_id": g["user_id"], "new_s": new_sess.astype(np.int64)})
-            .groupby("user_id", sort=False)["new_s"].sum().reset_index()
-        )
-        return out.rename(columns={"new_s": "n_sessions"})
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(sessions, batch_format="pandas")
-    )
-
-
-def q_running_sum(sf_dir: str):
-    """Ordered window prefix aggregate: cumulative per-user spend over
-    the event stream (SUM OVER PARTITION BY ... ORDER BY). Same layout
-    as sessionize — ONE bucketed shuffle on hash(user)%B, per-bucket
-    body is a vectorized sort + groupby cumsum; no global sort, no
-    driver-side state. Money in cents (int64) so the prefix sums are
-    bit-exact under any execution order."""
-    B = default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(B)
-        ).astype(np.int32)
-        return batch.append_column("__b", pa.array(b, pa.int32()))
-
-    def cumsum(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        cents = (g["value"] * 100).round().astype("int64")
-        run = cents.groupby(g["user_id"]).cumsum()
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].astype("int64"),
-                "user_id": g["user_id"].astype("int64"),
-                "run_sum_e2": run.astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(cumsum, batch_format="pandas")
-    )
-
-
-def q_grouped_count_distinct(sf_dir: str, n_salts: int | None = None):
-    """Grouped COUNT(DISTINCT): distinct users per event type. Salted
-    layout (the 100-TB shape, now the only path): groups are per event
-    TYPE — a handful — so an unsalted groupby funnels the whole user
-    set of a type into ONE aggregator. Instead:
-
-      per-batch unique (type, user) pairs (combiner; the shuffle moves
-      deduped pairs, never raw events)
-        → groupby (event_type, __salt=user%B): per-salt vectorized
-          nunique — per-group fan-in is |users|/B, skew-proof
-        → groupby(event_type).Sum — B tiny count rows per type.
-
-    Exact because salts partition users into disjoint ranges, so
-    per-salt distinct counts sum to the global distinct count. This is
-    q_count_distinct's two-level layout with the type key carried
-    through; the old single-groupby path is equivalence-covered by the
-    DuckDB oracle twin."""
-    from ray.data.aggregate import Sum
-
-    B = n_salts or default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        u = df.drop_duplicates(["event_type", "user_id"])
-        salt = (u["user_id"].to_numpy().astype(np.uint64) % np.uint64(B)).astype(
-            np.int32
-        )
-        return pa.table(
-            {
-                "event_type": pa.array(u["event_type"], pa.string()),
-                "user_id": pa.array(u["user_id"], pa.int64()),
-                "__salt": pa.array(salt, pa.int32()),
-            }
-        )
-
-    def nunique(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]],
-                "n_users": np.array([g["user_id"].nunique()], np.int64),
-            }
-        )
-
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby(["event_type", "__salt"])
-        .map_groups(nunique, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
-
-
-def q_mode_per_key(sf_dir: str):
-    """Mode / argmax-per-group: each user's most frequent event type
-    (ties broken by type name, deterministic). Layout: per-batch partial
-    (user, type, n) counts (combiner) → multi-key groupby sum — the
-    only shuffle, key-bounded at |users|·|types| — → per-user argmax in
-    a second map_groups whose input is already the aggregated table, so
-    the argmax pass moves |users|·|types| tiny rows, never events."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (
-            df.groupby(["user_id", "event_type"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"], pa.int64()),
-                "event_type": pa.array(g["event_type"], pa.string()),
-                "n": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    def argmax(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["user_id", "n", "event_type"],
-            ascending=[True, False, True],
-            kind="mergesort",
-        )
-        top = g.drop_duplicates("user_id", keep="first")
-        return pd.DataFrame(
-            {
-                "user_id": top["user_id"].astype("int64"),
-                "top_type": top["event_type"],
-                "n": top["n"].astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["user_id", "event_type"])
-        .aggregate(Sum("n", alias_name="n"))
-        .groupby("user_id")
-        .map_groups(argmax, batch_format="pandas")
-    )
 
 
 def q_small_qty_revenue(sf_dir: str, broadcast_limit: int = 500_000):
@@ -623,53 +285,6 @@ def q_pricing_summary(sf_dir: str):
     )
 
 
-# ------------------------------------------------------------ asof join --
-def q_asof_join(sf_dir: str):
-    """As-of join (SURVEY.md 'As-of / range join' pattern): for every
-    'click' event, the most recent 'view' value by the same user at or
-    before it. One bucketed shuffle on hash(user)%B; per bucket a
-    vectorized ``pd.merge_asof`` over the sorted group."""
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type", "value"])
-
-    # hoisted: one modulus for every task regardless of mid-run cluster
-    # resizes (default_buckets reads live CPU state)
-    n_bkt = np.uint64(default_buckets())
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keep = pc.is_in(
-            batch.column("event_type"), value_set=pa.array(["click", "view"])
-        )
-        b = batch.filter(keep)
-        bk = (
-            b.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % n_bkt
-        ).astype(np.int32)
-        return b.append_column("__b", pa.array(bk, pa.int32()))
-
-    def asof(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["event_type"] == "click"][["event_id", "user_id", "ts"]]
-        right = g[g["event_type"] == "view"][["user_id", "ts", "value"]]
-        if not len(left):
-            return pd.DataFrame(
-                {"event_id": pd.Series(dtype="int64"),
-                 "user_id": pd.Series(dtype="int64"),
-                 "view_value": pd.Series(dtype="float64")}
-            )
-        left = left.sort_values("ts", kind="mergesort")
-        right = right.sort_values("ts", kind="mergesort")
-        j = pd.merge_asof(left, right, on="ts", by="user_id", direction="backward")
-        return pd.DataFrame(
-            {"event_id": j["event_id"], "user_id": j["user_id"],
-             "view_value": j["value"]}
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(asof, batch_format="pandas")
-    )
-
-
 # ----------------------------------------------------------- range join --
 RANGE_BANDS = [0.0, 1000.0, 5000.0, 20000.0, 75000.0, 150000.0, 300000.0]
 
@@ -679,8 +294,7 @@ def q_range_join(sf_dir: str):
     [lo, hi) interval contains its total price. The band table is tiny —
     broadcast the sorted boundaries once and resolve the interval with a
     vectorized searchsorted per batch; the fact table never shuffles.
-    This is the general small-interval-table range-join layout (the
-    other named variant, as-of, is q_asof_join)."""
+    This is the general small-interval-table range-join layout."""
     bounds = np.array(RANGE_BANDS, dtype=np.float64)
     bounds_ref = ray.put(bounds)
     ds = _pq(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"])
@@ -699,47 +313,6 @@ def q_range_join(sf_dir: str):
         )
 
     return ds.map_batches(band, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ----------------------------------------------------------- percentiles --
-def q_percentiles(sf_dir: str, qs: tuple = (50, 90, 99), n_buckets: int | None = None):
-    """Exact per-group percentiles (p50/p90/p99 of event value): one
-    bucketed shuffle on hash(user)%B, per-bucket vectorized sort +
-    index pick. The deterministic rule — value at sorted index
-    floor((n-1)*q/100) — is pinned in integer math on BOTH sides so the
-    DuckDB twin (row_number pick) hash-matches bit-for-bit. Values in
-    scaled int64 cents. At 100 TB the per-group state is the group's
-    value vector only (no global sort); for groups too large to sort in
-    one task, swap the per-group kernel for a t-digest / two-pass
-    histogram — the surrounding layout is unchanged."""
-    B = n_buckets or default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "value"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(B)
-        ).astype(np.int32)
-        return batch.append_column("__b", pa.array(b, pa.int32()))
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for uid, gg in g.groupby("user_id", sort=False):
-            gg = gg.sort_values(["value", "event_id"], kind="mergesort")
-            v = (gg["value"].to_numpy() * 100).round().astype(np.int64)
-            n = len(v)
-            rows.append(
-                (uid, *(int(v[(n - 1) * q // 100]) for q in qs))
-            )
-        return pd.DataFrame(
-            rows, columns=["user_id"] + [f"p{q}_e2" for q in qs]
-        ).astype("int64")
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pick, batch_format="pandas")
-    )
 
 
 # ---------------------------------------------------- stratified sample --
@@ -769,40 +342,6 @@ def q_stratified_sample(sf_dir: str, n_per: int = 20):
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("c_mktsegment")
         .map_groups(final, batch_format="pandas")
-    )
-
-
-# ----------------------------------------------------------------- pivot --
-def q_pivot(sf_dir: str):
-    """Pivot (long → wide) aggregate: one row per user with per-
-    event-type counts as columns. Combiner layout: each batch emits at
-    most one row per (user) with the counts already pivoted, the
-    groupby then Sums fixed int64 columns — the shuffle moves
-    |users| x |types| integers, never event rows, and adding a type is
-    adding a column, not a shuffle."""
-    from ray.data.aggregate import Sum
-
-    types = ["click", "error", "purchase", "signup", "view"]
-    ds = _pq(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (
-            df.groupby(["user_id", "event_type"], sort=False)
-            .size()
-            .unstack(fill_value=0)
-            .reindex(columns=types, fill_value=0)
-            .reset_index()
-        )
-        return pa.table(
-            {"user_id": pa.array(g["user_id"], pa.int64())}
-            | {f"n_{t}": pa.array(g[t].astype("int64"), pa.int64()) for t in types}
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(*[Sum(f"n_{t}", alias_name=f"n_{t}") for t in types])
     )
 
 
@@ -845,43 +384,6 @@ def q_filter_agg(sf_dir: str):
             "n": pa.array([int(parts["n"].sum())], pa.int64()),
         }
     )
-
-
-# --------------------------------------------------- min-max scale ------
-def q_minmax_scale(sf_dir: str):
-    """Global min-max feature scaling to fixed-point [0, 10000] -- the
-    two-pass normalization step of a feature pipeline. Pass 1 is a
-    per-batch (min, max) combiner (two ints reach the driver); pass 2
-    re-maps the scan with the constants closed over -- no shuffle at
-    all, and the pattern holds at any scale because only two int64s
-    ever leave the aggregate. Integer floor division keeps the engine
-    and the DuckDB twin (`// greatest(mx-mn, 1)`) bit-identical."""
-    ds = _pq(sf_dir, "events", columns=["event_id", "value"])
-
-    def mm(batch: pa.Table) -> pa.Table:
-        v = np.round(batch.column("value").to_numpy() * 100).astype(np.int64)
-        if len(v) == 0:
-            return pa.table({"mn": pa.array([], pa.int64()), "mx": pa.array([], pa.int64())})
-        return pa.table(
-            {"mn": pa.array([int(v.min())], pa.int64()),
-             "mx": pa.array([int(v.max())], pa.int64())}
-        )
-
-    parts = ds.map_batches(mm, batch_format="pyarrow").to_pandas()
-    mn, mx = int(parts["mn"].min()), int(parts["mx"].max())
-    span = max(1, mx - mn)
-
-    def scale(batch: pa.Table) -> pa.Table:
-        v = np.round(batch.column("value").to_numpy() * 100).astype(np.int64)
-        s = (v - mn) * 10000 // span
-        return pa.table(
-            {
-                "event_id": batch.column("event_id"),
-                "scaled_e4": pa.array(s, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(scale, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ------------------------------------------------------------ cube ------
@@ -942,303 +444,6 @@ def q_cube(sf_dir: str):
             "n_rows": pa.array(out["n_rows"].astype("int64"), pa.int64()),
             "qty_e2": pa.array(out["qty_e2"].astype("int64"), pa.int64()),
         }
-    )
-
-
-# ----------------------------------------------------- inter-arrival ----
-def q_interarrival(sf_dir: str, n_buckets: int | None = None):
-    """Per-user inter-event-gap statistics (count / sum / max of the
-    microsecond deltas between consecutive events) — the arrival-process
-    feature a recrawl scheduler or session model derives per host/user.
-
-    One bucketed shuffle on hash(user) % B (a bucket holds every row of
-    its users), then a vectorized per-bucket body: one mergesort by
-    (user, ts) + one diff — O(buckets) Python calls, not O(users). The
-    gap aggregates are order-insensitive ints, so any tie order between
-    equal timestamps leaves the result unchanged (and bit-equal to the
-    SQL lag() twin)."""
-    B = n_buckets or default_buckets()
-    ds = _pq(sf_dir, "events", columns=["user_id", "ts"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(B)
-        ).astype(np.int32)
-        return batch.append_column("__b", pa.array(b, pa.int32()))
-
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="mergesort")
-        d = g.groupby("user_id", sort=False)["ts"].diff()
-        us = (d.dt.total_seconds() * 1e6).round()
-        out = (
-            pd.DataFrame({"user_id": g["user_id"], "gap": us})
-            .dropna()
-            .groupby("user_id", sort=False)["gap"]
-            .agg(["count", "sum", "max"])
-            .reset_index()
-        )
-        return pd.DataFrame(
-            {
-                "user_id": out["user_id"].astype("int64"),
-                "n_gaps": out["count"].astype("int64"),
-                "sum_gap_us": out["sum"].astype("int64"),
-                "max_gap_us": out["max"].astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(gaps, batch_format="pandas")
-    )
-
-
-# ----------------------------------------------------------- ntile ------
-def q_ntile(sf_dir: str, buckets: int = 10):
-    """Global NTILE(buckets) over (value, event_id) — the exact global
-    ranking / row_number primitive (quantile bucketing for stratified
-    training splits). No window function exists in Ray Data; the
-    distributed layout:
-
-    1. one distributed range sort on (value, event_id) — the only
-       all-to-all, and the key set IS the payload (2 columns);
-    2. one metadata round: a tiny task per sorted block returns its row
-       count (ints to the driver, never rows), cumsum -> block offsets;
-    3. one attach round: per-block tasks append
-       rank = offset + arange, bucket = DuckDB's NTILE split (the
-       first ``n % buckets`` buckets get the extra row) — embarrassingly
-       parallel, order preserved by construction.
-
-    Exactly the textbook distributed row_number (sort + partition
-    offsets); ties impossible because event_id is unique."""
-    ds = _pq(sf_dir, "events", columns=["event_id", "value"])
-    n_total = ds.count()
-    if n_total == 0:
-        return pa.table(
-            {"event_id": pa.array([], pa.int64()),
-             "bucket": pa.array([], pa.int64())}
-        )
-    from ..runtime import sorted_block_offsets
-
-    sorted_ds = ds.sort(["value", "event_id"]).materialize()
-    refs, offsets = sorted_block_offsets(sorted_ds, lambda b: b.num_rows)
-
-    base = n_total // buckets
-    extra = n_total % buckets
-    # rank r (0-based) -> bucket: first `extra` buckets hold base+1 rows
-    cut = extra * (base + 1)
-
-    @ray.remote
-    def _attach(block: pa.Table, off: int) -> pa.Table:
-        if block.num_rows == 0:
-            return pa.table(
-                {"event_id": pa.array([], pa.int64()),
-                 "bucket": pa.array([], pa.int64())}
-            )
-        r = off + np.arange(block.num_rows, dtype=np.int64)
-        b = np.where(
-            r < cut,
-            r // (base + 1),
-            extra + (r - cut) // max(base, 1),
-        ) + 1
-        return pa.table(
-            {
-                "event_id": block.column("event_id"),
-                "bucket": pa.array(b.astype(np.int64), pa.int64()),
-            }
-        )
-
-    out_refs = [_attach.remote(r, int(o)) for r, o in zip(refs, offsets)]
-    return ray.data.from_arrow_refs(out_refs)
-
-
-def q_retention(sf_dir: str, week_us: int = 604_800_000_000):
-    """Cohort retention analysis (the engagement matrix every
-    product/telemetry pipeline computes): users are cohorted by their
-    FIRST event week; n_users counts distinct users of cohort c active
-    again at week offset k. Output (cohort_week, week_offset, n_users).
-
-    Layout: one bucketed shuffle on user_id % B co-locates each user's
-    events; inside a bucket everything is vectorized pandas — distinct
-    (user, week) pairs, per-user min week, offset join — and each bucket
-    emits cohort-offset PARTIAL counts, so the final groupby moves
-    O(cohorts x offsets x B) tiny rows. The week is computed by integer
-    floor division of the raw int64 microseconds (exact twin of DuckDB's
-    floor(epoch/604800))."""
-    from ray.data.aggregate import Sum
-
-    n_bkt = default_buckets()
-    ds = _pq(sf_dir, "events", columns=["user_id", "ts"])
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        wk = ts // week_us
-        uw = np.unique(np.stack([u, wk], axis=1), axis=0)
-        return pa.table(
-            {
-                "user_id": pa.array(uw[:, 0], pa.int64()),
-                "wk": pa.array(uw[:, 1], pa.int64()),
-                "__b": pa.array((uw[:, 0] % n_bkt).astype(np.int32), pa.int32()),
-            }
-        )
-
-    def bucket_counts(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["user_id", "wk"])
-        first = g.groupby("user_id", sort=False)["wk"].transform("min")
-        out = (
-            pd.DataFrame(
-                {
-                    "cohort_week": first.astype("int64"),
-                    "week_offset": (g["wk"] - first).astype("int64"),
-                }
-            )
-            .groupby(["cohort_week", "week_offset"], sort=False)
-            .size()
-            .reset_index(name="n_users")
-        )
-        out["n_users"] = out["n_users"].astype("int64")
-        return out
-
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_counts, batch_format="pandas")
-        .groupby(["cohort_week", "week_offset"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
-
-
-def _flag_users(sf_dir: str, thr_e2: int = 15_000):
-    """Shared core for the set-op queries: ONE scan of events emitting
-    per-batch (user, in_a, in_b) partials — side A = big clicks, side B
-    = big purchases — then one max-combine groupby. INTERSECT / EXCEPT
-    read off the two flags; neither side is ever materialized as its own
-    pass (the naive plan scans the fact table twice and shuffles two key
-    sets; this shuffles one)."""
-    from ray.data.aggregate import Max
-
-    ds = _pq(sf_dir, "events", columns=["user_id", "event_type", "value"])
-
-    def flags(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        v2 = (df["value"] * 100).round().astype("int64")
-        big = v2 > thr_e2
-        a = (df["event_type"] == "click") & big
-        b = (df["event_type"] == "purchase") & big
-        keep = a | b
-        if not keep.any():
-            return pa.table(
-                {"user_id": pa.array([], pa.int64()),
-                 "in_a": pa.array([], pa.int64()),
-                 "in_b": pa.array([], pa.int64())}
-            )
-        g = (
-            pd.DataFrame(
-                {
-                    "user_id": df.loc[keep, "user_id"].astype("int64"),
-                    "in_a": a[keep].astype("int64"),
-                    "in_b": b[keep].astype("int64"),
-                }
-            )
-            .groupby("user_id", sort=False)
-            .max()
-            .reset_index()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return (
-        ds.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(Max("in_a", alias_name="in_a"), Max("in_b", alias_name="in_b"))
-    )
-
-
-def q_intersect_users(sf_dir: str):
-    """INTERSECT set op (§2.7): users with a big click AND a big
-    purchase — single-scan flag layout, see _flag_users."""
-    return _flag_users(sf_dir).map_batches(
-        lambda b: pa.table(
-            {
-                "user_id": b.filter(
-                    pc.and_(
-                        pc.equal(b.column("in_a"), 1), pc.equal(b.column("in_b"), 1)
-                    )
-                ).column("user_id")
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def q_except_users(sf_dir: str):
-    """EXCEPT set op (§2.7): users with a big click but NO big
-    purchase — same single-scan flag layout."""
-    return _flag_users(sf_dir).map_batches(
-        lambda b: pa.table(
-            {
-                "user_id": b.filter(
-                    pc.and_(
-                        pc.equal(b.column("in_a"), 1), pc.equal(b.column("in_b"), 0)
-                    )
-                ).column("user_id")
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def q_corr_stats(sf_dir: str, hour_us: int = 3_600_000_000):
-    """Per-type correlation sufficient statistics: n, Σx, Σy, Σxy, Σx²,
-    Σy² for x = value (e2 int) and y = hour-of-day — the integer-exact
-    decomposition of Pearson correlation / covariance (the feature-
-    correlation pass of a feature-selection pipeline). Pure combiner:
-    each batch emits one row per type, the groupby moves |types| x
-    blocks rows, correlation itself is derivable downstream from the
-    six sums without any float having crossed the shuffle."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["event_type", "value", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        x = (df["value"] * 100).round().astype("int64")
-        us = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        y = pd.Series((us % (24 * hour_us)) // hour_us, index=df.index).astype("int64")
-        g = (
-            pd.DataFrame(
-                {
-                    "event_type": df["event_type"],
-                    "n": 1,
-                    "sum_x": x,
-                    "sum_y": y,
-                    "sum_xy": x * y,
-                    "sum_x2": x * x,
-                    "sum_y2": y * y,
-                }
-            )
-            .groupby("event_type", sort=False)
-            .sum()
-            .reset_index()
-        )
-        for c in ("n", "sum_x", "sum_y", "sum_xy", "sum_x2", "sum_y2"):
-            g[c] = g[c].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sum_x", alias_name="sum_x"),
-            Sum("sum_y", alias_name="sum_y"),
-            Sum("sum_xy", alias_name="sum_xy"),
-            Sum("sum_x2", alias_name="sum_x2"),
-            Sum("sum_y2", alias_name="sum_y2"),
-        )
     )
 
 
@@ -1333,430 +538,6 @@ def q_skew_join(sf_dir: str, n_salts: int | None = None, force_salted: bool = Fa
     return joined.select_columns(["event_id", "event_type", "type_n"])
 
 
-def q_funnel(sf_dir: str):
-    """Ordered conversion funnel (signup -> click -> purchase) counted
-    on per-user FIRST timestamps: a user converts at stage k iff their
-    earliest stage-k event comes strictly after their earliest
-    stage-(k-1) event. One combiner pass emits per-user min-µs per
-    stage (missing stage = i64 max sentinel, exact under Min), one
-    user-key groupby, then a vectorized three-comparison count —
-    the product-analytics shape that usually hides a triple self-join.
-    Output (stage, n_users), 3 rows."""
-    from ray.data.aggregate import Min
-
-    SENT = np.int64(2**62)
-    ds = _pq(sf_dir, "events", columns=["user_id", "event_type", "ts"])
-
-    def mins(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        us = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        out = {}
-        for stage, et in (("t1", "signup"), ("t2", "click"), ("t3", "purchase")):
-            t = np.where(df["event_type"].to_numpy() == et, us, SENT)
-            out[stage] = pd.Series(t, index=df.index)
-        g = (
-            pd.DataFrame({"user_id": df["user_id"].astype("int64"), **out})
-            .groupby("user_id", sort=False)
-            .min()
-            .reset_index()
-        )
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    per_user = (
-        ds.map_batches(mins, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(
-            Min("t1", alias_name="t1"),
-            Min("t2", alias_name="t2"),
-            Min("t3", alias_name="t3"),
-        )
-    )
-
-    def stage_partial(batch: pa.Table) -> pa.Table:
-        t1 = batch.column("t1").to_numpy(zero_copy_only=False)
-        t2 = batch.column("t2").to_numpy(zero_copy_only=False)
-        t3 = batch.column("t3").to_numpy(zero_copy_only=False)
-        s1 = t1 < SENT
-        s2 = s1 & (t2 < SENT) & (t2 > t1)
-        s3 = s2 & (t3 < SENT) & (t3 > t2)
-        return pa.table(
-            {
-                "stage": pa.array(["s1_signup", "s2_click", "s3_purchase"], pa.string()),
-                "n_users": pa.array(
-                    [int(s1.sum()), int(s2.sum()), int(s3.sum())], pa.int64()
-                ),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    return (
-        per_user.map_batches(stage_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("stage")
-        .aggregate(Sum("n_users", alias_name="n_users"))
-    )
-
-
-def q_collect_values(sf_dir: str, max_events: int = 40):
-    """Grouped COLLECT / array_agg (the per-key list materialization
-    training pipelines use to assemble per-user histories): for each
-    user with at most ``max_events`` qualifying events, the
-    comma-joined ASCENDING list of event ids. Determinism comes from
-    the explicit sort inside the bucket (array_agg without an order is
-    unhashable); the small-list gate bounds the row payload the way a
-    real history assembler caps sequence length.
-
-    Layout: one bucketed shuffle on user % B; per bucket a vectorized
-    pandas sort + groupby-join — O(B) Python calls. The joined string
-    is exactly DuckDB's string_agg(... ORDER BY), so the twin
-    hash-matches."""
-    n_bkt = default_buckets()
-    ds = _pq(sf_dir, "events", columns=["user_id", "event_id", "event_type"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["event_type"] == "purchase"]
-        return pa.table(
-            {
-                "user_id": pa.array(df["user_id"].astype("int64"), pa.int64()),
-                "event_id": pa.array(df["event_id"].astype("int64"), pa.int64()),
-                "__b": pa.array(
-                    (df["user_id"].to_numpy() % n_bkt).astype(np.int32), pa.int32()
-                ),
-            }
-        )
-
-    def collect(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "event_id"], kind="mergesort")
-        out = (
-            g.groupby("user_id", sort=False)["event_id"]
-            .agg(lambda s: ",".join(str(x) for x in s))
-            .reset_index(name="event_ids")
-        )
-        sizes = g.groupby("user_id", sort=False).size().reset_index(name="n")
-        out = out.merge(sizes, on="user_id")
-        out = out[out["n"] <= max_events].drop(columns=["n"])
-        return out
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(collect, batch_format="pandas")
-    )
-
-
-def q_late_events(sf_dir: str, allowed_lateness_us: int = 86_400_000_000):
-    """Watermark-based late-event detection (the streaming-ingest
-    semantics batch engines replay): arrival order is a PER-USER upload
-    replay — (user_id, event_id) — the pattern of devices syncing whole
-    histories one source at a time, which is what actually produces
-    late data; the watermark trails the running max event-time by the
-    allowed lateness, and an event is LATE iff it arrives after the
-    watermark passed its timestamp. Output (event_id, late_by_us) for
-    the late arrivals. (Arrival by bare event_id is vacuous on this
-    fixture — events are generated time-ordered — so the replay order
-    is also the only semantics with observable output.)
-
-    The distributed layout generalizes the q_ntile/q_pack_sequences
-    block-offset core from prefix-SUM to prefix-MAX — the same ONE
-    range sort + per-block scalar metadata round + embarrassingly
-    parallel attach, because running max is associative: each block
-    needs only the EXCLUSIVE max of all earlier blocks (one int64 per
-    block to the driver, np.maximum.accumulate across them), then a
-    vectorized in-block exclusive running max finishes locally. The
-    DuckDB twin is MAX(...) OVER (ORDER BY ... ROWS BETWEEN UNBOUNDED
-    PRECEDING AND 1 PRECEDING)."""
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-
-    def to_us(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "event_id": batch.column("event_id"),
-                "ts_us": batch.column("ts").cast(pa.int64()),
-            }
-        )
-
-    sorted_ds = (
-        ds.map_batches(to_us, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["user_id", "event_id"])
-        .materialize()
-    )
-    refs = sorted_ds.to_arrow_refs()
-
-    @ray.remote
-    def _blockmax(block: pa.Table) -> int:
-        if block.num_rows == 0:
-            return -(2**62)
-        return int(pc.max(block.column("ts_us")).as_py())
-
-    maxima = np.array(ray.get([_blockmax.remote(r) for r in refs]), np.int64)
-    # exclusive prefix max of block maxima: block i sees the max of
-    # blocks 0..i-1; the first block sees -inf
-    incoming = np.concatenate(
-        [[-(2**62)], np.maximum.accumulate(maxima)[:-1]]
-    ).astype(np.int64)
-
-    out_schema = pa.schema([("event_id", pa.int64()), ("late_by_us", pa.int64())])
-
-    @ray.remote
-    def _attach(block: pa.Table, prefix_max: int) -> pa.Table:
-        if block.num_rows == 0:
-            return out_schema.empty_table()
-        ts = block.column("ts_us").to_numpy(zero_copy_only=False)
-        run = np.maximum.accumulate(ts)
-        # exclusive running max: earlier rows in this block + prefix
-        excl = np.concatenate([[prefix_max], run[:-1]])
-        excl = np.maximum(excl, prefix_max)
-        wm = excl - allowed_lateness_us
-        late = ts < wm
-        if not late.any():
-            return out_schema.empty_table()
-        return pa.table(
-            {
-                "event_id": block.column("event_id").filter(pa.array(late)),
-                "late_by_us": pa.array((wm - ts)[late], pa.int64()),
-            }
-        )
-
-    out_refs = [_attach.remote(r, int(m)) for r, m in zip(refs, incoming)]
-    return ray.data.from_arrow_refs(out_refs)
-
-
-def q_window_dedup(sf_dir: str, window_us: int = 86_400_000_000):
-    """Windowed dedup: first event per (user, event_type) per tumbling
-    window (the dedup semantics of a streaming ingest that suppresses
-    repeats within a day but lets keys reappear across windows —
-    exact dedup's time-scoped cousin). One bucketed shuffle on
-    user % B co-locates each user's events; per bucket a vectorized
-    sort + drop_duplicates on (user, type, window) keeps the earliest
-    (ts, event_id) row. Output (user_id, event_type, window_id,
-    event_id)."""
-    n_bkt = default_buckets()
-    ds = _pq(sf_dir, "events", columns=["user_id", "event_type", "event_id", "ts"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "user_id": pa.array(u, pa.int64()),
-                "event_type": batch.column("event_type"),
-                "event_id": batch.column("event_id"),
-                "ts_us": pa.array(ts, pa.int64()),
-                "window_id": pa.array(ts // window_us, pa.int64()),
-                "__b": pa.array((u % n_bkt).astype(np.int32), pa.int32()),
-            }
-        )
-
-    def first_per_window(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["user_id", "event_type", "window_id", "ts_us", "event_id"],
-            kind="mergesort",
-        )
-        out = g.drop_duplicates(["user_id", "event_type", "window_id"], keep="first")
-        return out[["user_id", "event_type", "window_id", "event_id"]]
-
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(first_per_window, batch_format="pandas")
-    )
-
-
-# ------------------------------------------- value-distribution (round 3) --
-def q_p99_outliers(sf_dir: str, q: int = 99):
-    """Per-event-type p99 outlier filter (the tail-clipping gate data
-    cleaning runs before normalization): events whose value exceeds
-    their type's exact 99th percentile. Unlike q_percentiles (which
-    sorts each group's VALUE VECTOR in one task), the threshold here is
-    computed from a distributed VALUE HISTOGRAM, which is the layout
-    that still works when one group holds billions of rows:
-
-    1. combiner: per-batch (event_type, v_e2) -> partial count — the
-       shuffle moves per-batch distinct-value vocabularies, not rows;
-    2. ONE groupby(type) co-locates each type's partials; the per-type
-       task merges duplicate values and walks the cumulative counts to
-       the exact index floor((n-1)*q/100) — the SAME integer rule
-       q_percentiles pins, reproduced over (value, count) pairs,
-       duplicates included;
-    3. thresholds (|event types| rows) broadcast; one streaming filter
-       pass emits the outliers. No row-level all-to-all anywhere."""
-    ds = _pq(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["v_e2"] = (df["value"] * 100).round().astype("int64")
-        g = (
-            df.groupby(["event_type", "v_e2"], sort=False)
-            .size()
-            .reset_index(name="cnt")
-        )
-        g["cnt"] = g["cnt"].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        # g = ALL partial (v_e2, cnt) rows of one event type (distinct-
-        # value scale); merge duplicates, then walk the cumulative
-        # counts to the exact index — one task per type, ONE all-to-all
-        # total (the two-stage groupby([type,v]) -> groupby(type) chain
-        # this fuses spent a second shuffle for nothing)
-        et = g["event_type"].iloc[0]
-        g = (
-            g.groupby("v_e2", sort=True)["cnt"].sum().reset_index(name="n")
-        )
-        c = g["n"].to_numpy(dtype=np.int64)
-        n = int(c.sum())
-        idx = (n - 1) * q // 100
-        pos = int(np.searchsorted(np.cumsum(c), idx + 1))
-        return pd.DataFrame({"event_type": [et], "thr": [int(g["v_e2"].iloc[pos])]})
-
-    th = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(pick, batch_format="pandas")
-        .to_pandas()  # |event types| rows — tiny
-    )
-    thr = {t: int(v) for t, v in zip(th["event_type"], th["thr"])}
-    thr_ref = ray.put(thr)
-
-    def flag(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        tm = ray.get(thr_ref)
-        v = (df["value"] * 100).round().astype("int64")
-        keep = v.to_numpy() > df["event_type"].map(tm).to_numpy()
-        out = pd.DataFrame(
-            {
-                "event_id": df["event_id"][keep].astype("int64"),
-                "event_type": df["event_type"][keep],
-                "v_e2": v[keep],
-            }
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return ds.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_dense_rank(sf_dir: str):
-    """DENSE_RANK() OVER (PARTITION BY event_type ORDER BY v_e2) for
-    every event — the exact grouped ranking window, distributed. The
-    q_ntile/q_late_events block-offset core generalized from prefix-SUM
-    and prefix-MAX to prefix-DISTINCT-COUNT with partition resets:
-
-    1. ONE range sort on (event_type, v_e2) — the only all-to-all, and
-       the sort key IS the payload;
-    2. metadata round: each sorted block returns its per-type distinct
-       counts plus its boundary (type, value) pairs — a few ints/strings
-       per block, never rows. The driver cumsums distinct counts per
-       type, subtracting one when a value straddles two blocks (the
-       block's first value equals its predecessor's last);
-    3. attach round, embarrassingly parallel: each block computes local
-       dense ranks vectorized (change-flag cumsum reset at type
-       boundaries) and adds its type's global offset.
-
-    Dense rank is order-associative the same way sum/max are — a
-    block's contribution is its distinct count, corrected at the seam —
-    so the pattern holds at any block count; ties NEED no tiebreak
-    because equal (type, value) rows get equal rank by definition."""
-    ds = _pq(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        v = pc.round(pc.multiply(batch.column("value"), 100.0))
-        return pa.table(
-            {
-                "event_id": batch.column("event_id"),
-                "event_type": batch.column("event_type"),
-                "v_e2": v.cast(pa.int64()),
-            }
-        )
-
-    sorted_ds = (
-        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["event_type", "v_e2"])
-        .materialize()
-    )
-    refs = sorted_ds.to_arrow_refs()
-
-    @ray.remote
-    def _meta(block: pa.Table):
-        if block.num_rows == 0:
-            return None
-        t = np.asarray(block.column("event_type").to_pandas(), dtype=object)
-        v = block.column("v_e2").to_numpy(zero_copy_only=False)
-        change = np.r_[True, (t[1:] != t[:-1]) | (v[1:] != v[:-1])]
-        seg = np.r_[True, t[1:] != t[:-1]]
-        types, counts = [], []
-        seg_idx = np.flatnonzero(seg)
-        bounds = np.r_[seg_idx, len(t)]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            types.append(t[s])
-            counts.append(int(change[s:e].sum()))
-        return {
-            "types": types,
-            "distinct": counts,
-            "first": (t[0], int(v[0])),
-            "last": (t[-1], int(v[-1])),
-        }
-
-    metas = ray.get([_meta.remote(r) for r in refs])
-
-    # driver seam-merge: one dict of per-type running distinct counts;
-    # per block a snapshot offset map + a straddle flag
-    cum: dict = {}
-    last = None
-    block_offsets, block_straddle = [], []
-    for m in metas:
-        if m is None:
-            block_offsets.append({})
-            block_straddle.append(False)
-            continue
-        straddle = last is not None and (m["first"][0], m["first"][1]) == last
-        block_offsets.append(dict(cum))
-        block_straddle.append(bool(straddle))
-        for ty, d in zip(m["types"], m["distinct"]):
-            cum[ty] = cum.get(ty, 0) + d
-        if straddle:
-            cum[m["first"][0]] -= 1
-        last = (m["last"][0], m["last"][1])
-
-    @ray.remote
-    def _attach(block: pa.Table, offsets: dict, straddle: bool) -> pa.Table:
-        if block.num_rows == 0:
-            return pa.table(
-                {"event_id": pa.array([], pa.int64()),
-                 "drank": pa.array([], pa.int64())}
-            )
-        t = np.asarray(block.column("event_type").to_pandas(), dtype=object)
-        v = block.column("v_e2").to_numpy(zero_copy_only=False)
-        change = np.r_[True, (t[1:] != t[:-1]) | (v[1:] != v[:-1])]
-        seg = np.r_[True, t[1:] != t[:-1]]
-        gdense = np.cumsum(change)
-        seg_start = np.flatnonzero(seg)
-        seg_id = np.cumsum(seg) - 1
-        local = gdense - (gdense[seg_start] - 1)[seg_id]
-        off = np.array([offsets.get(ty, 0) for ty in t[seg_start]], dtype=np.int64)[seg_id]
-        rank = off + local
-        if straddle:
-            # the block's first value was already counted into this
-            # block's offset by its predecessor, but the local change
-            # flags count it again — every rank in the FIRST type
-            # segment is one too high (the driver's cum decrement only
-            # repairs LATER blocks)
-            rank[seg_id == 0] -= 1
-        return pa.table(
-            {
-                "event_id": block.column("event_id"),
-                "drank": pa.array(rank.astype(np.int64), pa.int64()),
-            }
-        )
-
-    out_refs = [
-        _attach.remote(r, o, s)
-        for r, o, s in zip(refs, block_offsets, block_straddle)
-    ]
-    return ray.data.from_arrow_refs(out_refs)
-
-
 def q_full_outer(sf_dir: str):
     """FULL OUTER JOIN of per-user event counts against the customer
     table (the reconciliation shape: which activity has no account,
@@ -1828,214 +609,12 @@ def q_full_outer(sf_dir: str):
     return both.groupby("__b").map_groups(merge, batch_format="pandas")
 
 
-def q_rolling_sum(sf_dir: str, window: int = 3, n_buckets: int | None = None):
-    """ROWS-BETWEEN moving aggregate (3-event moving value sum per
-    user, ordered by event id) — the rolling-window family next to the
-    RANGE prefix aggregate (q_running_sum) and the time-window shapes:
-    feature engineering's 'last-N behavior' transform.
-
-    Layout: ONE bucketed shuffle on user%B (a user's rows co-locate);
-    per bucket a single vectorized pass — sort, per-row cumsum, and a
-    per-user-reset subtraction of the cumsum shifted `window` rows
-    (group starts from a boundary mask; no per-user Python). Integer
-    cents end to end."""
-    B = n_buckets or default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "value"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        v = np.round(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": batch.column("event_id"),
-                "user_id": pa.array(u, pa.int64()),
-                "v_e2": pa.array(v, pa.int64()),
-                "__b": pa.array((u % B).astype(np.int32), pa.int32()),
-            }
-        )
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        v = g["v_e2"].to_numpy()
-        start = np.r_[True, u[1:] != u[:-1]]          # group boundaries
-        gstart = np.flatnonzero(start)
-        gid = np.cumsum(start) - 1
-        pos = np.arange(len(u)) - gstart[gid]          # row index within user
-        cum = np.cumsum(v)
-        base = np.where(gstart[gid] > 0, cum[gstart[gid] - 1], 0)
-        cum_in = cum - base                            # per-user inclusive cumsum
-        lag = pos - window                             # index of row window-back
-        prev = np.where(lag >= 0, cum_in[np.maximum(gstart[gid] + lag, 0)], 0)
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(),
-                "mov_sum_e2": (cum_in - prev).astype("int64"),
-            }
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(roll, batch_format="pandas")
-    )
-
-
-def q_mad_outliers(sf_dir: str, mult: int = 3):
-    """Median-absolute-deviation outlier detection per event type (the
-    ROBUST counterpart to q_p99_outliers' tail clip — MAD ignores the
-    very outliers it hunts, where mean/std get dragged): flag events
-    with |v - median| > mult * MAD, median and MAD both EXACT via the
-    same distributed value-histogram core (floor((n-1)/2) index rule on
-    both sides, duplicates included).
-
-    Layout: round 1 = per-batch (type, v_e2) partial counts -> ONE
-    groupby(type) -> per-type exact median from merged counts; round 2
-    = the SAME pass over |v - med| (med broadcast) -> exact MAD; then
-    one streaming filter with both tiny maps broadcast. Three corpus
-    scans, ZERO row-level all-to-alls — the histogram partials are
-    batch-vocab-bounded on both rounds."""
-    ds = _pq(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def _hist_partial(col_fn):
-        def partial(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            df["x"] = col_fn(df)
-            g = (
-                df.groupby(["event_type", "x"], sort=False)
-                .size()
-                .reset_index(name="cnt")
-            )
-            g["cnt"] = g["cnt"].astype("int64")
-            return pa.Table.from_pandas(g, preserve_index=False)
-
-        return partial
-
-    def _pick50(g: pd.DataFrame) -> pd.DataFrame:
-        et = g["event_type"].iloc[0]
-        g = g.groupby("x", sort=True)["cnt"].sum().reset_index(name="n")
-        c = g["n"].to_numpy(dtype=np.int64)
-        idx = (int(c.sum()) - 1) // 2
-        pos = int(np.searchsorted(np.cumsum(c), idx + 1))
-        return pd.DataFrame({"event_type": [et], "med": [int(g["x"].iloc[pos])]})
-
-    def v_e2(df: pd.DataFrame) -> pd.Series:
-        return (df["value"] * 100).round().astype("int64")
-
-    med = (
-        ds.map_batches(_hist_partial(v_e2), batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(_pick50, batch_format="pandas")
-        .to_pandas()
-    )
-    med_map = dict(zip(med["event_type"], med["med"].astype(int)))
-    med_ref = ray.put(med_map)
-
-    def dev(df: pd.DataFrame) -> pd.Series:
-        m = ray.get(med_ref)
-        return (v_e2(df) - df["event_type"].map(m)).abs().astype("int64")
-
-    mad = (
-        ds.map_batches(_hist_partial(dev), batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(_pick50, batch_format="pandas")
-        .to_pandas()
-    )
-    mad_map = dict(zip(mad["event_type"], mad["med"].astype(int)))
-    mad_ref = ray.put(mad_map)
-
-    def flag(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        m = ray.get(med_ref)
-        s = ray.get(mad_ref)
-        v = v_e2(df)
-        d = (v - df["event_type"].map(m)).abs()
-        keep = d.to_numpy() > mult * df["event_type"].map(s).to_numpy()
-        out = pd.DataFrame(
-            {
-                "event_id": df["event_id"][keep].astype("int64"),
-                "event_type": df["event_type"][keep],
-                "v_e2": v[keep],
-            }
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return ds.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ---------------------------------------------- transition counts -------
-def q_transition_counts(sf_dir: str, n_buckets: int | None = None):
-    """Per-user consecutive event-type TRANSITION counts (the Markov
-    transition matrix a session/recrawl model estimates from): for each
-    user's ts-ordered event stream, count (prev_type -> next_type)
-    adjacencies globally. Deterministic: ties in ts break on event_id,
-    matching the SQL LEAD() twin exactly.
-
-    One bucketed shuffle on hash(user) % B co-locates each user's rows
-    (q_interarrival's layout); the per-bucket body is one mergesort +
-    one shift — O(buckets) Python calls. Per-bucket output is already
-    the (prev, next, n) partial matrix, so the final rollup is
-    key-bounded at |types|^2 rows per bucket and merges on the driver
-    (the measured fuse-the-tail rule: a chained groupby all-to-all
-    costs more wall than a <=B x |types|^2-row driver merge at any
-    scale — transitions across buckets never exist because a user
-    lives in exactly one bucket)."""
-    B = n_buckets or default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(B)
-        ).astype(np.int32)
-        return batch.append_column("__b", pa.array(b, pa.int32()))
-
-    def transitions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same_user = g["user_id"].shift(-1) == g["user_id"]
-        t = pd.DataFrame(
-            {
-                "prev_type": g["event_type"][same_user],
-                "next_type": g["event_type"].shift(-1)[same_user],
-            }
-        )
-        out = (
-            t.groupby(["prev_type", "next_type"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
-        )
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    parts = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(transitions, batch_format="pandas")
-        .to_pandas()  # <= B x |types|^2 rows
-    )
-    agg = (
-        parts.groupby(["prev_type", "next_type"], as_index=False)["n"]
-        .sum()
-        .sort_values(["prev_type", "next_type"])
-    )
-    return pa.table(
-        {
-            "prev_type": pa.array(agg["prev_type"], pa.string()),
-            "next_type": pa.array(agg["next_type"], pa.string()),
-            "n": pa.array(agg["n"].astype("int64"), pa.int64()),
-        }
-    )
-
-
 # ------------------------------------------------ last-touch attribution
 def q_attribution(sf_dir: str, window_us: int = 3_600_000_000):
     """LAST-TOUCH ATTRIBUTION: for every 'purchase', the most recent
     'click' by the same user STRICTLY within the preceding hour — the
     tolerance-bounded as-of self-join every conversion pipeline runs
-    (q_asof_join's unbounded lookup + a window bound + a deterministic
-    tie-break). Purchases with no qualifying click drop out (inner
+    (an as-of lookup + a window bound + a deterministic tie-break). Purchases with no qualifying click drop out (inner
     attribution, not left).
 
     One bucketed shuffle on user; per bucket ONE vectorized
@@ -2112,175 +691,6 @@ def q_attribution(sf_dir: str, window_us: int = 3_600_000_000):
         ds.map_batches(add_bucket, batch_format="pyarrow")
         .groupby("__b")
         .map_groups(attribute, batch_format="pandas")
-    )
-
-
-def q_percentile_interp(sf_dir: str, q: int = 90, n_buckets: int | None = None):
-    """Exact INTERPOLATED per-group percentile (quantile_cont's linear
-    rule: k = (n-1)*q/100, result = v[floor k] + frac(k)*(v[ceil k] -
-    v[floor k])) — q_percentiles' discrete pick upgraded to the
-    interpolating definition, kept integer-exact: values in e2 cents,
-    frac(k) = ((n-1)*q) % 100 over 100, so the result in e4 is
-    lo_e2*100 + (hi_e2-lo_e2)*rem with no float anywhere. The DuckDB
-    twin reconstructs the same two order statistics via row_number and
-    applies the identical integer formula, so the check is bit-exact
-    (DuckDB's own quantile_cont would return a double).
-
-    Same layout as q_percentiles: ONE bucketed shuffle on
-    hash(user)%B, per-bucket vectorized sort + two index picks."""
-    B = n_buckets or default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "user_id", "value"])
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (
-            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % np.uint64(B)
-        ).astype(np.int32)
-        return batch.append_column("__b", pa.array(b, pa.int32()))
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for uid, gg in g.groupby("user_id", sort=False):
-            v = np.sort(
-                (gg["value"].to_numpy() * 100).round().astype(np.int64)
-            )
-            n = len(v)
-            k = (n - 1) * q
-            lo = int(v[k // 100])
-            hi = int(v[min(k // 100 + 1, n - 1)])
-            rem = k % 100
-            rows.append((uid, lo * 100 + (hi - lo) * rem))
-        return pd.DataFrame(rows, columns=["user_id", f"p{q}_e4"]).astype("int64")
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(pick, batch_format="pandas")
-    )
-
-
-def q_zscore(sf_dir: str):
-    """Per-type z-score standardization of event values (the feature-
-    normalization pass before any numeric model): ONE integer-exact
-    moments combiner (n, Σx_e2, Σx²_e4 per type — nothing float crosses
-    the shuffle), the |types|-row moment table broadcast in the
-    closure, then a streaming vectorized re-map. μ and σ (population)
-    are derived in float64 with the SAME expression text as the DuckDB
-    twin and the score rounds e4 (the ulp-parity recipe); rows of a
-    type with σ = 0 return 0."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["event_id", "event_type", "value"])
-
-    def moments(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        v = (df["value"].to_numpy() * 100).round().astype(np.int64)
-        g = pd.DataFrame({"event_type": df["event_type"], "x": v, "x2": v * v})
-        agg = g.groupby("event_type", sort=False).agg(
-            n=("x", "size"), sx=("x", "sum"), sx2=("x2", "sum")
-        )
-        return pa.Table.from_pandas(agg.reset_index(), preserve_index=False)
-
-    m = (
-        ds.map_batches(moments, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sx", alias_name="sx"),
-            Sum("sx2", alias_name="sx2"),
-        )
-        .to_pandas()  # |types| rows
-    )
-    stats = {
-        r.event_type: (int(r.n), int(r.sx), int(r.sx2)) for r in m.itertuples()
-    }
-
-    def score(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        v = (df["value"].to_numpy() * 100).round().astype(np.int64)
-        out = np.zeros(len(df), np.int64)
-        for t, (n, sx, sx2) in stats.items():
-            mask = (df["event_type"] == t).to_numpy()
-            if not mask.any():
-                continue
-            mu = sx / n
-            var = sx2 / n - (sx / n) * (sx / n)
-            if var > 0:
-                z = (v[mask] - mu) / np.sqrt(var)
-                out[mask] = np.round(z * 10_000).astype(np.int64)
-        return pa.table(
-            {
-                "event_id": batch.column("event_id"),
-                "z_e4": pa.array(out, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_session_windows(sf_dir: str, gap_us: int = 1_800_000_000):
-    """Gap-based session windows over the event stream (the classic
-    sessionization every analytics engine ships: a new session starts
-    when a user is idle longer than ``gap_us`` — 30 min here, the
-    Google-Analytics default). Output per session: (user_id, session_n,
-    n_events, start_us, dur_us), all int64 microseconds so the window
-    twin hash-matches exactly.
-
-    Scale shape: ONE shuffle keyed on user-hash buckets (payload =
-    3 int64 columns, never props/values); per bucket a vectorized numpy
-    lexsort + gap-flag cumsum + segment reduce — no per-row Python.
-    Skewed users stay whole by construction (sessionization cannot
-    split a user), which is the operator's documented partitioning
-    assumption."""
-    n_bkt = default_buckets()
-    ds = _pq(sf_dir, "events", columns=["event_id", "ts", "user_id"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        t = batch.column("ts").cast(pa.timestamp("us")).cast(pa.int64())
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "event_id": batch.column("event_id"),
-                "t": t,
-                "__b": pa.array((u % n_bkt).astype(np.int32), pa.int32()),
-            }
-        )
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy()
-        t = g["t"].to_numpy()
-        e = g["event_id"].to_numpy()
-        o = np.lexsort((e, t, u))
-        u, t = u[o], t[o]
-        new_user = np.empty(len(u), bool)
-        new_user[0] = True
-        new_user[1:] = u[1:] != u[:-1]
-        gap = np.empty(len(u), bool)
-        gap[0] = True
-        gap[1:] = (t[1:] - t[:-1]) > gap_us
-        new_sess = new_user | gap
-        # session_n restarts at 1 per user: global cumsum minus the
-        # cumsum value at the user's first row
-        cs = np.cumsum(new_sess)
-        user_base = np.maximum.accumulate(np.where(new_user, cs - 1, 0))
-        sess = cs - user_base
-        starts = np.flatnonzero(new_sess)
-        ends = np.append(starts[1:], len(u))
-        return pd.DataFrame(
-            {
-                "user_id": u[starts],
-                "session_n": sess[starts].astype(np.int64),
-                "n_events": (ends - starts).astype(np.int64),
-                "start_us": t[starts],
-                "dur_us": t[ends - 1] - t[starts],
-            }
-        )
-
-    return (
-        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(sessions, batch_format="pandas")
     )
 
 
@@ -2444,55 +854,6 @@ def q_percent_rank(sf_dir: str):
     return ds.groupby("s_nationkey").map_groups(deciles, batch_format="pandas")
 
 
-def _events_bucketized(
-    sf_dir: str,
-    n_bkt: int,
-    *,
-    cents: bool = False,
-    carry: tuple = (),
-    filter_type: str | None = None,
-):
-    """Shared events bucketize for the window-family ops (q_event_gaps /
-    q_gap_islands / q_first_last / q_first_purchase / q_running_max):
-    prune columns at the read, optionally filter by event_type,
-    optionally snap value to int cents, and emit user_id / event_id /
-    ts_us / __b = user % n_bkt — ONE copy of the boilerplate so a
-    future rounding or bucketing fix cannot silently miss a twin."""
-    cols = ["event_id", "user_id", "ts"]
-    if cents:
-        cols.append("value")
-    if filter_type is not None and "event_type" not in cols:
-        cols.append("event_type")
-    cols += [c for c in carry if c not in cols]
-    ds = _pq(sf_dir, "events", columns=cols)
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        if filter_type is not None:
-            batch = batch.filter(
-                pc.equal(batch.column("event_type"), pa.scalar(filter_type))
-            )
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        out = {
-            "user_id": pa.array(u, pa.int64()),
-            "event_id": batch.column("event_id"),
-            "ts_us": batch.column("ts").cast(pa.int64()),
-        }
-        if cents:
-            c = (
-                pd.Series(batch.column("value").to_numpy(zero_copy_only=False))
-                .mul(100)
-                .round()
-                .astype("int64")
-            )
-            out["cents"] = pa.array(c, pa.int64())
-        for col in carry:
-            out[col] = batch.column(col)
-        out["__b"] = pa.array((u % n_bkt).astype(np.int32), pa.int32())
-        return pa.table(out)
-
-    return ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def _per_cust_revenue_partials(sf_dir: str):
     """Per-customer order-revenue combiner of q_pareto_share: per-batch
     (o_custkey, rev-cents) partial sums."""
@@ -2515,57 +876,6 @@ def _per_cust_revenue_partials(sf_dir: str):
         )
 
     return ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_event_gaps(sf_dir: str):
-    """Per-user inter-event gap statistics (the LAG window family):
-    count, integer-floor average and maximum of the microsecond gaps
-    between consecutive events ordered by (ts, event_id). One bucketed
-    shuffle on user_id co-locates each user's events; the lag/diff is
-    one vectorized np.diff per bucket, not a per-user Python loop.
-    Users with a single event drop out (no gap), matching the SQL
-    twin's count(gap) semantics."""
-    from ray.data.aggregate import Sum
-
-    n_bkt = default_buckets()
-
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        d = np.diff(ts)
-        same = u[1:] == u[:-1]
-        gap_user = u[1:][same]
-        gap = d[same]
-        if gap.size == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series([], dtype="int64"),
-                    "n_gaps": pd.Series([], dtype="int64"),
-                    "avg_gap_us": pd.Series([], dtype="int64"),
-                    "max_gap_us": pd.Series([], dtype="int64"),
-                }
-            )
-        df = (
-            pd.DataFrame({"user_id": gap_user, "gap": gap})
-            .groupby("user_id", sort=False)["gap"]
-            .agg(["count", "sum", "max"])
-            .reset_index()
-        )
-        return pd.DataFrame(
-            {
-                "user_id": df["user_id"].astype("int64"),
-                "n_gaps": df["count"].astype("int64"),
-                "avg_gap_us": (df["sum"] // df["count"]).astype("int64"),
-                "max_gap_us": df["max"].astype("int64"),
-            }
-        )
-
-    return (
-        _events_bucketized(sf_dir, n_bkt)
-        .groupby("__b")
-        .map_groups(gaps, batch_format="pandas")
-    )
 
 
 # ------------------------------------------------------- r4 wave 2 ------
@@ -2596,51 +906,6 @@ def q_string_agg(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-
-
-def q_mode_value(sf_dir: str):
-    """Per-group MODE with deterministic ties (most frequent user per
-    event type; ties -> smallest user_id). Two-level combiner: batches
-    emit (type, user, n) partials, ONE groupby sums them, and the
-    per-type argmax runs over the output-scale (type, user) count table
-    — the classic heavy-hitter shape where raw events never shuffle."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = (
-            df.groupby(["event_type", "user_id"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "event_type": pa.array(g["event_type"], pa.string()),
-                "user_id": pa.array(g["user_id"].astype("int64"), pa.int64()),
-                "n": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "user_id"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def argmax(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n", "user_id"], ascending=[False, True], kind="mergesort")
-        top = g.iloc[0]
-        return pd.DataFrame(
-            {
-                "event_type": [top["event_type"]],
-                "mode_user": [int(top["user_id"])],
-                "n_events": [int(top["n"])],
-            }
-        )
-
-    return counts.groupby("event_type").map_groups(argmax, batch_format="pandas")
 
 
 def q_histogram(sf_dir: str):
@@ -2676,45 +941,13 @@ def q_histogram(sf_dir: str):
     )
 
 
-def q_first_last(sf_dir: str):
-    """FIRST_VALUE / LAST_VALUE window family: per user, the event type
-    of the first and last event under (ts, event_id) ordering. One
-    bucket shuffle on user_id; inside a bucket one mergesort + head/tail
-    index per user via vectorized boundary masks (no per-user loop)."""
-    n_bkt = default_buckets()
-
-    def firstlast(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        first_mask = np.empty(len(u), dtype=bool)
-        first_mask[0] = True
-        first_mask[1:] = u[1:] != u[:-1]
-        last_mask = np.empty(len(u), dtype=bool)
-        last_mask[-1] = True
-        last_mask[:-1] = u[1:] != u[:-1]
-        et = g["event_type"].to_numpy()
-        return pd.DataFrame(
-            {
-                "user_id": u[first_mask].astype("int64"),
-                "first_type": et[first_mask],
-                "last_type": et[last_mask],
-            }
-        )
-
-    return (
-        _events_bucketized(sf_dir, n_bkt, carry=("event_type",))
-        .groupby("__b")
-        .map_groups(firstlast, batch_format="pandas")
-    )
-
-
 def q_doc_stats_by_lang(sf_dir: str):
     """Per-language corpus profile with an EXACT distinct-source count:
     batches emit (lang, source, n_docs, sum_chars, max_chars) partials,
     one groupby collapses them to the (lang, source) grid, and the
     language rollup (count / integer-avg / max / distinct sources)
-    reads off that output-scale grid — the two-level exact-distinct
-    shape of q_grouped_count_distinct fused with the stats combiner."""
+    reads off that output-scale grid — a two-level exact-distinct
+    shape fused with the stats combiner."""
     from ray.data.aggregate import Max, Sum
 
     ds = _pq(sf_dir, "documents", columns=["lang", "source", "n_chars"])
@@ -2809,42 +1042,6 @@ def q_weekly_revenue(sf_dir: str, week_us: int = 604_800_000_000):
     )
 
 
-def q_weekday_activity(sf_dir: str, day_us: int = 86_400_000_000):
-    """Calendar bucketing without timezone traps: weekday from raw
-    epoch microseconds as ((days_since_epoch + 4) % 7) — 1970-01-01
-    was a Thursday; 0 = Sunday, matching DuckDB dayofweek — computed
-    with the SAME integer expression on both sides. Per (dow, type)
-    counts via the combiner."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["ts", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        dow = ((ts // day_us) + 4) % 7
-        g = (
-            pd.DataFrame(
-                {"dow": dow, "event_type": batch.column("event_type").to_pandas()}
-            )
-            .groupby(["dow", "event_type"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "dow": pa.array(g["dow"].astype("int64"), pa.int64()),
-                "event_type": pa.array(g["event_type"], pa.string()),
-                "n_events": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["dow", "event_type"])
-        .aggregate(Sum("n_events", alias_name="n_events"))
-    )
-
-
 def q_url_host_stats(
     sf_dir: str,
     driver_fact_max: int = 4_000_000,
@@ -2926,32 +1123,6 @@ def q_url_host_stats(
     return grid.groupby("host").map_groups(rollup, batch_format="pandas")
 
 
-# ------------------------------------------------------- r4 wave 4 ------
-def q_running_max(sf_dir: str):
-    """Per-user running maximum of the event value (window cummax):
-    one bucket shuffle on user_id, then ONE vectorized
-    groupby.cummax over the sorted bucket — no per-user Python loop.
-    Values are cents (int64) so the running extremum is hash-exact."""
-    n_bkt = default_buckets()
-
-    def cummax(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        run = g.groupby("user_id", sort=False)["cents"].cummax()
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].astype("int64"),
-                "user_id": g["user_id"].astype("int64"),
-                "running_max_cents": run.astype("int64"),
-            }
-        )
-
-    return (
-        _events_bucketized(sf_dir, n_bkt, cents=True)
-        .groupby("__b")
-        .map_groups(cummax, batch_format="pandas")
-    )
-
-
 def q_second_highest(sf_dir: str):
     """NTH_VALUE family: per market segment, the customer with the
     2nd-highest account balance under dense (DISTINCT-value) ranking
@@ -2982,52 +1153,6 @@ def q_second_highest(sf_dir: str):
         )
 
     return ds.groupby("c_mktsegment").map_groups(second, batch_format="pandas")
-
-
-def q_distinct_event_days(sf_dir: str):
-    """Per-user EXACT count of distinct active days — the DAU building
-    block. Two-level combiner: batches emit distinct (user, epoch-day)
-    pairs, one groupby collapses the grid, the per-user count reads off
-    it. Raw events never shuffle; the grid is bounded by users x days."""
-    from ray.data.aggregate import Count
-
-    day_us = 86_400_000_000
-    ds = _pq(sf_dir, "events", columns=["user_id", "ts"])
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        d = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False) // day_us
-        ud = np.unique(np.stack([u, d], axis=1), axis=0)
-        return pa.table(
-            {
-                "user_id": pa.array(ud[:, 0], pa.int64()),
-                "day": pa.array(ud[:, 1], pa.int64()),
-            }
-        )
-
-    grid = (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "day"])
-        .aggregate(Count(alias_name="c"))
-    )
-
-    def per_user(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        g = df.groupby("user_id", sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].astype("int64"), pa.int64()),
-                "n_days": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    return (
-        grid.map_batches(per_user, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Sum("n_days", alias_name="n_days"))
-    )
 
 
 def q_price_spread(sf_dir: str):
@@ -3129,42 +1254,6 @@ def q_share_by_flag(sf_dir: str):
     )
 
 
-def q_gap_islands(sf_dir: str, gap_us: int = 1_800_000_000):
-    """Gaps-and-islands: per user, the number of activity islands
-    (runs of events less than 30 min apart) — count of gaps > threshold
-    plus one, computed from ONE vectorized diff per bucket. The
-    counting twin of q_session_windows' row expansion."""
-    n_bkt = default_buckets()
-
-    def islands(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        new_user = np.empty(len(u), dtype=bool)
-        new_user[0] = True
-        new_user[1:] = u[1:] != u[:-1]
-        breaks = new_user.copy()
-        breaks[1:] |= (ts[1:] - ts[:-1]) >= gap_us
-        df = (
-            pd.DataFrame({"user_id": u, "b": breaks.astype(np.int64)})
-            .groupby("user_id", sort=False)["b"]
-            .sum()
-            .reset_index(name="n_islands")
-        )
-        return pd.DataFrame(
-            {
-                "user_id": df["user_id"].astype("int64"),
-                "n_islands": df["n_islands"].astype("int64"),
-            }
-        )
-
-    return (
-        _events_bucketized(sf_dir, n_bkt)
-        .groupby("__b")
-        .map_groups(islands, batch_format="pandas")
-    )
-
-
 # ------------------------------------------------------- r4 wave 5 ------
 def q_pareto_share(sf_dir: str):
     """Pareto concentration: how much of total revenue the top decile
@@ -3235,45 +1324,6 @@ def q_monthly_priority(sf_dir: str):
     )
 
 
-def q_repeat_rate(sf_dir: str):
-    """Repeat-purchase rate: one scalar row — users with >= 2 purchase
-    events over users with >= 1, in e4. Per-batch (user, n_purchases)
-    partials -> one groupby -> two counts on the output-scale table.
-    The fact table is scanned once and never re-shuffled."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["user_id", "event_type"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df[df["event_type"] == "purchase"]
-        g = df.groupby("user_id", sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                "user_id": pa.array(g["user_id"].astype("int64"), pa.int64()),
-                "n": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    per_user = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # output-scale: |purchasing users|
-    )
-    buyers = int(len(per_user))
-    repeat = int((per_user["n"] >= 2).sum())
-    return pa.table(
-        {
-            "n_buyers": pa.array([buyers], pa.int64()),
-            "n_repeat": pa.array([repeat], pa.int64()),
-            "repeat_rate_e4": pa.array(
-                [repeat * 10_000 // buyers if buyers else 0], pa.int64()
-            ),
-        }
-    )
-
-
 def q_brand_type_matrix(sf_dir: str):
     """Brand x type-family part counts where the family is the FIRST
     word of p_type — identical split_part / str-split token on both
@@ -3303,90 +1353,6 @@ def q_brand_type_matrix(sf_dir: str):
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["p_brand", "type_family"])
         .aggregate(Sum("n_parts", alias_name="n_parts"))
-    )
-
-
-def q_hourly_heatmap(sf_dir: str, day_us: int = 86_400_000_000,
-                     hour_us: int = 3_600_000_000):
-    """Weekday x hour activity heatmap from raw epoch integers (the
-    same timezone-trap-free arithmetic as q_weekday_activity):
-    dow = ((days+4) % 7), hour = (epoch_us // 3600e6) % 24."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-        dow = ((ts // day_us) + 4) % 7
-        hour = (ts // hour_us) % 24
-        g = (
-            pd.DataFrame({"dow": dow, "hour": hour})
-            .groupby(["dow", "hour"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "dow": pa.array(g["dow"].astype("int64"), pa.int64()),
-                "hour": pa.array(g["hour"].astype("int64"), pa.int64()),
-                "n_events": pa.array(g["n"].astype("int64"), pa.int64()),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["dow", "hour"])
-        .aggregate(Sum("n_events", alias_name="n_events"))
-    )
-
-
-def q_props_stats(sf_dir: str):
-    """Grouped stats over a JSON-extracted property: per event type,
-    count / integer-avg / max of props.$.k. The extraction is one
-    vectorized C-regex per batch (the props schema is the fixture's
-    {"k": int}); the SQL twin uses json_extract — identical integers
-    either way, then the standard combiner."""
-    from ray.data.aggregate import Max, Sum
-
-    ds = _pq(sf_dir, "events", columns=["event_type", "props"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        k = df["props"].str.extract(r'"k":\s*(-?\d+)', expand=False).astype("int64")
-        g = (
-            pd.DataFrame({"event_type": df["event_type"], "k": k})
-            .groupby("event_type", sort=False)["k"]
-            .agg(["count", "sum", "max"])
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "event_type": pa.array(g["event_type"], pa.string()),
-                "n": pa.array(g["count"].astype("int64"), pa.int64()),
-                "s": pa.array(g["sum"].astype("int64"), pa.int64()),
-                "mx": pa.array(g["max"].astype("int64"), pa.int64()),
-            }
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            Sum("n", alias_name="n"),
-            Sum("s", alias_name="s"),
-            Max("mx", alias_name="mx"),
-        )
-    )
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                "event_type": b.column("event_type"),
-                "n_events": b.column("n"),
-                "avg_k": pc.cast(pc.divide(b.column("s"), b.column("n")), pa.int64()),
-                "max_k": b.column("mx"),
-            }
-        ),
-        batch_format="pyarrow",
     )
 
 
@@ -3463,170 +1429,6 @@ def q_status_year_revenue(sf_dir: str):
             Sum("revenue_cents", alias_name="revenue_cents"),
         )
     )
-
-
-def q_first_purchase(sf_dir: str):
-    """ARGMIN-by-order: per user, the value of their FIRST purchase
-    event under (ts, event_id) ordering. Purchases are filtered at the
-    read (predicate + column pruning), one bucket shuffle on user_id,
-    and the first-row selection is the same vectorized boundary mask
-    as q_first_last — no per-user loop, no window materialization."""
-    n_bkt = default_buckets()
-
-    def first(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_us", "event_id"], kind="mergesort")
-        u = g["user_id"].to_numpy()
-        mask = np.empty(len(u), dtype=bool)
-        mask[0] = True
-        mask[1:] = u[1:] != u[:-1]
-        return pd.DataFrame(
-            {
-                "user_id": u[mask].astype("int64"),
-                "first_value_cents": g["cents"].to_numpy()[mask].astype("int64"),
-            }
-        )
-
-    return (
-        _events_bucketized(sf_dir, n_bkt, cents=True, filter_type="purchase")
-        .groupby("__b")
-        .map_groups(first, batch_format="pandas")
-    )
-
-
-# ------------------------------------------------ distinct coverage curve --
-def q_distinct_growth(sf_dir: str, day_us: int = 86_400_000_000):
-    """Cumulative distinct-coverage curve (the crawl-monitoring chart:
-    how many NEW distinct users/hosts/URLs each day adds, and the
-    running total — a flattening curve means the frontier is recrawling,
-    not discovering). Per day: the count of users whose FIRST-ever event
-    lands on that day, plus the running cumulative.
-
-    Scale shape: first-seen day is a per-user MIN — each batch emits one
-    (user, local_min_day) partial, ONE bucketed shuffle (user % B)
-    resolves the global min vectorized per bucket (the q_retention
-    layout), and the day-grain count table that leaves the exchange is
-    CALENDAR-bounded (a 10-year crawl is ~3.7k rows), so the running sum
-    is a driver cumsum by definition of the output grain."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["user_id", "ts"])
-    n_buckets = default_buckets()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        day = (
-            batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-            // day_us
-        )
-        order = np.lexsort((day, uid))
-        uid, day = uid[order], day[order]
-        first = np.r_[True, uid[1:] != uid[:-1]]
-        u, dmin = uid[first], day[first]
-        return pa.table(
-            {
-                "b": pa.array((u % n_buckets).astype(np.int32), pa.int32()),
-                "user_id": pa.array(u, pa.int64()),
-                "day": pa.array(dmin, pa.int64()),
-            }
-        )
-
-    def bucket_first(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("user_id", sort=False)["day"].min()
-        cnt = m.value_counts().sort_index()
-        return pd.DataFrame(
-            {"day": cnt.index.to_numpy(np.int64),
-             "new_users": cnt.to_numpy(np.int64)}
-        )
-
-    days = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(bucket_first, batch_format="pandas")
-        .groupby("day")
-        .aggregate(Sum("new_users", alias_name="new_users"))
-    ).to_pandas()  # calendar-bounded by definition
-    days = days.sort_values("day").reset_index(drop=True)
-    days["cum_users"] = days["new_users"].cumsum().astype(np.int64)
-    return days
-
-
-# ----------------------------------------------------- burst detection ----
-def q_burst_detect(sf_dir: str, day_us: int = 86_400_000_000):
-    """Volume-burst detection per event type (the trap/hot-topic tripwire
-    a crawl scheduler watches: a host or topic whose daily volume spikes
-    against its trailing-3-day mean gets throttled or prioritized). Per
-    type, the TOP-3 burstiest days by n / sum(previous 3 days) over a
-    COMPLETE consecutive-day trailing window — the ratio is one IEEE
-    division of the same two int64s on both sides, so the DuckDB window
-    twin orders identically (day tie-break), and a top-k (unlike a fixed
-    threshold) stays calibrated as volume smooths with scale.
-
-    Scale shape: the per-(type, day) counts reduce via the combiner
-    (one partial row per batch-type-day), and the lag/rank logic runs on
-    the count table, which is (#types x calendar)-bounded — never
-    event-scale; per-type Python is O(#types)."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "events", columns=["event_type", "ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_pandas()
-        day = (
-            batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
-            // day_us
-        )
-        g = (
-            pd.DataFrame({"event_type": et, "day": day})
-            .groupby(["event_type", "day"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
-        return pa.table(
-            {
-                "event_type": pa.array(g["event_type"], pa.string()),
-                "day": pa.array(g["day"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(g["n"].to_numpy(np.int64), pa.int64()),
-            }
-        )
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "day"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def bursts(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("day", kind="mergesort").reset_index(drop=True)
-        n = g["n"].to_numpy(np.int64)
-        days = g["day"].to_numpy(np.int64)
-        prev3 = np.full(len(g), -1, np.int64)
-        if len(g) >= 4:
-            # complete trailing window = three CONSECUTIVE calendar days
-            consec = (
-                (days[3:] - days[2:-1] == 1)
-                & (days[2:-1] - days[1:-2] == 1)
-                & (days[1:-2] - days[:-3] == 1)
-            )
-            sums = n[:-3] + n[1:-2] + n[2:-1]
-            prev3[3:] = np.where(consec, sums, -1)
-        mask = prev3 > 0
-        out = pd.DataFrame(
-            {
-                "event_type": g["event_type"].to_numpy()[mask],
-                "day": days[mask],
-                "n": n[mask],
-                "prev3": prev3[mask],
-            }
-        )
-        out["__r"] = out["n"].to_numpy(np.float64) / out["prev3"].to_numpy(
-            np.float64
-        )
-        out = out.sort_values(
-            ["__r", "day"], ascending=[False, True], kind="mergesort"
-        ).head(3)
-        return out.drop(columns="__r")
-
-    return counts.groupby("event_type").map_groups(bursts, batch_format="pandas")
 
 
 def q_month_over_month(sf_dir: str):

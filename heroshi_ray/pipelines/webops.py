@@ -14,8 +14,8 @@ arithmetic while the engine runs the real parsing/counting path.
 Scale notes (100 TB):
 - q_sitemap_extract never shuffles: documents are built and parsed
   inside one map_batches chain; output streams.
-- q_trap_detect uses the salted two-level exact-distinct layout
-  (q_grouped_count_distinct's): per-batch local dedup, ONE shuffle on
+- q_trap_detect uses the salted two-level exact-distinct layout:
+  per-batch local dedup, ONE shuffle on
   (host, kind, salt) so a trap host's URL space never lands in one
   group, per-salt vectorized nunique, tiny (host,kind) sum.
 - q_recrawl_schedule buckets by user hash; per-bucket work is a numpy

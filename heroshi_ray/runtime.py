@@ -104,10 +104,9 @@ def task_stage(cls, ctor_kwargs: dict | None = None, volatile: dict | None = Non
 def sorted_block_offsets(sorted_ds, per_block_value):
     """Block refs + EXCLUSIVE prefix offsets of a per-block int reduce
     over a materialized range-sorted Dataset — the distributed
-    row-number / prefix-sum core shared by q_ntile (per-block row
-    counts -> global ranks) and q_pack_sequences (per-block token sums
-    -> global token offsets). Kept in ONE place because its correctness
-    rests on a subtle invariant: ``to_arrow_refs()`` returns blocks in
+    row-number / prefix-sum core of q_pack_sequences (per-block token
+    sums -> global token offsets). Its correctness rests on a subtle
+    invariant: ``to_arrow_refs()`` returns blocks in
     the range-sort's key order, so the cumsum of per-block values IS
     each block's global offset. The metadata round ships one int per
     block to the driver, never rows."""

@@ -1,7 +1,7 @@
-"""Round-3 session-4 corpus-hygiene operators: chunk dedup fork
-equivalence, dense-rank block-seam stress, p99-outlier invariants.
-(The DuckDB hash checks for all six new queries run automatically via
-test_queries_oracle's parametrization.)"""
+"""Corpus-hygiene operators: chunk dedup, PII redaction, k-means,
+edit-distance near-dup, BPE, semantic dedup and duplicate spans. (The DuckDB
+hash checks of the oracled ones run via test_queries_oracle's
+parametrization.)"""
 
 from __future__ import annotations
 
@@ -37,71 +37,6 @@ def test_chunk_dedup_distributed_fork_equivalence(ray_session):
     a = canon(to_df(d.q_chunk_dedup(SF_DIR)))
     b = canon(to_df(d.q_chunk_dedup(SF_DIR, force_distributed=True)))
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-
-
-def test_dense_rank_block_seam_stress(ray_session, tmp_path):
-    """Force MANY tiny sorted blocks over heavily-duplicated values so
-    equal (type, value) runs straddle block boundaries — the seam case
-    the driver's cum-decrement and the attach task's first-segment
-    correction exist for. Verified against DuckDB's dense_rank."""
-    import ray
-    from heroshi_ray.pipelines.relational import q_dense_rank
-
-    rng = np.random.default_rng(7)
-    n = 4000
-    df = pd.DataFrame(
-        {
-            "event_id": np.arange(n, dtype=np.int64),
-            "event_type": rng.choice(["a", "b", "c"], n),
-            # only 5 distinct values -> long equal runs, guaranteed straddles
-            "value": rng.choice([1.0, 2.0, 3.25, 3.25, 7.5], n),
-            "user_id": np.zeros(n, dtype=np.int64),
-            "ts": pd.to_datetime(np.zeros(n), unit="s"),
-            "props": ["{}"] * n,
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
-                   os.path.join(tmp_path, "events.parquet"))
-
-    ctx = ray.data.DataContext.get_current()
-    old = ctx.target_max_block_size
-    ctx.target_max_block_size = 16 * 1024  # ~tiny blocks
-    try:
-        ours = canon(to_df(q_dense_rank(str(tmp_path))))
-    finally:
-        ctx.target_max_block_size = old
-
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW events AS SELECT * FROM '{tmp_path}/events.parquet'"
-    )
-    theirs = canon(con.sql("""
-        SELECT event_id,
-               CAST(dense_rank() OVER (
-                 PARTITION BY event_type
-                 ORDER BY CAST(round(value * 100) AS BIGINT)
-               ) AS BIGINT) AS drank
-        FROM events
-    """).df())
-    pd.testing.assert_frame_equal(ours, theirs, check_dtype=False, check_exact=True)
-
-
-def test_p99_outliers_invariants(ray_session):
-    """Every flagged event strictly exceeds its type's p99; roughly 1%
-    of rows flag (the tail the rule clips)."""
-    from heroshi_ray.pipelines.relational import q_p99_outliers
-
-    out = to_df(q_p99_outliers(SF_DIR))
-    ev = pq.read_table(os.path.join(SF_DIR, "events.parquet")).to_pandas()
-    ev["v_e2"] = (ev["value"] * 100).round().astype("int64")
-    for t, g in ev.groupby("event_type"):
-        v = np.sort(g["v_e2"].to_numpy())
-        thr = int(v[(len(v) - 1) * 99 // 100])
-        flagged = out[out["event_type"] == t]
-        assert (flagged["v_e2"] > thr).all()
-        expect = int((g["v_e2"] > thr).sum())
-        assert len(flagged) == expect
-    assert 0 < len(out) < 0.05 * len(ev)
 
 
 def test_pii_redact_no_residual_pii(ray_session):

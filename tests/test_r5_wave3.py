@@ -182,7 +182,7 @@ def test_cli_query_subcommand(ray_session, monkeypatch):
     from heroshi_ray.__main__ import main
 
     monkeypatch.setattr(ray_mod, "shutdown", lambda *a, **k: None)
-    assert main(["query", "q_groupby_host", "--sf-dir", SF_DIR,
+    assert main(["query", "q_canonicalize", "--sf-dir", SF_DIR,
                  "--oracle", "--head", "0"]) == 0
     assert main(["query", "q_no_such_query"]) == 1
 

@@ -141,6 +141,27 @@ def test_counters_token_dedup(ray_session):
     ray.kill(c2)
 
 
+def test_counters_replay_log_spans_the_epoch(ray_session):
+    """A retried report is dropped however many other reports came
+    between it and the original within the epoch; after the commit
+    (``snapshot``) the same token counts again."""
+    import ray
+
+    from heroshi_ray.state.counters import CountersActor
+
+    c = CountersActor.remote()
+    n = 8193
+    for lo in range(0, n, 1024):  # bounded in-flight calls per round
+        ray.get([c.add.remote(b"tok%d" % i, fetch_ok=1)
+                 for i in range(lo, min(n, lo + 1024))])
+    ray.get(c.add.remote(b"tok0", fetch_ok=1))  # late retry of the first
+    assert ray.get(c.peek.remote())["fetch_ok"] == n
+    assert ray.get(c.snapshot.remote())["fetch_ok"] == n
+    ray.get(c.add.remote(b"tok0", fetch_ok=1))  # next epoch, same content
+    assert ray.get(c.peek.remote())["fetch_ok"] == n + 1
+    ray.kill(c)
+
+
 def test_cuckoo_rng_state_roundtrip():
     """Checkpoint restore replays the exact eviction sequence: drive two
     filters (one restored mid-way, one uninterrupted) through identical
