@@ -7,8 +7,9 @@ look from a shell.
     python bench.py --headline-only  # headline schedule only
     python bench.py --crawl          # crawl loop only
 
-Input is $GRAFT_SF_DIR (default /root/testdata/sf0.1); Ray gets
-$RAY_GRAFT_CPUS CPUs (default: the CPUs this process may run on).
+Input is the sf table dir $GRAFT_SF_DIR (default: the sf0.1 tables);
+Ray gets $RAY_GRAFT_CPUS CPUs (default: the CPUs this process may run
+on).
 $GRAFT_BENCH_REPS (default 6) sets the headline's best-of-N reps and
 $GRAFT_CRAWL_EPOCHS (default 3) the crawl's epochs. Each mode prints ONE
 JSON line; the default one is
