@@ -166,6 +166,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_format_sniff": d.q_format_sniff,
         "q_decode_errors": d.q_decode_errors,
         "q_full_outer": r.q_full_outer,
+        "q_transition_counts": r.q_transition_counts,
         "q_attribution": r.q_attribution,
         "q_skew_join": r.q_skew_join,
         "q_cube": r.q_cube,
@@ -178,6 +179,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_dedup_first": r.q_dedup_first,
         "q_pricing_summary": r.q_pricing_summary,
         "q_string_norm": r.q_string_norm,
+        "q_sliding_window": r.q_sliding_window,
         "q_corpus_rollup": r.q_corpus_rollup,
         "q_pivot_status": r.q_pivot_status,
         "q_group_median": r.q_group_median,
@@ -2585,6 +2587,18 @@ def oracle_sql() -> dict[str, str]:
                         ELSE 'customer' END AS side
             FROM e FULL OUTER JOIN c ON e.key = c.key
         """,
+        # per-user consecutive event-type transitions (ties on ts break
+        # by event_id, exactly the engine's mergesort order)
+        "q_transition_counts": """
+            SELECT prev_type, next_type, CAST(count(*) AS BIGINT) AS n FROM (
+              SELECT event_type AS prev_type,
+                     LEAD(event_type) OVER (
+                         PARTITION BY user_id ORDER BY ts, event_id
+                     ) AS next_type
+              FROM events
+            ) WHERE next_type IS NOT NULL
+            GROUP BY prev_type, next_type
+        """,
         # last-touch attribution: purchase -> most recent click by the
         # same user strictly within 1h; ties on ts resolve to max
         # click event_id (the engine's merge_asof last-row rule)
@@ -2702,6 +2716,15 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, lower(trim(text)) AS text_norm,
                    CAST(length(lower(trim(text))) AS BIGINT) AS n_chars_norm
             FROM documents
+        """,
+        "q_sliding_window": """
+            SELECT win_start, CAST(count(*) AS BIGINT) AS n FROM (
+                SELECT make_timestamp((epoch_us(ts) // 1800000000) * 1800000000)
+                       AS win_start FROM events
+                UNION ALL
+                SELECT make_timestamp(((epoch_us(ts) // 1800000000) - 1) * 1800000000)
+                       AS win_start FROM events
+            ) GROUP BY win_start
         """,
         "q_corpus_rollup": r"""
             SELECT COALESCE(lang, 'ALL') AS lang,

@@ -4,7 +4,7 @@
 - frontier: flagship schedule pipeline + bench input synthesis
 - verify: M10 corpus invariant vs reference
 - relational: DuckDB-oracled aggregate and join operators over single
-  TPC-H tables, the documents table and four events ops
+  TPC-H tables, the documents table and six events ops
 - curation: image+caption curation to tar shards, LLM-text composite
 - webops: DuckDB-oracled crawl-web operators (sitemaps, traps, recrawl,
   redirects, politeness plans)

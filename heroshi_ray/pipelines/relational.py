@@ -694,6 +694,99 @@ def q_attribution(sf_dir: str, window_us: int = 3_600_000_000):
     )
 
 
+def q_transition_counts(sf_dir: str, n_buckets: int | None = None):
+    """Per-user consecutive event-type TRANSITION counts (the Markov
+    transition matrix a session/recrawl model estimates from): for each
+    user's ts-ordered event stream, count (prev_type -> next_type)
+    adjacencies globally. Deterministic: ties in ts break on event_id,
+    matching the SQL LEAD() twin exactly.
+
+    One bucketed shuffle on hash(user) % B co-locates each user's rows
+    (q_attribution's layout); the per-bucket body is one mergesort +
+    one shift — O(buckets) Python calls. Per-bucket output is already
+    the (prev, next, n) partial matrix, so the final rollup is
+    key-bounded at |types|^2 rows per bucket and merges on the driver
+    (the measured fuse-the-tail rule: a chained groupby all-to-all
+    costs more wall than a <=B x |types|^2-row driver merge at any
+    scale — transitions across buckets never exist because a user
+    lives in exactly one bucket)."""
+    B = n_buckets or default_buckets()
+    ds = _pq(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
+
+    def add_bucket(batch: pa.Table) -> pa.Table:
+        b = (
+            batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.uint64)
+            % np.uint64(B)
+        ).astype(np.int32)
+        return batch.append_column("__b", pa.array(b, pa.int32()))
+
+    def transitions(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+        same_user = g["user_id"].shift(-1) == g["user_id"]
+        t = pd.DataFrame(
+            {
+                "prev_type": g["event_type"][same_user],
+                "next_type": g["event_type"].shift(-1)[same_user],
+            }
+        )
+        out = (
+            t.groupby(["prev_type", "next_type"], as_index=False)
+            .size()
+            .rename(columns={"size": "n"})
+        )
+        out["n"] = out["n"].astype("int64")
+        return out
+
+    parts = (
+        ds.map_batches(add_bucket, batch_format="pyarrow")
+        .groupby("__b")
+        .map_groups(transitions, batch_format="pandas")
+        .to_pandas()  # <= B x |types|^2 rows
+    )
+    agg = (
+        parts.groupby(["prev_type", "next_type"], as_index=False)["n"]
+        .sum()
+        .sort_values(["prev_type", "next_type"])
+    )
+    return pa.table(
+        {
+            "prev_type": pa.array(agg["prev_type"], pa.string()),
+            "next_type": pa.array(agg["next_type"], pa.string()),
+            "n": pa.array(agg["n"].astype("int64"), pa.int64()),
+        }
+    )
+
+
+def q_sliding_window(sf_dir: str):
+    """1-hour windows sliding every 30 minutes over the event stream:
+    each event lands in exactly the two half-hour-grid windows covering
+    it, emitted and partial-counted inside map_batches (combiner), then
+    one tiny groupby over window starts. The streaming-window shape with
+    overlap — no self-join, no range shuffle."""
+    ds = _pq(sf_dir, "events", columns=["ts"])
+    W = 1_800_000_000  # 30 min in us
+
+    def partial(batch: pa.Table) -> pa.Table:
+        us = batch.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
+        w0 = (us // W) * W
+        wins = np.concatenate([w0, w0 - W])
+        u, c = np.unique(wins, return_counts=True)
+        return pa.table(
+            {
+                "win_start": pa.array(u, pa.timestamp("us")),
+                "cnt": pa.array(c.astype(np.int64), pa.int64()),
+            }
+        )
+
+    from ray.data.aggregate import Sum
+
+    return (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("win_start")
+        .aggregate(Sum("cnt", alias_name="n"))
+    )
+
+
 def q_corpus_rollup(sf_dir: str):
     """GROUP BY ROLLUP (lang, source) — the subtotal/grand-total report
     shape (SQL:1999 §7.9; every BI stack emits it): token and doc

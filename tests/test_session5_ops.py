@@ -169,6 +169,18 @@ def test_semantic_decontaminate_properties(ray_session):
         assert truth[int(r.vec_id)] == int(r.cos_sim_e4)
 
 
+def test_transition_counts_mass_conservation(ray_session):
+    """Sum of all transition counts == sum over users of (n_events - 1)."""
+    from heroshi_ray.pipelines import relational as r
+
+    out = to_df(r.q_transition_counts(SF_DIR))
+    ev = pq.read_table(
+        os.path.join(SF_DIR, "events.parquet"), columns=["user_id"]
+    ).to_pandas()
+    per_user = ev.groupby("user_id").size()
+    assert out["n"].sum() == int((per_user - 1).clip(lower=0).sum())
+
+
 def test_grouped_tdigest_rank_error(ray_session):
     """Per-group t-digest quantiles land within 1.5% RANK error of the
     exact per-group sorted values (t-digest guarantees rank, not value,
