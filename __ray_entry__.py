@@ -35,7 +35,6 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     from heroshi_ray.pipelines import curation as c
     from heroshi_ray.pipelines import dataops as d
-    from heroshi_ray.pipelines import relational as r
     from heroshi_ray.pipelines import webops as w
     from heroshi_ray.pipelines.frontier import (
         frontier_schedule_counts,
@@ -165,40 +164,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_blur_detect": d.q_blur_detect,
         "q_format_sniff": d.q_format_sniff,
         "q_decode_errors": d.q_decode_errors,
-        "q_full_outer": r.q_full_outer,
-        "q_transition_counts": r.q_transition_counts,
-        "q_attribution": r.q_attribution,
-        "q_skew_join": r.q_skew_join,
-        "q_cube": r.q_cube,
-        "q_filter_agg": r.q_filter_agg,
-        "q_small_qty_revenue": r.q_small_qty_revenue,
-        "q_stratified_sample": r.q_stratified_sample,
-        "q_range_join": r.q_range_join,
-        "q_global_topk": r.q_global_topk,
-        "q_count_distinct": r.q_count_distinct,
-        "q_dedup_first": r.q_dedup_first,
-        "q_pricing_summary": r.q_pricing_summary,
-        "q_string_norm": r.q_string_norm,
-        "q_sliding_window": r.q_sliding_window,
-        "q_corpus_rollup": r.q_corpus_rollup,
-        "q_pivot_status": r.q_pivot_status,
-        "q_group_median": r.q_group_median,
-        "q_percent_rank": r.q_percent_rank,
-        "q_string_agg": r.q_string_agg,
-        "q_histogram": r.q_histogram,
-        "q_doc_stats_by_lang": r.q_doc_stats_by_lang,
-        "q_weekly_revenue": r.q_weekly_revenue,
-        "q_url_host_stats": r.q_url_host_stats,
-        "q_second_highest": r.q_second_highest,
-        "q_price_spread": r.q_price_spread,
-        "q_share_by_flag": r.q_share_by_flag,
-        "q_pareto_share": r.q_pareto_share,
-        "q_monthly_priority": r.q_monthly_priority,
-        "q_brand_type_matrix": r.q_brand_type_matrix,
-        "q_name_tokens": r.q_name_tokens,
-        "q_status_year_revenue": r.q_status_year_revenue,
-        "q_month_over_month": r.q_month_over_month,
-        "q_dedup_cluster_hist": r.q_dedup_cluster_hist,
+        "q_dedup_first": d.q_dedup_first,
+        "q_dedup_cluster_hist": d.q_dedup_cluster_hist,
         # rows-only (stateful, iterative or binary: not SQL-expressible;
         # pinned by replica and invariant tests instead)
         "q_frontier_schedule": lambda sf: run_flagship(
@@ -2569,123 +2536,6 @@ def oracle_sql() -> dict[str, str]:
                    (p_partkey % 5 NOT IN (2, 4)) AS decode_ok
             FROM part WHERE p_partkey < 96
         """,
-        # FULL OUTER JOIN reconciliation of activity vs accounts
-        "q_full_outer": """
-            WITH e AS (
-              SELECT user_id AS key, CAST(count(*) AS BIGINT) AS n_events
-              FROM events GROUP BY 1
-            ), c AS (
-              SELECT c_custkey AS key,
-                     CAST(round(c_acctbal * 100) AS BIGINT) AS acctbal_e2
-              FROM customer
-            )
-            SELECT COALESCE(e.key, c.key) AS key,
-                   COALESCE(e.n_events, 0) AS n_events,
-                   COALESCE(c.acctbal_e2, -1) AS acctbal_e2,
-                   CASE WHEN e.key IS NOT NULL AND c.key IS NOT NULL THEN 'both'
-                        WHEN e.key IS NOT NULL THEN 'events'
-                        ELSE 'customer' END AS side
-            FROM e FULL OUTER JOIN c ON e.key = c.key
-        """,
-        # per-user consecutive event-type transitions (ties on ts break
-        # by event_id, exactly the engine's mergesort order)
-        "q_transition_counts": """
-            SELECT prev_type, next_type, CAST(count(*) AS BIGINT) AS n FROM (
-              SELECT event_type AS prev_type,
-                     LEAD(event_type) OVER (
-                         PARTITION BY user_id ORDER BY ts, event_id
-                     ) AS next_type
-              FROM events
-            ) WHERE next_type IS NOT NULL
-            GROUP BY prev_type, next_type
-        """,
-        # last-touch attribution: purchase -> most recent click by the
-        # same user strictly within 1h; ties on ts resolve to max
-        # click event_id (the engine's merge_asof last-row rule)
-        "q_attribution": """
-            SELECT purchase_id, click_id, gap_us FROM (
-              SELECT p.event_id AS purchase_id, c.event_id AS click_id,
-                     CAST(epoch_us(p.ts) - epoch_us(c.ts) AS BIGINT)
-                         AS gap_us,
-                     row_number() OVER (PARTITION BY p.event_id
-                         ORDER BY c.ts DESC, c.event_id DESC) AS rn
-              FROM events p JOIN events c
-                ON c.user_id = p.user_id AND c.event_type = 'click'
-               AND c.ts <= p.ts
-               AND epoch_us(p.ts) - epoch_us(c.ts) < 3600000000
-              WHERE p.event_type = 'purchase'
-            ) WHERE rn = 1
-        """,
-        # skewed-key dim enrichment (salted-join demo; oracle is the
-        # plain join — both engine plans must reproduce it)
-        "q_skew_join": """
-            SELECT e.event_id, e.event_type, t.type_n
-            FROM events e
-            JOIN (
-              SELECT event_type, CAST(count(*) AS BIGINT) AS type_n
-              FROM events GROUP BY 1
-            ) t USING (event_type)
-        """,
-        # CUBE grouping sets, subtotals coalesced to 'ALL'
-        "q_cube": """
-            SELECT COALESCE(l_returnflag, 'ALL') AS l_returnflag,
-                   COALESCE(l_linestatus, 'ALL') AS l_linestatus,
-                   CAST(count(*) AS BIGINT) AS n_rows,
-                   CAST(sum(CAST(round(l_quantity * 100) AS BIGINT)) AS BIGINT)
-                       AS qty_e2
-            FROM lineitem
-            GROUP BY CUBE(l_returnflag, l_linestatus)
-        """,
-        "q_filter_agg": """
-            SELECT CAST(sum(e2 * d2) AS BIGINT) AS revenue_e4,
-                   CAST(count(*) AS BIGINT) AS n
-            FROM (SELECT CAST(round(l_extendedprice * 100) AS BIGINT) AS e2,
-                         CAST(round(l_discount * 100) AS BIGINT) AS d2,
-                         l_quantity, l_shipdate
-                  FROM lineitem)
-            WHERE l_shipdate >= DATE '1996-01-01'
-              AND l_shipdate < DATE '1997-01-01'
-              AND d2 BETWEEN 5 AND 7 AND l_quantity < 24
-        """,
-        "q_small_qty_revenue": """
-            SELECT CAST(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT))
-                        AS BIGINT) AS revenue_e2,
-                   CAST(count(*) AS BIGINT) AS n
-            FROM lineitem l JOIN (
-                SELECT l_partkey,
-                       sum(CAST(round(l_quantity) AS BIGINT)) AS s,
-                       count(*) AS cnt
-                FROM lineitem GROUP BY l_partkey
-            ) p ON l.l_partkey = p.l_partkey
-            WHERE 5 * CAST(round(l.l_quantity) AS BIGINT) * p.cnt < p.s
-        """,
-        "q_stratified_sample": """
-            SELECT c_custkey, c_mktsegment, c_acctbal FROM (
-                SELECT c_custkey, c_mktsegment, c_acctbal,
-                       row_number() OVER (PARTITION BY c_mktsegment
-                                          ORDER BY (c_custkey * 2654435761) % 1000003,
-                                                   c_custkey) AS rn
-                FROM customer) t WHERE rn <= 20
-        """,
-        "q_range_join": """
-            SELECT o.o_orderkey, o.o_totalprice, b.band_id FROM orders o JOIN (
-                SELECT CAST(0 AS BIGINT) AS band_id, 0.0 AS lo, 1000.0 AS hi
-                UNION ALL SELECT 1, 1000.0, 5000.0
-                UNION ALL SELECT 2, 5000.0, 20000.0
-                UNION ALL SELECT 3, 20000.0, 75000.0
-                UNION ALL SELECT 4, 75000.0, 150000.0
-                UNION ALL SELECT 5, 150000.0, 300000.0
-                UNION ALL SELECT 6, 300000.0, 1e18
-            ) b ON o.o_totalprice >= b.lo AND o.o_totalprice < b.hi
-        """,
-        "q_global_topk": """
-            SELECT o_orderkey, o_custkey, o_totalprice
-            FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 100
-        """,
-        "q_count_distinct": """
-            SELECT CAST(count(DISTINCT l_orderkey) AS BIGINT) AS n_distinct
-            FROM lineitem
-        """,
         "q_dedup_first": """
             SELECT l_orderkey, l_partkey, l_linenumber, l_quantity FROM (
                 SELECT l_orderkey, l_partkey, l_linenumber, l_quantity,
@@ -2694,213 +2544,6 @@ def oracle_sql() -> dict[str, str]:
                                                    l_quantity) AS rn
                 FROM lineitem
             ) WHERE rn = 1
-        """,
-        "q_pricing_summary": """
-            SELECT l_returnflag, l_linestatus,
-                   CAST(sum(CAST(round(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
-                   CAST(sum(e2) AS BIGINT) AS sum_base_e2,
-                   CAST(sum(e2 * (100 - d2)) AS BIGINT) AS sum_disc_e4,
-                   CAST(sum(e2 * (100 - d2) * (100 + t2)) AS BIGINT) AS sum_charge_e6,
-                   CAST(count(*) AS BIGINT) AS n
-            FROM (
-                SELECT l_returnflag, l_linestatus, l_quantity,
-                       CAST(round(l_extendedprice * 100) AS BIGINT) AS e2,
-                       CAST(round(l_discount * 100) AS BIGINT) AS d2,
-                       CAST(round(l_tax * 100) AS BIGINT) AS t2
-                FROM lineitem
-                WHERE l_shipdate <= DATE '1998-09-01'
-            )
-            GROUP BY l_returnflag, l_linestatus
-        """,
-        "q_string_norm": """
-            SELECT doc_id, lower(trim(text)) AS text_norm,
-                   CAST(length(lower(trim(text))) AS BIGINT) AS n_chars_norm
-            FROM documents
-        """,
-        "q_sliding_window": """
-            SELECT win_start, CAST(count(*) AS BIGINT) AS n FROM (
-                SELECT make_timestamp((epoch_us(ts) // 1800000000) * 1800000000)
-                       AS win_start FROM events
-                UNION ALL
-                SELECT make_timestamp(((epoch_us(ts) // 1800000000) - 1) * 1800000000)
-                       AS win_start FROM events
-            ) GROUP BY win_start
-        """,
-        "q_corpus_rollup": r"""
-            SELECT COALESCE(lang, 'ALL') AS lang,
-                   COALESCE(source, 'ALL') AS source,
-                   CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(SUM(len(string_split(text, ' '))) AS BIGINT)
-                     AS n_tokens
-            FROM documents
-            GROUP BY ROLLUP (lang, source)
-        """,
-        "q_pivot_status": r"""
-            SELECT o_orderpriority,
-                   CAST(SUM(CASE WHEN o_orderstatus='F' THEN 1 ELSE 0 END)
-                     AS BIGINT) AS n_f,
-                   CAST(SUM(CASE WHEN o_orderstatus='O' THEN 1 ELSE 0 END)
-                     AS BIGINT) AS n_o,
-                   CAST(SUM(CASE WHEN o_orderstatus='P' THEN 1 ELSE 0 END)
-                     AS BIGINT) AS n_p
-            FROM orders GROUP BY o_orderpriority
-        """,
-        "q_group_median": r"""
-            SELECT o_orderpriority,
-                   CAST(quantile_disc(CAST(round(o_totalprice*100) AS BIGINT),
-                                      0.5) AS BIGINT) AS median_cents
-            FROM orders GROUP BY o_orderpriority
-        """,
-        "q_percent_rank": r"""
-            WITH r AS (
-              SELECT s_suppkey,
-                     rank() OVER (PARTITION BY s_nationkey
-                                  ORDER BY CAST(round(s_acctbal*100) AS BIGINT))
-                       AS rk,
-                     count(*) OVER (PARTITION BY s_nationkey) AS cnt
-              FROM supplier)
-            SELECT s_suppkey,
-                   CAST(CASE WHEN cnt = 1 THEN 0
-                             ELSE (10*(rk-1)) // (cnt-1) END AS BIGINT)
-                     AS decile
-            FROM r
-        """,
-        "q_string_agg": r"""
-            SELECT CAST(s_nationkey AS BIGINT) AS s_nationkey,
-                   string_agg(s_name, ',' ORDER BY s_name) AS names
-            FROM supplier GROUP BY s_nationkey
-        """,
-        "q_histogram": r"""
-            SELECT CAST(LEAST(CAST(round(o_totalprice*100) AS BIGINT)
-                              // 5000000, 19) AS BIGINT) AS bin,
-                   CAST(count(*) AS BIGINT) AS n_orders
-            FROM orders GROUP BY 1
-        """,
-        "q_doc_stats_by_lang": r"""
-            SELECT lang,
-                   CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(SUM(n_chars) // count(*) AS BIGINT) AS avg_chars,
-                   CAST(max(n_chars) AS BIGINT) AS max_chars,
-                   CAST(count(DISTINCT source) AS BIGINT) AS n_sources
-            FROM documents GROUP BY lang
-        """,
-        "q_weekly_revenue": r"""
-            WITH w AS (
-              SELECT epoch_us(o_orderdate) // 604800000000 AS week,
-                     SUM(CAST(round(o_totalprice*100) AS BIGINT)) AS revenue_cents
-              FROM orders GROUP BY 1)
-            SELECT CAST(week AS BIGINT) AS week,
-                   CAST(revenue_cents AS BIGINT) AS revenue_cents,
-                   CAST(COALESCE(revenue_cents
-                                 - lag(revenue_cents) OVER (ORDER BY week), 0)
-                     AS BIGINT) AS wow_delta
-            FROM w
-        """,
-        "q_url_host_stats": r"""
-            WITH u AS (
-              SELECT 'h' || CAST(user_id % 40 AS VARCHAR) || '.example' AS host,
-                     '/e/' || CAST(event_id % 1000 AS VARCHAR) AS path
-              FROM events)
-            SELECT host,
-                   CAST(count(*) AS BIGINT) AS n_urls,
-                   CAST(count(DISTINCT path) AS BIGINT) AS n_paths
-            FROM u GROUP BY host
-        """,
-        "q_second_highest": r"""
-            WITH r AS (
-              SELECT c_mktsegment, c_custkey,
-                     CAST(round(c_acctbal*100) AS BIGINT) AS cents,
-                     dense_rank() OVER
-                       (PARTITION BY c_mktsegment
-                        ORDER BY CAST(round(c_acctbal*100) AS BIGINT) DESC)
-                       AS dr
-              FROM customer)
-            SELECT c_mktsegment,
-                   CAST(min(c_custkey) AS BIGINT) AS c_custkey,
-                   CAST(min(cents) AS BIGINT) AS balance_cents
-            FROM r WHERE dr = 2 GROUP BY c_mktsegment
-        """,
-        "q_price_spread": r"""
-            WITH b AS (
-              SELECT p_brand,
-                     min(CAST(round(p_retailprice*100) AS BIGINT)) AS min_cents,
-                     max(CAST(round(p_retailprice*100) AS BIGINT)) AS max_cents
-              FROM part GROUP BY p_brand)
-            SELECT p_brand, CAST(min_cents AS BIGINT) AS min_cents,
-                   CAST(max_cents AS BIGINT) AS max_cents,
-                   CAST(max_cents - min_cents AS BIGINT) AS spread_cents
-            FROM b
-        """,
-        "q_share_by_flag": r"""
-            WITH b AS (
-              SELECT l_returnflag, l_linestatus,
-                     SUM(CAST(round(l_quantity) AS BIGINT)) AS sum_qty
-              FROM lineitem GROUP BY 1, 2
-            ), t AS (SELECT SUM(sum_qty) AS total FROM b)
-            SELECT l_returnflag, l_linestatus,
-                   CAST(sum_qty AS BIGINT) AS sum_qty,
-                   CAST((sum_qty * 10000) // total AS BIGINT) AS share_e4
-            FROM b, t
-        """,
-        "q_pareto_share": r"""
-            WITH c AS (
-              SELECT o_custkey,
-                     SUM(CAST(round(o_totalprice*100) AS BIGINT)) AS rev
-              FROM orders GROUP BY o_custkey
-            ), t AS (SELECT quantile_disc(rev, 0.9) AS thr FROM c)
-            SELECT CAST(count(*) AS BIGINT) AS n_customers,
-                   CAST(SUM(CASE WHEN rev >= thr THEN 1 ELSE 0 END)
-                     AS BIGINT) AS n_top,
-                   CAST(min(thr) AS BIGINT) AS threshold_cents,
-                   CAST(SUM(CASE WHEN rev >= thr THEN rev ELSE 0 END) * 10000
-                        // SUM(rev) AS BIGINT) AS top_share_e4
-            FROM c, t
-        """,
-        "q_monthly_priority": r"""
-            SELECT strftime(o_orderdate, '%Y-%m') AS month,
-                   o_orderpriority,
-                   CAST(count(*) AS BIGINT) AS n_orders
-            FROM orders GROUP BY 1, 2
-        """,
-        "q_brand_type_matrix": r"""
-            SELECT p_brand,
-                   split_part(p_type, ' ', 1) AS type_family,
-                   CAST(count(*) AS BIGINT) AS n_parts
-            FROM part GROUP BY 1, 2
-        """,
-        "q_name_tokens": r"""
-            WITH t AS (
-              SELECT unnest(string_split(p_name, ' ')) AS token FROM part
-            ), c AS (
-              SELECT token, count(*) AS n FROM t GROUP BY token)
-            SELECT token, CAST(n AS BIGINT) AS n,
-                   CAST(row_number() OVER (ORDER BY n DESC, token) AS BIGINT)
-                     AS rk
-            FROM c ORDER BY n DESC, token LIMIT 20
-        """,
-        "q_status_year_revenue": r"""
-            SELECT strftime(o_orderdate, '%Y') AS year,
-                   o_orderstatus,
-                   CAST(count(*) AS BIGINT) AS n_orders,
-                   CAST(SUM(CAST(round(o_totalprice*100) AS BIGINT)) AS BIGINT)
-                     AS revenue_cents
-            FROM orders GROUP BY 1, 2
-        """,
-        # month-over-month twin: LAG over exact int64 cents
-        "q_month_over_month": """
-            WITH m AS (
-              SELECT strftime(o_orderdate, '%Y-%m') AS month,
-                     CAST(SUM(CAST(round(o_totalprice * 100) AS BIGINT))
-                          AS BIGINT) AS revenue_e2
-              FROM orders GROUP BY 1
-            )
-            SELECT month, revenue_e2,
-                   CAST(COALESCE(LAG(revenue_e2) OVER (ORDER BY month), 0)
-                        AS BIGINT) AS prev_revenue_e2,
-                   CAST(revenue_e2
-                        - COALESCE(LAG(revenue_e2) OVER (ORDER BY month), 0)
-                        AS BIGINT) AS delta_e2
-            FROM m
         """,
         # duplication-profile twin: cluster sizes from GROUP BY text,
         # histogram over the sizes

@@ -136,6 +136,70 @@ def q_dedup_exact(sf_dir: str):
     return dedup_first(ds, key="text", tie_cols=("doc_id",), n_buckets=default_buckets())
 
 
+def q_dedup_first(sf_dir: str):
+    """First lineitem row per l_orderkey, ties broken by (l_linenumber,
+    l_partkey, l_quantity): ``dedup_first`` with an integer key and a
+    three-column tie-break (``q_dedup_exact`` covers a string key and
+    one tie column)."""
+    ds = _pq(
+        sf_dir, "lineitem",
+        columns=["l_orderkey", "l_partkey", "l_linenumber", "l_quantity"],
+    )
+    return dedup_first(
+        ds, key="l_orderkey",
+        tie_cols=("l_linenumber", "l_partkey", "l_quantity"),
+        n_buckets=default_buckets(),
+    )
+
+
+def q_dedup_cluster_hist(sf_dir: str):
+    """Duplicate-cluster size profile — the corpus-card histogram
+    (cluster_size, n_clusters) over exact text duplicates: size 1 =
+    unique docs, the tail shows how pathological the duplication is
+    (Lee et al. 2022 report exactly this curve before/after dedup).
+
+    Layout: per-batch partial (text, n) counts collapse each block's
+    repeats before the shuffle (combiner), ONE groupby on text merges
+    partials (grouping by the text itself keeps exactness — no hash
+    collision caveat), and the histogram reduce runs over cluster
+    SIZES (tiny int domain). Only distinct texts cross the wire."""
+    from ray.data.aggregate import Sum
+
+    ds = _pq(sf_dir, "documents", columns=["text"])
+
+    def partial(batch: pa.Table) -> pa.Table:
+        df = batch.to_pandas()
+        g = df.groupby("text", sort=False).size().reset_index(name="n")
+        return pa.table(
+            {
+                "text": pa.array(g["text"], pa.string()),
+                "n": pa.array(g["n"].astype("int64"), pa.int64()),
+            }
+        )
+
+    sizes = (
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("text")
+        .aggregate(Sum("n", alias_name="n"))
+    )
+
+    def to_hist(batch: pa.Table) -> pa.Table:
+        n = batch.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
+        ids, cnt = np.unique(n, return_counts=True)
+        return pa.table(
+            {
+                "cluster_size": pa.array(ids, pa.int64()),
+                "n_clusters": pa.array(cnt.astype(np.int64), pa.int64()),
+            }
+        )
+
+    return (
+        sizes.map_batches(to_hist, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("cluster_size")
+        .aggregate(Sum("n_clusters", alias_name="n_clusters"))
+    )
+
+
 def q_fingerprint(sf_dir: str):
     ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -488,18 +552,6 @@ def q_minhash_neardup(
     )
 
 
-def q_simhash(sf_dir: str):
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def sh(batch: pa.Table) -> pa.Table:
-        v = simhash64(batch.column("text").to_pylist())
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "simhash": pa.array(v, pa.int64())}
-        )
-
-    return ds.map_batches(sh, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # --------------------------------------------------------------- text ---
 def q_token_count(sf_dir: str):
     ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
@@ -747,8 +799,8 @@ def q_tfidf(sf_dir: str, terms: tuple = ("table", "hash", "sort")):
 # ---------------------------------------------------------------- ANN ---
 def _query_matrix(sf_dir: str, n_queries: int, with_label: bool = False):
     """First ``n_queries`` vectors by vec_id, selected with a distributed
-    per-block partial min-n + tiny driver merge (the q_global_topk
-    pattern). Each block contributes at most n_queries rows to the
+    per-block partial min-n + tiny driver merge (shuffle-free global
+    top-n). Each block contributes at most n_queries rows to the
     driver, so this never materializes the embeddings table — at 100 TB
     the driver sees O(blocks * n_queries) rows, not the corpus."""
     cols = ["vec_id", "embedding"] + (["label"] if with_label else [])
@@ -7294,9 +7346,9 @@ def q_rrf_fusion(sf_dir: str, topn: int = 100, kk: int = 60):
     terms sum in fixed (bm25, tfidf) order and round e6.
 
     Scale shape: each ranker's global top-n is a per-block partial
-    top-n + tiny driver merge (the q_global_topk pattern — no full
-    sort); the fusion itself touches at most 2*topn rows. Output:
-    (doc_id, rrf_e6) for the union of both top-n lists."""
+    top-n + tiny driver merge (no full sort); the fusion itself
+    touches at most 2*topn rows. Output: (doc_id, rrf_e6) for the
+    union of both top-n lists."""
     def top_ranks(ds, col: str) -> dict:
         def part(batch: pa.Table, _c=col) -> pa.Table:
             order = pc.sort_indices(
@@ -9267,9 +9319,9 @@ def q_ndcg(sf_dir: str, k: int = 10, n_queries: int = 10):
     convention).
 
     Scale shape: per-batch partial top-k per qid for BOTH orderings
-    (system: score desc; ideal: rel desc) — the q_global_topk pattern
-    — so the driver merge sees <= 2*k*n_queries*blocks label rows,
-    never the corpus. Output: (qid, ndcg_e6)."""
+    (system: score desc; ideal: rel desc), merged on the driver with no
+    full sort, so the driver merge sees <= 2*k*n_queries*blocks label
+    rows, never the corpus. Output: (qid, ndcg_e6)."""
     ds = _pq(sf_dir, "documents", columns=["doc_id"], split=True)
 
     def part(batch: pa.Table) -> pa.Table:

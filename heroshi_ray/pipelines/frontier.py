@@ -377,8 +377,10 @@ def frontier_schedule_counts(
     canonicalizer collapse, robots longest-match gate, global exact
     dedup, and the per-host budget arithmetic of the flagship path in
     one driver check. epoch_budget is set non-binding (97 hosts x
-    budget rows total — the global cut is driver-green separately via
-    q_global_topk).
+    budget rows total). The global cut is checked elsewhere:
+    ``test_fused_schedule``'s ``epoch_budget=3`` case, and the
+    ``handout-catchup`` benchmark reference, whose epoch limit binds
+    (``perfbench/reference.py``).
 
     The handout is bounded by design (hosts x budget); the final
     projection groups it with one polars pass on the driver, exactly

@@ -749,10 +749,10 @@ def q_crawl_delta(sf_dir: str):
     are md5 hex — hashlib and DuckDB md5() agree byte-for-byte, which
     is the point: at 100 TB you diff DIGESTS, never text.
 
-    Scale shape: q_full_outer's layout — both snapshots stream to
-    (doc_id, digest, side) rows, ONE bucketed shuffle on doc_id moves
-    32-byte digests (never text), per-bucket vectorized pandas outer
-    merge emits the status. Output: (doc_id, status)."""
+    Scale shape: a full outer join by bucketed shuffle — both snapshots
+    stream to (doc_id, digest, side) rows, ONE bucketed shuffle on
+    doc_id moves 32-byte digests (never text), per-bucket vectorized
+    pandas outer merge emits the status. Output: (doc_id, status)."""
     import hashlib
 
     n_bkt = default_buckets()
@@ -1590,7 +1590,10 @@ def q_redirect_resolve(
         .groupby("url_id")
         .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
     )
-    # extend the domain with terminal self-maps for absent targets
+    # extend the domain with terminal self-maps for absent targets. The
+    # set difference is per batch, so a target that is a real url in
+    # another batch gets a self-map too: the rows are tagged, and the
+    # per-url pick below keeps the real edge whenever one exists
     def with_terminals(batch: pa.Table) -> pa.Table:
         u = batch.column("url_id").to_numpy(zero_copy_only=False)
         n = batch.column("next_id").to_numpy(zero_copy_only=False)
@@ -1599,13 +1602,20 @@ def q_redirect_resolve(
             {
                 "url_id": pa.array(np.concatenate([u, extra]), pa.int64()),
                 "next_id": pa.array(np.concatenate([n, extra]), pa.int64()),
+                "synthetic": pa.array(
+                    np.repeat([False, True], [len(u), len(extra)]), pa.bool_()
+                ),
             }
         )
+
+    def real_first(g: pa.Table) -> pa.Table:
+        i = int(np.argmin(g.column("synthetic").to_numpy(zero_copy_only=False)))
+        return g.slice(i, 1).drop_columns(["synthetic"])
 
     fmap = (
         base.map_batches(with_terminals, batch_format="pyarrow")
         .groupby("url_id")
-        .map_groups(lambda g: g.slice(0, 1), batch_format="pyarrow")
+        .map_groups(real_first, batch_format="pyarrow")
         .repartition(nparts)
         .materialize()
     )

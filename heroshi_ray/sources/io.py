@@ -96,12 +96,6 @@ def read_fetch_jsonl(path: str) -> "ray.data.Dataset":
     return ds.map_batches(dec, batch_format="pyarrow")
 
 
-def read_corpus(path: str) -> "ray.data.Dataset":
-    """S1: the image+caption table. Parquet today; the Lance-format reader
-    slots in here when pylance is available (same schema — SURVEY.md §7.6)."""
-    return ray.data.read_parquet(path)
-
-
 def epoch_dir(workdir: str, epoch: int) -> str:
     return os.path.join(workdir, f"epoch={epoch}")
 

@@ -61,17 +61,15 @@ class SeenShard:
     content-derived ``token`` per (batch, shard) call; the shard records
     the answer and replays it if the same token asks again (a retried
     map task would otherwise find its keys already inserted and silently
-    drop every row). The replay log is an LRU (retries arrive within
-    seconds of the original) and is cleared at every checkpoint save —
-    after a commit, intra-epoch retries are covered by epoch resume."""
-
-    REPLAY_MAX = 4096
+    drop every row). The replay log spans the epoch, so a retry finds
+    its answer however many other calls came between: it is cleared at
+    the checkpoint ``save`` (after a commit, epoch resume covers
+    retries) and at ``load``, which replaces the state its answers
+    refer to."""
 
     def __init__(self, capacity: int):
-        from collections import OrderedDict
-
         self.cf = CuckooFilter(capacity)
-        self._replay: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
+        self._replay: dict[bytes, np.ndarray] = {}
 
     def check_and_add(self, keys: np.ndarray, token: bytes | None = None) -> np.ndarray:
         if token is not None:
@@ -81,8 +79,6 @@ class SeenShard:
         res = self.cf.add_if_absent_many(keys)
         if token is not None:
             self._replay[token] = res
-            if len(self._replay) > self.REPLAY_MAX:
-                self._replay.popitem(last=False)
         return res
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
@@ -102,6 +98,7 @@ class SeenShard:
     def load(self, path: str) -> int:
         with open(path, "rb") as f:
             self.cf = CuckooFilter.from_bytes(f.read())
+        self._replay.clear()  # answers referred to the replaced filter
         return self.cf.count
 
     def stats(self) -> dict:

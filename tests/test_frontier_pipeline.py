@@ -200,21 +200,6 @@ def test_fused_schedule_spill_path_equals_driver_merge(ray_session):
     assert len(b) == 20
 
 
-def test_sliding_window_property(ray_session):
-    """Every event lands in exactly two windows: total count == 2x rows."""
-    import pyarrow.parquet as pqt
-
-    from heroshi_ray.pipelines.relational import q_sliding_window
-
-    sf = "/root/testdata/sf0.001"
-    out = q_sliding_window(sf).to_pandas()
-    n_events = pqt.read_metadata(f"{sf}/events.parquet").num_rows
-    assert int(out["n"].sum()) == 2 * n_events
-    # window starts sit on the 30-minute grid
-    ns = out["win_start"].astype("datetime64[ns]").astype("int64")
-    assert (ns % (1800 * 10**9) == 0).all()
-
-
 def test_flagship_robots_gate(ray_session):
     """With robots wired into the fused gate, denied URLs never appear
     in the handout, allow-overrides survive, and the robots run is a

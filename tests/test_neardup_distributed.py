@@ -204,16 +204,6 @@ def test_dedup_clusters_transitive_chain(ray_session, tmp_path):
     assert out[99] == 99  # isolated: own id
 
 
-def test_small_qty_revenue_join_path_equals_broadcast(ray_session):
-    """broadcast_limit=0 forces the distributed lineitem ⋈ per-part
-    hash join for pass 2; the single-row result must be identical."""
-    from heroshi_ray.pipelines.relational import q_small_qty_revenue
-
-    a = q_small_qty_revenue(SF_DIR).to_pandas()
-    b = q_small_qty_revenue(SF_DIR, broadcast_limit=0).to_pandas()
-    assert a.equals(b)
-
-
 def test_ngram_df_join_path_equals_broadcast(ray_session):
     """df_broadcast_limit=0 forces the distributed DF hash join +
     groupby(doc) prefix selection; results must be identical (the

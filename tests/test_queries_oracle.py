@@ -71,7 +71,7 @@ def test_rows_only_queries_run(ray_session):
         df = to_df(q[name](SF_DIR))
         assert df is not None, name
         # deterministic: run twice, same result
-        if name in ("q_simhash", "q_fingerprint", "q_canonicalize"):
+        if name in ("q_fingerprint", "q_canonicalize"):
             df2 = to_df(q[name](SF_DIR))
             pd.testing.assert_frame_equal(
                 canon(df), canon(df2), check_dtype=False, check_exact=True
@@ -100,6 +100,35 @@ def test_registry_contract():
         assert os.path.exists(spec.origin), (name, spec.origin)
 
 
+DRIVER_WINDOW = [
+    "q_frontier_schedule_oracle", "q_codec_decode", "q_sitemap_extract",
+    "q_trap_detect", "q_recrawl_schedule", "q_host_quota",
+    "q_url_strip_params", "q_mirror_detect", "q_frontier_compact",
+    "q_anchor_agg", "q_crawl_delta", "q_url_templates", "q_scd2_history",
+    "q_cdx_revisits", "q_host_gini", "q_drain_epochs", "q_budget_alloc",
+    "q_handout_interleave", "q_crawl_delay_plan", "q_redirect_resolve",
+    "q_robots_sitemaps", "q_redirect_cycles", "q_canonicalize",
+    "q_stopword_stats", "q_vocab_topk", "q_embedding_norms",
+    "q_word_len_hist", "q_punct_density", "q_ttr_by_source",
+    "q_source_lang_matrix", "q_embedding_dim_stats", "q_ann_knn",
+    "q_dedup_clusters", "q_pii_redact", "q_repetition_stats",
+    "q_chunk_dedup", "q_inverted_index", "q_edit_neardup",
+    "q_semantic_decontaminate", "q_containment_neardup", "q_dup_spans",
+    "q_dup_span_removal", "q_ann_range", "q_entropy", "q_bigram_lift",
+    "q_bigram_count", "q_tfidf", "q_pagerank", "q_centroids", "q_chunk",
+]
+
+
+def test_driver_window_pinned():
+    """The driver checks the first 50 oracled registry entries; deleting
+    or reordering operators must not move that window."""
+    import __ray_entry__ as entrymod
+
+    o = entrymod.oracle_sql()
+    window = [n for n in entrymod.queries() if n in o][:50]
+    assert window == DRIVER_WINDOW
+
+
 def test_entry_smoke(ray_session):
     import __ray_entry__ as entrymod
 
@@ -107,16 +136,6 @@ def test_entry_smoke(ray_session):
     df = to_df(res)
     assert len(df) >= 0
     assert "surt" in df.columns
-
-
-def test_skew_join_salted_fork_equivalence(ray_session):
-    """The salted shuffle join must reproduce the broadcast plan exactly
-    (both are oracled against the same SQL twin)."""
-    from heroshi_ray.pipelines import relational as r
-
-    a = canon(to_df(r.q_skew_join(SF_DIR)))
-    b = canon(to_df(r.q_skew_join(SF_DIR, force_salted=True, n_salts=5)))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
 
 
 def test_triangle_count_distributed_fork_equivalence(ray_session):
@@ -148,14 +167,6 @@ def test_url_strip_params_distributed_fork_equivalence(ray_session):
 
     a = canon(to_df(w.q_url_strip_params(SF_DIR)))
     b = canon(to_df(w.q_url_strip_params(SF_DIR, force_distributed=True)))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-
-
-def test_url_host_stats_distributed_fork_equivalence(ray_session):
-    from heroshi_ray.pipelines import relational as r
-
-    a = canon(to_df(r.q_url_host_stats(SF_DIR)))
-    b = canon(to_df(r.q_url_host_stats(SF_DIR, force_distributed=True)))
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
 
 

@@ -89,17 +89,6 @@ def test_handout_interleave_wave_order(ray_session):
         assert g["priority_e2"].is_monotonic_decreasing or len(g) == 1
 
 
-def test_month_over_month_telescopes(ray_session):
-    """prev is last month's revenue (0 for the first), and the deltas
-    telescope to the final month's revenue."""
-    from heroshi_ray.pipelines.relational import q_month_over_month
-
-    df = q_month_over_month(SF_DIR).to_pandas().sort_values("month")
-    prev = df["revenue_e2"].shift(1, fill_value=0).astype("int64")
-    assert (df["prev_revenue_e2"].to_numpy() == prev.to_numpy()).all()
-    assert int(df["delta_e2"].sum()) == int(df["revenue_e2"].iloc[-1])
-
-
 def test_center_crop_every_row_ok(ray_session):
     from heroshi_ray.pipelines.dataops import q_center_crop
 
@@ -128,7 +117,7 @@ def test_crawl_delay_plan_parses_template(ray_session):
 def test_dedup_cluster_hist_accounts_every_doc(ray_session):
     import pyarrow.parquet as pq
 
-    from heroshi_ray.pipelines.relational import q_dedup_cluster_hist
+    from heroshi_ray.pipelines.dataops import q_dedup_cluster_hist
 
     df = q_dedup_cluster_hist(SF_DIR).to_pandas()
     n_docs = pq.read_metadata(f"{SF_DIR}/documents.parquet").num_rows
@@ -345,6 +334,35 @@ def test_redirect_resolve_forks_equivalent(ray_session):
     assert (a["final_id"].to_numpy() == u - (u % 8)).all()
     assert (a["hops"].to_numpy() == u % 8).all()
     assert (a["final_id"] % 8 == 0).all()
+
+
+def test_redirect_resolve_forks_equivalent_multiblock(ray_session, tmp_path):
+    """Same equivalence over an orders table that arrives as 8 blocks in
+    shuffled key order: a redirect target that is a real url in another
+    batch must resolve through its real edge, not through the terminal
+    self-map the per-batch domain extension adds for it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from heroshi_ray.pipelines.webops import q_redirect_resolve
+
+    k = np.arange(1, 32 * 512 + 1, dtype=np.int64)
+    k = np.random.default_rng(7).permutation(k[(k - 1) % 32 < 8])  # TPC-H key gaps
+    path = tmp_path / "orders.parquet"
+    pq.write_table(pa.table({"o_orderkey": k}), path, row_group_size=len(k) // 8)
+    assert ray.data.read_parquet(str(path)).materialize().num_blocks() >= 4
+
+    def norm(r):
+        return r.to_pandas().sort_values("url_id").reset_index(drop=True)
+
+    a = norm(q_redirect_resolve(str(tmp_path)))
+    b = norm(q_redirect_resolve(str(tmp_path), force_distributed=True))
+    u = np.sort(k)
+    assert (a["url_id"].to_numpy() == u).all()
+    assert (a["final_id"].to_numpy() == u - (u % 8)).all()
+    assert (a["hops"].to_numpy() == u % 8).all()
+    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
 
 
 def test_robots_sitemaps_scanner_semantics():

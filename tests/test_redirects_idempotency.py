@@ -123,6 +123,30 @@ def test_seen_shard_idempotent_replay(ray_session):
     ray.kill(shard)
 
 
+def test_seen_shard_replay_log_spans_the_epoch(ray_session, tmp_path):
+    """A retry replays its answer however many other calls came between
+    it and the original within the epoch; after the commit (``save``)
+    the same token is a fresh call and finds its keys present."""
+    import ray
+
+    from heroshi_ray.state.seen import SeenShard
+
+    shard = SeenShard.remote(1 << 14)
+    first_keys = np.arange(8, dtype=np.uint64)
+    assert ray.get(shard.check_and_add.remote(first_keys, b"tok0")).all()
+    n = 4097
+    for lo in range(1, n, 1024):  # bounded in-flight calls per round
+        ray.get([shard.check_and_add.remote(np.array([1000 + i], np.uint64),
+                                            b"tok%d" % i)
+                 for i in range(lo, min(n, lo + 1024))])
+    replay = ray.get(shard.check_and_add.remote(first_keys, b"tok0"))
+    assert replay.all()  # late retry of the first call: original answer
+    ray.get(shard.save.remote(str(tmp_path / "shard0.bin")))
+    after = ray.get(shard.check_and_add.remote(first_keys, b"tok0"))
+    assert not after.any()  # next epoch, same content: keys already seen
+    ray.kill(shard)
+
+
 def test_counters_token_dedup(ray_session):
     import ray
 
