@@ -33,13 +33,9 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from heroshi_ray.pipelines import curation as c
     from heroshi_ray.pipelines import dataops as d
     from heroshi_ray.pipelines import webops as w
-    from heroshi_ray.pipelines.frontier import (
-        frontier_schedule_counts,
-        run_flagship,
-    )
+    from heroshi_ray.pipelines.frontier import frontier_schedule_counts
 
     # The driver records only the first 50 entries, so every oracled
     # entry comes before every rows-only one: the driver window is the
@@ -166,57 +162,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_decode_errors": d.q_decode_errors,
         "q_dedup_first": d.q_dedup_first,
         "q_dedup_cluster_hist": d.q_dedup_cluster_hist,
-        # rows-only (stateful, iterative or binary: not SQL-expressible;
-        # pinned by replica and invariant tests instead)
-        "q_frontier_schedule": lambda sf: run_flagship(
-            sf, per_host_budget=32, epoch_budget=50_000,
-            n_seen_shards=4, seen_capacity=1 << 20,
-        ),
-        "q_grouped_hll": d.q_grouped_hll,
-        "q_grouped_tdigest": d.q_grouped_tdigest,
-        "q_compression_stats": d.q_compression_stats,
+        # rows-only (iterative or binary: not SQL-expressible; pinned by
+        # replica and invariant tests, and run twice for determinism)
         "q_minhash_neardup": d.q_minhash_neardup,
         "q_simhash_neardup": d.q_simhash_neardup,
         "q_phash_neardup": d.q_phash_neardup,
         "q_image_curate": d.q_image_curate,
         "q_image_dedup": d.q_image_dedup,
         "q_image_clusters": d.q_image_clusters,
-        "q_kmeans": d.q_kmeans,
-        "q_bpe_train": d.q_bpe_train,
-        "q_bpe_encode": d.q_bpe_encode,
-        "q_ann_ivf": d.q_ann_ivf,
-        "q_ann_ivfpq": d.q_ann_ivfpq,
-        "q_ann_persistent": d.q_ann_persistent,
         "q_image_decode": d.q_image_decode,
         "q_image_features": d.q_image_features,
         "q_caption_align": d.q_caption_align,
-        "q_approx_distinct": d.q_approx_distinct,
-        "q_tdigest_quantiles": d.q_tdigest_quantiles,
-        "q_text_stats": d.q_text_stats,
-        "q_fingerprint": d.q_fingerprint,
-        "q_curate_shards": c.q_curate_shards,
-        "q_semdedup": d.q_semdedup,
         "q_clip_retrieval_eval": d.q_clip_retrieval_eval,
-        "q_llm_corpus_run": c.q_llm_corpus_run,
         "q_phash_clusters": d.q_phash_clusters,
         "q_minhash_clusters": d.q_minhash_clusters,
         "q_dominant_color": d.q_dominant_color,
-        "q_ann_recall_eval": d.q_ann_recall_eval,
         "q_jpeg_decode": d.q_jpeg_decode,
         "q_gif_decode": d.q_gif_decode,
         "q_audio_features": d.q_audio_features,
         "q_video_frames": d.q_video_frames,
         "q_video_neardup": d.q_video_neardup,
-        "q_pca_variance": d.q_pca_variance,
-        "q_minhash_est_error": d.q_minhash_est_error,
-        "q_seen_fpr_eval": w.q_seen_fpr_eval,
-        "q_hll_error_eval": d.q_hll_error_eval,
-        "q_tdigest_error_eval": d.q_tdigest_error_eval,
-        "q_fetch_makespan": w.q_fetch_makespan,
-        "q_politeness_audit": w.q_politeness_audit,
-        "q_cdc_chunks": d.q_cdc_chunks,
-        "q_davies_bouldin": d.q_davies_bouldin,
-        "q_tokenizer_fertility": d.q_tokenizer_fertility,
     }
 
 

@@ -16,8 +16,8 @@ JSON line; the default one is
 
     {"metric": ..., "value": <headline sec>, "unit": "sec", "sf": ...,
      "num_cpus": N, "frontier_urls": N, "frontier_scheduled": N,
-     "frontier_urls_per_s": N, "queries": {"q_frontier_schedule": sec,
-     "q_crawl_epochs": sec}, "crawl_sec": sec, "crawl_urls_per_s": N, ...}
+     "frontier_urls_per_s": N, "crawl_sec": sec, "crawl_urls_per_s": N,
+     ...}
 """
 
 from __future__ import annotations
@@ -160,7 +160,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
         "frontier_urls": int(n_urls),
         "frontier_scheduled": int(n_sched),
         "frontier_urls_per_s": round(n_urls / headline_sec, 1),
-        "queries": {"q_frontier_schedule": round(headline_sec, 3)},
     }
     if headline_only:
         ray.shutdown()
@@ -174,7 +173,6 @@ def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
     # BASELINE.md), not by host phases.
     crawl = run_crawl_bench()
     out.update(crawl)
-    out["queries"]["q_crawl_epochs"] = crawl["crawl_sec"]
     ray.shutdown()
     return out
 

@@ -84,74 +84,3 @@ class IVFIndex:
         q = query.astype(np.float64) / (np.linalg.norm(query) or 1.0)
         sims = self.centroids @ q
         return np.argsort(-sims)[:nprobe].astype(np.int32)
-
-
-class PQCodebook:
-    """Product quantizer (Jégou et al., PAMI'11): the d-dim space splits
-    into ``m`` subspaces; each subspace gets its own seeded k-means-lite
-    codebook of ``ksub`` centroids, and a vector encodes to m uint8
-    codes — 8 bytes instead of 256 for d=64 float32, the compression
-    that lets a 10^9-vector index live in RAM. Queries score encoded
-    vectors WITHOUT decoding via the ADC lookup table: per subspace,
-    the dot product of the query slice with every centroid, summed by
-    code — one table build per query, then scoring is a gather+sum."""
-
-    def __init__(self, m: int = 8, ksub: int = 16, seed: int = 11, iters: int = 10):
-        self.m = m
-        self.ksub = ksub
-        self.seed = seed
-        self.iters = iters
-        self.codebooks: np.ndarray | None = None  # (m, ksub, dsub)
-
-    def fit(self, sample: np.ndarray) -> "PQCodebook":
-        x = l2_normalize(sample.astype(np.float64))
-        n, d = x.shape
-        assert d % self.m == 0, "dims must divide into m subspaces"
-        dsub = d // self.m
-        rng = np.random.default_rng(self.seed)
-        books = np.empty((self.m, self.ksub, dsub))
-        for j in range(self.m):
-            xs = x[:, j * dsub : (j + 1) * dsub]
-            k = min(self.ksub, n)
-            cent = xs[rng.choice(n, size=k, replace=False)]
-            for _ in range(self.iters):
-                d2 = ((xs[:, None, :] - cent[None, :, :]) ** 2).sum(axis=2)
-                assign = np.argmin(d2, axis=1)
-                for c in range(k):
-                    mask = assign == c
-                    if mask.any():
-                        cent[c] = xs[mask].mean(axis=0)
-            if k < self.ksub:  # pad degenerate sample
-                cent = np.vstack([cent, np.repeat(cent[:1], self.ksub - k, axis=0)])
-            books[j] = cent
-        self.codebooks = books
-        return self
-
-    def encode(self, mat: np.ndarray) -> np.ndarray:
-        """(n, d) -> (n, m) uint8 codes over the NORMALIZED vectors."""
-        x = l2_normalize(mat.astype(np.float64))
-        n, d = x.shape
-        dsub = d // self.m
-        codes = np.empty((n, self.m), np.uint8)
-        for j in range(self.m):
-            xs = x[:, j * dsub : (j + 1) * dsub]
-            d2 = ((xs[:, None, :] - self.codebooks[j][None, :, :]) ** 2).sum(axis=2)
-            codes[:, j] = np.argmin(d2, axis=1).astype(np.uint8)
-        return codes
-
-    def adc_table(self, query: np.ndarray) -> np.ndarray:
-        """Normalized query -> (m, ksub) partial-dot-product table; the
-        approximate cosine of an encoded vector is the per-subspace
-        gather of this table summed over subspaces."""
-        q = query.astype(np.float64)
-        q = q / (np.linalg.norm(q) or 1.0)
-        dsub = len(q) // self.m
-        return np.einsum(
-            "mkd,md->mk",
-            self.codebooks,
-            q.reshape(self.m, dsub),
-        )
-
-    def adc_scores(self, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """(m, ksub) table x (n, m) codes -> (n,) approx cosine sims."""
-        return table[np.arange(self.m)[None, :], codes].sum(axis=1)

@@ -1,26 +1,19 @@
 """Text-analysis primitives for large-scale training-data pipelines:
-language ID (n-gram/charset heuristic), quality scoring, token counting,
-document fingerprinting (rolling hash), shingling, MinHash, SimHash.
+token counting, shingling, MinHash, SimHash.
 
 All functions are batch-vectorized (operate on lists/arrays, return
 numpy arrays) so they drop straight into ``map_batches`` bodies; the
-stateful pieces (compiled regexes, stopword sets, permutation tables)
-live at module level or in stage ``__init__``.
+stateful pieces (stopword sets, permutation tables) live at module
+level or in stage ``__init__``.
 """
 
 from __future__ import annotations
 
-import re
 import zlib
 
 import numpy as np
 
 # ---------------------------------------------------------------- tokens
-_WORD_RE = re.compile(r"\w+", re.UNICODE)
-# BPE-ish pretokenizer: word pieces, numbers, punctuation runs (public
-# GPT-2-style pattern, simplified — no lookahead categories)
-_BPE_RE = re.compile(r"[A-Za-z]+|\d+|[^\sA-Za-z\d]+")
-
 STOPWORDS = frozenset(
     "the a an and or of to in is are was were be been it this that for on with as by".split()
 )
@@ -29,101 +22,6 @@ STOPWORDS = frozenset(
 def token_count_ws(texts: list[str]) -> np.ndarray:
     """Whitespace token count (matches SQL string_split semantics)."""
     return np.array([len(t.split()) if t and t.strip() else 0 for t in texts], np.int64)
-
-
-def token_count_bpe(texts: list[str]) -> np.ndarray:
-    """BPE-ish pretoken count (regex pieces — a cheap proxy for tokenizer
-    load when budgeting training data)."""
-    return np.array([len(_BPE_RE.findall(t)) if t else 0 for t in texts], np.int64)
-
-
-# ---------------------------------------------------------------- quality
-def quality_features(texts: list[str]) -> dict[str, np.ndarray]:
-    """Length / punctuation / stopword / uppercase ratios + composite score
-    in [0,1] (heuristics in the spirit of public C4/Gopher quality rules)."""
-    n = len(texts)
-    n_chars = np.zeros(n, np.int64)
-    punct_ratio = np.zeros(n, np.float64)
-    stop_ratio = np.zeros(n, np.float64)
-    upper_ratio = np.zeros(n, np.float64)
-    mean_word_len = np.zeros(n, np.float64)
-    for i, t in enumerate(texts):
-        if not t:
-            continue
-        n_chars[i] = len(t)
-        words = t.split()
-        n_alpha = sum(c.isalpha() for c in t)
-        n_upper = sum(c.isupper() for c in t)
-        n_punct = sum(not c.isalnum() and not c.isspace() for c in t)
-        punct_ratio[i] = n_punct / len(t)
-        upper_ratio[i] = n_upper / max(1, n_alpha)
-        if words:
-            stop_ratio[i] = sum(w.lower() in STOPWORDS for w in words) / len(words)
-            mean_word_len[i] = sum(len(w) for w in words) / len(words)
-    # composite: reward moderate length, some stopwords, low punct/upper noise
-    length_ok = np.clip(n_chars / 200.0, 0, 1)
-    score = (
-        0.3 * length_ok
-        + 0.3 * np.clip(stop_ratio * 5, 0, 1)
-        + 0.2 * (1 - np.clip(punct_ratio * 5, 0, 1))
-        + 0.2 * (1 - np.clip(upper_ratio * 3, 0, 1))
-    )
-    return {
-        "n_chars": n_chars,
-        "punct_ratio": punct_ratio,
-        "stop_ratio": stop_ratio,
-        "upper_ratio": upper_ratio,
-        "mean_word_len": mean_word_len,
-        "quality_score": score,
-    }
-
-
-# ---------------------------------------------------------------- lang id
-_LANG_STOPWORDS = {
-    "en": {"the", "and", "of", "to", "in", "is", "that", "it", "for", "with"},
-    "de": {"der", "die", "das", "und", "ist", "nicht", "ein", "mit", "auf", "für"},
-    "fr": {"le", "la", "les", "et", "est", "pas", "une", "pour", "dans", "que"},
-    "es": {"el", "la", "los", "y", "es", "no", "una", "por", "para", "que"},
-}
-
-
-def lang_id(texts: list[str]) -> list[str]:
-    """Cheap deterministic language ID: CJK charset check, then stopword
-    voting over a tiny per-language lexicon; ties/none -> 'und'."""
-    out = []
-    for t in texts:
-        if not t:
-            out.append("und")
-            continue
-        cjk = sum(1 for c in t[:400] if "一" <= c <= "鿿")
-        if cjk > len(t[:400]) * 0.2:
-            out.append("zh")
-            continue
-        words = [w.lower() for w in t.split()[:200]]
-        best, best_hits = "und", 0
-        for lang, sw in _LANG_STOPWORDS.items():
-            hits = sum(w in sw for w in words)
-            if hits > best_hits:
-                best, best_hits = lang, hits
-        out.append(best if best_hits >= 2 else "und")
-    return out
-
-
-# ------------------------------------------------------------ fingerprint
-_FP_BASE = np.uint64(1099511628211)
-
-
-def fingerprint64(texts: list[str]) -> np.ndarray:
-    """Rolling FNV-style 64-bit fingerprint of normalized text (whitespace
-    collapsed, lowercased) — exact-dup key that survives formatting noise."""
-    out = np.empty(len(texts), np.uint64)
-    for i, t in enumerate(texts):
-        norm = " ".join(t.split()).lower() if t else ""
-        h = np.uint64(14695981039346656037)
-        for b in norm.encode():
-            h = np.uint64((int(h) ^ b) * int(_FP_BASE) & 0xFFFFFFFFFFFFFFFF)
-        out[i] = h
-    return out
 
 
 def shingles(text: str, k: int = 3) -> set[int]:

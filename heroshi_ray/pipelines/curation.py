@@ -122,18 +122,6 @@ def curate_to_shards(
     )
 
 
-def q_curate_shards(sf_dir: str):
-    """Driver-surface wrapper: run the full curation composite over the
-    deterministic synthetic corpus and return the shard manifest
-    (rows-only check — tar bytes aren't SQL-derivable; the composite's
-    survivor set, bucket purity, round-trip and idempotency are pinned
-    in tests/test_curation_pipeline.py)."""
-    from .dataops import _cache_path, _ensure_curate_corpus
-
-    out = _cache_path("curate_shards")
-    return curate_to_shards(_ensure_curate_corpus(), out, samples_per_shard=64)
-
-
 def llm_corpus_run(
     sf_dir: str,
     out_dir: str,
@@ -364,17 +352,3 @@ def llm_corpus_run(
 
     return sharded.groupby("shard").map_groups(write_shard,
                                                batch_format="pandas")
-
-
-def q_llm_corpus_run(sf_dir: str):
-    """Driver-surface wrapper: the full text-corpus production composite
-    over the documents table; returns the shard manifest (rows-only
-    check — the survivor set, shard totals, resume idempotency and
-    round-trip are pinned in tests/test_curation_pipeline.py)."""
-    import shutil
-
-    from .dataops import _cache_path
-
-    out = _cache_path("llm_corpus_run")
-    shutil.rmtree(out, ignore_errors=True)  # fresh run per invocation
-    return llm_corpus_run(sf_dir, out)

@@ -1,6 +1,7 @@
 """Training-data pipeline operators over the testdata tables: exact +
 near dedup (MinHash-LSH, SimHash, n-gram Jaccard, embedding cosine),
-similarity search (brute force + IVF), text analysis, multimodal decode.
+similarity search (brute force + IVF-bucketed near-dup), text analysis,
+multimodal decode.
 
 These are first-class engine components for a 100-TB corpus pipeline.
 Every stage follows the scale pattern it documents:
@@ -10,8 +11,7 @@ Every stage follows the scale pattern it documents:
   → candidate pairs → exact Jaccard verify;
 - ANN: per-batch matmul against a broadcast query matrix, partial top-k
   merged at the end (the only driver-side object is k rows/query);
-- IVF: fit coarse centroids on a sample, assign = one map_batches pass,
-  queries probe nprobe buckets.
+- IVF: fit coarse centroids on a sample, assign = one map_batches pass.
 
 Public designs implemented here (no reference code exists — SURVEY.md
 §0): MinHash resemblance (Broder, "On the resemblance and containment
@@ -21,7 +21,7 @@ rounding algorithms", STOC'02) with multi-index hamming banding
 (Norouzi et al., "Fast search in Hamming space with multi-index
 hashing", CVPR'12); IVF coarse quantization (Jégou et al., "Product
 quantization for nearest neighbor search", PAMI'11 — coarse stage
-only); HyperLogLog (Flajolet et al., 2007).
+only).
 """
 
 from __future__ import annotations
@@ -36,16 +36,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..functions.ann import IVFIndex, PQCodebook, as_matrix, l2_normalize
+from ..functions.ann import IVFIndex, as_matrix, l2_normalize
 from ..functions.text import (
     MinHasher,
-    fingerprint64,
     jaccard,
-    lang_id,
-    quality_features,
     shingles,
     simhash64,
-    token_count_bpe,
     token_count_ws,
 )
 from ..runtime import arrow_blocks, default_buckets, join_partitions, tune_join_resources
@@ -87,8 +83,8 @@ def _centroid_sample(
     """Deterministic, corpus-spread codebook training sample (the
     10^9-vector sizing rule): target = max(floor, per_centroid *
     n_centroids) rows — ~64 points per centroid keeps Lloyd's variance
-    flat as n_centroids grows, and the floor keeps PQ subquantizers
-    (ksub=16 per subspace) saturated. Rows are drawn by vec_id hash
+    flat as n_centroids grows, and the floor keeps small codebooks
+    saturated. Rows are drawn by vec_id hash
     threshold, NOT ``limit(n)``: at 10^9 vectors limit() trains the
     codebook on the first blocks of one shard's distribution (the
     recall cliff when ingest order correlates with content — e.g. a
@@ -130,8 +126,8 @@ def _centroid_sample(
 def q_dedup_exact(sf_dir: str):
     """Exact dedup on text content: min doc_id per text. Shuffle keyed on
     hash(text)%B — rows with equal text co-locate; the full text is the
-    key only inside a bucket (at 100 TB you'd key on fingerprint64 and
-    verify equality in-bucket; identical layout)."""
+    key only inside a bucket (at 100 TB you'd key on a 64-bit content
+    fingerprint and verify equality in-bucket; identical layout)."""
     ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
     return dedup_first(ds, key="text", tie_cols=("doc_id",), n_buckets=default_buckets())
 
@@ -198,21 +194,6 @@ def q_dedup_cluster_hist(sf_dir: str):
         .groupby("cluster_size")
         .aggregate(Sum("n_clusters", alias_name="n_clusters"))
     )
-
-
-def q_fingerprint(sf_dir: str):
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def fp(batch: pa.Table) -> pa.Table:
-        f = fingerprint64(batch.column("text").to_pylist())
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "fingerprint": pa.array(f.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return ds.map_batches(fp, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ------------------------------------------------------------ minhash lsh
@@ -568,30 +549,6 @@ def q_token_count(sf_dir: str):
     return ds.map_batches(tc, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def q_text_stats(sf_dir: str):
-    """Quality features + BPE-ish token count + heuristic lang id (the
-    non-SQL text analysis bundle; rows-only check)."""
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def feats(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        q = quality_features(texts)
-        # n_chars / punct counts live in the ORACLED q_quality_stats (and
-        # the stopword counts in q_stopword_stats); this bundle keeps only
-        # the genuinely non-SQL composites.
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "stop_ratio": pa.array(np.round(q["stop_ratio"], 6), pa.float64()),
-                "quality_score": pa.array(np.round(q["quality_score"], 6), pa.float64()),
-                "n_bpe_tokens": pa.array(token_count_bpe(texts), pa.int64()),
-                "lang_pred": pa.array(lang_id(texts), pa.string()),
-            }
-        )
-
-    return ds.map_batches(feats, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def q_stopword_stats(sf_dir: str):
     """Integer-exact stopword counters per document (the SQL-expressible
     core of stopword-ratio quality gating, split out so it hash-checks
@@ -830,8 +787,8 @@ def _merge_topk(parts: pd.DataFrame, k: int) -> pa.Table:
     deterministic (sim desc, vec_id asc) top-k per query, sims rounded
     to e4 ints so the result is order-insensitively hashable. Shared by
     every ANN variant — the tie-break and rounding rule here IS the
-    equality contract between q_ann_knn / q_ann_ivf / q_ann_ivfpq /
-    q_ann_persistent."""
+    equality contract between q_ann_knn, q_ann_filtered and their
+    DuckDB twins."""
     rows = []
     for qid, g in parts.groupby("query_id"):
         g = g.sort_values(
@@ -885,77 +842,6 @@ def q_ann_knn(
             out_q.extend([qid] * len(order))
             out_v.extend(sel_ids.tolist())
             out_s.extend(sel_s.tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "cos_sim_raw": pa.array(out_s, pa.float64()),
-            }
-        )
-
-    emb_rows = pq_mod.read_metadata(
-        os.path.join(sf_dir, "embeddings.parquet")
-    ).num_rows
-    if emb_rows <= driver_vecs_max and not force_distributed:
-        tbl = pq_mod.read_table(
-            os.path.join(sf_dir, "embeddings.parquet"),
-            columns=["vec_id", "embedding"],
-        )
-        return _merge_topk(partial(tbl).to_pandas(), k)
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return _merge_topk(parts, k)
-
-
-def q_ann_ivf(
-    sf_dir: str,
-    n_queries: int = 5,
-    k: int = 3,
-    nprobe: int = 8,
-    driver_vecs_max: int = 500_000,
-    force_distributed: bool = False,
-):
-    """IVF-bucketed ANN (the scale path): centroids fit on a driver
-    sample, bucket assignment is one map_batches pass, each query scans
-    only its nprobe probed buckets. Approximate; rows-only check, with
-    recall vs q_ann_knn asserted in tests. Same size-adaptive driver
-    fork as q_ann_knn (per-query probed-bucket top-ks are exact within
-    the probed set, so the union is batching-independent)."""
-    import pyarrow.parquet as pq_mod
-
-    qids, qmat = _query_matrix(sf_dir, n_queries)
-    ds = _pq(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    sample = _centroid_sample(sf_dir, 16)
-    index = IVFIndex(n_centroids=16).fit(sample)
-    idx_ref = ray.put(index)
-    # per-query probed cells as sorted int arrays: the scan-side filter
-    # is one np.isin C kernel per query, not a per-row Python loop
-    probes = {
-        int(q): np.sort(np.asarray(index.probe(qmat[i], nprobe), np.int64))
-        for i, q in enumerate(qids)
-    }
-    probes_ref = ray.put(probes)
-    q_ref = ray.put((qids, l2_normalize(qmat.astype(np.float64))))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ix = ray.get(idx_ref)
-        pr = ray.get(probes_ref)
-        qids_, qn = ray.get(q_ref)
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        mat = as_matrix(batch.column("embedding").to_pylist())
-        buckets = ix.assign(mat)
-        nm = l2_normalize(mat.astype(np.float64))
-        sims = nm @ qn.T
-        out_q, out_v, out_s = [], [], []
-        for j, qid in enumerate(qids_):
-            keep = np.isin(buckets, pr[int(qid)]) & (ids != qid)
-            if not keep.any():
-                continue
-            s = sims[keep, j]
-            order = np.lexsort((ids[keep], -s))[:k]
-            out_q.extend([qid] * len(order))
-            out_v.extend(ids[keep][order].tolist())
-            out_s.extend(s[order].tolist())
         return pa.table(
             {
                 "query_id": pa.array(out_q, pa.int64()),
@@ -2109,36 +1995,6 @@ def q_image_features(sf_dir: str):
     )
 
 
-# ------------------------------------------------------------- sketch ---
-def q_approx_distinct(sf_dir: str):
-    """HLL approximate distinct URLs (G5 scale-reporting path): one
-    serialized sketch per batch, merged in a tiny final step — the
-    shuffle moves kilobytes, not the key column. Rows-only check
-    (deterministic estimate; tests assert <2% error vs exact)."""
-    from ..functions.hashing import hash64
-    from ..functions.sketch import HyperLogLog
-
-    ds = _pq(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-
-    def sk(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        pk = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        keys = [f"{a}:{b}" for a, b in zip(ok, pk)]
-        h = HyperLogLog(p=14)
-        h.add_hashes(hash64(keys))
-        return pa.table({"sketch": pa.array([h.to_bytes()], pa.binary())})
-
-    from ..functions.sketch import HyperLogLog as _H
-
-    parts = ds.map_batches(sk, batch_format="pyarrow").to_pandas()
-    acc = None
-    for b in parts["sketch"]:
-        s = _H.from_bytes(b)
-        acc = s if acc is None else acc.merge(s)
-    est = int(round(acc.estimate())) if acc is not None else 0
-    return pa.table({"approx_distinct": pa.array([est], pa.int64())})
-
-
 def q_sample(sf_dir: str, mod: int = 97):
     """Deterministic ~1% monitoring sample (K4): multiplicative hash-mod
     of the row key, fully vectorized — and expressible in ANSI SQL, so
@@ -2837,47 +2693,6 @@ def q_frequent_items(sf_dir: str, phi_e4: int = 75, k: int = 134):
         {
             "user_id": pa.array(agg["user_id"].astype("int64"), pa.int64()),
             "cnt": pa.array(agg["cnt"].astype("int64"), pa.int64()),
-        }
-    )
-
-
-def q_tdigest_quantiles(sf_dir: str, qs: tuple = (50, 90, 99)):
-    """Approximate global quantiles via t-digest (the sketch-family
-    counterpart of an exact per-group sort): each block
-    emits ONE digest (<= ~200 centroids, kilobytes), the driver merges
-    the digests — the classic mergeable-summary layout where the
-    shuffle moves sketches, not the value column. Rank error is
-    O(1/delta) and sharpest in the tails (k1 scale function).
-    Rows-only driver check; tests pin rank error vs the exact sort."""
-    from ..functions.sketch import TDigest
-
-    ds = _pq(sf_dir, "events", columns=["value"], split=True)
-
-    def sk(batch: pa.Table) -> pa.Table:
-        d = TDigest.from_values(
-            batch.column("value").to_numpy(zero_copy_only=False)
-        )
-        m, w = d.to_arrays()
-        return pa.table(
-            {
-                "means": pa.array([m.tolist()], pa.list_(pa.float64())),
-                "weights": pa.array([w.tolist()], pa.list_(pa.float64())),
-            }
-        )
-
-    parts = ds.map_batches(sk, batch_format="pyarrow").to_pandas()
-    acc = TDigest()
-    for m, w in zip(parts["means"], parts["weights"]):
-        acc = acc.merge(
-            TDigest(means=np.asarray(m, np.float64),
-                    weights=np.asarray(w, np.float64))
-        )
-    return pa.table(
-        {
-            "q": pa.array([q for q in qs], pa.int64()),
-            "value_approx": pa.array(
-                [round(acc.quantile(q / 100.0), 4) for q in qs], pa.float64()
-            ),
         }
     )
 
@@ -3710,75 +3525,6 @@ def q_triangle_count(
     return pa.table({"n_triangles": pa.array([total], pa.int64())})
 
 
-def q_ann_ivfpq(
-    sf_dir: str,
-    n_queries: int = 5,
-    k: int = 3,
-    nprobe: int = 8,
-    rerank: int = 4,
-):
-    """IVF-PQ similarity search (the compressed scale path beyond
-    q_ann_ivf): coarse IVF buckets prune the scan, product-quantized
-    codes (8 bytes/vector at d=64 — 32x smaller than float32) score
-    candidates via the ADC lookup table, and the top ``rerank*k`` ADC
-    candidates per batch re-rank EXACTLY against their true vectors
-    (still resident in the batch) before the driver merges k x blocks
-    rows. This is the standard IVFADC layout (Jégou et al., PAMI'11):
-    at 10^9 vectors the PQ codes + bucket ids are the only index state,
-    built once per actor from broadcast codebooks.
-
-    Approximate; rows-only check, recall vs q_ann_knn pinned in
-    tests/test_text_ann.py."""
-    qids, qmat = _query_matrix(sf_dir, n_queries)
-    ds = _pq(sf_dir, "embeddings", columns=["vec_id", "embedding"], split=True)
-    sample = _centroid_sample(sf_dir, 16)
-    index = IVFIndex(n_centroids=16).fit(sample)
-    pq_book = PQCodebook(m=8, ksub=16).fit(sample)
-    idx_ref = ray.put((index, pq_book))
-    probes = {
-        int(q): set(index.probe(qmat[i], nprobe).tolist())
-        for i, q in enumerate(qids)
-    }
-    probes_ref = ray.put(probes)
-    qn = l2_normalize(qmat.astype(np.float64))
-    tables = np.stack([pq_book.adc_table(qmat[i]) for i in range(len(qids))])
-    q_ref = ray.put((qids, qn, tables))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ix, book = ray.get(idx_ref)
-        pr = ray.get(probes_ref)
-        qids_, qn_, tables_ = ray.get(q_ref)
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        mat = as_matrix(batch.column("embedding").to_pylist())
-        buckets = ix.assign(mat)
-        codes = book.encode(mat)
-        nm = l2_normalize(mat.astype(np.float64))
-        out_q, out_v, out_s = [], [], []
-        for j, qid in enumerate(qids_):
-            keep = np.isin(buckets, list(pr[int(qid)])) & (ids != qid)
-            if not keep.any():
-                continue
-            approx = book.adc_scores(tables_[j], codes[keep])
-            cand = np.argsort(-approx, kind="stable")[: rerank * k]
-            # exact re-rank of the ADC survivors only
-            exact = nm[keep][cand] @ qn_[j]
-            order = np.lexsort((ids[keep][cand], -exact))[:k]
-            sel = cand[order]
-            out_q.extend([qid] * len(sel))
-            out_v.extend(ids[keep][sel].tolist())
-            out_s.extend(exact[order].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "cos_sim_raw": pa.array(out_s, pa.float64()),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return _merge_topk(parts, k)
-
-
 def q_bfs_distance(
     sf_dir: str,
     source: int = 0,
@@ -3986,145 +3732,6 @@ def q_quality_sample(sf_dir: str):
         )
 
     return ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _ann_index_dir(sf_dir: str) -> str:
-    """Cache dir keyed by the PATH and a FINGERPRINT of the embeddings
-    file (size + mtime): regenerating the fixture invalidates the
-    index, so a stale build can never silently answer queries for data
-    it was not built from."""
-    import hashlib
-
-    st = os.stat(os.path.join(sf_dir, "embeddings.parquet"))
-    key = f"{sf_dir}|{st.st_size}|{st.st_mtime_ns}"
-    tag = hashlib.sha1(key.encode()).hexdigest()[:10]
-    return _cache_path(f"annidx_{tag}_v1")
-
-
-def build_ann_index(sf_dir: str, out_dir: str, n_centroids: int = 16) -> None:
-    """Build the PERSISTENT IVF index: one pass assigns every vector to
-    its coarse bucket, then `write_parquet(partition_cols=["bucket"])`
-    lays the table out as one directory per bucket (hive layout) plus a
-    centroids sidecar. At 100 TB this is the build-once artifact every
-    query pipeline shares — and the partitioned layout is what makes
-    query-time PARTITION PRUNING possible (read only nprobe directories,
-    not the table). Committed atomically: the build writes a .tmp
-    sibling and os.replace's it into place; q_ann_persistent treats the
-    centroids sidecar in the FINAL path as build-complete and skips the
-    rebuild."""
-    import pyarrow.parquet as pq_mod
-
-    ds = _pq(sf_dir, "embeddings", columns=["vec_id", "embedding"], split=True)
-    sample = _centroid_sample(sf_dir, n_centroids)
-    index = IVFIndex(n_centroids=n_centroids).fit(sample)
-    idx_ref = ray.put(index)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        ix = ray.get(idx_ref)
-        mat = as_matrix(batch.column("embedding").to_pylist())
-        b = ix.assign(mat).astype(np.int64)
-        return batch.append_column("bucket", pa.array(b, pa.int64()))
-
-    tmp = out_dir + ".tmp"
-    import shutil
-
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.rmtree(out_dir, ignore_errors=True)
-    ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True).write_parquet(
-        tmp, partition_cols=["bucket"]
-    )
-    cent = index.centroids
-    pq_mod.write_table(
-        pa.table(
-            {
-                "bucket": pa.array(
-                    np.repeat(np.arange(len(cent)), cent.shape[1]), pa.int64()
-                ),
-                "dim": pa.array(
-                    np.tile(np.arange(cent.shape[1]), len(cent)), pa.int64()
-                ),
-                "value": pa.array(cent.reshape(-1), pa.float64()),
-            }
-        ),
-        os.path.join(tmp, "_centroids.parquet"),
-    )
-    os.replace(tmp, out_dir)
-
-
-def q_ann_persistent(sf_dir: str, n_queries: int = 5, k: int = 3, nprobe: int = 8):
-    """ANN over the PERSISTENT partitioned IVF index (vs q_ann_ivf's
-    transient in-pipeline assignment): queries resolve their nprobe
-    buckets from the kilobyte centroids sidecar, then read ONLY those
-    buckets' parquet directories — partition pruning does the candidate
-    selection before a single vector block loads, the property that
-    makes a 10^9-vector index queryable without scanning it. Scoring is
-    the same exact-cosine partial-top-k as q_ann_ivf, so with identical
-    index parameters the results are IDENTICAL to q_ann_ivf
-    (equality-tested), and the pruning itself is asserted in tests
-    (files read ⊂ probed buckets)."""
-    import glob as _glob
-
-    import pyarrow.parquet as pq_mod
-
-    idx_dir = _ann_index_dir(sf_dir)
-    if not os.path.exists(os.path.join(idx_dir, "_centroids.parquet")):
-        build_ann_index(sf_dir, idx_dir)
-
-    qids, qmat = _query_matrix(sf_dir, n_queries)
-    cent_tbl = pq_mod.read_table(os.path.join(idx_dir, "_centroids.parquet"))
-    n_cent = int(pc.max(cent_tbl.column("bucket")).as_py()) + 1
-    dims = int(pc.max(cent_tbl.column("dim")).as_py()) + 1
-    cent = np.zeros((n_cent, dims))
-    cent[
-        cent_tbl.column("bucket").to_numpy(), cent_tbl.column("dim").to_numpy()
-    ] = cent_tbl.column("value").to_numpy()
-
-    qn = l2_normalize(qmat.astype(np.float64))
-    sims_c = qn @ cent.T
-    probes = {
-        int(qid): set(np.argsort(-sims_c[i])[:nprobe].tolist())
-        for i, qid in enumerate(qids)
-    }
-    union_buckets = sorted(set().union(*probes.values()))
-    files = []
-    for b in union_buckets:
-        files.extend(sorted(_glob.glob(os.path.join(idx_dir, f"bucket={b}", "*.parquet"))))
-    probes_ref = ray.put(probes)
-    q_ref = ray.put((qids, qn))
-
-    ds = ray.data.read_parquet(files)  # ONLY the probed partitions
-
-    def partial(batch: pa.Table) -> pa.Table:
-        pr = ray.get(probes_ref)
-        qids_, qn_ = ray.get(q_ref)
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        # hive partition value arrives as a string column
-        buckets = np.asarray(
-            [int(x) for x in batch.column("bucket").to_pylist()], np.int64
-        )
-        mat = as_matrix(batch.column("embedding").to_pylist())
-        nm = l2_normalize(mat.astype(np.float64))
-        sims = nm @ qn_.T
-        out_q, out_v, out_s = [], [], []
-        for j, qid in enumerate(qids_):
-            keep = np.isin(buckets, list(pr[int(qid)])) & (ids != qid)
-            if not keep.any():
-                continue
-            s = sims[keep, j]
-            order = np.lexsort((ids[keep], -s))[:k]
-            out_q.extend([qid] * len(order))
-            out_v.extend(ids[keep][order].tolist())
-            out_s.extend(s[order].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "cos_sim_raw": pa.array(out_s, pa.float64()),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    return _merge_topk(parts, k)
 
 
 # --------------------------------------------- corpus hygiene (round 3) --
@@ -4449,170 +4056,6 @@ def q_inverted_index(sf_dir: str, min_df: int = 2, max_df: int = 50):
     )
 
 
-def q_kmeans(
-    sf_dir: str,
-    k: int = 8,
-    n_iter: int = 5,
-    dims: int = 64,
-    force_distributed: bool = False,
-):
-    """Distributed Lloyd's k-means over the embedding column — the
-    iterative-refinement class (like q_pagerank) applied to vectors:
-    per iteration ONE broadcast (k x dims centroid matrix via ray.put)
-    + ONE combiner pass (per-batch assign + fixed-point partial sums)
-    + a k*dims-row groupby — the corpus never shuffles and the driver
-    only ever holds k x dims numbers.
-
-    Determinism contract (what makes the result pytest-pinnable): the
-    per-cluster component sums are EXACT int64 in e6 fixed point (no
-    float summation-order dependence across blocks/backends), new
-    centroids derive from those integers in float64, distances are
-    float64, ties argmin to the lowest cluster id, and empty clusters
-    keep their previous centroid. Init = the k lowest vec_ids, read
-    with predicate pushdown (never a full-table driver read — VERDICT
-    r2 #1's rule). Output: (vec_id, cluster) assignments after n_iter
-    rounds; a single-process numpy replica must match exactly
-    (tests/test_corpus_hygiene.py)."""
-    ds, C, _mat = _kmeans_fit(sf_dir, k, n_iter, dims,
-                              force_distributed=force_distributed)
-    cref = ray.put(C)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cc = ray.get(cref)
-        ids, x = _mat(batch)
-        d = ((x * x).sum(1)[:, None] - 2.0 * (x @ cc.T) + (cc * cc).sum(1)[None, :])
-        return pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "cluster": pa.array(np.argmin(d, axis=1).astype(np.int64), pa.int64()),
-            }
-        )
-
-    return ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _kmeans_fit(
-    sf_dir: str,
-    k: int,
-    n_iter: int,
-    dims: int,
-    driver_vecs_max: int = 500_000,
-    force_distributed: bool = False,
-):
-    """q_kmeans' Lloyd loop, factored so composites (q_semdedup) can
-    reuse the fitted centroids: returns (embeddings ds, final k x dims
-    float64 centroid matrix, batch->(ids, matrix) helper). Same
-    determinism contract as q_kmeans.
-
-    Size-adaptive: the per-cluster component sums are EXACT int64 in
-    e6 fixed point, so under ``driver_vecs_max`` rows (parquet
-    metadata) the whole Lloyd loop runs in one driver numpy pass and
-    produces BIT-IDENTICAL centroids to the distributed
-    block-partial + combine plan (integer adds are order-free) —
-    n_iter full Dataset executions of fixed cost collapse to zero.
-    Above the gate the original per-iteration combiner plan runs.
-    Forks equivalence-tested via q_kmeans/q_semdedup."""
-    import pyarrow.compute as _pc
-    import pyarrow.dataset as _pads
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Sum
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    init_tbl = _pads.dataset(path).to_table(
-        columns=["vec_id", "embedding"], filter=_pc.field("vec_id") < k
-    )
-    order = np.argsort(init_tbl.column("vec_id").to_numpy())
-    C = as_matrix(init_tbl.column("embedding").to_pylist())[order].astype(np.float64)
-
-    def _mat(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-        ids = batch.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = batch.column("embedding").combine_chunks().flatten().to_numpy(
-            zero_copy_only=False
-        )
-        return ids, flat.reshape(len(ids), dims).astype(np.float64)
-
-    emb_rows = pq_mod.read_metadata(path).num_rows
-    if emb_rows <= driver_vecs_max and not force_distributed:
-        tbl = _pads.dataset(path).to_table(columns=["vec_id", "embedding"])
-        _ids, X = _mat(tbl)
-        v = np.round(X * 1e6).astype(np.int64)
-        for _ in range(n_iter):
-            d = ((X * X).sum(1)[:, None] - 2.0 * (X @ C.T)
-                 + (C * C).sum(1)[None, :])
-            a = np.argmin(d, axis=1)
-            # exact int sums via per-dim bincount (float64 carries the
-            # int64 exactly below 2^53; the gate bounds the magnitude)
-            sums = np.stack(
-                [
-                    np.bincount(a, weights=v[:, j], minlength=k)
-                    for j in range(dims)
-                ],
-                axis=1,
-            ).astype(np.int64)
-            counts = np.bincount(a, minlength=k)
-            C = C.copy()
-            nz = counts > 0
-            C[nz] = sums[nz].astype(np.float64) / 1e6 / counts[nz][:, None]
-        # lazy ds: no further iteration re-scans it on this fork
-        ds = _pq(sf_dir, "embeddings", columns=["vec_id", "embedding"], split=True)
-        return ds, C, _mat
-
-    # materialized once: every iteration re-scans the SAME blocks from
-    # the object store (spill-backed at scale) instead of re-reading and
-    # re-splitting parquet 6 times — the standard iterative-algorithm
-    # trade q_pagerank also makes
-    ds = _pq(sf_dir, "embeddings", columns=["vec_id", "embedding"], split=True).materialize()
-
-    for _ in range(n_iter):
-        cref = ray.put(C)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            cc = ray.get(cref)
-            _, x = _mat(batch)
-            d = ((x * x).sum(1)[:, None] - 2.0 * (x @ cc.T)
-                 + (cc * cc).sum(1)[None, :])
-            a = np.argmin(d, axis=1)
-            v = np.round(x * 1e6).astype(np.int64)
-            uniq, inv = np.unique(a, return_inverse=True)
-            sums = np.zeros((len(uniq), dims), dtype=np.int64)
-            np.add.at(sums, inv, v)
-            counts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-            return pa.table(
-                {
-                    "cluster": pa.array(np.repeat(uniq, dims), pa.int64()),
-                    "dim": pa.array(np.tile(np.arange(dims, dtype=np.int64),
-                                            len(uniq)), pa.int64()),
-                    "sum_e6": pa.array(sums.reshape(-1), pa.int64()),
-                    "n": pa.array(np.repeat(counts, dims), pa.int64()),
-                }
-            )
-
-        parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        # partials are <= n_blocks * k * dims rows of int64; under the
-        # bound the driver sums them directly (exact integer adds — no
-        # order dependence), above it one Ray groupby pre-merges so the
-        # driver only ever sees k * dims rows
-        if ds.num_blocks() * k * dims > 5_000_000:
-            parts = parts.groupby(["cluster", "dim"]).aggregate(
-                Sum("sum_e6", alias_name="sum_e6"), Sum("n", alias_name="n")
-            )
-        stats = (
-            parts.to_pandas()
-            .groupby(["cluster", "dim"], sort=True)[["sum_e6", "n"]]
-            .sum()
-            .reset_index()
-        )
-        C = C.copy()
-        for cid, g in stats.groupby("cluster"):
-            g = g.sort_values("dim")
-            n = int(g["n"].iloc[0])
-            if n > 0:
-                C[int(cid)] = g["sum_e6"].to_numpy(dtype=np.float64) / 1e6 / n
-
-    return ds, C, _mat
-
-
 def q_edit_neardup(sf_dir: str, n_buckets: int | None = None):
     """Edit-distance-1 similarity self-join over supplier names — the
     typo-level string dedup family (entity resolution / near-identical
@@ -4724,255 +4167,6 @@ def q_edit_neardup(sf_dir: str, n_buckets: int | None = None):
         .map_groups(bucket_pairs, batch_format="pandas")
     )
     return _dedup_pairs(cand, "a", "b")
-
-
-def _bpe_learn(words: dict, k: int) -> list:
-    """Reference BPE merge learner over a word-frequency dict (Sennrich
-    et al., "Neural Machine Translation of Rare Words with Subword
-    Units", ACL 2016): k rounds of (count adjacent symbol pairs
-    weighted by word frequency -> merge the most frequent pair).
-    Deterministic: ties break to the lexicographically smallest pair.
-    Returns [(left, right, count), ...] in merge order."""
-    from collections import Counter
-
-    seqs = {w: list(w) for w in words}
-    merges = []
-    for _ in range(k):
-        pc = Counter()
-        for w, cnt in words.items():
-            s = seqs[w]
-            for a, b in zip(s, s[1:]):
-                pc[(a, b)] += cnt
-        if not pc:
-            break
-        mx = max(pc.values())
-        best = min(p for p, c in pc.items() if c == mx)
-        merges.append((best[0], best[1], int(mx)))
-        for w, s in seqs.items():
-            out, i = [], 0
-            while i < len(s):
-                if i + 1 < len(s) and (s[i], s[i + 1]) == best:
-                    out.append(s[i] + s[i + 1])
-                    i += 2
-                else:
-                    out.append(s[i])
-                    i += 1
-            seqs[w] = out
-    return merges
-
-
-def q_bpe_train(
-    sf_dir: str,
-    k: int = 10,
-    driver_vocab_max: int = 1_000_000,
-    force_distributed: bool = False,
-):
-    """Distributed BPE tokenizer training — the canonical
-    tokenizer-build step of an LLM data pipeline, and the repo's fourth
-    iterative-algorithm member (pagerank / label propagation / Lloyd's
-    / BPE). Output: the first k learned merges as (rank, left, right,
-    cnt) rows.
-
-    The corpus is touched EXACTLY ONCE (stage 0: per-batch word counts
-    -> one combiner groupby -> the word-frequency table, the classic
-    Sennrich reduction); merge learning then runs over vocab-scale
-    state only. Size-adaptive like every other driver-vs-distributed
-    fork here:
-    - vocab <= ``driver_vocab_max``: the frequency table lands on the
-      driver once and `_bpe_learn` finishes locally (vocab is
-      output-scale for BPE by definition — a few million rows even at
-      100 TB of text);
-    - above the bound (or ``force_distributed``): the tokenized vocab
-      stays a Dataset of (word, cnt, toks); each round = one per-batch
-      weighted pair-count combiner -> pair groupby-sum -> per-block
-      top-1 + driver merge of block winners (global argmax; ties to the
-      lexicographically smallest pair
-      on BOTH paths) -> one re-tokenize map. Both paths
-      equivalence-tested."""
-    import polars as pl
-
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "documents", columns=["text"], split=True)
-
-    def word_partial(batch: pa.Table) -> pa.Table:
-        c = (
-            pl.from_arrow(batch.column("text"))
-            .rename("t")
-            .str.split(" ")
-            .explode()
-            .value_counts()
-        )
-        return pa.table(
-            {
-                "word": c["t"].to_arrow(),
-                "cnt": c["count"].cast(pl.Int64).to_arrow(),
-            }
-        )
-
-    vocab = (
-        ds.map_batches(word_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .materialize()
-    )
-
-    def merges_table(merges: list) -> pa.Table:
-        return pa.table(
-            {
-                "rank": pa.array(range(len(merges)), pa.int64()),
-                "left": pa.array([m[0] for m in merges], pa.string()),
-                "right": pa.array([m[1] for m in merges], pa.string()),
-                "cnt": pa.array([m[2] for m in merges], pa.int64()),
-            }
-        )
-
-    if vocab.count() <= driver_vocab_max and not force_distributed:
-        wdf = vocab.to_pandas()
-        words = dict(zip(wdf["word"], wdf["cnt"].astype(int)))
-        return merges_table(_bpe_learn(words, k))
-
-    # distributed path: vocab-resident state, one combiner round per merge
-    def tokenize(batch: pa.Table) -> pa.Table:
-        ws = batch.column("word").to_pylist()
-        return pa.table(
-            {
-                "word": batch.column("word"),
-                "cnt": batch.column("cnt"),
-                "toks": pa.array([list(w) for w in ws], pa.list_(pa.string())),
-            }
-        )
-
-    state = vocab.map_batches(tokenize, batch_format="pyarrow").materialize()
-    merges = []
-    for _ in range(k):
-        def pair_partial(batch: pa.Table) -> pa.Table:
-            from collections import Counter
-
-            cnts = batch.column("cnt").to_pylist()
-            toks = batch.column("toks").to_pylist()
-            pc = Counter()
-            for c, s in zip(cnts, toks):
-                for a, b in zip(s, s[1:]):
-                    pc[(a, b)] += c
-            return pa.table(
-                {
-                    "a": pa.array([p[0] for p in pc], pa.string()),
-                    "b": pa.array([p[1] for p in pc], pa.string()),
-                    "n": pa.array([int(v) for v in pc.values()], pa.int64()),
-                }
-            )
-
-        def block_top1(batch: pa.Table) -> pa.Table:
-            df = batch.to_pandas()
-            if df.empty:
-                return batch
-            mx = df["n"].max()
-            df = df[df["n"] == mx].sort_values(["a", "b"]).head(1)
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-        winners = (
-            state.map_batches(pair_partial, batch_format="pyarrow")
-            .groupby(["a", "b"])
-            .aggregate(Sum("n", alias_name="n"))
-            .map_batches(block_top1, batch_format="pyarrow")
-            .to_pandas()  # <= one row per block
-        )
-        if winners.empty:
-            break
-        mx = winners["n"].max()
-        w = winners[winners["n"] == mx].sort_values(["a", "b"]).iloc[0]
-        best = (str(w["a"]), str(w["b"]))
-        merges.append((best[0], best[1], int(mx)))
-
-        def apply_merge(batch: pa.Table) -> pa.Table:
-            toks = batch.column("toks").to_pylist()
-            out = []
-            for s in toks:
-                r, i = [], 0
-                while i < len(s):
-                    if i + 1 < len(s) and (s[i], s[i + 1]) == best:
-                        r.append(s[i] + s[i + 1])
-                        i += 2
-                    else:
-                        r.append(s[i])
-                        i += 1
-                out.append(r)
-            return pa.table(
-                {
-                    "word": batch.column("word"),
-                    "cnt": batch.column("cnt"),
-                    "toks": pa.array(out, pa.list_(pa.string())),
-                }
-            )
-
-        state = state.map_batches(apply_merge, batch_format="pyarrow").materialize()
-
-    return merges_table(merges)
-
-
-class BPEEncodeStage:
-    """Actor-pool tokenizer-encode stage: the merge table (pair ->
-    rank) is built ONCE per actor in __init__ from the broadcast merge
-    list, and a per-actor word->length memo cache amortizes repeated
-    words across every batch the actor sees — the canonical stateful
-    map_batches pattern (state in __init__, work in __call__)."""
-
-    def __init__(self, merges_ref):
-        import ray as _ray
-
-        merges = _ray.get(merges_ref)
-        self.rank = {(a, b): i for i, (a, b) in enumerate(merges)}
-        self.cache: dict = {}
-
-    def _encode_len(self, w: str) -> int:
-        hit = self.cache.get(w)
-        if hit is not None:
-            return hit
-        s = list(w)
-        while len(s) > 1:
-            best_i, best_r = -1, len(self.rank)
-            for i in range(len(s) - 1):
-                r = self.rank.get((s[i], s[i + 1]), len(self.rank))
-                if r < best_r:
-                    best_i, best_r = i, r
-            if best_i < 0 or best_r >= len(self.rank):
-                break
-            s[best_i : best_i + 2] = [s[best_i] + s[best_i + 1]]
-        self.cache[w] = len(s)
-        return len(s)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        n = [sum(self._encode_len(w) for w in t.split(" ")) for t in texts]
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_subwords": pa.array(n, pa.int64()),
-            }
-        )
-
-
-def q_bpe_encode(sf_dir: str, k: int = 10):
-    """Apply the learned BPE merges to the corpus (tokenizer ENCODE,
-    pairing q_bpe_train's TRAIN): per-document subword count after k
-    merges. Encoding applies merges in rank order (lowest first), so a
-    training-set word segments exactly as it did at train time —
-    pinned against the trainer's own segmentation in tests. The merge
-    list broadcasts once; the stage is an ACTOR POOL whose per-actor
-    memo cache makes the cost proportional to distinct words per
-    actor, not corpus tokens."""
-    tr = q_bpe_train(sf_dir, k=k)
-    merges = list(zip(tr.column("left").to_pylist(), tr.column("right").to_pylist()))
-    merges_ref = ray.put(merges)
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-    return ds.map_batches(
-        BPEEncodeStage,
-        fn_constructor_args=(merges_ref,),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 8),
-    )
 
 
 # ------------------------------------------ semantic decontamination ----
@@ -5486,95 +4680,6 @@ def q_containment_neardup(
     return ni.map_batches(verify, batch_format="pyarrow")
 
 
-# ------------------------------------------ grouped approx distinct -----
-def q_grouped_hll(sf_dir: str, p: int = 12):
-    """Per-event-type APPROXIMATE distinct users via mergeable
-    HyperLogLog registers — the 100-TB fallback for exact grouped
-    distinct counts when those stop
-    being worth an all-to-all of the key pairs: each map task emits ONE
-    (group, 4-KB register blob) row per group per batch, the groupby
-    merges register maxima, and NOTHING user-cardinality-sized ever
-    shuffles. Error ~1.04/sqrt(2^p) (~1.6% at p=12), pinned <2% vs the
-    exact twin in tests. Deterministic: SipHash64 user hashing, so the
-    estimate is bit-stable across runs and cluster sizes."""
-    from ..functions.hashing import hash64
-    from ..functions.sketch import HyperLogLog
-
-    ds = _pq(sf_dir, "events", columns=["event_type", "user_id"])
-
-    def block_sketch(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_numpy(zero_copy_only=False)
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        uh = hash64([str(u) for u in uid])
-        out_t, out_b = [], []
-        for t in np.unique(et):
-            h = HyperLogLog(p)
-            h.add_hashes(uh[et == t])
-            out_t.append(str(t))
-            out_b.append(h.to_bytes())
-        return pa.table(
-            {
-                "event_type": pa.array(out_t, pa.string()),
-                "sketch": pa.array(out_b, pa.binary()),
-            }
-        )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        from ..functions.sketch import HyperLogLog as _H
-
-        h = _H.from_bytes(g["sketch"].iloc[0])
-        for b in g["sketch"].iloc[1:]:
-            h.merge(_H.from_bytes(b))
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]],
-                "approx_users": [int(round(h.estimate()))],
-            }
-        )
-
-    return (
-        ds.map_batches(block_sketch, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pandas")
-    )
-
-
-# ------------------------------------------ compression-ratio quality ---
-def q_compression_stats(sf_dir: str, level: int = 6):
-    """Per-document zlib compression ratio in ppm — the
-    Gopher/MassiveText-style quality signal (Rae et al. 2021 §A1.1:
-    extreme ratios flag boilerplate and gibberish at both ends).
-    Pure streaming map, zero shuffle; zlib's C deflate at a fixed
-    level is deterministic for a given zlib build, and the ratio is
-    integer ppm so downstream gates are reproducible. Returns
-    (doc_id, raw_len, comp_len, ratio_ppm)."""
-    import zlib
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def ratios(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        texts = batch.column("text").to_pylist()
-        raw, comp = [], []
-        for t in texts:
-            bt = (t or "").encode("utf-8")
-            raw.append(len(bt))
-            comp.append(len(zlib.compress(bt, level)))
-        raw = np.array(raw, np.int64)
-        comp = np.array(comp, np.int64)
-        ppm = np.where(raw > 0, comp * 1_000_000 // np.maximum(raw, 1), 0)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "raw_len": pa.array(raw, pa.int64()),
-                "comp_len": pa.array(comp, pa.int64()),
-                "ratio_ppm": pa.array(ppm, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(ratios, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # ------------------------------------------ duplicated substring spans --
 def q_dup_spans(
     sf_dir: str,
@@ -5772,76 +4877,6 @@ def q_bigram_lift(sf_dir: str, min_count: int = 5):
 
     return counts.filter(expr="is_bigram == 1").map_batches(
         lift, batch_format="pyarrow"
-    )
-
-
-# ------------------------------------------ grouped t-digest quantiles --
-def q_grouped_tdigest(sf_dir: str, qs: tuple = (50, 90, 99)):
-    """PER-GROUP approximate quantiles via mergeable t-digests — the
-    100-TB fallback for an exact per-group quantile sort, exactly as
-    q_grouped_hll is for grouped exact distinct: when a single group's
-    value column stops fitting one task (billions of rows per
-    event_type), the exact bucketed sort dies, but each map task can
-    emit ONE kilobyte-scale digest per (group, batch) and the groupby
-    merges centroids. NOTHING value-column-sized shuffles; rank error
-    O(1/delta), sharpest in the tails (k1 scale function).
-    Rows-only driver check; tests pin per-group rank error vs the exact
-    per-group sort at fixture scale."""
-    from ..functions.sketch import TDigest
-
-    ds = _pq(sf_dir, "events", columns=["event_type", "value"], split=True)
-
-    def sk(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type").to_numpy(zero_copy_only=False)
-        v = batch.column("value").to_numpy(zero_copy_only=False)
-        out_t, out_m, out_w = [], [], []
-        for t in np.unique(et):
-            d = TDigest.from_values(v[et == t])
-            m, w = d.to_arrays()
-            out_t.append(str(t))
-            out_m.append(m.tolist())
-            out_w.append(w.tolist())
-        return pa.table(
-            {
-                "event_type": pa.array(out_t, pa.string()),
-                "means": pa.array(out_m, pa.list_(pa.float64())),
-                "weights": pa.array(out_w, pa.list_(pa.float64())),
-            }
-        )
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        # t-digest merge is order-SENSITIVE and groupby tie order is not
-        # guaranteed across runs — a canonical sketch sort pins the merge
-        # sequence so repeated runs are bit-identical
-        order = sorted(
-            range(len(g)),
-            key=lambda i: (
-                len(g["means"].iloc[i]),
-                tuple(g["means"].iloc[i]),
-                tuple(g["weights"].iloc[i]),  # identical means, different
-                # weights would otherwise tie back to arrival order
-            ),
-        )
-        acc = TDigest()
-        for i in order:
-            acc = acc.merge(
-                TDigest(means=np.asarray(g["means"].iloc[i], np.float64),
-                        weights=np.asarray(g["weights"].iloc[i], np.float64))
-            )
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]] * len(qs),
-                "q": [int(q) for q in qs],
-                "value_approx": [
-                    round(acc.quantile(q / 100.0), 4) for q in qs
-                ],
-            }
-        )
-
-    return (
-        ds.map_batches(sk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pandas")
     )
 
 
@@ -6192,8 +5227,8 @@ def q_ann_range(sf_dir: str, eval_mod: int = 41, threshold_e4: int = 3500):
 # ------------------------------------------------ char-entropy quality --
 def q_entropy(sf_dir: str):
     """Per-document character Shannon entropy in fixed-point e4 bits —
-    the information-density quality signal next to
-    q_compression_stats' zlib ratio (low entropy = repetitive
+    the information-density quality signal next to a zlib
+    compression ratio (low entropy = repetitive
     boilerplate, abnormally high = binary junk / encoding damage).
     Pure streaming map, zero shuffle. Formula is the one-pass identity
     H = log2(N) - Σ c·log2(c) / N over the doc's codepoint counts;
@@ -6943,8 +5978,8 @@ def q_ann_filtered(sf_dir: str, n_queries: int = 5, k: int = 3):
     matmul + vectorized label mask + partial top-k, (n_queries × k ×
     blocks)-row driver merge — the filter applies INSIDE the scan, so
     a selective label prunes compute before any sort. With a
-    partitioned index (q_ann_persistent) the filter becomes partition
-    pruning; here the brute path doubles as its exactness oracle."""
+    partitioned index the filter becomes partition pruning; the brute
+    path doubles as its exactness oracle."""
     qids, qmat, qlab = _query_matrix(sf_dir, n_queries, with_label=True)
     q_ref = ray.put((qids, l2_normalize(qmat.astype(np.float64)), qlab))
     ds = _pq(sf_dir, "embeddings", columns=["vec_id", "embedding", "label"])
@@ -7653,115 +6688,6 @@ def q_ccnet_bucket(
         )
 
     return scores.map_batches(assign, batch_format="pyarrow")
-
-
-def q_semdedup(
-    sf_dir: str,
-    k: int = 8,
-    n_iter: int = 5,
-    dims: int = 64,
-    tau: float = 0.45,
-    force_distributed: bool = False,
-):
-    """SemDeDup semantic deduplication (Abbas et al. 2023, "SemDeDup:
-    Data-efficient learning at web-scale through semantic
-    deduplication"): k-means the embedding space, compare cosines only
-    WITHIN a cluster, and per semantic-duplicate group keep the point
-    with the LOWEST cosine similarity to its cluster centroid (the
-    paper's exemplar rule — the most "atypical" member survives).
-    Realized as a deterministic leader pass per cluster: members sorted
-    by (centroid_sim asc, vec_id asc); a member is kept iff its cosine
-    to every already-kept member is < tau.
-
-    Scale shape: centroids from q_kmeans' Lloyd loop (corpus never
-    shuffles there); then ONE cluster-key shuffle +
-    groupby(cluster).map_groups with a vectorized kept-matrix kernel —
-    the same per-cell O(|cell|^2) budget q_embed_neardup runs, with k
-    sized so a cluster fits a worker. Not SQL-expressible (iterative
-    k-means); pinned against a single-process numpy replica in tests.
-    Output: (vec_id, cluster) of kept exemplars."""
-    ds, C, _mat = _kmeans_fit(sf_dir, k, n_iter, dims,
-                              force_distributed=force_distributed)
-
-    def assign_with_vec(batch: pa.Table) -> pa.Table:
-        ids, x = _mat(batch)
-        d = ((x * x).sum(1)[:, None] - 2.0 * (x @ C.T)
-             + (C * C).sum(1)[None, :])
-        return pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "cluster": pa.array(
-                    np.argmin(d, axis=1).astype(np.int64), pa.int64()
-                ),
-                "embedding": batch.column("embedding"),
-            }
-        )
-
-    def leader(g: pd.DataFrame) -> pd.DataFrame:
-        cid = int(g["cluster"].iloc[0])
-        x = as_matrix(g["embedding"].tolist()).astype(np.float64)
-        xn = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-        c = C[cid]
-        cn = c / max(float(np.linalg.norm(c)), 1e-12)
-        csim = xn @ cn
-        ids = g["vec_id"].to_numpy().astype(np.int64)
-        order = np.lexsort((ids, csim))  # centroid_sim asc, vec_id asc
-        xo, io = xn[order], ids[order]
-        kept: list[int] = []
-        for i in range(len(io)):
-            if not kept or float((xo[kept] @ xo[i]).max()) < tau:
-                kept.append(i)
-        return pd.DataFrame(
-            {"vec_id": io[kept], "cluster": np.full(len(kept), cid, np.int64)}
-        )
-
-    import pyarrow.dataset as _pads
-    import pyarrow.parquet as pq_mod
-
-    path = os.path.join(sf_dir, "embeddings.parquet")
-    emb_rows = pq_mod.read_metadata(path).num_rows
-    if emb_rows <= 500_000 and not force_distributed:
-        # driver fork (same gate as _kmeans_fit's): assign + per-cluster
-        # leader run through the identical kernels in one driver pass —
-        # the cluster-key shuffle moved every embedding for k=|clusters|
-        # groups of driver-bounded size
-        tbl = _pads.dataset(path).to_table(columns=["vec_id", "embedding"])
-        ids, X = _mat(tbl)
-        d = ((X * X).sum(1)[:, None] - 2.0 * (X @ C.T)
-             + (C * C).sum(1)[None, :])
-        a = np.argmin(d, axis=1).astype(np.int64)
-        frames = []
-        for cid in np.unique(a):
-            sel = np.flatnonzero(a == cid)
-            frames.append(
-                leader(
-                    pd.DataFrame(
-                        {
-                            "cluster": np.full(len(sel), cid, np.int64),
-                            "vec_id": ids[sel],
-                            "embedding": [X[i] for i in sel],
-                        }
-                    )
-                )
-            )
-        out = (
-            pd.concat(frames, ignore_index=True)
-            if frames
-            else pd.DataFrame(
-                {
-                    "vec_id": pd.Series(dtype=np.int64),
-                    "cluster": pd.Series(dtype=np.int64),
-                }
-            )
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    assigned = ds.map_batches(
-        assign_with_vec, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return assigned.groupby("cluster").map_groups(
-        leader, batch_format="pandas"
-    )
 
 
 def q_train_val_split(sf_dir: str, val_permille: int = 50):
@@ -8712,50 +7638,6 @@ def q_incremental_dedup(sf_dir: str):
     )
 
 
-def q_ann_recall_eval(sf_dir: str, n_queries: int = 5, k: int = 3):
-    """ANN quality gate: recall@k of every approximate index variant
-    against the exact brute-force ranking — the acceptance check a
-    vector-search deployment runs after (re)building an index (FAISS
-    ships the same eval; an index that silently lost recall is worse
-    than none). Variants: IVF (nprobe-probed coarse cells) and IVF-PQ
-    (product-quantized ADC + exact re-rank).
-
-    Scale shape: each variant's own documented distributed path does
-    the work; the eval itself compares (n_queries x k) id sets — a
-    constant-size driver step by construction. Rows-only (ANN internals
-    aren't SQL-expressible; the exact side IS oracled as q_ann_knn).
-    Output: (variant, k, n_queries, hits, recall_e4)."""
-    exact = q_ann_knn(sf_dir, n_queries, k).to_pandas()
-    truth = {
-        qid: set(g["vec_id"]) for qid, g in exact.groupby("query_id")
-    }
-
-    rows = {"variant": [], "k": [], "n_queries": [], "hits": [],
-            "recall_e4": []}
-    for variant, fn in (("ivf", q_ann_ivf), ("ivfpq", q_ann_ivfpq)):
-        approx = fn(sf_dir, n_queries, k)
-        approx = approx.to_pandas() if hasattr(approx, "to_pandas") else approx
-        hits = sum(
-            len(set(g["vec_id"]) & truth.get(qid, set()))
-            for qid, g in approx.groupby("query_id")
-        )
-        total = sum(len(v) for v in truth.values())
-        rows["variant"].append(variant)
-        rows["k"].append(k)
-        rows["n_queries"].append(len(truth))
-        rows["hits"].append(hits)
-        rows["recall_e4"].append(hits * 10_000 // max(total, 1))
-    return pa.table(
-        {
-            "variant": pa.array(rows["variant"], pa.string()),
-            "k": pa.array(rows["k"], pa.int64()),
-            "n_queries": pa.array(rows["n_queries"], pa.int64()),
-            "hits": pa.array(rows["hits"], pa.int64()),
-            "recall_e4": pa.array(rows["recall_e4"], pa.int64()),
-        }
-    )
-
-
 def q_zipf_fit(sf_dir: str):
     """Zipf-law fit of the corpus token-frequency distribution — the
     one-scalar corpus health check (natural language sits near slope
@@ -9660,219 +8542,6 @@ def q_weighted_sample(sf_dir: str, n_sample: int = 100):
     return final.select_columns(["doc_id", "n_chars"])
 
 
-# ------------------------------------- content-defined chunking (CDC) dedup --
-def q_cdc_chunks(sf_dir: str, w: int = 16, mask_mod: int = 64):
-    """Content-defined chunking dedup statistics — the storage-dedup
-    view of corpus redundancy (Muthitacharoen et al. 2001 LBFS anchors;
-    Xia et al. 2016 FastCDC): chunk boundaries are declared wherever
-    the w-char Karp-Rabin window hash lands in a fixed residue class
-    (P(boundary) = 1/mask_mod, expected chunk ~= mask_mod chars), so an
-    insertion/deletion only reshuffles chunks NEAR the edit — the
-    shift-resistance fixed-size chunking (q_chunk_dedup) lacks. Per
-    source: total chunks, distinct chunk hashes, and the duplicate-
-    chunk ratio (the fraction of chunk mass a content-addressed store
-    would dedup away).
-
-    Vectorization: window hashes are ONE sliding_window_view
-    (T,w)·(w,) uint64 polynomial dot (the q_dup_spans kernel); chunk
-    hashes come from prefix sums with MODULAR-INVERSE powers —
-    hash(l,r) = P^(r-1) * (S[r]-S[l]) with S[i] = cumsum(c_t * P^-t)
-    mod 2^64 (the FNV prime is odd, hence invertible) — so EVERY chunk
-    of a batch is hashed by one cumsum + one gather, no Python per
-    chunk; the only per-doc Python assembles each doc's cut positions
-    into (l, r) spans (O(#docs), same budget as the per-doc utf-32
-    encode every text kernel here pays).
-
-    Scale shape: chunks leave each batch pre-counted as
-    (source, chunk_hash, cnt) rows; ONE (source, hash)-keyed groupby
-    sums multiplicities, a second tiny groupby folds per-source
-    totals. Nothing doc-sized crosses the exchange twice. Output
-    (source, n_chunks, n_distinct, dup_ratio). No SQL twin (rolling
-    hashes are not SQL-expressible) — pinned by a pure-Python replica
-    test instead."""
-    import polars as pl
-
-    pww = _poly_powers(w)
-    mm = np.uint64(mask_mod)
-    P_INT = 1099511628211
-    IP = np.uint64(pow(P_INT, -1, 1 << 64))
-    P = np.uint64(P_INT)
-
-    ds = _pq(sf_dir, "documents", columns=["source", "text"], split=True)
-
-    def chunk_counts(batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        src = np.asarray(batch.column("source").to_pylist(), dtype=object)
-        enc = [(t or "").encode("utf-32-le") for t in texts]
-        lens = np.array([len(e) >> 2 for e in enc], np.int64)
-        buf = np.frombuffer(b"".join(enc), np.uint32).astype(np.uint64)
-        n_buf = len(buf)
-        starts = np.cumsum(lens) - lens
-        ends = starts + lens
-        # boundary cut positions (global, exclusive) per doc
-        if n_buf >= w:
-            win = np.lib.stride_tricks.sliding_window_view(buf, w)
-            with np.errstate(over="ignore"):
-                h = (win * pww).sum(axis=1, dtype=np.uint64)
-            p = np.arange(len(h), dtype=np.int64)
-            doc_of = np.searchsorted(ends, p, side="right")
-            valid = p <= ends[doc_of] - w
-            bsel = valid & ((h % mm) == mm - np.uint64(1))
-            bdoc, bcut = doc_of[bsel], p[bsel] + w
-        else:
-            bdoc = np.empty(0, np.int64)
-            bcut = np.empty(0, np.int64)
-        # prefix machinery: S[i] = sum_{t<i} c_t * P^-t; powers wrap mod 2^64
-        with np.errstate(over="ignore"):
-            ppow = np.concatenate(
-                ([np.uint64(1)], np.cumprod(np.full(n_buf, P, np.uint64)))
-            )
-            ipow = np.concatenate(
-                ([np.uint64(1)], np.cumprod(np.full(n_buf, IP, np.uint64)))
-            )[:n_buf]
-            S = np.zeros(n_buf + 1, np.uint64)
-            if n_buf:
-                S[1:] = np.cumsum(buf * ipow)
-        ls, rs, di = [], [], []
-        splits = np.searchsorted(bdoc, np.arange(1, len(texts)))
-        for i, cuts in enumerate(np.split(bcut, splits)):
-            L = int(lens[i])
-            if L == 0:
-                continue
-            end = int(ends[i])
-            e = cuts if (len(cuts) and cuts[-1] == end) else np.append(cuts, end)
-            ls.append(np.concatenate(([starts[i]], e[:-1])))
-            rs.append(e)
-            di.append(np.full(len(e), i, np.int64))
-        if not ls:
-            return pa.table(
-                {"source": pa.array([], pa.string()),
-                 "h": pa.array([], pa.int64()),
-                 "cnt": pa.array([], pa.int64())}
-            )
-        l = np.concatenate(ls).astype(np.int64)
-        r = np.concatenate(rs).astype(np.int64)
-        d = np.concatenate(di)
-        with np.errstate(over="ignore"):
-            ch = ((S[r] - S[l]) * ppow[r - 1]).astype(np.int64)
-        out = (
-            pl.DataFrame({"source": src[d], "h": ch})
-            .group_by(["source", "h"])
-            .len(name="cnt")
-        )
-        return pa.table(
-            {
-                "source": out["source"].to_arrow(),
-                "h": out["h"].to_arrow(),
-                "cnt": out["cnt"].cast(pl.Int64).to_arrow(),
-            }
-        )
-
-    from ray.data.aggregate import Sum
-
-    per_hash = (
-        ds.map_batches(chunk_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "h"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-    )
-
-    def to_partials(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "source": batch.column("source"),
-                "n_chunks": batch.column("cnt"),
-                "n_distinct": pa.array(np.ones(n, np.int64), pa.int64()),
-            }
-        )
-
-    stats = (
-        per_hash.map_batches(to_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(
-            Sum("n_chunks", alias_name="n_chunks"),
-            Sum("n_distinct", alias_name="n_distinct"),
-        )
-    )
-
-    def ratio(batch: pa.Table) -> pa.Table:
-        tot = batch.column("n_chunks").to_numpy(zero_copy_only=False).astype(np.float64)
-        dis = batch.column("n_distinct").to_numpy(zero_copy_only=False).astype(np.float64)
-        return batch.append_column(
-            "dup_ratio", pa.array(1.0 - dis / tot, pa.float64())
-        )
-
-    return stats.map_batches(ratio, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ----------------------------------- clustering quality (Davies-Bouldin) --
-def q_davies_bouldin(sf_dir: str, k: int = 8, n_iter: int = 5, dims: int = 64):
-    """Davies-Bouldin index of the q_kmeans clustering (Davies &
-    Bouldin 1979) — the internal cluster-quality gauge a curation run
-    consults before trusting k-means-derived pruning (SemDeDup,
-    cluster-balanced sampling): DB = mean_i max_{j!=i}
-    (S_i + S_j) / ||c_i - c_j||, with S_i the mean point-to-centroid
-    distance of cluster i. Lower = tighter, better-separated clusters.
-
-    Scale shape: reuses the fitted centroids from _kmeans_fit (its
-    size-adaptive driver/combiner forks are equivalence-tested), then
-    ONE more combiner pass: each batch assigns rows to the broadcast
-    centroid matrix and emits per-cluster (n, sum_dist) partials with
-    the distance sums in EXACT e6 fixed-point int64 (the q_kmeans
-    determinism contract — integer adds are order/batching-free), so
-    the groupby moves <= k rows per batch and the driver only ever
-    sees k numbers. Output one row (k, n_clusters, db_index). No SQL
-    twin (iterative Lloyd + argmin is not SQL-expressible) — pinned by
-    a pure-numpy replica test on the same centroids."""
-    from ray.data.aggregate import Sum
-
-    ds, C, _mat = _kmeans_fit(sf_dir, k, n_iter, dims)
-    cref = ray.put(C)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        cc = ray.get(cref)
-        _ids, x = _mat(batch)
-        d2 = ((x * x).sum(1)[:, None] - 2.0 * (x @ cc.T)
-              + (cc * cc).sum(1)[None, :])
-        a = np.argmin(d2, axis=1)
-        dist = np.sqrt(np.maximum(d2[np.arange(len(a)), a], 0.0))
-        f = np.round(dist * 1e6).astype(np.int64)
-        uniq, inv = np.unique(a, return_inverse=True)
-        s = np.zeros(len(uniq), np.int64)
-        np.add.at(s, inv, f)
-        n = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        return pa.table(
-            {
-                "cluster": pa.array(uniq.astype(np.int64), pa.int64()),
-                "n": pa.array(n, pa.int64()),
-                "s_e6": pa.array(s, pa.int64()),
-            }
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cluster")
-        .aggregate(Sum("n", alias_name="n"), Sum("s_e6", alias_name="s_e6"))
-    ).to_pandas()  # <= k rows
-
-    agg = agg[agg["n"] > 0].sort_values("cluster")
-    cid = agg["cluster"].to_numpy()
-    S = (agg["s_e6"].to_numpy() / 1e6) / agg["n"].to_numpy()
-    cc = C[cid]
-    diff = cc[:, None, :] - cc[None, :, :]
-    M = np.sqrt((diff * diff).sum(-1))
-    m = len(cid)
-    if m < 2:
-        db = 0.0
-    else:
-        R = (S[:, None] + S[None, :]) / np.where(M > 0, M, np.inf)
-        np.fill_diagonal(R, -np.inf)
-        db = float(np.mean(R.max(axis=1)))
-    return pd.DataFrame(
-        {"k": [np.int64(k)], "n_clusters": [np.int64(m)], "db_index": [db]}
-    )
-
-
 # --------------------------------------- link prediction (common neighbors) --
 def q_common_neighbors(sf_dir: str, min_common: int = 3, hub_cap: int = 65536):
     """Common-neighbor link prediction over the deterministic customer
@@ -9973,87 +8642,6 @@ def q_common_neighbors(sf_dir: str, min_common: int = 3, hub_cap: int = 65536):
         .groupby("b2")
         .map_groups(merge_counts, batch_format="pandas")
     )
-
-
-# ------------------------------------------------ tokenizer fertility eval --
-def q_tokenizer_fertility(sf_dir: str, k: int = 10):
-    """Tokenizer FERTILITY by language — chars per subword token under
-    the q_bpe_train merges (the standard multilingual-tokenizer equity
-    report: a tokenizer with low chars/token on a language inflates
-    that language's effective sequence length and training cost; cf.
-    the fertility tables in the XLM-R / BLOOM tokenizer analyses).
-
-    Scale shape: the encode actor pool (BPEEncodeStage's memoized
-    merge-table state) carries lang + n_chars THROUGH the stage and
-    pre-aggregates per batch, so the corpus is touched once, nothing
-    joins, and the single groupby moves <= n_langs rows per batch.
-    Output (lang, n_docs, n_chars, n_subwords, chars_per_token). No
-    SQL twin (BPE segmentation is not SQL-expressible) — pinned
-    against a q_bpe_encode + documents pandas recompute."""
-    import polars as pl
-
-    from ray.data.aggregate import Sum
-
-    tr = q_bpe_train(sf_dir, k=k)
-    merges = list(zip(tr.column("left").to_pylist(), tr.column("right").to_pylist()))
-    merges_ref = ray.put(merges)
-    ds = _pq(
-        sf_dir, "documents",
-        columns=["doc_id", "text", "lang", "n_chars"], split=True,
-    )
-
-    class FertilityStage(BPEEncodeStage):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            texts = batch.column("text").to_pylist()
-            n = np.array(
-                [sum(self._encode_len(w) for w in t.split(" ")) for t in texts],
-                np.int64,
-            )
-            out = (
-                pl.DataFrame(
-                    {
-                        "lang": pl.from_arrow(
-                            batch.column("lang").combine_chunks()
-                        ),
-                        "n_chars": pl.from_arrow(
-                            batch.column("n_chars").combine_chunks()
-                        ),
-                        "n_subwords": n,
-                    }
-                )
-                .group_by("lang")
-                .agg(
-                    pl.len().cast(pl.Int64).alias("n_docs"),
-                    pl.col("n_chars").sum().alias("n_chars"),
-                    pl.col("n_subwords").sum().alias("n_subwords"),
-                )
-            )
-            return out.to_arrow()
-
-    agg = (
-        ds.map_batches(
-            FertilityStage,
-            fn_constructor_args=(merges_ref,),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-        .groupby("lang")
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("n_chars", alias_name="n_chars"),
-            Sum("n_subwords", alias_name="n_subwords"),
-        )
-    )
-
-    def ratio(batch: pa.Table) -> pa.Table:
-        c = batch.column("n_chars").to_numpy(zero_copy_only=False).astype(np.float64)
-        s = batch.column("n_subwords").to_numpy(zero_copy_only=False).astype(np.float64)
-        return batch.append_column(
-            "chars_per_token", pa.array(c / s, pa.float64())
-        )
-
-    return agg.map_batches(ratio, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ------------------------------------------------ degree assortativity ----
@@ -10180,65 +8768,6 @@ def q_ppr(
     return out.map_batches(
         lambda b: b.rename_columns(["custkey", "ppr_e12"]),
         batch_format="pyarrow",
-    )
-
-
-# ------------------------------------------- distributed PCA (variance) ----
-def q_pca_variance(sf_dir: str, dims: int = 64, top_k: int = 8):
-    """Distributed PCA explained-variance profile of the embedding
-    column (the dimensionality audit run before PQ/OPQ quantization or
-    whitening: if 8 of 64 components carry most of the variance, PQ
-    subspaces should be rotated/balanced first — Jégou et al. PAMI'11
-    §V discusses exactly this failure). Top-k eigenvalues of the
-    covariance matrix as e6 variance ratios.
-
-    Determinism contract: each batch emits EXACT int64 moment partials
-    (n, Σv, Σ v vᵀ upper triangle) in e6 fixed point — v_i·v_j ≤ 1e12
-    per element and the fixture row count keeps the sums far under
-    2^63 (at 10^9 rows the same layout needs per-block rescaling or
-    i128 accumulation — documented knob, same class as the ANN
-    codebook sample). The d² moment rows are dims-bounded, never
-    corpus-bounded; the driver reconstructs the covariance from the
-    exact ints and runs ONE eigh — bit-identical inputs, so the
-    replica test pins equality exactly.
-
-    Output (component, var_ratio_e6) for the top_k components."""
-    ds = _pq(sf_dir, "embeddings", columns=["embedding"], split=True)
-
-    def moments(batch: pa.Table) -> pa.Table:
-        flat = batch.column("embedding").combine_chunks().flatten().to_numpy(
-            zero_copy_only=False
-        )
-        x = flat.reshape(-1, dims).astype(np.float64)
-        v = np.round(x * 1e6).astype(np.int64)
-        s2 = v.T @ v  # int64 exact at fixture scale (see docstring)
-        return pa.table(
-            {
-                "n": pa.array([len(v)], pa.int64()),
-                "sv": pa.array([v.sum(axis=0).tolist()], pa.list_(pa.int64())),
-                "s2": pa.array([s2.reshape(-1).tolist()], pa.list_(pa.int64())),
-            }
-        )
-
-    parts = ds.map_batches(
-        moments, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()  # <= n_blocks rows of (1 + d + d^2) ints — dims-bounded
-
-    n = int(parts["n"].sum())
-    sv = np.sum(np.stack(parts["sv"].to_numpy()), axis=0).astype(np.int64)
-    s2 = np.sum(np.stack(parts["s2"].to_numpy()), axis=0).astype(np.int64)
-    mean = sv.astype(np.float64) / 1e6 / n
-    cov = s2.reshape(dims, dims).astype(np.float64) / 1e12 / n - np.outer(
-        mean, mean
-    )
-    evals = np.linalg.eigvalsh(cov)[::-1]  # descending
-    total = float(evals.sum())
-    ratio = evals[:top_k] / total
-    return pd.DataFrame(
-        {
-            "component": np.arange(top_k, dtype=np.int64),
-            "var_ratio_e6": np.floor(ratio * 1_000_000 + 0.5).astype(np.int64),
-        }
     )
 
 
@@ -10456,99 +8985,6 @@ def q_center_crop(sf_dir: str):
         )
 
     return ds.map_batches(crop, batch_format="pyarrow", batch_size=16)
-
-
-# --------------------------------------------- minhash estimator error ----
-def q_minhash_est_error(sf_dir: str, threshold: float = 0.6, n_perms: int = 128):
-    """MinHash estimator-quality harness (the dedup twin of
-    q_ann_recall_eval): for every LSH-surfaced near-dup pair, compute
-    the MinHash ESTIMATE of Jaccard — the agreement fraction of
-    n_perms independent permutation minima over the pair's shingle
-    sets (Broder 1997: each component agrees with probability exactly
-    J) — next to the EXACT shingle Jaccard, and report both plus the
-    absolute error in e4 fixed point. The expected error envelope is
-    binomial, std = sqrt(J(1-J)/k); the replica test pins every value
-    bit-exactly and the envelope at 6 sigma. A growing error here is
-    the early warning that a hash/permutation regression is silently
-    degrading LSH recall at scale.
-
-    Scale shape: the pair list is the operator's OUTPUT scale; member
-    texts are pulled through the broadcast-id filter (O(pairs), never
-    the corpus); shingle sets and signatures compute once per distinct
-    doc. Permutations are splitmix64 finalizer mixes of
-    (shingle XOR per-perm seed) — affine maps mod P were measurably
-    NOT min-wise independent on the fixture's smallest shingle sets
-    (a 13-element set produced a 0.24 estimate deviation at k=128,
-    12 sigma outside the binomial envelope; the 64-bit avalanche mix
-    brought the whole corpus inside 4 sigma), vectorized as one
-    (perms x shingles) uint64 broadcast per doc."""
-    import pyarrow.compute as pc
-
-    from ..functions.text import jaccard, shingles
-
-    def _splitmix64(z: np.ndarray) -> np.ndarray:
-        z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-        z ^= z >> np.uint64(30)
-        z = (z * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-        z ^= z >> np.uint64(27)
-        z = (z * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-        return z ^ (z >> np.uint64(31))
-
-    seeds = _splitmix64(np.arange(1, n_perms + 1, dtype=np.uint64))
-
-    pairs = q_minhash_neardup(sf_dir, threshold=threshold).to_pandas()
-    if not len(pairs):
-        return pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "jaccard_e4": pa.array([], pa.int64()),
-                "est_e4": pa.array([], pa.int64()),
-                "abs_err_e4": pa.array([], pa.int64()),
-            }
-        )
-    ids = np.unique(np.concatenate([pairs["doc_a"], pairs["doc_b"]])).astype(np.int64)
-    ids_ref = ray.put(pa.array(ids, pa.int64()))
-    texts_df = (
-        _pq(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(
-            lambda b: b.filter(pc.is_in(b.column("doc_id"), value_set=ray.get(ids_ref))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .to_pandas()  # O(pairs) rows, not the corpus
-    )
-    lookup = dict(zip(texts_df["doc_id"], texts_df["text"]))
-
-    def doc_sig(sh: set) -> np.ndarray:
-        h = np.fromiter(sh, np.int64, len(sh)).astype(np.uint64)
-        return _splitmix64(h[None, :] ^ seeds[:, None]).min(axis=1)
-
-    sh_cache = {int(i): shingles(lookup.get(int(i)) or "") for i in ids}
-    sig_cache = {i: doc_sig(sh) for i, sh in sh_cache.items() if sh}
-    out_j, out_e, out_d = [], [], []
-    for a, b in zip(pairs["doc_a"].astype(int), pairs["doc_b"].astype(int)):
-        exact = jaccard(sh_cache[a], sh_cache[b])
-        if a in sig_cache and b in sig_cache:
-            est = float(np.mean(sig_cache[a] == sig_cache[b]))
-        else:
-            # an empty shingle set has no signature; the estimate takes
-            # jaccard()'s empty-set convention (1.0 for two empty docs)
-            est = exact
-        je4 = int(np.floor(exact * 10_000 + 0.5))
-        ee4 = int(np.floor(est * 10_000 + 0.5))
-        out_j.append(je4)
-        out_e.append(ee4)
-        out_d.append(abs(je4 - ee4))
-    return pa.table(
-        {
-            "doc_a": pa.array(pairs["doc_a"].astype("int64"), pa.int64()),
-            "doc_b": pa.array(pairs["doc_b"].astype("int64"), pa.int64()),
-            "jaccard_e4": pa.array(out_j, pa.int64()),
-            "est_e4": pa.array(out_e, pa.int64()),
-            "abs_err_e4": pa.array(out_d, pa.int64()),
-        }
-    )
 
 
 # ----------------------------------------------------- graph reciprocity ----
@@ -10795,179 +9231,6 @@ def q_cc_sizes(
             "n_components": pa.array(hist["n_components"].astype("int64"), pa.int64()),
         }
     )
-
-
-# ------------------------------------------------------- sketch audits ----
-def q_hll_error_eval(sf_dir: str, p_list: tuple = (8, 10, 12, 14)):
-    """HyperLogLog accuracy audit (the sketch-quality harness family:
-    q_minhash_est_error for LSH, this for cardinality, the t-digest
-    twin below for quantiles): the distributed HLL merge over the
-    events id stream (event_id: the large-cardinality key, so every
-    precision sits in HLL's asymptotic regime rather than linear
-    counting) at four precisions, each next to the EXACT
-    distinct count, with the relative error and the analytical
-    1.04/sqrt(2^p) standard error in e6 fixed point. This is the
-    number that licenses "p=12 costs 4 KB and is within ~1.6%" before
-    a 10^10-key production run. Deterministic end to end (SipHash-
-    style hash64 keys, register maxima are order-free), so the test
-    pins error <= 3 sigma once and it holds forever.
-
-    Scale shape: the estimate side is the production layout — each
-    block emits ONE register blob per precision, the groupby merges
-    register maxima, nothing key-cardinality-sized shuffles. The exact
-    side collapses per-block distinct partials on the driver, which is
-    bounded by the user-id DOMAIN (the audit's reference must be exact
-    by definition; at 10^10 keys you audit on a keyspace sample, or
-    lift the exact side to a salted two-level distinct layout)."""
-    from ..functions.hashing import hash64
-    from ..functions.sketch import HyperLogLog
-
-    ds = _pq(sf_dir, "events", columns=["event_id"])
-
-    def block_sketch(batch: pa.Table) -> pa.Table:
-        uid = np.unique(batch.column("event_id").to_numpy(zero_copy_only=False))
-        uh = hash64([str(u) for u in uid])
-        ps, blobs, uids = [], [], []
-        for p in p_list:
-            h = HyperLogLog(p)
-            h.add_hashes(uh)
-            ps.append(int(p))
-            blobs.append(h.to_bytes())
-        return pa.table(
-            {
-                "p": pa.array(ps, pa.int64()),
-                "sketch": pa.array(blobs, pa.binary()),
-                # block-distinct ids ride along once (p-independent)
-                "uids": pa.array([uid.tolist()] + [[]] * (len(ps) - 1)),
-            }
-        )
-
-    rows = ds.map_batches(
-        block_sketch, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()  # |blocks| x |p_list| rows of 2^p-byte blobs
-    exact = len(
-        np.unique(np.concatenate([np.asarray(u, np.int64) for u in rows["uids"]]))
-    )
-    out_p, out_est, out_err, out_sigma = [], [], [], []
-    for p in p_list:
-        h = HyperLogLog(p)
-        for b in rows.loc[rows["p"] == p, "sketch"]:
-            h.merge(HyperLogLog.from_bytes(b))
-        est = int(np.floor(h.estimate() + 0.5))
-        rel_e6 = abs(est - exact) * 1_000_000 // max(exact, 1)
-        sigma_e6 = int(np.floor(1.04 / np.sqrt(1 << p) * 1_000_000 + 0.5))
-        out_p.append(int(p))
-        out_est.append(est)
-        out_err.append(int(rel_e6))
-        out_sigma.append(sigma_e6)
-    return pa.table(
-        {
-            "p": pa.array(out_p, pa.int64()),
-            "exact": pa.array([exact] * len(out_p), pa.int64()),
-            "estimate": pa.array(out_est, pa.int64()),
-            "rel_err_e6": pa.array(out_err, pa.int64()),
-            "sigma_e6": pa.array(out_sigma, pa.int64()),
-        }
-    )
-
-
-def q_tdigest_error_eval(
-    sf_dir: str, qs: tuple = (50, 90, 99), deltas: tuple = (50, 100, 200)
-):
-    """t-digest accuracy audit: the distributed merge-tree estimate at
-    three compression levels vs the EXACT quantiles, per (delta, q).
-    Values are integer cents so the exact side is the distributed
-    VALUE-HISTOGRAM layout — a bounded-domain
-    groupby-count + one driver cumsum, exact at any corpus size — and
-    the digest side is the production per-block from_values + merge
-    tree. The output is the sizing table a pipeline owner reads before
-    replacing exact percentiles with sketches at 10^10 rows ("delta=100
-    holds p99 to <N cents on this distribution"). Deterministic within
-    a session; block boundaries DO shift the estimates across cpu
-    configs (t-digest merge is multiset-but-not-partition invariant),
-    which is exactly why the audit carries the exact column.
-
-    Output: (delta, q, exact_cents, est_cents, abs_err_cents)."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.sketch import TDigest
-
-    ds = _pq(sf_dir, "events", columns=["value"])
-
-    def cents_hist(batch: pa.Table) -> pa.Table:
-        c = np.round(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        ids, cnt = np.unique(c, return_counts=True)
-        return pa.table(
-            {
-                "cents": pa.array(ids, pa.int64()),
-                "n": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    hist = (
-        ds.map_batches(cents_hist, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cents")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # bounded by the distinct-cents DOMAIN
-        .sort_values("cents")
-        .reset_index(drop=True)
-    )
-    cum = hist["n"].cumsum().to_numpy(np.int64)
-    total = int(cum[-1])
-    cents_v = hist["cents"].to_numpy(np.int64)
-
-    def exact_q(q: int) -> int:
-        # quantile_disc: smallest value with cum >= ceil(q/100 * total)
-        target = -(-q * total // 100)
-        return int(cents_v[int(np.searchsorted(cum, target))])
-
-    def block_digests(batch: pa.Table) -> pa.Table:
-        c = np.round(
-            batch.column("value").to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        # pre-bin to (distinct cents, counts) before the digest build:
-        # _compress's greedy pass is Python-per-input-centroid, so
-        # feeding it the weighted value histogram instead of raw rows
-        # cuts the loop from |rows| to |distinct cents| per block
-        # (3.0 s -> sub-second at sf0.1); the digest is built from the
-        # same multiset, and the audit's contract is estimate-vs-exact,
-        # not a specific centroid layout
-        vals, cnt = np.unique(c, return_counts=True)
-        ds_, blobs = [], []
-        for delta in deltas:
-            d = TDigest(delta)
-            d._compress(vals.astype(np.float64), cnt.astype(np.float64))
-            m, w = d.to_arrays()
-            ds_.append(int(delta))
-            blobs.append(np.concatenate([m, w]).astype(np.float64).tobytes())
-        return pa.table(
-            {
-                "delta": pa.array(ds_, pa.int64()),
-                "blob": pa.array(blobs, pa.binary()),
-            }
-        )
-
-    rows = ds.map_batches(
-        block_digests, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()  # |blocks| x |deltas| centroid lists (KBs each)
-    out = {"delta": [], "q": [], "exact_cents": [], "est_cents": [], "abs_err_cents": []}
-    for delta in deltas:
-        agg = TDigest(delta)
-        for b in rows.loc[rows["delta"] == delta, "blob"]:
-            a = np.frombuffer(b, np.float64)
-            m, w = a[: len(a) // 2], a[len(a) // 2:]
-            agg.merge(TDigest(delta, m.copy(), w.copy()))
-        for q in qs:
-            est = int(np.floor(agg.quantile(q / 100.0) + 0.5))
-            ex = exact_q(q)
-            out["delta"].append(int(delta))
-            out["q"].append(int(q))
-            out["exact_cents"].append(ex)
-            out["est_cents"].append(est)
-            out["abs_err_cents"].append(abs(est - ex))
-    return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
 
 
 # ----------------------------------------------------------- blur detect ----

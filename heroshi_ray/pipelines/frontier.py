@@ -212,7 +212,6 @@ def fused_schedule_pipeline(
     seen_capacity: int = 1 << 22,
     n_buckets: int = 32,
     seen: SeenSet | None = None,
-    gate_concurrency: tuple[int, int] | None = None,
     driver_merge_max: int = 4_000_000,
     robots: dict | None = None,
     depth_col: str | None = None,

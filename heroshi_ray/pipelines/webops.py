@@ -1413,100 +1413,6 @@ def q_crawl_delay_plan(sf_dir: str):
     return counts.map_batches(plan, batch_format="pyarrow", zero_copy_batch=True)
 
 
-# ------------------------------------------------ seen-set FPR evaluation ----
-def q_seen_fpr_eval(sf_dir: str, capacity_per_shard: int = 1 << 16, n_shards: int = 8):
-    """A-SEEN sizing harness: measure the sharded cuckoo filter's
-    EMPIRICAL false-positive rate against the Fan et al. (CoNEXT'14)
-    analytical bound at four load factors — the number a crawl planner
-    needs before promising "FPR <= 1e-3 means at most 10^-3 of the
-    frontier is wrongly skipped" at 10^10 URLs (state/cuckoo.py's
-    design point). Each Ray task owns one shard: it builds a REAL
-    CuckooFilter at the shard capacity (the production seen-set shard
-    class, not a model), inserts a deterministic splitmix64 key stream,
-    probes a DISJOINT key stream, and emits per-load false-positive
-    partials; a tiny groupby sums shards. Output per load_pct:
-    (load_pct, n_inserted, n_probes, n_fp, fpr_e6, bound_e6) where
-    bound = 2b*alpha/2^16 at the filter's ACTUAL slot occupancy alpha
-    (b = 4 slots; power-of-two bucket sizing makes alpha < load). The
-    wave-4 test pins fpr <= 2x bound per load (finite-sample margin)
-    and exact determinism.
-
-    Scale shape: embarrassingly parallel over shards (matches the
-    production seen pool's partitioning); nothing corpus-sized, the
-    sf_dir argument only carries the driver-contract signature."""
-    from ray.data.aggregate import Sum
-
-    from ..state.cuckoo import CuckooFilter
-
-    loads = (25, 50, 75, 95)
-
-    def _mix(z: np.ndarray) -> np.ndarray:
-        z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-        z ^= z >> np.uint64(30)
-        z = (z * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-        z ^= z >> np.uint64(27)
-        z = (z * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-        return z ^ (z >> np.uint64(31))
-
-    def eval_shard(batch: pa.Table) -> pa.Table:
-        out_load, out_ins, out_pr, out_fp, out_alpha_e6 = [], [], [], [], []
-        for shard in batch.column("id").to_pylist():
-            n_probe = capacity_per_shard * 2
-            # disjoint integer domains, globally unique per shard
-            base = np.uint64(shard) * np.uint64(1 << 40)
-            probe = _mix(base + np.uint64(1 << 39) + np.arange(n_probe, dtype=np.uint64))
-            for load in loads:
-                f = CuckooFilter(capacity_per_shard, seed=0x9E3779B9 + shard)
-                n_ins = capacity_per_shard * load // 100
-                keys = _mix(base + np.arange(n_ins, dtype=np.uint64))
-                f.add_many(keys)
-                fp = int(f.contains_many(probe).sum())
-                out_load.append(load)
-                out_ins.append(int(f.count))
-                out_pr.append(n_probe)
-                out_fp.append(fp)
-                out_alpha_e6.append(f.count * 1_000_000 // (f.m * 4))
-        return pa.table(
-            {
-                "load_pct": pa.array(out_load, pa.int64()),
-                "n_inserted": pa.array(out_ins, pa.int64()),
-                "n_probes": pa.array(out_pr, pa.int64()),
-                "n_fp": pa.array(out_fp, pa.int64()),
-                "alpha_e6": pa.array(out_alpha_e6, pa.int64()),
-            }
-        )
-
-    agg = (
-        ray.data.range(n_shards, override_num_blocks=n_shards)
-        .map_batches(eval_shard, batch_format="pyarrow", batch_size=1)
-        .groupby("load_pct")
-        .aggregate(
-            Sum("n_inserted", alias_name="n_inserted"),
-            Sum("n_probes", alias_name="n_probes"),
-            Sum("n_fp", alias_name="n_fp"),
-            Sum("alpha_e6", alias_name="alpha_e6_sum"),
-        )
-        .to_pandas()  # |loads| rows
-        .sort_values("load_pct")
-        .reset_index(drop=True)
-    )
-    alpha_e6 = agg["alpha_e6_sum"].astype("int64") // n_shards  # mean occupancy
-    fpr_e6 = (
-        2 * agg["n_fp"].astype("int64") * 1_000_000 + agg["n_probes"]
-    ) // (2 * agg["n_probes"])
-    bound_e6 = 2 * 4 * alpha_e6 // (1 << 16)
-    return pa.table(
-        {
-            "load_pct": pa.array(agg["load_pct"].astype("int64"), pa.int64()),
-            "n_inserted": pa.array(agg["n_inserted"].astype("int64"), pa.int64()),
-            "n_probes": pa.array(agg["n_probes"].astype("int64"), pa.int64()),
-            "n_fp": pa.array(agg["n_fp"].astype("int64"), pa.int64()),
-            "fpr_e6": pa.array(fpr_e6.astype("int64"), pa.int64()),
-            "bound_e6": pa.array(bound_e6.astype("int64"), pa.int64()),
-        }
-    )
-
-
 # ---------------------------------------------- redirect canonicalization ----
 def q_redirect_resolve(
     sf_dir: str,
@@ -1877,130 +1783,4 @@ def q_redirect_cycles(
             "final_id": pa.array(final.astype(np.int64), pa.int64()),
             "is_cycle": pa.array(is_cycle, pa.bool_()),
         }
-    )
-
-
-# ---------------------------------------------------- fleet makespan plan ----
-def q_fetch_makespan(
-    sf_dir: str, workers: tuple = (1, 4, 16), fetch_s: int = 1
-):
-    """Fleet capacity planning: simulate a W-worker fetch fleet working
-    the politeness-interleaved handout front to back (greedy list
-    scheduling — each worker takes the next row, start = max(worker
-    free, host next-allowed), the host then locks for its Crawl-delay)
-    and report the makespan per fleet size — the number that answers
-    "how many io-workers does this handout need to finish inside the
-    epoch deadline". Deterministic integer simulation; per-host delays
-    follow q_crawl_delay_plan's template (1 s default, 1 + h % 7 for
-    hosts declaring Crawl-delay).
-
-    Scale shape: the handout itself is output-scale by construction
-    (hosts x budget — the flagship's bounded-merge contract), so the
-    driver simulation touches only handout rows; the handout build is
-    q_handout_interleave's one bucketed shuffle. The test pins the two
-    classical bounds: makespan >= max(ceil(total work / W), the
-    hottest host's serial drain) and monotone non-increase in W.
-
-    Output (n_workers, makespan_s, busy_s, n_rows)."""
-    hand = q_handout_interleave(sf_dir).to_pandas().sort_values("pos")
-    host = hand["hostid"].to_numpy(np.int64)
-    delay = np.where(host % 3 == 0, 1, 1 + host % 7).astype(np.int64)
-
-    out_w, out_mk, out_busy = [], [], []
-    for w in workers:
-        worker_free = np.zeros(int(w), np.int64)
-        host_ready: dict[int, int] = {}
-        busy = 0
-        for h, d in zip(host.tolist(), delay.tolist()):
-            i = int(np.argmin(worker_free))
-            start = max(int(worker_free[i]), host_ready.get(h, 0))
-            worker_free[i] = start + fetch_s
-            host_ready[h] = start + int(d)
-            busy += fetch_s
-        out_w.append(int(w))
-        out_mk.append(int(worker_free.max()))
-        out_busy.append(busy)
-    return pa.table(
-        {
-            "n_workers": pa.array(out_w, pa.int64()),
-            "makespan_s": pa.array(out_mk, pa.int64()),
-            "busy_s": pa.array(out_busy, pa.int64()),
-            "n_rows": pa.array([len(hand)] * len(out_w), pa.int64()),
-        }
-    )
-
-
-# ----------------------------------------------------- politeness audit ----
-def q_politeness_audit(
-    sf_dir: str, n_epochs: int = 12, epoch_seconds: float = 60.0, burst: float = 10.0
-):
-    """Politeness-invariant audit over the REAL TokenBuckets state
-    class (the q_seen_fpr_eval pattern applied to A-P): each Ray task
-    owns a host-class shard, replays n_epochs of budget/consume cycles
-    against the production bucket code with that host's Crawl-delay
-    (q_crawl_delay_plan's template), and checks the two invariants a
-    politeness scheduler must never break — the epoch budget never
-    exceeds burst, and the LONG-RUN admitted rate never exceeds the
-    token accrual rate epoch_seconds/delay (+ the burst transient).
-    Output one row per host class: (delay_s, n_hosts, epochs, admitted,
-    max_per_epoch, rate_limit_e3, admitted_rate_e3, violations) with
-    violations == 0 — the driver-visible form of 'the scheduler cannot
-    be made impolite by load'; demand pressure is planted at 3x the
-    sustainable rate so the caps actually bind.
-
-    Scale shape: embarrassingly parallel over host-class shards
-    (matches the A-P pool's partitioning); per-epoch replay is the
-    same arithmetic the crawl loop runs."""
-    from ray.data.aggregate import Max, Sum
-
-    from ..state.tokenbucket import TokenBuckets
-
-    delays = sorted({1} | {1 + h % 7 for h in range(97) if h % 3 != 0})
-
-    def audit(batch: pa.Table) -> pa.Table:
-        out = {k: [] for k in (
-            "delay_s", "n_hosts", "epochs", "admitted", "max_per_epoch",
-            "rate_limit_e3", "admitted_rate_e3", "violations",
-        )}
-        for d in batch.column("id").to_pylist():
-            delay = delays[d]
-            hosts = [h for h in range(97)
-                     if (1 if h % 3 == 0 else 1 + h % 7) == delay]
-            tb = TokenBuckets(epoch_seconds, burst)
-            admitted = 0
-            max_epoch = 0
-            violations = 0
-            demand = int(3 * epoch_seconds / delay) + 1  # 3x sustainable
-            for e in range(n_epochs):
-                now = e * epoch_seconds
-                for h in hosts:
-                    b = tb.budget(f"host{h}", now, delay)
-                    take = min(b, demand)
-                    if take > burst and e == 0:
-                        violations += 1  # initial budget may not exceed burst
-                    if b > max(burst, epoch_seconds / delay + burst):
-                        violations += 1
-                    tb.consume(f"host{h}", now, delay, take)
-                    admitted += take
-                    max_epoch = max(max_epoch, take)
-            # long-run per-host rate vs accrual rate (+ burst transient)
-            per_host = admitted / max(len(hosts), 1)
-            limit = n_epochs * epoch_seconds / delay + burst
-            if per_host > limit:
-                violations += 1
-            out["delay_s"].append(delay)
-            out["n_hosts"].append(len(hosts))
-            out["epochs"].append(n_epochs)
-            out["admitted"].append(int(admitted))
-            out["max_per_epoch"].append(int(max_epoch))
-            out["rate_limit_e3"].append(int(epoch_seconds / delay * 1000))
-            out["admitted_rate_e3"].append(
-                int(per_host / n_epochs * 1000) if len(hosts) else 0
-            )
-            out["violations"].append(int(violations))
-        return pa.table({k: pa.array(v, pa.int64()) for k, v in out.items()})
-
-    return (
-        ray.data.range(len(delays), override_num_blocks=len(delays))
-        .map_batches(audit, batch_format="pyarrow", batch_size=1)
     )

@@ -29,7 +29,6 @@ import ray.data
 
 from ..functions.hashing import hash64
 from ..runtime import arrow_blocks
-from ..functions.robots import allowed
 
 _SHARD_COL = "__host_shard"
 
@@ -83,25 +82,6 @@ def mark_robots(ds: "ray.data.Dataset", robots_ref) -> "ray.data.Dataset":
         return batch.append_column(_ALLOWED_COL, pa.array(mask))
 
     return ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def split_robots(ds: "ray.data.Dataset", robots_ref) -> tuple:
-    """Split pending rows into (allowed_ds, denied_ds) with ONE robots
-    evaluation pass: mark_robots appends ``__allowed``, the marked set is
-    pinned in the object store (spills at scale), and both sides are
-    cheap column filters over it."""
-    gated = mark_robots(ds, robots_ref).materialize()
-
-    def side(keep: bool):
-        def f(batch: pa.Table) -> pa.Table:
-            m = batch.column(_ALLOWED_COL)
-            if not keep:
-                m = pa.compute.invert(m)
-            return batch.filter(m).drop_columns([_ALLOWED_COL])
-
-        return gated.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
-
-    return side(True), side(False)
 
 
 def per_host_topk(
@@ -235,10 +215,10 @@ def budget_topk_order_table(
 
 
 class VectorRobots:
-    """Vectorized robots gate for the flagship hot path.
+    """Vectorized robots gate, shared by the crawl loop's mark_robots()
+    and the flagship GateAndCap (through vector_robots_for).
 
-    mark_robots() above evaluates ``allowed()`` per row in Python — fine
-    for the crawl loop's epoch batches, wrong for the headline path that
+    A per-row ``allowed()`` loop is wrong for the headline path that
     streams tens of millions of URLs. This matcher evaluates a broadcast
     {host: Rules} dict with one pass per DISTINCT rule pattern, staying
     in Arrow/polars kernels end-to-end (no Python-string or numpy-U

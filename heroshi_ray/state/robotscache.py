@@ -8,7 +8,7 @@ epoch)}`` with TTL, and synthesizes a robots-fetch through the provided
 fetch function on miss (in-sandbox: the robots fixture table; in
 production: an HTTP GET of /robots.txt).
 
-The driver-broadcast path (stages.schedule.split_robots) is the right
+The driver-broadcast path (stages.schedule.mark_robots) is the right
 call when the parsed robots table fits in one object (≤ ~1e6 hosts);
 this pool is the scale path beyond that — the epoch gate then RPCs
 ``rules_for(hosts)`` per batch exactly like the seen gate.

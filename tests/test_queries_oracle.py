@@ -61,6 +61,8 @@ def test_query_matches_oracle(ray_session, oracle_con, name, fn, sql):
 
 
 def test_rows_only_queries_run(ray_session):
+    """Every entry without a SQL twin runs, and runs deterministically:
+    two runs give exactly the same rows."""
     import __ray_entry__ as entrymod
 
     q = entrymod.queries()
@@ -68,14 +70,35 @@ def test_rows_only_queries_run(ray_session):
     rows_only = [n for n in q if n not in o]
     assert rows_only
     for name in rows_only:
-        df = to_df(q[name](SF_DIR))
-        assert df is not None, name
-        # deterministic: run twice, same result
-        if name in ("q_fingerprint", "q_canonicalize"):
-            df2 = to_df(q[name](SF_DIR))
-            pd.testing.assert_frame_equal(
-                canon(df), canon(df2), check_dtype=False, check_exact=True
-            )
+        df = canon(to_df(q[name](SF_DIR)))
+        again = canon(to_df(q[name](SF_DIR)))
+        pd.testing.assert_frame_equal(
+            df, again, check_dtype=False, check_exact=True, obj=name
+        )
+
+
+def test_crawl_path_import_closure():
+    """The crawl loop, the flagship, the corpus verifier, the curation
+    composites and the CLI load neither analytics module, so cutting
+    dataops or webops operators cannot change a crawl path."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import heroshi_ray.__main__, heroshi_ray.pipelines.crawl, "
+        "heroshi_ray.pipelines.curation, heroshi_ray.pipelines.frontier, "
+        "heroshi_ray.pipelines.verify\n"
+        "print([m for m in ('heroshi_ray.pipelines.dataops', "
+        "'heroshi_ray.pipelines.webops') if m in sys.modules])\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=repo, capture_output=True,
+        text=True, check=True, timeout=300,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]", out.stdout
 
 
 def test_registry_contract():

@@ -4,7 +4,9 @@ month-over-month deltas. (The DuckDB hash checks for all five run
 automatically via test_queries_oracle's parametrization; the tests here
 pin the invariants the SQL twin can only assert as TRUE columns — the
 box kernel's exactness, the fidelity floor, the apportionment algebra
-and the wave ordering.)"""
+and the wave ordering.) The seen-set FPR, fetch-makespan and politeness
+audits are test-local helpers over the production CuckooFilter,
+handout and TokenBuckets code."""
 
 from __future__ import annotations
 
@@ -125,46 +127,6 @@ def test_dedup_cluster_hist_accounts_every_doc(ray_session):
     assert (df["cluster_size"] >= 1).all()
 
 
-def test_minhash_est_error_envelope(ray_session):
-    """Every estimate must sit inside the 6-sigma binomial envelope of
-    its exact Jaccard at k=128 (the min-wise-independence regression
-    canary: affine-mod-P perms violated this by 12 sigma on a
-    13-shingle doc; the splitmix64 mix holds it), and the op is
-    deterministic."""
-    from heroshi_ray.pipelines.dataops import q_minhash_est_error
-
-    df = q_minhash_est_error(SF_DIR).to_pandas()
-    assert len(df) > 0
-    j = df["jaccard_e4"].to_numpy(np.float64) / 1e4
-    sigma_e4 = np.sqrt(j * (1 - j) / 128) * 1e4
-    assert (df["abs_err_e4"].to_numpy() <= 6 * np.maximum(sigma_e4, 1)).all()
-    again = q_minhash_est_error(SF_DIR).to_pandas()
-    pd.testing.assert_frame_equal(df, again)
-
-
-def test_minhash_est_error_empty_text_pair(ray_session, tmp_path):
-    """Two empty-text docs have empty shingle sets, which jaccard()
-    scores 1.0, so LSH surfaces them as a pair; they have no MinHash
-    signature and the estimate must follow the same convention
-    instead of failing the signature lookup."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from heroshi_ray.pipelines.dataops import q_minhash_est_error
-
-    texts = ["", "", "alpha beta gamma delta epsilon zeta eta theta",
-             "alpha beta gamma delta epsilon zeta eta theta iota"]
-    pq.write_table(
-        pa.table({"doc_id": pa.array(range(4), pa.int64()), "text": texts}),
-        tmp_path / "documents.parquet",
-    )
-    df = q_minhash_est_error(str(tmp_path)).to_pandas().set_index(["doc_a", "doc_b"])
-    empty = df.loc[(0, 1)]
-    assert empty["jaccard_e4"] == empty["est_e4"] == 10_000
-    assert empty["abs_err_e4"] == 0
-    assert (2, 3) in df.index
-
-
 def test_reciprocity_matches_bruteforce(ray_session):
     """Distributed bucketed count == a set-based brute force on the
     same deterministic graph."""
@@ -187,17 +149,61 @@ def test_reciprocity_matches_bruteforce(ray_session):
     assert int(got["reciprocity_e6"]) == (2 * p + len(edges)) // (2 * len(edges))
 
 
-def test_seen_fpr_under_fan_bound(ray_session):
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z ^= z >> np.uint64(30)
+    z = (z * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
+    z ^= z >> np.uint64(27)
+    z = (z * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
+    return z ^ (z >> np.uint64(31))
+
+
+def _seen_fpr_eval(capacity_per_shard: int = 1 << 16, n_shards: int = 8,
+                   loads: tuple = (25, 50, 75, 95)) -> pd.DataFrame:
+    """Empirical false-positive rate of the production CuckooFilter
+    shard class at four load factors, beside the Fan et al. (CoNEXT'14)
+    bound 2b*alpha/2^16 at the filter's actual slot occupancy alpha
+    (b = 4 slots). Each shard inserts a splitmix64 key stream and
+    probes a disjoint one; per-load counts are summed over shards."""
+    from heroshi_ray.state.cuckoo import CuckooFilter
+
+    rows = []
+    for shard in range(n_shards):
+        base = np.uint64(shard) * np.uint64(1 << 40)
+        n_probe = capacity_per_shard * 2
+        probe = _splitmix64(
+            base + np.uint64(1 << 39) + np.arange(n_probe, dtype=np.uint64)
+        )
+        for load in loads:
+            f = CuckooFilter(capacity_per_shard, seed=0x9E3779B9 + shard)
+            n_ins = capacity_per_shard * load // 100
+            f.add_many(_splitmix64(base + np.arange(n_ins, dtype=np.uint64)))
+            rows.append((load, int(f.count), n_probe,
+                         int(f.contains_many(probe).sum()),
+                         f.count * 1_000_000 // (f.m * 4)))
+    agg = (
+        pd.DataFrame(rows, columns=["load_pct", "n_inserted", "n_probes",
+                                    "n_fp", "alpha_e6"])
+        .groupby("load_pct", as_index=False)
+        .sum()
+    )
+    alpha_e6 = agg.pop("alpha_e6") // n_shards  # mean occupancy
+    agg["fpr_e6"] = (2 * agg["n_fp"] * 1_000_000 + agg["n_probes"]) // (
+        2 * agg["n_probes"]
+    )
+    agg["bound_e6"] = 2 * 4 * alpha_e6 // (1 << 16)
+    return agg
+
+
+def test_seen_fpr_under_fan_bound():
     """Empirical cuckoo FPR must sit under 2x the Fan et al. analytical
     bound at every load factor (finite-sample margin), rise with load,
     and stay fully deterministic across runs."""
-    from heroshi_ray.pipelines.webops import q_seen_fpr_eval
-
-    df = q_seen_fpr_eval(SF_DIR).to_pandas()
+    df = _seen_fpr_eval()
     assert list(df["load_pct"]) == [25, 50, 75, 95]
     assert (df["fpr_e6"] <= 2 * df["bound_e6"]).all()
     assert df["n_fp"].is_monotonic_increasing
-    again = q_seen_fpr_eval(SF_DIR).to_pandas()
+    again = _seen_fpr_eval()
     pd.testing.assert_frame_equal(df, again)
 
 
@@ -251,46 +257,6 @@ def test_hamilton_kernel_properties_hypothesis():
         assert (alloc <= np.ceil(q)).all()
 
     run()
-
-
-def test_hll_audit_within_3_sigma(ray_session):
-    """Every precision's relative error must sit inside 3x the
-    1.04/sqrt(m) analytical standard error, estimates deterministic."""
-    from heroshi_ray.pipelines.dataops import q_hll_error_eval
-
-    df = q_hll_error_eval(SF_DIR).to_pandas()
-    assert list(df["p"]) == [8, 10, 12, 14]
-    assert (df["rel_err_e6"] <= 3 * df["sigma_e6"]).all()
-    again = q_hll_error_eval(SF_DIR).to_pandas()
-    pd.testing.assert_frame_equal(df, again)
-
-
-def test_tdigest_audit_tail_accuracy(ray_session):
-    """At delta >= 100 every audited quantile must land within 3% of
-    the exact cents value (t-digest guarantees RANK error, so the
-    value-level bound depends on tail density — 3% holds across block
-    splits on this distribution), the exact side must equal a
-    brute-force quantile_disc, and the op is deterministic within a
-    session (block boundaries shift estimates across cpu configs,
-    which is WHY the exact side exists)."""
-    import pyarrow.parquet as pq
-
-    from heroshi_ray.pipelines.dataops import q_tdigest_error_eval
-
-    df = q_tdigest_error_eval(SF_DIR).to_pandas()
-    dhi = df[df["delta"] >= 100]
-    assert (dhi["abs_err_cents"] * 100 <= 3 * dhi["exact_cents"]).all()
-    again = q_tdigest_error_eval(SF_DIR).to_pandas()
-    pd.testing.assert_frame_equal(df, again)
-    v = np.sort(
-        np.round(
-            pq.read_table(f"{SF_DIR}/events.parquet", columns=["value"])
-            .column("value").to_numpy() * 100
-        ).astype(np.int64)
-    )
-    for _, row in df.iterrows():
-        target = -(-int(row["q"]) * len(v) // 100)
-        assert int(row["exact_cents"]) == int(v[target - 1])
 
 
 def test_blur_detect_separation_margin(ray_session):
@@ -423,17 +389,39 @@ def test_format_sniff_and_decode_errors(ray_session):
     assert not d.loc[(k % 5) == 4, "decode_ok"].any()   # bit rot
 
 
+def _fetch_makespan(hand: pd.DataFrame, workers: tuple = (1, 4, 16),
+                    fetch_s: int = 1) -> pd.DataFrame:
+    """Greedy list scheduling of a W-worker fetch fleet over the
+    politeness-interleaved handout, front to back: each row goes to the
+    first free worker, starts no earlier than its host's next allowed
+    time, and locks the host for its Crawl-delay (1 s, or 1 + h % 7 for
+    hosts declaring one, as in q_crawl_delay_plan). One row per fleet
+    size: (n_workers, makespan_s, busy_s, n_rows)."""
+    host = hand.sort_values("pos")["hostid"].to_numpy(np.int64)
+    delay = np.where(host % 3 == 0, 1, 1 + host % 7).astype(np.int64)
+    rows = []
+    for w in workers:
+        worker_free = np.zeros(w, np.int64)
+        host_ready: dict[int, int] = {}
+        for h, d in zip(host.tolist(), delay.tolist()):
+            i = int(np.argmin(worker_free))
+            start = max(int(worker_free[i]), host_ready.get(h, 0))
+            worker_free[i] = start + fetch_s
+            host_ready[h] = start + d
+        rows.append((w, int(worker_free.max()), fetch_s * len(host), len(host)))
+    return pd.DataFrame(
+        rows, columns=["n_workers", "makespan_s", "busy_s", "n_rows"]
+    )
+
+
 def test_fetch_makespan_bounds(ray_session):
     """Makespan respects both classical lower bounds (total-work/W and
     the hottest host's politeness drain), never increases with more
     workers, and the one-worker fleet is fully serial."""
-    from heroshi_ray.pipelines.webops import (
-        q_fetch_makespan,
-        q_handout_interleave,
-    )
+    from heroshi_ray.pipelines.webops import q_handout_interleave
 
-    df = q_fetch_makespan(SF_DIR).to_pandas().sort_values("n_workers")
     hand = q_handout_interleave(SF_DIR).to_pandas()
+    df = _fetch_makespan(hand).sort_values("n_workers")
     host = hand["hostid"].to_numpy(np.int64)
     delay = np.where(host % 3 == 0, 1, 1 + host % 7)
     per_host_drain = (
@@ -451,13 +439,55 @@ def test_fetch_makespan_bounds(ray_session):
     assert (df["makespan_s"] >= per_host_drain - delay.max()).all()
 
 
-def test_politeness_audit_invariants(ray_session):
+def _politeness_audit(n_epochs: int = 12, epoch_seconds: float = 60.0,
+                      burst: float = 10.0) -> pd.DataFrame:
+    """Replay n_epochs of budget/consume cycles against the production
+    TokenBuckets class for each Crawl-delay class of the 97 template
+    hosts (q_crawl_delay_plan's delays), with demand planted at 3x the
+    sustainable rate so the caps bind. Counts a violation when an
+    epoch budget exceeds burst plus one epoch's accrual, when the first
+    epoch admits more than burst, or when the long-run per-host rate
+    exceeds the accrual rate plus the burst transient."""
+    from heroshi_ray.state.tokenbucket import TokenBuckets
+
+    def delay_of(h: int) -> int:
+        return 1 if h % 3 == 0 else 1 + h % 7
+
+    rows = []
+    for delay in sorted({delay_of(h) for h in range(97)}):
+        hosts = [h for h in range(97) if delay_of(h) == delay]
+        tb = TokenBuckets(epoch_seconds, burst)
+        admitted = max_epoch = violations = 0
+        demand = int(3 * epoch_seconds / delay) + 1
+        for e in range(n_epochs):
+            now = e * epoch_seconds
+            for h in hosts:
+                b = tb.budget(f"host{h}", now, delay)
+                take = min(b, demand)
+                if take > burst and e == 0:
+                    violations += 1
+                if b > max(burst, epoch_seconds / delay + burst):
+                    violations += 1
+                tb.consume(f"host{h}", now, delay, take)
+                admitted += take
+                max_epoch = max(max_epoch, take)
+        per_host = admitted / len(hosts)
+        if per_host > n_epochs * epoch_seconds / delay + burst:
+            violations += 1
+        rows.append((delay, len(hosts), n_epochs, int(admitted),
+                     int(max_epoch), int(epoch_seconds / delay * 1000),
+                     int(per_host / n_epochs * 1000), violations))
+    return pd.DataFrame(rows, columns=[
+        "delay_s", "n_hosts", "epochs", "admitted", "max_per_epoch",
+        "rate_limit_e3", "admitted_rate_e3", "violations",
+    ])
+
+
+def test_politeness_audit_invariants():
     """Zero violations under 3x-sustainable demand: per-epoch admission
     never exceeds the burst cap, and the long-run per-host rate stays
     under accrual + the one-time burst transient."""
-    from heroshi_ray.pipelines.webops import q_politeness_audit
-
-    df = q_politeness_audit(SF_DIR).to_pandas()
+    df = _politeness_audit()
     assert (df["violations"] == 0).all()
     assert (df["max_per_epoch"] <= 10).all()  # burst cap binds
     # amortized rate <= accrual rate + burst/epochs transient

@@ -1,5 +1,5 @@
 """Round-3 session-5 operators: semantic decontamination, n-gram
-containment, grouped HLL, compression stats.
+containment, image curation.
 (The DuckDB hash checks for the two oracled queries run automatically
 via test_queries_oracle's parametrization; these tests pin the
 properties the SQL twin can't express.)"""
@@ -12,109 +12,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
 
 
 def to_df(r):
     return r if isinstance(r, pd.DataFrame) else r.to_pandas()
-
-
-def test_grouped_hll_error_bound(ray_session):
-    """Per-group HLL estimate within 2% of the exact grouped distinct
-    count (p=12 -> ~1.6% standard error)."""
-    from heroshi_ray.pipelines import dataops as d
-
-    est = to_df(d.q_grouped_hll(SF_DIR)).set_index("event_type")["approx_users"]
-    ev = pq.read_table(
-        os.path.join(SF_DIR, "events.parquet"), columns=["event_type", "user_id"]
-    ).to_pandas()
-    exact = ev.groupby("event_type")["user_id"].nunique()
-    assert set(est.index) == set(exact.index)
-    for t in exact.index:
-        err = abs(est[t] - exact[t]) / exact[t]
-        assert err < 0.02, f"{t}: est {est[t]} vs exact {exact[t]} (err {err:.3f})"
-
-
-def test_grouped_hll_register_exactness(ray_session):
-    """Register-level pin: per-block sketches built on ARBITRARY splits
-    of the input must merge to registers BIT-IDENTICAL to a single-pass
-    reference HLL over all hashes (max is associative/commutative — the
-    partition-independence HLL's 100-TB merge tree relies on), and the
-    distributed q_grouped_hll estimate must equal the reference
-    estimate exactly (it is a deterministic function of the registers)."""
-    from heroshi_ray.functions.hashing import hash64
-    from heroshi_ray.functions.sketch import HyperLogLog
-    from heroshi_ray.pipelines import dataops as d
-
-    p = 12
-    ev = pq.read_table(
-        os.path.join(SF_DIR, "events.parquet"), columns=["event_type", "user_id"]
-    ).to_pandas()
-    ref = {}
-    for t, g in ev.groupby("event_type"):
-        h = HyperLogLog(p)
-        h.add_hashes(hash64([str(u) for u in g["user_id"]]))
-        ref[str(t)] = h
-
-    # simulate blocks: 5 uneven chunks, per-chunk per-type sketches, merge
-    merged = {}
-    bounds = np.linspace(0, len(ev), 6).astype(int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        chunk = ev.iloc[lo:hi]
-        for t, g in chunk.groupby("event_type"):
-            h = HyperLogLog(p)
-            h.add_hashes(hash64([str(u) for u in g["user_id"]]))
-            if str(t) in merged:
-                merged[str(t)].merge(h)
-            else:
-                merged[str(t)] = h
-    assert set(merged) == set(ref)
-    for t in ref:
-        np.testing.assert_array_equal(
-            merged[t].registers, ref[t].registers, err_msg=t
-        )
-
-    est = to_df(d.q_grouped_hll(SF_DIR)).set_index("event_type")["approx_users"]
-    for t in ref:
-        assert int(est[t]) == int(round(ref[t].estimate())), t
-
-
-def test_grouped_hll_deterministic(ray_session):
-    from heroshi_ray.pipelines import dataops as d
-
-    a = to_df(d.q_grouped_hll(SF_DIR)).sort_values("event_type").reset_index(drop=True)
-    b = to_df(d.q_grouped_hll(SF_DIR)).sort_values("event_type").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-
-
-def test_compression_stats_exact_and_deterministic(ray_session):
-    """ratio_ppm replicates driver-side zlib exactly for every doc, and
-    repeated runs are bit-identical."""
-    import zlib
-
-    from heroshi_ray.pipelines import dataops as d
-
-    out = to_df(d.q_compression_stats(SF_DIR)).sort_values("doc_id").reset_index(drop=True)
-    docs = (
-        pq.read_table(os.path.join(SF_DIR, "documents.parquet"), columns=["doc_id", "text"])
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    assert len(out) == len(docs)
-    sample = docs.sample(50, random_state=7)
-    by_id = out.set_index("doc_id")
-    for r in sample.itertuples():
-        bt = (r.text or "").encode("utf-8")
-        comp = len(zlib.compress(bt, 6))
-        row = by_id.loc[r.doc_id]
-        assert row["raw_len"] == len(bt)
-        assert row["comp_len"] == comp
-        assert row["ratio_ppm"] == (comp * 1_000_000 // max(len(bt), 1) if bt else 0)
-    again = to_df(d.q_compression_stats(SF_DIR)).sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(out, again)
 
 
 def test_containment_catches_subset_dup_jaccard_misses(ray_session, tmp_path):
@@ -167,41 +70,6 @@ def test_semantic_decontaminate_properties(ray_session):
     }
     for r in out.itertuples():
         assert truth[int(r.vec_id)] == int(r.cos_sim_e4)
-
-
-def test_grouped_tdigest_rank_error(ray_session):
-    """Per-group t-digest quantiles land within 1.5% RANK error of the
-    exact per-group sorted values (t-digest guarantees rank, not value,
-    accuracy)."""
-    from heroshi_ray.pipelines import dataops as d
-
-    out = to_df(d.q_grouped_tdigest(SF_DIR))
-    ev = pq.read_table(
-        os.path.join(SF_DIR, "events.parquet"), columns=["event_type", "value"]
-    ).to_pandas()
-    for t, g in ev.groupby("event_type"):
-        vals = np.sort(g["value"].to_numpy())
-        sub = out[out["event_type"] == t]
-        assert len(sub) == 3, t
-        for _, row in sub.iterrows():
-            # rank of the approximate value in the exact sorted array
-            r = np.searchsorted(vals, row["value_approx"]) / len(vals)
-            assert abs(r - row["q"] / 100.0) < 0.015, (
-                f"{t} q{row['q']}: approx {row['value_approx']} sits at "
-                f"rank {r:.4f}"
-            )
-
-
-def test_grouped_tdigest_deterministic(ray_session):
-    from heroshi_ray.pipelines import dataops as d
-
-    a = to_df(d.q_grouped_tdigest(SF_DIR)).sort_values(
-        ["event_type", "q"]
-    ).reset_index(drop=True)
-    b = to_df(d.q_grouped_tdigest(SF_DIR)).sort_values(
-        ["event_type", "q"]
-    ).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_image_curate_matches_replica(ray_session):

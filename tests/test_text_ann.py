@@ -1,5 +1,5 @@
-"""Unit tests: text analysis (tokens, quality, langid, fingerprints,
-MinHash, SimHash), ANN (brute force, IVF), multimodal stages."""
+"""Unit tests: text analysis (MinHash, SimHash), ANN (brute force,
+IVF), multimodal stages."""
 
 from __future__ import annotations
 
@@ -9,51 +9,7 @@ import pyarrow as pa
 import pytest
 
 from heroshi_ray.functions.ann import IVFIndex, as_matrix, cosine_topk_batch, l2_normalize
-from heroshi_ray.functions.text import (
-    MinHasher,
-    fingerprint64,
-    jaccard,
-    lang_id,
-    quality_features,
-    shingles,
-    simhash64,
-    token_count_bpe,
-    token_count_ws,
-)
-
-
-def test_token_counts():
-    assert token_count_ws(["a b  c", "", "  ", "one"]).tolist() == [3, 0, 0, 1]
-    assert token_count_bpe(["hello, world42!"]).tolist()[0] == 5  # hello , world 42 !
-
-
-def test_quality_features():
-    q = quality_features(["The cat and the dog sat on a mat for a while today."])
-    assert 0 < q["quality_score"][0] <= 1
-    assert q["stop_ratio"][0] > 0.2
-    q2 = quality_features(["!!! ??? ### $$$"])
-    assert q2["quality_score"][0] < q["quality_score"][0]
-    assert quality_features([""])["n_chars"][0] == 0
-
-
-def test_lang_id():
-    out = lang_id(
-        [
-            "the cat is on the mat and it is happy with the sun",
-            "der hund ist nicht mit der katze und das ist ein problem",
-            "le chat est dans la maison et il est pour les oiseaux",
-            "el perro es una mascota y no es para los gatos",
-            "一个关于分布式系统的文档，包含很多中文字符，覆盖率超过阈值",
-            "xyzzy plugh",
-        ]
-    )
-    assert out == ["en", "de", "fr", "es", "zh", "und"]
-
-
-def test_fingerprint_normalizes_whitespace():
-    a = fingerprint64(["Hello   world", "hello world", "other"])
-    assert a[0] == a[1]
-    assert a[0] != a[2]
+from heroshi_ray.functions.text import MinHasher, jaccard, shingles, simhash64
 
 
 def test_minhash_jaccard_estimate():
@@ -172,83 +128,6 @@ def test_image_feature_stage():
     assert out.column("features").to_pylist() == out2.column("features").to_pylist()
 
 
-def test_pq_codebook_roundtrip():
-    from heroshi_ray.functions.ann import PQCodebook
-
-    rng = np.random.default_rng(3)
-    # clustered data (embedding tables are never isotropic noise);
-    # isotropic gaussians are PQ's pathological case and only reach
-    # ~0.7 score correlation at 8x16 codebooks
-    centers = rng.normal(size=(8, 64)) * 3
-    pts = np.vstack([c + rng.normal(size=(50, 64)) for c in centers])
-    book = PQCodebook(m=8, ksub=16).fit(pts)
-    codes = book.encode(pts)
-    assert codes.shape == (400, 8) and codes.dtype == np.uint8
-    # ADC approximates the true cosine: rank correlation on one query
-    q = pts[11]
-    table = book.adc_table(q)
-    approx = book.adc_scores(table, codes)
-    exact = l2_normalize(pts) @ (q / np.linalg.norm(q))
-    # ADC retrieves the right CLUSTER (within-cluster points share
-    # codes, so exact self-retrieval is the re-rank stage's job)
-    assert all(t < 50 for t in np.argsort(-approx)[:5])
-    # global agreement: correlation of scores is strong
-    assert np.corrcoef(approx, exact)[0, 1] > 0.8
-
-
-def test_ivfpq_recall_vs_exact(ray_session):
-    from heroshi_ray.pipelines import dataops as d
-
-    sf = "/root/testdata/sf0.001"
-    knn = d.q_ann_knn(sf)
-    knn = knn if isinstance(knn, pd.DataFrame) else knn.to_pandas()
-    approx = d.q_ann_ivfpq(sf).to_pandas()
-    hits = total = 0
-    for qid, g in knn.groupby("query_id"):
-        exact_ids = set(g["vec_id"])
-        approx_ids = set(approx[approx["query_id"] == qid]["vec_id"])
-        hits += len(exact_ids & approx_ids)
-        total += len(exact_ids)
-    assert total > 0 and hits / total >= 0.6  # ADC + exact re-rank recall
-
-
-def test_ann_persistent_index(ray_session):
-    """The persistent partitioned index must (a) reproduce q_ann_ivf
-    exactly under the same parameters, and (b) actually PRUNE: the
-    probed-partition read touches a strict subset of bucket dirs."""
-    import glob
-    import os
-
-    from heroshi_ray.pipelines import dataops as d
-
-    sf = "/root/testdata/sf0.001"
-    a = d.q_ann_persistent(sf).to_pandas()
-    b = d.q_ann_ivf(sf)
-    b = b if isinstance(b, pd.DataFrame) else b.to_pandas()
-    pd.testing.assert_frame_equal(
-        a.reset_index(drop=True), b.reset_index(drop=True),
-        check_dtype=False, check_exact=True,
-    )
-    idx_dir = d._ann_index_dir(sf)
-    all_buckets = glob.glob(os.path.join(idx_dir, "bucket=*"))
-    assert len(all_buckets) > 8  # index actually partitioned
-
-
-def test_ann_recall_eval_floor_and_determinism(ray_session):
-    """The index acceptance gate must report a sane recall floor on the
-    clustered fixture and be run-to-run deterministic."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.dataops import q_ann_recall_eval
-
-    a = q_ann_recall_eval("/root/testdata/sf0.001").to_pandas()
-    assert set(a["variant"]) == {"ivf", "ivfpq"}
-    assert (a["recall_e4"] >= 6000).all()  # >= 0.6 on the fixture
-    assert (a["hits"] <= a["n_queries"] * a["k"]).all()
-    b = q_ann_recall_eval("/root/testdata/sf0.001").to_pandas()
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_minhash_batch_signatures_bit_identical():
     """MinHasher.signatures (chunked batch form) must equal per-doc
     signature() exactly, including empty sets and forced chunk splits."""
@@ -272,19 +151,16 @@ def test_minhash_batch_signatures_bit_identical():
 
 
 def test_ann_driver_fork_equivalence(ray_session):
-    """q_ann_knn / q_ann_ivf driver forks (one partial call on a
-    driver-read table) must equal the distributed partial+merge plans
-    exactly — exact scoring makes the top-k union batching-free."""
-    import pandas as pd
+    """The q_ann_knn driver fork (one partial call on a driver-read
+    table) must equal the distributed partial+merge plan exactly —
+    exact scoring makes the top-k union batching-free."""
+    from heroshi_ray.pipelines.dataops import q_ann_knn
 
-    from heroshi_ray.pipelines.dataops import q_ann_ivf, q_ann_knn
-
-    for fn in (q_ann_knn, q_ann_ivf):
-        a = fn("/root/testdata/sf0.001")
-        b = fn("/root/testdata/sf0.001", force_distributed=True)
-        a = a.to_pandas() if hasattr(a, "to_pandas") else a
-        b = b.to_pandas() if hasattr(b, "to_pandas") else b
-        pd.testing.assert_frame_equal(
-            a.reset_index(drop=True), b.reset_index(drop=True),
-            check_dtype=False, check_exact=True,
-        )
+    a = q_ann_knn("/root/testdata/sf0.001")
+    b = q_ann_knn("/root/testdata/sf0.001", force_distributed=True)
+    a = a.to_pandas() if hasattr(a, "to_pandas") else a
+    b = b.to_pandas() if hasattr(b, "to_pandas") else b
+    pd.testing.assert_frame_equal(
+        a.reset_index(drop=True), b.reset_index(drop=True),
+        check_dtype=False, check_exact=True,
+    )
