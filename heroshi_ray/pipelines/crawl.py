@@ -54,7 +54,9 @@ import ray
 import ray.data
 
 from ..functions.robots import ALLOW_ALL, crawl_delay, parse_robots
-from ..schemas import FRONTIER, STATE_FAILED, STATE_PENDING, STATE_ROBOTS_DENIED
+from ..schemas import (
+    FRONTIER, METRICS, STATE_FAILED, STATE_PENDING, STATE_ROBOTS_DENIED,
+)
 from ..sources.io import (
     append_epoch_table,
     frontier_row_count,
@@ -284,10 +286,20 @@ class Crawler:
         return n
 
     # ------------------------------------------------------------------
-    def _save_state(self, epoch: int, info: dict) -> None:
+    def _save_state(self, epoch: int, info: dict, metrics: dict | None = None) -> None:
+        """Commit epoch ``epoch``'s state. ``metrics`` is the finished
+        epoch's row: it gains the seen-set gauges of the snapshot and is
+        written to the ``metrics`` table before the manifest commits."""
         d = epoch_dir(self.workdir, epoch)
         os.makedirs(d, exist_ok=True)
-        self.seen.save(d, epoch)
+        shards = self.seen.save(d, epoch)
+        if metrics is not None:
+            metrics["seen_keys"] = sum(s["count"] for s in shards)
+            metrics["seen_load_max"] = max(s["load_factor"] for s in shards)
+            append_epoch_table(
+                pa.Table.from_pylist([metrics], schema=METRICS),
+                self.workdir, "metrics", metrics["epoch"],
+            )
         import json
 
         with open(os.path.join(d, "politeness.json"), "w") as f:
@@ -873,26 +885,23 @@ class Crawler:
         report.urls_admitted += n_admitted
         report.robots_denied += n_denied
         ok_d, err_d = fetch_deltas if fetch_deltas is not None else (0, 0)
-        report.metrics.append(
-            {
-                "epoch": e,
-                "stage": "epoch",
-                "urls_in": int(n_sched + n_admitted),
-                "urls_deduped": int(n_admitted),
-                "urls_scheduled": int(n_sched),
-                # per-EPOCH deltas, not cumulative totals: rows must mean
-                # the same thing in a resumed run as in an unbroken one
-                "fetch_ok": int(ok_d),
-                "fetch_err": int(err_d),
-                "wall_ms": wall_ms,
-            }
-        )
-        append_epoch_table(
-            pa.Table.from_pylist(report.metrics[-1:]), self.workdir, "metrics", e
-        )
+        row = {
+            "epoch": e,
+            "stage": "epoch",
+            "urls_in": int(n_sched + n_admitted),
+            "urls_deduped": int(n_admitted),
+            "urls_scheduled": int(n_sched),
+            # per-EPOCH deltas, not cumulative totals: rows must mean
+            # the same thing in a resumed run as in an unbroken one
+            "fetch_ok": int(ok_d),
+            "fetch_err": int(err_d),
+            "wall_ms": wall_ms,
+        }
+        report.metrics.append(row)
         self._save_state(
             e + 1,
             {"pending": "deferred", "scheduled": n_sched, "admitted": n_admitted},
+            metrics=row,
         )
 
     # ------------------------------------------------------------------

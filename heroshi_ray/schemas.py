@@ -86,6 +86,9 @@ METRICS = pa.schema(
         ("fetch_ok", pa.int64()),
         ("fetch_err", pa.int64()),
         ("wall_ms", pa.float64()),
+        # seen-set gauges of the epoch's commit snapshot
+        ("seen_keys", pa.int64()),
+        ("seen_load_max", pa.float64()),
     ]
 )
 

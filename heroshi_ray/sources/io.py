@@ -4,7 +4,8 @@ Resume contract (BASELINE.json:6,14 "a killed job resumes without
 re-crawling"): every epoch commits
 
     {workdir}/epoch={e}/frontier/*.parquet   (partitioned by host_shard)
-    {workdir}/epoch={e}/seen-e{e}-s{i}.npz   (cuckoo shard blobs)
+    {workdir}/epoch={e}/seen-e{e}-s{i}.npz   (cuckoo shard snapshots: the
+                                             non-empty buckets only)
     {workdir}/epoch={e}/politeness.json
     {workdir}/epoch={e}/counters.json
     {workdir}/manifest-e{e}.json             (atomic rename = commit point)
@@ -13,9 +14,10 @@ On restart: find the max committed manifest, reload frontier + seen
 shards + politeness state, continue from epoch e. An epoch directory
 without its manifest is garbage from a crash and is ignored/overwritten.
 
-The corpus / fetch-log / schedule-log sinks are append-only per-epoch
-parquet files under {workdir}/corpus/ etc. — partitioned output so a
-resumed run never rewrites a finished epoch's files (resumable output).
+The corpus / fetch-log / schedule-log / metrics sinks are append-only
+per-epoch parquet files under {workdir}/corpus/ etc. — partitioned
+output so a resumed run never rewrites a finished epoch's files
+(resumable output).
 """
 
 from __future__ import annotations

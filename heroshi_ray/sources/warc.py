@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import io
 import os
 import zlib
 from http.client import responses as _HTTP_REASONS

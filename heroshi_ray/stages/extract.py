@@ -29,7 +29,6 @@ import pyarrow as pa
 import ray
 
 from ..functions.image import decode_image, phash64
-from ..functions.urlnorm import resolve
 
 _HREF_RE = re.compile(r'<a\s+[^>]*?href="([^"]*)"', re.I)
 _IMG_RE = re.compile(r'<img\s+[^>]*?src="([^"]*)"(?:\s+alt="([^"]*)")?', re.I)

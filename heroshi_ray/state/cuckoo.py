@@ -1,9 +1,12 @@
 """Cuckoo filter — approximate membership with delete (SURVEY.md §1.2).
 
-Why cuckoo over Bloom (BASELINE.json:6 "bloom/cuckoo URL-seen"): supports
-deletion (un-mark in-flight URLs of an aborted epoch) and reaches ~95%
-load factor with a comparable false-positive rate. Public design:
-Fan et al., "Cuckoo Filter: Practically Better Than Bloom" (CoNEXT'14).
+Why cuckoo over Bloom (BASELINE.json:6 "bloom/cuckoo URL-seen"): it
+supports deletion (``delete_many``), which a Bloom filter cannot, and
+reaches ~95% load factor with a comparable false-positive rate. Crash
+recovery does not need deletion: resume reloads the last committed
+snapshot, so the keys of an aborted epoch are never in the filter.
+Public design: Fan et al., "Cuckoo Filter: Practically Better Than
+Bloom" (CoNEXT'14).
 
 Layout: ``buckets`` is an (m, 4) uint16 array, 0 = empty slot,
 fingerprints are 16-bit non-zero. With 4 slots and 16-bit fingerprints
@@ -20,6 +23,7 @@ loop only for insertion/eviction of genuinely-new keys.
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 
@@ -155,17 +159,20 @@ class CuckooFilter:
         return self.count / (self.m * 4)
 
     # -- persistence (checkpoint blobs) ------------------------------------
+    # A snapshot is sparse: it costs what the filter holds, not its
+    # capacity. It is an uncompressed .npz of the bucket count ``m``, the
+    # indices of the non-empty buckets, their 4-slot rows, ``count`` and
+    # the eviction-RNG state (so a restore replays the exact kick
+    # sequence an uninterrupted run would have produced).
     def to_bytes(self) -> bytes:
-        import json
-
-        buf = io.BytesIO()
-        # the eviction RNG state rides along so a restore replays the
-        # exact kick sequence an uninterrupted run would have produced
-        # (deterministic-replay guarantee under load)
+        idx = np.flatnonzero(self.buckets.view(np.uint64))
         rng_state = json.dumps(self._rng.bit_generator.state).encode()
-        np.savez_compressed(
+        buf = io.BytesIO()
+        np.savez(
             buf,
-            buckets=self.buckets,
+            m=np.int64(self.m),
+            idx=idx,
+            rows=self.buckets[idx],
             count=np.int64(self.count),
             rng=np.frombuffer(rng_state, dtype=np.uint8),
         )
@@ -173,20 +180,20 @@ class CuckooFilter:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CuckooFilter":
-        import json
-
         with np.load(io.BytesIO(data)) as z:
-            buckets = z["buckets"]
+            m = int(z["m"])
+            idx, rows = z["idx"], z["rows"]
             count = int(z["count"])
-            rng_state = (
-                json.loads(z["rng"].tobytes().decode()) if "rng" in z.files else None
-            )
+            rng_state = json.loads(z["rng"].tobytes().decode())
         obj = cls.__new__(cls)
-        obj.m = buckets.shape[0]
-        obj.mask = np.uint64(obj.m - 1)
-        obj.buckets = buckets.copy()
+        obj.m = m
+        obj.mask = np.uint64(m - 1)
+        # written, not lazily zero-mapped: page faults here stay in the
+        # load instead of landing in the next inserts
+        obj.buckets = np.empty((m, 4), dtype=np.uint16)
+        obj.buckets.fill(0)
+        obj.buckets[idx] = rows
         obj.count = count
-        obj._rng = np.random.default_rng(0x9E3779B9)
-        if rng_state is not None:
-            obj._rng.bit_generator.state = rng_state
+        obj._rng = np.random.default_rng()
+        obj._rng.bit_generator.state = rng_state
         return obj

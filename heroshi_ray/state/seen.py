@@ -84,16 +84,13 @@ class SeenShard:
     def contains(self, keys: np.ndarray) -> np.ndarray:
         return self.cf.contains_many(keys)
 
-    def delete(self, keys: np.ndarray) -> np.ndarray:
-        return self.cf.delete_many(keys)
-
-    def save(self, path: str) -> int:
+    def save(self, path: str) -> dict:
         tmp = path + ".tmp"
         with open(tmp, "wb") as f:
             f.write(self.cf.to_bytes())
         os.replace(tmp, path)
         self._replay.clear()  # commit point: epoch resume now covers retries
-        return self.cf.count
+        return self.stats()
 
     def load(self, path: str) -> int:
         with open(path, "rb") as f:
@@ -179,16 +176,6 @@ class SeenSet:
             out[idx] = res
         return out
 
-    def delete(self, surts) -> None:
-        if len(surts) == 0:
-            return
-        keys, shard_ids = self._route(self.shards, surts)
-        refs = []
-        for s in np.unique(shard_ids):
-            idx = np.flatnonzero(shard_ids == s)
-            refs.append(self.shards[int(s)].delete.remote(keys[idx]))
-        ray.get(refs)
-
     # ---- dataset-level op: J1 admission filter -------------------------
     def filter_new(self, ds, surt_col: str = "surt"):
         """Dataset -> Dataset keeping only rows whose surt was NOT seen;
@@ -205,14 +192,15 @@ class SeenSet:
         return ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
 
     # ---- checkpoint ----------------------------------------------------
-    def save(self, ckpt_dir: str, epoch: int) -> list[str]:
+    def save(self, ckpt_dir: str, epoch: int) -> list[dict]:
+        """Snapshot every shard; returns each shard's ``stats()`` as of
+        the snapshot."""
         os.makedirs(ckpt_dir, exist_ok=True)
         paths = [
             os.path.join(ckpt_dir, f"seen-e{epoch}-s{i}.npz")
             for i in range(self.n_shards)
         ]
-        ray.get([s.save.remote(p) for s, p in zip(self.shards, paths)])
-        return paths
+        return ray.get([s.save.remote(p) for s, p in zip(self.shards, paths)])
 
     def load(self, ckpt_dir: str, epoch: int) -> None:
         paths = [

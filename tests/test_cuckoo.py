@@ -53,13 +53,40 @@ def test_delete():
     assert cf.contains_many(keys[100:]).all()
 
 
+def _assert_same_filter(a, b):
+    assert b.m == a.m
+    assert b.count == a.count
+    assert b.buckets.dtype == a.buckets.dtype
+    assert np.array_equal(b.buckets, a.buckets)
+    assert b._rng.bit_generator.state == a._rng.bit_generator.state
+
+
 def test_roundtrip_bytes():
     cf = CuckooFilter(5_000)
     keys = keys_of(3_000, 6)
     cf.add_many(keys)
     cf2 = CuckooFilter.from_bytes(cf.to_bytes())
     assert cf2.contains_many(keys).all()
-    assert cf2.count == cf.count
+    _assert_same_filter(cf, cf2)
+    # empty filter
+    empty = CuckooFilter(1_000)
+    _assert_same_filter(empty, CuckooFilter.from_bytes(empty.to_bytes()))
+    # high load, after evictions have drawn from the kick RNG
+    full = CuckooFilter(4096)
+    full.add_many(keys_of(int(0.85 * full.m * 4), 7))
+    assert full.load_factor > 0.8
+    fresh = CuckooFilter(4096)._rng.bit_generator.state
+    assert full._rng.bit_generator.state != fresh
+    _assert_same_filter(full, CuckooFilter.from_bytes(full.to_bytes()))
+
+
+def test_snapshot_size_follows_count_not_capacity():
+    """A snapshot costs what the filter holds: 100 keys in a 16 MiB
+    bucket array serialize to a few KB."""
+    cf = CuckooFilter(1 << 22)
+    cf.add_many(keys_of(100, 8))
+    assert cf.count == 100
+    assert len(cf.to_bytes()) <= 16 * cf.count + 4096
 
 
 @settings(max_examples=30, deadline=None)

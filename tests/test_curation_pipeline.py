@@ -13,8 +13,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-import ray
-
 from heroshi_ray.fixtures import make_corpus
 from heroshi_ray.pipelines.curation import (
     ASPECT_LADDER,

@@ -7,8 +7,6 @@ the per-row corpus invariant (M10) against the reference corpus.
 
 from __future__ import annotations
 
-import shutil
-
 import pyarrow.parquet as pq
 import pytest
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 from heroshi_ray.schemas import FRONTIER
 from heroshi_ray.state.cuckoo import CuckooFilter

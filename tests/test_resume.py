@@ -6,9 +6,9 @@ from __future__ import annotations
 import glob
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 from heroshi_ray.fixtures import write_fixture_dir
 
@@ -75,6 +75,32 @@ def test_resume_identical(ray_session, tmp_path):
     assert corpus_a[["image_id", "caption", "phash", "fmt"]].equals(
         corpus_b[["image_id", "caption", "phash", "fmt"]]
     )
+
+    # the seen-set gauges of the last epoch match the uninterrupted run's
+    m_full = read_epoch_tables(str(tmp_path / "wd_full"), "metrics").to_pandas()
+    last_a = m_full.sort_values("epoch").iloc[-1]
+    last_b = m.sort_values("epoch").iloc[-1]
+    assert last_b["epoch"] == last_a["epoch"]
+    assert last_b["seen_keys"] == last_a["seen_keys"] > 0
+    assert last_b["seen_load_max"] == last_a["seen_load_max"]
+
+    # the final seen-set snapshots are bit-identical: same buckets,
+    # count and eviction-RNG state in every shard
+    from heroshi_ray.sources.io import epoch_dir, latest_committed_epoch
+    from heroshi_ray.state.cuckoo import CuckooFilter
+
+    last = latest_committed_epoch(wd)
+    assert last == latest_committed_epoch(str(tmp_path / "wd_full"))
+    for i in range(CrawlConfig(**base).n_seen_shards):
+        name = f"seen-e{last}-s{i}.npz"
+        blobs = []
+        for root in (str(tmp_path / "wd_full"), wd):
+            with open(os.path.join(epoch_dir(root, last), name), "rb") as f:
+                blobs.append(CuckooFilter.from_bytes(f.read()))
+        a, b = blobs
+        assert np.array_equal(a.buckets, b.buckets), name
+        assert a.count == b.count, name
+        assert a._rng.bit_generator.state == b._rng.bit_generator.state, name
 
     # no URL fetched twice across the interrupted+resumed run
     files = sorted(glob.glob(os.path.join(wd, "fetchlog", "e*", "*.parquet")))

@@ -8,8 +8,6 @@ the actors path would lose coverage entirely."""
 
 from __future__ import annotations
 
-import pyarrow.compute as pc
-
 from heroshi_ray.fixtures import write_fixture_dir
 from heroshi_ray.sources.io import read_epoch_tables
 

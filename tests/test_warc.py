@@ -8,7 +8,6 @@ import hashlib
 import os
 
 import pyarrow as pa
-import pytest
 
 import ray
 
