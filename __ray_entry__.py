@@ -164,8 +164,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_dedup_cluster_hist": d.q_dedup_cluster_hist,
         # rows-only (iterative or binary: not SQL-expressible; pinned by
         # replica and invariant tests, and run twice for determinism)
-        "q_minhash_neardup": d.q_minhash_neardup,
-        "q_simhash_neardup": d.q_simhash_neardup,
         "q_phash_neardup": d.q_phash_neardup,
         "q_image_curate": d.q_image_curate,
         "q_image_dedup": d.q_image_dedup,
@@ -175,13 +173,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_caption_align": d.q_caption_align,
         "q_clip_retrieval_eval": d.q_clip_retrieval_eval,
         "q_phash_clusters": d.q_phash_clusters,
-        "q_minhash_clusters": d.q_minhash_clusters,
         "q_dominant_color": d.q_dominant_color,
         "q_jpeg_decode": d.q_jpeg_decode,
         "q_gif_decode": d.q_gif_decode,
-        "q_audio_features": d.q_audio_features,
-        "q_video_frames": d.q_video_frames,
-        "q_video_neardup": d.q_video_neardup,
     }
 
 

@@ -151,87 +151,6 @@ def make_corpus_pair(
     return corpus, ref
 
 
-def make_audio_corpus(n: int, seed: int = 77) -> pa.Table:
-    """Deterministic RIFF/WAVE PCM16 clips: 1-3 sinusoids + noise,
-    0.2-0.6 s, sr in {8k, 16k, 22.05k}, ~20% stereo. ``tone_hz`` stores
-    the dominant frequency so feature tests can assert the loudest mel
-    bin lands where physics says it must."""
-    from .functions.audio import wav_encode
-
-    rng = np.random.default_rng(seed)
-    ids, blobs, srs, nsamp, tones, chans = [], [], [], [], [], []
-    sr_choices = np.array([8000, 16000, 22050], dtype=np.int64)
-    for i in range(n):
-        sr = int(sr_choices[rng.integers(0, 3)])
-        dur = float(rng.uniform(0.2, 0.6))
-        ns = int(sr * dur)
-        t = np.arange(ns) / sr
-        tone = float(rng.uniform(200, sr / 2 * 0.6))
-        x = 0.6 * np.sin(2 * np.pi * tone * t)
-        for _ in range(int(rng.integers(0, 3))):
-            x += 0.15 * np.sin(
-                2 * np.pi * float(rng.uniform(100, sr / 2 * 0.8)) * t
-                + float(rng.uniform(0, 6.28))
-            )
-        x += rng.normal(0, 0.01, ns)
-        s16 = np.clip(x * 0.5 * 32767, -32768, 32767).astype(np.int16)
-        ch = 2 if rng.random() < 0.2 else 1
-        if ch == 2:
-            s16 = np.stack([s16, s16], axis=1)
-        ids.append(f"aud{i:06d}")
-        blobs.append(wav_encode(s16, sr))
-        srs.append(sr)
-        nsamp.append(ns)
-        tones.append(tone)
-        chans.append(ch)
-    return pa.table(
-        {
-            "audio_id": pa.array(ids, pa.string()),
-            "bytes": pa.array(blobs, pa.binary()),
-            "sample_rate": pa.array(srs, pa.int32()),
-            "n_samples": pa.array(nsamp, pa.int32()),
-            "channels": pa.array(chans, pa.int32()),
-            "tone_hz": pa.array(tones, pa.float64()),
-        }
-    )
-
-
-def make_video_corpus(n: int, seed: int = 88) -> pa.Table:
-    """Deterministic YUV4MPEG2 clips: 6-16 frames of a drifting smooth
-    gradient (each frame = _pixels shifted by the frame index, so
-    consecutive frames are near-dups and distant frames diverge —
-    exactly what a frame-sampling dedup stage should see)."""
-    from .functions.y4m import y4m_encode
-
-    rng = np.random.default_rng(seed)
-    ids, blobs, nfr, ws, hs, chromas = [], [], [], [], [], []
-    for i in range(n):
-        h = int(rng.integers(16, 33)) * 2  # even for C420
-        w = int(rng.integers(16, 33)) * 2
-        nf = int(rng.integers(6, 17))
-        base = _pixels(rng, h, w)
-        frames = np.stack(
-            [np.roll(base, shift=3 * f, axis=1) for f in range(nf)]
-        )
-        chroma = "444" if rng.random() < 0.6 else "420"
-        ids.append(f"vid{i:06d}")
-        blobs.append(y4m_encode(frames, (25, 1), chroma))
-        nfr.append(nf)
-        ws.append(w)
-        hs.append(h)
-        chromas.append(chroma)
-    return pa.table(
-        {
-            "video_id": pa.array(ids, pa.string()),
-            "bytes": pa.array(blobs, pa.binary()),
-            "n_frames": pa.array(nfr, pa.int32()),
-            "w": pa.array(ws, pa.int32()),
-            "h": pa.array(hs, pa.int32()),
-            "chroma": pa.array(chromas, pa.string()),
-        }
-    )
-
-
 def _href_variants(rng: np.random.Generator, host: str, path: str) -> str:
     """Render a link to http://{host}{path} in one of several styles, some
     with canonicalization noise that must collapse to the same URL."""

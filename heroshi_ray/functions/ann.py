@@ -1,16 +1,12 @@
-"""Similarity search over embedding columns (list<float>).
+"""Similarity-search kernels over embedding columns (list<float>).
 
-Two paths (both deterministic):
-
-- ``cosine_topk_batch`` — brute-force: per Arrow batch, one numpy matmul
-  against a broadcast query matrix; a global top-k merge of per-batch
-  partial top-ks. Exact; the baseline and the oracle twin for DuckDB's
-  ``list_cosine_similarity``.
-- ``IVFIndex`` — the scale path: k-means-lite coarse quantizer (fixed
-  iterations, seeded) assigns each vector to a centroid bucket; queries
-  probe the ``nprobe`` nearest buckets only. Buckets map to a Ray Data
-  ``groupby(bucket)`` layout so a 10^9-vector table shuffles ONCE at
-  build and each query touches a few partitions.
+- ``as_matrix`` / ``l2_normalize`` — Arrow list column to an (n, d)
+  matrix and unit rows, so a batch's cosine similarities are one matmul.
+- ``IVFIndex`` — a coarse inverted-file quantizer (seeded k-means-lite,
+  fixed iterations). ``fit`` trains the centroids on a sample;
+  ``assign_topn`` puts each vector in its n nearest cells, so near
+  neighbours share a cell and a Ray Data ``groupby(cell)`` compares
+  only within cells.
 """
 
 from __future__ import annotations
@@ -29,18 +25,6 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
     n[n == 0] = 1.0
     return m / n
-
-
-def cosine_topk_batch(
-    mat: np.ndarray, ids: np.ndarray, query: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact cosine top-k of one batch vs one query vector.
-    Returns (ids, sims) of the batch's best k (deterministic tie-break:
-    higher sim first, then smaller id)."""
-    q = query / (np.linalg.norm(query) or 1.0)
-    sims = l2_normalize(mat.astype(np.float64)) @ q.astype(np.float64)
-    order = np.lexsort((ids, -sims))[:k]
-    return ids[order], sims[order]
 
 
 class IVFIndex:
@@ -67,10 +51,6 @@ class IVFIndex:
         self.centroids = cent
         return self
 
-    def assign(self, mat: np.ndarray) -> np.ndarray:
-        x = l2_normalize(mat.astype(np.float64))
-        return np.argmax(x @ self.centroids.T, axis=1).astype(np.int32)
-
     def assign_topn(self, mat: np.ndarray, n: int) -> np.ndarray:
         """(rows, n) best cells per vector — multi-assignment for
         bucketed near-dup: two vectors within a tight cosine radius share
@@ -79,8 +59,3 @@ class IVFIndex:
         sims = x @ self.centroids.T
         n = min(n, sims.shape[1])
         return np.argsort(-sims, axis=1, kind="stable")[:, :n].astype(np.int32)
-
-    def probe(self, query: np.ndarray, nprobe: int = 4) -> np.ndarray:
-        q = query.astype(np.float64) / (np.linalg.norm(query) or 1.0)
-        sims = self.centroids @ q
-        return np.argsort(-sims)[:nprobe].astype(np.int32)

@@ -10,18 +10,13 @@ Scope:
   "keep" semantics — each frame composites over the previous canvas),
   other extensions skipped by sub-block walking;
 - encode: one or more full-size frames, either an EXACT palette (when
-  a frame has <= 256 distinct colors the roundtrip is LOSSLESS) or the
-  216-color web-safe cube fallback (lossy, documented in tests).
+  a frame has <= 256 distinct colors the roundtrip is LOSSLESS) or a
+  256-color adaptive palette fallback (lossy, documented in tests).
 
 The LZW inner loops are per-code Python over numpy-backed buffers —
 same performance stance as the JPEG entropy coder (engine-level
 parallelism comes from the actor pool, not this loop; a frame's code
 stream is inherently sequential).
-
-Unlike YUV4MPEG2 (fixed-stride offset seek), GIF frames CANNOT be
-random-accessed: LZW blocks must be decoded in order and frames
-composite onto the canvas, so frame sampling decodes up to the last
-sampled index. VideoFrameSampleStage documents this difference.
 """
 
 from __future__ import annotations
@@ -127,14 +122,6 @@ def _lzw_encode(indices: np.ndarray, min_code_size: int) -> bytes:
 
 
 # -------------------------------------------------------------- palette --
-def websafe_palette() -> np.ndarray:
-    """216-color 6x6x6 cube, padded to 256 entries."""
-    levels = np.array([0, 51, 102, 153, 204, 255], dtype=np.uint8)
-    cube = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1)
-    pal = cube.reshape(-1, 3)
-    return np.vstack([pal, np.zeros((256 - len(pal), 3), np.uint8)])
-
-
 def adaptive_palette(px: np.ndarray) -> np.ndarray:
     """256-entry adaptive palette: the 256 most frequent 15-bit
     (5 bits/channel) color buckets, each represented by its integer
@@ -165,7 +152,7 @@ def _quantize(px: np.ndarray, pal: np.ndarray | None):
     """(h,w,3) -> (indices uint8, palette). Exact palette when the image
     has <=256 distinct colors; else a 256-color adaptive palette
     (top-frequency 15-bit buckets) with vectorized nearest mapping.
-    Pass an explicit ``pal`` (e.g. websafe_palette()) to force one."""
+    Pass an explicit ``pal`` to force one."""
     h, w = px.shape[:2]
     flat = px.reshape(-1, 3)
     if pal is None:

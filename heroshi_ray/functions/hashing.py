@@ -34,11 +34,6 @@ def hash64(values) -> np.ndarray:
     return s.hash(seed=_SEED).to_numpy()
 
 
-def shard_of(values, n_shards: int) -> np.ndarray:
-    """Routing key for seen-set shards / host partitions."""
-    return (hash64(values) % np.uint64(n_shards)).astype(np.int64)
-
-
 def hash_sentinel() -> tuple[int, str]:
     """Probe value for cross-node hash agreement: (hash64 of a fixed
     string, polars version)."""

@@ -29,7 +29,6 @@ __all__ = [
     "canonicalize",
     "canonicalize_batch",
     "resolve",
-    "surt_of",
     "remove_dot_segments",
     "pct_normalize",
 ]
@@ -37,7 +36,6 @@ __all__ = [
 _UNRESERVED = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
 )
-_HEXDIG = frozenset("0123456789abcdefABCDEF")
 _PCT_RE = re.compile(r"%([0-9a-fA-F]{2})")
 _SCHEME_RE = re.compile(r"^([a-zA-Z][a-zA-Z0-9+.-]*):")
 _DEFAULT_PORT = {"http": "80", "https": "443"}
@@ -189,11 +187,6 @@ def _surt(scheme: str, host: str, port, path: str, query) -> str:
     if query is not None:
         s += "?" + query
     return s
-
-
-def surt_of(url: str) -> str | None:
-    c = canonicalize(url)
-    return c[1] if c else None
 
 
 def resolve(base: str, href: str) -> str | None:

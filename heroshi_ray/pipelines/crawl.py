@@ -286,14 +286,19 @@ class Crawler:
         return n
 
     # ------------------------------------------------------------------
-    def _save_state(self, epoch: int, info: dict, metrics: dict | None = None) -> None:
+    def _save_state(
+        self, epoch: int, info: dict, metrics: dict | None = None, t0: float = 0.0
+    ) -> None:
         """Commit epoch ``epoch``'s state. ``metrics`` is the finished
-        epoch's row: it gains the seen-set gauges of the snapshot and is
-        written to the ``metrics`` table before the manifest commits."""
+        epoch's row, and ``t0`` the ``time.time()`` its epoch started at:
+        the row gains its wall time up to the end of the seen-set
+        snapshot and the snapshot's gauges, and is written to the
+        ``metrics`` table before the manifest commits."""
         d = epoch_dir(self.workdir, epoch)
         os.makedirs(d, exist_ok=True)
         shards = self.seen.save(d, epoch)
         if metrics is not None:
+            metrics["wall_ms"] = (time.time() - t0) * 1000
             metrics["seen_keys"] = sum(s["count"] for s in shards)
             metrics["seen_load_max"] = max(s["load_factor"] for s in shards)
             append_epoch_table(
@@ -879,7 +884,6 @@ class Crawler:
                 "sched_epoch", pa.array(np.full(sched_tbl.num_rows, e, dtype=np.int64))
             )
             append_epoch_table(log, self.workdir, "schedule_log", e)
-        wall_ms = (time.time() - t0) * 1000
         report.epochs_run += 1
         report.urls_scheduled += n_sched
         report.urls_admitted += n_admitted
@@ -895,13 +899,12 @@ class Crawler:
             # the same thing in a resumed run as in an unbroken one
             "fetch_ok": int(ok_d),
             "fetch_err": int(err_d),
-            "wall_ms": wall_ms,
         }
         report.metrics.append(row)
         self._save_state(
             e + 1,
             {"pending": "deferred", "scheduled": n_sched, "admitted": n_admitted},
-            metrics=row,
+            metrics=row, t0=t0,
         )
 
     # ------------------------------------------------------------------

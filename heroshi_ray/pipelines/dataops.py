@@ -1,27 +1,23 @@
 """Training-data pipeline operators over the testdata tables: exact +
-near dedup (MinHash-LSH, SimHash, n-gram Jaccard, embedding cosine),
-similarity search (brute force + IVF-bucketed near-dup), text analysis,
-multimodal decode.
+near dedup (n-gram Jaccard, perceptual-hash hamming banding, embedding
+cosine), similarity search (brute force + IVF-bucketed near-dup), text
+analysis, image decode.
 
 These are first-class engine components for a 100-TB corpus pipeline.
 Every stage follows the scale pattern it documents:
 - dedup: content-hash inside map_batches, ONE shuffle on the hash bucket;
-- MinHash-LSH: shingle→signature per batch (actor pool holds the
-  permutation table), explode to (band, band_hash) rows, groupby bucket
-  → candidate pairs → exact Jaccard verify;
+- hamming near-dup: explode each 64-bit hash to its four 16-bit band
+  rows, group by (band, value) → candidate pairs → exact hamming verify;
 - ANN: per-batch matmul against a broadcast query matrix, partial top-k
   merged at the end (the only driver-side object is k rows/query);
 - IVF: fit coarse centroids on a sample, assign = one map_batches pass.
 
 Public designs implemented here (no reference code exists — SURVEY.md
-§0): MinHash resemblance (Broder, "On the resemblance and containment
-of documents", 1997) with LSH banding (Leskovec/Rajaraman/Ullman, MMDS
-ch.3); SimHash (Charikar, "Similarity estimation techniques from
-rounding algorithms", STOC'02) with multi-index hamming banding
-(Norouzi et al., "Fast search in Hamming space with multi-index
-hashing", CVPR'12); IVF coarse quantization (Jégou et al., "Product
-quantization for nearest neighbor search", PAMI'11 — coarse stage
-only).
+§0): all-pairs prefix filtering (Bayardo, Ma & Srikant, WWW'07);
+multi-index hamming banding (Norouzi et al., "Fast search in Hamming
+space with multi-index hashing", CVPR'12); IVF coarse quantization
+(Jégou et al., "Product quantization for nearest neighbor search",
+PAMI'11 — coarse stage only).
 """
 
 from __future__ import annotations
@@ -37,13 +33,7 @@ import ray
 import ray.data
 
 from ..functions.ann import IVFIndex, as_matrix, l2_normalize
-from ..functions.text import (
-    MinHasher,
-    jaccard,
-    shingles,
-    simhash64,
-    token_count_ws,
-)
+from ..functions.text import token_count_ws
 from ..runtime import arrow_blocks, default_buckets, join_partitions, tune_join_resources
 from ..stages.dedup import dedup_first
 
@@ -196,36 +186,6 @@ def q_dedup_cluster_hist(sf_dir: str):
     )
 
 
-# ------------------------------------------------------------ minhash lsh
-class _MinHashStage:
-    """Actor-pool stage: permutation table built once per actor."""
-
-    def __init__(self, n_perm: int = 64, n_bands: int = 16, k_shingle: int = 3):
-        self.mh = MinHasher(n_perm)
-        self.n_bands = n_bands
-        self.k = k_shingle
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        # one chunked universal-hash pass for the whole batch
-        # (MinHasher.signatures — bit-identical to per-doc signature())
-        sigs = self.mh.signatures([shingles(t or "", self.k) for t in texts])
-        out_id, out_band, out_key = [], [], []
-        for i, sig in zip(ids, sigs):
-            for b, key in enumerate(self.mh.bands(sig, self.n_bands)):
-                out_id.append(i)
-                out_band.append(b)
-                out_key.append(key)
-        return pa.table(
-            {
-                "doc_id": pa.array(out_id, pa.int64()),
-                "band": pa.array(out_band, pa.int32()),
-                "band_key": pa.array(out_key, pa.int64()),
-            }
-        )
-
-
 def _group_pairs(group_key: np.ndarray, payloads: list) -> list:
     """All unordered within-group pairs, degree-class-vectorized (the
     shared core of q_triangle_count's wedge stage and q_edit_neardup's
@@ -292,52 +252,12 @@ def _dedup_pairs(cand: "ray.data.Dataset", a_col: str, b_col: str,
 
 
 def _attach_pair_texts(
-    cand: "ray.data.Dataset",
-    ds: "ray.data.Dataset",
-    n_cand: int,
-    broadcast_limit: int = 100_000,
+    cand: "ray.data.Dataset", ds: "ray.data.Dataset", n_cand: int
 ) -> "ray.data.Dataset":
-    """Attach both documents' texts to each (doc_a, doc_b) candidate
-    pair for an exact verify stage. Two layouts, picked by candidate-set
-    size (the corpus itself is NEVER pulled to the driver in either):
-    - small candidate set (the common case — LSH/prefix filters prune
-      hard): filter documents to candidate doc_ids with a broadcast id
-      set (one streaming pass, no shuffle) and broadcast the
-      O(|candidates|) text lookup into the verify stage;
-    - large candidate set: two distributed hash joins back to the
-      documents table (no broadcast of anything candidate-sized)."""
-    if n_cand <= broadcast_limit:
-        cd = cand.to_pandas()  # O(candidates) — the output's own scale
-        ids = pa.array(
-            sorted(set(cd["doc_a"]) | set(cd["doc_b"])), pa.int64()
-        )
-        ids_ref = ray.put(ids)
-        texts_df = ds.map_batches(
-            lambda b: b.filter(pc.is_in(b.column("doc_id"), value_set=ray.get(ids_ref))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).to_pandas()  # O(candidates) rows, not the corpus
-        texts_ref = ray.put(dict(zip(texts_df["doc_id"], texts_df["text"])))
-
-        def attach(batch: pa.Table) -> pa.Table:
-            lookup = ray.get(texts_ref)
-            return pa.table(
-                {
-                    "doc_a": batch.column("doc_a"),
-                    "doc_b": batch.column("doc_b"),
-                    "__text_a": pa.array(
-                        [lookup.get(a) for a in batch.column("doc_a").to_pylist()],
-                        pa.string(),
-                    ),
-                    "__text_b": pa.array(
-                        [lookup.get(b) for b in batch.column("doc_b").to_pylist()],
-                        pa.string(),
-                    ),
-                }
-            )
-
-        return cand.map_batches(attach, batch_format="pyarrow")
-
+    """Attach both documents' texts to each of the ``n_cand`` (doc_a,
+    doc_b) candidate pairs for an exact verify stage: two distributed
+    hash joins back to the documents table, so neither the corpus nor
+    anything candidate-sized reaches the driver."""
     tune_join_resources()
     # squeeze out zero-row blocks (sparse pair buckets): Ray's hash
     # join aborts on partitions that receive only empty blocks
@@ -357,179 +277,6 @@ def _attach_pair_texts(
     ).join(
         _renamed("doc_b", "__text_b"), join_type="inner",
         num_partitions=join_partitions(8), on=("doc_b",),
-    )
-
-
-def q_minhash_neardup(
-    sf_dir: str,
-    threshold: float = 0.6,
-    broadcast_limit: int = 100_000,
-    driver_bands_max: int = 5_000_000,
-    force_distributed: bool = False,
-):
-    """MinHash-LSH near-dup pairs, distributed end-to-end:
-    shingle→minhash→band rows → groupby(band, band_key) buckets →
-    in-bucket candidate pairs → distributed pair dedup (shuffle on
-    hash(pair)) → hash-join candidates back to documents on doc_id
-    (twice: text_a, text_b) → exact-Jaccard verify inside map_batches.
-    Nothing corpus-sized is ever materialized on the driver; only the
-    final verified pair list (inherently small) is.
-
-    Size-adaptive: the band table is (docs × n_bands) rows of three
-    small ints (~24 B/row), so under ``driver_bands_max`` band rows
-    (exact parquet metadata × 16 bands) the bucket-pair walk runs as
-    ONE driver _group_pairs call + np.unique pair dedup, texts of the
-    candidate doc_ids are pulled through the same broadcast-id filter
-    the streaming attach uses (O(candidates), never the corpus), and
-    the verify loop is the same jaccard(shingles()) kernel with a
-    per-doc shingle cache. Above the gate (or force_distributed) the
-    banding/verify plan is unchanged. Forks equivalence-tested.
-
-    Returns (doc_a, doc_b, jaccard) with doc_a < doc_b, rounded 4dp."""
-    import pyarrow.parquet as pq_mod
-
-    from ..runtime import task_stage
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-    # process-cached task stage: the permutation table is ~1 KB and the
-    # signature pass is one chunked numpy sweep, so the actor pool's
-    # spin-up (~1-2 s/run) bought nothing; tasks scale to every CPU
-    bands = ds.map_batches(task_stage(_MinHashStage), batch_format="pyarrow")
-
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64()),
-        }
-    )
-
-    docs_rows = pq_mod.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")
-    ).num_rows
-    if docs_rows * 16 <= driver_bands_max and not force_distributed:
-        bdf = bands.to_pandas()  # docs × 16 small-int rows — gate-bounded
-        if not len(bdf):
-            return empty
-        key = (
-            bdf["band"].to_numpy().astype(np.int64) * (1 << 33)
-            + bdf["band_key"].to_numpy().astype(np.int64)
-        )
-        order = np.argsort(key, kind="stable")
-        (pair_ab,) = _group_pairs(
-            key[order], [bdf["doc_id"].to_numpy().astype(np.int64)[order]]
-        )
-        pa_a, pa_b = pair_ab
-        if not len(pa_a):
-            return empty
-        lo, hi = np.minimum(pa_a, pa_b), np.maximum(pa_a, pa_b)
-        m = lo != hi
-        if not m.any():
-            return empty
-        ab = np.unique(np.stack([lo[m], hi[m]], axis=1), axis=0)
-        ids = pa.array(np.unique(ab).tolist(), pa.int64())
-        ids_ref = ray.put(ids)
-        texts_df = ds.map_batches(
-            lambda b: b.filter(
-                pc.is_in(b.column("doc_id"), value_set=ray.get(ids_ref))
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).to_pandas()  # O(candidates) rows, not the corpus
-        lookup = dict(zip(texts_df["doc_id"], texts_df["text"]))
-        sh = {int(i): shingles(lookup.get(int(i)) or "") for i in np.unique(ab)}
-        out_a, out_b, out_j = [], [], []
-        for a, b in ab:
-            j = jaccard(sh[int(a)], sh[int(b)])
-            if j >= threshold:
-                out_a.append(int(a))
-                out_b.append(int(b))
-                out_j.append(round(j, 4))
-        # ab is np.unique row-sorted => already (doc_a asc, doc_b asc)
-        return pa.table(
-            {
-                "doc_a": pa.array(out_a, pa.int64()),
-                "doc_b": pa.array(out_b, pa.int64()),
-                "jaccard": pa.array(out_j, pa.float64()),
-            }
-        )
-
-    # hoisted: all map tasks must share ONE modulus even if cluster
-    # CPU count changes mid-run (else a band key can split buckets)
-    n_bkt = default_buckets(per_cpu=8, hi=1024)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        # coarse bucket over the LSH key: the groupby shuffles on ~512
-        # buckets, NOT on ~(n_bands x n_docs) singleton groups — one
-        # vectorized call per bucket instead of one Python call per group
-        b = (
-            batch.column("band_key").to_numpy(zero_copy_only=False).astype(np.int64)
-            % n_bkt
-        ).astype(np.int32)
-        return batch.append_column("__bkt", pa.array(b, pa.int32()))
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized in-bucket pair walk — the same _group_pairs kernel
-        # the driver fork and q_ngram_jaccard use (a skewed LSH bucket
-        # previously fell into a Python double loop here): dedup
-        # (band-key, doc) rows, then one degree-class-vectorized triu
-        # gather per group size. Cross-group duplicate pairs collapse in
-        # the downstream _dedup_pairs shuffle, exactly as before.
-        key = g["band"].to_numpy().astype(np.int64) * (1 << 33) + g[
-            "band_key"
-        ].to_numpy().astype(np.int64)
-        docs = g["doc_id"].to_numpy().astype(np.int64)
-        kd = np.unique(np.stack([key, docs], axis=1), axis=0)  # sorted (key, doc)
-        (pair_ab,) = _group_pairs(kd[:, 0], [kd[:, 1]])
-        a, b = pair_ab
-        if not len(a):
-            return pd.DataFrame({"doc_a": [], "doc_b": []}).astype(np.int64)
-        # rows within a group arrive doc-ascending, so triu already
-        # emits a < b; keep the explicit ordering for safety
-        return pd.DataFrame(
-            {"doc_a": np.minimum(a, b), "doc_b": np.maximum(a, b)}
-        ).astype(np.int64)
-
-    cand = (
-        bands.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bkt")
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
-    cand = _dedup_pairs(cand, "doc_a", "doc_b").materialize()
-    n_cand = cand.count()
-    if n_cand == 0:
-        return empty
-
-    joined = _attach_pair_texts(cand, ds, n_cand, broadcast_limit)
-    def verify(batch: pa.Table) -> pa.Table:
-        da = batch.column("doc_a").to_pylist()
-        db = batch.column("doc_b").to_pylist()
-        ta = batch.column("__text_a").to_pylist()
-        tb = batch.column("__text_b").to_pylist()
-        out_a, out_b, out_j = [], [], []
-        for a, b, x, y in zip(da, db, ta, tb):
-            j = jaccard(shingles(x or ""), shingles(y or ""))
-            if j >= threshold:
-                out_a.append(a)
-                out_b.append(b)
-                out_j.append(round(j, 4))
-        return pa.table(
-            {
-                "doc_a": pa.array(out_a, pa.int64()),
-                "doc_b": pa.array(out_b, pa.int64()),
-                "jaccard": pa.array(out_j, pa.float64()),
-            }
-        )
-
-    # arrow_blocks: the upstream join can surface pandas blocks
-    # (observed on the distributed-attach path at sf0.01/32cpu)
-    blocks = arrow_blocks(joined.map_batches(verify, batch_format="pyarrow"))
-    if not blocks:
-        return empty
-    merged = pa.concat_tables(blocks, promote_options="none")
-
-    return merged.take(
-        pc.sort_indices(merged, sort_keys=[("doc_a", "ascending"), ("doc_b", "ascending")])
     )
 
 
@@ -1066,9 +813,8 @@ def q_dedup_clusters(
     Oracled by a DuckDB RECURSIVE CTE computing min-reachable-id —
     edge sets agree exactly because q_embed_neardup itself is
     oracle-green under the same predicate. The size-adaptive core is
-    the shared _cc_attach_int — the same switch every cluster op
-    (q_minhash_clusters, q_phash_clusters, q_image_clusters) routes
-    through."""
+    the shared _cc_attach_int — the same switch q_phash_clusters and
+    q_image_clusters reach through its string-id twin _cc_attach_str."""
     pairs = q_embed_neardup(sf_dir, threshold)
     ds = _pq(sf_dir, "embeddings", columns=["vec_id"])
     if stats is not None:
@@ -1873,63 +1619,6 @@ def q_codec_decode(sf_dir: str):
     return ds.map_batches(check, batch_format="pyarrow", batch_size=16)
 
 
-def _ensure_media(kind: str) -> str:
-    """Deterministic synthetic audio/video corpus cached under /tmp."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures import make_audio_corpus, make_video_corpus
-
-    path = _cache_path(f"{kind}64.parquet")
-    if not os.path.exists(path):
-        tbl = make_audio_corpus(64) if kind == "audio" else make_video_corpus(48)
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
-    return path
-
-
-def q_audio_features(sf_dir: str):
-    """REAL audio feature extraction (r4): RIFF/WAVE PCM16 decode +
-    log-mel mean/std per clip inside the actor pool — the mel
-    filterbank builds once per actor in ``__init__``, the FFT path is
-    one stride-tricks framing + matmul per clip (functions/audio.py).
-    strict=True: any non-wav byte blob would raise, so a green run
-    proves the real decode fired on every row. Rows-only driver check;
-    tests pin the features against a no-Ray replica and the physics
-    (loudest mel bin == the planted tone's bin)."""
-    from ..stages.multimodal import AudioFeatureStage
-
-    ds = ray.data.read_parquet(_ensure_media("audio"))
-    return ds.map_batches(
-        AudioFeatureStage,
-        fn_constructor_kwargs={"strict": True},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 2),
-        num_cpus=0.5,
-    )
-
-
-def q_video_frames(sf_dir: str):
-    """REAL video frame sampling (r4): YUV4MPEG2 clips -> 4 evenly
-    spaced frames each, decoded by OFFSET SEEK (only the sampled
-    frames' bytes are touched — functions/y4m.py documents the fixed-
-    stride arithmetic), phash64 per frame. strict=True as above.
-    Rows-only driver check; tests pin seek-vs-full-decode equality and
-    the near-dup structure of consecutive frames."""
-    from ..stages.multimodal import VideoFrameSampleStage
-
-    ds = ray.data.read_parquet(_ensure_media("video"))
-    return ds.map_batches(
-        VideoFrameSampleStage,
-        fn_constructor_kwargs={"strict": True, "n_frames": 4},
-        batch_format="pyarrow",
-        batch_size=16,
-        concurrency=(1, 2),
-        num_cpus=0.5,
-    )
-
-
 def q_image_decode(sf_dir: str):
     """Multimodal plumbing: deterministic synthetic image corpus (cached
     under /tmp) -> ImageDecodeStage actor pool -> decoded metadata +
@@ -2137,32 +1826,6 @@ def hamming_band_pairs(
     return pa.Table.from_pandas(merged, preserve_index=False).cast(schema)
 
 
-def q_simhash_neardup(sf_dir: str, max_hamming: int = 3):
-    """SimHash near-dup document pairs: 64-bit simhash per doc (pure
-    map), then multi-index banding pair generation. With 4 bands and
-    hamming <= 3 recall is EXACT (pigeonhole: 3 differing bits cannot
-    touch all 4 of the 16-bit quadrants). Rows-only driver check; exact
-    equality vs single-process brute force asserted in tests."""
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def sh(batch: pa.Table) -> pa.Table:
-        v = simhash64(batch.column("text").to_pylist())
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "simhash": pa.array(v, pa.int64())}
-        )
-
-    hashed = ds.map_batches(sh, batch_format="pyarrow", zero_copy_batch=True)
-    return hamming_band_pairs(
-        hashed,
-        id_col="doc_id",
-        hash_col="simhash",
-        max_hamming=max_hamming,
-        a_col="doc_a",
-        b_col="doc_b",
-        id_arrow_type=pa.int64(),
-    )
-
-
 # --------------------------------------------------------- image dedup --
 def _ensure_neardup_corpus() -> str:
     """Deterministic synthetic image corpus with three PLANTED lossy
@@ -2225,9 +1888,9 @@ def q_ngram_jaccard(
     broadcast_limit: int = 2_000_000,
     df_broadcast_limit: int = 5_000_000,
 ):
-    """EXACT character-n-gram Jaccard similarity self-join (vs
-    q_minhash_neardup's probabilistic LSH): all document pairs with
-    trigram-set Jaccard >= threshold, no false negatives.
+    """EXACT character-n-gram Jaccard similarity self-join: all
+    document pairs with trigram-set Jaccard >= threshold, no false
+    negatives.
 
     Scale layout is the AllPairs/prefix-filtering algorithm (Bayardo,
     Ma & Srikant, "Scaling Up All Pairs Similarity Search", WWW'07):
@@ -2265,7 +1928,7 @@ def q_ngram_jaccard(
     at Jaccard >= t needs t*max(|A|,|B|) <= min(|A|,|B|), checked from
     set sizes carried on the prefix rows) and a per-doc gram-set cache
     in the verify stage (each doc's set is built once per verify batch,
-    not once per pair). The shingle width n is a knob: wider shingles
+    not once per pair). The gram width n is a knob: wider grams
     are more discriminative — on template-heavy corpora (like this
     fixture, whose 500 docs share ~all character trigrams) n=12 keeps
     the candidate set ~100x below all-pairs where n=3 cannot prune at
@@ -2580,7 +2243,7 @@ def q_ngram_jaccard(
     else:
         # corpus-scale fallback: distributed text attach, per-doc
         # gram-array cache inside the verify batch
-        joined = _attach_pair_texts(cand, ds, n_cand, 0)
+        joined = _attach_pair_texts(cand, ds, n_cand)
 
         def verify(batch: pa.Table) -> pa.Table:
             da = batch.column("doc_a").to_pylist()
@@ -5563,10 +5226,8 @@ def q_dsir_weights(sf_dir: str, target_lang: str = "en", V: int = 129):
 
 def q_minhash_sig(sf_dir: str, n_perms: int = 16, P: int = 1_000_000_007):
     """MinHash signatures over distinct whitespace-word sets (Broder
-    1997), HASH-CHECKED end-to-end against a DuckDB twin — the exact
-    integer pin for the hash math under q_minhash_neardup's LSH (which
-    stays rows-only because its banding uses xxhash). Word hash is a
-    31-base Horner fold of codepoints mod P seeded at 7; permutation j
+    1997), HASH-CHECKED end-to-end against a DuckDB twin. Word hash
+    is a 31-base Horner fold of codepoints mod P seeded at 7; permutation j
     is the affine map (a_j*h + b_j) mod P with a_j, b_j derived from j
     by fixed integer formulas, so the SQL twin reconstructs every
     constant. sig[doc, j] = min over the doc's DISTINCT words.
@@ -5628,9 +5289,7 @@ def q_minhash_sig(sf_dir: str, n_perms: int = 16, P: int = 1_000_000_007):
 
 def q_simhash_sig(sf_dir: str, n_bits: int = 32):
     """SimHash signatures over distinct whitespace-word sets (Charikar
-    2002), HASH-CHECKED against a DuckDB twin — the exact integer pin
-    for the bit-majority math under q_simhash_neardup (which stays
-    rows-only because its production path uses xxhash). Word hash =
+    2002), HASH-CHECKED against a DuckDB twin. Word hash =
     q_minhash_sig's Horner fold mod 1e9+7, widened to 61 bits by one
     affine step mod 2^61-1; signature bit t is 1 iff the +1/-1 majority
     over the doc's DISTINCT words at bit t is strictly positive.
@@ -7313,45 +6972,6 @@ def q_phash_clusters(
     )
 
 
-def q_minhash_clusters(sf_dir: str, threshold: float = 0.6,
-                       max_iters: int = 64,
-                       driver_labels_max: int = 2_000_000):
-    """MinHash near-dup CLUSTERS for text — the transitive-closure form
-    of q_minhash_neardup (Lee et al. 2022's dedup pipeline groups
-    near-dup docs into clusters and keeps one per cluster; a keep-list
-    of pairwise drops under-removes chained paraphrases). Cluster id =
-    smallest doc_id reachable through verified pairs.
-
-    Layout: identical machinery to q_dedup_clusters — both route
-    through the shared size-adaptive _cc_attach_int switch (hash-min
-    label propagation with pointer doubling; driver-resident labels at
-    output scale below ``driver_labels_max``, Dataset-resident
-    _cc_labels_distributed + left-outer-join attach above it). Doc ids
-    are already int64, so no rank mapping is needed; isolated docs
-    keep their own id. Rows-only (minhash banding isn't
-    SQL-expressible); pinned against a union-find replica over the
-    same verified pairs AND the forced-distributed path in tests."""
-    pairs = q_minhash_neardup(sf_dir, threshold)
-    ds = _pq(sf_dir, "documents", columns=["doc_id"])
-
-    if pairs.num_rows == 0:
-        return ds.map_batches(
-            lambda b: pa.table(
-                {"doc_id": b.column("doc_id"), "cluster_id": b.column("doc_id")}
-            ),
-            batch_format="pyarrow",
-        )
-
-    return _cc_attach_int(
-        ds,
-        "doc_id",
-        pairs.column("doc_a").to_numpy(),
-        pairs.column("doc_b").to_numpy(),
-        max_iters,
-        driver_labels_max,
-    )
-
-
 def q_dominant_color(sf_dir: str):
     """Dominant-color binning over DECODED pixels — the cheap visual
     descriptor image-curation stacks compute at ingest (color-based
@@ -7971,51 +7591,6 @@ def q_embedding_dim_stats(sf_dir: str):
         )
 
     return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def q_video_neardup(sf_dir: str, n_frames: int = 6, max_hamming: int = 6):
-    """Cross-video near-duplicate detection by sampled-frame phash —
-    the video twin of q_phash_neardup, composing the REAL decode path
-    with the shared multi-index banding kernel: VideoFrameSampleStage
-    (strict) samples n_frames per clip and phashes each decoded frame,
-    then hamming_band_pairs bands the (clip:frame, phash64) rows.
-    Emitted pairs span frames of the SAME drifting clip (the fixture
-    plants near-dup consecutive frames via small rolls) and any
-    cross-clip matches. Rows-only driver check; tests pin that every
-    same-clip adjacent sampled pair within the roll tolerance appears
-    and that pair hamming is verified exact."""
-    from ..stages.multimodal import VideoFrameSampleStage
-
-    ds = ray.data.read_parquet(_ensure_media("video"))
-    frames = ds.map_batches(
-        VideoFrameSampleStage,
-        fn_constructor_kwargs={"strict": True, "n_frames": n_frames},
-        batch_format="pyarrow",
-        batch_size=16,
-        concurrency=(1, 2),
-        num_cpus=0.5,
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "frame_id": pc.binary_join_element_wise(
-                    pc.cast(b.column("id"), pa.string()),
-                    pc.cast(b.column("frame"), pa.string()),
-                    "#",
-                ),
-                "phash": b.column("frame_phash"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return hamming_band_pairs(
-        frames,
-        id_col="frame_id",
-        hash_col="phash",
-        max_hamming=max_hamming,
-        a_col="frame_a",
-        b_col="frame_b",
-        id_arrow_type=pa.string(),
-    )
 
 
 # ------------------------------------------------ round-5 final wave ----

@@ -34,7 +34,8 @@ def tune_join_resources(num_cpus_per_partition: float = 0.05) -> None:
     By default each aggregator reserves min(1, (CPU/2)/partitions) CPUs,
     so two chained joins at 8 partitions on a 4-CPU node reserve EVERY
     core and the map stages feeding them can never schedule — a
-    real observed deadlock (minhash verify after the schedule pipeline).
+    real observed deadlock (a two-join plan run after the schedule
+    pipeline).
     The engine's join aggregators are lightweight concat+hash stages;
     a nominal reservation lets maps and aggregators share cores. Call
     before building any Dataset.join plan (idempotent)."""
@@ -129,8 +130,8 @@ def arrow_blocks(ds) -> list:
 
     ``to_arrow_refs()`` hands back whatever block format the last
     operator produced — a native hash join or a pandas map_groups can
-    surface ``pd.DataFrame`` blocks (observed on q_minhash_neardup's
-    distributed-attach path at sf0.01/32cpu), and downstream
+    surface ``pd.DataFrame`` blocks (observed after a two-join plan at
+    sf0.01/32cpu), and downstream
     ``pa.concat_tables`` then dies on ``.num_rows``. One shared
     normalization point instead of per-call-site defensiveness."""
     import pandas as pd

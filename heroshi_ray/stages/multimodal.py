@@ -1,13 +1,12 @@
-"""Multimodal column stages — image/audio/video as opaque ``binary``
-columns with typed metadata, processed by actor-pool ``map_batches``.
+"""Multimodal column stages — images as opaque ``binary`` columns with
+typed metadata, processed by actor-pool ``map_batches``.
 
-The sandbox ships no image/audio libraries (SURVEY.md §7.6), so:
-- PNG/QPNG decode + resize are REAL (pure numpy/zlib codecs);
-- baseline JPEG decode is REAL as of r4 (functions/jpeg.py — pure-numpy
-  ITU-T T.81 sequential-DCT codec, 4:4:4/4:2:0/grayscale, DRI/RSTn);
-- WebP decode, compressed-audio feature extraction and compressed-video
-  frame sampling remain STUBS behind clearly-marked
-  ``NotImplementedError`` raises with a deterministic-fake fallback
+The sandbox ships no image libraries (SURVEY.md §7.6), so:
+- PNG/QPNG/GIF decode + resize are REAL (pure numpy/zlib codecs);
+- baseline JPEG decode is REAL (functions/jpeg.py — pure-numpy ITU-T
+  T.81 sequential-DCT codec, 4:4:4/4:2:0/grayscale, DRI/RSTn);
+- WebP decode remains a STUB behind a clearly-marked
+  ``NotImplementedError`` raise with a deterministic-fake fallback
   flag — the Ray-side plumbing (schema, batch size, actor signature,
   output layout) is real and tested.
 """
@@ -126,177 +125,6 @@ class ImageFeatureStage:
                 "features": pa.array(feats, pa.list_(pa.float32())),
             }
         )
-
-
-class AudioFeatureStage:
-    """Audio bytes -> clip-level log-mel features — REAL for RIFF/WAVE
-    PCM16 (functions/audio.py, r4). The mel filterbank is built ONCE per
-    actor here in ``__init__`` (the model-load slot of the actor-pool
-    contract) and applied vectorized per clip in ``__call__``.
-
-    Output per row: mean + std over frames of the (n_frames, n_mels)
-    log-mel matrix (2*n_mels floats) plus n_frames / sample_rate /
-    duration_ms. Compressed audio (mp3/ogg/...) still raises
-    ``NotImplementedError`` when strict, or emits the deterministic
-    byte-length fake when strict=False (the r1-r3 plumbing contract)."""
-
-    def __init__(
-        self,
-        n_mels: int = 16,
-        strict: bool = True,
-        frame: int = 400,
-        hop: int = 160,
-        n_fft: int = 512,
-        expect_sr: int = 16000,
-    ):
-        from ..functions.audio import mel_filterbank
-
-        self.n_mels = n_mels
-        self.strict = strict
-        self.frame = frame
-        self.hop = hop
-        self.n_fft = n_fft
-        self.expect_sr = expect_sr
-        self.fb = mel_filterbank(n_mels, n_fft, expect_sr)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.audio import logmel, mel_filterbank, wav_decode
-
-        blobs = batch.column("bytes").to_pylist()
-        feats: list[list[float]] = []
-        n_frames = np.zeros(len(blobs), np.int32)
-        srs = np.zeros(len(blobs), np.int32)
-        dur = np.zeros(len(blobs), np.int32)
-        for i, b in enumerate(blobs):
-            try:
-                samples, sr = wav_decode(b)
-            except ValueError:
-                if self.strict:
-                    raise NotImplementedError(
-                        "compressed-audio decode requires a codec library not "
-                        "present in this sandbox (RIFF/WAVE PCM16 is supported)"
-                    )
-                feats.append(
-                    np.full(2 * self.n_mels, (len(b) % 997) / 997.0, np.float32).tolist()
-                )
-                continue
-            fb = (
-                self.fb
-                if sr == self.expect_sr
-                else mel_filterbank(self.n_mels, self.n_fft, sr)
-            )
-            lm = logmel(
-                samples, sr, self.n_mels, self.frame, self.hop, self.n_fft, fb=fb
-            )
-            feats.append(
-                np.concatenate([lm.mean(axis=0), lm.std(axis=0)])
-                .astype(np.float32)
-                .tolist()
-            )
-            n_frames[i] = lm.shape[0]
-            srs[i] = sr
-            dur[i] = round(samples.shape[0] * 1000.0 / sr)
-        return pa.table(
-            {
-                "id": batch.column(batch.column_names[0]),
-                "features": pa.array(feats, pa.list_(pa.float32())),
-                "n_frames": pa.array(n_frames, pa.int32()),
-                "sample_rate": pa.array(srs, pa.int32()),
-                "duration_ms": pa.array(dur, pa.int32()),
-            }
-        )
-
-
-class VideoFrameSampleStage:
-    """Video bytes -> sampled frame phashes (+ optional PNG thumbs) —
-    REAL for YUV4MPEG2 (functions/y4m.py, r4). Frames are read by
-    OFFSET SEEK: the stage parses the fixed-size-frame header and
-    slices only the sampled frames' bytes, so sampling 4 frames of a
-    long clip never materializes the other frames' pixels. Compressed
-    video (mp4/webm/...) raises ``NotImplementedError`` when strict, or
-    emits the r1-r3 deterministic fake frames when strict=False."""
-
-    def __init__(self, n_frames: int = 4, strict: bool = True, thumb: bool = False):
-        self.n_frames = n_frames
-        self.strict = strict
-        self.thumb = thumb
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..functions.y4m import y4m_parse_header, y4m_read_frame
-
-        ids = batch.column(batch.column_names[0]).to_pylist()
-        blobs = batch.column("bytes").to_pylist()
-        out_id, out_frame, out_ph, out_png = [], [], [], []
-
-        def fake(i):
-            for f in range(self.n_frames):
-                out_id.append(i)
-                out_frame.append(f)
-                out_ph.append(0)
-                out_png.append(
-                    png_encode(np.full((8, 8, 3), (f * 37) % 256, np.uint8))
-                    if self.thumb
-                    else None
-                )
-
-        for i, b in zip(ids, blobs):
-            # the WHOLE per-clip decode is under the fallback contract:
-            # a spec-legal stream our fixed-stride seek can't handle
-            # (e.g. per-frame parameters) fails in y4m_read_frame, not
-            # just in header parse — strict raises, non-strict fakes
-            try:
-                if b[:4] == b"GIF8":
-                    # animated GIF: LZW frames have NO random access
-                    # (each frame composites on the previous canvas),
-                    # so decode sequentially up to the LAST sampled
-                    # index — still bounded by the clip, and early
-                    # frames never re-decode
-                    from ..functions.gif import gif_decode
-
-                    all_frames, _ = gif_decode(b)
-                    total = all_frames.shape[0]
-                    take = min(self.n_frames, total)
-                    idxs = (
-                        np.linspace(0, total - 1, take).round().astype(np.int64)
-                        if take
-                        else np.array([], np.int64)
-                    )
-                    rows = [(int(k), all_frames[int(k)]) for k in idxs.tolist()]
-                else:
-                    meta = y4m_parse_header(b)
-                    total = meta["n_frames"]
-                    take = min(self.n_frames, total)
-                    # evenly spaced sample (first frame always included)
-                    idxs = (
-                        np.linspace(0, total - 1, take).round().astype(np.int64)
-                        if take
-                        else np.array([], np.int64)
-                    )
-                    rows = [
-                        (k, y4m_read_frame(b, meta, k)) for k in idxs.tolist()
-                    ]
-            except ValueError as e:
-                if self.strict:
-                    raise NotImplementedError(
-                        "video decode failed — compressed formats and "
-                        "parameterized-frame y4m need a codec library not "
-                        f"present in this sandbox (plain YUV4MPEG2 works): {e}"
-                    )
-                fake(i)
-                continue
-            for k, px in rows:
-                out_id.append(i)
-                out_frame.append(k)
-                out_ph.append(phash64(px))
-                out_png.append(png_encode(px) if self.thumb else None)
-        cols = {
-            "id": pa.array(out_id),
-            "frame": pa.array(out_frame, pa.int32()),
-            "frame_phash": pa.array(out_ph, pa.int64()),
-        }
-        if self.thumb:
-            cols["frame_png"] = pa.array(out_png, pa.binary())
-        return pa.table(cols)
 
 
 # ------------------------------------------------- image-text alignment ---

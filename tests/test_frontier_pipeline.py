@@ -1,12 +1,11 @@
 """Fused schedule pipeline: dedup exactness, budget enforcement,
-determinism; MinHash-LSH end-to-end on a corpus with planted near-dups."""
+determinism."""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 
 def test_fused_schedule(ray_session, tmp_path):
@@ -84,34 +83,6 @@ def test_frontier_schedule_counts_budget_semantics(ray_session):
     assert t.sort_values(["host", "depth"]).reset_index(drop=True).equals(
         t2.sort_values(["host", "depth"]).reset_index(drop=True)
     )
-
-
-def test_minhash_finds_planted_neardups(ray_session, tmp_path):
-    from heroshi_ray.pipelines.dataops import q_minhash_neardup
-
-    rng = np.random.default_rng(5)
-    vocab = [f"w{i}" for i in range(200)]
-    docs = []
-    for i in range(40):
-        docs.append(" ".join(rng.choice(vocab, size=60)))
-    # plant near-dups: doc 40/41 are copies of 0/1 with one word changed
-    d40 = docs[0].split(); d40[5] = "CHANGED"
-    d41 = docs[1].split(); d41[10] = "ALTERED"
-    docs += [" ".join(d40), " ".join(d41), docs[2]]  # 42 = exact dup of 2
-    tbl = pa.table(
-        {"doc_id": pa.array(range(len(docs)), pa.int64()),
-         "text": pa.array(docs, pa.string())}
-    )
-    d = tmp_path / "sfmini"
-    d.mkdir()
-    pq.write_table(tbl, str(d / "documents.parquet"))
-    out = q_minhash_neardup(str(d), threshold=0.6)
-    pairs = set(zip(out.column("doc_a").to_pylist(), out.column("doc_b").to_pylist()))
-    assert (0, 40) in pairs
-    assert (1, 41) in pairs
-    assert (2, 42) in pairs
-    # no spurious random pairs at this threshold
-    assert len(pairs) <= 5
 
 
 def test_robots_actor_path_equals_broadcast(ray_session, tmp_path):

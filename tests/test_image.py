@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from heroshi_ray.functions.hashing import hash64, shard_of
+from heroshi_ray.functions.hashing import hash64
 from heroshi_ray.functions.image import (
     decode_image,
     encode_image,
@@ -78,8 +78,6 @@ def test_hash64_deterministic():
     assert a.dtype == np.uint64
     assert np.array_equal(a, b)
     assert a[0] != a[1]
-    s = shard_of(["http://x/"] * 3, 64)
-    assert (s >= 0).all() and (s < 64).all() and len(set(s.tolist())) == 1
 
 
 def test_codec_oracle_cache_keyed_by_sf_dir(ray_session, tmp_path):

@@ -1,8 +1,12 @@
-"""Every module-level import is read somewhere in its file.
+"""Every module-level import is read somewhere in its file, and every
+kernel in ``heroshi_ray/functions`` is named somewhere outside its own
+body.
 
 An AST scan over the package, the two entry scripts and the tests. A
 name counts as read when an expression names it, when ``__all__`` lists
-it, or when a string annotation (``"ray.data.Dataset"``) names it.
+it, or when a string annotation (``"ray.data.Dataset"``) names it. The
+kernel scan reads the package, the entry scripts and ``perfbench/``,
+not the tests.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _files():
-    for base in ("heroshi_ray", "tests"):
+def _files(bases=("heroshi_ray", "tests")):
+    for base in bases:
         for d, _, names in os.walk(os.path.join(ROOT, base)):
             for n in sorted(names):
                 if n.endswith(".py"):
@@ -87,3 +91,57 @@ def test_no_unused_imports():
                 if name not in read:
                     unused.append(f"{os.path.relpath(path, ROOT)}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def _named_lines(tree) -> list[tuple[str, int]]:
+    """(identifier, line) for every name an expression reads, every
+    attribute access and every identifier-shaped string constant (the
+    benchmark's tracer wraps functions by attribute name); ``__all__``
+    entries are left out, since listing a name exports it but does not
+    call it."""
+    exports = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets
+        ):
+            exports |= {id(e) for e in ast.walk(n.value)}
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.append((n.id, n.lineno))
+        elif isinstance(n, ast.Attribute):
+            out.append((n.attr, n.lineno))
+        elif (
+            isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and n.value.isidentifier() and id(n) not in exports
+        ):
+            out.append((n.value, n.lineno))
+    return out
+
+
+def test_no_uncalled_kernels():
+    """A top-level function or class of ``heroshi_ray/functions`` that
+    nothing in the package, the entry scripts or the benchmark names is
+    dead code kept alive only by its tests."""
+    fdir = os.path.join(ROOT, "heroshi_ray", "functions")
+    where: dict[str, list[tuple[str, int]]] = {}
+    for path in _files(("heroshi_ray", "perfbench")):
+        with open(path) as f:
+            for name, line in _named_lines(ast.parse(f.read(), filename=path)):
+                where.setdefault(name, []).append((path, line))
+    uncalled = []
+    for n in sorted(os.listdir(fdir)):
+        path = os.path.join(fdir, n)
+        if not n.endswith(".py"):
+            continue
+        with open(path) as f:
+            body = ast.parse(f.read(), filename=path).body
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(
+                p == path and line in own for p, line in where.get(node.name, ())
+            ):
+                uncalled.append(f"functions/{n}:{node.lineno} {node.name}")
+    assert not uncalled, uncalled

@@ -287,23 +287,6 @@ def test_gif_fmt_integration_and_errors():
         gif_decode(encode_image(px, "gif")[:40])
 
 
-def test_video_stage_gif_branch():
-    import pyarrow as pa
-
-    from heroshi_ray.functions.gif import gif_decode, gif_encode
-    from heroshi_ray.stages.multimodal import VideoFrameSampleStage
-
-    rng = np.random.default_rng(47)
-    base = _pixels(rng, 24, 24)
-    frames = np.stack([np.roll(base, 5 * i, axis=0) for i in range(8)])
-    enc = gif_encode(frames)
-    batch = pa.table({"id": pa.array(["g"]), "bytes": pa.array([enc])})
-    out = VideoFrameSampleStage(strict=True, n_frames=4)(batch).to_pandas()
-    assert sorted(out["frame"].tolist()) == [0, 2, 5, 7]
-    dec, _ = gif_decode(enc)
-    assert out.set_index("frame")["frame_phash"][7] == phash64(dec[7])
-
-
 def test_q_gif_decode_invariant(ray_session):
     from heroshi_ray.pipelines.dataops import q_gif_decode
 

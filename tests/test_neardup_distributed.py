@@ -1,13 +1,12 @@
-"""The distributed near-dup verify tails (round-2 rework) pinned against
+"""The distributed near-dup and clustering forks pinned against
 independent single-process ground truth.
 
-Each of q_minhash_neardup / q_phash_neardup / q_embed_neardup used to
-collapse its verify/merge step onto the driver; they now run as
-map_groups + pair-dedup shuffles. These tests recompute the expected
-pair sets with plain Python/numpy (same candidate-generation semantics,
-no Ray) and assert exact equality — rows AND values — so the rework is
-behaviour-preserving and the IVF-bucketed embedding path has recall 1.0
-on the driver data.
+q_phash_neardup and q_embed_neardup run their verify/merge steps as
+map_groups + pair-dedup shuffles rather than on the driver. These tests
+recompute the expected pair sets with plain Python/numpy (same
+candidate-generation semantics, no Ray) and assert exact equality —
+rows AND values — and hold every size-gated fork (driver vs Dataset
+labels, pair dedup, DF join) to the default path's output.
 """
 
 from __future__ import annotations
@@ -20,48 +19,6 @@ import pyarrow.parquet as pq
 import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
-
-
-def test_minhash_neardup_matches_single_process(ray_session):
-    from heroshi_ray.functions.text import MinHasher, jaccard, shingles
-    from heroshi_ray.pipelines.dataops import q_minhash_neardup
-
-    got = q_minhash_neardup(SF_DIR).to_pandas()
-
-    docs = pq.read_table(
-        os.path.join(SF_DIR, "documents.parquet"), columns=["doc_id", "text"]
-    ).to_pandas()
-    mh = MinHasher(64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    sh = {}
-    for r in docs.itertuples():
-        s = shingles(r.text or "", 3)
-        sh[r.doc_id] = s
-        for b, key in enumerate(mh.bands(mh.signature(s), 16)):
-            buckets.setdefault((b, key), []).append(r.doc_id)
-    pairs = set()
-    for ids in buckets.values():
-        ids = sorted(set(ids))
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pairs.add((ids[i], ids[j]))
-    expect = sorted(
-        (a, b, round(jaccard(sh[a], sh[b]), 4))
-        for a, b in pairs
-        if jaccard(sh[a], sh[b]) >= 0.6
-    )
-    assert list(map(tuple, got.itertuples(index=False))) == expect
-
-
-def test_minhash_neardup_driver_fork_equivalence(ray_session):
-    """The driver bucket-pair fork (bands pulled once, _group_pairs +
-    np.unique dedup, broadcast-id text fetch) must reproduce the
-    distributed banding/verify plan exactly."""
-    from heroshi_ray.pipelines.dataops import q_minhash_neardup
-
-    a = q_minhash_neardup(SF_DIR).to_pandas()
-    b = q_minhash_neardup(SF_DIR, force_distributed=True).to_pandas()
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
 
 
 def test_phash_neardup_matches_single_process(ray_session):
@@ -134,42 +91,6 @@ def test_embed_neardup_driver_fork_equivalence(ray_session):
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
 
 
-def test_minhash_join_path_equals_broadcast_path(ray_session):
-    """broadcast_limit=0 forces the distributed hash-join verify; both
-    layouts must return identical pairs+values."""
-    from heroshi_ray.pipelines.dataops import q_minhash_neardup
-
-    a = q_minhash_neardup(SF_DIR).to_pandas()
-    b = q_minhash_neardup(SF_DIR, broadcast_limit=0).to_pandas()
-    assert a.equals(b)
-
-
-def test_simhash_neardup_matches_single_process(ray_session):
-    """4-band multi-index with hamming<=3 is EXACT (pigeonhole): result
-    must equal brute-force all-pairs."""
-    from heroshi_ray.functions.image import hamming64
-    from heroshi_ray.functions.text import simhash64
-    from heroshi_ray.pipelines.dataops import q_simhash_neardup
-
-    got = q_simhash_neardup("/root/testdata/sf0.01").to_pandas()
-
-    t = pq.read_table(
-        os.path.join("/root/testdata/sf0.01", "documents.parquet"),
-        columns=["doc_id", "text"],
-    )
-    ids = np.array(t.column("doc_id").to_pylist(), dtype=np.int64)
-    v = np.array(simhash64(t.column("text").to_pylist()), dtype=np.int64)
-    iu, ju = np.triu_indices(len(ids), 1)
-    d = hamming64(v[iu], v[ju])
-    keep = d <= 3
-    expect = sorted(
-        (int(min(ids[a], ids[b])), int(max(ids[a], ids[b])), int(x))
-        for a, b, x in zip(iu[keep], ju[keep], d[keep])
-    )
-    assert list(map(tuple, got.itertuples(index=False))) == expect
-    assert len(expect) > 0
-
-
 def test_dedup_clusters_transitive_chain(ray_session, tmp_path):
     """Label propagation must close transitively: v0~v1 and v1~v2 put
     v0,v2 in ONE cluster even though cos(v0,v2) < threshold; v3 is
@@ -208,13 +129,17 @@ def test_ngram_df_join_path_equals_broadcast(ray_session):
     """df_broadcast_limit=0 forces the distributed DF hash join +
     groupby(doc) prefix selection; results must be identical (the
     AllPairs prefix lemma holds for any path computing the same DF
-    order)."""
+    order). broadcast_limit=0 forces the verify through the distributed
+    text attach (_attach_pair_texts) instead of the gram-array
+    broadcast; it must return the same pairs and values."""
     from heroshi_ray.pipelines.dataops import q_ngram_jaccard
 
     a = q_ngram_jaccard(SF_DIR).to_pandas()
     b = q_ngram_jaccard(SF_DIR, df_broadcast_limit=0).to_pandas()
     assert a.equals(b)
     assert len(a) > 0
+    c = q_ngram_jaccard(SF_DIR, broadcast_limit=0).to_pandas()
+    assert a.equals(c)
 
 
 def _chain_embeddings(tmp_path, n: int):
@@ -337,18 +262,48 @@ def test_hamming_pairs_distributed_dedup_equals_driver(ray_session):
     """driver_pairs_max=0 forces the distributed hash(pair) dedup
     shuffle before pairs reach the driver (the high-dup-corpus path);
     the verified pair set must be identical to the driver-pandas path."""
+    import zlib
+
     import pandas as pd
     import pyarrow as pa
 
     import ray
-    from heroshi_ray.functions.text import simhash64
     from heroshi_ray.pipelines.dataops import _pq, hamming_band_pairs
+
+    def simhash_of(texts: list[str], k: int = 2) -> np.ndarray:
+        """64-bit SimHash over word k-grams (Charikar '02): each bit is
+        the majority vote of the k-grams' crc32-pair feature hashes. A
+        dense, deterministic 64-bit hash column to band."""
+        out = np.empty(len(texts), np.int64)
+        shifts = np.arange(64, dtype=np.uint64)
+        weights = np.uint64(1) << shifts
+        for i, t in enumerate(texts):
+            words = t.lower().split() if t else []
+            feats = [
+                " ".join(words[j : j + k]) for j in range(max(1, len(words) - k + 1))
+            ]
+            if not words:
+                out[i] = 0
+                continue
+            hs = np.fromiter(
+                (
+                    zlib.crc32(f.encode()) | (zlib.crc32(f[::-1].encode()) << 32)
+                    for f in feats
+                ),
+                np.uint64,
+                len(feats),
+            )
+            nset = ((hs[:, None] >> shifts) & np.uint64(1)).sum(axis=0)
+            out[i] = int(
+                weights[2 * nset > len(feats)].sum(dtype=np.uint64).astype(np.int64)
+            )
+        return out
 
     def run(**kw):
         ds = _pq(SF_DIR, "documents", columns=["doc_id", "text"], split=True)
 
         def sh(batch):
-            v = simhash64(batch.column("text").to_pylist())
+            v = simhash_of(batch.column("text").to_pylist())
             return pa.table(
                 {"doc_id": batch.column("doc_id"),
                  "simhash": pa.array(v, pa.int64())}
@@ -460,23 +415,6 @@ def test_opic_distributed_matches_broadcast(ray_session):
     assert a["history"].nunique() > 1  # the graph actually differentiates
 
 
-def test_minhash_clusters_distributed_equals_driver(ray_session):
-    """driver_labels_max=0 forces the Dataset-resident label path (the
-    web-duplicate-rate regime where the pair graph is corpus-scale);
-    cluster assignment must equal the driver-vector path exactly."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.dataops import q_minhash_clusters
-
-    def norm(ds):
-        return ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
-
-    a = norm(q_minhash_clusters(SF_DIR))
-    b = norm(q_minhash_clusters(SF_DIR, driver_labels_max=0))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    assert (a["doc_id"] != a["cluster_id"]).sum() > 0  # non-trivial graph
-
-
 def test_phash_clusters_distributed_equals_driver(ray_session):
     """String-id distributed fork: min-STRING label propagation
     (Dataset-resident) must reproduce the lexicographic-rank driver
@@ -508,41 +446,6 @@ def test_image_clusters_distributed_equals_driver(ray_session):
     b = norm(q_image_clusters(SF_DIR, driver_nodes_max=0))
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
     assert (a["image_id"] != a["cluster_id"]).sum() > 0
-
-
-def test_minhash_clusters_matches_union_find(ray_session):
-    """q_minhash_clusters must equal brute-force union-find over the
-    same verified pair list, with min-id representatives."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.dataops import (
-        q_minhash_clusters,
-        q_minhash_neardup,
-    )
-
-    out = q_minhash_clusters(SF_DIR).to_pandas()
-    pairs = q_minhash_neardup(SF_DIR)
-    pairs = pairs.to_pandas() if not isinstance(pairs, pd.DataFrame) else pairs
-    assert len(pairs) > 0
-
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, r in pairs.iterrows():
-        ra, rb = find(int(r["doc_a"])), find(int(r["doc_b"]))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    got = dict(zip(out["doc_id"].astype(int), out["cluster_id"].astype(int)))
-    assert len(got) == len(out)
-    for did, cid in got.items():
-        assert cid == (find(did) if did in parent else did)
 
 
 def test_cc_attach_str_variable_length_ids(ray_session):

@@ -109,6 +109,58 @@ def test_resume_identical(ray_session, tmp_path):
     assert ok["surt"].is_unique
 
 
+def test_epoch_wall_ms_includes_seen_snapshot(ray_session, tmp_path, monkeypatch):
+    """Each epoch's ``metrics`` row times the epoch through its seen-set
+    snapshot: from the start of ``run_epoch`` to at least the return of
+    that epoch's ``SeenSet.save``. A step clock (+1 s per reading)
+    stands in for ``time.time`` in the crawl module, so the comparison
+    is exact."""
+    import types
+
+    from heroshi_ray.pipelines import crawl
+    from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
+    from heroshi_ray.sources.io import read_epoch_tables
+    from heroshi_ray.state.seen import SeenSet
+
+    clock = types.SimpleNamespace(now=0.0)
+
+    def tick() -> float:
+        clock.now += 1.0
+        return clock.now
+
+    started, saved = {}, {}
+    run_epoch, save = Crawler.run_epoch, SeenSet.save
+
+    def timed_run_epoch(self, e, report):
+        started[e] = tick()
+        return run_epoch(self, e, report)
+
+    def timed_save(self, ckpt_dir, epoch):
+        out = save(self, ckpt_dir, epoch)
+        saved[epoch] = tick()
+        return out
+
+    monkeypatch.setattr(crawl, "time", types.SimpleNamespace(time=tick))
+    monkeypatch.setattr(Crawler, "run_epoch", timed_run_epoch)
+    monkeypatch.setattr(SeenSet, "save", timed_save)
+
+    paths = write_fixture_dir(
+        str(tmp_path / "fx"), n_hosts=3, n_pages=24, n_images=6, n_seeds=4, seed=5
+    )
+    wd = str(tmp_path / "wd")
+    c = Crawler(paths, wd, CrawlConfig(epoch_budget=32, max_epochs=3))
+    c.run()
+    c.shutdown()
+
+    m = read_epoch_tables(wd, "metrics").to_pandas()
+    assert sorted(m["epoch"]) == sorted(started) and len(m) > 0
+    for r in m.itertuples():
+        # epoch e commits as epoch e+1's snapshot
+        assert started[r.epoch] + r.wall_ms / 1000 >= saved[r.epoch + 1], (
+            r.epoch, started, saved, r.wall_ms,
+        )
+
+
 def test_fetch_jsonl_round_trip(ray_session, tmp_path):
     """io-worker JSONL protocol sink/source: binary content base64s
     through JSON and round-trips byte-identically."""

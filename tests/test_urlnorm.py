@@ -13,7 +13,6 @@ from heroshi_ray.functions.urlnorm import (
     pct_normalize,
     remove_dot_segments,
     resolve,
-    surt_of,
 )
 
 
@@ -74,11 +73,11 @@ def test_malformed_rejected():
 
 
 def test_surt_form():
-    assert surt_of("http://www.example.com/p?q=1") == "http://(com,example,www,)/p?q=1"
-    assert surt_of("http://example.com:8080/x") == "http://(com,example:8080,)/x"
+    assert canonicalize("http://www.example.com/p?q=1")[1] == "http://(com,example,www,)/p?q=1"
+    assert canonicalize("http://example.com:8080/x")[1] == "http://(com,example:8080,)/x"
     # same-domain URLs sort adjacently
-    a = surt_of("http://a.example.com/1")
-    b = surt_of("http://b.example.com/1")
+    a = canonicalize("http://a.example.com/1")[1]
+    b = canonicalize("http://b.example.com/1")[1]
     assert a and b and a.startswith("http://(com,example,a") and b.startswith(
         "http://(com,example,b"
     )
