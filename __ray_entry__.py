@@ -37,10 +37,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from heroshi_ray.pipelines import webops as w
     from heroshi_ray.pipelines.frontier import frontier_schedule_counts
 
-    # The driver records only the first 50 entries, so every oracled
-    # entry comes before every rows-only one: the driver window is the
-    # first 50 oracled entries, crawl-core first. New oracled entries go
-    # after the last oracled one, new rows-only entries at the end.
+    # Every entry has a DuckDB twin in oracle_sql(). The driver records
+    # only the first 50 entries (the driver window, crawl-core first),
+    # so new entries go at the end and the window never shifts.
     return {
         # flagship twin: the fused schedule projected to (host, depth, n)
         # handout counts, which a DuckDB window twin reproduces exactly
@@ -162,20 +161,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_decode_errors": d.q_decode_errors,
         "q_dedup_first": d.q_dedup_first,
         "q_dedup_cluster_hist": d.q_dedup_cluster_hist,
-        # rows-only (iterative or binary: not SQL-expressible; pinned by
-        # replica and invariant tests, and run twice for determinism)
-        "q_phash_neardup": d.q_phash_neardup,
-        "q_image_curate": d.q_image_curate,
-        "q_image_dedup": d.q_image_dedup,
-        "q_image_clusters": d.q_image_clusters,
-        "q_image_decode": d.q_image_decode,
-        "q_image_features": d.q_image_features,
-        "q_caption_align": d.q_caption_align,
-        "q_clip_retrieval_eval": d.q_clip_retrieval_eval,
-        "q_phash_clusters": d.q_phash_clusters,
-        "q_dominant_color": d.q_dominant_color,
-        "q_jpeg_decode": d.q_jpeg_decode,
-        "q_gif_decode": d.q_gif_decode,
     }
 
 

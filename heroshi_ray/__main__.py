@@ -7,7 +7,6 @@ crawl     --fixtures DIR --workdir DIR [--epochs N --budget N] [--no-resume]
 verify    --workdir DIR --fixtures DIR
 schedule  --sf-dir DIR [--budget N]
 curate    --corpus PATH --out DIR [--samples-per-shard N]
-llm-corpus --sf-dir DIR --out DIR [--shards N]
 reshard   --shards-in DIR --out DIR [--samples-per-shard N]
 query     [NAME] [--sf-dir DIR --out PATH --head N --oracle]
 
@@ -76,11 +75,6 @@ def main(argv=None) -> int:
     cu.add_argument("--corpus", required=True)
     cu.add_argument("--out", required=True)
     cu.add_argument("--samples-per-shard", type=int, default=256)
-
-    lc = sub.add_parser("llm-corpus")
-    lc.add_argument("--sf-dir", required=True)
-    lc.add_argument("--out", required=True)
-    lc.add_argument("--shards", type=int, default=8)
 
     rs = sub.add_parser("reshard")
     rs.add_argument("--shards-in", required=True)
@@ -235,21 +229,6 @@ def main(argv=None) -> int:
                         "shards": int(len(m)),
                         "samples": int(m["n_samples"].sum()),
                         "bytes": int(m["n_bytes"].sum()),
-                    }
-                )
-            )
-        elif args.cmd == "llm-corpus":
-            from .pipelines.curation import llm_corpus_run
-
-            m = llm_corpus_run(
-                args.sf_dir, args.out, n_shards=args.shards
-            ).to_pandas()
-            print(
-                json.dumps(
-                    {
-                        "shards": int(len(m)),
-                        "docs": int(m["n_docs"].sum()),
-                        "tokens": int(m["n_tokens"].sum()),
                     }
                 )
             )

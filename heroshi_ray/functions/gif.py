@@ -148,28 +148,24 @@ def _nearest_index(flat: np.ndarray, pal: np.ndarray, n_pal: int) -> np.ndarray:
     return np.argmin((d * d).sum(axis=2), axis=1).astype(np.uint8)
 
 
-def _quantize(px: np.ndarray, pal: np.ndarray | None):
+def _quantize(px: np.ndarray):
     """(h,w,3) -> (indices uint8, palette). Exact palette when the image
     has <=256 distinct colors; else a 256-color adaptive palette
-    (top-frequency 15-bit buckets) with vectorized nearest mapping.
-    Pass an explicit ``pal`` to force one."""
+    (top-frequency 15-bit buckets) with vectorized nearest mapping."""
     h, w = px.shape[:2]
     flat = px.reshape(-1, 3)
-    if pal is None:
-        colors, inv = np.unique(flat, axis=0, return_inverse=True)
-        if len(colors) <= 256:
-            pal = np.zeros((256, 3), np.uint8)
-            pal[: len(colors)] = colors
-            return inv.astype(np.uint8).reshape(h, w), pal
-        pal = adaptive_palette(px)
+    colors, inv = np.unique(flat, axis=0, return_inverse=True)
+    if len(colors) <= 256:
+        pal = np.zeros((256, 3), np.uint8)
+        pal[: len(colors)] = colors
+        return inv.astype(np.uint8).reshape(h, w), pal
+    pal = adaptive_palette(px)
     idx = _nearest_index(flat, pal, 256)
     return idx.reshape(h, w), pal
 
 
 # --------------------------------------------------------------- encode --
-def gif_encode(
-    frames: np.ndarray, delay_cs: int = 4, palette: np.ndarray | None = None
-) -> bytes:
+def gif_encode(frames: np.ndarray, delay_cs: int = 4) -> bytes:
     """(h,w,3) or (n,h,w,3) uint8 RGB -> GIF89a bytes. Each frame gets
     its own LOCAL color table (exact when <=256 distinct colors)."""
     if frames.dtype != np.uint8:
@@ -187,7 +183,7 @@ def gif_encode(
         # Netscape looping extension
         out += b"\x21\xFF\x0BNETSCAPE2.0\x03\x01\x00\x00\x00"
     for i in range(n):
-        idx, pal = _quantize(frames[i], palette)
+        idx, pal = _quantize(frames[i])
         if n > 1:
             out += b"\x21\xF9" + struct.pack("<BBHBB", 4, 0x04, delay_cs, 0, 0)
         # image descriptor with a 256-entry local color table

@@ -154,14 +154,6 @@ def phash64(px: np.ndarray) -> int:
     return int(val.astype(np.int64))
 
 
-def hamming64(a, b) -> np.ndarray:
-    """Vectorized hamming distance between int64 phash arrays."""
-    x = np.bitwise_xor(np.asarray(a, dtype=np.int64).view(np.uint64),
-                       np.asarray(b, dtype=np.int64).view(np.uint64))
-    # popcount via unpackbits on the byte view
-    return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
-
-
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB between two uint8 images."""
     if a.shape != b.shape:

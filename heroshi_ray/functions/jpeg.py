@@ -6,7 +6,8 @@ with the Annex K.3 "typical" Huffman tables and Annex K.1 quantization
 tables, JFIF APP0 framing. This replaces the round-1..3
 ``NotImplementedError`` stub for ``fmt == "jpeg"`` (VERDICT r3 "What's
 missing" §4): the encoder exists to generate deterministic lossy
-fixtures; the decoder is the product path used by the multimodal stages.
+fixtures; the decoder is the product path behind ``image.decode_image``
+(the corpus verifier and q_codec_decode).
 
 Scope (exactly baseline JPEG, the format >99% of web JPEGs use):
 - SOF0 (baseline sequential), 8-bit samples, 1 or 3 components;

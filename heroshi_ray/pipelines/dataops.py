@@ -1,23 +1,18 @@
 """Training-data pipeline operators over the testdata tables: exact +
-near dedup (n-gram Jaccard, perceptual-hash hamming banding, embedding
-cosine), similarity search (brute force + IVF-bucketed near-dup), text
-analysis, image decode.
+near dedup (n-gram Jaccard, embedding cosine), similarity search (brute
+force + IVF-bucketed near-dup), text analysis, image decode.
 
 These are first-class engine components for a 100-TB corpus pipeline.
 Every stage follows the scale pattern it documents:
 - dedup: content-hash inside map_batches, ONE shuffle on the hash bucket;
-- hamming near-dup: explode each 64-bit hash to its four 16-bit band
-  rows, group by (band, value) → candidate pairs → exact hamming verify;
 - ANN: per-batch matmul against a broadcast query matrix, partial top-k
   merged at the end (the only driver-side object is k rows/query);
 - IVF: fit coarse centroids on a sample, assign = one map_batches pass.
 
 Public designs implemented here (no reference code exists — SURVEY.md
-§0): all-pairs prefix filtering (Bayardo, Ma & Srikant, WWW'07);
-multi-index hamming banding (Norouzi et al., "Fast search in Hamming
-space with multi-index hashing", CVPR'12); IVF coarse quantization
-(Jégou et al., "Product quantization for nearest neighbor search",
-PAMI'11 — coarse stage only).
+§0): all-pairs prefix filtering (Bayardo, Ma & Srikant, WWW'07); IVF
+coarse quantization (Jégou et al., "Product quantization for nearest
+neighbor search", PAMI'11 — coarse stage only).
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ import ray.data
 from ..functions.ann import IVFIndex, as_matrix, l2_normalize
 from ..functions.text import token_count_ws
 from ..runtime import arrow_blocks, default_buckets, join_partitions, tune_join_resources
+from ..sources.io import _pq
 from ..stages.dedup import dedup_first
 
 _CACHE_DIR = "/tmp/heroshi_ray_cache"
@@ -53,18 +49,6 @@ def _cache_path(name: str, sf_dir: str | None = None) -> str:
         stem, ext = os.path.splitext(name)
         name = f"{stem}_{tag}{ext}"
     return os.path.join(_CACHE_DIR, name)
-
-
-def _pq(sf_dir: str, name: str, columns=None, split: bool = False):
-    """Pruned parquet read. ``split=True`` forces the read across
-    ~2x-cpus blocks: a single parquet file otherwise arrives as one
-    block, which serializes every downstream per-doc compute stage
-    (signatures, shingling, embedding matmuls) onto one task — the
-    single-node analogue of a hot input partition."""
-    kw = {"override_num_blocks": default_buckets()} if split else {}
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, f"{name}.parquet"), columns=columns, **kw
-    )
 
 
 def _centroid_sample(
@@ -813,8 +797,7 @@ def q_dedup_clusters(
     Oracled by a DuckDB RECURSIVE CTE computing min-reachable-id —
     edge sets agree exactly because q_embed_neardup itself is
     oracle-green under the same predicate. The size-adaptive core is
-    the shared _cc_attach_int — the same switch q_phash_clusters and
-    q_image_clusters reach through its string-id twin _cc_attach_str."""
+    _cc_attach_int."""
     pairs = q_embed_neardup(sf_dir, threshold)
     ds = _pq(sf_dir, "embeddings", columns=["vec_id"])
     if stats is not None:
@@ -841,8 +824,7 @@ def q_dedup_clusters(
 def _cc_join_attach(ds, id_col: str, labels):
     """Distributed attach of a Dataset-resident label table: corpus
     left-outer-joins the (node, lbl) labels on id_col; rows with no
-    verified near-dup coalesce to their own id. Works for int64 and
-    string ids alike (the join key and coalesce are type-generic)."""
+    verified near-dup coalesce to their own id."""
     tune_join_resources()
     nparts = join_partitions(8)
     lbl2 = labels.map_batches(
@@ -871,7 +853,7 @@ def _cc_attach_int(
     driver_labels_max: int,
     stats: dict | None = None,
 ):
-    """Shared size-adaptive connected-components core for int64 ids:
+    """Size-adaptive connected-components core for int64 ids:
     pair endpoints (a, b) -> per-row (id_col, cluster_id) over ds,
     cluster_id = min reachable id. Below driver_labels_max the label
     vector lives on the driver (_cc_labels_driver; edge passes stay
@@ -907,77 +889,6 @@ def _cc_attach_int(
             {
                 id_col: pa.array(v, pa.int64()),
                 "cluster_id": pa.array(out, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(attach, batch_format="pyarrow")
-
-
-def _cc_attach_str(
-    ds,
-    id_col: str,
-    sa: np.ndarray,
-    sb: np.ndarray,
-    max_iters: int,
-    driver_labels_max: int,
-    stats: dict | None = None,
-):
-    """String-id twin of _cc_attach_int (cluster_id = lexicographically
-    smallest member). Below the bound the edge-subgraph strings map to
-    their LEXICOGRAPHIC RANK (np.unique's sorted index — an
-    order-preserving int64 bijection), so min-int label == min-string
-    member and the int driver core applies unchanged. Above the bound
-    no rank can be assigned without a global sort, so the distributed
-    fork propagates min-STRING labels directly (_cc_labels_distributed
-    is label-type-generic; Arrow Min / min_element_wise order utf8
-    lexicographically) — the converged label IS the smallest member,
-    and the attach is the same left-outer hash join."""
-    sa = np.asarray(sa)
-    sb = np.asarray(sb)
-    vocab = np.unique(np.concatenate([sa, sb]))  # sorted — rank = order
-
-    if len(vocab) > driver_labels_max:
-        edges_tbl = pa.table(
-            {
-                "src": pa.array(np.concatenate([sa, sb]).tolist(), pa.string()),
-                "dst": pa.array(np.concatenate([sb, sa]).tolist(), pa.string()),
-            }
-        )
-        labels = _cc_labels_distributed(edges_tbl, max_iters, stats)
-        return _cc_join_attach(ds, id_col, labels)
-
-    a = np.searchsorted(vocab, sa).astype(np.int64)
-    b = np.searchsorted(vocab, sb).astype(np.int64)
-    edges_tbl = pa.table(
-        {
-            "src": pa.array(np.concatenate([a, b]), pa.int64()),
-            "dst": pa.array(np.concatenate([b, a]), pa.int64()),
-        }
-    )
-    ns, ls = _cc_labels_driver(edges_tbl, max_iters, stats)
-    final_ref = ray.put((vocab, ns, ls))
-
-    def attach(batch: pa.Table) -> pa.Table:
-        vocab, ns, ls = ray.get(final_ref)
-        ids_list = batch.column(id_col).to_pylist()
-        ids = np.asarray(ids_list)
-        # object dtype: a fixed-width copy of `ids` would silently
-        # TRUNCATE any representative longer than this batch's longest
-        # id on assignment (numpy <U-n semantics)
-        out = np.asarray(ids_list, dtype=object)
-        if len(ns) and len(ids):
-            pos = np.clip(np.searchsorted(vocab, ids), 0, len(vocab) - 1)
-            hit = vocab[pos] == ids
-            ranks = pos[hit]
-            lpos = np.clip(np.searchsorted(ns, ranks), 0, len(ns) - 1)
-            lhit = ns[lpos] == ranks
-            lbl = ranks.copy()
-            lbl[lhit] = ls[lpos[lhit]]
-            out[hit] = vocab[lbl]
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                "cluster_id": pa.array(out.tolist(), pa.string()),
             }
         )
 
@@ -1046,27 +957,18 @@ def _cc_labels_distributed(edges_tbl: pa.Table, max_iters: int, stats: dict | No
     100-TB path for web-scale duplicate rates where the edge subgraph
     is corpus-sized. Per round: edges⋈labels hash join (src lookup) →
     per-node groupby-Min over messages ∪ self-labels → pointer-doubling
-    self-join. Label-type-generic: int64 ids detect the fixpoint by the
-    (monotone-decreasing) global label Sum — the driver holds two
-    scalars; string ids (no meaningful sum) detect it EXACTLY by a
-    per-round changed-label count (new⋈prev inner join on node, count
-    lbl != prev) — the driver holds one int. Arrow's Min aggregate and
-    min_element_wise order utf8 lexicographically, so for strings the
-    converged label is the lexicographically-smallest member."""
+    self-join. The fixpoint is detected by the (monotone-decreasing)
+    global label Sum of the int64 ids — the driver holds two scalars."""
     from ray.data.aggregate import Min
 
     if isinstance(edges_tbl, ray.data.Dataset):
         # dataset-resident edge sets (q_cc_sizes' 100-TB fork): never
-        # collected; type and row count come from schema/count()
-        sch = edges_tbl.schema()
-        src_type = dict(zip(sch.names, sch.types))["src"]
+        # collected; the row count comes from count()
         n_edge_rows = edges_tbl.count()
         edges_in = edges_tbl
     else:
-        src_type = edges_tbl.column("src").type
         n_edge_rows = edges_tbl.num_rows
         edges_in = ray.data.from_arrow(edges_tbl)
-    is_str = pa.types.is_string(src_type) or pa.types.is_large_string(src_type)
     tune_join_resources()
     nparts = join_partitions(8)
     edges_ds = (
@@ -1089,7 +991,7 @@ def _cc_labels_distributed(edges_tbl: pa.Table, max_iters: int, stats: dict | No
         .repartition(nparts)
         .materialize()
     )
-    prev_sum = None if is_str else labels.sum(on="lbl")
+    prev_sum = labels.sum(on="lbl")
 
     for it in range(max_iters):
         # 1 hop: every node receives its neighbors' current labels
@@ -1126,36 +1028,9 @@ def _cc_labels_distributed(edges_tbl: pa.Table, max_iters: int, stats: dict | No
             .repartition(nparts)
             .materialize()
         )
-        if is_str:
-            prev_tbl = labels.map_batches(
-                lambda b: pa.table(
-                    {"node": b.column("node"), "_plbl": b.column("lbl")}
-                ),
-                batch_format="pyarrow",
-            ).repartition(nparts)
-
-            def count_changed(b: pa.Table) -> pa.Table:
-                ne = pc.sum(
-                    pc.cast(
-                        pc.not_equal(b.column("lbl"), b.column("_plbl")),
-                        pa.int64(),
-                    )
-                ).as_py()
-                return pa.table({"c": pa.array([ne or 0], pa.int64())})
-
-            n_changed = (
-                new.join(
-                    prev_tbl, join_type="inner", num_partitions=nparts,
-                    on=("node",),
-                )
-                .map_batches(count_changed, batch_format="pyarrow")
-                .sum(on="c")
-            ) or 0
-            converged = n_changed == 0
-        else:
-            cur_sum = new.sum(on="lbl")
-            converged = cur_sum == prev_sum
-            prev_sum = cur_sum
+        cur_sum = new.sum(on="lbl")
+        converged = cur_sum == prev_sum
+        prev_sum = cur_sum
         labels = new
         if stats is not None:
             stats["iters"] = it + 1
@@ -1438,94 +1313,6 @@ def q_canonicalize(sf_dir: str):
     return out.select_columns(["url", "surt", "host"])
 
 
-def _ensure_corpus64() -> str:
-    """Deterministic synthetic CORPUS-schema table cached under /tmp."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures import make_corpus
-
-    path = _cache_path("corpus64.parquet")
-    if not os.path.exists(path):
-        tmp = path + ".tmp"
-        pq.write_table(make_corpus(64, seed=123), tmp)
-        os.replace(tmp, path)
-    return path
-
-
-def _ensure_corpus_jpeg() -> tuple[str, str]:
-    """Deterministic mixed png/qpng/REAL-baseline-jpeg corpus plus its
-    lossless reference twin (same source pixels as PNG), cached under
-    /tmp. The jpeg bytes come from functions/jpeg.py (pure-numpy T.81
-    baseline codec, new in r4)."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures import make_corpus_pair
-
-    cpath = _cache_path("corpus96_jpeg.parquet")
-    rpath = _cache_path("corpus96_jpeg_ref.parquet")
-    if not (os.path.exists(cpath) and os.path.exists(rpath)):
-        corpus, ref = make_corpus_pair(96, seed=321, jpeg_frac=0.25)
-        for tbl, path in ((corpus, cpath), (ref, rpath)):
-            tmp = path + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, path)
-    return cpath, rpath
-
-
-def _ensure_corpus_gif() -> tuple[str, str]:
-    """Mixed png/jpeg/REAL-GIF corpus + lossless reference twin, cached
-    under /tmp (functions/gif.py: LZW + 256-color adaptive palette —
-    worst-case ~48 dB on fixture content, above the invariant floor)."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures import make_corpus_pair
-
-    cpath = _cache_path("corpus96_gif.parquet")
-    rpath = _cache_path("corpus96_gif_ref.parquet")
-    if not (os.path.exists(cpath) and os.path.exists(rpath)):
-        corpus, ref = make_corpus_pair(96, seed=654, jpeg_frac=0.15, gif_frac=0.2)
-        for tbl, path in ((corpus, cpath), (ref, rpath)):
-            tmp = path + ".tmp"
-            pq.write_table(tbl, tmp)
-            os.replace(tmp, path)
-    return cpath, rpath
-
-
-def q_gif_decode(sf_dir: str):
-    """Real GIF decode (LZW, adaptive palette) through the per-row
-    corpus invariant, exactly as q_jpeg_decode does for JPEG: a mixed
-    png/qpng/jpeg/gif corpus verified against the lossless reference
-    twin (PSNR >= 40 dB for every lossy fmt, caption byte-equal).
-    Rows-only driver check; tests pin all-rows-pass."""
-    import pyarrow.parquet as pq
-
-    from .verify import verify_corpus
-
-    cpath, rpath = _ensure_corpus_gif()
-    ds = ray.data.read_parquet(cpath)
-    ref_tbl = pq.read_table(rpath)
-    return verify_corpus(ds, ref_tbl)
-
-
-def q_jpeg_decode(sf_dir: str):
-    """Real baseline-JPEG decode through the per-row corpus invariant
-    (BASELINE.json:15): a mixed png/qpng/jpeg corpus is verified against
-    the lossless reference twin holding the same source pixels — decode
-    both sides, PSNR >= 40 dB for lossy fmts, caption byte-equal. The
-    jpeg rows exercise functions/jpeg.py's T.81 decoder end-to-end
-    inside the actor-pool verify stage. Rows-only driver check; tests
-    additionally pin that EVERY row passes and that strict
-    ImageDecodeStage phash equals the stored column on jpeg rows."""
-    import pyarrow.parquet as pq
-
-    from .verify import verify_corpus
-
-    cpath, rpath = _ensure_corpus_jpeg()
-    ds = ray.data.read_parquet(cpath)
-    ref_tbl = pq.read_table(rpath)
-    return verify_corpus(ds, ref_tbl)
-
-
 def _ensure_codec_oracle(sf_dir: str) -> str:
     """SQL-predictable codec corpus keyed off the ``part`` table (the
     r4 VERDICT's 'promote the codec invariants into the driver window'
@@ -1572,8 +1359,7 @@ def _ensure_codec_oracle(sf_dir: str) -> str:
 
 
 def q_codec_decode(sf_dir: str):
-    """Driver-trust codec gate (SQL-oracled, unlike the rows-only
-    q_jpeg_decode/q_gif_decode pair): decode every row of the
+    """Driver-trust codec gate (SQL-oracled): decode every row of the
     part-keyed codec corpus with the REAL decoders, regenerate the
     source pixels from the key, and emit (image_id, w, h, fmt, ok)
     where w/h are the DECODED dimensions and ok is the BASELINE.json:15
@@ -1619,71 +1405,6 @@ def q_codec_decode(sf_dir: str):
     return ds.map_batches(check, batch_format="pyarrow", batch_size=16)
 
 
-def q_image_decode(sf_dir: str):
-    """Multimodal plumbing: deterministic synthetic image corpus (cached
-    under /tmp) -> ImageDecodeStage actor pool -> decoded metadata +
-    recomputed phash. Rows-only check; phash equality with the stored
-    column is asserted (a buggy decode changes it)."""
-    from ..stages.multimodal import ImageDecodeStage
-
-    ds = ray.data.read_parquet(_ensure_corpus64())
-    out = ds.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs={"thumb": None},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 2),
-        num_cpus=0.5,
-    )
-    return out
-
-
-def q_caption_align(sf_dir: str, keep_e4: int = 0):
-    """CLIP-score-shaped image-text alignment filtering (the LAION
-    curation step q_image_curate's metadata gates precede): actor-pool
-    batched scoring — projection weights load once per actor — then a
-    pure-Arrow keep flag at the threshold. Rows-only driver check;
-    tests pin the scores against the composed pure functions
-    (text_embed64/image_embed64) computed without Ray."""
-    from ..stages.multimodal import AlignmentScoreStage
-
-    ds = ray.data.read_parquet(_ensure_corpus64())
-    scored = ds.map_batches(
-        AlignmentScoreStage,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 2),
-        num_cpus=0.5,
-    )
-
-    def flag(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "keep",
-            pc.cast(
-                pc.greater_equal(batch.column("align_e4"), keep_e4), pa.int64()
-            ),
-        )
-
-    return scored.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_image_features(sf_dir: str):
-    """Image feature extraction (multimodal embedding shape): actor-pool
-    map_batches computing real histogram/mean/std features per image
-    over the deterministic synthetic corpus. Rows-only check; the
-    feature vector layout is asserted in tests."""
-    from ..stages.multimodal import ImageFeatureStage
-
-    ds = ray.data.read_parquet(_ensure_corpus64())
-    return ds.map_batches(
-        ImageFeatureStage,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 2),
-        num_cpus=0.5,
-    )
-
-
 def q_sample(sf_dir: str, mod: int = 97):
     """Deterministic ~1% monitoring sample (K4): multiplicative hash-mod
     of the row key, fully vectorized — and expressible in ANSI SQL, so
@@ -1698,186 +1419,6 @@ def q_sample(sf_dir: str, mod: int = 97):
         return batch.filter(pa.array(mask))
 
     return ds.map_batches(sample, batch_format="pyarrow", zero_copy_batch=True)
-
-
-# ------------------------------------------- hamming multi-index dedup --
-def hamming_band_pairs(
-    ds: "ray.data.Dataset",
-    *,
-    id_col: str,
-    hash_col: str,
-    max_hamming: int,
-    a_col: str,
-    b_col: str,
-    id_arrow_type,
-    driver_pairs_max: int = 2_000_000,
-) -> pa.Table:
-    """Near-dup pairs over a 64-bit hash column by multi-index banding:
-    explode each row into its four 16-bit quadrant keys (a pair within
-    hamming <= 3 is GUARANTEED to share one exact quadrant — pigeonhole
-    over 4 bands; larger thresholds are high-recall heuristics), group
-    by (band, key) bucket, generate pairs with vectorized hamming INSIDE
-    map_groups, dedup cross-band duplicates with one hash(pair) shuffle.
-    Only the final verified pair list reaches the driver."""
-    from ..functions.image import hamming64
-
-    def bands(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col)
-        h = batch.column(hash_col).to_numpy(zero_copy_only=False).view(np.uint64)
-        n = len(h)
-        rep = np.repeat(np.arange(n), 4)
-        band = np.tile(np.arange(4, dtype=np.int32), n)
-        key = ((h[rep] >> (band.astype(np.uint64) * np.uint64(16))) & np.uint64(0xFFFF)).astype(np.int32)
-        return pa.table(
-            {
-                id_col: ids.take(pa.array(rep)),
-                hash_col: batch.column(hash_col).take(pa.array(rep)),
-                "band": pa.array(band, pa.int32()),
-                "key": pa.array(key, pa.int32()),
-            }
-        )
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band", "key", id_col], kind="mergesort")
-        run_key = g["band"].to_numpy().astype(np.int64) * (1 << 17) + g[
-            "key"
-        ].to_numpy().astype(np.int64)
-        ids = g[id_col].to_numpy()
-        hs = g[hash_col].to_numpy()
-        _, start, counts = np.unique(run_key, return_index=True, return_counts=True)
-        out_a, out_b, out_d = [], [], []
-        for s, c in zip(start[counts > 1], counts[counts > 1]):
-            rid = ids[s : s + c]
-            rh = hs[s : s + c]
-            iu, ju = np.triu_indices(c, k=1)
-            d = hamming64(rh[iu], rh[ju])
-            keep = d <= max_hamming
-            if not keep.any():
-                continue
-            a = np.minimum(rid[iu[keep]], rid[ju[keep]])
-            b = np.maximum(rid[iu[keep]], rid[ju[keep]])
-            same = a != b
-            out_a.extend(a[same].tolist())
-            out_b.extend(b[same].tolist())
-            out_d.extend(d[keep][same].astype(np.int64).tolist())
-        dtype = object if id_arrow_type == pa.string() else np.int64
-        return pd.DataFrame(
-            {a_col: pd.Series(out_a, dtype=dtype),
-             b_col: pd.Series(out_b, dtype=dtype),
-             "hamming": pd.Series(out_d, dtype=np.int64)}
-        )
-
-    # hoisted: one modulus for every task regardless of mid-run cluster
-    # resizes (default_buckets reads live CPU state)
-    n_grp = default_buckets()
-
-    def add_group(batch: pa.Table) -> pa.Table:
-        g = (
-            (
-                batch.column("band").to_numpy(zero_copy_only=False).astype(np.int64)
-                * (1 << 17)
-                + batch.column("key").to_numpy(zero_copy_only=False).astype(np.int64)
-            )
-            % n_grp
-        ).astype(np.int32)
-        return batch.append_column("__g", pa.array(g, pa.int32()))
-
-    pairs_ds = (
-        ds.map_batches(bands, batch_format="pyarrow")
-        .map_batches(add_group, batch_format="pyarrow")
-        .groupby("__g")
-        .map_groups(
-            lambda g: bucket_pairs(g.drop(columns=["__g"])), batch_format="pandas"
-        )
-    )
-    schema = pa.schema(
-        [(a_col, id_arrow_type), (b_col, id_arrow_type), ("hamming", pa.int64())]
-    )
-    pairs_ds = pairs_ds.materialize()
-    if pairs_ds.count() > driver_pairs_max:
-        # High-dup corpora: dedup the (<=4x-duplicated) verified pairs
-        # with the distributed hash(pair) shuffle BEFORE they reach the
-        # driver, so the driver only ever sees the final answer (which
-        # this function's Table contract hands out anyway)
-        pairs_ds = _dedup_pairs(
-            pairs_ds.map_batches(
-                lambda b: b.select([a_col, b_col, "hamming"]),
-                batch_format="pyarrow",
-            ),
-            a_col,
-            b_col,
-        ).materialize()
-    blocks = arrow_blocks(pairs_ds)
-    if not blocks:
-        return schema.empty_table()
-    # pairs here are already hamming-VERIFIED (and, on the high-dup
-    # path, already pair-deduped), so what reaches the driver is the
-    # final answer duplicated at most 4x (once per shared band) — same
-    # order as the returned table itself; deduping small sets in pandas
-    # replaces a full hash(pair) shuffle
-    merged = (
-        pa.concat_tables(blocks, promote_options="none")
-        .select([a_col, b_col, "hamming"])
-        .cast(schema)
-        .to_pandas()
-        .drop_duplicates([a_col, b_col])
-        .sort_values([a_col, b_col], kind="mergesort")
-    )
-    return pa.Table.from_pandas(merged, preserve_index=False).cast(schema)
-
-
-# --------------------------------------------------------- image dedup --
-def _ensure_neardup_corpus() -> str:
-    """Deterministic synthetic image corpus with three PLANTED lossy
-    near-duplicates (decode -> qpng re-encode), cached as parquet."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures import make_corpus
-
-    path = _cache_path("corpus_neardup.parquet")
-    if not os.path.exists(path):
-        base = make_corpus(48, seed=321)
-        from ..functions.image import decode_image, encode_image, phash64
-
-        blobs = base.column("bytes").to_pylist()
-        fmts = base.column("fmt").to_pylist()
-        caps = base.column("caption").to_pylist()
-        rows = {c: base.column(c).to_pylist() for c in base.column_names}
-        for k in (0, 1, 2):
-            px = decode_image(blobs[k], fmts[k])
-            blob2 = encode_image(px, "qpng")
-            rows["image_id"].append(f"dup{k:04d}")
-            rows["bytes"].append(blob2)
-            rows["w"].append(px.shape[1])
-            rows["h"].append(px.shape[0])
-            rows["fmt"].append("qpng")
-            rows["caption"].append(caps[k])
-            rows["phash"].append(phash64(decode_image(blob2, "qpng")))
-        tbl = pa.table({k: rows[k] for k in base.column_names})
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
-    return path
-
-
-def q_phash_neardup(sf_dir: str, max_hamming: int = 6):
-    """Near-duplicate images by perceptual hash (D3): band-bucket on the
-    four 16-bit phash quadrants (a pair within hamming<=6 shares at least
-    one exact quadrant when distance is concentrated — standard
-    multi-index hashing), then verify hamming inside buckets.
-    Runs over the deterministic synthetic corpus (rows-only check)."""
-    ds = ray.data.read_parquet(
-        _ensure_neardup_corpus(), columns=["image_id", "phash"]
-    )
-    return hamming_band_pairs(
-        ds,
-        id_col="image_id",
-        hash_col="phash",
-        max_hamming=max_hamming,
-        a_col="image_a",
-        b_col="image_b",
-        id_arrow_type=pa.string(),
-    )
 
 
 # -------------------------------------------- exact n-gram Jaccard join --
@@ -2394,28 +1935,6 @@ def q_curate(sf_dir: str, min_chars: int = 100, min_tokens: int = 20):
     )
 
 
-# ------------------------------------------------- image dedup keep-list --
-def q_image_dedup(sf_dir: str, max_hamming: int = 6):
-    """Image near-dup DEDUP keep-list (the materialized form of
-    q_phash_neardup, mirroring q_embed_dedup for the image payload):
-    drop every image whose perceptual hash has a near-duplicate with a
-    lexicographically smaller image_id; keep the rest. The drop set is
-    the verified pair list's right column — O(|pairs|), broadcast into
-    a streaming filter over the corpus (no shuffle)."""
-    pairs = q_phash_neardup(sf_dir, max_hamming)
-    drop = pa.array(sorted(set(pairs.column("image_b").to_pylist())), pa.string())
-    drop_ref = ray.put(drop)
-    ds = ray.data.read_parquet(_ensure_neardup_corpus(), columns=["image_id"])
-
-    def keep(batch: pa.Table) -> pa.Table:
-        mask = pc.invert(
-            pc.is_in(batch.column("image_id"), value_set=ray.get(drop_ref))
-        )
-        return batch.filter(mask)
-
-    return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
-
-
 # ----------------------------------------------------- vocab top-k ------
 def q_vocab_topk(sf_dir: str, k: int = 10):
     """Per-language top-k vocabulary (token -> frequency) — the
@@ -2469,45 +1988,6 @@ def q_vocab_topk(sf_dir: str, k: int = 10):
         return g.head(k)
 
     return counts.groupby("lang").map_groups(topk, batch_format="pandas")
-
-
-# ------------------------------------------------- image clusters -------
-def q_image_clusters(
-    sf_dir: str, max_hamming: int = 6, driver_nodes_max: int = 2_000_000
-):
-    """Image near-dup CLUSTERS: connected components over the phash
-    hamming graph (the transitive closure of q_phash_neardup) — groups
-    of mutually-derived images (re-encodes, thumbnails, crops) that a
-    pairwise keep-list cannot express. ``cluster_id`` = the
-    lexicographically smallest image_id in the component (deterministic
-    representative).
-
-    Layout: routes through the shared size-adaptive _cc_attach_str
-    switch (the same core as q_dedup_clusters). Below
-    ``driver_nodes_max`` edge-subgraph nodes the string ids map to
-    their lexicographic rank (order-preserving int64 bijection, so
-    min-int-label == min-image_id) and labels are a driver vector with
-    distributed edge passes; above it labels are Dataset-resident
-    min-STRING propagation (_cc_labels_distributed) and the attach is
-    a left-outer hash join — nothing corpus-sized on the driver."""
-    pairs = q_phash_neardup(sf_dir, max_hamming)
-    ds = ray.data.read_parquet(_ensure_neardup_corpus(), columns=["image_id"])
-    if pairs.num_rows == 0:
-        return ds.map_batches(
-            lambda b: pa.table(
-                {"image_id": b.column("image_id"),
-                 "cluster_id": b.column("image_id")}
-            ),
-            batch_format="pyarrow",
-        )
-    return _cc_attach_str(
-        ds,
-        "image_id",
-        np.asarray(pairs.column("image_a").to_pylist()),
-        np.asarray(pairs.column("image_b").to_pylist()),
-        64,
-        driver_nodes_max,
-    )
 
 
 # -------------------------------------------------- label centroids -----
@@ -4543,123 +4023,6 @@ def q_bigram_lift(sf_dir: str, min_count: int = 5):
     )
 
 
-# ------------------------------------------------ image-text curation ---
-def _ensure_curate_corpus() -> str:
-    """Larger deterministic corpus (256 rows) cached for the curation
-    gate, so every filter stage has real selectivity."""
-    import pyarrow.parquet as pq
-
-    from ..fixtures import make_corpus
-
-    path = _cache_path("corpus_curate_v2.parquet")
-    if not os.path.exists(path):
-        base = make_corpus(256, seed=777)
-        # plant one foreign-codec row so the fmt gate has REAL
-        # selectivity (make_corpus only emits png/qpng — without this
-        # the codec predicate would be dead code the tests can't see)
-        row0 = {c: base.column(c).to_pylist()[:1] for c in base.column_names}
-        row0["image_id"] = ["imgforeign"]
-        row0["fmt"] = ["tiff"]
-        tbl = pa.concat_tables(
-            [
-                base,
-                pa.table(
-                    {c: row0[c] for c in base.column_names},
-                    schema=base.schema,
-                ),
-            ]
-        )
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
-    return path
-
-
-def q_image_curate(
-    sf_dir: str,
-    min_dim: int = 48,
-    max_aspect_e2: int = 150,
-    min_cap_tokens: int = 6,
-    max_cap_tokens: int = 18,
-    n_buckets: int | None = None,
-):
-    """LAION-style image-text curation gate over the BASELINE.json:15
-    corpus table (image_id, bytes, w, h, fmt, caption, phash) — the
-    composite every image+caption training pipeline runs before
-    contrastive pretraining (Schuhmann et al. 2021 §2.2 filters on
-    image size, aspect ratio and caption length; dedup by perceptual
-    hash):
-
-    1. metadata gate (pure Arrow masks, zero shuffle, prunes BEFORE any
-       byte-decode): min(w,h) >= ``min_dim``, aspect ratio
-       max(w,h)*100 <= ``max_aspect_e2``*min(w,h) (integer cross-
-       multiply — no float aspect), known codec only;
-    2. caption gate: whitespace token count in
-       [``min_cap_tokens``, ``max_cap_tokens``] (polars count, zero
-       Python per row);
-    3. exact perceptual dedup: first image_id per phash — phash is
-       already int64, so the ONE shuffle buckets on ``phash % B`` and
-       the per-bucket first-per-key is a vectorized lexsort, the
-       dedup_first layout without a hashing pass.
-
-    Rows-only driver check (captions are RNG-templated, not
-    SQL-derivable); tests pin the gate against a single-process pandas
-    replica of the same rules, including the dedup tie-break."""
-    B = n_buckets or default_buckets(per_cpu=4, hi=256)
-    ds = ray.data.read_parquet(
-        _ensure_curate_corpus(),
-        columns=["image_id", "w", "h", "fmt", "caption", "phash"],
-    )
-
-    def gate(batch: pa.Table) -> pa.Table:
-        import polars as pl
-
-        w = batch.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-        h = batch.column("h").to_numpy(zero_copy_only=False).astype(np.int64)
-        fmt = batch.column("fmt").to_numpy(zero_copy_only=False)
-        lo = np.minimum(w, h)
-        hi = np.maximum(w, h)
-        ntok = (
-            pl.from_arrow(batch.column("caption"))
-            .str.count_matches(r"\S+")
-            .cast(pl.Int64)
-            .to_numpy()
-        )
-        keep = (
-            (lo >= min_dim)
-            & (hi * 100 <= max_aspect_e2 * lo)
-            & np.isin(fmt, ("png", "qpng"))
-            & (ntok >= min_cap_tokens)
-            & (ntok <= max_cap_tokens)
-        )
-        out = batch.filter(pa.array(keep))
-        ph = out.column("phash").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "image_id": out.column("image_id"),
-                "w": out.column("w"),
-                "h": out.column("h"),
-                "fmt": out.column("fmt"),
-                "n_cap_tokens": pa.array(ntok[keep], pa.int64()),
-                "phash": out.column("phash"),
-                "__b": pa.array(
-                    (ph.astype(np.uint64) % np.uint64(B)).astype(np.int32),
-                    pa.int32(),
-                ),
-            }
-        )
-
-    def first_per_phash(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["phash", "image_id"], kind="mergesort")
-        return g[~g["phash"].duplicated()].drop(columns="__b")
-
-    return (
-        ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(first_per_phash, batch_format="pandas")
-    )
-
-
 # ------------------------------------------ duplicated-span REMOVAL -----
 def q_dup_span_removal(
     sf_dir: str,
@@ -5053,8 +4416,7 @@ GOPHER_STOP8 = ("the", "be", "to", "of", "and", "that", "have", "with")
 
 
 def gopher_flags(text_col) -> pa.Table:
-    """q_gopher_gate's exact rule kernel, factored so composites
-    (llm_corpus_run) apply the identical gate: Arrow string column in,
+    """q_gopher_gate's exact rule kernel: Arrow string column in,
     Arrow table (n_words, wchars, n_sym, n_alpha, n_stop, keep) out.
     All ratios cross-multiplied int64 — see q_gopher_gate."""
     import polars as pl
@@ -6165,9 +5527,8 @@ def q_c4_clean(sf_dir: str):
 
 
 def quality_z(text_col) -> np.ndarray:
-    """q_quality_classifier's exact logit kernel, factored so composites
-    (llm_corpus_run) apply the identical gate: Arrow string column in,
-    float64 z vector out. Literals must stay text-identical to the
+    """q_quality_classifier's exact logit kernel: Arrow string column
+    in, float64 z vector out. Literals must stay text-identical to the
     DuckDB twin."""
     import polars as pl
 
@@ -6428,10 +5789,10 @@ def q_shard_assign(sf_dir: str, n_shards: int = 16):
 
 
 def size_rank_shards(lens, n_shards: int):
-    """q_shard_assign's per-doc routing, factored so composites
-    (llm_corpus_run) reuse it: (doc_id, w) Dataset in, (doc_id, w,
-    shard) out, shard = global (w desc, doc_id asc) rank % n_shards —
-    computed WITHOUT a global sort (per-w offsets + within-w ranks)."""
+    """q_shard_assign's per-doc routing: (doc_id, w) Dataset in,
+    (doc_id, w, shard) out, shard = global (w desc, doc_id asc) rank %
+    n_shards — computed WITHOUT a global sort (per-w offsets + within-w
+    ranks)."""
     from ray.data.aggregate import Count
 
     wcounts = {
@@ -6711,104 +6072,6 @@ def q_opic(
     )
 
 
-def q_clip_retrieval_eval(sf_dir: str, n_q: int = 24, ks: tuple = (1, 5, 10)):
-    """Caption->image retrieval recall@k — the standard CLIP-style
-    alignment-quality eval (Radford et al. 2021 §3.3 evaluate exactly
-    this on Flickr/COCO): embed ``n_q`` query captions and every corpus
-    image into the shared space, rank images per caption by cosine, and
-    report the fraction of captions whose own image lands in the top-k.
-    Curation pipelines run this after gates/dedup to check the corpus
-    still aligns.
-
-    Scale shape: queries = the first n_q captions by image_id, picked
-    with the partial-min + tiny-merge pattern (never a full read); the
-    (n_q x 64) query matrix rides ray.put; the image side is ONE
-    actor-pool pass (projection loads once per actor) emitting per-batch
-    per-query top-max(k) candidates — driver merge sees <= n_q * k *
-    n_blocks rows, corpus-size-independent per block. Ties break
-    (cosine desc, image_id asc); not SQL-expressible (feature-hash +
-    projection embeddings), pinned against a no-Ray replica in tests.
-    Output: (k, n_queries, hits, recall_e4)."""
-    from ..stages.multimodal import (
-        ImageFeatureStage,
-        image_embed64,
-        make_align_proj,
-        text_embed64,
-    )
-
-    kmax = max(ks)
-    ds = ray.data.read_parquet(_ensure_corpus64())
-
-    def qpart(batch: pa.Table) -> pa.Table:
-        order = pc.sort_indices(batch, sort_keys=[("image_id", "ascending")])
-        t = batch.select(["image_id", "caption"]).take(order[:n_q])
-        return t
-
-    qdf = (
-        ds.map_batches(qpart, batch_format="pyarrow")
-        .to_pandas()  # <= n_q * n_blocks rows
-        .sort_values("image_id")
-        .head(n_q)
-    )
-    qids = qdf["image_id"].tolist()
-    qmat = ray.put(text_embed64(qdf["caption"].tolist()))
-
-    class TopKStage:
-        def __init__(self, qref):
-            self.proj = make_align_proj()
-            self.feat = ImageFeatureStage()
-            # qref arrives as [ObjectRef] — the list wrapper stops Ray
-            # from inlining the matrix into every actor's args
-            self.q = ray.get(qref[0])
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            feats = np.asarray(
-                self.feat(batch).column("features").to_pylist(), np.float64
-            )
-            iv = image_embed64(feats, self.proj)
-            ids = np.asarray(batch.column("image_id").to_pylist())
-            sims = self.q @ iv.T  # (n_q, batch)
-            # deterministic per-query partial top-k: sim desc, id asc
-            order = np.lexsort((ids[None, :].repeat(len(sims), 0), -sims), axis=1)
-            take = order[:, :kmax]
-            nq, kk = take.shape
-            qi = np.repeat(np.arange(nq, dtype=np.int64), kk)
-            return pa.table(
-                {
-                    "qi": pa.array(qi, pa.int64()),
-                    "image_id": pa.array(ids[take.reshape(-1)], pa.string()),
-                    "sim": pa.array(
-                        np.take_along_axis(sims, take, 1).reshape(-1),
-                        pa.float64(),
-                    ),
-                }
-            )
-
-    cand = ds.map_batches(
-        TopKStage,
-        fn_constructor_kwargs={"qref": [qmat]},
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 2),
-        num_cpus=0.5,
-    ).to_pandas()  # <= n_q * kmax * n_blocks rows
-
-    rows = {"k": [], "n_queries": [], "hits": [], "recall_e4": []}
-    for k in ks:
-        hits = 0
-        for qi, g in cand.groupby("qi"):
-            g = g.sort_values(["sim", "image_id"], ascending=[False, True],
-                              kind="mergesort").head(k)
-            hits += int(qids[int(qi)] in set(g["image_id"]))
-        rows["k"].append(int(k))
-        rows["n_queries"].append(len(qids))
-        rows["hits"].append(hits)
-        rows["recall_e4"].append(hits * 10_000 // len(qids))
-    return pa.table(
-        {c: pa.array(v, pa.int64()) for c, v in rows.items()}
-    )
-
-
 def q_winnowing(sf_dir: str, k: int = 5, w: int = 4):
     """Winnowing document fingerprints (Schleimer, Wilkerson & Aiken,
     SIGMOD 2003 — the MOSS algorithm): slide a window of ``w``
@@ -6921,107 +6184,6 @@ def q_corpus_card(sf_dir: str):
             Sum("n_gopher_pass", alias_name="n_gopher_pass"),
             Sum("n_quality_pass", alias_name="n_quality_pass"),
         )
-    )
-
-
-def q_phash_clusters(
-    sf_dir: str,
-    max_hamming: int = 6,
-    max_iters: int = 64,
-    driver_labels_max: int = 2_000_000,
-):
-    """Perceptual-hash near-dup CLUSTERS — q_dedup_clusters' transitive
-    closure applied to the IMAGE payload: connected components over
-    q_phash_neardup's verified pair graph, so a~b and b~c collapse into
-    one canonical group even when a,c differ by > max_hamming (the rule
-    image dedup at corpus scale actually wants: burst shots / resizes
-    chain). Cluster id = the lexicographically-smallest member.
-
-    Layout: routes through the shared size-adaptive _cc_attach_str
-    switch. Below ``driver_labels_max`` edge-subgraph nodes the string
-    ids map to their LEXICOGRAPHIC RANK (order-preserving int64
-    bijection, so the min-int label propagation directly yields the
-    lexicographically-smallest member) with driver-resident labels and
-    distributed edge passes; above the bound labels are
-    Dataset-resident min-STRING propagation (_cc_labels_distributed)
-    and the attach is a left-outer hash join — isolated images keep
-    their own id in both forks. Rows-only; pinned against a
-    brute-force union-find replica AND the forced-distributed path in
-    tests."""
-    pairs = q_phash_neardup(sf_dir, max_hamming)
-    ds = ray.data.read_parquet(_ensure_neardup_corpus(), columns=["image_id"])
-
-    if pairs.num_rows == 0:
-        return ds.map_batches(
-            lambda b: pa.table(
-                {
-                    "image_id": b.column("image_id"),
-                    "cluster_id": b.column("image_id"),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-
-    return _cc_attach_str(
-        ds,
-        "image_id",
-        np.asarray(pairs.column("image_a").to_pylist()),
-        np.asarray(pairs.column("image_b").to_pylist()),
-        max_iters,
-        driver_labels_max,
-    )
-
-
-def q_dominant_color(sf_dir: str):
-    """Dominant-color binning over DECODED pixels — the cheap visual
-    descriptor image-curation stacks compute at ingest (color-based
-    stratification, grayscale/flat-image gates, thumbnail placeholders
-    a la blurhash). Per image: integer per-channel means (floor of
-    sum//n — no float crosses the result), each quantized to 4 levels
-    (>>6), packed into a 0..63 bin.
-
-    Scale shape: actor-pool map_batches (decoder state per actor, the
-    M8 stage contract); pixels never leave the task — only (image_id,
-    bin, 3 means) rows move. Rows-only (pixels aren't SQL-visible);
-    pinned against the pure decode_image composition in tests."""
-    from ..functions.image import decode_image
-
-    ds = ray.data.read_parquet(
-        _ensure_corpus64(), columns=["image_id", "bytes", "fmt"]
-    )
-
-    class ColorStage:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids, bins, means = [], [], []
-            for iid, blob, fmt in zip(
-                batch.column("image_id").to_pylist(),
-                batch.column("bytes").to_pylist(),
-                batch.column("fmt").to_pylist(),
-            ):
-                px = decode_image(blob, fmt).astype(np.int64)
-                n = px.shape[0] * px.shape[1]
-                m = px.reshape(n, 3).sum(axis=0) // n  # exact floor means
-                q = m >> 6  # 4 levels per channel
-                ids.append(iid)
-                bins.append(int(q[0] * 16 + q[1] * 4 + q[2]))
-                means.append(m)
-            means = np.asarray(means, np.int64).reshape(-1, 3)
-            return pa.table(
-                {
-                    "image_id": pa.array(ids, pa.string()),
-                    "color_bin": pa.array(bins, pa.int64()),
-                    "mean_r": pa.array(means[:, 0], pa.int64()),
-                    "mean_g": pa.array(means[:, 1], pa.int64()),
-                    "mean_b": pa.array(means[:, 2], pa.int64()),
-                }
-            )
-
-    return ds.map_batches(
-        ColorStage,
-        batch_format="pyarrow",
-        batch_size=32,
-        concurrency=(1, 2),
-        num_cpus=0.5,
     )
 
 

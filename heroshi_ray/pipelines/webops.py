@@ -40,7 +40,7 @@ import ray.data
 from ..functions.hashing import hash64
 from ..functions.sitemap import parse_urlset
 from ..runtime import default_buckets, join_partitions, tune_join_resources
-from .dataops import _pq
+from ..sources.io import _pq
 
 _XML_HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'

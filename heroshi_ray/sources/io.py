@@ -32,6 +32,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..functions.hashing import hash64
+from ..runtime import default_buckets
 from ..schemas import FRONTIER
 
 
@@ -44,58 +45,16 @@ def read_seeds(path: str) -> "ray.data.Dataset":
     )
 
 
-def write_fetch_jsonl(ds: "ray.data.Dataset", path: str) -> None:
-    """S1+: fetch-log sink in heroshi's io-worker stdout protocol shape
-    [UPSTREAM-H]: one JSON object per line, binary ``content`` base64-
-    encoded (JSON carries no bytes). Encoding is a per-batch vectorized
-    map; the write is Ray's partitioned JSON sink (one file per block —
-    resumable output, never one giant file)."""
-    import base64
-
-    def enc(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in batch.column_names:
-            col = batch.column(name)
-            if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
-                cols[name + "_b64"] = pa.array(
-                    [
-                        base64.b64encode(v).decode("ascii") if v is not None else None
-                        for v in col.to_pylist()
-                    ],
-                    pa.string(),
-                )
-            else:
-                cols[name] = col
-        return pa.table(cols)
-
-    ds.map_batches(enc, batch_format="pyarrow").write_json(path)
-
-
-def read_fetch_jsonl(path: str) -> "ray.data.Dataset":
-    """S1+: fetch-log source for the io-worker JSONL protocol — inverse
-    of :func:`write_fetch_jsonl` (``*_b64`` columns decode back to
-    binary)."""
-    import base64
-
-    ds = ray.data.read_json(path)
-
-    def dec(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in batch.column_names:
-            col = batch.column(name)
-            if name.endswith("_b64"):
-                cols[name[:-4]] = pa.array(
-                    [
-                        base64.b64decode(v) if v is not None else None
-                        for v in col.to_pylist()
-                    ],
-                    pa.binary(),
-                )
-            else:
-                cols[name] = col
-        return pa.table(cols)
-
-    return ds.map_batches(dec, batch_format="pyarrow")
+def _pq(sf_dir: str, name: str, columns=None, split: bool = False):
+    """Pruned parquet read of ``{sf_dir}/{name}.parquet``. ``split=True``
+    forces the read across ~2x-cpus blocks: a single parquet file
+    otherwise arrives as one block, which serializes every downstream
+    per-doc compute stage (signatures, shingling, embedding matmuls)
+    onto one task — the single-node analogue of a hot input partition."""
+    kw = {"override_num_blocks": default_buckets()} if split else {}
+    return ray.data.read_parquet(
+        os.path.join(sf_dir, f"{name}.parquet"), columns=columns, **kw
+    )
 
 
 def epoch_dir(workdir: str, epoch: int) -> str:
@@ -298,57 +257,3 @@ def read_epoch_tables(workdir: str, sub: str) -> pa.Table | None:
     if not files:
         return None
     return pa.concat_tables([pq.read_table(f) for f in files])
-
-
-def write_table_csv(ds: "ray.data.Dataset", path: str) -> None:
-    """S1+: CSV sink for interchange with non-Arrow consumers — Ray's
-    partitioned CSV writer (one file per block; resumable output,
-    never one giant file). Binary columns are base64-encoded with the
-    same ``*_b64`` convention as the JSONL fetch-log protocol, so the
-    CSV round-trips through :func:`read_table_csv` losslessly."""
-    import base64
-
-    def enc(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in batch.column_names:
-            col = batch.column(name)
-            if pa.types.is_binary(col.type) or pa.types.is_large_binary(col.type):
-                cols[name + "_b64"] = pa.array(
-                    [
-                        base64.b64encode(v).decode("ascii") if v is not None else None
-                        for v in col.to_pylist()
-                    ],
-                    pa.string(),
-                )
-            else:
-                cols[name] = col
-        return pa.table(cols)
-
-    ds.map_batches(enc, batch_format="pyarrow").write_csv(path)
-
-
-def read_table_csv(path: str, **kwargs) -> "ray.data.Dataset":
-    """S1+: CSV source (``ray.data.read_csv`` with Arrow's parser) —
-    inverse of :func:`write_table_csv`; ``*_b64`` columns decode back
-    to binary."""
-    import base64
-
-    ds = ray.data.read_csv(path, **kwargs)
-
-    def dec(batch: pa.Table) -> pa.Table:
-        cols = {}
-        for name in batch.column_names:
-            col = batch.column(name)
-            if name.endswith("_b64"):
-                cols[name[:-4]] = pa.array(
-                    [
-                        base64.b64decode(v) if v is not None else None
-                        for v in col.to_pylist()
-                    ],
-                    pa.binary(),
-                )
-            else:
-                cols[name] = col
-        return pa.table(cols)
-
-    return ds.map_batches(dec, batch_format="pyarrow")

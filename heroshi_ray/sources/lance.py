@@ -3,9 +3,11 @@ Lance table of image + caption pairs".
 
 ``pylance`` is not installed in this sandbox (SURVEY.md §7.6), so the
 corpus store is format-pluggable: Lance when importable, parquet with
-the identical schema otherwise. All engine code goes through
-``read_corpus_any`` / ``write_corpus_any`` so flipping the format is a
-deployment choice, not a code change.
+the identical schema otherwise. ``read_corpus_any`` / ``write_corpus_any``
+are the adapter boundary only: no engine code calls them yet. The crawl
+writes its corpus as parquet, and the verifier and curation read
+parquet directly, so switching the corpus to Lance means routing those
+paths through this adapter.
 """
 
 from __future__ import annotations

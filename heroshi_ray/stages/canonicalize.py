@@ -24,22 +24,6 @@ def priority_score(depth: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + depth.astype(np.float64))
 
 
-def blocklist_filter(blocked_hosts: frozenset = frozenset(),
-                     blocked_substrings: tuple[str, ...] = ()):
-    """M7 factory: batch-level URL filter (blocklist). Returns a hook
-    compatible with ``canonicalize_candidates(url_filter=...)`` —
-    vectorized, closure-captured, cloudpickle-shippable."""
-
-    def fn(urls: list[str], hosts: list[str], depth: np.ndarray) -> np.ndarray:
-        mask = np.ones(len(urls), dtype=bool)
-        for i, (u, h) in enumerate(zip(urls, hosts)):
-            if h in blocked_hosts or any(s in u for s in blocked_substrings):
-                mask[i] = False
-        return mask
-
-    return fn
-
-
 def canonicalize_candidates(
     batch: pa.Table,
     *,

@@ -104,105 +104,3 @@ def test_curate_to_shards_end_to_end(ray_session, corpus, tmp_path):
     assert manifest2["n_samples"].sum() == len(expected)
     for row in manifest2.itertuples():
         assert os.path.getmtime(os.path.join(out, row.shard)) == files[row.shard]
-
-
-def test_llm_corpus_run_matches_replica_and_resumes(ray_session, tmp_path):
-    """The text-corpus composite must equal a single-process replica of
-    the composed rules (shared gate kernels, first-per-text dedup,
-    eval-gram decontamination, size-rank routing), write readable
-    per-shard parquet, and skip finished shards on re-run."""
-    from heroshi_ray.pipelines.curation import llm_corpus_run
-    from heroshi_ray.pipelines.dataops import gopher_flags, quality_z
-
-    sf = "/root/testdata/sf0.001"
-    out = str(tmp_path / "corpus_run")
-    man = (
-        llm_corpus_run(sf, out)
-        .to_pandas()
-        .sort_values("shard")
-        .reset_index(drop=True)
-    )
-
-    # ---- single-process replica ----
-    t = pq.read_table(os.path.join(sf, "documents.parquet"))
-    df = t.to_pandas().sort_values("doc_id").reset_index(drop=True)
-    keep = (
-        gopher_flags(pa.array(df["text"])).column("keep")
-        .to_numpy(zero_copy_only=False)
-        .astype(bool)
-    )
-    keep &= quality_z(pa.array(df["text"])) > 0.0
-    keep &= (df["doc_id"].to_numpy() % 97) != 0
-    ev_grams = set()
-    for _, r in df[df["doc_id"] % 97 == 0].iterrows():
-        s = r["text"]
-        ev_grams.update(s[j : j + 16] for j in range(max(len(s) - 16 + 1, 0)))
-    surv = df[keep].copy()
-    surv = surv[
-        surv["text"].map(
-            lambda s: not any(
-                s[j : j + 16] in ev_grams
-                for j in range(max(len(s) - 16 + 1, 0))
-            )
-        )
-    ]
-    surv = surv.sort_values(["text", "doc_id"]).drop_duplicates("text")
-    w = surv["text"].str.split(" ").str.len().astype("int64")
-    order = np.lexsort((surv["doc_id"].to_numpy(), -w.to_numpy()))
-    shard = pd.Series(
-        np.arange(len(surv), dtype=np.int64) % 8,
-        index=surv.index[order],
-    )
-    surv["shard"] = shard
-    exp = (
-        surv.assign(w=w)
-        .groupby("shard")
-        .agg(n_docs=("doc_id", "size"), n_tokens=("w", "sum"))
-        .reset_index()
-    )
-
-    got = man[["shard", "n_docs", "n_tokens"]].astype("int64")
-    pd.testing.assert_frame_equal(got, exp.astype("int64"), check_exact=True)
-
-    # written shards round-trip: union of files == survivor set
-    back = pd.concat([pq.read_table(p).to_pandas() for p in man["path"]])
-    assert set(back["doc_id"]) == set(surv["doc_id"])
-    assert (
-        back.sort_values("doc_id")["text"].tolist()
-        == surv.sort_values("doc_id")["text"].tolist()
-    )
-
-    # resume: second run over the same out_dir rewrites nothing
-    mtimes = {p: os.path.getmtime(p) for p in man["path"]}
-    man2 = llm_corpus_run(sf, out).to_pandas().sort_values("shard")
-    pd.testing.assert_frame_equal(
-        man2.reset_index(drop=True), man.reset_index(drop=True)
-    )
-    assert {p: os.path.getmtime(p) for p in man2["path"]} == mtimes
-
-
-def test_llm_corpus_run_streaming_fork_equivalence(ray_session, tmp_path):
-    """force_distributed routes the dedup/routing/join/write through the
-    streaming plans; the manifest and written shards must be identical
-    to the driver fork."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.curation import llm_corpus_run
-
-    sf = "/root/testdata/sf0.001"
-    out_a = str(tmp_path / "drv")
-    out_b = str(tmp_path / "dist")
-    a = llm_corpus_run(sf, out_a).to_pandas().sort_values("shard").reset_index(drop=True)
-    b = (
-        llm_corpus_run(sf, out_b, force_distributed=True)
-        .to_pandas()
-        .sort_values("shard")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(
-        a.drop(columns="path"), b.drop(columns="path"), check_dtype=False
-    )
-    for pa_, pb_ in zip(a["path"], b["path"]):
-        da = pq.read_table(pa_).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        db = pq.read_table(pb_).to_pandas().sort_values("doc_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(da, db[da.columns], check_dtype=False)

@@ -119,10 +119,7 @@ def test_url_filter_and_priority_hooks(ray_session):
     import numpy as np
     import ray
 
-    from heroshi_ray.stages.canonicalize import (
-        blocklist_filter,
-        canonicalize_candidates,
-    )
+    from heroshi_ray.stages.canonicalize import canonicalize_candidates
 
     batch = pa.table(
         {"url": pa.array([
@@ -131,11 +128,14 @@ def test_url_filter_and_priority_hooks(ray_session):
             "http://ok.example/tracking/pixel",
         ])}
     )
-    flt = blocklist_filter(
-        blocked_hosts=frozenset({"blocked.example"}),
-        blocked_substrings=("/tracking/",),
+    out = canonicalize_candidates(
+        batch,
+        url_filter=lambda urls, hosts, depth: np.array(
+            [h != "blocked.example" and "/tracking/" not in u
+             for u, h in zip(urls, hosts)],
+            dtype=bool,
+        ),
     )
-    out = canonicalize_candidates(batch, url_filter=flt)
     assert out.column("url").to_pylist() == ["http://ok.example/a"]
 
     out2 = canonicalize_candidates(

@@ -1,6 +1,7 @@
-"""Every module-level import is read somewhere in its file, and every
-kernel in ``heroshi_ray/functions`` is named somewhere outside its own
-body.
+"""Every module-level import is read somewhere in its file; every
+top-level function and class of ``heroshi_ray/{functions,stages,
+sources,state}`` is named somewhere outside its own body; and only the
+registry imports the analytics modules.
 
 An AST scan over the package, the two entry scripts and the tests. A
 name counts as read when an expression names it, when ``__all__`` lists
@@ -119,29 +120,79 @@ def _named_lines(tree) -> list[tuple[str, int]]:
     return out
 
 
+# Top-level names with no caller in the engine, kept on purpose.
+UNCALLED_ALLOWED = {
+    "HttpFetcher": "live-HTTP fetcher boundary; crawls run on the fixture web",
+    "read_corpus_any": "Lance corpus adapter boundary; pylance is not installed",
+    "write_corpus_any": "Lance corpus adapter boundary; pylance is not installed",
+}
+
+
 def test_no_uncalled_kernels():
-    """A top-level function or class of ``heroshi_ray/functions`` that
-    nothing in the package, the entry scripts or the benchmark names is
-    dead code kept alive only by its tests."""
-    fdir = os.path.join(ROOT, "heroshi_ray", "functions")
+    """A top-level function or class of ``heroshi_ray/functions``,
+    ``stages``, ``sources`` or ``state`` that nothing in the package,
+    the entry scripts or the benchmark names is dead code kept alive
+    only by its tests."""
     where: dict[str, list[tuple[str, int]]] = {}
     for path in _files(("heroshi_ray", "perfbench")):
         with open(path) as f:
             for name, line in _named_lines(ast.parse(f.read(), filename=path)):
                 where.setdefault(name, []).append((path, line))
     uncalled = []
-    for n in sorted(os.listdir(fdir)):
-        path = os.path.join(fdir, n)
-        if not n.endswith(".py"):
+    for sub in ("functions", "stages", "sources", "state"):
+        fdir = os.path.join(ROOT, "heroshi_ray", sub)
+        for n in sorted(os.listdir(fdir)):
+            path = os.path.join(fdir, n)
+            if not n.endswith(".py"):
+                continue
+            with open(path) as f:
+                body = ast.parse(f.read(), filename=path).body
+            for node in body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                if node.name in UNCALLED_ALLOWED:
+                    continue
+                own = range(node.lineno, node.end_lineno + 1)
+                if all(
+                    p == path and line in own
+                    for p, line in where.get(node.name, ())
+                ):
+                    uncalled.append(f"{sub}/{n}:{node.lineno} {node.name}")
+    assert not uncalled, uncalled
+
+
+ANALYTICS = ("heroshi_ray.pipelines.dataops", "heroshi_ray.pipelines.webops")
+
+
+def _imported_modules(path: str, tree) -> set[str]:
+    """Absolute names of every module an import statement anywhere in
+    the file (function bodies included) could load: ``from p import m``
+    yields both ``p`` and ``p.m``."""
+    pkg_dir = os.path.dirname(os.path.relpath(path, ROOT))
+    pkg = pkg_dir.split(os.sep) if pkg_dir else []
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = pkg[: len(pkg) - node.level + 1] if node.level else []
+            mod = ".".join(base + ([node.module] if node.module else []))
+            out.add(mod)
+            out |= {f"{mod}.{a.name}" for a in node.names}
+    return out
+
+
+def test_analytics_imported_only_by_registry():
+    """``pipelines.dataops`` and ``pipelines.webops`` are imported by the
+    ``__ray_entry__.py`` registry and the tests only: no engine module,
+    CLI or benchmark reaches them, not even through a function-local
+    import."""
+    importers = []
+    for path in _files(("heroshi_ray", "perfbench")):
+        if os.path.basename(path) == "__ray_entry__.py":
             continue
         with open(path) as f:
-            body = ast.parse(f.read(), filename=path).body
-        for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if all(
-                p == path and line in own for p, line in where.get(node.name, ())
-            ):
-                uncalled.append(f"functions/{n}:{node.lineno} {node.name}")
-    assert not uncalled, uncalled
+            mods = _imported_modules(path, ast.parse(f.read(), filename=path))
+        if mods & set(ANALYTICS):
+            importers.append(os.path.relpath(path, ROOT))
+    assert not importers, importers

@@ -3,9 +3,9 @@
 Covers: roundtrip PSNR floors per subsampling mode, odd (non-multiple-
 of-8/16) dimensions, grayscale frames, DRI/restart-marker resync,
 byte-stuffing in the entropy stream, marker-level structure, rejection
-of progressive frames, determinism, and the Ray-side integration —
-strict ImageDecodeStage phash parity and the per-row PSNR>=40dB corpus
-invariant (q_jpeg_decode) over real jpeg bytes.
+of progressive frames, determinism, and the corpus integration —
+strict-decode phash parity and the per-row PSNR>=40dB corpus invariant
+(pipelines/verify.py) over real jpeg and gif bytes.
 """
 
 from __future__ import annotations
@@ -168,49 +168,41 @@ def test_make_corpus_default_unchanged():
     assert set(t.column("fmt").to_pylist()) <= {"png", "qpng"}
 
 
-def test_q_jpeg_decode_invariant(ray_session):
-    """q_jpeg_decode: every row of the mixed corpus passes the per-row
-    invariant (PSNR>=40 lossy / byte-equal png, caption equal) against
-    the lossless reference twin — real jpeg decode inside the actor
-    pool."""
-    from heroshi_ray.pipelines.dataops import q_jpeg_decode
+def _verify_corpus_pair(tmp_path, **kw):
+    """Write a mixed-format corpus to parquet under tmp_path and run the
+    per-row corpus invariant over it against its lossless reference
+    twin (real jpeg/gif decode inside the verifier's actor pool)."""
+    import pyarrow.parquet as pq
+    import ray
 
-    out = q_jpeg_decode("unused").to_pandas()
+    from heroshi_ray.pipelines.verify import verify_corpus
+
+    corpus, ref = make_corpus_pair(96, **kw)
+    path = str(tmp_path / "corpus.parquet")
+    pq.write_table(corpus, path)
+    return verify_corpus(ray.data.read_parquet(path), ref).to_pandas()
+
+
+def test_q_jpeg_decode_invariant(ray_session, tmp_path):
+    """Every row of the mixed png/qpng/jpeg corpus passes the per-row
+    invariant (PSNR>=40 lossy / byte-equal png, caption equal) against
+    the lossless reference twin."""
+    out = _verify_corpus_pair(tmp_path, seed=321, jpeg_frac=0.25)
     assert len(out) == 96
     assert bool(out["passed"].all())
     assert bool(out["found"].all()) and bool(out["caption_equal"].all())
 
 
-def test_strict_decode_stage_jpeg(ray_session):
-    """strict=True ImageDecodeStage over the jpeg corpus: no fallback
-    fires, and the recomputed phash equals the stored column."""
-    import pyarrow.parquet as pq
-    import ray
-
-    from heroshi_ray.pipelines.dataops import _ensure_corpus_jpeg
-    from heroshi_ray.stages.multimodal import ImageDecodeStage
-
-    cpath, _ = _ensure_corpus_jpeg()
-    stored = (
-        pq.read_table(cpath, columns=["image_id", "phash"])
-        .to_pandas()
-        .set_index("image_id")["phash"]
-    )
-    out = (
-        ray.data.read_parquet(cpath)
-        .map_batches(
-            ImageDecodeStage,
-            fn_constructor_kwargs={"thumb": None, "strict": True},
-            batch_format="pyarrow",
-            batch_size=32,
-            concurrency=(1, 2),
-            num_cpus=0.5,
-        )
-        .to_pandas()
-        .set_index("image_id")
-    )
-    assert len(out) == 96
-    assert (out["phash_recomputed"] == stored.reindex(out.index)).all()
+def test_strict_decode_stage_jpeg():
+    """Strict decode over the jpeg corpus: decode_image raises on bad
+    bytes (no fallback), and the recomputed phash equals the stored
+    column on every row."""
+    corpus, _ = make_corpus_pair(96, seed=321, jpeg_frac=0.25)
+    blobs = corpus.column("bytes").to_pylist()
+    fmts = corpus.column("fmt").to_pylist()
+    recomputed = [phash64(decode_image(b, f)) for b, f in zip(blobs, fmts)]
+    assert len(recomputed) == 96
+    assert recomputed == corpus.column("phash").to_pylist()
 
 
 # ------------------------------------------------------------------ gif --
@@ -287,9 +279,8 @@ def test_gif_fmt_integration_and_errors():
         gif_decode(encode_image(px, "gif")[:40])
 
 
-def test_q_gif_decode_invariant(ray_session):
-    from heroshi_ray.pipelines.dataops import q_gif_decode
-
-    out = q_gif_decode("unused").to_pandas()
+def test_q_gif_decode_invariant(ray_session, tmp_path):
+    """The same per-row invariant over a png/qpng/jpeg/gif corpus."""
+    out = _verify_corpus_pair(tmp_path, seed=654, jpeg_frac=0.15, gif_frac=0.2)
     assert len(out) == 96
     assert bool(out["passed"].all())

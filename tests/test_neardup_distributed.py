@@ -1,12 +1,12 @@
 """The distributed near-dup and clustering forks pinned against
 independent single-process ground truth.
 
-q_phash_neardup and q_embed_neardup run their verify/merge steps as
-map_groups + pair-dedup shuffles rather than on the driver. These tests
-recompute the expected pair sets with plain Python/numpy (same
-candidate-generation semantics, no Ray) and assert exact equality —
-rows AND values — and hold every size-gated fork (driver vs Dataset
-labels, pair dedup, DF join) to the default path's output.
+q_embed_neardup runs its verify/merge steps as map_groups + pair-dedup
+shuffles rather than on the driver. These tests recompute the expected
+pair sets with plain Python/numpy (same candidate-generation semantics,
+no Ray) and assert exact equality — rows AND values — and hold every
+size-gated fork (driver vs Dataset labels, DF join, broadcast vs join
+graph ranks, containment prefix filter) to the default path's output.
 """
 
 from __future__ import annotations
@@ -19,37 +19,6 @@ import pyarrow.parquet as pq
 import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
-
-
-def test_phash_neardup_matches_single_process(ray_session):
-    from heroshi_ray.functions.image import hamming64
-    from heroshi_ray.pipelines.dataops import _ensure_neardup_corpus, q_phash_neardup
-
-    got = q_phash_neardup(SF_DIR).to_pandas()
-    # the query builds/caches its own synthetic corpus; recompute truth
-    # from the same cached file with plain loops
-    t = pq.read_table(_ensure_neardup_corpus(), columns=["image_id", "phash"])
-    ids = t.column("image_id").to_pylist()
-    phs = np.array(t.column("phash").to_pylist(), dtype=np.int64)
-    # multi-index candidate rule: pairs sharing >= 1 of 4 16-bit quadrants
-    expect = []
-    up = phs.view(np.uint64)
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            share = any(
-                int((up[i] >> np.uint64(16 * b)) & np.uint64(0xFFFF))
-                == int((up[j] >> np.uint64(16 * b)) & np.uint64(0xFFFF))
-                for b in range(4)
-            )
-            if not share:
-                continue
-            d = int(hamming64([phs[i]], [phs[j]])[0])
-            if d <= 6:
-                a, b = sorted((ids[i], ids[j]))
-                expect.append((a, b, d))
-    expect.sort()
-    assert list(map(tuple, got.itertuples(index=False))) == expect
-    assert len(expect) >= 3  # the fixture plants 3 near-dups
 
 
 @pytest.mark.parametrize("sf_dir", ["/root/testdata/sf0.001", "/root/testdata/sf0.01"])
@@ -258,117 +227,6 @@ def test_pagerank_distributed_path_equals_broadcast(ray_session):
     assert a["pagerank_e12"].sum() <= 10**12
 
 
-def test_hamming_pairs_distributed_dedup_equals_driver(ray_session):
-    """driver_pairs_max=0 forces the distributed hash(pair) dedup
-    shuffle before pairs reach the driver (the high-dup-corpus path);
-    the verified pair set must be identical to the driver-pandas path."""
-    import zlib
-
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray
-    from heroshi_ray.pipelines.dataops import _pq, hamming_band_pairs
-
-    def simhash_of(texts: list[str], k: int = 2) -> np.ndarray:
-        """64-bit SimHash over word k-grams (Charikar '02): each bit is
-        the majority vote of the k-grams' crc32-pair feature hashes. A
-        dense, deterministic 64-bit hash column to band."""
-        out = np.empty(len(texts), np.int64)
-        shifts = np.arange(64, dtype=np.uint64)
-        weights = np.uint64(1) << shifts
-        for i, t in enumerate(texts):
-            words = t.lower().split() if t else []
-            feats = [
-                " ".join(words[j : j + k]) for j in range(max(1, len(words) - k + 1))
-            ]
-            if not words:
-                out[i] = 0
-                continue
-            hs = np.fromiter(
-                (
-                    zlib.crc32(f.encode()) | (zlib.crc32(f[::-1].encode()) << 32)
-                    for f in feats
-                ),
-                np.uint64,
-                len(feats),
-            )
-            nset = ((hs[:, None] >> shifts) & np.uint64(1)).sum(axis=0)
-            out[i] = int(
-                weights[2 * nset > len(feats)].sum(dtype=np.uint64).astype(np.int64)
-            )
-        return out
-
-    def run(**kw):
-        ds = _pq(SF_DIR, "documents", columns=["doc_id", "text"], split=True)
-
-        def sh(batch):
-            v = simhash_of(batch.column("text").to_pylist())
-            return pa.table(
-                {"doc_id": batch.column("doc_id"),
-                 "simhash": pa.array(v, pa.int64())}
-            )
-
-        hashed = ds.map_batches(sh, batch_format="pyarrow", zero_copy_batch=True)
-        return hamming_band_pairs(
-            hashed, id_col="doc_id", hash_col="simhash", max_hamming=3,
-            a_col="doc_a", b_col="doc_b", id_arrow_type=pa.int64(), **kw
-        ).to_pandas()
-
-    a = run()
-    b = run(driver_pairs_max=0)
-    pd.testing.assert_frame_equal(
-        a.reset_index(drop=True), b.reset_index(drop=True), check_exact=True
-    )
-
-
-def test_image_clusters_match_union_find(ray_session):
-    """q_image_clusters must equal a brute-force union-find over the
-    verified q_phash_neardup pair list, with the lexicographically
-    smallest member as the cluster id; images without a near-dup keep
-    their own id."""
-    from heroshi_ray.pipelines.dataops import q_image_clusters, q_phash_neardup
-
-    pairs = q_phash_neardup(SF_DIR).to_pandas()
-    assert len(pairs) > 0  # planted dups guarantee a non-trivial graph
-
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for x, y in zip(pairs["image_a"], pairs["image_b"]):
-        union(x, y)
-
-    # canonical root = min member id per component
-    members: dict = {}
-    for x in parent:
-        members.setdefault(find(x), set()).add(x)
-    expected = {}
-    for root, ms in members.items():
-        rep = min(ms | {root})
-        for m in ms | {root}:
-            expected[m] = rep
-
-    out = q_image_clusters(SF_DIR).to_pandas()
-    assert len(out) > 0
-    n_nontrivial = 0
-    for iid, cid in zip(out["image_id"], out["cluster_id"]):
-        assert cid == expected.get(iid, iid), (iid, cid)
-        if cid != iid:
-            n_nontrivial += 1
-    assert n_nontrivial > 0
-
-
 def test_hits_distributed_path_equals_broadcast(ray_session):
     """q_hits' Dataset-resident score-vector path (the 100-TB regime)
     must reproduce the broadcast path bit-for-bit — all arithmetic is
@@ -413,66 +271,6 @@ def test_opic_distributed_matches_broadcast(ray_session):
     assert total <= 3 * 10**12
     assert total > 0.9 * 3 * 10**12  # flooring loses < 10% of the mass
     assert a["history"].nunique() > 1  # the graph actually differentiates
-
-
-def test_phash_clusters_distributed_equals_driver(ray_session):
-    """String-id distributed fork: min-STRING label propagation
-    (Dataset-resident) must reproduce the lexicographic-rank driver
-    path exactly, including representatives."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.dataops import q_phash_clusters
-
-    def norm(ds):
-        return ds.to_pandas().sort_values("image_id").reset_index(drop=True)
-
-    a = norm(q_phash_clusters(SF_DIR))
-    b = norm(q_phash_clusters(SF_DIR, driver_labels_max=0))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    assert (a["image_id"] != a["cluster_id"]).sum() > 0
-
-
-def test_image_clusters_distributed_equals_driver(ray_session):
-    """driver_nodes_max=0 forces q_image_clusters through the
-    Dataset-resident string fork; must equal the default path."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.dataops import q_image_clusters
-
-    def norm(ds):
-        return ds.to_pandas().sort_values("image_id").reset_index(drop=True)
-
-    a = norm(q_image_clusters(SF_DIR))
-    b = norm(q_image_clusters(SF_DIR, driver_nodes_max=0))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    assert (a["image_id"] != a["cluster_id"]).sum() > 0
-
-
-def test_cc_attach_str_variable_length_ids(ray_session):
-    """Regression (r4 review): the driver-path attach must not truncate
-    a cluster representative longer than a batch's longest id (numpy
-    fixed-width <U-n assignment semantics). Edge ('aa_long','z') must
-    label 'z' with 'aa_long', including in a batch containing only
-    'z'."""
-    import pyarrow as pa
-
-    import ray
-    from heroshi_ray.pipelines.dataops import _cc_attach_str
-
-    ids = ["z", "aa_long", "mmm"]
-    ds = ray.data.from_arrow(
-        pa.table({"doc": pa.array(ids, pa.string())})
-    ).repartition(3)  # one id per batch -> 'z' batch has <U1 ids
-    sa = np.asarray(["aa_long"])
-    sb = np.asarray(["z"])
-    out = (
-        _cc_attach_str(ds, "doc", sa, sb, max_iters=10, driver_labels_max=1000)
-        .to_pandas()
-        .set_index("doc")["cluster_id"]
-    )
-    assert out["z"] == "aa_long"
-    assert out["aa_long"] == "aa_long"
-    assert out["mmm"] == "mmm"
 
 
 def test_containment_prefix_fork_equivalence(ray_session):

@@ -159,54 +159,3 @@ def test_epoch_wall_ms_includes_seen_snapshot(ray_session, tmp_path, monkeypatch
         assert started[r.epoch] + r.wall_ms / 1000 >= saved[r.epoch + 1], (
             r.epoch, started, saved, r.wall_ms,
         )
-
-
-def test_fetch_jsonl_round_trip(ray_session, tmp_path):
-    """io-worker JSONL protocol sink/source: binary content base64s
-    through JSON and round-trips byte-identically."""
-    import ray.data
-
-    from heroshi_ray.sources.io import read_fetch_jsonl, write_fetch_jsonl
-
-    rows = pa.table(
-        {
-            "url": pa.array([f"http://h{i}.example/p{i}" for i in range(64)]),
-            "status_code": pa.array([200 + (i % 3) for i in range(64)], pa.int32()),
-            "content": pa.array(
-                [bytes([i % 256]) * (i + 1) for i in range(64)], pa.binary()
-            ),
-        }
-    )
-    out = str(tmp_path / "fetchlog")
-    write_fetch_jsonl(ray.data.from_arrow(rows), out)
-    back = read_fetch_jsonl(out).to_pandas().sort_values("url").reset_index(drop=True)
-    orig = rows.to_pandas().sort_values("url").reset_index(drop=True)
-    assert list(back["url"]) == list(orig["url"])
-    assert list(back["status_code"]) == list(orig["status_code"])
-    assert list(back["content"]) == list(orig["content"])
-
-
-def test_csv_round_trip(ray_session, tmp_path):
-    """CSV sink/source: binary columns base64 through CSV and
-    round-trip byte-identically; non-binary columns survive Arrow's
-    CSV type inference."""
-    import ray.data
-
-    from heroshi_ray.sources.io import read_table_csv, write_table_csv
-
-    rows = pa.table(
-        {
-            "url": pa.array([f"http://h{i}.example/p{i}" for i in range(64)]),
-            "status_code": pa.array([200 + (i % 3) for i in range(64)], pa.int32()),
-            "content": pa.array(
-                [bytes([i % 256]) * (i + 1) for i in range(64)], pa.binary()
-            ),
-        }
-    )
-    out = str(tmp_path / "csvdir")
-    write_table_csv(ray.data.from_arrow(rows), out)
-    back = read_table_csv(out).to_pandas().sort_values("url").reset_index(drop=True)
-    orig = rows.to_pandas().sort_values("url").reset_index(drop=True)
-    assert list(back["url"]) == list(orig["url"])
-    assert list(back["status_code"]) == list(orig["status_code"])
-    assert list(back["content"]) == list(orig["content"])

@@ -70,47 +70,3 @@ def test_semantic_decontaminate_properties(ray_session):
     }
     for r in out.itertuples():
         assert truth[int(r.vec_id)] == int(r.cos_sim_e4)
-
-
-def test_image_curate_matches_replica(ray_session):
-    """The distributed curation gate equals a single-process pandas
-    replica of the same rules (metadata gate, caption token range,
-    first-image_id-per-phash dedup)."""
-    import re
-
-    from heroshi_ray.pipelines import dataops as d
-
-    out = (
-        to_df(d.q_image_curate(SF_DIR))
-        .sort_values("image_id")
-        .reset_index(drop=True)
-    )
-    corpus = pq.read_table(d._ensure_curate_corpus()).to_pandas()
-    ntok = corpus["caption"].map(lambda c: len(re.findall(r"\S+", c)))
-    lo = corpus[["w", "h"]].min(axis=1)
-    hi = corpus[["w", "h"]].max(axis=1)
-    keep = (
-        (lo >= 48)
-        & (hi * 100 <= 150 * lo)
-        & corpus["fmt"].isin(["png", "qpng"])
-        & (ntok >= 6)
-        & (ntok <= 18)
-    )
-    rep = corpus.loc[keep, ["image_id", "w", "h", "fmt", "phash"]].copy()
-    rep["n_cap_tokens"] = ntok[keep]
-    rep = (
-        rep.sort_values(["phash", "image_id"], kind="mergesort")
-        .drop_duplicates("phash", keep="first")
-        .sort_values("image_id")
-        .reset_index(drop=True)
-    )
-    assert len(out) > 0 and len(out) < len(corpus), (
-        "gate must have real selectivity"
-    )
-    # the planted foreign-codec row must be rejected by the fmt gate
-    assert "imgforeign" not in set(out["image_id"])
-    pd.testing.assert_frame_equal(
-        out[["image_id", "w", "h", "fmt", "n_cap_tokens", "phash"]],
-        rep[["image_id", "w", "h", "fmt", "n_cap_tokens", "phash"]],
-        check_dtype=False,
-    )

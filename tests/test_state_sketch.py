@@ -28,19 +28,6 @@ def test_robots_cache_pool(ray_session):
     rc.shutdown()
 
 
-def test_phash_neardup_finds_planted(ray_session):
-    from heroshi_ray.pipelines.dataops import q_phash_neardup
-
-    out = q_phash_neardup("unused").to_pandas()
-    # the three lossy re-encodes pair with their originals
-    planted = {("img00000000", "dup0000"), ("img00000001", "dup0001"),
-               ("img00000002", "dup0002")}
-    found = set(zip(out["image_a"], out["image_b"]))
-    normalized = {tuple(sorted(p)) for p in found}
-    assert {tuple(sorted(p)) for p in planted} <= normalized
-    assert (out["hamming"] <= 6).all()
-
-
 def test_sample_deterministic(ray_session):
     from heroshi_ray.pipelines.dataops import q_sample
 

@@ -1,5 +1,4 @@
-"""Unit tests: ANN kernels (IVF), image multimodal stages, the q_ann_knn
-driver fork."""
+"""Unit tests: ANN kernels (IVF) and the q_ann_knn driver fork."""
 
 from __future__ import annotations
 
@@ -25,45 +24,9 @@ def test_ivf_recall():
     assert in_probed >= 8  # high recall with 2 probes on well-separated clusters
 
 
-def test_multimodal_stages():
-    from heroshi_ray.fixtures import make_corpus
-    from heroshi_ray.stages.multimodal import ImageDecodeStage, block_mean_resize
-
-    corpus = make_corpus(6, seed=9)
-    out = ImageDecodeStage(thumb=8)(corpus)
-    assert out.num_rows == 6
-    # recomputed phash matches the stored column (decode is correct)
-    assert out.column("phash_recomputed").to_pylist() == corpus.column(
-        "phash"
-    ).to_pylist()
-    assert all(len(t) > 0 for t in out.column("thumb_png").to_pylist())
-    px = np.arange(16 * 16 * 3, dtype=np.uint8).reshape(16, 16, 3)
-    r = block_mean_resize(px, 4, 4)
-    assert r.shape == (4, 4, 3)
-
-
 def test_as_matrix_shapes():
     m = as_matrix([[1.0, 2.0], [3.0, 4.0]])
     assert m.shape == (2, 2) and m.dtype == np.float32
-
-
-def test_image_feature_stage():
-    from heroshi_ray.fixtures import make_corpus
-    from heroshi_ray.stages.multimodal import ImageFeatureStage
-
-    corpus = make_corpus(4, seed=11)
-    out = ImageFeatureStage()(corpus)
-    assert out.num_rows == 4
-    feats = out.column("features").to_pylist()
-    assert all(len(f) == 30 for f in feats)  # 3 x (8 hist + mean + std)
-    # histograms normalized: each channel's 8 bins sum to ~1
-    for f in feats:
-        for c in range(3):
-            assert abs(sum(f[c * 10 : c * 10 + 8]) - 1.0) < 1e-5
-            assert 0.0 <= f[c * 10 + 8] <= 1.0  # mean scaled
-    # deterministic
-    out2 = ImageFeatureStage()(corpus)
-    assert out.column("features").to_pylist() == out2.column("features").to_pylist()
 
 
 def test_ann_driver_fork_equivalence(ray_session):
