@@ -268,7 +268,7 @@ def _run_query(args) -> int:
     qs, orc = entrymod.queries(), entrymod.oracle_sql()
     if not args.name:
         for name in sorted(qs):
-            print(f"{name}\t{'oracled' if name in orc else 'rows-only'}")
+            print(name)
         return 0
     if args.name not in qs:
         print(json.dumps({"err": f"unknown query {args.name!r}"}))
@@ -282,39 +282,36 @@ def _run_query(args) -> int:
               "columns": sorted(df.columns.tolist())}
 
     if args.oracle:
-        if args.name not in orc:
-            report["oracle"] = "none (rows-only operator)"
-        else:
-            import duckdb
+        import duckdb
 
-            con = duckdb.connect()
-            for t in ("region nation customer supplier part orders "
-                      "lineitem events documents embeddings").split():
-                con.execute(
-                    f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"'{os.path.join(args.sf_dir, t + '.parquet')}'"
-                )
+        con = duckdb.connect()
+        for t in ("region nation customer supplier part orders "
+                  "lineitem events documents embeddings").split():
+            con.execute(
+                f"CREATE VIEW {t} AS SELECT * FROM "
+                f"'{os.path.join(args.sf_dir, t + '.parquet')}'"
+            )
 
-            def canon(x: pd.DataFrame) -> pd.DataFrame:
-                x = x[sorted(x.columns)].copy()
-                for c in x.columns:
-                    if x[c].dtype == object:
-                        x[c] = x[c].astype(str)
-                return x.sort_values(
-                    list(x.columns), kind="mergesort"
-                ).reset_index(drop=True)
+        def canon(x: pd.DataFrame) -> pd.DataFrame:
+            x = x[sorted(x.columns)].copy()
+            for c in x.columns:
+                if x[c].dtype == object:
+                    x[c] = x[c].astype(str)
+            return x.sort_values(
+                list(x.columns), kind="mergesort"
+            ).reset_index(drop=True)
 
-            theirs = con.sql(orc[args.name]).df()
-            try:
-                pd.testing.assert_frame_equal(
-                    canon(df), canon(theirs),
-                    check_dtype=False, check_exact=True,
-                )
-                report["oracle"] = "match"
-            except AssertionError as e:
-                report["oracle"] = f"MISMATCH: {str(e)[:200]}"
-                print(json.dumps(report))
-                return 1
+        theirs = con.sql(orc[args.name]).df()
+        try:
+            pd.testing.assert_frame_equal(
+                canon(df), canon(theirs),
+                check_dtype=False, check_exact=True,
+            )
+            report["oracle"] = "match"
+        except AssertionError as e:
+            report["oracle"] = f"MISMATCH: {str(e)[:200]}"
+            print(json.dumps(report))
+            return 1
     print(json.dumps(report))
     if args.head and len(df):
         print(df.head(args.head).to_string())

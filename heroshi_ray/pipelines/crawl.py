@@ -2,20 +2,30 @@
 
 Heroshi's manager hands out crawl-queue batches and merges fetch
 reports ([UPSTREAM-M], reference unavailable); here the same semantics
-run as a sequence of discrete epochs, each one a streaming Ray Data
-plan:
+run as a sequence of discrete epochs:
 
     read_frontier  (partitioned by host_shard)
       -> robots gate (J2: broadcast parsed-robots, no shuffle)
-      -> per-host top-budget (K1: ONE shuffle keyed hash(host)%P)
-      -> global order (K2: sort(priority desc, surt asc) + limit)
-      -> fetch (A-F actor pool)
-      -> extract links/captions (X1 actor pool) ; corpus rows (M8+M9)
-      -> canonicalize (fused M1-M3) -> exact dedup (D1, shuffle on
-         hash(surt)%B) -> seen-set gate (J1 actor RPCs)
+      -> per-host top-budget (K1) + global order (K2: priority desc,
+         surt asc, limit) — a zero-shuffle combiner
+      -> fetch (A-F) -> FusedExtractor (X1 links + captions, M8+M9
+         image rows) on each fetched batch, in the same task
+         [barrier 1: one materialize]
+      -> one per-block summary task round: fetch log, redirects,
+         captions, failures/retries and link counts reach the driver;
+         image bytes and HTML bodies do not
+      -> image rows -> caption attach -> corpus write  [barrier 2]
+      -> canonicalize (fused M1-M3) -> exact dedup (D1) -> seen-set
+         gate (J1)
       -> new frontier = (pending - scheduled) ∪ admitted ∪ retries
-      -> atomic checkpoint (frontier, seen shards, politeness, captions,
-         manifest) — the resume point.
+      -> atomic checkpoint (frontier, seen shards, politeness, counters,
+         metrics row, manifest) — the resume point.
+
+Under ``frontier_driver_max`` an epoch starts two Ray Data executions,
+the two barriers: barrier 2 reads the captions sink, which holds this
+epoch's captions only after barrier 1. Everything between them is
+driver work on epoch-scale tables. Above the bound the robots gate,
+admission and frontier assembly run as streaming plans instead.
 
 Scale notes (10^10-URL frontier):
 - the frontier itself only ever streams: read_parquet -> map_batches
@@ -24,10 +34,11 @@ Scale notes (10^10-URL frontier):
   budget — that is the unit pinned in the object store
   (``.materialize()``), never pulled to the driver with bodies.
 - driver-side state is O(hosts-this-epoch) (budgets) and
-  O(epoch batch) (captions/redirects discovered this epoch): nothing
-  cumulative. The caption store and admitted log are append-only
-  parquet sinks written by datasets; captions attach to corpus rows by
-  a distributed hash join, never a driver dict.
+  O(epoch batch) (fetch log, captions, redirects of this epoch):
+  nothing cumulative. The caption store and admitted log are
+  append-only parquet sinks; captions attach to corpus rows through a
+  broadcast first-wins dict under ``caption_broadcast_max`` sink rows
+  and a distributed hash join above it.
 - redirects: the fetcher chases 3xx chains itself (bounded hops); the
   discovered URLs run through canonicalize and are MARKED seen so they
   are never re-fetched as links, but are not enqueued (their content
@@ -55,7 +66,7 @@ import ray.data
 
 from ..functions.robots import ALLOW_ALL, crawl_delay, parse_robots
 from ..schemas import (
-    FRONTIER, METRICS, STATE_FAILED, STATE_PENDING, STATE_ROBOTS_DENIED,
+    CORPUS, FRONTIER, METRICS, STATE_FAILED, STATE_PENDING, STATE_ROBOTS_DENIED,
 )
 from ..sources.io import (
     append_epoch_table,
@@ -75,7 +86,7 @@ from ..sources.io import (
 )
 from ..stages.canonicalize import canonicalize_dataset
 from ..stages.dedup import dedup_first
-from ..stages.extract import ImageRowBuilder, LinkExtractor
+from ..stages.extract import IMAGE_FIELDS, LINKS_SCHEMA, FusedExtractor
 from ..stages.fetch import fetch_dataset
 from ..stages.schedule import (
     _ALLOWED_COL,
@@ -105,6 +116,54 @@ def _gate_block_summary(block: pa.Table):
     denied = block.filter(pc.invert(m)).drop_columns([_ALLOWED_COL])
     hosts = pc.unique(block.filter(m).column("host")).to_pylist()
     return denied, hosts
+
+
+_IMAGE_ROWS = CORPUS.append(pa.field("url", pa.string()))
+
+
+def _ipc(table: pa.Table) -> pa.Buffer:
+    """``table`` as one Arrow IPC stream: a task returns it in about half
+    the time a pickled pa.Table takes (a few ms per task round)."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table)
+    return sink.getvalue()
+
+
+@ray.remote(num_returns=2)
+def _extract_block_summary(block: pa.Table):
+    """One task per materialized FusedExtractor block ->
+    ((fetch-log rows, captioned link rows, link count, image count),
+    link rows); the two tables of the first as ``_ipc`` streams.
+    Replaces the fetch-log write, redirect, caption and failure passes
+    (four Dataset executions) with one task round; no image bytes reach
+    the driver, and the link rows come back as their own object, pulled
+    only when the epoch's admission runs driver-side."""
+    if block.num_rows == 0 or "links" not in block.column_names:
+        # zero-row blocks can arrive schema-less from the executor
+        return (None, None, 0, 0), LINKS_SCHEMA.empty_table()
+    links = pa.Table.from_struct_array(
+        pc.list_flatten(block.column("links").combine_chunks())
+    )
+    caps = links.filter(pc.not_equal(links.column("caption"), "")).select(
+        ["url", "caption"]
+    )
+    n_images = block.num_rows - block.column("image_id").null_count
+    log = block.drop_columns(["links", *IMAGE_FIELDS])
+    return (_ipc(log), _ipc(caps), links.num_rows, n_images), links
+
+
+def _image_rows(batch: pa.Table) -> pa.Table:
+    """FusedExtractor rows -> CORPUS rows (+ the ``url`` join key) of the
+    decodable images; the caption is attached by ``_attach_captions``."""
+    if batch.num_rows == 0 or "image_id" not in batch.column_names:
+        return _IMAGE_ROWS.empty_table()
+    b = batch.filter(pc.is_valid(batch.column("image_id")))
+    cols = {f: b.column(f) for f in IMAGE_FIELDS}
+    cols["caption"] = pa.array([""] * b.num_rows, pa.string())
+    # ImageRowBuilder keys image rows on the URL that served them
+    cols["url"] = b.column("final_url")
+    return pa.table(cols).select(_IMAGE_ROWS.names).cast(_IMAGE_ROWS)
 
 
 def _distinct_hosts(ds: "ray.data.Dataset") -> list[str]:
@@ -140,11 +199,12 @@ class CrawlConfig:
     max_depth: int = 64
     robots_via_actors: bool = False  # A-R shard pool instead of driver broadcast
     n_robots_shards: int = 2
-    # physical plan for the stateful per-epoch stages (fetch/extract/
-    # image-rows): "actors" = Ray Data actor pools (the 100-TB plan:
-    # isolation, autoscaling, per-stage num_cpus), "tasks" = same
-    # callables cached per worker process (runtime.task_stage — saves
-    # the ~1-1.7 s/stage actor-pool spin-up that dominates SMALL
+    # physical plan for the epoch's fetch and FusedExtractor stages:
+    # "actors" = one fetch actor pool and one extract actor pool per
+    # epoch (the 100-TB plan: isolation, autoscaling, per-stage
+    # num_cpus), "tasks" = the same callables cached per worker process
+    # and fused into one task per fetched batch (runtime.task_stage —
+    # saves the ~1-1.7 s/pool actor spin-up that dominates SMALL
     # epochs), "auto" = tasks when the epoch batch <= actor_cutover.
     stateful_mode: str = "auto"
     actor_cutover: int = 100_000
@@ -454,22 +514,22 @@ class Crawler:
             # carries over unchanged except denied rows drop out
             new_frontier = allowed_tbl if drv else allowed_ds
             self._finish_epoch(
-                e, new_frontier, sched_tbl, None, n_denied, 0, 0, 0, t0, report
+                e, new_frontier, sched_tbl, None, n_denied, 0, 0, t0, report
             )
             return frontier_row_count(self.workdir, e + 1)
 
-        # consume politeness tokens for what was actually scheduled
-        counts = pd.Series(sched_tbl.column("host").to_pylist()).value_counts().to_dict()
-        self.pol.consume(counts, now_s, delays)
-
-        # A-F fetch — actor pool (or process-cached tasks for small
-        # epochs); epoch batch pinned in object store, not driver
+        # A-F fetch with the fused link/image extract chained onto it (one
+        # task per fetched batch in "tasks" mode; a fetch pool and one
+        # extract pool in "actors" mode). Barrier 1: ONE execution, the
+        # epoch batch pinned in the object store, never on the driver.
         mode = cfg.stateful_mode
         if mode == "auto":
             mode = "tasks" if n_sched <= cfg.actor_cutover else "actors"
         sched_sel = sched_tbl.select(FRONTIER.names).cast(FRONTIER)
         fetched = fetch_dataset(
-            ray.data.from_arrow(sched_sel),
+            # from_blocks reads the block metadata here; from_arrow spends
+            # a remote task round on it
+            ray.data.from_blocks([sched_sel]),
             self.pages_ref,
             now_us=now_us,
             concurrency=cfg.fetch_concurrency,
@@ -478,28 +538,56 @@ class Crawler:
             mode=mode,
             fetcher_cls=cfg.fetcher_cls,
             fetcher_kwargs=cfg.fetcher_kwargs,
-        ).materialize()
+        )
+        if mode == "tasks":
+            fused = fetched.map_batches(
+                task_stage(FusedExtractor), batch_format="pyarrow"
+            )
+        else:
+            fused = fetched.map_batches(
+                FusedExtractor, batch_format="pyarrow", concurrency=(1, 2),
+                num_cpus=0.5,
+            )
+        fused = fused.materialize()
+        # ONE per-block task round brings back what the driver needs;
+        # the link rows stay behind as refs
+        outs = [_extract_block_summary.remote(r) for r in fused.to_arrow_refs()]
+        # while the round runs: consume politeness tokens for what was
+        # scheduled (actor round trips), build barrier 2's lazy input
+        counts = pd.Series(sched_tbl.column("host").to_pylist()).value_counts().to_dict()
+        self.pol.consume(counts, now_s, delays)
+        img_rows = fused.map_batches(_image_rows, batch_format="pyarrow")
+        summaries = ray.get([s for s, _ in outs])
+        link_refs = [lk for _, lk in outs]
+        flog, caps = (
+            pa.concat_tables(
+                [
+                    pa.ipc.open_stream(t[i]).read_all()
+                    for t in summaries
+                    if t[i] is not None
+                ]
+            )
+            for i in (0, 1)
+        )
+        links_out = sum(t[2] for t in summaries)
+        corpus_rows = sum(t[3] for t in summaries)
 
         # fetch log without bodies (resumable, append-only)
-        log_dir = os.path.join(self.workdir, "fetchlog", f"e{e}")
-        os.makedirs(log_dir, exist_ok=True)
-        fetched.drop_columns(["content"]).write_parquet(log_dir)
+        write_epoch_table(flog, self.workdir, "fetchlog", e)
 
         # redirect-discovered URLs (3xx chase targets) flow through
         # canonicalize -> seen: marked as crawled so they are never
         # re-fetched as links, but NOT admitted as pending (their content
         # arrived under the original URL). Bounded by epoch batch x hops.
-        red_df = fetched.map_batches(
-            lambda b: b.filter(pc.greater(b.column("n_redirects"), 0)).select(
-                ["final_url", "redirect_chain"]
-            ),
-            batch_format="pyarrow",
-        ).to_pandas()
-        if len(red_df):
+        red = flog.filter(pc.greater(flog.column("n_redirects"), 0))
+        if red.num_rows:
             from ..functions.urlnorm import canonicalize
 
             disc: set = set()
-            for fu, ch in zip(red_df["final_url"], red_df["redirect_chain"]):
+            for fu, ch in zip(
+                red.column("final_url").to_pylist(),
+                red.column("redirect_chain").to_pylist(),
+            ):
                 disc.update(ch)
                 disc.add(fu)
             surts = []
@@ -510,37 +598,22 @@ class Crawler:
             if surts:
                 self.seen.check_and_add(surts)
 
-        # X1: links + captions
-        if mode == "tasks":
-            links = fetched.map_batches(
-                task_stage(LinkExtractor), batch_format="pyarrow", batch_size=256
-            ).materialize()
-        else:
-            links = fetched.map_batches(
-                LinkExtractor, batch_format="pyarrow", concurrency=(1, 2),
-                batch_size=256, num_cpus=0.5,
-            ).materialize()
         # captions discovered THIS epoch (min per url) -> append-only
         # epoch sink; the cumulative caption store lives in parquet, not
         # in a driver dict (at 10^10 URLs a dict is driver-OOM)
-        cap_df = (
-            links.map_batches(
-                lambda b: b.filter(pc.not_equal(b.column("caption"), "")).select(
-                    ["url", "caption"]
-                ),
-                batch_format="pyarrow",
+        if caps.num_rows:
+            firsts = (
+                caps.group_by("url")
+                .aggregate([("caption", "min")])
+                .sort_by("url")
             )
-            .to_pandas()
-        )
-        if len(cap_df):
-            firsts = cap_df.groupby("url", sort=True)["caption"].min().reset_index()
             append_epoch_table(
                 pa.table(
                     {
-                        "url": pa.array(firsts["url"], pa.string()),
-                        "caption": pa.array(firsts["caption"], pa.string()),
+                        "url": firsts.column("url"),
+                        "caption": firsts.column("caption_min"),
                         "epoch": pa.array(
-                            np.full(len(firsts), e, dtype=np.int64), pa.int64()
+                            np.full(firsts.num_rows, e, dtype=np.int64), pa.int64()
                         ),
                     }
                 ),
@@ -549,47 +622,34 @@ class Crawler:
                 e,
             )
 
-        # corpus rows from fetched images; caption attached by JOINING
-        # the captions sink on url (first-wins across epochs = min epoch)
+        # Barrier 2: corpus rows from the pinned fused blocks; caption
+        # attached from the captions sink, which now holds this epoch's
+        # captions (first-wins across epochs = min epoch)
         corpus_dir = os.path.join(self.workdir, "corpus", f"e{e}")
         os.makedirs(corpus_dir, exist_ok=True)
-        if mode == "tasks":
-            img_rows = fetched.map_batches(
-                task_stage(ImageRowBuilder), batch_format="pyarrow", batch_size=64
-            ).materialize()
-        else:
-            img_rows = fetched.map_batches(
-                ImageRowBuilder,
-                batch_format="pyarrow",
-                concurrency=(1, 2),
-                batch_size=64,
-                num_cpus=0.5,
-            ).materialize()  # bounded by the epoch batch; pinned for count+join
-        n_img = img_rows.count()
-        if n_img:
-            # repartition squeezes out zero-row blocks first: Ray's hash
-            # join (2.49) loses the left schema on aggregator partitions
-            # that receive only empty blocks and aborts with ArrowInvalid
-            img_rows = img_rows.repartition(max(1, min(4, n_img // 64)))
-            self._attach_captions(img_rows, e).write_parquet(corpus_dir)
+        if corpus_rows:
+            self._attach_captions(img_rows, e, corpus_rows).write_parquet(
+                corpus_dir
+            )
 
         # candidates: canonicalize -> D1 exact dedup -> J1 seen gate.
-        # Size-adaptive like the seed bootstrap: links are epoch-scale
-        # and already materialized, so under ``frontier_driver_max``
-        # rows the chain runs driver-side through the SAME kernels
-        # (canonicalize_candidates, the _first_per_key tie-break —
-        # identical to dedup_first's per-bucket reducer — and the seen
-        # pool's routed test-and-set); above the bound the streaming
-        # canonicalize -> bucket-shuffle dedup -> filter_new plan runs.
+        # Size-adaptive like the seed bootstrap: links are epoch-scale,
+        # so under ``frontier_driver_max`` rows the chain runs
+        # driver-side through the SAME kernels (canonicalize_candidates,
+        # the _first_per_key tie-break — identical to dedup_first's
+        # per-bucket reducer — and the seen pool's routed test-and-set);
+        # above the bound the streaming canonicalize -> bucket-shuffle
+        # dedup -> filter_new plan runs over the link blocks the summary
+        # round left in the object store.
         # ``admitted`` is a pa.Table on the driver path, a Dataset on
         # the streaming path; both frontier-assembly forks handle both.
-        if links.count() <= cfg.frontier_driver_max:
+        if links_out <= cfg.frontier_driver_max:
             from ..stages.canonicalize import canonicalize_candidates
             from ..stages.dedup import _first_per_key
 
             lb = [
                 t.select(["url", "depth", "parent_surt"])
-                for t in ray.get(links.to_arrow_refs())
+                for t in ray.get(link_refs)
                 if t.num_rows
             ]
             if lb:
@@ -602,13 +662,17 @@ class Crawler:
                     url_filter=cfg.url_filter,
                     priority_fn=cfg.priority_fn,
                 )
+                # pandas carries only the dedup key and tie-break; the
+                # kept rows are taken from the Arrow table
                 df = _first_per_key(
-                    cand_tbl.to_pandas(), "surt", ["depth", "parent_surt"]
+                    cand_tbl.select(["surt", "depth", "parent_surt"]).to_pandas(),
+                    "surt",
+                    ["depth", "parent_surt"],
                 )
                 mask = self.seen.check_and_add(df["surt"].tolist())
-                admitted = pa.Table.from_pandas(
-                    df[mask], preserve_index=False
-                ).select(FRONTIER.names).cast(FRONTIER)
+                admitted = cand_tbl.take(pa.array(df.index[mask])).select(
+                    FRONTIER.names
+                ).cast(FRONTIER)
             else:
                 admitted = FRONTIER.empty_table()
             n_admitted = admitted.num_rows
@@ -618,7 +682,9 @@ class Crawler:
                 )
         else:
             cand = canonicalize_dataset(
-                links.select_columns(["url", "depth", "parent_surt"]),
+                ray.data.from_arrow_refs(link_refs).select_columns(
+                    ["url", "depth", "parent_surt"]
+                ),
                 depth_col="depth",
                 parent_col="parent_surt",
                 now_us=self._now_us(e + 1),
@@ -640,15 +706,11 @@ class Crawler:
                     e + 1,
                 )
 
-        # retries / permanent failures (nested cols dropped: pandas is
-        # only a carrier for the scalar retry fields)
-        fail_tbl = fetched.map_batches(
-            lambda b: b.filter(pc.invert(b.column("success"))),
-            batch_format="pyarrow",
-        ).drop_columns(["content", "headers", "redirect_chain"]).to_pandas()
-        retry_rows, n_failed_perm = self._build_retries(fail_tbl, e, now_us)
-        report.fetch_ok += n_sched - len(fail_tbl)
-        report.fetch_err += len(fail_tbl)
+        # retries / permanent failures
+        fail_tbl = flog.filter(pc.invert(flog.column("success")))
+        retry_rows = self._build_retries(fail_tbl, e, now_us)
+        report.fetch_ok += n_sched - fail_tbl.num_rows
+        report.fetch_err += fail_tbl.num_rows
 
         # new frontier = (allowed - scheduled) ∪ admitted ∪ retries.
         # Size-adaptive: every piece is epoch-scale and already pinned
@@ -727,20 +789,24 @@ class Crawler:
         self._finish_epoch(
             e, new_frontier, sched_tbl,
             (report.fetch_ok - ok0, report.fetch_err - err0),
-            n_denied, n_sched, n_admitted, n_failed_perm, t0, report,
+            n_denied, n_sched, n_admitted, t0, report,
+            links_out=links_out, corpus_rows=corpus_rows,
         )
         return frontier_row_count(self.workdir, e + 1)
 
-    def _attach_captions(self, img_rows: "ray.data.Dataset", e: int) -> "ray.data.Dataset":
+    def _attach_captions(
+        self, img_rows: "ray.data.Dataset", e: int, n_rows: int
+    ) -> "ray.data.Dataset":
         """CORPUS rows (+url) ⋈ captions sink on url, first-wins across
-        epochs (min epoch). Size-adaptive like the other small-side
-        joins: under ``caption_broadcast_max`` sink rows (parquet
-        metadata count — no read) the first-wins dict is built driver-
-        side and broadcast once via ray.put, probed per batch (zero
-        shuffle; the distributed join's fixed cost was ~4-5 s/epoch on
-        kilobyte caption sinks); above the bound the caption store never
-        touches the driver — dedup_first + distributed hash join.
-        Equivalence-tested (tests/test_e2e_crawl.py)."""
+        epochs (min epoch); ``img_rows`` holds ``n_rows`` rows. Size-
+        adaptive like the other small-side joins: under
+        ``caption_broadcast_max`` sink rows (parquet metadata count — no
+        read) the first-wins dict is built driver-side and broadcast once
+        via ray.put, probed per batch (zero shuffle; the distributed
+        join's fixed cost was ~4-5 s/epoch on kilobyte caption sinks);
+        above the bound the caption store never touches the driver —
+        dedup_first + distributed hash join. Equivalence-tested
+        (tests/test_stateful_mode.py)."""
         import glob
 
         from ..runtime import tune_join_resources
@@ -791,6 +857,10 @@ class Crawler:
         # behind (Ray's hash join aborts on empty-block-only partitions)
         n_caps = caps.count()
         caps = caps.repartition(max(1, min(8, n_caps // 4096)))
+        # the left side too: Ray's hash join (2.49) loses the left schema
+        # on aggregator partitions that receive only empty blocks and
+        # aborts with ArrowInvalid
+        img_rows = img_rows.repartition(max(1, min(4, n_rows // 64)))
         joined = img_rows.drop_columns(["caption"]).join(
             caps,
             join_type="left_outer",
@@ -815,59 +885,51 @@ class Crawler:
 
         return joined.map_batches(finish, batch_format="pyarrow")
 
-    def _build_retries(self, fail_df: pd.DataFrame, e: int, now_us: int):
+    def _build_retries(self, fails: pa.Table, e: int, now_us: int) -> pa.Table:
+        """Failed fetch-log rows -> next epoch's retry rows (5xx under
+        ``max_retries``, decayed priority); the rest are logged to the
+        ``failed`` sink as permanent failures."""
         cfg = self.cfg
-        if len(fail_df) == 0:
-            return FRONTIER.empty_table(), 0
-        retryable = fail_df[
-            (fail_df["status_code"] >= 500) & (fail_df["retries"] < cfg.max_retries)
-        ]
-        n_perm = len(fail_df) - len(retryable)
-        perm = fail_df.drop(retryable.index)
-        if len(perm):
-            perm = perm.assign(state=STATE_FAILED)
+        retry = pc.and_(
+            pc.greater_equal(fails.column("status_code"), 500),
+            pc.less(fails.column("retries"), cfg.max_retries),
+        )
+        perm = fails.filter(pc.invert(retry))
+        if perm.num_rows:
             append_epoch_table(
-                pa.Table.from_pandas(perm, preserve_index=False),
+                perm.append_column(
+                    "state",
+                    pa.array(np.full(perm.num_rows, STATE_FAILED, dtype=np.uint8)),
+                ),
                 self.workdir,
                 "failed",
                 e,
             )
-        if len(retryable) == 0:
-            return FRONTIER.empty_table(), n_perm
-        n = len(retryable)
-        return (
-            pa.table(
-                {
-                    "url": pa.array(retryable["url"].tolist(), pa.string()),
-                    "surt": pa.array(retryable["surt"].tolist(), pa.string()),
-                    "host": pa.array(retryable["host"].tolist(), pa.string()),
-                    "priority": pa.array(
-                        (retryable["priority"] * cfg.retry_priority_decay).tolist(),
-                        pa.float64(),
-                    ),
-                    "depth": pa.array(
-                        retryable["depth"].astype("int32").tolist(), pa.int32()
-                    ),
-                    "parent_surt": pa.array([""] * n, pa.string()),
-                    "discovered_at": pa.array(
-                        np.full(n, now_us, dtype=np.int64), pa.timestamp("us")
-                    ),
-                    "state": pa.array(
-                        np.full(n, STATE_PENDING, dtype=np.uint8), pa.uint8()
-                    ),
-                    "retries": pa.array(
-                        (retryable["retries"] + 1).astype("int32").tolist(), pa.int32()
-                    ),
-                    "epoch": pa.array(np.full(n, e + 1, dtype=np.int64), pa.int64()),
-                },
-                schema=FRONTIER,
-            ),
-            n_perm,
+        r = fails.filter(retry)
+        n = r.num_rows
+        return pa.table(
+            {
+                "url": r.column("url"),
+                "surt": r.column("surt"),
+                "host": r.column("host"),
+                "priority": pc.multiply(
+                    r.column("priority"), cfg.retry_priority_decay
+                ),
+                "depth": r.column("depth"),
+                "parent_surt": pa.array([""] * n, pa.string()),
+                "discovered_at": pa.array(
+                    np.full(n, now_us, dtype=np.int64), pa.timestamp("us")
+                ),
+                "state": pa.array(np.full(n, STATE_PENDING, dtype=np.uint8)),
+                "retries": pc.add(r.column("retries"), 1),
+                "epoch": pa.array(np.full(n, e + 1, dtype=np.int64)),
+            },
+            schema=FRONTIER,
         )
 
     def _finish_epoch(
         self, e, new_frontier, sched_tbl, fetch_deltas, n_denied, n_sched, n_admitted,
-        n_failed, t0, report,
+        t0, report, links_out=0, corpus_rows=0,
     ) -> None:
         cfg = self.cfg
         if isinstance(new_frontier, pa.Table):
@@ -899,6 +961,8 @@ class Crawler:
             # the same thing in a resumed run as in an unbroken one
             "fetch_ok": int(ok_d),
             "fetch_err": int(err_d),
+            "links_out": int(links_out),
+            "corpus_rows": int(corpus_rows),
         }
         report.metrics.append(row)
         self._save_state(

@@ -62,8 +62,8 @@ def join_partitions(hi: int = 16) -> int:
 # Ray Data actor pools are created at EXECUTION start and torn down at
 # its end — a map_batches(Cls, concurrency=...) costs ~1-1.7 s of actor
 # spin-up per execution (measured) regardless of data size. A crawl
-# epoch runs three such stages, so at small epoch sizes the spin-up IS
-# the epoch. Worker *processes*, by contrast, persist across
+# epoch runs two such stages (fetch, FusedExtractor), so at small epoch
+# sizes the spin-up IS the epoch. Worker *processes*, by contrast, persist across
 # executions; caching the constructed stage instance per process gives
 # the same build-state-once semantics with ~0.13 s fixed cost, and the
 # cache survives every epoch of the crawl loop.

@@ -89,6 +89,9 @@ METRICS = pa.schema(
         # seen-set gauges of the epoch's commit snapshot
         ("seen_keys", pa.int64()),
         ("seen_load_max", pa.float64()),
+        # link rows extracted and corpus rows written by the epoch
+        ("links_out", pa.int64()),
+        ("corpus_rows", pa.int64()),
     ]
 )
 

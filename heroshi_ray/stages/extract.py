@@ -13,10 +13,12 @@ Outputs of ``LinkExtractor``: candidate link rows
 is fetched later).
 
 ``ImageRowBuilder`` turns successfully fetched image/* results into
-CORPUS rows: decode (M8) -> w/h -> phash (M9); caption looked up from
-the broadcast captions-discovered-so-far dict (small side of J3; at
-full scale this becomes a hash join on image url — documented in
-pipelines/crawl.py).
+CORPUS rows: decode (M8) -> w/h -> phash (M9). Captions are attached
+downstream, from the captions sink (pipelines/crawl.py).
+
+Both kernels tag each output row with ``row``, the index of the fetched
+row it came from, so ``FusedExtractor`` — the crawl epoch's one
+post-fetch stage — can line their outputs up with the fetched rows.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import re
 
 import numpy as np
 import pyarrow as pa
-
-import ray
 
 from ..functions.image import decode_image, phash64
 
@@ -41,10 +41,12 @@ LINKS_SCHEMA = pa.schema(
         ("caption", pa.string()),
     ]
 )
+_LINK_ROWS = LINKS_SCHEMA.append(pa.field("row", pa.int32()))
 
 
 class LinkExtractor:
-    """Actor-pool stage: FETCH rows (html) -> candidate link rows."""
+    """FETCH rows (html) -> candidate link rows (LINKS_SCHEMA + ``row``),
+    in input-row order."""
 
     def __init__(self):
         self.href_re = _HREF_RE
@@ -79,8 +81,9 @@ class LinkExtractor:
         out_parent: list[str] = []
         out_depth: list[int] = []
         out_cap: list[str] = []
+        out_row: list[int] = []
 
-        def _emit(base, href, surt, depth, cap):
+        def _emit(row, base, href, surt, depth, cap):
             href = href.strip()
             if not href or href.startswith(
                 ("javascript:", "mailto:", "data:", "#")
@@ -94,19 +97,20 @@ class LinkExtractor:
             out_parent.append(surt)
             out_depth.append(depth + 1)
             out_cap.append(cap)
+            out_row.append(row)
 
-        for url, surt, depth, ct, succ, content in zip(
-            urls, surts, depths, ctypes, ok, contents
+        for row, (url, surt, depth, ct, succ, content) in enumerate(
+            zip(urls, surts, depths, ctypes, ok, contents)
         ):
             if not succ or content is None or not ct.startswith("text/html"):
                 continue
             html = content.decode("utf-8", "replace")
             for href in self.href_re.findall(html):
-                _emit(url, href, surt, depth, "")
+                _emit(row, url, href, surt, depth, "")
             for src, alt in self.img_re.findall(html):
-                _emit(url, src, surt, depth, alt or "")
+                _emit(row, url, src, surt, depth, alt or "")
         if not abs_url:
-            return LINKS_SCHEMA.empty_table()
+            return _LINK_ROWS.empty_table()
         canon, _surt, _host, okm = canonicalize_batch_arrow(
             pa.array(abs_url, pa.string())
         )
@@ -119,8 +123,9 @@ class LinkExtractor:
                 "parent_surt": pa.array(out_parent, pa.string()),
                 "depth": pa.array(out_depth, pa.int32()),
                 "caption": pa.array(out_cap, pa.string()),
+                "row": pa.array(out_row, pa.int32()),
             },
-            schema=LINKS_SCHEMA,
+            schema=_LINK_ROWS,
         ).filter(keep)
 
 
@@ -128,15 +133,10 @@ _IMG_EXT_RE = re.compile(r"/([^/]+)\.(png|qpng)$")
 
 
 class ImageRowBuilder:
-    """Actor-pool stage: FETCH rows (image/*) -> CORPUS rows (+ a ``url``
-    join key). Captions are attached DOWNSTREAM by joining against the
-    append-only captions sink on url (pipelines/crawl.py) — the caption
-    store grows with the corpus and must never live on the driver or be
-    re-broadcast per epoch. ``captions_ref`` remains as an optional
-    broadcast fast path for bounded runs/tests."""
-
-    def __init__(self, captions_ref=None):
-        self.captions = ray.get(captions_ref) if captions_ref is not None else {}
+    """FETCH rows (image/*) -> CORPUS rows (+ a ``url`` join key and
+    ``row``), one per decodable image. ``caption`` is empty: captions are
+    attached downstream from the append-only captions sink on url
+    (``Crawler._attach_captions``)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = (
@@ -147,9 +147,12 @@ class ImageRowBuilder:
         ok = batch.column("success").to_pylist()
         ctypes = batch.column("content_type").to_pylist()
         contents = batch.column("content").to_pylist()
-        ids, blobs, ws, hs, fmts, caps, phs = [], [], [], [], [], [], []
+        ids, blobs, ws, hs, fmts, phs = [], [], [], [], [], []
         img_urls: list[str] = []
-        for url, succ, ct, content in zip(urls, ok, ctypes, contents):
+        rows: list[int] = []
+        for row, (url, succ, ct, content) in enumerate(
+            zip(urls, ok, ctypes, contents)
+        ):
             if not succ or content is None or not ct.startswith("image/"):
                 continue
             m = _IMG_EXT_RE.search(url)
@@ -165,9 +168,9 @@ class ImageRowBuilder:
             hs.append(px.shape[0])
             ws.append(px.shape[1])
             fmts.append(fmt)
-            caps.append(self.captions.get(url, ""))
             phs.append(phash64(px))
             img_urls.append(url)
+            rows.append(row)
         return pa.table(
             {
                 "image_id": pa.array(ids, pa.string()),
@@ -175,8 +178,51 @@ class ImageRowBuilder:
                 "w": pa.array(np.array(ws, dtype=np.int32), pa.int32()),
                 "h": pa.array(np.array(hs, dtype=np.int32), pa.int32()),
                 "fmt": pa.array(fmts, pa.string()),
-                "caption": pa.array(caps, pa.string()),
+                "caption": pa.array([""] * len(ids), pa.string()),
                 "phash": pa.array(np.array(phs, dtype=np.int64), pa.int64()),
                 "url": pa.array(img_urls, pa.string()),
+                "row": pa.array(rows, pa.int32()),
             }
         )
+
+
+# the corpus-row fields FusedExtractor carries per fetched row (null
+# unless the row is a decodable image); the caption is attached later
+IMAGE_FIELDS = ("image_id", "bytes", "w", "h", "fmt", "phash")
+
+
+class FusedExtractor:
+    """The crawl epoch's one post-fetch stage, chained onto the fetch so
+    it runs in the task (or actor pool) that holds the fetched batch:
+    ``LinkExtractor`` and ``ImageRowBuilder`` over the same batch,
+    returned as ONE row per fetched URL — the fetch-log columns (the
+    batch without ``content``), ``links`` (that page's link rows, a list
+    of LINKS_SCHEMA structs) and the IMAGE_FIELDS of its corpus row.
+    Page bodies are dropped here: they never reach the materialized
+    epoch blocks or the driver."""
+
+    def __init__(self):
+        self.links = LinkExtractor()
+        self.images = ImageRowBuilder()
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        links = self.links(batch)
+        # link rows arrive in input-row order: per-row counts -> offsets
+        counts = np.bincount(links.column("row").to_numpy(), minlength=n)
+        offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        structs = pa.StructArray.from_arrays(
+            [links.column(f.name).combine_chunks() for f in LINKS_SCHEMA],
+            fields=list(LINKS_SCHEMA),
+        )
+        out = batch.drop_columns(["content"]).append_column(
+            "links", pa.ListArray.from_arrays(pa.array(offsets), structs)
+        )
+        # scatter the image rows onto their fetched rows (null elsewhere)
+        imgs = self.images(batch)
+        at = np.full(n, -1, dtype=np.int64)
+        at[imgs.column("row").to_numpy()] = np.arange(imgs.num_rows)
+        imgs = imgs.take(pa.array(at, mask=at < 0))
+        for name in IMAGE_FIELDS:
+            out = out.append_column(name, imgs.column(name))
+        return out

@@ -203,5 +203,82 @@ def test_streaming_fork_equivalence(crawl_setup, tmp_path_factory):
             report.urls_admitted,
             report.robots_denied,
         )
+        assert sorted_fetch_log(wd2) == sorted_fetch_log(wd)
     finally:
         c2.shutdown()
+
+
+def sorted_fetch_log(wd):
+    from heroshi_ray.sources.io import read_epoch_tables
+
+    rows = read_epoch_tables(wd, "fetchlog").to_pylist()
+    assert rows
+    return sorted(rows, key=lambda r: (r["fetched_at"], r["url"]))
+
+
+def test_driver_fork_epoch_runs_two_executions(ray_session, tmp_path, monkeypatch):
+    """On the driver fork an epoch that writes corpus rows starts at most
+    two Ray Data executions: the fused fetch -> extract plan and the
+    corpus write. Every driver-side call that runs a plan is counted
+    once, at its outermost call; ``count`` and ``to_arrow_refs`` only on
+    a Dataset that is not materialized."""
+    import os
+
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
+
+    state = {"depth": 0, "epoch": None}
+    calls: dict = {}
+
+    def count_calls(name, lazy_only):
+        fn = getattr(ray.data.Dataset, name)
+
+        def wrapper(self, *args, **kwargs):
+            if (
+                state["depth"] == 0
+                and state["epoch"] is not None
+                and not (lazy_only and isinstance(self, MaterializedDataset))
+            ):
+                calls.setdefault(state["epoch"], []).append(name)
+            state["depth"] += 1
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                state["depth"] -= 1
+
+        monkeypatch.setattr(ray.data.Dataset, name, wrapper)
+
+    for name in ("materialize", "to_pandas", "write_parquet", "iter_batches", "take_all"):
+        count_calls(name, False)
+    for name in ("count", "to_arrow_refs"):
+        count_calls(name, True)
+
+    run_epoch = Crawler.run_epoch
+
+    def tracked_run_epoch(self, e, report):
+        state["epoch"] = e
+        try:
+            return run_epoch(self, e, report)
+        finally:
+            state["epoch"] = None
+
+    monkeypatch.setattr(Crawler, "run_epoch", tracked_run_epoch)
+
+    paths = write_fixture_dir(
+        str(tmp_path / "fx"), n_hosts=3, n_pages=24, n_images=8, n_seeds=4, seed=5
+    )
+    wd = str(tmp_path / "wd")
+    c = Crawler(paths, wd, CrawlConfig(epoch_budget=32, max_epochs=4))
+    c.run()
+    c.shutdown()
+
+    def writes_corpus(e):
+        d = os.path.join(wd, "corpus", f"e{e}")
+        return os.path.isdir(d) and any(f.endswith(".parquet") for f in os.listdir(d))
+
+    with_corpus = [e for e in calls if writes_corpus(e)]
+    assert with_corpus, calls
+    for e in with_corpus:
+        assert len(calls[e]) <= 2, (e, calls[e])

@@ -84,6 +84,13 @@ def test_resume_identical(ray_session, tmp_path):
     assert last_b["seen_keys"] == last_a["seen_keys"] > 0
     assert last_b["seen_load_max"] == last_a["seen_load_max"]
 
+    # every epoch's link and corpus-row counts match too
+    per_a = m_full.sort_values("epoch")[["epoch", "links_out", "corpus_rows"]]
+    per_b = m.sort_values("epoch")[["epoch", "links_out", "corpus_rows"]]
+    assert per_b.values.tolist() == per_a.values.tolist()
+    assert per_a["links_out"].sum() > 0
+    assert per_a["corpus_rows"].sum() == len(corpus_a)
+
     # the final seen-set snapshots are bit-identical: same buckets,
     # count and eviction-RNG state in every shard
     from heroshi_ray.sources.io import epoch_dir, latest_committed_epoch

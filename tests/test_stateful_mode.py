@@ -12,28 +12,49 @@ from heroshi_ray.fixtures import write_fixture_dir
 from heroshi_ray.sources.io import read_epoch_tables
 
 
+# small fetch batches: an epoch's fused extract stage sees several
+# batches (blocks), not one (politeness caps an epoch here at 20 rows)
+FETCH_BATCH = 4
+
+
 def _run(paths, wd, mode):
     from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
 
-    cfg = CrawlConfig(epoch_budget=48, max_epochs=4, stateful_mode=mode)
+    cfg = CrawlConfig(
+        epoch_budget=48, max_epochs=4, stateful_mode=mode,
+        fetch_batch_size=FETCH_BATCH,
+    )
     crawler = Crawler(paths, wd, cfg)
     report = crawler.run()
     order = crawler.schedule_order().to_pandas()
     order = order.sort_values(["sched_epoch", "rank"], kind="mergesort")
     adm = read_epoch_tables(wd, "admitted_log")
     admitted = sorted(adm.column("surt").to_pylist()) if adm is not None else []
+    corpus = crawler.corpus().to_pandas()
+    corpus["bytes"] = corpus["bytes"].map(bytes)
+    corpus = corpus.sort_values("image_id", kind="mergesort").reset_index(drop=True)
+    caps = read_epoch_tables(wd, "captions").to_pylist()
+    log = read_epoch_tables(wd, "fetchlog").to_pylist()
     crawler.shutdown()
-    return report, list(zip(order["host"], order["url"])), admitted
+    return report, list(zip(order["host"], order["url"])), admitted, {
+        "corpus": corpus,
+        "captions": sorted(caps, key=lambda r: (r["epoch"], r["url"])),
+        "fetchlog": sorted(log, key=lambda r: (r["fetched_at"], r["url"])),
+    }
 
 
 def test_actor_and_task_modes_identical(ray_session, tmp_path_factory):
+    from collections import Counter
+
+    import pandas as pd
+
     fx = str(tmp_path_factory.mktemp("fx_mode"))
     paths = write_fixture_dir(fx, n_hosts=4, n_pages=40, n_images=12, n_seeds=6, seed=7)
 
-    rep_t, order_t, adm_t = _run(
+    rep_t, order_t, adm_t, out_t = _run(
         paths, str(tmp_path_factory.mktemp("wd_tasks")), "tasks"
     )
-    rep_a, order_a, adm_a = _run(
+    rep_a, order_a, adm_a, out_a = _run(
         paths, str(tmp_path_factory.mktemp("wd_actors")), "actors"
     )
 
@@ -42,6 +63,14 @@ def test_actor_and_task_modes_identical(ray_session, tmp_path_factory):
     assert rep_t.fetch_ok == rep_a.fetch_ok
     assert rep_t.fetch_err == rep_a.fetch_err
     assert rep_t.urls_admitted == rep_a.urls_admitted
+    # the largest epoch spans at least 4 fetch batches
+    per_epoch = Counter(r["fetched_at"] for r in out_t["fetchlog"])
+    assert max(per_epoch.values()) > 3 * FETCH_BATCH
+    assert len(out_t["corpus"]) > 0
+    assert (out_t["corpus"]["caption"] != "").any()
+    pd.testing.assert_frame_equal(out_t["corpus"], out_a["corpus"], check_exact=True)
+    assert out_t["captions"] and out_t["captions"] == out_a["captions"]
+    assert out_t["fetchlog"] == out_a["fetchlog"]
 
 
 def _run_cfg(paths, wd, **cfg_kwargs):
