@@ -27,17 +27,19 @@ import os
 import sys
 import time
 
-# Raylet worker-pool tuning, read from env at ray.init: the schedule
-# pipeline's seen-gate blocks briefly in ray.get per block, which makes
-# the raylet backfill the slot with a new worker; without these, the
-# backfill workers are killed when idle and respawned (re-importing the
-# UDF chain) for every block — a continuous import storm that dominates
-# wall time at high parallelism.
-os.environ.setdefault("RAY_num_workers_soft_limit", "160")
-os.environ.setdefault("RAY_idle_worker_killing_time_threshold_ms", "10000000")
-
 # frontier rows per lineitem row of the sf tables (2.88M URLs at sf0.01)
 EXPAND = 48
+
+# the crawl loop's CrawlConfig, less max_epochs ($GRAFT_CRAWL_EPOCHS)
+CRAWL_KWARGS = dict(
+    epoch_budget=80_000,
+    n_seen_shards=8,
+    seen_capacity=1 << 22,
+    n_buckets=32,
+    n_pol_shards=4,
+    fetch_batch_size=512,
+    burst=200.0,
+)
 
 
 def run_bench(sf_dir: str, num_cpus: int, headline_only: bool = False) -> dict:
@@ -203,15 +205,7 @@ def run_crawl_bench() -> dict:
         "seeds": os.path.join(fx, "seeds.txt"),
     }
     cfg = CrawlConfig(
-        epoch_budget=80_000,
-        max_epochs=int(os.environ.get("GRAFT_CRAWL_EPOCHS", "3")),
-        n_seen_shards=8,
-        seen_capacity=1 << 22,
-        n_buckets=32,
-        n_pol_shards=4,
-        fetch_concurrency=12,
-        fetch_batch_size=512,
-        burst=200.0,
+        max_epochs=int(os.environ.get("GRAFT_CRAWL_EPOCHS", "3")), **CRAWL_KWARGS
     )
     # warm-up (untimed, same discipline as the headline bench): spawn the
     # worker pool + load the UDF import chain so the timed run measures
@@ -252,6 +246,14 @@ def run_crawl_bench() -> dict:
 
 
 def main() -> None:
+    # Raylet worker-pool tuning, read from env at ray.init: the schedule
+    # pipeline's seen-gate blocks briefly in ray.get per block, which
+    # makes the raylet backfill the slot with a new worker; without
+    # these, the backfill workers are killed when idle and respawned
+    # (re-importing the UDF chain) for every block — a continuous import
+    # storm that dominates wall time at high parallelism.
+    os.environ.setdefault("RAY_num_workers_soft_limit", "160")
+    os.environ.setdefault("RAY_idle_worker_killing_time_threshold_ms", "10000000")
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 

@@ -9,7 +9,10 @@ run as a sequence of discrete epochs:
       -> per-host top-budget (K1) + global order (K2: priority desc,
          surt asc, limit) — a zero-shuffle combiner
       -> fetch (A-F) -> FusedExtractor (X1 links + captions, M8+M9
-         image rows) on each fetched batch, in the same task
+         image rows), chained: the epoch's scheduled rows are one
+         block, so this is ONE task per epoch, fetching in
+         ``fetch_batch_size`` batches; both stage instances are cached
+         per worker process (runtime.task_stage)
          [barrier 1: one materialize]
       -> one per-block summary task round: fetch log, redirects,
          captions, failures/retries and link counts reach the driver;
@@ -37,8 +40,8 @@ Scale notes (10^10-URL frontier):
   O(epoch batch) (fetch log, captions, redirects of this epoch):
   nothing cumulative. The caption store and admitted log are
   append-only parquet sinks; captions attach to corpus rows through a
-  broadcast first-wins dict under ``caption_broadcast_max`` sink rows
-  and a distributed hash join above it.
+  broadcast first-wins dict of this epoch's image URLs only, read from
+  the sink with a ``url`` filter (O(epoch images) on the driver).
 - redirects: the fetcher chases 3xx chains itself (bounded hops); the
   discovered URLs run through canonicalize and are MARKED seen so they
   are never re-fetched as links, but are not enqueued (their content
@@ -133,24 +136,29 @@ def _ipc(table: pa.Table) -> pa.Buffer:
 @ray.remote(num_returns=2)
 def _extract_block_summary(block: pa.Table):
     """One task per materialized FusedExtractor block ->
-    ((fetch-log rows, captioned link rows, link count, image count),
+    ((fetch-log rows, captioned link rows, link count, image URLs),
     link rows); the two tables of the first as ``_ipc`` streams.
     Replaces the fetch-log write, redirect, caption and failure passes
     (four Dataset executions) with one task round; no image bytes reach
     the driver, and the link rows come back as their own object, pulled
-    only when the epoch's admission runs driver-side."""
+    only when the epoch's admission runs driver-side. The image URLs
+    are the caption join keys of the block's corpus rows (what
+    ``_image_rows`` puts in ``url``)."""
     if block.num_rows == 0 or "links" not in block.column_names:
         # zero-row blocks can arrive schema-less from the executor
-        return (None, None, 0, 0), LINKS_SCHEMA.empty_table()
+        no_urls = pa.array([], pa.string())
+        return (None, None, 0, no_urls), LINKS_SCHEMA.empty_table()
     links = pa.Table.from_struct_array(
         pc.list_flatten(block.column("links").combine_chunks())
     )
     caps = links.filter(pc.not_equal(links.column("caption"), "")).select(
         ["url", "caption"]
     )
-    n_images = block.num_rows - block.column("image_id").null_count
+    img_urls = pc.filter(
+        block.column("final_url"), pc.is_valid(block.column("image_id"))
+    ).combine_chunks()
     log = block.drop_columns(["links", *IMAGE_FIELDS])
-    return (_ipc(log), _ipc(caps), links.num_rows, n_images), links
+    return (_ipc(log), _ipc(caps), links.num_rows, img_urls), links
 
 
 def _image_rows(batch: pa.Table) -> pa.Table:
@@ -192,6 +200,8 @@ class CrawlConfig:
     n_pol_shards: int = 2
     n_buckets: int = 16             # D1 dedup buckets (shuffle width)
     n_host_shards: int = 8          # frontier partition key domain
+    # read by nothing since fetch runs only as per-process cached tasks;
+    # kept because perfbench/workloads.py::crawl_config still passes it
     fetch_concurrency: int = 2
     fetch_batch_size: int = 64
     ua: str = "heroshi-ray"
@@ -199,26 +209,14 @@ class CrawlConfig:
     max_depth: int = 64
     robots_via_actors: bool = False  # A-R shard pool instead of driver broadcast
     n_robots_shards: int = 2
-    # physical plan for the epoch's fetch and FusedExtractor stages:
-    # "actors" = one fetch actor pool and one extract actor pool per
-    # epoch (the 100-TB plan: isolation, autoscaling, per-stage
-    # num_cpus), "tasks" = the same callables cached per worker process
-    # and fused into one task per fetched batch (runtime.task_stage —
-    # saves the ~1-1.7 s/pool actor spin-up that dominates SMALL
-    # epochs), "auto" = tasks when the epoch batch <= actor_cutover.
-    stateful_mode: str = "auto"
-    actor_cutover: int = 100_000
-    # caption attach: broadcast-dict probe under this many caption-sink
-    # rows (first-wins dict ~100 B/row), distributed hash join above
-    caption_broadcast_max: int = 500_000
     # seed bootstrap: driver-side fast path for seed files up to this
     # size (~1M URLs); the streaming plan above it
     seed_driver_max_bytes: int = 64 << 20
-    # frontier write: assemble + write the next epoch's frontier on the
-    # driver when (gated rows + admitted rows) fit under this bound
-    # (~100 B/row; the pieces are all epoch-scale and already
-    # materialized) — a distributed write of a few-MB table costs a
-    # full plan launch. The streaming union+write runs above the bound.
+    # epoch fork (~100 B/row): a pending frontier of at most this many
+    # rows is gated, handed out and reassembled on the driver, and an
+    # epoch's links up to this many are admitted on the driver — a
+    # distributed plan over a few-MB table costs a full plan launch.
+    # The streaming plans run above the bound.
     frontier_driver_max: int = 2_000_000
     # extension hooks (SURVEY.md §2.9) — batch-level, cloudpickle-shipped
     url_filter: object = None       # fn(urls, hosts, depth) -> bool mask
@@ -300,13 +298,11 @@ class Crawler:
         """Bootstrap epoch 0 frontier from the seed list (SURVEY.md §3.1).
 
         Small seed files (the overwhelmingly common case — seed lists are
-        curated inputs, not crawl output) take a driver-side fast path
-        through the SAME kernels (canonicalize_candidates, the
-        dedup_first tie-break, the seen pool's routed test-and-set): the
-        streaming path costs three Dataset executions of pure fixed
-        overhead (~8-10 s) for a few thousand rows. Above
-        ``seed_driver_max_bytes`` the original streaming plan runs —
-        identical semantics, golden-tested."""
+        curated inputs, not crawl output) are read on the driver and
+        admitted through ``_admit``'s driver chain: the streaming chain
+        costs three Dataset executions of pure fixed overhead (~8-10 s)
+        for a few thousand rows. Above ``seed_driver_max_bytes`` the
+        streaming chain runs — identical semantics, golden-tested."""
         cfg = self.cfg
         try:
             small = (
@@ -315,35 +311,57 @@ class Crawler:
         except OSError:
             small = False
         if small:
-            from ..stages.canonicalize import canonicalize_candidates
-            from ..stages.dedup import _first_per_key
-
             with open(self.paths["seeds"]) as f:
                 urls = [ln.rstrip("\r\n") for ln in f if ln.strip()]
-            cand = canonicalize_candidates(
-                pa.table({"url": pa.array(urls, pa.string())}),
-                now_us=self._now_us(0), epoch=0,
-                url_filter=cfg.url_filter, priority_fn=cfg.priority_fn,
-            )
-            df = _first_per_key(cand.to_pandas(), "surt", ["depth", "parent_surt"])
-            mask = self.seen.check_and_add(df["surt"].tolist())
-            adm = pa.Table.from_pandas(df[mask], preserve_index=False)
-            adm = adm.select(FRONTIER.names).cast(FRONTIER)
+            adm, _ = self._admit(pa.table({"url": pa.array(urls, pa.string())}), 0)
             # the table is already driver-resident: write it directly
             # (a distributed write here is a plan launch for nothing)
             write_frontier_table(adm, self.workdir, 0, cfg.n_host_shards)
         else:
-            seeds = read_seeds(self.paths["seeds"])
-            cand = canonicalize_dataset(
-                seeds, now_us=self._now_us(0), epoch=0,
-                url_filter=cfg.url_filter, priority_fn=cfg.priority_fn,
-            )
-            cand = dedup_first(cand, n_buckets=cfg.n_buckets)
-            admitted = self.seen.filter_new(cand)
-            write_frontier(admitted, self.workdir, 0, cfg.n_host_shards)
+            adm, _ = self._admit(read_seeds(self.paths["seeds"]), 0)
+            write_frontier(adm, self.workdir, 0, cfg.n_host_shards)
         n = frontier_row_count(self.workdir, 0)
         self._save_state(0, {"pending": n, "phase": "seeded"})
         return n
+
+    def _admit(self, urls, epoch: int, **cols):
+        """The admission chain: canonicalize -> D1 exact dedup (first row
+        per surt under (depth, parent_surt)) -> J1 seen-set test-and-set.
+
+        ``urls`` is a pa.Table (the driver chain: canonicalize_candidates,
+        the _first_per_key tie-break — identical to dedup_first's
+        per-bucket reducer — and the seen pool's routed test-and-set) or
+        a Dataset (the streaming chain: canonicalize_dataset ->
+        bucket-shuffle dedup_first -> filter_new). ``cols`` names the
+        depth/parent columns when the rows are links. Returns the
+        admitted FRONTIER rows — a pa.Table, or a materialized Dataset
+        (filter_new is a test-and-set: it must run once) — and their
+        count."""
+        cfg = self.cfg
+        kw = dict(
+            now_us=self._now_us(epoch), epoch=epoch,
+            url_filter=cfg.url_filter, priority_fn=cfg.priority_fn, **cols,
+        )
+        if isinstance(urls, pa.Table):
+            from ..stages.canonicalize import canonicalize_candidates
+            from ..stages.dedup import _first_per_key
+
+            if urls.num_rows == 0:
+                return FRONTIER.empty_table(), 0
+            cand = canonicalize_candidates(urls, **kw)
+            # pandas carries only the dedup key and tie-break; the kept
+            # rows are taken from the Arrow table
+            df = _first_per_key(
+                cand.select(["surt", "depth", "parent_surt"]).to_pandas(),
+                "surt",
+                ["depth", "parent_surt"],
+            )
+            mask = self.seen.check_and_add(df["surt"].tolist())
+            adm = cand.take(pa.array(df.index[mask])).select(FRONTIER.names)
+            return adm.cast(FRONTIER), adm.num_rows
+        cand = dedup_first(canonicalize_dataset(urls, **kw), n_buckets=cfg.n_buckets)
+        adm = self.seen.filter_new(cand).materialize()
+        return adm, adm.count()
 
     # ------------------------------------------------------------------
     def _save_state(
@@ -440,7 +458,6 @@ class Crawler:
         # trickles together — denied rows (for the log) and the allowed
         # distinct hosts (for politeness budgets). The allowed side
         # stays a cheap column filter over the pinned gated blocks.
-        gated = None
         allowed_ds = None
         allowed_tbl = None
         if drv:
@@ -518,13 +535,11 @@ class Crawler:
             )
             return frontier_row_count(self.workdir, e + 1)
 
-        # A-F fetch with the fused link/image extract chained onto it (one
-        # task per fetched batch in "tasks" mode; a fetch pool and one
-        # extract pool in "actors" mode). Barrier 1: ONE execution, the
-        # epoch batch pinned in the object store, never on the driver.
-        mode = cfg.stateful_mode
-        if mode == "auto":
-            mode = "tasks" if n_sched <= cfg.actor_cutover else "actors"
+        # A-F fetch with the fused link/image extract chained onto it:
+        # the scheduled rows are one block, so ONE task per epoch runs
+        # both, with stage instances cached per worker process
+        # (runtime.task_stage). Barrier 1: ONE execution, the epoch
+        # batch pinned in the object store, never on the driver.
         sched_sel = sched_tbl.select(FRONTIER.names).cast(FRONTIER)
         fetched = fetch_dataset(
             # from_blocks reads the block metadata here; from_arrow spends
@@ -532,23 +547,14 @@ class Crawler:
             ray.data.from_blocks([sched_sel]),
             self.pages_ref,
             now_us=now_us,
-            concurrency=cfg.fetch_concurrency,
             batch_size=cfg.fetch_batch_size,
             counters=self.counters,
-            mode=mode,
             fetcher_cls=cfg.fetcher_cls,
             fetcher_kwargs=cfg.fetcher_kwargs,
         )
-        if mode == "tasks":
-            fused = fetched.map_batches(
-                task_stage(FusedExtractor), batch_format="pyarrow"
-            )
-        else:
-            fused = fetched.map_batches(
-                FusedExtractor, batch_format="pyarrow", concurrency=(1, 2),
-                num_cpus=0.5,
-            )
-        fused = fused.materialize()
+        fused = fetched.map_batches(
+            task_stage(FusedExtractor), batch_format="pyarrow"
+        ).materialize()
         # ONE per-block task round brings back what the driver needs;
         # the link rows stay behind as refs
         outs = [_extract_block_summary.remote(r) for r in fused.to_arrow_refs()]
@@ -570,7 +576,8 @@ class Crawler:
             for i in (0, 1)
         )
         links_out = sum(t[2] for t in summaries)
-        corpus_rows = sum(t[3] for t in summaries)
+        img_urls = pa.chunked_array([t[3] for t in summaries], pa.string())
+        corpus_rows = len(img_urls)
 
         # fetch log without bodies (resumable, append-only)
         write_epoch_table(flog, self.workdir, "fetchlog", e)
@@ -628,76 +635,44 @@ class Crawler:
         corpus_dir = os.path.join(self.workdir, "corpus", f"e{e}")
         os.makedirs(corpus_dir, exist_ok=True)
         if corpus_rows:
-            self._attach_captions(img_rows, e, corpus_rows).write_parquet(
-                corpus_dir
-            )
+            self._attach_captions(img_rows, img_urls).write_parquet(corpus_dir)
 
         # candidates: canonicalize -> D1 exact dedup -> J1 seen gate.
-        # Size-adaptive like the seed bootstrap: links are epoch-scale,
-        # so under ``frontier_driver_max`` rows the chain runs
-        # driver-side through the SAME kernels (canonicalize_candidates,
-        # the _first_per_key tie-break — identical to dedup_first's
-        # per-bucket reducer — and the seen pool's routed test-and-set);
-        # above the bound the streaming canonicalize -> bucket-shuffle
-        # dedup -> filter_new plan runs over the link blocks the summary
-        # round left in the object store.
-        # ``admitted`` is a pa.Table on the driver path, a Dataset on
-        # the streaming path; both frontier-assembly forks handle both.
+        # Links are epoch-scale, so under ``frontier_driver_max`` rows
+        # they are pulled and admitted by the driver chain; above it the
+        # streaming chain runs over the link blocks the summary round
+        # left in the object store. ``admitted`` is a pa.Table on the
+        # driver chain, a Dataset on the streaming one; both
+        # frontier-assembly forks handle both.
+        link_cols = {"depth_col": "depth", "parent_col": "parent_surt"}
         if links_out <= cfg.frontier_driver_max:
-            from ..stages.canonicalize import canonicalize_candidates
-            from ..stages.dedup import _first_per_key
-
             lb = [
                 t.select(["url", "depth", "parent_surt"])
                 for t in ray.get(link_refs)
                 if t.num_rows
             ]
-            if lb:
-                cand_tbl = canonicalize_candidates(
-                    pa.concat_tables(lb, promote_options="none"),
-                    depth_col="depth",
-                    parent_col="parent_surt",
-                    now_us=self._now_us(e + 1),
-                    epoch=e + 1,
-                    url_filter=cfg.url_filter,
-                    priority_fn=cfg.priority_fn,
-                )
-                # pandas carries only the dedup key and tie-break; the
-                # kept rows are taken from the Arrow table
-                df = _first_per_key(
-                    cand_tbl.select(["surt", "depth", "parent_surt"]).to_pandas(),
-                    "surt",
-                    ["depth", "parent_surt"],
-                )
-                mask = self.seen.check_and_add(df["surt"].tolist())
-                admitted = cand_tbl.take(pa.array(df.index[mask])).select(
-                    FRONTIER.names
-                ).cast(FRONTIER)
-            else:
-                admitted = FRONTIER.empty_table()
-            n_admitted = admitted.num_rows
+            admitted, n_admitted = self._admit(
+                pa.concat_tables(lb, promote_options="none")
+                if lb
+                else LINKS_SCHEMA.empty_table(),
+                e + 1,
+                **link_cols,
+            )
             if n_admitted:
                 write_epoch_table(
                     admitted.select(["surt"]), self.workdir, "admitted_log", e + 1
                 )
         else:
-            cand = canonicalize_dataset(
+            admitted, n_admitted = self._admit(
                 ray.data.from_arrow_refs(link_refs).select_columns(
                     ["url", "depth", "parent_surt"]
                 ),
-                depth_col="depth",
-                parent_col="parent_surt",
-                now_us=self._now_us(e + 1),
-                epoch=e + 1,
-                url_filter=self.cfg.url_filter,
-                priority_fn=self.cfg.priority_fn,
+                e + 1,
+                **link_cols,
             )
-            cand = dedup_first(cand, n_buckets=cfg.n_buckets)
-            admitted = self.seen.filter_new(cand).materialize()
             # membership log: the exact set of surts ever admitted — the
             # URL-seen golden value the oracle crawler is compared
             # against. Written BY THE DATASET (distributed sink).
-            n_admitted = admitted.count()
             if n_admitted:
                 write_epoch_dataset(
                     admitted.select_columns(["surt"]),
@@ -713,55 +688,31 @@ class Crawler:
         report.fetch_err += fail_tbl.num_rows
 
         # new frontier = (allowed - scheduled) ∪ admitted ∪ retries.
-        # Size-adaptive: every piece is epoch-scale and already pinned
-        # (gated/admitted materialized, retries driver-resident), so
-        # under ``frontier_driver_max`` total rows the assembly is one
-        # driver concat+filter with the SAME kernels (pc.is_in
-        # anti-join) and _finish_epoch writes the table directly — the
-        # streaming union+write is a full plan launch (~0.5 s/epoch of
-        # fixed cost) for a few-MB table. Above the bound the original
+        # On the driver fork every piece is epoch-scale and already
+        # pinned (admitted materialized, retries driver-resident), so
+        # the assembly is one driver concat with the SAME anti-join
+        # kernel (pc.is_in) and _finish_epoch writes the table directly
+        # — the streaming union+write is a full plan launch (~0.5
+        # s/epoch of fixed cost) for a few-MB table. Above the bound the
         # streaming plan runs. Forks golden-equivalence-tested.
         sset = sched_tbl.column("surt").combine_chunks()
-        if drv or gated.count() + n_admitted <= cfg.frontier_driver_max:
-            if drv:
-                gt = allowed_tbl
-            else:
-                blocks = [
-                    t for t in ray.get(gated.to_arrow_refs()) if t.num_rows
-                ]
-                gt = (
-                    pa.concat_tables(blocks, promote_options="none")
-                    if blocks
-                    else None
-                )
-            parts = []
-            if gt is not None and gt.num_rows:
-                if _ALLOWED_COL in gt.column_names:
-                    gt = gt.filter(gt.column(_ALLOWED_COL)).drop_columns(
-                        [_ALLOWED_COL]
-                    )
-                if gt.num_rows and sched_tbl.num_rows:
-                    gt = gt.filter(
-                        pc.invert(pc.is_in(gt.column("surt"), value_set=sset))
-                    )
-                parts.append(gt.select(FRONTIER.names).cast(FRONTIER))
-            if n_admitted:
-                adm_tbls = (
-                    [admitted]
-                    if isinstance(admitted, pa.Table)
-                    else ray.get(admitted.to_arrow_refs())
-                )
-                parts += [
+        if drv:
+            rest = allowed_tbl.filter(
+                pc.invert(pc.is_in(allowed_tbl.column("surt"), value_set=sset))
+            )
+            adm_tbls = (
+                [admitted]
+                if isinstance(admitted, pa.Table)
+                else ray.get(admitted.to_arrow_refs())
+            )
+            new_frontier = pa.concat_tables(
+                [
                     t.select(FRONTIER.names).cast(FRONTIER)
-                    for t in adm_tbls
+                    for t in (rest, *adm_tbls, retry_rows)
                     if t.num_rows
                 ]
-            if retry_rows.num_rows:
-                parts.append(retry_rows.select(FRONTIER.names).cast(FRONTIER))
-            new_frontier = (
-                pa.concat_tables(parts, promote_options="none")
-                if parts
-                else FRONTIER.empty_table()
+                or [FRONTIER.empty_table()],
+                promote_options="none",
             )
         else:
             # (broadcast anti-join: the scheduled set is bounded by the
@@ -795,95 +746,46 @@ class Crawler:
         return frontier_row_count(self.workdir, e + 1)
 
     def _attach_captions(
-        self, img_rows: "ray.data.Dataset", e: int, n_rows: int
+        self, img_rows: "ray.data.Dataset", urls: pa.ChunkedArray
     ) -> "ray.data.Dataset":
         """CORPUS rows (+url) ⋈ captions sink on url, first-wins across
-        epochs (min epoch); ``img_rows`` holds ``n_rows`` rows. Size-
-        adaptive like the other small-side joins: under
-        ``caption_broadcast_max`` sink rows (parquet metadata count — no
-        read) the first-wins dict is built driver-side and broadcast once
-        via ray.put, probed per batch (zero shuffle; the distributed
-        join's fixed cost was ~4-5 s/epoch on kilobyte caption sinks);
-        above the bound the caption store never touches the driver —
-        dedup_first + distributed hash join. Equivalence-tested
-        (tests/test_stateful_mode.py)."""
+        epochs (min epoch). ``urls`` are this epoch's image URLs (the
+        ``url`` column of ``img_rows``): only their sink rows are read
+        (a pyarrow ``isin`` filter), so the first-wins dict built on the
+        driver and broadcast once via ray.put is O(this epoch's images)
+        at any crawl size, and each batch probes it (zero shuffle). The
+        sink scan is O(sink) per epoch."""
         import glob
-
-        from ..runtime import tune_join_resources
 
         files = sorted(glob.glob(os.path.join(self.workdir, "captions", "e*.parquet")))
         if not files:
             return img_rows.drop_columns(["url"])
-        n_total = sum(pq.read_metadata(f).num_rows for f in files)
-        if n_total <= self.cfg.caption_broadcast_max:
-            caps_df = (
-                pq.read_table(files, columns=["url", "caption", "epoch"])
-                .to_pandas()
-                .sort_values(["url", "epoch"], kind="mergesort")
-                .drop_duplicates(subset=["url"], keep="first")
+        caps_df = (
+            pq.read_table(
+                files,
+                columns=["url", "caption", "epoch"],
+                filters=pc.field("url").isin(pc.unique(urls)),
             )
-            cap_ref = ray.put(dict(zip(caps_df["url"], caps_df["caption"])))
-
-            def probe(batch: pa.Table) -> pa.Table:
-                caps = ray.get(cap_ref)
-                urls = batch.column("url").to_pylist()
-                cap = pa.array([caps.get(u, "") for u in urls], pa.string())
-                # identical column layout to the join path's finish()
-                return pa.table(
-                    {
-                        "image_id": batch.column("image_id"),
-                        "bytes": batch.column("bytes"),
-                        "w": batch.column("w"),
-                        "h": batch.column("h"),
-                        "fmt": batch.column("fmt"),
-                        "caption": cap,
-                        "phash": batch.column("phash"),
-                    }
-                )
-
-            return img_rows.map_batches(
-                probe, batch_format="pyarrow", zero_copy_batch=True
-            )
-        tune_join_resources()
-        caps = ray.data.read_parquet(files)
-        caps = dedup_first(caps, key="url", tie_cols=("epoch",), n_buckets=self.cfg.n_buckets)
-        caps = caps.map_batches(
-            lambda b: pa.table(
-                {"__cap_url": b.column("url"), "__cap": b.column("caption")}
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-        # squeeze out the zero-row blocks the bucketed dedup leaves
-        # behind (Ray's hash join aborts on empty-block-only partitions)
-        n_caps = caps.count()
-        caps = caps.repartition(max(1, min(8, n_caps // 4096)))
-        # the left side too: Ray's hash join (2.49) loses the left schema
-        # on aggregator partitions that receive only empty blocks and
-        # aborts with ArrowInvalid
-        img_rows = img_rows.repartition(max(1, min(4, n_rows // 64)))
-        joined = img_rows.drop_columns(["caption"]).join(
-            caps,
-            join_type="left_outer",
-            num_partitions=4,
-            on=("url",),
-            right_on=("__cap_url",),
+            .to_pandas()
+            .sort_values(["url", "epoch"], kind="mergesort")
+            .drop_duplicates(subset=["url"], keep="first")
         )
+        cap_ref = ray.put(dict(zip(caps_df["url"], caps_df["caption"])))
 
-        def finish(batch: pa.Table) -> pa.Table:
-            cap = pc.fill_null(batch.column("__cap"), "")
-            return pa.table(
-                {
-                    "image_id": batch.column("image_id"),
-                    "bytes": batch.column("bytes"),
-                    "w": batch.column("w"),
-                    "h": batch.column("h"),
-                    "fmt": batch.column("fmt"),
-                    "caption": cap,
-                    "phash": batch.column("phash"),
-                }
+        def probe(batch: pa.Table) -> pa.Table:
+            caps = ray.get(cap_ref)
+            cap = pa.array(
+                [caps.get(u, "") for u in batch.column("url").to_pylist()],
+                pa.string(),
+            )
+            out = batch.drop_columns(["url"])
+            return out.set_column(
+                out.schema.get_field_index("caption"), "caption", cap
             )
 
-        return joined.map_batches(finish, batch_format="pyarrow")
+        return img_rows.map_batches(
+            probe, batch_format="pyarrow", zero_copy_batch=True
+        )
 
     def _build_retries(self, fails: pa.Table, e: int, now_us: int) -> pa.Table:
         """Failed fetch-log rows -> next epoch's retry rows (5xx under

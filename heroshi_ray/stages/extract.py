@@ -5,7 +5,8 @@ Heroshi's Python worker parses HTML with lxml and urljoins every href
 ([UPSTREAM-M], reference unavailable). The fixture HTML is generated
 from a fixed template, so a compiled-regex extractor is exact here; a
 production build would swap in an HTML5 parser behind the same batch
-interface (state in ``__init__`` — this is an actor-pool stage).
+interface (state in ``__init__``, built once per worker process:
+the crawl runs these classes through ``runtime.task_stage``).
 
 Outputs of ``LinkExtractor``: candidate link rows
 ``(url, parent_surt, depth, caption)`` — ``caption`` non-empty only for
@@ -193,8 +194,9 @@ IMAGE_FIELDS = ("image_id", "bytes", "w", "h", "fmt", "phash")
 
 class FusedExtractor:
     """The crawl epoch's one post-fetch stage, chained onto the fetch so
-    it runs in the task (or actor pool) that holds the fetched batch:
-    ``LinkExtractor`` and ``ImageRowBuilder`` over the same batch,
+    it runs in the same task — one task per epoch, since the epoch's
+    scheduled rows are one block: ``LinkExtractor`` and
+    ``ImageRowBuilder`` over the same fetched rows,
     returned as ONE row per fetched URL — the fetch-log columns (the
     batch without ``content``), ``links`` (that page's link rows, a list
     of LINKS_SCHEMA structs) and the IMAGE_FIELDS of its corpus row.

@@ -1,14 +1,15 @@
-"""A-F — the fetcher actor pool (SURVEY.md §2.3).
+"""A-F — the fetcher stage (SURVEY.md §2.3).
 
 Heroshi's io-worker is a "dumb" concurrent fetcher: URLs in, one result
 record per URL out ([UPSTREAM-H], reference unavailable). Here the
-fetcher is a callable CLASS passed to ``map_batches(Fetcher,
-concurrency=N, batch_size=B)``: per-actor setup (session pool / page
-index) happens once in ``__init__``, per-batch work in ``__call__``.
+fetcher is a callable CLASS that ``fetch_dataset`` runs as a plain
+``map_batches`` task through ``runtime.task_stage``: setup (session
+pool / page index) happens once per worker process in ``__init__`` and
+survives epochs, per-batch work in ``__call__``.
 
 The sandbox has no network (SURVEY.md §7.6), so ``SyntheticFetcher``
 resolves against the deterministic pages fixture, shipped ONCE via
-``ray.put`` and read per actor in ``__init__`` (broadcast, not
+``ray.put`` and read per worker process in ``__init__`` (broadcast, not
 re-shipped per batch). Its interface — FRONTIER rows in, FETCH rows
 out — is exactly what a real HTTP fetcher would implement; swap the
 class to go live.
@@ -47,7 +48,7 @@ def pages_index(pages: pa.Table) -> dict:
 
 
 class SyntheticFetcher:
-    """Deterministic in-sandbox stand-in for an HTTP fetcher actor.
+    """Deterministic in-sandbox stand-in for an HTTP fetcher.
 
     Follows 3xx redirect chains itself (bounded at MAX_REDIRECTS hops,
     like heroshi's Go http.Client): the terminal page's status/body is
@@ -59,10 +60,10 @@ class SyntheticFetcher:
     def __init__(self, pages_ref, now_us: int = 0, counters=None):
         from ..functions.urlnorm import resolve
 
-        obj = ray.get(pages_ref)  # broadcast: one get per ACTOR, zero per batch
+        obj = ray.get(pages_ref)  # broadcast: one get per PROCESS, zero per batch
         # an Arrow pages TABLE ships zero-copy through the object store
         # (a 146k-entry dict cost ~1 s to build+pickle on the driver);
-        # the url->row dict is built here, once per actor/worker process
+        # the url->row dict is built here, once per worker process
         self.pages = pages_index(obj) if isinstance(obj, pa.Table) else obj
         self.now_us = now_us
         self.counters = counters  # A-C actor handle; fire-and-forget reporting
@@ -190,9 +191,9 @@ class HttpFetcher:
       explicit loop as SyntheticFetcher (MAX_REDIRECTS hops, loop
       detection, ``resolve()`` for relative Locations) so both
       fetchers pass the same golden/redirect suite.
-    - batch fan-out on a per-actor thread pool (I/O-bound; threads
-      block on sockets, not the GIL). Setup happens once per actor in
-      ``__init__`` — pools and the executor survive across batches.
+    - batch fan-out on a per-instance thread pool (I/O-bound; threads
+      block on sockets, not the GIL). Setup happens once per instance
+      in ``__init__`` — pools and the executor survive across batches.
     - ``resolve_to`` maps virtual hosts to (address, port) without
       touching the URL or Host header (split-horizon DNS hook; the
       no-network sandbox contract-tests through it against an
@@ -328,16 +329,18 @@ def fetch_dataset(
     scheduled: "ray.data.Dataset",
     pages_ref,
     now_us: int = 0,
-    concurrency: int | tuple[int, int] = 4,
     batch_size: int = 256,
     counters=None,
-    mode: str = "actors",
     fetcher_cls=None,
     fetcher_kwargs: dict | None = None,
 ) -> "ray.data.Dataset":
     """A-F stage. Default fetcher is the in-sandbox SyntheticFetcher;
     pass ``fetcher_cls=HttpFetcher`` (plus its kwargs) to go live —
-    CrawlConfig.fetcher_cls/fetcher_kwargs route here."""
+    CrawlConfig.fetcher_cls/fetcher_kwargs route here. The fetcher
+    instance is cached per worker PROCESS and survives epochs (see
+    runtime.task_stage); ``now_us`` is set on it before each batch."""
+    from ..runtime import task_stage
+
     if fetcher_cls is None:
         cls, kwargs = SyntheticFetcher, {
             "pages_ref": pages_ref, "counters": counters,
@@ -346,22 +349,8 @@ def fetch_dataset(
         cls = fetcher_cls
         kwargs = dict(fetcher_kwargs or {})
         kwargs.setdefault("counters", counters)
-    if mode == "tasks":
-        # small-epoch physical plan: same Fetcher semantics, but the
-        # instance is cached per worker PROCESS (survives epochs) instead
-        # of per actor-pool execution — see runtime.task_stage
-        from ..runtime import task_stage
-
-        return scheduled.map_batches(
-            task_stage(cls, kwargs, volatile={"now_us": now_us}),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
     return scheduled.map_batches(
-        cls,
-        fn_constructor_kwargs={**kwargs, "now_us": now_us},
+        task_stage(cls, kwargs, volatile={"now_us": now_us}),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=0.25,  # I/O-shaped stage: don't starve CPU stages
     )

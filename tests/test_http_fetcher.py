@@ -264,7 +264,7 @@ def test_http_keepalive_reuse(http_server):
 def test_http_fetch_dataset_integration(http_server, ray_session):
     """The crawl loop's stage contract: fetch_dataset with
     fetcher_cls=HttpFetcher runs the live client inside Ray workers
-    (tasks mode — the same physical plan small crawl epochs use)."""
+    (a per-process cached task — the crawl epoch's physical plan)."""
     import ray
 
     from heroshi_ray.stages.fetch import fetch_dataset
@@ -275,7 +275,6 @@ def test_http_fetch_dataset_integration(http_server, ray_session):
         pages_ref=None,
         now_us=7,
         batch_size=4,
-        mode="tasks",
         fetcher_cls=HttpFetcher,
         fetcher_kwargs={
             "resolve_to": _resolve_to(http_server, "h.example", "x.example"),

@@ -1,10 +1,7 @@
-"""Physical-plan equivalence: the crawl loop's stateful stages
-(fetch / extract / image-rows) must produce identical results whether
-they run as Ray Data actor pools (the 100-TB plan) or as per-worker-
-process cached tasks (the small-epoch fast path, runtime.task_stage).
-
-Auto mode routes fixture-scale epochs to tasks, so without this test
-the actors path would lose coverage entirely."""
+"""Physical-plan checks of the crawl loop: its output must not depend
+on how the epoch's fetch is batched, the caption attach must keep the
+first caption per URL across epochs, and every remaining size fork
+must match its other side."""
 
 from __future__ import annotations
 
@@ -13,17 +10,14 @@ from heroshi_ray.sources.io import read_epoch_tables
 
 
 # small fetch batches: an epoch's fused extract stage sees several
-# batches (blocks), not one (politeness caps an epoch here at 20 rows)
+# batches, not one (politeness caps an epoch here at 20 rows)
 FETCH_BATCH = 4
 
 
-def _run(paths, wd, mode):
+def _run(paths, wd, **cfg_kwargs):
     from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
 
-    cfg = CrawlConfig(
-        epoch_budget=48, max_epochs=4, stateful_mode=mode,
-        fetch_batch_size=FETCH_BATCH,
-    )
+    cfg = CrawlConfig(epoch_budget=48, max_epochs=4, **cfg_kwargs)
     crawler = Crawler(paths, wd, cfg)
     report = crawler.run()
     order = crawler.schedule_order().to_pandas()
@@ -43,7 +37,10 @@ def _run(paths, wd, mode):
     }
 
 
-def test_actor_and_task_modes_identical(ray_session, tmp_path_factory):
+def test_fetch_batching_invariant(ray_session, tmp_path_factory):
+    """fetch_batch_size=4 against the default: the fetch and fused
+    extract see many batches per epoch in one run and one in the other,
+    and every crawl output is identical."""
     from collections import Counter
 
     import pandas as pd
@@ -51,26 +48,97 @@ def test_actor_and_task_modes_identical(ray_session, tmp_path_factory):
     fx = str(tmp_path_factory.mktemp("fx_mode"))
     paths = write_fixture_dir(fx, n_hosts=4, n_pages=40, n_images=12, n_seeds=6, seed=7)
 
-    rep_t, order_t, adm_t, out_t = _run(
-        paths, str(tmp_path_factory.mktemp("wd_tasks")), "tasks"
+    rep_s, order_s, adm_s, out_s = _run(
+        paths, str(tmp_path_factory.mktemp("wd_small")), fetch_batch_size=FETCH_BATCH
     )
-    rep_a, order_a, adm_a, out_a = _run(
-        paths, str(tmp_path_factory.mktemp("wd_actors")), "actors"
-    )
+    rep_d, order_d, adm_d, out_d = _run(paths, str(tmp_path_factory.mktemp("wd_default")))
 
-    assert order_t == order_a
-    assert adm_t == adm_a
-    assert rep_t.fetch_ok == rep_a.fetch_ok
-    assert rep_t.fetch_err == rep_a.fetch_err
-    assert rep_t.urls_admitted == rep_a.urls_admitted
+    assert order_s == order_d
+    assert adm_s == adm_d
+    assert rep_s.fetch_ok == rep_d.fetch_ok
+    assert rep_s.fetch_err == rep_d.fetch_err
+    assert rep_s.urls_admitted == rep_d.urls_admitted
     # the largest epoch spans at least 4 fetch batches
-    per_epoch = Counter(r["fetched_at"] for r in out_t["fetchlog"])
+    per_epoch = Counter(r["fetched_at"] for r in out_s["fetchlog"])
     assert max(per_epoch.values()) > 3 * FETCH_BATCH
-    assert len(out_t["corpus"]) > 0
-    assert (out_t["corpus"]["caption"] != "").any()
-    pd.testing.assert_frame_equal(out_t["corpus"], out_a["corpus"], check_exact=True)
-    assert out_t["captions"] and out_t["captions"] == out_a["captions"]
-    assert out_t["fetchlog"] == out_a["fetchlog"]
+    assert len(out_s["corpus"]) > 0
+    assert (out_s["corpus"]["caption"] != "").any()
+    pd.testing.assert_frame_equal(out_s["corpus"], out_d["corpus"], check_exact=True)
+    assert out_s["captions"] and out_s["captions"] == out_d["captions"]
+    assert out_s["fetchlog"] == out_d["fetchlog"]
+
+
+def test_attach_captions_first_wins_multiblock(ray_session, tmp_path):
+    """_attach_captions over image rows in 4 blocks: the caption of the
+    lowest epoch wins (not the first file in name order, not the
+    smallest caption), 10k unrelated sink URLs are ignored and an image
+    URL with no caption gets ""."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from heroshi_ray.pipelines.crawl import _IMAGE_ROWS, Crawler
+    from heroshi_ray.schemas import CORPUS
+    from heroshi_ray.sources.io import append_epoch_table
+
+    def sink(epoch, urls, caps):
+        append_epoch_table(
+            pa.table(
+                {
+                    "url": pa.array(urls, pa.string()),
+                    "caption": pa.array(caps, pa.string()),
+                    "epoch": pa.array(np.full(len(urls), epoch, np.int64)),
+                }
+            ),
+            str(tmp_path), "captions", epoch,
+        )
+
+    def u(i):
+        return f"http://h{i % 3}.example/img/{i}.png"
+
+    # e12.parquet sorts before e3.parquet; "a-later" < "z-first"
+    sink(3, [u(0), u(1), u(5)], ["z-first", "one", "five"])
+    sink(12, [u(0), u(2)], ["a-later", "two"])
+    sink(7, [f"http://other.example/{k}" for k in range(10_000)], ["x"] * 10_000)
+
+    img_urls = [u(i) for i in range(8)]  # u(3), u(4), u(6), u(7) uncaptioned
+    expected = {0: "z-first", 1: "one", 2: "two", 5: "five"}
+
+    def rows(ids):
+        n = len(ids)
+        return pa.table(
+            {
+                "image_id": pa.array([f"img{i}" for i in ids], pa.string()),
+                "bytes": pa.array([bytes([i]) * 3 for i in ids], pa.binary()),
+                "w": pa.array([8 + i for i in ids], pa.int32()),
+                "h": pa.array([4 + i for i in ids], pa.int32()),
+                "fmt": pa.array(["png"] * n, pa.string()),
+                "caption": pa.array([""] * n, pa.string()),
+                "phash": pa.array([1000 + i for i in ids], pa.int64()),
+                "url": pa.array([img_urls[i] for i in ids], pa.string()),
+            },
+            schema=_IMAGE_ROWS,
+        )
+
+    blocks = [rows([0, 3]), rows([1, 4]), rows([2, 5, 6]), rows([7])]
+    img_rows = ray.data.from_arrow(blocks)
+    assert img_rows.materialize().num_blocks() >= 4
+
+    crawler = Crawler.__new__(Crawler)  # the method reads only the workdir
+    crawler.workdir = str(tmp_path)
+    out = crawler._attach_captions(
+        img_rows, pa.chunked_array([b.column("url") for b in blocks])
+    ).to_arrow_refs()
+    got = pa.concat_tables(ray.get(out)).sort_by("image_id")
+
+    want = pa.concat_tables(blocks).sort_by("image_id")
+    want = want.drop_columns(["url"]).set_column(
+        CORPUS.get_field_index("caption"),
+        "caption",
+        pa.array([expected.get(i, "") for i in range(8)], pa.string()),
+    )
+    assert got.schema == CORPUS
+    assert got.equals(want)
 
 
 def _run_cfg(paths, wd, **cfg_kwargs):
@@ -86,25 +154,6 @@ def _run_cfg(paths, wd, **cfg_kwargs):
     corpus = corpus.sort_values("image_id", kind="mergesort").reset_index(drop=True)
     crawler.shutdown()
     return list(zip(order["host"], order["url"])), corpus
-
-
-def test_caption_join_path_equals_broadcast(ray_session, tmp_path_factory):
-    """caption_broadcast_max=0 forces the distributed hash-join caption
-    attach; corpus rows (including captions) must be identical to the
-    broadcast-dict probe path."""
-    import pandas as pd
-
-    fx = str(tmp_path_factory.mktemp("fx_cap"))
-    paths = write_fixture_dir(fx, n_hosts=4, n_pages=40, n_images=12, n_seeds=6, seed=11)
-
-    order_b, corpus_b = _run_cfg(paths, str(tmp_path_factory.mktemp("wd_b")))
-    order_j, corpus_j = _run_cfg(
-        paths, str(tmp_path_factory.mktemp("wd_j")), caption_broadcast_max=0
-    )
-    assert order_b == order_j
-    assert len(corpus_b) > 0
-    assert (corpus_b["caption"] != "").any()  # captions actually attach
-    pd.testing.assert_frame_equal(corpus_b, corpus_j, check_dtype=False)
 
 
 def test_budget_topk_order_shuffle_path_equals_merge(ray_session):
