@@ -9,33 +9,38 @@ run as a sequence of discrete epochs:
       -> per-host top-budget (K1) + global order (K2: priority desc,
          surt asc, limit) — a zero-shuffle combiner
       -> fetch (A-F) -> FusedExtractor (X1 links + captions, M8+M9
-         image rows), chained: the epoch's scheduled rows are one
-         block, so this is ONE task per epoch, fetching in
-         ``fetch_batch_size`` batches; both stage instances are cached
-         per worker process (runtime.task_stage)
-         [barrier 1: one materialize]
-      -> one per-block summary task round: fetch log, redirects,
-         captions, failures/retries and link counts reach the driver;
-         image bytes and HTML bodies do not
-      -> image rows -> caption attach -> corpus write  [barrier 2]
+         image rows): one plain task per host slice of the scheduled
+         rows (k = min(cluster CPUs, ceil(rows / fetch_batch_size)),
+         each host in one slice), fetching in ``fetch_batch_size``
+         batches; both stage instances are cached per worker process
+         (runtime.task_stage)
+         [barrier 1: the round's summaries — fetch log, redirects,
+         captions, failures/retries and link counts — reach the driver;
+         link rows, image rows and image bytes stay in the object store,
+         page bodies never leave the task]
+      -> caption attach -> corpus write: one task per slice with
+         images  [barrier 2]
       -> canonicalize (fused M1-M3) -> exact dedup (D1) -> seen-set
          gate (J1)
       -> new frontier = (pending - scheduled) ∪ admitted ∪ retries
       -> atomic checkpoint (frontier, seen shards, politeness, counters,
          metrics row, manifest) — the resume point.
 
-Under ``frontier_driver_max`` an epoch starts two Ray Data executions,
-the two barriers: barrier 2 reads the captions sink, which holds this
-epoch's captions only after barrier 1. Everything between them is
-driver work on epoch-scale tables. Above the bound the robots gate,
-admission and frontier assembly run as streaming plans instead.
+Under ``frontier_driver_max`` an epoch starts no Ray Data execution:
+its two barriers are task rounds (on a 4-CPU host a two-operator Ray
+Data plan over one 2k-row block took 43 ms against 4 ms for one task,
+medians of 20), and barrier 2 reads the
+captions sink, which holds this epoch's captions only after barrier 1.
+Everything between them is driver work on epoch-scale tables. Above the
+bound the robots gate, admission and frontier assembly run as streaming
+Ray Data plans instead.
 
 Scale notes (10^10-URL frontier):
 - the frontier itself only ever streams: read_parquet -> map_batches
   masks -> write_parquet; nothing frontier-sized is materialized.
 - the *epoch batch* (scheduled ∪ fetched) is bounded by the politeness
-  budget — that is the unit pinned in the object store
-  (``.materialize()``), never pulled to the driver with bodies.
+  budget — that is the unit pinned in the object store (the fetch
+  round's link and image rows), never pulled to the driver with bodies.
 - driver-side state is O(hosts-this-epoch) (budgets) and
   O(epoch batch) (fetch log, captions, redirects of this epoch):
   nothing cumulative. The caption store and admitted log are
@@ -69,7 +74,7 @@ import ray.data
 
 from ..functions.robots import ALLOW_ALL, crawl_delay, parse_robots
 from ..schemas import (
-    CORPUS, FRONTIER, METRICS, STATE_FAILED, STATE_PENDING, STATE_ROBOTS_DENIED,
+    FRONTIER, METRICS, STATE_FAILED, STATE_PENDING, STATE_ROBOTS_DENIED,
 )
 from ..sources.io import (
     append_epoch_table,
@@ -89,7 +94,7 @@ from ..sources.io import (
 )
 from ..stages.canonicalize import canonicalize_dataset
 from ..stages.dedup import dedup_first
-from ..stages.extract import IMAGE_FIELDS, LINKS_SCHEMA, FusedExtractor
+from ..stages.extract import LINKS_SCHEMA
 from ..stages.fetch import fetch_dataset
 from ..stages.schedule import (
     _ALLOWED_COL,
@@ -98,7 +103,6 @@ from ..stages.schedule import (
     mark_robots,
     vector_robots_for,
 )
-from ..runtime import task_stage
 from ..state.politeness import PolitenessPool
 from ..state.seen import SeenSet
 
@@ -121,59 +125,6 @@ def _gate_block_summary(block: pa.Table):
     return denied, hosts
 
 
-_IMAGE_ROWS = CORPUS.append(pa.field("url", pa.string()))
-
-
-def _ipc(table: pa.Table) -> pa.Buffer:
-    """``table`` as one Arrow IPC stream: a task returns it in about half
-    the time a pickled pa.Table takes (a few ms per task round)."""
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, table.schema) as w:
-        w.write_table(table)
-    return sink.getvalue()
-
-
-@ray.remote(num_returns=2)
-def _extract_block_summary(block: pa.Table):
-    """One task per materialized FusedExtractor block ->
-    ((fetch-log rows, captioned link rows, link count, image URLs),
-    link rows); the two tables of the first as ``_ipc`` streams.
-    Replaces the fetch-log write, redirect, caption and failure passes
-    (four Dataset executions) with one task round; no image bytes reach
-    the driver, and the link rows come back as their own object, pulled
-    only when the epoch's admission runs driver-side. The image URLs
-    are the caption join keys of the block's corpus rows (what
-    ``_image_rows`` puts in ``url``)."""
-    if block.num_rows == 0 or "links" not in block.column_names:
-        # zero-row blocks can arrive schema-less from the executor
-        no_urls = pa.array([], pa.string())
-        return (None, None, 0, no_urls), LINKS_SCHEMA.empty_table()
-    links = pa.Table.from_struct_array(
-        pc.list_flatten(block.column("links").combine_chunks())
-    )
-    caps = links.filter(pc.not_equal(links.column("caption"), "")).select(
-        ["url", "caption"]
-    )
-    img_urls = pc.filter(
-        block.column("final_url"), pc.is_valid(block.column("image_id"))
-    ).combine_chunks()
-    log = block.drop_columns(["links", *IMAGE_FIELDS])
-    return (_ipc(log), _ipc(caps), links.num_rows, img_urls), links
-
-
-def _image_rows(batch: pa.Table) -> pa.Table:
-    """FusedExtractor rows -> CORPUS rows (+ the ``url`` join key) of the
-    decodable images; the caption is attached by ``_attach_captions``."""
-    if batch.num_rows == 0 or "image_id" not in batch.column_names:
-        return _IMAGE_ROWS.empty_table()
-    b = batch.filter(pc.is_valid(batch.column("image_id")))
-    cols = {f: b.column(f) for f in IMAGE_FIELDS}
-    cols["caption"] = pa.array([""] * b.num_rows, pa.string())
-    # ImageRowBuilder keys image rows on the URL that served them
-    cols["url"] = b.column("final_url")
-    return pa.table(cols).select(_IMAGE_ROWS.names).cast(_IMAGE_ROWS)
-
-
 def _distinct_hosts(ds: "ray.data.Dataset") -> list[str]:
     """Distinct hosts without a groupby shuffle: per-block pc.unique +
     driver set-union. The host domain is bounded (politeness state is
@@ -186,6 +137,39 @@ def _distinct_hosts(ds: "ray.data.Dataset") -> list[str]:
         zero_copy_batch=True,
     ).to_pandas()
     return sorted(set(parts["host"]))
+
+
+@ray.remote
+def _write_corpus_part(rows: pa.Table, caps: dict, path: str) -> None:
+    """Image rows -> CORPUS rows with their first-wins caption (``""``
+    when the sink has none), written to ``path``."""
+    cap = pa.array(
+        [caps.get(u, "") for u in rows.column("url").to_pylist()], pa.string()
+    )
+    out = rows.drop_columns(["url"])
+    pq.write_table(
+        out.set_column(out.schema.get_field_index("caption"), "caption", cap), path
+    )
+
+
+class _CorpusWrite:
+    """Barrier 2 as one task round: ``write_parquet(path)`` writes the
+    i-th image-row table as ``path/part-{i:05d}.parquet`` in its own
+    task and waits for all of them."""
+
+    def __init__(self, img_refs: list, caps_ref):
+        self.img_refs = img_refs
+        self.caps_ref = caps_ref
+
+    def write_parquet(self, path: str) -> None:
+        ray.get(
+            [
+                _write_corpus_part.remote(
+                    r, self.caps_ref, os.path.join(path, f"part-{i:05d}.parquet")
+                )
+                for i, r in enumerate(self.img_refs)
+            ]
+        )
 
 
 @dataclass
@@ -535,16 +519,13 @@ class Crawler:
             )
             return frontier_row_count(self.workdir, e + 1)
 
-        # A-F fetch with the fused link/image extract chained onto it:
-        # the scheduled rows are one block, so ONE task per epoch runs
-        # both, with stage instances cached per worker process
-        # (runtime.task_stage). Barrier 1: ONE execution, the epoch
-        # batch pinned in the object store, never on the driver.
-        sched_sel = sched_tbl.select(FRONTIER.names).cast(FRONTIER)
-        fetched = fetch_dataset(
-            # from_blocks reads the block metadata here; from_arrow spends
-            # a remote task round on it
-            ray.data.from_blocks([sched_sel]),
+        # A-F fetch with the fused link/image extract: one plain task per
+        # host slice of the scheduled rows (stages/fetch.host_slices), with
+        # stage instances cached per worker process (runtime.task_stage).
+        # The tasks start here; page bodies and image bytes stay in them
+        # and the object store, never on the driver.
+        rnd = fetch_dataset(
+            sched_tbl.select(FRONTIER.names).cast(FRONTIER),
             self.pages_ref,
             now_us=now_us,
             batch_size=cfg.fetch_batch_size,
@@ -552,32 +533,16 @@ class Crawler:
             fetcher_cls=cfg.fetcher_cls,
             fetcher_kwargs=cfg.fetcher_kwargs,
         )
-        fused = fetched.map_batches(
-            task_stage(FusedExtractor), batch_format="pyarrow"
-        ).materialize()
-        # ONE per-block task round brings back what the driver needs;
-        # the link rows stay behind as refs
-        outs = [_extract_block_summary.remote(r) for r in fused.to_arrow_refs()]
         # while the round runs: consume politeness tokens for what was
-        # scheduled (actor round trips), build barrier 2's lazy input
+        # scheduled (actor round trips)
         counts = pd.Series(sched_tbl.column("host").to_pylist()).value_counts().to_dict()
         self.pol.consume(counts, now_s, delays)
-        img_rows = fused.map_batches(_image_rows, batch_format="pyarrow")
-        summaries = ray.get([s for s, _ in outs])
-        link_refs = [lk for _, lk in outs]
-        flog, caps = (
-            pa.concat_tables(
-                [
-                    pa.ipc.open_stream(t[i]).read_all()
-                    for t in summaries
-                    if t[i] is not None
-                ]
-            )
-            for i in (0, 1)
-        )
-        links_out = sum(t[2] for t in summaries)
-        img_urls = pa.chunked_array([t[3] for t in summaries], pa.string())
-        corpus_rows = len(img_urls)
+        # Barrier 1: every slice done; the fetch log, captions, link count
+        # and image URLs reach the driver, the link and image rows stay
+        # behind as refs
+        rnd.materialize()
+        flog, caps, links_out = rnd.log, rnd.captions, rnd.n_links
+        corpus_rows = sum(len(u) for u in rnd.image_urls)
 
         # fetch log without bodies (resumable, append-only)
         write_epoch_table(flog, self.workdir, "fetchlog", e)
@@ -629,26 +594,30 @@ class Crawler:
                 e,
             )
 
-        # Barrier 2: corpus rows from the pinned fused blocks; caption
-        # attached from the captions sink, which now holds this epoch's
-        # captions (first-wins across epochs = min epoch)
+        # Barrier 2: one task per slice with images attaches the captions
+        # from the sink, which now holds this epoch's captions
+        # (first-wins across epochs = min epoch), and writes its part
         corpus_dir = os.path.join(self.workdir, "corpus", f"e{e}")
         os.makedirs(corpus_dir, exist_ok=True)
         if corpus_rows:
-            self._attach_captions(img_rows, img_urls).write_parquet(corpus_dir)
+            has = [i for i, u in enumerate(rnd.image_urls) if len(u)]
+            self._attach_captions(
+                [rnd.images[i] for i in has],
+                pa.chunked_array([rnd.image_urls[i] for i in has], pa.string()),
+            ).write_parquet(corpus_dir)
 
         # candidates: canonicalize -> D1 exact dedup -> J1 seen gate.
         # Links are epoch-scale, so under ``frontier_driver_max`` rows
         # they are pulled and admitted by the driver chain; above it the
-        # streaming chain runs over the link blocks the summary round
-        # left in the object store. ``admitted`` is a pa.Table on the
+        # streaming chain runs over the link rows the fetch round left
+        # in the object store. ``admitted`` is a pa.Table on the
         # driver chain, a Dataset on the streaming one; both
         # frontier-assembly forks handle both.
         link_cols = {"depth_col": "depth", "parent_col": "parent_surt"}
         if links_out <= cfg.frontier_driver_max:
             lb = [
                 t.select(["url", "depth", "parent_surt"])
-                for t in ray.get(link_refs)
+                for t in ray.get(rnd.links)
                 if t.num_rows
             ]
             admitted, n_admitted = self._admit(
@@ -664,7 +633,7 @@ class Crawler:
                 )
         else:
             admitted, n_admitted = self._admit(
-                ray.data.from_arrow_refs(link_refs).select_columns(
+                ray.data.from_arrow_refs(rnd.links).select_columns(
                     ["url", "depth", "parent_surt"]
                 ),
                 e + 1,
@@ -746,46 +715,32 @@ class Crawler:
         return frontier_row_count(self.workdir, e + 1)
 
     def _attach_captions(
-        self, img_rows: "ray.data.Dataset", urls: pa.ChunkedArray
-    ) -> "ray.data.Dataset":
+        self, img_refs: list, urls: pa.ChunkedArray
+    ) -> "_CorpusWrite":
         """CORPUS rows (+url) ⋈ captions sink on url, first-wins across
-        epochs (min epoch). ``urls`` are this epoch's image URLs (the
-        ``url`` column of ``img_rows``): only their sink rows are read
-        (a pyarrow ``isin`` filter), so the first-wins dict built on the
-        driver and broadcast once via ray.put is O(this epoch's images)
-        at any crawl size, and each batch probes it (zero shuffle). The
-        sink scan is O(sink) per epoch."""
+        epochs (min epoch). ``img_refs`` are object refs of image-row
+        tables (``stages/fetch._IMAGE_ROWS``) and ``urls`` their ``url``
+        values: only those URLs' sink rows are read (a pyarrow ``isin``
+        filter), so the first-wins dict built here and shipped once via
+        ray.put is O(this epoch's images) at any crawl size. The sink
+        scan is O(sink) per epoch. Returns the write, not yet started."""
         import glob
 
         files = sorted(glob.glob(os.path.join(self.workdir, "captions", "e*.parquet")))
-        if not files:
-            return img_rows.drop_columns(["url"])
-        caps_df = (
-            pq.read_table(
-                files,
-                columns=["url", "caption", "epoch"],
-                filters=pc.field("url").isin(pc.unique(urls)),
+        caps: dict = {}
+        if files:
+            caps_df = (
+                pq.read_table(
+                    files,
+                    columns=["url", "caption", "epoch"],
+                    filters=pc.field("url").isin(pc.unique(urls)),
+                )
+                .to_pandas()
+                .sort_values(["url", "epoch"], kind="mergesort")
+                .drop_duplicates(subset=["url"], keep="first")
             )
-            .to_pandas()
-            .sort_values(["url", "epoch"], kind="mergesort")
-            .drop_duplicates(subset=["url"], keep="first")
-        )
-        cap_ref = ray.put(dict(zip(caps_df["url"], caps_df["caption"])))
-
-        def probe(batch: pa.Table) -> pa.Table:
-            caps = ray.get(cap_ref)
-            cap = pa.array(
-                [caps.get(u, "") for u in batch.column("url").to_pylist()],
-                pa.string(),
-            )
-            out = batch.drop_columns(["url"])
-            return out.set_column(
-                out.schema.get_field_index("caption"), "caption", cap
-            )
-
-        return img_rows.map_batches(
-            probe, batch_format="pyarrow", zero_copy_batch=True
-        )
+            caps = dict(zip(caps_df["url"], caps_df["caption"]))
+        return _CorpusWrite(img_refs, ray.put(caps))
 
     def _build_retries(self, fails: pa.Table, e: int, now_us: int) -> pa.Table:
         """Failed fetch-log rows -> next epoch's retry rows (5xx under

@@ -66,13 +66,16 @@ def join_partitions(hi: int = 16) -> int:
 # constructed stage instance per process gives the same build-state-once
 # semantics with ~0.13 s fixed cost, and the cache survives every epoch
 # of the crawl loop. The crawl's fetch and FusedExtractor stages run
-# only this way: as actor pools they were 2.7-6.2x slower at every
-# epoch size measured (490 to 43k URLs per epoch).
+# only this way, inside the plain tasks of stages/fetch.fetch_dataset
+# (one per host slice; no Ray Data plan): as actor pools they were
+# 2.7-6.2x slower at every epoch size measured (490 to 43k URLs per
+# epoch). Call task_stage inside the task: a closure built on the
+# driver is cloudpickled by value, with a copy of this module's cache.
 _STAGE_CACHE: dict = {}
 
 
 def task_stage(cls, ctor_kwargs: dict | None = None, volatile: dict | None = None):
-    """Wrap a stateful stage class as a plain map_batches function.
+    """Wrap a stateful stage class as a plain batch function.
 
     The instance is constructed once per worker process (keyed on the
     class + ctor kwargs) and reused across executions/epochs.

@@ -14,7 +14,8 @@ Outputs of ``LinkExtractor``: candidate link rows
 is fetched later).
 
 ``ImageRowBuilder`` turns successfully fetched image/* results into
-CORPUS rows: decode (M8) -> w/h -> phash (M9). Captions are attached
+CORPUS rows: format (PNG, QPNG, JPEG or GIF; ``image_format``) ->
+decode (M8) -> w/h -> phash (M9). Captions are attached
 downstream, from the captions sink (pipelines/crawl.py).
 
 Both kernels tag each output row with ``row``, the index of the fetched
@@ -130,7 +131,33 @@ class LinkExtractor:
         ).filter(keep)
 
 
-_IMG_EXT_RE = re.compile(r"/([^/]+)\.(png|qpng)$")
+_IMG_EXT_RE = re.compile(r"/([^/]+)\.(png|qpng|jpe?g|gif)$")
+_IMG_NOEXT_RE = re.compile(r"/([^/.]+)$")
+_EXT_FMT = {"jpg": "jpeg"}
+_MAGIC_FMT = (
+    (b"\x89PNG\r\n\x1a\n", "png"),
+    (b"\xff\xd8\xff", "jpeg"),
+    (b"GIF87a", "gif"),
+    (b"GIF89a", "gif"),
+)
+
+
+def image_format(url: str, content: bytes) -> tuple[str, str] | None:
+    """(image_id, fmt) of a fetched image, or None when the URL names no
+    image the crawl decodes. A ``.png``/``.qpng``/``.jpg``/``.jpeg``/
+    ``.gif`` URL is decided by its extension: the fixture serves qpng
+    as image/png, so the bytes cannot tell it from png. A URL whose last
+    segment has no extension is decided by the PNG/JPEG/GIF magic
+    bytes."""
+    m = _IMG_EXT_RE.search(url)
+    if m:
+        return m.group(1), _EXT_FMT.get(m.group(2), m.group(2))
+    m = _IMG_NOEXT_RE.search(url)
+    if m:
+        for magic, fmt in _MAGIC_FMT:
+            if content.startswith(magic):
+                return m.group(1), fmt
+    return None
 
 
 class ImageRowBuilder:
@@ -156,10 +183,10 @@ class ImageRowBuilder:
         ):
             if not succ or content is None or not ct.startswith("image/"):
                 continue
-            m = _IMG_EXT_RE.search(url)
-            if not m:
+            named = image_format(url, content)
+            if named is None:
                 continue
-            image_id, fmt = m.group(1), m.group(2)
+            image_id, fmt = named
             try:
                 px = decode_image(content, fmt)
             except (ValueError, NotImplementedError):
@@ -193,15 +220,14 @@ IMAGE_FIELDS = ("image_id", "bytes", "w", "h", "fmt", "phash")
 
 
 class FusedExtractor:
-    """The crawl epoch's one post-fetch stage, chained onto the fetch so
-    it runs in the same task — one task per epoch, since the epoch's
-    scheduled rows are one block: ``LinkExtractor`` and
-    ``ImageRowBuilder`` over the same fetched rows,
-    returned as ONE row per fetched URL — the fetch-log columns (the
+    """The crawl epoch's one post-fetch stage. It runs on each fetched
+    batch in the same task as the fetch, one task per host slice of the
+    epoch (``stages/fetch.fetch_dataset``): ``LinkExtractor`` and
+    ``ImageRowBuilder`` over the same fetched rows, returned as ONE row
+    per fetched URL — the fetch-log columns (the
     batch without ``content``), ``links`` (that page's link rows, a list
     of LINKS_SCHEMA structs) and the IMAGE_FIELDS of its corpus row.
-    Page bodies are dropped here: they never reach the materialized
-    epoch blocks or the driver."""
+    Page bodies are dropped here: they never leave the fetch task."""
 
     def __init__(self):
         self.links = LinkExtractor()

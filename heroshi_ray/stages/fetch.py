@@ -2,10 +2,15 @@
 
 Heroshi's io-worker is a "dumb" concurrent fetcher: URLs in, one result
 record per URL out ([UPSTREAM-H], reference unavailable). Here the
-fetcher is a callable CLASS that ``fetch_dataset`` runs as a plain
-``map_batches`` task through ``runtime.task_stage``: setup (session
-pool / page index) happens once per worker process in ``__init__`` and
-survives epochs, per-batch work in ``__call__``.
+fetcher is a callable CLASS, and ``fetch_dataset`` runs one epoch's
+fetch as a round of plain Ray tasks, one per host slice of the
+scheduled rows (``host_slices``). Each task fetches its slice in
+``batch_size`` batches and runs ``stages/extract.FusedExtractor`` on
+each fetched batch; both stage instances are cached per worker process
+(``runtime.task_stage``), so setup (session pool / page index) happens
+once per process in ``__init__`` and survives epochs. Page bodies and
+image bytes stay in the tasks and the object store; only a per-slice
+summary reaches the driver.
 
 The sandbox has no network (SURVEY.md §7.6), so ``SyntheticFetcher``
 resolves against the deterministic pages fixture, shipped ONCE via
@@ -17,13 +22,17 @@ class to go live.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
-import ray.data
 
-from ..schemas import FETCH
+from ..runtime import cluster_cpus, task_stage
+from ..schemas import CORPUS, FETCH
+from .extract import IMAGE_FIELDS, FusedExtractor
 
 
 REDIRECT_STATUSES = (301, 302, 303, 307, 308)
@@ -325,22 +334,138 @@ class HttpFetcher:
         return _results_table(batch, urls, results, now_us)
 
 
+def host_slices(hosts, batch_size: int, n_cpus: int) -> list[np.ndarray]:
+    """Split an epoch's scheduled rows by host: the row indices (ascending,
+    so each slice keeps the schedule order) of k = min(``n_cpus``,
+    ceil(rows / ``batch_size``)) slices, and no more slices than hosts,
+    because a host is never split: every host's rows are in exactly one
+    slice, so a live ``HttpFetcher``'s ``max_per_host`` stays a per-host
+    cap. Hosts are dealt largest first (ties by name), each to the slice
+    with the fewest rows so far (lowest index on ties), so the split
+    depends only on the rows and no slice is empty."""
+    n = len(hosts)
+    if n == 0:
+        return []
+    names, codes = np.unique(
+        np.asarray(hosts.to_pylist(), dtype=object), return_inverse=True
+    )
+    counts = np.bincount(codes)
+    k = min(n_cpus, -(-n // batch_size), len(names))
+    load = [(0, i) for i in range(k)]
+    owner = np.empty(len(names), dtype=np.int64)
+    # names are sorted, so a stable sort on -count breaks ties by name
+    for h in np.argsort(-counts, kind="stable"):
+        rows, i = heapq.heappop(load)
+        owner[h] = i
+        heapq.heappush(load, (rows + int(counts[h]), i))
+    slot = owner[codes]
+    return [np.flatnonzero(slot == i) for i in range(k)]
+
+
+# CORPUS rows plus ``url``, the caption join key (Crawler._attach_captions)
+_IMAGE_ROWS = CORPUS.append(pa.field("url", pa.string()))
+
+
+def _ipc(table: pa.Table) -> pa.Buffer:
+    """``table`` as one Arrow IPC stream: a task returns it in about half
+    the time a pickled pa.Table takes (a few ms per task round)."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table)
+    return sink.getvalue()
+
+
+def _extract_block_summary(block: pa.Table):
+    """FusedExtractor rows -> ((fetch-log rows, captioned link rows, link
+    count, image URLs), link rows); the two tables of the first as
+    ``_ipc`` streams. The image URLs are the caption join keys of the
+    block's corpus rows (what ``_image_rows`` puts in ``url``)."""
+    links = pa.Table.from_struct_array(
+        pc.list_flatten(block.column("links").combine_chunks())
+    )
+    caps = links.filter(pc.not_equal(links.column("caption"), "")).select(
+        ["url", "caption"]
+    )
+    img_urls = pc.filter(
+        block.column("final_url"), pc.is_valid(block.column("image_id"))
+    ).combine_chunks()
+    log = block.drop_columns(["links", *IMAGE_FIELDS])
+    return (_ipc(log), _ipc(caps), links.num_rows, img_urls), links
+
+
+def _image_rows(block: pa.Table) -> pa.Table:
+    """FusedExtractor rows -> CORPUS rows (+ the ``url`` join key) of the
+    decodable images; the caption is attached by ``_attach_captions``."""
+    b = block.filter(pc.is_valid(block.column("image_id")))
+    cols = {f: b.column(f) for f in IMAGE_FIELDS}
+    cols["caption"] = pa.array([""] * b.num_rows, pa.string())
+    # ImageRowBuilder keys image rows on the URL that served them
+    cols["url"] = b.column("final_url")
+    return pa.table(cols).select(_IMAGE_ROWS.names).cast(_IMAGE_ROWS)
+
+
+@ray.remote(num_returns=3)
+def _fetch_slice(rows: pa.Table, fetcher: tuple, now_us: int, batch_size: int):
+    """One host slice of an epoch: fetch -> FusedExtractor per
+    ``batch_size`` batch -> (summary, link rows, image rows). ``fetcher``
+    is (class, ctor kwargs); the kwargs travel nested, so an ObjectRef
+    among them (``pages_ref``) reaches the constructor unresolved."""
+    cls, kwargs = fetcher
+    fetch = task_stage(cls, kwargs, volatile={"now_us": now_us})
+    extract = task_stage(FusedExtractor)
+    fused = pa.concat_tables(
+        [
+            extract(fetch(rows.slice(i, batch_size)))
+            for i in range(0, rows.num_rows, batch_size)
+        ]
+    )
+    summary, links = _extract_block_summary(fused)
+    return summary, links, _image_rows(fused)
+
+
+class FetchRound:
+    """The running tasks of one epoch's fetch -> extract round, one per
+    host slice. ``links`` and ``images`` hold each slice's link rows and
+    image rows (``_IMAGE_ROWS``) as object refs; they stay in the object
+    store. ``materialize`` is the epoch's barrier 1: it waits for every
+    slice and brings only the summaries to the driver."""
+
+    def __init__(self, outs: list):
+        self.summary_refs = [s for s, _, _ in outs]
+        self.links = [lk for _, lk, _ in outs]
+        self.images = [im for _, _, im in outs]
+
+    def materialize(self) -> "FetchRound":
+        """Sets ``log`` (fetch-log rows, no bodies), ``captions`` (url,
+        caption of every captioned link), ``n_links`` and ``image_urls``
+        (one array per slice)."""
+        summaries = ray.get(self.summary_refs)
+        self.log, self.captions = (
+            pa.concat_tables([pa.ipc.open_stream(s[i]).read_all() for s in summaries])
+            for i in (0, 1)
+        )
+        self.n_links = sum(s[2] for s in summaries)
+        self.image_urls = [s[3] for s in summaries]
+        return self
+
+
 def fetch_dataset(
-    scheduled: "ray.data.Dataset",
+    scheduled: pa.Table,
     pages_ref,
     now_us: int = 0,
     batch_size: int = 256,
     counters=None,
     fetcher_cls=None,
     fetcher_kwargs: dict | None = None,
-) -> "ray.data.Dataset":
-    """A-F stage. Default fetcher is the in-sandbox SyntheticFetcher;
-    pass ``fetcher_cls=HttpFetcher`` (plus its kwargs) to go live —
-    CrawlConfig.fetcher_cls/fetcher_kwargs route here. The fetcher
-    instance is cached per worker PROCESS and survives epochs (see
-    runtime.task_stage); ``now_us`` is set on it before each batch."""
-    from ..runtime import task_stage
-
+) -> FetchRound:
+    """A-F stage with the fused extract: starts one ``_fetch_slice`` task
+    per ``host_slices`` slice of the (non-empty) ``scheduled`` FRONTIER
+    rows and returns the round without waiting. Default fetcher is the
+    in-sandbox SyntheticFetcher; pass ``fetcher_cls=HttpFetcher`` (plus
+    its kwargs) to go live — CrawlConfig.fetcher_cls/fetcher_kwargs
+    route here. The fetcher instance is cached per worker PROCESS and
+    survives epochs (see runtime.task_stage); ``now_us`` is set on it
+    before each batch. ``perfbench/trace.py`` wraps it by this name."""
     if fetcher_cls is None:
         cls, kwargs = SyntheticFetcher, {
             "pages_ref": pages_ref, "counters": counters,
@@ -349,8 +474,12 @@ def fetch_dataset(
         cls = fetcher_cls
         kwargs = dict(fetcher_kwargs or {})
         kwargs.setdefault("counters", counters)
-    return scheduled.map_batches(
-        task_stage(cls, kwargs, volatile={"now_us": now_us}),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+    slices = host_slices(scheduled.column("host"), batch_size, cluster_cpus())
+    return FetchRound(
+        [
+            _fetch_slice.remote(
+                scheduled.take(ix), (cls, kwargs), now_us, batch_size
+            )
+            for ix in slices
+        ]
     )

@@ -216,12 +216,13 @@ def sorted_fetch_log(wd):
     return sorted(rows, key=lambda r: (r["fetched_at"], r["url"]))
 
 
-def test_driver_fork_epoch_runs_two_executions(ray_session, tmp_path, monkeypatch):
-    """On the driver fork an epoch that writes corpus rows starts at most
-    two Ray Data executions: the fused fetch -> extract plan and the
-    corpus write. Every driver-side call that runs a plan is counted
-    once, at its outermost call; ``count`` and ``to_arrow_refs`` only on
-    a Dataset that is not materialized."""
+def test_driver_fork_epoch_runs_no_dataset_execution(ray_session, tmp_path, monkeypatch):
+    """On the driver fork no epoch starts a Ray Data execution or builds
+    a Dataset, including the epochs that write corpus rows: the fetch ->
+    extract round and the corpus write are plain task rounds. Every
+    driver-side call that runs a plan, and every Dataset construction,
+    is counted once, at its outermost call; ``count`` and
+    ``to_arrow_refs`` only on a Dataset that is not materialized."""
     import os
 
     import ray.data
@@ -250,7 +251,10 @@ def test_driver_fork_epoch_runs_two_executions(ray_session, tmp_path, monkeypatc
 
         monkeypatch.setattr(ray.data.Dataset, name, wrapper)
 
-    for name in ("materialize", "to_pandas", "write_parquet", "iter_batches", "take_all"):
+    for name in (
+        "__init__", "materialize", "to_pandas", "write_parquet", "iter_batches",
+        "take_all",
+    ):
         count_calls(name, False)
     for name in ("count", "to_arrow_refs"):
         count_calls(name, True)
@@ -278,7 +282,5 @@ def test_driver_fork_epoch_runs_two_executions(ray_session, tmp_path, monkeypatc
         d = os.path.join(wd, "corpus", f"e{e}")
         return os.path.isdir(d) and any(f.endswith(".parquet") for f in os.listdir(d))
 
-    with_corpus = [e for e in calls if writes_corpus(e)]
-    assert with_corpus, calls
-    for e in with_corpus:
-        assert len(calls[e]) <= 2, (e, calls[e])
+    assert any(writes_corpus(e) for e in range(4))
+    assert not calls, calls

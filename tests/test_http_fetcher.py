@@ -264,14 +264,12 @@ def test_http_keepalive_reuse(http_server):
 def test_http_fetch_dataset_integration(http_server, ray_session):
     """The crawl loop's stage contract: fetch_dataset with
     fetcher_cls=HttpFetcher runs the live client inside Ray workers
-    (a per-process cached task — the crawl epoch's physical plan)."""
-    import ray
-
+    (per-process cached, in the epoch's host-slice tasks) and brings
+    the fetch log, without bodies, to the driver."""
     from heroshi_ray.stages.fetch import fetch_dataset
 
-    ds = ray.data.from_arrow(_frontier_batch(GOLDEN_URLS))
     out = fetch_dataset(
-        ds,
+        _frontier_batch(GOLDEN_URLS),
         pages_ref=None,
         now_us=7,
         batch_size=4,
@@ -279,7 +277,8 @@ def test_http_fetch_dataset_integration(http_server, ray_session):
         fetcher_kwargs={
             "resolve_to": _resolve_to(http_server, "h.example", "x.example"),
         },
-    ).to_pandas()
+    ).materialize().log.to_pandas()
+    assert "content" not in out.columns
     assert len(out) == len(GOLDEN_URLS)
     byurl = out.set_index("url")
     assert bool(byurl.loc["http://h.example/a", "success"])

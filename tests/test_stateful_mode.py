@@ -1,7 +1,7 @@
 """Physical-plan checks of the crawl loop: its output must not depend
-on how the epoch's fetch is batched, the caption attach must keep the
-first caption per URL across epochs, and every remaining size fork
-must match its other side."""
+on how the epoch's fetch is batched or split into host slices, the
+caption attach must keep the first caption per URL across epochs, and
+every remaining size fork must match its other side."""
 
 from __future__ import annotations
 
@@ -37,13 +37,34 @@ def _run(paths, wd, **cfg_kwargs):
     }
 
 
-def test_fetch_batching_invariant(ray_session, tmp_path_factory):
+def test_fetch_batching_invariant(ray_session, tmp_path_factory, monkeypatch):
     """fetch_batch_size=4 against the default: the fetch and fused
-    extract see many batches per epoch in one run and one in the other,
-    and every crawl output is identical."""
+    extract see many batches in several host slices per epoch in one run
+    and one batch in one slice in the other, and every crawl output is
+    identical. No host is in two slices of one epoch."""
     from collections import Counter
 
     import pandas as pd
+
+    from heroshi_ray.pipelines import crawl
+    from heroshi_ray.stages import fetch
+
+    # the hosts of each slice task each fetch round starts, per round
+    rounds: list[list[set]] = []
+    fetch_dataset, fetch_slice = crawl.fetch_dataset, fetch._fetch_slice
+
+    def spy_round(*args, **kwargs):
+        rounds.append([])
+        return fetch_dataset(*args, **kwargs)
+
+    class SpySlice:
+        @staticmethod
+        def remote(rows, *args):
+            rounds[-1].append(set(rows.column("host").to_pylist()))
+            return fetch_slice.remote(rows, *args)
+
+    monkeypatch.setattr(crawl, "fetch_dataset", spy_round)
+    monkeypatch.setattr(fetch, "_fetch_slice", SpySlice)
 
     fx = str(tmp_path_factory.mktemp("fx_mode"))
     paths = write_fixture_dir(fx, n_hosts=4, n_pages=40, n_images=12, n_seeds=6, seed=7)
@@ -51,6 +72,7 @@ def test_fetch_batching_invariant(ray_session, tmp_path_factory):
     rep_s, order_s, adm_s, out_s = _run(
         paths, str(tmp_path_factory.mktemp("wd_small")), fetch_batch_size=FETCH_BATCH
     )
+    small_rounds, rounds[:] = list(rounds), []
     rep_d, order_d, adm_d, out_d = _run(paths, str(tmp_path_factory.mktemp("wd_default")))
 
     assert order_s == order_d
@@ -58,9 +80,13 @@ def test_fetch_batching_invariant(ray_session, tmp_path_factory):
     assert rep_s.fetch_ok == rep_d.fetch_ok
     assert rep_s.fetch_err == rep_d.fetch_err
     assert rep_s.urls_admitted == rep_d.urls_admitted
-    # the largest epoch spans at least 4 fetch batches
+    # the largest epoch spans at least 4 fetch batches and 2 host slices
     per_epoch = Counter(r["fetched_at"] for r in out_s["fetchlog"])
     assert max(per_epoch.values()) > 3 * FETCH_BATCH
+    assert max(len(r) for r in small_rounds) >= 2
+    assert all(len(r) == 1 for r in rounds)
+    for r in small_rounds:
+        assert sum(len(h) for h in r) == len(set().union(*r)), r
     assert len(out_s["corpus"]) > 0
     assert (out_s["corpus"]["caption"] != "").any()
     pd.testing.assert_frame_equal(out_s["corpus"], out_d["corpus"], check_exact=True)
@@ -68,18 +94,57 @@ def test_fetch_batching_invariant(ray_session, tmp_path_factory):
     assert out_s["fetchlog"] == out_d["fetchlog"]
 
 
-def test_attach_captions_first_wins_multiblock(ray_session, tmp_path):
-    """_attach_captions over image rows in 4 blocks: the caption of the
-    lowest epoch wins (not the first file in name order, not the
-    smallest caption), 10k unrelated sink URLs are ignored and an image
-    URL with no caption gets ""."""
+def test_host_slices_partition():
+    """host_slices partitions the rows, keeps each slice in row order,
+    puts every host in exactly one slice, makes k = min(CPUs,
+    ceil(rows / batch size)) slices (no more than hosts, none empty) and
+    depends only on its input."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
-    from heroshi_ray.pipelines.crawl import _IMAGE_ROWS, Crawler
+    from heroshi_ray.stages.fetch import host_slices
+
+    rng = np.random.default_rng(11)
+    for n, n_hosts, batch, cpus in (
+        (1, 1, 4, 4), (20, 4, 4, 4), (2017, 60, 512, 4), (2017, 60, 512, 16),
+        (500, 3, 8, 8), (64, 40, 64, 4), (9, 9, 1, 32),
+    ):
+        # skewed host sizes: a few hosts hold most rows
+        hosts = pa.array(
+            [f"h{int(i)}.example" for i in rng.zipf(1.5, n) % n_hosts], pa.string()
+        )
+        slices = host_slices(hosts, batch, cpus)
+        distinct = len(set(hosts.to_pylist()))
+        assert len(slices) == min(cpus, -(-n // batch), distinct)
+        rows = np.concatenate(slices)
+        assert sorted(rows.tolist()) == list(range(n))
+        assert all(len(s) and (np.diff(s) > 0).all() for s in slices)
+        owner = {}
+        for i, s in enumerate(slices):
+            for h in set(hosts.take(pa.array(s)).to_pylist()):
+                assert owner.setdefault(h, i) == i, h
+        again = host_slices(pa.chunked_array([hosts.slice(0, n // 2), hosts.slice(n // 2)]), batch, cpus)
+        assert [s.tolist() for s in again] == [s.tolist() for s in slices]
+    assert host_slices(pa.array([], pa.string()), 4, 4) == []
+
+
+def test_attach_captions_first_wins_multiblock(ray_session, tmp_path):
+    """_attach_captions over image rows of 4 slices: the caption of the
+    lowest epoch wins (not the first file in name order, not the
+    smallest caption), 10k unrelated sink URLs are ignored and an image
+    URL with no caption gets ""; each slice is written as its own part."""
+    import glob
+    import os
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from heroshi_ray.pipelines.crawl import Crawler
     from heroshi_ray.schemas import CORPUS
     from heroshi_ray.sources.io import append_epoch_table
+    from heroshi_ray.stages.fetch import _IMAGE_ROWS
 
     def sink(epoch, urls, caps):
         append_epoch_table(
@@ -121,15 +186,20 @@ def test_attach_captions_first_wins_multiblock(ray_session, tmp_path):
         )
 
     blocks = [rows([0, 3]), rows([1, 4]), rows([2, 5, 6]), rows([7])]
-    img_rows = ray.data.from_arrow(blocks)
-    assert img_rows.materialize().num_blocks() >= 4
 
     crawler = Crawler.__new__(Crawler)  # the method reads only the workdir
     crawler.workdir = str(tmp_path)
-    out = crawler._attach_captions(
-        img_rows, pa.chunked_array([b.column("url") for b in blocks])
-    ).to_arrow_refs()
-    got = pa.concat_tables(ray.get(out)).sort_by("image_id")
+    out_dir = tmp_path / "corpus"
+    out_dir.mkdir()
+    crawler._attach_captions(
+        [ray.put(b) for b in blocks],
+        pa.chunked_array([b.column("url") for b in blocks]),
+    ).write_parquet(str(out_dir))
+    files = sorted(glob.glob(os.path.join(out_dir, "*.parquet")))
+    assert [os.path.basename(f) for f in files] == [
+        f"part-{i:05d}.parquet" for i in range(4)
+    ]
+    got = pa.concat_tables([pq.read_table(f) for f in files]).sort_by("image_id")
 
     want = pa.concat_tables(blocks).sort_by("image_id")
     want = want.drop_columns(["url"]).set_column(
