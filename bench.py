@@ -35,7 +35,6 @@ CRAWL_KWARGS = dict(
     epoch_budget=80_000,
     n_seen_shards=8,
     seen_capacity=1 << 22,
-    n_buckets=32,
     n_pol_shards=4,
     fetch_batch_size=512,
     burst=200.0,

@@ -4,10 +4,12 @@ Heroshi's manager hands out crawl-queue batches and merges fetch
 reports ([UPSTREAM-M], reference unavailable); here the same semantics
 run as a sequence of discrete epochs:
 
-    read_frontier  (partitioned by host_shard)
-      -> robots gate (J2: broadcast parsed-robots, no shuffle)
+    read the pending frontier one part at a time (sources/io:
+    parts of at most FRONTIER_PART_ROWS rows)
+      -> robots gate (J2: VectorRobots mask over the part)
       -> per-host top-budget (K1) + global order (K2: priority desc,
-         surt asc, limit) — a zero-shuffle combiner
+         surt asc, limit), folded part by part into at most
+         ``epoch_budget`` candidates (stages/schedule)
       -> fetch (A-F) -> FusedExtractor (X1 links + captions, M8+M9
          image rows): one plain task per host slice of the scheduled
          rows (k = min(cluster CPUs, ceil(rows / fetch_batch_size)),
@@ -22,31 +24,32 @@ run as a sequence of discrete epochs:
          images  [barrier 2]
       -> canonicalize (fused M1-M3) -> exact dedup (D1) -> seen-set
          gate (J1)
-      -> new frontier = (pending - scheduled) ∪ admitted ∪ retries
+      -> new frontier = (pending - scheduled - denied) ∪ admitted
+         ∪ retries, the pending parts re-read one at a time
       -> atomic checkpoint (frontier, seen shards, politeness, counters,
          metrics row, manifest) — the resume point.
 
-Under ``frontier_driver_max`` an epoch starts no Ray Data execution:
-its two barriers are task rounds (on a 4-CPU host a two-operator Ray
-Data plan over one 2k-row block took 43 ms against 4 ms for one task,
-medians of 20), and barrier 2 reads the
-captions sink, which holds this epoch's captions only after barrier 1.
-Everything between them is driver work on epoch-scale tables. Above the
-bound the robots gate, admission and frontier assembly run as streaming
-Ray Data plans instead.
+An epoch starts no Ray Data execution at any frontier size: its two
+barriers are task rounds (on a 4-CPU host a two-operator Ray Data plan
+over one 2k-row block took 43 ms against 4 ms for one task, medians of
+20), and barrier 2 reads the captions sink, which holds this epoch's
+captions only after barrier 1. Everything between them is driver work
+on epoch-scale tables or on one frontier part.
 
 Scale notes (10^10-URL frontier):
-- the frontier itself only ever streams: read_parquet -> map_batches
-  masks -> write_parquet; nothing frontier-sized is materialized.
+- the driver holds at most one frontier part: the handout folds each
+  part into the candidates, and the next frontier is re-read part by
+  part into the writer, which cuts it into parts again.
 - the *epoch batch* (scheduled ∪ fetched) is bounded by the politeness
   budget — that is the unit pinned in the object store (the fetch
   round's link and image rows), never pulled to the driver with bodies.
-- driver-side state is O(hosts-this-epoch) (budgets) and
-  O(epoch batch) (fetch log, captions, redirects of this epoch):
-  nothing cumulative. The caption store and admitted log are
-  append-only parquet sinks; captions attach to corpus rows through a
-  broadcast first-wins dict of this epoch's image URLs only, read from
-  the sink with a ``url`` filter (O(epoch images) on the driver).
+- driver-side state is O(hosts-this-epoch) (budgets, crawl delays) and
+  O(epoch batch) (candidates, fetch log, captions, redirects, admitted
+  links of this epoch): nothing cumulative. The caption store and
+  admitted log are append-only parquet sinks; captions attach to corpus
+  rows through a broadcast first-wins dict of this epoch's image URLs
+  only, read from the sink with a ``url`` filter (O(epoch images) on
+  the driver).
 - redirects: the fetcher chases 3xx chains itself (bounded hops); the
   discovered URLs run through canonicalize and are MARKED seen so they
   are never re-fetched as links, but are not enqueued (their content
@@ -59,6 +62,7 @@ Scale notes (10^10-URL frontier):
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, field
@@ -78,65 +82,30 @@ from ..schemas import (
 )
 from ..sources.io import (
     append_epoch_table,
+    frontier_part_count,
     frontier_row_count,
     commit_manifest,
     empty_frontier,
     epoch_dir,
     latest_committed_epoch,
     read_epoch_tables,
-    read_frontier,
     read_frontier_table,
-    read_seeds,
-    write_epoch_dataset,
     write_epoch_table,
-    write_frontier,
     write_frontier_table,
 )
-from ..stages.canonicalize import canonicalize_dataset
-from ..stages.dedup import dedup_first
 from ..stages.extract import LINKS_SCHEMA
 from ..stages.fetch import fetch_dataset
 from ..stages.schedule import (
-    _ALLOWED_COL,
-    budget_topk_order,
+    VectorRobots,
     budget_topk_order_table,
-    mark_robots,
+    can_enter,
     vector_robots_for,
 )
 from ..state.politeness import PolitenessPool
 from ..state.seen import SeenSet
 
-
-@ray.remote
-def _gate_block_summary(block: pa.Table):
-    """One task per materialized gated block: (denied rows, allowed
-    distinct hosts). Replaces TWO full Dataset executions (the denied
-    filter and the distinct-hosts pass) with one task round — both
-    outputs are driver-bound trickles by design (robots denials are
-    rare; the host domain is bounded because politeness state is
-    per-host), so the Dataset machinery bought nothing but its ~1 s
-    fixed cost each, twice per epoch."""
-    if block.num_rows == 0 or _ALLOWED_COL not in block.column_names:
-        # zero-row blocks can arrive schema-less from the executor
-        return FRONTIER.empty_table(), []
-    m = block.column(_ALLOWED_COL)
-    denied = block.filter(pc.invert(m)).drop_columns([_ALLOWED_COL])
-    hosts = pc.unique(block.filter(m).column("host")).to_pylist()
-    return denied, hosts
-
-
-def _distinct_hosts(ds: "ray.data.Dataset") -> list[str]:
-    """Distinct hosts without a groupby shuffle: per-block pc.unique +
-    driver set-union. The host domain is bounded (politeness state is
-    per-host by design), so the driver sees <= blocks x hosts tiny rows;
-    a full unique() here costs a ~1-2 s all-to-all per epoch for the
-    same answer."""
-    parts = ds.map_batches(
-        lambda b: pa.table({"host": pc.unique(b.column("host"))}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).to_pandas()
-    return sorted(set(parts["host"]))
+# seed-file lines admitted per chunk: the seed bootstrap holds one chunk
+SEED_CHUNK_LINES = 200_000
 
 
 @ray.remote
@@ -182,26 +151,18 @@ class CrawlConfig:
     n_seen_shards: int = 4
     seen_capacity: int = 1 << 18
     n_pol_shards: int = 2
-    n_buckets: int = 16             # D1 dedup buckets (shuffle width)
-    n_host_shards: int = 8          # frontier partition key domain
+    # read by nothing since admission runs only on the driver; kept
+    # because perfbench/workloads.py::crawl_config still passes it
+    n_buckets: int = 16
     # read by nothing since fetch runs only as per-process cached tasks;
     # kept because perfbench/workloads.py::crawl_config still passes it
     fetch_concurrency: int = 2
     fetch_batch_size: int = 64
     ua: str = "heroshi-ray"
     retry_priority_decay: float = 0.5
-    max_depth: int = 64
+    max_depth: int = 64             # links deeper than this are not admitted
     robots_via_actors: bool = False  # A-R shard pool instead of driver broadcast
     n_robots_shards: int = 2
-    # seed bootstrap: driver-side fast path for seed files up to this
-    # size (~1M URLs); the streaming plan above it
-    seed_driver_max_bytes: int = 64 << 20
-    # epoch fork (~100 B/row): a pending frontier of at most this many
-    # rows is gated, handed out and reassembled on the driver, and an
-    # epoch's links up to this many are admitted on the driver — a
-    # distributed plan over a few-MB table costs a full plan launch.
-    # The streaming plans run above the bound.
-    frontier_driver_max: int = 2_000_000
     # extension hooks (SURVEY.md §2.9) — batch-level, cloudpickle-shipped
     url_filter: object = None       # fn(urls, hosts, depth) -> bool mask
     priority_fn: object = None      # fn(depth array) -> float array
@@ -231,6 +192,7 @@ class Crawler:
 
     def __init__(self, fixture_paths: dict, workdir: str, cfg: CrawlConfig | None = None):
         self.cfg = cfg or CrawlConfig()
+        self._check_cpus()
         self.workdir = workdir
         os.makedirs(workdir, exist_ok=True)
         self.paths = fixture_paths
@@ -274,78 +236,74 @@ class Crawler:
 
         self.counters = CountersActor.remote()
 
+    def _check_cpus(self) -> None:
+        """Raise unless the actors leave a whole CPU for the fetch tasks:
+        a ``_fetch_slice`` task needs one, and without it the crawl waits
+        forever instead of failing. Checked before any actor starts."""
+        cfg = self.cfg
+        parts = [
+            (0.1, cfg.n_seen_shards, "seen shards"),
+            (0.1, cfg.n_pol_shards, "politeness shards"),
+            (0.05, 1, "counters actor"),
+        ]
+        if cfg.robots_via_actors:
+            parts.append((0.1, cfg.n_robots_shards, "robots shards"))
+        reserved = round(sum(c * n for c, n, _ in parts), 6)
+        cpus = ray.cluster_resources().get("CPU", 0.0)
+        if cpus - reserved < 1:
+            terms = " + ".join(f"{c:g} x {n} {what}" for c, n, what in parts)
+            raise RuntimeError(
+                f"the crawl's actors reserve {terms} = {reserved:g} CPUs; "
+                f"{cpus:g} cluster CPUs - {reserved:g} = {cpus - reserved:g} "
+                "leaves under the 1 CPU a fetch task needs"
+            )
+
     # ------------------------------------------------------------------
     def _now_us(self, epoch: int) -> int:
         return int(epoch * self.cfg.epoch_seconds * 1e6)
 
     def seed(self) -> int:
-        """Bootstrap epoch 0 frontier from the seed list (SURVEY.md §3.1).
+        """Bootstrap epoch 0 frontier from the seed list (SURVEY.md §3.1):
+        ``SEED_CHUNK_LINES`` lines at a time, in file order, through
+        ``_admit`` and into the frontier writer."""
 
-        Small seed files (the overwhelmingly common case — seed lists are
-        curated inputs, not crawl output) are read on the driver and
-        admitted through ``_admit``'s driver chain: the streaming chain
-        costs three Dataset executions of pure fixed overhead (~8-10 s)
-        for a few thousand rows. Above ``seed_driver_max_bytes`` the
-        streaming chain runs — identical semantics, golden-tested."""
-        cfg = self.cfg
-        try:
-            small = (
-                os.path.getsize(self.paths["seeds"]) <= cfg.seed_driver_max_bytes
-            )
-        except OSError:
-            small = False
-        if small:
+        def admitted():
             with open(self.paths["seeds"]) as f:
-                urls = [ln.rstrip("\r\n") for ln in f if ln.strip()]
-            adm, _ = self._admit(pa.table({"url": pa.array(urls, pa.string())}), 0)
-            # the table is already driver-resident: write it directly
-            # (a distributed write here is a plan launch for nothing)
-            write_frontier_table(adm, self.workdir, 0, cfg.n_host_shards)
-        else:
-            adm, _ = self._admit(read_seeds(self.paths["seeds"]), 0)
-            write_frontier(adm, self.workdir, 0, cfg.n_host_shards)
+                while lines := list(itertools.islice(f, SEED_CHUNK_LINES)):
+                    urls = [ln.rstrip("\r\n") for ln in lines if ln.strip()]
+                    yield self._admit(pa.table({"url": pa.array(urls, pa.string())}), 0)
+
+        write_frontier_table(admitted(), self.workdir, 0)
         n = frontier_row_count(self.workdir, 0)
         self._save_state(0, {"pending": n, "phase": "seeded"})
         return n
 
-    def _admit(self, urls, epoch: int, **cols):
-        """The admission chain: canonicalize -> D1 exact dedup (first row
-        per surt under (depth, parent_surt)) -> J1 seen-set test-and-set.
+    def _admit(self, urls: pa.Table, epoch: int, **cols) -> pa.Table:
+        """The admission chain on the driver: canonicalize (links deeper
+        than ``max_depth`` dropped) -> D1 exact dedup (first row per surt
+        under (depth, parent_surt), ``_first_per_key``) -> J1 seen-pool
+        test-and-set. ``cols`` names the depth/parent columns when the
+        rows are links. Returns the admitted FRONTIER rows."""
+        from ..stages.canonicalize import canonicalize_candidates
+        from ..stages.dedup import _first_per_key
 
-        ``urls`` is a pa.Table (the driver chain: canonicalize_candidates,
-        the _first_per_key tie-break — identical to dedup_first's
-        per-bucket reducer — and the seen pool's routed test-and-set) or
-        a Dataset (the streaming chain: canonicalize_dataset ->
-        bucket-shuffle dedup_first -> filter_new). ``cols`` names the
-        depth/parent columns when the rows are links. Returns the
-        admitted FRONTIER rows — a pa.Table, or a materialized Dataset
-        (filter_new is a test-and-set: it must run once) — and their
-        count."""
         cfg = self.cfg
-        kw = dict(
-            now_us=self._now_us(epoch), epoch=epoch,
-            url_filter=cfg.url_filter, priority_fn=cfg.priority_fn, **cols,
+        if urls.num_rows == 0:
+            return FRONTIER.empty_table()
+        cand = canonicalize_candidates(
+            urls, max_depth=cfg.max_depth, now_us=self._now_us(epoch),
+            epoch=epoch, url_filter=cfg.url_filter, priority_fn=cfg.priority_fn,
+            **cols,
         )
-        if isinstance(urls, pa.Table):
-            from ..stages.canonicalize import canonicalize_candidates
-            from ..stages.dedup import _first_per_key
-
-            if urls.num_rows == 0:
-                return FRONTIER.empty_table(), 0
-            cand = canonicalize_candidates(urls, **kw)
-            # pandas carries only the dedup key and tie-break; the kept
-            # rows are taken from the Arrow table
-            df = _first_per_key(
-                cand.select(["surt", "depth", "parent_surt"]).to_pandas(),
-                "surt",
-                ["depth", "parent_surt"],
-            )
-            mask = self.seen.check_and_add(df["surt"].tolist())
-            adm = cand.take(pa.array(df.index[mask])).select(FRONTIER.names)
-            return adm.cast(FRONTIER), adm.num_rows
-        cand = dedup_first(canonicalize_dataset(urls, **kw), n_buckets=cfg.n_buckets)
-        adm = self.seen.filter_new(cand).materialize()
-        return adm, adm.count()
+        # pandas carries only the dedup key and tie-break; the kept rows
+        # are taken from the Arrow table
+        df = _first_per_key(
+            cand.select(["surt", "depth", "parent_surt"]).to_pandas(),
+            "surt",
+            ["depth", "parent_surt"],
+        )
+        mask = self.seen.check_and_add(df["surt"].tolist())
+        return cand.take(pa.array(df.index[mask])).select(FRONTIER.names).cast(FRONTIER)
 
     # ------------------------------------------------------------------
     def _save_state(
@@ -395,17 +353,6 @@ class Crawler:
         now_s = e * cfg.epoch_seconds
         now_us = self._now_us(e)
         t0 = time.time()
-
-        # size-adaptive epoch fork: under ``frontier_driver_max`` pending
-        # rows (parquet footers — no read) the robots gate, politeness
-        # host scan and K1+K2 handout all run driver-side through the
-        # SAME kernels (VectorRobots.mask, budget_topk_order's exact-cap
-        # finisher); the fetch/extract stages stay distributed either
-        # way (they are the real work). Above the bound every stage is
-        # the original streaming plan. Forks golden-equivalence-tested.
-        drv = frontier_row_count(self.workdir, e) <= cfg.frontier_driver_max
-        pending = None if drv else read_frontier(self.workdir, e)
-        pend_tbl = read_frontier_table(self.workdir, e) if drv else None
         ok0, err0 = report.fetch_ok, report.fetch_err  # per-epoch metric deltas
 
         # crash-resume hygiene: epoch e re-runs only when manifest e+1 was
@@ -419,67 +366,8 @@ class Crawler:
             if os.path.isdir(d):
                 shutil.rmtree(d)
 
-        # J2 robots gate — broadcast semi-join, no shuffle. Denied rows are
-        # a trickle (robots rules hit few pending rows per epoch): pull the
-        # denied side to the driver for the log; the allowed side streams.
-        if self.robots_cache is not None:
-            # A-R actor-pool path (scale mode): rules for this epoch's
-            # hosts only, fetched/parsed on miss and cached in the shards
-            if drv:
-                hosts_all = sorted(
-                    set(pc.unique(pend_tbl.column("host")).to_pylist())
-                )
-            else:
-                hosts_all = _distinct_hosts(pending)
-            epoch_rules = self.robots_cache.rules_for(hosts_all, epoch=e)
-            robots_ref = ray.put(epoch_rules)
-            rules_lookup = epoch_rules
-        else:
-            robots_ref = self.robots_ref
-            rules_lookup = self.robots
-        # ONE robots evaluation pass (VectorRobots, materialized once);
-        # then ONE per-block task round extracts the two driver-bound
-        # trickles together — denied rows (for the log) and the allowed
-        # distinct hosts (for politeness budgets). The allowed side
-        # stays a cheap column filter over the pinned gated blocks.
-        allowed_ds = None
-        allowed_tbl = None
-        if drv:
-            vr = vector_robots_for(robots_ref)  # process-cached by ref
-            mask = pa.array(
-                vr.mask(pend_tbl.column("url"), pend_tbl.column("host"))
-            )
-            denied_tbl = pend_tbl.filter(pc.invert(mask))
-            allowed_tbl = pend_tbl.filter(mask)
-            hosts = sorted(
-                set(pc.unique(allowed_tbl.column("host")).to_pylist())
-            )
-        else:
-            gated = mark_robots(pending, robots_ref).materialize()
-            summaries = ray.get(
-                [_gate_block_summary.remote(r) for r in gated.to_arrow_refs()]
-            )
-            denied_blocks = [d for d, _ in summaries if d.num_rows]
-            hosts_set: set = set()
-            for _, hs in summaries:
-                hosts_set.update(hs)
-            hosts = sorted(hosts_set)
-
-            def _keep_allowed(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0 or _ALLOWED_COL not in batch.column_names:
-                    return FRONTIER.empty_table()
-                return batch.filter(batch.column(_ALLOWED_COL)).drop_columns(
-                    [_ALLOWED_COL]
-                )
-
-            allowed_ds = gated.map_batches(
-                _keep_allowed, batch_format="pyarrow", zero_copy_batch=True
-            )
-            denied_tbl = (
-                pa.concat_tables(denied_blocks, promote_options="none")
-                if denied_blocks
-                else FRONTIER.empty_table()
-            )
+        sched_tbl, denied_tbl, delays = self._handout(e, now_s)
+        n_sched = sched_tbl.num_rows
         n_denied = denied_tbl.num_rows
         if n_denied:
             denied_tbl = denied_tbl.set_column(
@@ -488,34 +376,17 @@ class Crawler:
                 pa.array(np.full(n_denied, STATE_ROBOTS_DENIED, dtype=np.uint8)),
             )
             append_epoch_table(denied_tbl, self.workdir, "denied", e)
-
-        # politeness budgets (A-P): O(distinct hosts) driver<->actor exchange
-        delays = {h: crawl_delay(rules_lookup.get(h, ALLOW_ALL)) for h in hosts}
-        budgets = self.pol.budgets(hosts, now_s, [delays[h] for h in hosts])
-
-        # K1 + K2 as the zero-shuffle combiner (budget_topk_order): local
-        # per-batch budget cap -> bounded driver merge -> exact cap +
-        # deterministic (priority desc, surt asc) order + limit; falls
-        # back to the groupby+sort shuffle plan above driver_merge_max
-        if drv:
-            sched_tbl = budget_topk_order_table(
-                allowed_tbl, budgets, cfg.epoch_budget
-            )
-        else:
-            budgets_ref = ray.put(budgets)
-            sched_tbl = budget_topk_order(
-                allowed_ds, budgets_ref, cfg.epoch_budget, n_shards=cfg.n_buckets
-            )
-        if sched_tbl is None:
-            sched_tbl = FRONTIER.empty_table()
-        n_sched = sched_tbl.num_rows
+        # the surts that leave the pending frontier this epoch
+        drop = pa.concat_arrays(
+            [t.column("surt").combine_chunks() for t in (sched_tbl, denied_tbl)]
+        )
 
         if n_sched == 0:
             # nothing schedulable this epoch (budgets exhausted) — frontier
             # carries over unchanged except denied rows drop out
-            new_frontier = allowed_tbl if drv else allowed_ds
             self._finish_epoch(
-                e, new_frontier, sched_tbl, None, n_denied, 0, 0, t0, report
+                e, self._next_frontier(e, drop, ()), sched_tbl, None, n_denied,
+                0, 0, t0, report,
             )
             return frontier_row_count(self.workdir, e + 1)
 
@@ -525,7 +396,7 @@ class Crawler:
         # The tasks start here; page bodies and image bytes stay in them
         # and the object store, never on the driver.
         rnd = fetch_dataset(
-            sched_tbl.select(FRONTIER.names).cast(FRONTIER),
+            sched_tbl,
             self.pages_ref,
             now_us=now_us,
             batch_size=cfg.fetch_batch_size,
@@ -606,49 +477,28 @@ class Crawler:
                 pa.chunked_array([rnd.image_urls[i] for i in has], pa.string()),
             ).write_parquet(corpus_dir)
 
-        # candidates: canonicalize -> D1 exact dedup -> J1 seen gate.
-        # Links are epoch-scale, so under ``frontier_driver_max`` rows
-        # they are pulled and admitted by the driver chain; above it the
-        # streaming chain runs over the link rows the fetch round left
-        # in the object store. ``admitted`` is a pa.Table on the
-        # driver chain, a Dataset on the streaming one; both
-        # frontier-assembly forks handle both.
-        link_cols = {"depth_col": "depth", "parent_col": "parent_surt"}
-        if links_out <= cfg.frontier_driver_max:
-            lb = [
-                t.select(["url", "depth", "parent_surt"])
-                for t in ray.get(rnd.links)
-                if t.num_rows
-            ]
-            admitted, n_admitted = self._admit(
-                pa.concat_tables(lb, promote_options="none")
-                if lb
-                else LINKS_SCHEMA.empty_table(),
-                e + 1,
-                **link_cols,
+        # candidates: canonicalize -> D1 exact dedup -> J1 seen gate, on
+        # the driver (links are epoch-scale)
+        lb = [
+            t.select(["url", "depth", "parent_surt"])
+            for t in ray.get(rnd.links)
+            if t.num_rows
+        ]
+        admitted = self._admit(
+            pa.concat_tables(lb, promote_options="none")
+            if lb
+            else LINKS_SCHEMA.empty_table(),
+            e + 1,
+            depth_col="depth",
+            parent_col="parent_surt",
+        )
+        n_admitted = admitted.num_rows
+        # membership log: the exact set of surts ever admitted — the
+        # URL-seen golden value the oracle crawler is compared against
+        if n_admitted:
+            write_epoch_table(
+                admitted.select(["surt"]), self.workdir, "admitted_log", e + 1
             )
-            if n_admitted:
-                write_epoch_table(
-                    admitted.select(["surt"]), self.workdir, "admitted_log", e + 1
-                )
-        else:
-            admitted, n_admitted = self._admit(
-                ray.data.from_arrow_refs(rnd.links).select_columns(
-                    ["url", "depth", "parent_surt"]
-                ),
-                e + 1,
-                **link_cols,
-            )
-            # membership log: the exact set of surts ever admitted — the
-            # URL-seen golden value the oracle crawler is compared
-            # against. Written BY THE DATASET (distributed sink).
-            if n_admitted:
-                write_epoch_dataset(
-                    admitted.select_columns(["surt"]),
-                    self.workdir,
-                    "admitted_log",
-                    e + 1,
-                )
 
         # retries / permanent failures
         fail_tbl = flog.filter(pc.invert(flog.column("success")))
@@ -656,63 +506,78 @@ class Crawler:
         report.fetch_ok += n_sched - fail_tbl.num_rows
         report.fetch_err += fail_tbl.num_rows
 
-        # new frontier = (allowed - scheduled) ∪ admitted ∪ retries.
-        # On the driver fork every piece is epoch-scale and already
-        # pinned (admitted materialized, retries driver-resident), so
-        # the assembly is one driver concat with the SAME anti-join
-        # kernel (pc.is_in) and _finish_epoch writes the table directly
-        # — the streaming union+write is a full plan launch (~0.5
-        # s/epoch of fixed cost) for a few-MB table. Above the bound the
-        # streaming plan runs. Forks golden-equivalence-tested.
-        sset = sched_tbl.column("surt").combine_chunks()
-        if drv:
-            rest = allowed_tbl.filter(
-                pc.invert(pc.is_in(allowed_tbl.column("surt"), value_set=sset))
-            )
-            adm_tbls = (
-                [admitted]
-                if isinstance(admitted, pa.Table)
-                else ray.get(admitted.to_arrow_refs())
-            )
-            new_frontier = pa.concat_tables(
-                [
-                    t.select(FRONTIER.names).cast(FRONTIER)
-                    for t in (rest, *adm_tbls, retry_rows)
-                    if t.num_rows
-                ]
-                or [FRONTIER.empty_table()],
-                promote_options="none",
-            )
-        else:
-            # (broadcast anti-join: the scheduled set is bounded by the
-            # epoch budget, shipped once, probed with pc.is_in)
-            sched_ref = ray.put(sset)
-
-            def minus_sched(batch: pa.Table) -> pa.Table:
-                ss = ray.get(sched_ref)
-                mask = pc.invert(pc.is_in(batch.column("surt"), value_set=ss))
-                return batch.filter(mask)
-
-            remaining = allowed_ds.map_batches(
-                minus_sched, batch_format="pyarrow", zero_copy_batch=True
-            )
-            new_frontier = remaining.union(
-                ray.data.from_arrow(admitted)
-                if isinstance(admitted, pa.Table)
-                else admitted
-            )
-            if retry_rows.num_rows:
-                new_frontier = new_frontier.union(
-                    ray.data.from_arrow(retry_rows)
-                )
-
         self._finish_epoch(
-            e, new_frontier, sched_tbl,
+            e, self._next_frontier(e, drop, (admitted, retry_rows)), sched_tbl,
             (report.fetch_ok - ok0, report.fetch_err - err0),
             n_denied, n_sched, n_admitted, t0, report,
             links_out=links_out, corpus_rows=corpus_rows,
         )
         return frontier_row_count(self.workdir, e + 1)
+
+    def _handout(self, e: int, now_s: float):
+        """Pass A over the pending frontier, one part at a time: the
+        robots mask, the denied rows set aside, politeness budgets (A-P)
+        for hosts not seen in an earlier part, and the K1+K2 fold
+        ``cand = budget_topk_order_table(cand ∪ allowed part)``, exact
+        because a row the cap-then-limit scan rejects in a subset is
+        rejected in every superset (stages/schedule); once ``cand`` is
+        full only the part's rows ``can_enter`` lets in are sorted. The
+        budgets are still fetched for every allowed host. Returns the
+        scheduled rows in handout order, the denied rows and the crawl
+        delay of every allowed host."""
+        cfg = self.cfg
+        if self.robots_cache is None:
+            vr = vector_robots_for(self.robots_ref)  # process-cached by ref
+            rules = self.robots
+        else:
+            # A-R actor-pool path: rules for this epoch's hosts only,
+            # fetched/parsed on miss and cached in the shards
+            rules = {}
+        cand = FRONTIER.empty_table()
+        denied = [FRONTIER.empty_table()]
+        budgets: dict = {}
+        delays: dict = {}
+        for part in self._pending_parts(e):
+            if self.robots_cache is not None:
+                hosts = pc.unique(part.column("host")).to_pylist()
+                rules.update(
+                    self.robots_cache.rules_for(
+                        sorted(set(hosts) - rules.keys()), epoch=e
+                    )
+                )
+                vr = VectorRobots({h: rules[h] for h in hosts})
+            mask = pa.array(vr.mask(part.column("url"), part.column("host")))
+            denied.append(part.filter(pc.invert(mask)))
+            allowed = part.filter(mask)
+            new = sorted(
+                set(pc.unique(allowed.column("host")).to_pylist()) - budgets.keys()
+            )
+            delays.update((h, crawl_delay(rules.get(h, ALLOW_ALL))) for h in new)
+            budgets.update(self.pol.budgets(new, now_s, [delays[h] for h in new]))
+            cand = budget_topk_order_table(
+                pa.concat_tables(
+                    [cand, can_enter(allowed, cand, cfg.epoch_budget)],
+                    promote_options="none",
+                ),
+                budgets,
+                cfg.epoch_budget,
+            )
+        return cand, pa.concat_tables(denied, promote_options="none"), delays
+
+    def _pending_parts(self, e: int):
+        """The committed frontier of epoch ``e``, one part at a time."""
+        for i in range(frontier_part_count(self.workdir, e)):
+            part = read_frontier_table(self.workdir, e, i)
+            yield part.select(FRONTIER.names).cast(FRONTIER)
+
+    def _next_frontier(self, e: int, drop: pa.Array, tail):
+        """Pass B: the pending parts of epoch ``e`` re-read one at a time,
+        less the ``drop`` surts (scheduled and denied), then the ``tail``
+        tables (admitted rows, retries) — consumed by the frontier
+        writer."""
+        for part in self._pending_parts(e):
+            yield part.filter(pc.invert(pc.is_in(part.column("surt"), value_set=drop)))
+        yield from tail
 
     def _attach_captions(
         self, img_refs: list, urls: pa.ChunkedArray
@@ -788,13 +653,7 @@ class Crawler:
         self, e, new_frontier, sched_tbl, fetch_deltas, n_denied, n_sched, n_admitted,
         t0, report, links_out=0, corpus_rows=0,
     ) -> None:
-        cfg = self.cfg
-        if isinstance(new_frontier, pa.Table):
-            write_frontier_table(
-                new_frontier, self.workdir, e + 1, cfg.n_host_shards
-            )
-        else:
-            write_frontier(new_frontier, self.workdir, e + 1, cfg.n_host_shards)
+        write_frontier_table(new_frontier, self.workdir, e + 1)
         # schedule-order log (rank column = deterministic within-epoch order)
         if sched_tbl.num_rows:
             log = sched_tbl.select(["url", "surt", "host", "priority"]).append_column(

@@ -3,7 +3,8 @@
 Resume contract (BASELINE.json:6,14 "a killed job resumes without
 re-crawling"): every epoch commits
 
-    {workdir}/epoch={e}/frontier/*.parquet   (partitioned by host_shard)
+    {workdir}/epoch={e}/frontier/part-*.parquet  (parts of at most
+                                             FRONTIER_PART_ROWS rows)
     {workdir}/epoch={e}/seen-e{e}-s{i}.npz   (cuckoo shard snapshots: the
                                              non-empty buckets only)
     {workdir}/epoch={e}/politeness.json
@@ -25,24 +26,13 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data
 
-from ..functions.hashing import hash64
 from ..runtime import default_buckets
 from ..schemas import FRONTIER
-
-
-def read_seeds(path: str) -> "ray.data.Dataset":
-    """S2: one URL per line -> 1-col table (heroshi io-worker stdin shape)."""
-    ds = ray.data.read_text(path)
-    return ds.map_batches(
-        lambda b: pa.table({"url": b.column("text")}),
-        batch_format="pyarrow",
-    )
 
 
 def _pq(sf_dir: str, name: str, columns=None, split: bool = False):
@@ -65,113 +55,81 @@ def manifest_path(workdir: str, epoch: int) -> str:
     return os.path.join(workdir, f"manifest-e{epoch}.json")
 
 
-def write_frontier(
-    frontier: "ray.data.Dataset", workdir: str, epoch: int, n_host_shards: int = 16
-) -> str:
-    """S4: partitioned, atomic frontier write. Partition key = host_shard
-    (hash64(host) % P) — the same key every politeness/top-k stage uses,
-    so a future read is already co-partitioned for them."""
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "host_shard" in batch.column_names:
-            return batch
-        sh = (hash64(batch.column("host")) % np.uint64(n_host_shards)).astype(
-            np.int64
-        )
-        return batch.append_column("host_shard", pa.array(sh, pa.int64()))
-
-    out = os.path.join(epoch_dir(workdir, epoch), "frontier")
-    tmp = out + ".tmp"
-    if os.path.exists(tmp):
-        import shutil
-
-        shutil.rmtree(tmp)
-    os.makedirs(tmp, exist_ok=True)
-    ds = frontier.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
-    ds.write_parquet(tmp)
-    if os.path.exists(out):
-        import shutil
-
-        shutil.rmtree(out)
-    os.replace(tmp, out)
-    return out
+# rows per frontier part file: one read of the frontier holds at most
+# this many rows (~100-200 B each in Arrow) on the driver
+FRONTIER_PART_ROWS = 500_000
 
 
-def write_frontier_table(
-    tbl: pa.Table, workdir: str, epoch: int, n_host_shards: int = 16
-) -> str:
-    """S4 driver fast path: identical layout/partition column/atomic
-    rename as ``write_frontier``, but for a driver-resident Arrow table
-    (seed bootstrap; epoch frontiers under the size-adaptive gate) — no
-    Dataset execution, one parquet file. A crawl at 100-TB scale takes
-    the streaming path; this exists because a distributed write of a
-    few-MB table costs a full plan launch (~0.5 s/epoch of pure fixed
-    overhead). Equivalence-tested against the streaming writer."""
+def write_frontier_table(tables, workdir: str, epoch: int) -> str:
+    """S4: atomic frontier write. ``tables`` is an iterable of FRONTIER
+    tables, consumed in order and re-cut into ``part-{i:05d}.parquet``
+    files of ``FRONTIER_PART_ROWS`` rows (the last one shorter), so the
+    writer holds under two parts at once. The parts go to a tmp
+    directory that replaces the committed one in one rename; an empty
+    frontier leaves the directory without files."""
     import shutil
 
-    if tbl.num_rows and "host_shard" not in tbl.column_names:
-        sh = (hash64(tbl.column("host")) % np.uint64(n_host_shards)).astype(
-            np.int64
-        )
-        tbl = tbl.append_column("host_shard", pa.array(sh, pa.int64()))
+    rows = FRONTIER_PART_ROWS
     out = os.path.join(epoch_dir(workdir, epoch), "frontier")
     tmp = out + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp, exist_ok=True)
-    if tbl.num_rows:
-        # write_parquet emits no files for empty input; match it
-        pq.write_table(tbl, os.path.join(tmp, "part-0.parquet"))
+    n_parts = 0
+
+    def write(t: pa.Table) -> None:
+        nonlocal n_parts
+        pq.write_table(t, os.path.join(tmp, f"part-{n_parts:05d}.parquet"))
+        n_parts += 1
+
+    buf: list = []
+    n_buf = 0
+    for t in tables:
+        if t.num_rows == 0:
+            continue
+        buf.append(t)
+        n_buf += t.num_rows
+        while n_buf >= rows:
+            whole = pa.concat_tables(buf, promote_options="none")
+            write(whole.slice(0, rows))
+            buf, n_buf = [whole.slice(rows)], n_buf - rows
+    if n_buf:
+        write(pa.concat_tables(buf, promote_options="none"))
     shutil.rmtree(out, ignore_errors=True)
     os.replace(tmp, out)
     return out
 
 
-def read_frontier(workdir: str, epoch: int) -> "ray.data.Dataset":
-    """S3: load a committed frontier checkpoint (empty dataset if the
-    epoch wrote no rows — write_parquet emits no files for empty input)."""
+def _frontier_files(workdir: str, epoch: int) -> list[str]:
     path = os.path.join(epoch_dir(workdir, epoch), "frontier")
-    if not os.path.isdir(path) or not any(
-        f.endswith(".parquet") for f in os.listdir(path)
-    ):
-        return empty_frontier()
-    return ray.data.read_parquet(path)
+    if not os.path.isdir(path):
+        return []
+    return sorted(
+        os.path.join(path, f) for f in os.listdir(path) if f.endswith(".parquet")
+    )
+
+
+def frontier_part_count(workdir: str, epoch: int) -> int:
+    return len(_frontier_files(workdir, epoch))
 
 
 def empty_frontier() -> "ray.data.Dataset":
     return ray.data.from_arrow(FRONTIER.empty_table())
 
 
-def read_frontier_table(workdir: str, epoch: int) -> pa.Table:
-    """Driver twin of :func:`read_frontier` for the size-adaptive epoch
-    fork: the committed frontier as one driver-resident Arrow table
-    (callers gate on :func:`frontier_row_count` first)."""
-    path = os.path.join(epoch_dir(workdir, epoch), "frontier")
-    files = (
-        sorted(
-            os.path.join(path, f)
-            for f in os.listdir(path)
-            if f.endswith(".parquet")
-        )
-        if os.path.isdir(path)
-        else []
-    )
+def read_frontier_table(workdir: str, epoch: int, part: int | None = None) -> pa.Table:
+    """S3: part ``part`` of a committed frontier checkpoint, or with
+    ``part=None`` every part as one table."""
+    files = _frontier_files(workdir, epoch)
+    if part is not None:
+        return pq.read_table(files[part])
     if not files:
         return FRONTIER.empty_table()
-    return pa.concat_tables(
-        [pq.read_table(f) for f in files], promote_options="none"
-    )
+    return pa.concat_tables([pq.read_table(f) for f in files], promote_options="none")
 
 
 def frontier_row_count(workdir: str, epoch: int) -> int:
     """Row count from parquet footers — no Ray job, no data read."""
-    path = os.path.join(epoch_dir(workdir, epoch), "frontier")
-    if not os.path.isdir(path):
-        return 0
-    total = 0
-    for f in os.listdir(path):
-        if f.endswith(".parquet"):
-            total += pq.read_metadata(os.path.join(path, f)).num_rows
-    return total
+    return sum(pq.read_metadata(f).num_rows for f in _frontier_files(workdir, epoch))
 
 
 def commit_manifest(workdir: str, epoch: int, info: dict) -> None:
@@ -209,26 +167,10 @@ def append_epoch_table(table: pa.Table, workdir: str, sub: str, epoch: int) -> s
     return p
 
 
-def write_epoch_dataset(ds: "ray.data.Dataset", workdir: str, sub: str, epoch: int) -> str:
-    """Distributed append-only per-epoch sink: {workdir}/{sub}/e{epoch}/
-    written by the DATASET (never pulled to the driver). The directory is
-    cleared first so a crashed epoch's re-run can't double its rows."""
-    d = os.path.join(workdir, sub, f"e{epoch}")
-    if os.path.isdir(d):
-        import shutil
-
-        shutil.rmtree(d)
-    os.makedirs(d, exist_ok=True)
-    ds.write_parquet(d)
-    return d
-
-
 def write_epoch_table(table: pa.Table, workdir: str, sub: str, epoch: int) -> str:
-    """Driver twin of :func:`write_epoch_dataset`: the SAME
-    {sub}/e{N}/ directory contract (cleared first so a crashed epoch's
-    re-run can't double its rows), one parquet file written directly —
-    used by the size-adaptive driver forks where the table is already
-    driver-resident."""
+    """Per-epoch sink directory {workdir}/{sub}/e{epoch}/ holding one
+    parquet file. The directory is cleared first so a crashed epoch's
+    re-run can't double its rows."""
     d = os.path.join(workdir, sub, f"e{epoch}")
     if os.path.isdir(d):
         import shutil
@@ -241,7 +183,7 @@ def write_epoch_table(table: pa.Table, workdir: str, sub: str, epoch: int) -> st
 
 def read_epoch_tables(workdir: str, sub: str) -> pa.Table | None:
     """Read every epoch sink under {workdir}/{sub}: both single-file
-    epochs (e{N}.parquet) and distributed-write epochs (e{N}/*.parquet)."""
+    epochs (e{N}.parquet) and directory epochs (e{N}/*.parquet)."""
     d = os.path.join(workdir, sub)
     if not os.path.isdir(d):
         return None

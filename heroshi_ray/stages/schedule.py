@@ -1,21 +1,25 @@
 """Robots gate (J2) + politeness top-k (K1) + global schedule order (K2).
 
-This is the frontier's "hand out a crawl batch" path — heroshi's
+This is the crawl loop's "hand out a crawl batch" path — heroshi's
 manager crawl-queue handout with a ``limit`` ([UPSTREAM-M], reference
-unavailable), re-expressed as Ray Data shuffles (BASELINE.json:6
-"priority frontier expressed as groupby(host)-aggregate-sort shuffles"):
+unavailable):
 
-1. J2: robots semi-join — the parsed robots table is tiny relative to
-   the frontier, so it is broadcast once via ``ray.put`` and applied as
-   a vectorized mask inside ``map_batches`` (no shuffle).
-2. K1: per-host budget cap — ONE shuffle keyed on
-   ``host_shard = hash64(host) % P`` (coarse buckets, not per-host
-   groups), then a vectorized per-bucket "top budget_h per host".
-   Hot hosts can't flood an epoch: their emission is capped by budget,
-   which also contains Zipf host skew at the K2 sort.
-3. K2: deterministic global order — sort by (priority desc, surt asc)
-   + limit(epoch_budget). The ONLY global sort in the hot path; its
-   input is already budget-capped (≤ Σ budgets rows).
+1. J2: robots semi-join — ``VectorRobots`` evaluates the parsed robots
+   rules of a part's hosts as a vectorized allow-mask.
+2. K1: per-host budget cap — each host keeps its ``budget[host]``
+   highest rows under (priority desc, surt asc); hot hosts can't flood
+   an epoch.
+3. K2: deterministic global order — (priority desc, surt asc) +
+   limit(epoch_budget) over the budget-capped rows.
+
+``budget_topk_order_table`` does K1+K2 on one Arrow table. Folding it
+over the frontier part by part — ``cand = f(cand ∪ part)`` — gives the
+same rows as one call on the whole frontier: the cap then the limit,
+under one total order, is a greedy scan, and a row the scan rejects in
+a subset is rejected in every superset. So the driver holds at most
+``epoch_budget`` candidate rows plus one part. Once ``cand`` is full,
+``can_enter`` drops the part's rows after its last row before the fold
+sorts them.
 """
 
 from __future__ import annotations
@@ -25,12 +29,6 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
-import ray.data
-
-from ..functions.hashing import hash64
-from ..runtime import arrow_blocks
-
-_SHARD_COL = "__host_shard"
 
 
 def _path_of(url: str, host: str) -> str:
@@ -41,20 +39,19 @@ def _path_of(url: str, host: str) -> str:
     j = url.find("/", i + 3 if i != -1 else 0)
     return url[j:] if j != -1 else "/"
 
-_ALLOWED_COL = "__allowed"
 
-
-# per-worker-process VectorRobots cache, keyed on the broadcast ref: the
+# per-process VectorRobots cache, keyed on the broadcast ref: the
 # matcher's pattern/host index is built once per process per robots
-# table, not once per batch (robots_via_actors puts a fresh ref per
-# epoch, so the cache is kept small)
+# table, not once per batch or frontier part (the crawl driver and the
+# flagship's workers each hold one or two refs, so the cache is kept
+# small)
 _VR_CACHE: dict = {}
 
 
 def vector_robots_for(robots_ref):
     """Per-worker-process VectorRobots for a broadcast robots ref —
     the pattern/host index is built once per process per robots table
-    (shared by mark_robots and the flagship GateAndCap; a per-instance
+    (shared by the crawl handout and the flagship GateAndCap; a per-instance
     cache would rebuild it per task because map_batches re-deserializes
     the callable into every task)."""
     key = robots_ref.hex() if hasattr(robots_ref, "hex") else id(robots_ref)
@@ -64,62 +61,6 @@ def vector_robots_for(robots_ref):
             _VR_CACHE.clear()
         vr = _VR_CACHE[key] = VectorRobots(ray.get(robots_ref))
     return vr
-
-
-def mark_robots(ds: "ray.data.Dataset", robots_ref) -> "ray.data.Dataset":
-    """ONE robots pass: append a boolean ``__allowed`` column using the
-    broadcast parsed-robots dict {host: Rules}. Hosts absent from the
-    dict are allowed (no robots -> allow-all). Evaluation is the
-    vectorized longest-match matcher (VectorRobots — one pass per
-    distinct rule pattern, bit-identical to ``allowed()``, equivalence-
-    tested in tests/test_robots.py), the same kernel the flagship gate
-    uses; the per-row Python loop this replaced cost ~1.5-4 s per crawl
-    epoch at 120k pending rows."""
-
-    def gate(batch: pa.Table) -> pa.Table:
-        vr = vector_robots_for(robots_ref)
-        mask = vr.mask(batch.column("url"), batch.column("host"))
-        return batch.append_column(_ALLOWED_COL, pa.array(mask))
-
-    return ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def per_host_topk(
-    ds: "ray.data.Dataset",
-    budgets_ref,
-    n_shards: int = 32,
-    default_budget: int = 0,
-) -> "ray.data.Dataset":
-    """K1: within each host keep the ``budget[host]`` highest-priority rows
-    (priority desc, surt asc tie-break). One bucket-keyed shuffle; the
-    per-bucket body is vectorized pandas (sort + groupby.cumcount)."""
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        sh = (hash64(batch.column("host")) % np.uint64(n_shards)).astype(
-            np.int32
-        )
-        return batch.append_column(_SHARD_COL, pa.array(sh, pa.int32()))
-
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        budgets = ray.get(budgets_ref)
-        g = group.sort_values(
-            ["host", "priority", "surt"], ascending=[True, False, True], kind="mergesort"
-        )
-        rank = g.groupby("host", sort=False).cumcount()
-        cap = g["host"].map(budgets).fillna(default_budget).to_numpy()
-        return g[rank.to_numpy() < cap]
-
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(_SHARD_COL)
-        .map_groups(topk, batch_format="pandas")
-        .drop_columns([_SHARD_COL])
-    )
-
-
-def global_order(ds: "ray.data.Dataset", epoch_budget: int) -> "ray.data.Dataset":
-    """K2: deterministic cross-host schedule order."""
-    return ds.sort(["priority", "surt"], descending=[True, False]).limit(epoch_budget)
 
 
 def _budget_cap_indices(host, priority, surt, budgets, default_budget=0) -> np.ndarray:
@@ -136,70 +77,14 @@ def _budget_cap_indices(host, priority, surt, budgets, default_budget=0) -> np.n
     return np.sort(g.index.to_numpy()[rank < cap])
 
 
-def budget_topk_order(
-    ds: "ray.data.Dataset",
-    budgets_ref,
-    epoch_budget: int,
-    n_shards: int = 32,
-    driver_merge_max: int = 4_000_000,
-) -> pa.Table | None:
-    """K1+K2 without shuffling the frontier (the crawl loop's handout
-    path, mirroring the flagship combiner): each batch keeps its LOCAL
-    per-host top-``budget[host]`` (correct because the global per-host
-    top-b(h) is a subset of the union of per-batch top-b(h) under the
-    same (priority desc, surt asc) order), the budget-capped stream —
-    bounded by Σ budgets, ~the epoch batch — merges on the driver for
-    the exact cap + deterministic global order + limit. This replaces
-    TWO all-to-all exchanges of the allowed frontier (groupby(host
-    shard) + full sort) with zero; the driver merge is no new exposure
-    because run_epoch pulls the scheduled handout to the driver anyway
-    (heroshi's manager assembling one crawl-queue batch).
-
-    Above ``driver_merge_max`` capped rows it falls back to the shuffle
-    plan (per_host_topk + global_order), which bounds the driver pull by
-    ``epoch_budget``. Returns one Arrow table (or None when nothing is
-    schedulable)."""
-
-    def local_cap(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        budgets = ray.get(budgets_ref)
-        idx = _budget_cap_indices(
-            batch.column("host").to_pandas(),
-            batch.column("priority").to_pandas(),
-            batch.column("surt").to_pandas(),
-            budgets,
-        )
-        return batch.take(pa.array(idx))
-
-    capped = ds.map_batches(
-        local_cap, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    if capped.count() > driver_merge_max:
-        k1 = per_host_topk(capped, budgets_ref, n_shards=n_shards)
-        sched = global_order(k1, epoch_budget)
-        blocks = arrow_blocks(sched)
-        return (
-            pa.concat_tables(blocks, promote_options="none") if blocks else None
-        )
-    blocks = arrow_blocks(capped)
-    if not blocks:
-        return None
-    merged = pa.concat_tables(blocks, promote_options="none")
-    return budget_topk_order_table(merged, ray.get(budgets_ref), epoch_budget)
-
-
 def budget_topk_order_table(
     tbl: pa.Table, budgets: dict, epoch_budget: int
-) -> pa.Table | None:
-    """K1+K2 driver kernel on an Arrow table — the exact-cap + global
-    order + limit finisher of :func:`budget_topk_order` (identical
-    semantics: one _budget_cap_indices pass IS the exact per-host cap,
-    the per-batch local_cap round only exists to bound what reaches the
-    driver). Used directly by the crawl loop's size-adaptive epoch fork
-    where the allowed frontier is already driver-resident."""
+) -> pa.Table:
+    """K1+K2 on an Arrow table: the exact per-host cap, then the
+    (priority desc, surt asc) order and the ``epoch_budget`` limit. A
+    table with no rows comes back as it is."""
     if tbl.num_rows == 0:
-        return None
+        return tbl
     merged = tbl.combine_chunks()
     idx = _budget_cap_indices(
         merged.column("host").to_pandas(),
@@ -214,9 +99,29 @@ def budget_topk_order_table(
     return exact.take(order.slice(0, epoch_budget))
 
 
+def can_enter(part: pa.Table, cand: pa.Table, epoch_budget: int) -> pa.Table:
+    """The rows of ``part`` that can still join ``cand``, a
+    ``budget_topk_order_table`` result: every row while ``cand`` has
+    room, else the rows before its last one in (priority desc, surt asc)
+    order. A row after it is rejected by the fold: ``cand``'s rows or
+    better rows of their hosts fill all ``epoch_budget`` slots first."""
+    if cand.num_rows < epoch_budget:
+        return part
+    import pyarrow.compute as pc
+
+    p, s = cand.column("priority")[-1], cand.column("surt")[-1]
+    pr = part.column("priority")
+    return part.filter(
+        pc.or_(
+            pc.greater(pr, p),
+            pc.and_(pc.equal(pr, p), pc.less(part.column("surt"), s)),
+        )
+    )
+
+
 class VectorRobots:
-    """Vectorized robots gate, shared by the crawl loop's mark_robots()
-    and the flagship GateAndCap (through vector_robots_for).
+    """Vectorized robots gate, shared by the crawl loop's handout and
+    the flagship GateAndCap (through vector_robots_for).
 
     A per-row ``allowed()`` loop is wrong for the headline path that
     streams tens of millions of URLs. This matcher evaluates a broadcast

@@ -8,10 +8,12 @@ epoch)}`` with TTL, and synthesizes a robots-fetch through the provided
 fetch function on miss (in-sandbox: the robots fixture table; in
 production: an HTTP GET of /robots.txt).
 
-The driver-broadcast path (stages.schedule.mark_robots) is the right
-call when the parsed robots table fits in one object (≤ ~1e6 hosts);
-this pool is the scale path beyond that — the epoch gate then RPCs
-``rules_for(hosts)`` per batch exactly like the seen gate.
+The driver-broadcast path (one parsed robots dict for every host, put
+once and matched through stages.schedule.vector_robots_for) is the
+right call when that dict fits in one object (≤ ~1e6 hosts); this pool
+is the scale path beyond that — the epoch handout then RPCs
+``rules_for(hosts)`` once per frontier part, for the hosts it has not
+asked about yet this epoch.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pyarrow as pa
 
 import ray
 
@@ -149,18 +148,13 @@ class SeenSet:
             out[idx] = res
         return out
 
-    @staticmethod
-    def check_and_add_routed(shards, surts) -> np.ndarray:
+    def check_and_add(self, surts) -> np.ndarray:
         """Test-and-set a list of surts across the pool; returns bool mask
         (True = new). Hashes then delegates to ``check_and_add_keys``
         (the single copy of the routing/token/scatter logic)."""
         if len(surts) == 0:
             return np.zeros(0, dtype=bool)
-        keys = hash64(surts)
-        return SeenSet.check_and_add_keys(shards, keys)
-
-    def check_and_add(self, surts) -> np.ndarray:
-        return self.check_and_add_routed(self.shards, surts)
+        return SeenSet.check_and_add_keys(self.shards, hash64(surts))
 
     def contains(self, surts) -> np.ndarray:
         if len(surts) == 0:
@@ -175,21 +169,6 @@ class SeenSet:
         for idx, res in zip(idxs, ray.get(refs)):
             out[idx] = res
         return out
-
-    # ---- dataset-level op: J1 admission filter -------------------------
-    def filter_new(self, ds, surt_col: str = "surt"):
-        """Dataset -> Dataset keeping only rows whose surt was NOT seen;
-        marks them seen (test-and-set). Runs as map_batches tasks that RPC
-        the shard pool — the set never materializes into the plan."""
-        shards = self.shards  # closure-capture handles
-
-        def gate(batch: pa.Table) -> pa.Table:
-            # Arrow column goes straight into hash64 (Arrow-native,
-            # ~7-8x faster than a to_pylist materialization)
-            mask = SeenSet.check_and_add_routed(shards, batch.column(surt_col))
-            return batch.filter(pa.array(mask))
-
-        return ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
 
     # ---- checkpoint ----------------------------------------------------
     def save(self, ckpt_dir: str, epoch: int) -> list[dict]:

@@ -52,8 +52,10 @@ class OracleCrawler:
         seen_capacity: int = 1 << 18,
         retry_priority_decay: float = 0.5,
         ua: str = "heroshi-ray",
+        max_depth: int = 64,
     ):
         self.epoch_budget = epoch_budget
+        self.max_depth = max_depth
         self.epoch_seconds = epoch_seconds
         self.max_epochs = max_epochs
         self.max_retries = max_retries
@@ -111,10 +113,13 @@ class OracleCrawler:
         return url[j:] if j != -1 else "/"
 
     def _admit(self, cands: list[tuple]) -> None:
-        """cands: (url, depth, parent_surt). Canonicalize -> exact dedup
-        (min (depth, parent_surt) per surt) -> cuckoo test-and-set."""
+        """cands: (url, depth, parent_surt). Drop depth > max_depth ->
+        canonicalize -> exact dedup (min (depth, parent_surt) per surt)
+        -> cuckoo test-and-set."""
         best: dict[str, tuple] = {}
         for url, depth, parent in cands:
+            if depth > self.max_depth:
+                continue
             c = canonicalize(url)
             if c is None:
                 continue

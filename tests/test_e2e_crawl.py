@@ -55,9 +55,9 @@ def engine_per_host_order(crawler):
 
 
 def engine_seen_membership(crawler, wd):
-    from heroshi_ray.sources.io import read_epoch_tables, read_frontier
+    from heroshi_ray.sources.io import read_epoch_tables, read_frontier_table
 
-    seeds = read_frontier(wd, 0).to_pandas()["surt"].tolist()
+    seeds = read_frontier_table(wd, 0).column("surt").to_pylist()
     adm = read_epoch_tables(wd, "admitted_log")
     out = set(seeds)
     if adm is not None:
@@ -165,22 +165,32 @@ def test_host_stats(crawl_setup):
     assert ((stats["success_rate"] >= 0) & (stats["success_rate"] <= 1)).all()
 
 
-def test_streaming_fork_equivalence(crawl_setup, tmp_path_factory):
-    """frontier_driver_max=0 forces every size-adaptive epoch fork
-    (driver robots gate, driver K1+K2 handout, driver admit chain,
-    driver frontier assembly+write) onto the streaming plans; schedule
-    order, seen membership and fetch counters must be identical to the
-    driver-fork run the golden tests validated."""
+def test_frontier_part_size_invariance(crawl_setup, tmp_path_factory, monkeypatch):
+    """A frontier cut into parts of 7 rows (so the handout folds and the
+    frontier writer re-cuts several parts per epoch) gives the same
+    schedule order, seen membership, counters and fetch log as the
+    golden run, whose frontier fits in one part."""
     import pandas as pd
 
-    paths, wd, crawler, report, oracle = crawl_setup
-    from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
+    from heroshi_ray.pipelines import crawl
+    from heroshi_ray.sources import io
 
-    wd2 = str(tmp_path_factory.mktemp("wd_stream"))
-    cfg = CrawlConfig(epoch_budget=64, max_epochs=14, frontier_driver_max=0)
-    c2 = Crawler(paths, wd2, cfg)
+    paths, wd, crawler, report, oracle = crawl_setup
+    monkeypatch.setattr(io, "FRONTIER_PART_ROWS", 7)
+    parts_read: dict = {}
+    read = crawl.read_frontier_table
+
+    def counting_read(workdir, epoch, part=None):
+        parts_read.setdefault(epoch, set()).add(part)
+        return read(workdir, epoch, part)
+
+    monkeypatch.setattr(crawl, "read_frontier_table", counting_read)
+
+    wd2 = str(tmp_path_factory.mktemp("wd_parts"))
+    c2 = crawl.Crawler(paths, wd2, crawl.CrawlConfig(epoch_budget=64, max_epochs=14))
     r2 = c2.run()
     try:
+        assert max(len(p) for p in parts_read.values()) >= 3, parts_read
         a = (
             crawler.schedule_order()
             .to_pandas()
@@ -208,6 +218,71 @@ def test_streaming_fork_equivalence(crawl_setup, tmp_path_factory):
         c2.shutdown()
 
 
+def test_max_depth_matches_oracle(crawl_setup, tmp_path_factory):
+    """``max_depth=1`` admits no link of depth 2, on the same web where
+    the golden run reaches depth 2, and matches the oracle at the same
+    cap."""
+    import glob
+    import os
+
+    from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
+    from heroshi_ray.sources.io import read_epoch_tables
+    from tests.oracle_crawler import OracleCrawler
+
+    paths, wd, crawler, report, oracle = crawl_setup
+    assert max(read_epoch_tables(wd, "fetchlog").column("depth").to_pylist()) >= 2
+
+    wd2 = str(tmp_path_factory.mktemp("wd_depth"))
+    cfg = CrawlConfig(epoch_budget=64, max_epochs=14, max_depth=1)
+    c2 = Crawler(paths, wd2, cfg)
+    r2 = c2.run()
+    try:
+        o2 = OracleCrawler(
+            paths,
+            epoch_budget=cfg.epoch_budget,
+            epoch_seconds=cfg.epoch_seconds,
+            burst=cfg.burst,
+            max_epochs=cfg.max_epochs,
+            max_retries=cfg.max_retries,
+            n_seen_shards=cfg.n_seen_shards,
+            seen_capacity=cfg.seen_capacity,
+            retry_priority_decay=cfg.retry_priority_decay,
+            ua=cfg.ua,
+            max_depth=1,
+        )
+        o2.run()
+        assert engine_per_host_order(c2) == o2.per_host_order()
+        assert engine_seen_membership(c2, wd2) == o2.seen_membership()
+        assert (r2.fetch_ok, r2.fetch_err) == (o2.fetch_ok, o2.fetch_err)
+        frontier = glob.glob(os.path.join(wd2, "epoch=*", "frontier", "*.parquet"))
+        depths = [d for f in frontier for d in pq.read_table(f).column("depth").to_pylist()]
+        depths += read_epoch_tables(wd2, "fetchlog").column("depth").to_pylist()
+        assert depths and max(depths) == 1
+    finally:
+        c2.shutdown()
+
+
+def test_crawler_refuses_cluster_its_actors_fill(ray_session, tmp_path):
+    """32 seen shards + 8 politeness shards + the counters actor reserve
+    4.05 CPUs of the 4-CPU session: the constructor raises instead of
+    the crawl waiting forever for a CPU to fetch with."""
+    from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
+
+    paths = write_fixture_dir(
+        str(tmp_path / "fx"), n_hosts=2, n_pages=8, n_images=2, n_seeds=2, seed=1
+    )
+    c = None
+    try:
+        with pytest.raises(RuntimeError, match=r"= 4\.05 CPUs"):
+            c = Crawler(
+                paths, str(tmp_path / "wd"),
+                CrawlConfig(n_seen_shards=32, n_pol_shards=8),
+            )
+    finally:
+        if c is not None:
+            c.shutdown()
+
+
 def sorted_fetch_log(wd):
     from heroshi_ray.sources.io import read_epoch_tables
 
@@ -217,18 +292,23 @@ def sorted_fetch_log(wd):
 
 
 def test_driver_fork_epoch_runs_no_dataset_execution(ray_session, tmp_path, monkeypatch):
-    """On the driver fork no epoch starts a Ray Data execution or builds
-    a Dataset, including the epochs that write corpus rows: the fetch ->
-    extract round and the corpus write are plain task rounds. Every
-    driver-side call that runs a plan, and every Dataset construction,
-    is counted once, at its outermost call; ``count`` and
-    ``to_arrow_refs`` only on a Dataset that is not materialized."""
+    """Neither ``seed()`` nor any epoch starts a Ray Data execution or
+    builds a Dataset, with the frontier cut into parts of 7 rows and
+    including the epochs that write corpus rows: the handout folds the
+    parts on the driver, the fetch -> extract round and the corpus
+    write are plain task rounds. Every driver-side call that runs a
+    plan, and every Dataset construction, is counted once, at its
+    outermost call; ``count`` and ``to_arrow_refs`` only on a Dataset
+    that is not materialized."""
     import os
 
     import ray.data
     from ray.data.dataset import MaterializedDataset
 
     from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
+    from heroshi_ray.sources import io
+
+    monkeypatch.setattr(io, "FRONTIER_PART_ROWS", 7)
 
     state = {"depth": 0, "epoch": None}
     calls: dict = {}
@@ -259,7 +339,7 @@ def test_driver_fork_epoch_runs_no_dataset_execution(ray_session, tmp_path, monk
     for name in ("count", "to_arrow_refs"):
         count_calls(name, True)
 
-    run_epoch = Crawler.run_epoch
+    run_epoch, seed = Crawler.run_epoch, Crawler.seed
 
     def tracked_run_epoch(self, e, report):
         state["epoch"] = e
@@ -268,7 +348,15 @@ def test_driver_fork_epoch_runs_no_dataset_execution(ray_session, tmp_path, monk
         finally:
             state["epoch"] = None
 
+    def tracked_seed(self):
+        state["epoch"] = "seed"
+        try:
+            return seed(self)
+        finally:
+            state["epoch"] = None
+
     monkeypatch.setattr(Crawler, "run_epoch", tracked_run_epoch)
+    monkeypatch.setattr(Crawler, "seed", tracked_seed)
 
     paths = write_fixture_dir(
         str(tmp_path / "fx"), n_hosts=3, n_pages=24, n_images=8, n_seeds=4, seed=5
@@ -283,4 +371,5 @@ def test_driver_fork_epoch_runs_no_dataset_execution(ray_session, tmp_path, monk
         return os.path.isdir(d) and any(f.endswith(".parquet") for f in os.listdir(d))
 
     assert any(writes_corpus(e) for e in range(4))
+    assert max(io.frontier_part_count(wd, e) for e in range(5)) >= 3
     assert not calls, calls

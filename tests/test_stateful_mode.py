@@ -1,7 +1,8 @@
 """Physical-plan checks of the crawl loop: its output must not depend
 on how the epoch's fetch is batched or split into host slices, the
 caption attach must keep the first caption per URL across epochs, and
-every remaining size fork must match its other side."""
+the handout and the seed admission must not depend on how the frontier
+or the seed file is cut."""
 
 from __future__ import annotations
 
@@ -211,10 +212,10 @@ def test_attach_captions_first_wins_multiblock(ray_session, tmp_path):
     assert got.equals(want)
 
 
-def _run_cfg(paths, wd, **cfg_kwargs):
+def _run_cfg(paths, wd):
     from heroshi_ray.pipelines.crawl import Crawler, CrawlConfig
 
-    cfg = CrawlConfig(epoch_budget=48, max_epochs=4, **cfg_kwargs)
+    cfg = CrawlConfig(epoch_budget=48, max_epochs=4)
     crawler = Crawler(paths, wd, cfg)
     crawler.run()
     order = crawler.schedule_order().to_pandas()
@@ -226,16 +227,18 @@ def _run_cfg(paths, wd, **cfg_kwargs):
     return list(zip(order["host"], order["url"])), corpus
 
 
-def test_budget_topk_order_shuffle_path_equals_merge(ray_session):
-    """driver_merge_max=0 forces the groupby+sort fallback inside
-    budget_topk_order; the scheduled handout must be identical to the
-    driver-merge combiner."""
+def test_budget_topk_fold_equals_whole_table():
+    """Folding ``cand = budget_topk_order_table(cand ∪ part)`` over the
+    parts of a table — 8 parts, and 1-row parts — gives the same handout
+    as one call on the whole table, with no fold result above
+    ``epoch_budget`` rows, both on whole parts and on the rows of each
+    part that ``can_enter`` keeps once ``cand`` is full. Priorities are
+    rounded so ties fall to the surt order, and some hosts have a zero
+    budget."""
     import numpy as np
     import pyarrow as pa
-    import ray
-    import ray.data
 
-    from heroshi_ray.stages.schedule import budget_topk_order
+    from heroshi_ray.stages.schedule import budget_topk_order_table, can_enter
 
     rng = np.random.default_rng(3)
     n = 5000
@@ -245,35 +248,44 @@ def test_budget_topk_order_shuffle_path_equals_merge(ray_session):
         {
             "host": pa.array(hosts, pa.string()),
             "surt": pa.array(surts, pa.string()),
-            "priority": pa.array(rng.random(n), pa.float64()),
+            "priority": pa.array(np.round(rng.random(n), 1), pa.float64()),
             "url": pa.array([f"http://x/{k}" for k in range(n)], pa.string()),
         }
     )
-    ds = ray.data.from_arrow(tbl).repartition(8)
     budgets = {f"h{i}.example": int(i % 7) for i in range(40)}
-    budgets_ref = ray.put(budgets)
+    epoch_budget = 100
 
-    a = budget_topk_order(ds, budgets_ref, epoch_budget=400)
-    b = budget_topk_order(ds, budgets_ref, epoch_budget=400, driver_merge_max=0)
-    assert a is not None and b is not None
-    assert a.num_rows == b.num_rows > 0
-    ad, bd = a.to_pandas(), b.to_pandas()
-    for col in ("host", "surt", "priority", "url"):
-        assert list(ad[col]) == list(bd[col]), col
+    whole = budget_topk_order_table(tbl, budgets, epoch_budget)
+    assert whole.num_rows == epoch_budget
+    for part_rows in (n // 8, 1):
+        for prune in (False, True):
+            cand, kept = tbl.slice(0, 0), 0
+            for start in range(0, n, part_rows):
+                part = tbl.slice(start, part_rows)
+                if prune:
+                    part = can_enter(part, cand, epoch_budget)
+                kept += part.num_rows
+                cand = budget_topk_order_table(
+                    pa.concat_tables([cand, part]), budgets, epoch_budget
+                )
+                assert cand.num_rows <= epoch_budget
+            assert cand.equals(whole), (part_rows, prune)
+            assert kept < n / 2 if prune else kept == n
 
 
-def test_seed_streaming_path_equals_driver(ray_session, tmp_path_factory):
-    """seed_driver_max_bytes=0 forces the streaming seed plan; schedule
-    order and corpus must be identical to the driver-side fast path."""
+def test_seed_chunk_size_invariance(ray_session, tmp_path_factory, monkeypatch):
+    """Admitting the seed file two lines at a time gives the schedule
+    order and corpus of the default chunk size."""
     import pandas as pd
+
+    from heroshi_ray.pipelines import crawl
 
     fx = str(tmp_path_factory.mktemp("fx_seed"))
     paths = write_fixture_dir(fx, n_hosts=4, n_pages=40, n_images=12, n_seeds=6, seed=13)
 
     order_d, corpus_d = _run_cfg(paths, str(tmp_path_factory.mktemp("wd_d")))
-    order_s, corpus_s = _run_cfg(
-        paths, str(tmp_path_factory.mktemp("wd_s")), seed_driver_max_bytes=0
-    )
+    monkeypatch.setattr(crawl, "SEED_CHUNK_LINES", 2)
+    order_s, corpus_s = _run_cfg(paths, str(tmp_path_factory.mktemp("wd_s")))
     assert order_d == order_s
     assert len(order_d) > 0
     pd.testing.assert_frame_equal(corpus_d, corpus_s, check_dtype=False)
