@@ -39,7 +39,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     # Every entry has a DuckDB twin in oracle_sql(). The driver records
     # only the first 50 entries (the driver window, crawl-core first),
-    # so new entries go at the end and the window never shifts.
+    # so new entries go at the end and entries are deleted only after
+    # the window: its membership never shifts.
     return {
         # flagship twin: the fused schedule projected to (host, depth, n)
         # handout counts, which a DuckDB window twin reproduces exactly
@@ -96,16 +97,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_pagerank": d.q_pagerank,
         "q_centroids": d.q_centroids,
         "q_chunk": d.q_chunk,
-        "q_decontaminate": d.q_decontaminate,
         "q_pack_sequences": d.q_pack_sequences,
         "q_data_mix": d.q_data_mix,
         "q_quantize_embeddings": d.q_quantize_embeddings,
-        "q_triangle_count": d.q_triangle_count,
         "q_quality_sample": d.q_quality_sample,
         "q_train_split": d.q_train_split,
-        "q_bfs_distance": d.q_bfs_distance,
         "q_embed_dedup": d.q_embed_dedup,
-        "q_ngram_jaccard": d.q_ngram_jaccard,
         "q_frequent_items": d.q_frequent_items,
         "q_quality_stats": d.q_quality_stats,
         "q_curate": d.q_curate,
@@ -116,46 +113,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_sample": d.q_sample,
         "q_lang_count": d.q_lang_count,
         "q_lm_score": d.q_lm_score,
-        "q_gopher_gate": d.q_gopher_gate,
-        "q_dsir_weights": d.q_dsir_weights,
-        "q_minhash_sig": d.q_minhash_sig,
-        "q_simhash_sig": d.q_simhash_sig,
         "q_aspect_bucket": d.q_aspect_bucket,
-        "q_hits": d.q_hits,
         "q_ann_filtered": d.q_ann_filtered,
-        "q_bm25": d.q_bm25,
-        "q_cooccur_pairs": d.q_cooccur_pairs,
-        "q_dup_rate_by_source": d.q_dup_rate_by_source,
         "q_maxsim": d.q_maxsim,
         "q_temperature_mix": d.q_temperature_mix,
-        "q_rrf_fusion": d.q_rrf_fusion,
-        "q_c4_clean": d.q_c4_clean,
-        "q_quality_classifier": d.q_quality_classifier,
         "q_ccnet_bucket": d.q_ccnet_bucket,
         "q_train_val_split": d.q_train_val_split,
-        "q_shard_assign": d.q_shard_assign,
-        "q_opic": d.q_opic,
         "q_winnowing": d.q_winnowing,
-        "q_corpus_card": d.q_corpus_card,
         "q_degree_stats": d.q_degree_stats,
         "q_kl_drift": d.q_kl_drift,
         "q_incremental_dedup": d.q_incremental_dedup,
         "q_zipf_fit": d.q_zipf_fit,
-        "q_freq_filter": d.q_freq_filter,
-        "q_cross_source_dups": d.q_cross_source_dups,
-        "q_ndcg": d.q_ndcg,
         "q_dedup_keep_best": d.q_dedup_keep_best,
         "q_soft_dedup": d.q_soft_dedup,
         "q_theta_intersect": d.q_theta_intersect,
         "q_weighted_sample": d.q_weighted_sample,
-        "q_common_neighbors": d.q_common_neighbors,
-        "q_degree_assortativity": d.q_degree_assortativity,
         "q_ppr": d.q_ppr,
         "q_thumbnail": d.q_thumbnail,
         "q_letterbox": d.q_letterbox,
         "q_center_crop": d.q_center_crop,
         "q_reciprocity": d.q_reciprocity,
-        "q_cc_sizes": d.q_cc_sizes,
         "q_blur_detect": d.q_blur_detect,
         "q_format_sniff": d.q_format_sniff,
         "q_decode_errors": d.q_decode_errors,
@@ -309,32 +286,6 @@ def oracle_sql() -> dict[str, str]:
             FROM events GROUP BY user_id
             HAVING count(*) * 10000 >= 75 * (SELECT count(*) FROM events)
         """,
-        "q_ngram_jaccard": """
-            WITH nums AS (
-              -- gram positions 1..max(length(text)), derived from the
-              -- data (generate_series can't take a subquery bound):
-              -- row numbers over lineitem, the largest table, whose row
-              -- count exceeds any document length at every sf. No fixed
-              -- cap, so long documents can't silently lose grams.
-              SELECT CAST(row_number() OVER () AS BIGINT) AS i FROM lineitem
-              QUALIFY i <= (SELECT max(length(text)) FROM documents)
-            ), grams AS (
-              SELECT DISTINCT doc_id, substring(text, CAST(i AS INT), 12) AS g
-              FROM documents CROSS JOIN nums
-              WHERE i <= length(text) - 11
-            ), sizes AS (
-              SELECT doc_id, count(*) AS n FROM grams GROUP BY doc_id
-            ), inter AS (
-              SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS ni
-              FROM grams a JOIN grams b ON a.g = b.g AND a.doc_id < b.doc_id
-              GROUP BY 1, 2
-            )
-            SELECT doc_a, doc_b,
-                   CAST(ni * 10000 // (sa.n + sb.n - ni) AS BIGINT) AS jac_e4
-            FROM inter JOIN sizes sa ON sa.doc_id = doc_a
-                       JOIN sizes sb ON sb.doc_id = doc_b
-            WHERE ni * 10000 >= 6000 * (sa.n + sb.n - ni)
-        """,
         "q_quality_stats": """
             SELECT doc_id,
                    CAST(length(text) AS BIGINT) AS n_chars,
@@ -375,8 +326,9 @@ def oracle_sql() -> dict[str, str]:
         """,
         # bigram counts: tokenization is a literal single-space split on
         # BOTH sides (string_split here, polars str.split(" ") in the
-        # engine); gram positions come from lineitem row numbers, the
-        # same no-fixed-cap trick q_ngram_jaccard's oracle uses
+        # engine); gram positions come from lineitem row numbers, so
+        # the bound is derived from the data (generate_series can't take
+        # a subquery bound)
         "q_bigram_count": """
             WITH tok AS (SELECT string_split(text, ' ') AS t FROM documents),
                  nums AS (SELECT CAST(row_number() OVER () AS BIGINT) AS i
@@ -497,7 +449,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         # fixed-size overlapping chunking (size=200, stride=150); chunk
         # positions via the row_number nums trick (bound derived from the
-        # data, same rationale as q_ngram_jaccard's oracle)
+        # data, as in q_bigram_count's oracle)
         "q_chunk": """
             WITH nums AS (
               SELECT CAST(row_number() OVER () AS BIGINT) AS i FROM lineitem
@@ -507,29 +459,6 @@ def oracle_sql() -> dict[str, str]:
                    substring(text, CAST((i - 1) * 150 + 1 AS INT), 200) AS chunk
             FROM documents CROSS JOIN nums
             WHERE (i - 1) * 150 < length(text)
-        """,
-        # eval-set char-16-gram overlap; eval = doc_id % 97 == 0
-        "q_decontaminate": """
-            WITH nums AS (
-              SELECT CAST(row_number() OVER () AS BIGINT) AS i FROM lineitem
-              QUALIFY i <= (SELECT max(length(text)) FROM documents)
-            ), ev AS (
-              SELECT DISTINCT substring(text, CAST(i AS INT), 16) AS g
-              FROM documents CROSS JOIN nums
-              WHERE doc_id % 97 = 0 AND i <= length(text) - 15
-            ), tr AS (
-              SELECT DISTINCT doc_id, substring(text, CAST(i AS INT), 16) AS g
-              FROM documents CROSS JOIN nums
-              WHERE doc_id % 97 <> 0 AND i <= length(text) - 15
-            ), sizes AS (
-              SELECT doc_id, CAST(count(*) AS BIGINT) AS n_grams
-              FROM tr GROUP BY doc_id
-            ), hits AS (
-              SELECT doc_id, CAST(count(*) AS BIGINT) AS hit_grams
-              FROM tr JOIN ev USING (g) GROUP BY doc_id
-            )
-            SELECT h.doc_id, s.n_grams, h.hit_grams
-            FROM hits h JOIN sizes s USING (doc_id)
         """,
         # embedding-level decontamination: best eval cosine per train
         # vec; eval = vec_id % 41 == 0, ties break to smallest eval id
@@ -567,7 +496,7 @@ def oracle_sql() -> dict[str, str]:
                         * 10000) >= 3500
         """,
         # char-12-gram CONTAINMENT (|A∩B| / min(|A|,|B|)) >= 0.8; same
-        # no-fixed-cap gram-position trick as q_ngram_jaccard's oracle
+        # no-fixed-cap gram-position trick as q_bigram_count's oracle
         "q_containment_neardup": """
             WITH nums AS (
               SELECT CAST(row_number() OVER () AS BIGINT) AS i FROM lineitem
@@ -761,88 +690,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT e.vec_id, CAST(e.dim AS BIGINT) AS dim,
                    CAST((e.v - mm.mn) * 255 // mm.span AS BIGINT) AS code
             FROM e JOIN mm USING (dim)
-        """,
-        # triangle count over the q_pagerank link graph: distinct
-        # undirected u<v edges, triangles are (a,b),(b,c),(a,c) triples
-        "q_triangle_count": """
-            WITH n AS (SELECT count(*) AS c FROM customer),
-            raw AS (
-              SELECT least(o_custkey, o_orderkey % (SELECT c FROM n)) AS u,
-                     greatest(o_custkey, o_orderkey % (SELECT c FROM n)) AS v
-              FROM orders
-            ),
-            edges AS (SELECT DISTINCT u, v FROM raw WHERE u <> v)
-            SELECT CAST(count(*) AS BIGINT) AS n_triangles
-            FROM edges e1
-            JOIN edges e2 ON e2.u = e1.v
-            JOIN edges e3 ON e3.u = e1.u AND e3.v = e2.v
-        """,
-        # BFS distances <= 6 from node 0, unrolled relax rounds (the
-        # q_pagerank oracle pattern)
-        "q_bfs_distance": """
-            WITH n AS (SELECT count(*) AS c FROM customer),
-            raw AS (
-              SELECT least(o_custkey, o_orderkey % (SELECT c FROM n)) AS u,
-                     greatest(o_custkey, o_orderkey % (SELECT c FROM n)) AS v
-              FROM orders
-            ),
-            edges AS (SELECT DISTINCT u, v FROM raw WHERE u <> v),
-            und AS (
-              SELECT u AS a, v AS b FROM edges
-              UNION ALL
-              SELECT v AS a, u AS b FROM edges
-            ),
-            d0(node, dist) AS (SELECT CAST(0 AS BIGINT), CAST(0 AS BIGINT)),
-            d1 AS (
-              SELECT node, min(dist) AS dist FROM (
-                SELECT node, dist FROM d0
-                UNION ALL
-                SELECT und.b AS node, d0.dist + 1 AS dist
-                FROM d0 JOIN und ON und.a = d0.node
-              ) GROUP BY node
-            ),
-            d2 AS (
-              SELECT node, min(dist) AS dist FROM (
-                SELECT node, dist FROM d1
-                UNION ALL
-                SELECT und.b AS node, d1.dist + 1 AS dist
-                FROM d1 JOIN und ON und.a = d1.node
-              ) GROUP BY node
-            ),
-            d3 AS (
-              SELECT node, min(dist) AS dist FROM (
-                SELECT node, dist FROM d2
-                UNION ALL
-                SELECT und.b AS node, d2.dist + 1 AS dist
-                FROM d2 JOIN und ON und.a = d2.node
-              ) GROUP BY node
-            ),
-            d4 AS (
-              SELECT node, min(dist) AS dist FROM (
-                SELECT node, dist FROM d3
-                UNION ALL
-                SELECT und.b AS node, d3.dist + 1 AS dist
-                FROM d3 JOIN und ON und.a = d3.node
-              ) GROUP BY node
-            ),
-            d5 AS (
-              SELECT node, min(dist) AS dist FROM (
-                SELECT node, dist FROM d4
-                UNION ALL
-                SELECT und.b AS node, d4.dist + 1 AS dist
-                FROM d4 JOIN und ON und.a = d4.node
-              ) GROUP BY node
-            ),
-            d6 AS (
-              SELECT node, min(dist) AS dist FROM (
-                SELECT node, dist FROM d5
-                UNION ALL
-                SELECT und.b AS node, d5.dist + 1 AS dist
-                FROM d5 JOIN und ON und.a = d5.node
-              ) GROUP BY node
-            )
-            SELECT CAST(node AS BIGINT) AS node, CAST(dist AS BIGINT) AS dist
-            FROM d6
         """,
         # deterministic hash train/val/test split manifest
         "q_train_split": """
@@ -1107,57 +954,6 @@ def oracle_sql() -> dict[str, str]:
               ON a.n = b.n AND a.sm = b.sm AND a.bx = b.bx
             WHERE 'm' || a.hk || '.example' < 'm' || b.hk || '.example'
         """,
-        "q_minhash_sig": r"""
-            WITH w AS (
-              SELECT DISTINCT doc_id,
-                     unnest(regexp_extract_all(text, '\S+')) AS word
-              FROM documents
-            ), h AS (
-              SELECT doc_id,
-                     list_reduce(
-                       list_prepend(CAST(7 AS BIGINT),
-                         list_transform(regexp_extract_all(word, '.'),
-                                        c -> CAST(ord(c) AS BIGINT))),
-                       (a, b) -> (a * 31 + b) % 1000000007) AS hw
-              FROM w
-            ), p AS (
-              SELECT unnest(generate_series(0, 15)) AS j
-            )
-            SELECT doc_id, CAST(j AS BIGINT) AS perm,
-                   CAST(MIN((((2654435761 * (j + 1)) % 1000000007) * hw
-                             + ((40503 * (j + 1) + 17) % 1000000007))
-                            % 1000000007) AS BIGINT) AS sig
-            FROM h CROSS JOIN p
-            GROUP BY doc_id, j
-        """,
-        "q_simhash_sig": r"""
-            WITH w AS (
-              SELECT DISTINCT doc_id,
-                     unnest(regexp_extract_all(text, '\S+')) AS word
-              FROM documents
-            ), h AS (
-              SELECT doc_id,
-                     (list_reduce(
-                        list_prepend(CAST(7 AS BIGINT),
-                          list_transform(regexp_extract_all(word, '.'),
-                                         c -> CAST(ord(c) AS BIGINT))),
-                        (a, b) -> (a * 31 + b) % 1000000007) * 48271)
-                     % 2305843009213693951 AS h2
-              FROM w
-            ), b AS (
-              SELECT unnest(generate_series(0, 31)) AS t
-            ), maj AS (
-              SELECT doc_id, t,
-                     SUM(CASE WHEN (h2 >> t) & 1 = 1
-                         THEN 1 ELSE -1 END) AS s
-              FROM h CROSS JOIN b GROUP BY doc_id, t
-            )
-            SELECT doc_id,
-                   CAST(SUM(CASE WHEN s > 0
-                        THEN (CAST(1 AS BIGINT) << t)
-                        ELSE 0 END) AS BIGINT) AS simhash
-            FROM maj GROUP BY doc_id
-        """,
         "q_aspect_bucket": """
             WITH d AS (
               SELECT p_partkey AS image_id,
@@ -1198,37 +994,6 @@ def oracle_sql() -> dict[str, str]:
               FROM f
             ) WHERE rn = 1
         """,
-        "q_hits": """
-            WITH nn AS (SELECT count(*) AS n FROM customer),
-            nodes AS (SELECT c_custkey AS node FROM customer),
-            edges AS (SELECT o_custkey AS src,
-                             o_orderkey % (SELECT n FROM nn) AS dst,
-                             CAST(count(*) AS BIGINT) AS cnt
-                      FROM orders GROUP BY 1, 2),
-            a1 AS (SELECT n.node, COALESCE(SUM(e.cnt), 0) AS v
-                   FROM nodes n LEFT JOIN edges e ON e.dst = n.node
-                   GROUP BY n.node),
-            a1s AS (SELECT node, v * 1000000
-                          // GREATEST((SELECT MAX(v) FROM a1), 1) AS v
-                    FROM a1),
-            h1 AS (SELECT n.node, COALESCE(SUM(e.cnt * s.v), 0) AS v
-                   FROM nodes n LEFT JOIN edges e ON e.src = n.node
-                                LEFT JOIN a1s s ON s.node = e.dst
-                   GROUP BY n.node),
-            h1s AS (SELECT node, v * 1000000
-                          // GREATEST((SELECT MAX(v) FROM h1), 1) AS v
-                    FROM h1),
-            a2 AS (SELECT n.node, COALESCE(SUM(e.cnt * s.v), 0) AS v
-                   FROM nodes n LEFT JOIN edges e ON e.dst = n.node
-                                LEFT JOIN h1s s ON s.node = e.src
-                   GROUP BY n.node),
-            a2s AS (SELECT node, v * 1000000
-                          // GREATEST((SELECT MAX(v) FROM a2), 1) AS v
-                    FROM a2)
-            SELECT a2s.node AS custkey, CAST(a2s.v AS BIGINT) AS auth_e6,
-                   CAST(h1s.v AS BIGINT) AS hub_e6
-            FROM a2s JOIN h1s ON h1s.node = a2s.node
-        """,
         "q_ann_filtered": """
             SELECT query_id, vec_id, cos_sim_e4 FROM (
                 SELECT q.vec_id AS query_id, e.vec_id AS vec_id,
@@ -1244,175 +1009,6 @@ def oracle_sql() -> dict[str, str]:
                 WHERE q.vec_id < 5 AND e.vec_id <> q.vec_id
                   AND e.label = q.label
             ) WHERE rn <= 3
-        """,
-        "q_bm25": r"""
-            WITH d AS (
-              SELECT doc_id,
-                     regexp_extract_all(lower(text), '[a-z]+') AS toks
-              FROM documents
-            ), e AS (
-              SELECT doc_id, len(toks) AS dl,
-                     len(list_filter(toks, x -> x = 'data')) AS tf0,
-                     len(list_filter(toks, x -> x = 'join')) AS tf1,
-                     len(list_filter(toks, x -> x = 'stream')) AS tf2
-              FROM d
-            ), g AS (
-              SELECT count(*) AS n, SUM(dl) AS sdl,
-                     SUM(CASE WHEN tf0 > 0 THEN 1 ELSE 0 END) AS df0,
-                     SUM(CASE WHEN tf1 > 0 THEN 1 ELSE 0 END) AS df1,
-                     SUM(CASE WHEN tf2 > 0 THEN 1 ELSE 0 END) AS df2
-              FROM e
-            )
-            SELECT doc_id,
-              CAST(round((
-                  ln(1 + (g.n - g.df0 + 0.5) / (g.df0 + 0.5))
-                    * (e.tf0 * 2.2)
-                    / (e.tf0 + 1.2 * (0.25 + 0.75 * e.dl / (g.sdl / g.n)))
-                + ln(1 + (g.n - g.df1 + 0.5) / (g.df1 + 0.5))
-                    * (e.tf1 * 2.2)
-                    / (e.tf1 + 1.2 * (0.25 + 0.75 * e.dl / (g.sdl / g.n)))
-                + ln(1 + (g.n - g.df2 + 0.5) / (g.df2 + 0.5))
-                    * (e.tf2 * 2.2)
-                    / (e.tf2 + 1.2 * (0.25 + 0.75 * e.dl / (g.sdl / g.n)))
-              ) * 10000) AS BIGINT) AS bm25_e4
-            FROM e, g
-        """,
-        "q_rrf_fusion": r"""
-            WITH d AS (
-              SELECT doc_id,
-                     regexp_extract_all(lower(text), '[a-z]+') AS toks
-              FROM documents
-            ), e AS (
-              SELECT doc_id, len(toks) AS dl,
-                     len(list_filter(toks, x -> x = 'data')) AS tf0,
-                     len(list_filter(toks, x -> x = 'join')) AS tf1,
-                     len(list_filter(toks, x -> x = 'stream')) AS tf2
-              FROM d
-            ), g AS (
-              SELECT count(*) AS n, SUM(dl) AS sdl,
-                     SUM(CASE WHEN tf0 > 0 THEN 1 ELSE 0 END) AS df0,
-                     SUM(CASE WHEN tf1 > 0 THEN 1 ELSE 0 END) AS df1,
-                     SUM(CASE WHEN tf2 > 0 THEN 1 ELSE 0 END) AS df2
-              FROM e
-            ), bm AS (
-              SELECT doc_id,
-                CAST(round((
-                    ln(1 + (g.n - g.df0 + 0.5) / (g.df0 + 0.5))
-                      * (e.tf0 * 2.2)
-                      / (e.tf0 + 1.2 * (0.25 + 0.75 * e.dl / (g.sdl / g.n)))
-                  + ln(1 + (g.n - g.df1 + 0.5) / (g.df1 + 0.5))
-                      * (e.tf1 * 2.2)
-                      / (e.tf1 + 1.2 * (0.25 + 0.75 * e.dl / (g.sdl / g.n)))
-                  + ln(1 + (g.n - g.df2 + 0.5) / (g.df2 + 0.5))
-                      * (e.tf2 * 2.2)
-                      / (e.tf2 + 1.2 * (0.25 + 0.75 * e.dl / (g.sdl / g.n)))
-                ) * 10000) AS BIGINT) AS bm25_e4
-              FROM e, g
-            ), bmr AS (
-              SELECT doc_id, rn FROM (
-                SELECT doc_id, row_number() OVER (
-                         ORDER BY bm25_e4 DESC, doc_id) AS rn
-                FROM bm
-              ) WHERE rn <= 100
-            ), tok2 AS (
-              SELECT doc_id, string_split(text, ' ') AS t FROM documents
-            ), tf AS (
-              SELECT doc_id,
-                CAST(len(list_filter(t, x -> x = 'table')) AS BIGINT) AS tf0,
-                CAST(len(list_filter(t, x -> x = 'hash'))  AS BIGINT) AS tf1,
-                CAST(len(list_filter(t, x -> x = 'sort'))  AS BIGINT) AS tf2
-              FROM tok2
-            ), tdf AS (
-              SELECT CAST(count(*) FILTER (tf0 > 0) AS BIGINT) AS df0,
-                     CAST(count(*) FILTER (tf1 > 0) AS BIGINT) AS df1,
-                     CAST(count(*) FILTER (tf2 > 0) AS BIGINT) AS df2
-              FROM tf
-            ), p AS (
-              SELECT CAST(count(*) AS BIGINT) AS n FROM documents
-            ), ti AS (
-              SELECT doc_id,
-                     tf0 * (CASE WHEN df0 = 0 THEN 0
-                            ELSE (SELECT n FROM p) * 1000000 // df0 END)
-                   + tf1 * (CASE WHEN df1 = 0 THEN 0
-                            ELSE (SELECT n FROM p) * 1000000 // df1 END)
-                   + tf2 * (CASE WHEN df2 = 0 THEN 0
-                            ELSE (SELECT n FROM p) * 1000000 // df2 END)
-                     AS tfidf_e6
-              FROM tf, tdf
-            ), tir AS (
-              SELECT doc_id, rn FROM (
-                SELECT doc_id, row_number() OVER (
-                         ORDER BY tfidf_e6 DESC, doc_id) AS rn
-                FROM ti WHERE tfidf_e6 > 0
-              ) WHERE rn <= 100
-            )
-            SELECT COALESCE(bmr.doc_id, tir.doc_id) AS doc_id,
-                   CAST(round((COALESCE(1.0 / (60 + bmr.rn), 0.0)
-                             + COALESCE(1.0 / (60 + tir.rn), 0.0))
-                        * 1000000) AS BIGINT) AS rrf_e6
-            FROM bmr FULL OUTER JOIN tir ON bmr.doc_id = tir.doc_id
-        """,
-        "q_c4_clean": r"""
-            WITH t AS (
-              SELECT doc_id, string_split(text, ' ') AS toks
-              FROM documents
-            ), pg AS (
-              SELECT doc_id,
-                   (CASE WHEN doc_id % 7 = 0
-                         THEN array_to_string(toks[1:3], ' ')
-                         ELSE array_to_string(toks[1:6], ' ') END || '.')
-                || chr(10) || array_to_string(toks[7:9], ' ') || '.'
-                || chr(10) || array_to_string(toks[1:8], ' ')
-                || chr(10) || CASE WHEN doc_id % 5 = 0
-                     THEN 'please enable javascript to view this page.'
-                     ELSE '' END
-                || chr(10) || CASE WHEN doc_id % 13 = 0
-                     THEN 'lorem ipsum dolor sit amet.' ELSE '' END
-                || chr(10) || CASE WHEN doc_id % 17 = 0
-                     THEN 'var config = { "k": 1 };' ELSE '' END
-                || chr(10) || array_to_string(toks[2:7], ' ') || '?'
-                || chr(10) || array_to_string(toks[3:8], ' ') || '!'
-                || chr(10) || CASE WHEN doc_id % 3 = 0
-                     THEN array_to_string(toks[4:9], ' ') || '."'
-                     ELSE '' END
-                AS page
-              FROM t
-            ), k AS (
-              SELECT doc_id, page,
-                     list_filter(string_split(page, chr(10)),
-                       x -> regexp_matches(x, '[.!?"]$')
-                            AND len(string_split(x, ' ')) >= 5
-                            AND NOT contains(x, 'javascript')) AS kept
-              FROM pg
-            )
-            SELECT doc_id,
-                   array_to_string(kept, chr(10)) AS clean_text,
-                   CAST(len(kept) AS BIGINT) AS n_kept
-            FROM k
-            WHERE NOT contains(page, 'lorem ipsum')
-              AND NOT contains(page, '{')
-              AND len(kept) >= 3
-        """,
-        "q_quality_classifier": r"""
-            WITH f AS (
-              SELECT doc_id,
-                     CAST(len(string_split(text, ' ')) AS DOUBLE) AS w,
-                     CAST(length(text) AS DOUBLE) AS c,
-                     CAST(len(list_distinct(string_split(text, ' ')))
-                          AS DOUBLE) AS u,
-                     CAST(len(list_filter(string_split(text, ' '),
-                          x -> x IN ('the', 'a'))) AS DOUBLE) AS s
-              FROM documents
-            ), z AS (
-              SELECT doc_id,
-                     -2.5 + 0.021 * w + 0.0017 * c + 0.045 * u - 0.09 * s
-                       AS z
-              FROM f
-            )
-            SELECT doc_id,
-                   CAST(floor(1.0 / (1.0 + exp(-z)) * 10000 + 0.5)
-                        AS BIGINT) AS quality_e4
-            FROM z WHERE z > 0.0
         """,
         "q_ccnet_bucket": r"""
             WITH bg AS (
@@ -1463,57 +1059,6 @@ def oracle_sql() -> dict[str, str]:
                         THEN 'val' ELSE 'train' END AS split
             FROM documents
         """,
-        "q_shard_assign": r"""
-            WITH f AS (
-              SELECT doc_id, len(string_split(text, ' ')) AS w
-              FROM documents
-            ), r AS (
-              SELECT w,
-                     row_number() OVER (ORDER BY w DESC, doc_id) - 1 AS rn
-              FROM f
-            )
-            SELECT rn % 16 AS shard,
-                   CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(SUM(w) AS BIGINT) AS tok_total
-            FROM r GROUP BY shard
-        """,
-        "q_opic": r"""
-            WITH nn AS (SELECT count(*) AS n FROM customer),
-            nodes AS (SELECT c_custkey AS node FROM customer),
-            edges AS (SELECT o_custkey AS src,
-                             o_orderkey % (SELECT n FROM nn) AS dst,
-                             CAST(count(*) AS BIGINT) AS cnt
-                      FROM orders GROUP BY 1, 2),
-            outd AS (SELECT src AS node, SUM(cnt) AS od
-                     FROM edges GROUP BY src),
-            c0 AS (SELECT node,
-                          1000000000000 // (SELECT n FROM nn) AS v
-                   FROM nodes),
-            p0 AS (SELECT COALESCE(SUM(c.v), 0) AS p
-                   FROM c0 c LEFT JOIN outd o USING (node)
-                   WHERE o.od IS NULL),
-            c1 AS (SELECT n.node,
-                          COALESCE(SUM((cu.v // o.od) * e.cnt), 0)
-                            + (SELECT p FROM p0) // (SELECT n FROM nn) AS v
-                   FROM nodes n LEFT JOIN edges e ON e.dst = n.node
-                     LEFT JOIN c0 cu ON cu.node = e.src
-                     LEFT JOIN outd o ON o.node = e.src
-                   GROUP BY n.node),
-            p1 AS (SELECT COALESCE(SUM(c.v), 0) AS p
-                   FROM c1 c LEFT JOIN outd o USING (node)
-                   WHERE o.od IS NULL),
-            c2 AS (SELECT n.node,
-                          COALESCE(SUM((cu.v // o.od) * e.cnt), 0)
-                            + (SELECT p FROM p1) // (SELECT n FROM nn) AS v
-                   FROM nodes n LEFT JOIN edges e ON e.dst = n.node
-                     LEFT JOIN c1 cu ON cu.node = e.src
-                     LEFT JOIN outd o ON o.node = e.src
-                   GROUP BY n.node)
-            SELECT c0.node AS custkey,
-                   CAST(c0.v + c1.v + c2.v AS BIGINT) AS history
-            FROM c0 JOIN c1 ON c1.node = c0.node
-                    JOIN c2 ON c2.node = c0.node
-        """,
         "q_crawl_delta": r"""
             WITH a AS (
               SELECT doc_id, md5(text) AS h FROM documents
@@ -1550,54 +1095,6 @@ def oracle_sql() -> dict[str, str]:
             )
             SELECT DISTINCT doc_id, gram
             FROM m WHERE i <= n - 4 + 1
-        """,
-        "q_corpus_card": r"""
-            WITH t AS (
-              SELECT doc_id, text, lang, source,
-                     regexp_extract_all(text, '\S+') AS toks,
-                     len(string_split(text, ' ')) AS n_tok
-              FROM documents
-            ), c AS (
-              SELECT doc_id, lang, source, n_tok,
-                     CAST(len(toks) AS BIGINT) AS n_words,
-                     CAST(length(regexp_replace(text, '\s', '', 'g'))
-                          AS BIGINT) AS wchars,
-                     CAST(length(text) - length(replace(text, '#', ''))
-                          + (length(text)
-                             - length(replace(text, '...', ''))) // 3
-                          AS BIGINT) AS n_sym,
-                     CAST(len(list_filter(toks,
-                          x -> regexp_matches(x, '[A-Za-z]')))
-                          AS BIGINT) AS n_alpha,
-                     CAST(len(list_filter(toks,
-                          x -> lower(x) IN ('the','be','to','of','and',
-                                            'that','have','with')))
-                          AS BIGINT) AS n_stop,
-                     -2.5 + 0.021 * CAST(len(string_split(text, ' '))
-                                         AS DOUBLE)
-                          + 0.0017 * CAST(length(text) AS DOUBLE)
-                          + 0.045 * CAST(len(list_distinct(
-                                string_split(text, ' '))) AS DOUBLE)
-                          - 0.09 * CAST(len(list_filter(
-                                string_split(text, ' '),
-                                x -> x IN ('the', 'a'))) AS DOUBLE) AS z
-              FROM t
-            )
-            SELECT lang, source,
-                   CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(SUM(n_tok) AS BIGINT) AS n_tokens,
-                   CAST(MIN(n_tok) AS BIGINT) AS min_tokens,
-                   CAST(MAX(n_tok) AS BIGINT) AS max_tokens,
-                   CAST(SUM(CAST(n_words BETWEEN 8 AND 50000
-                        AND 2 * n_words <= wchars
-                        AND wchars <= 12 * n_words
-                        AND 10 * n_sym <= n_words
-                        AND 5 * n_alpha >= 4 * n_words
-                        AND n_stop >= 2 AS BIGINT)) AS BIGINT)
-                     AS n_gopher_pass,
-                   CAST(SUM(CAST(z > 0.0 AS BIGINT)) AS BIGINT)
-                     AS n_quality_pass
-            FROM c GROUP BY lang, source
         """,
         "q_url_templates": r"""
             WITH u AS (
@@ -1743,35 +1240,6 @@ def oracle_sql() -> dict[str, str]:
                      AS slope_e4
             FROM s
         """,
-        "q_cooccur_pairs": r"""
-            WITH w AS (
-              SELECT DISTINCT doc_id,
-                     unnest(regexp_extract_all(lower(text), '[a-z]{5,}'))
-                       AS word
-              FROM documents
-            ), nn AS (
-              SELECT count(DISTINCT doc_id) AS n FROM documents
-            )
-            SELECT a.word AS w1, b.word AS w2,
-                   CAST(count(*) AS BIGINT) AS n_docs
-            FROM w a JOIN w b
-              ON a.doc_id = b.doc_id AND a.word < b.word
-            GROUP BY a.word, b.word
-            HAVING count(*) >= GREATEST((SELECT n FROM nn) // 10, 1)
-        """,
-        "q_dup_rate_by_source": """
-            WITH d AS (
-              SELECT source,
-                     CASE WHEN doc_id % 7 = 0 THEN 'dup-' || source
-                          ELSE text END AS text
-              FROM documents
-            )
-            SELECT source, CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(count(DISTINCT text) AS BIGINT) AS n_distinct,
-                   CAST((count(*) - count(DISTINCT text)) * 10000
-                        // count(*) AS BIGINT) AS dup_rate_e4
-            FROM d GROUP BY source
-        """,
         "q_maxsim": """
             WITH mx AS (
               SELECT e.label, q.vec_id AS qid,
@@ -1822,70 +1290,6 @@ def oracle_sql() -> dict[str, str]:
                         * (SELECT tot FROM t) // 1000000 AS BIGINT)
                      AS target_n
             FROM w
-        """,
-        "q_gopher_gate": r"""
-            WITH t AS (
-              SELECT doc_id, text,
-                     regexp_extract_all(text, '\S+') AS toks
-              FROM documents
-            ), c AS (
-              SELECT doc_id,
-                     CAST(len(toks) AS BIGINT) AS n_words,
-                     CAST(length(regexp_replace(text, '\s', '', 'g'))
-                          AS BIGINT) AS wchars,
-                     CAST(length(text) - length(replace(text, '#', ''))
-                          + (length(text)
-                             - length(replace(text, '...', ''))) // 3
-                          AS BIGINT) AS n_sym,
-                     CAST(len(list_filter(toks,
-                          x -> regexp_matches(x, '[A-Za-z]')))
-                          AS BIGINT) AS n_alpha,
-                     CAST(len(list_filter(toks,
-                          x -> lower(x) IN ('the','be','to','of','and',
-                                            'that','have','with')))
-                          AS BIGINT) AS n_stop
-              FROM t
-            )
-            SELECT doc_id, n_words, wchars, n_sym, n_alpha, n_stop,
-                   CAST(n_words BETWEEN 8 AND 50000
-                        AND 2 * n_words <= wchars
-                        AND wchars <= 12 * n_words
-                        AND 10 * n_sym <= n_words
-                        AND 5 * n_alpha >= 4 * n_words
-                        AND n_stop >= 2 AS BIGINT) AS keep
-            FROM c
-        """,
-        "q_dsir_weights": """
-            WITH bg AS (
-              SELECT doc_id, lang,
-                     LEAST(ord(substring(text, i, 1)), 128) AS a,
-                     LEAST(ord(substring(text, i + 1, 1)), 128) AS b
-              FROM (
-                SELECT doc_id, lang, text,
-                       unnest(generate_series(1, length(text) - 1)) AS i
-                FROM documents WHERE length(text) >= 2
-              )
-            ), cs AS (
-              SELECT a, b, COUNT(*) AS c FROM bg GROUP BY a, b
-            ), ct AS (
-              SELECT a, b, COUNT(*) AS c FROM bg
-              WHERE lang = 'en' GROUP BY a, b
-            ), rs AS (
-              SELECT a, SUM(c) AS r FROM cs GROUP BY a
-            ), rt AS (
-              SELECT a, SUM(c) AS r FROM ct GROUP BY a
-            )
-            SELECT bg.doc_id,
-                   CAST(round(SUM(
-                        (ln(COALESCE(ct.c, 0) + 1.0)
-                         - ln(COALESCE(rt.r, 0) + 129.0))
-                      - (ln(cs.c + 1.0) - ln(rs.r + 129.0))
-                     ) / COUNT(*) * 10000) AS BIGINT) AS dsir_e4
-            FROM bg
-            LEFT JOIN ct USING (a, b)
-            LEFT JOIN rt USING (a)
-            JOIN cs USING (a, b) JOIN rs USING (a)
-            GROUP BY bg.doc_id
         """,
         "q_host_quota": """
             WITH d AS (
@@ -1982,76 +1386,9 @@ def oracle_sql() -> dict[str, str]:
                      AS avg_e4
             FROM x GROUP BY dim
         """,
-        # vocab min-count / max-df pruning plan; gates are integer-
-        # exact (df * 100 > 60 * N) with N a scalar subquery; planted
-        # 'rare-<id>' rows mirror the engine's drop_rare seeding
-        "q_freq_filter": r"""
-            WITH toks AS (
-                SELECT doc_id, t AS token FROM (
-                    SELECT doc_id,
-                           unnest(string_split_regex(lower(text), '\s+')) AS t
-                    FROM documents
-                ) WHERE t <> ''
-                UNION ALL
-                SELECT doc_id, 'rare-' || CAST(doc_id AS VARCHAR)
-                FROM documents WHERE doc_id % 11 = 0
-            ), agg AS (
-                SELECT token, CAST(count(*) AS BIGINT) AS cnt,
-                       CAST(count(DISTINCT doc_id) AS BIGINT) AS df
-                FROM toks GROUP BY token
-            )
-            SELECT token, cnt, df,
-                   CASE WHEN cnt < 5 THEN 'drop_rare'
-                        WHEN df * 100 > 60 * total.n THEN 'drop_common'
-                        ELSE 'keep' END AS action
-            FROM agg, (SELECT count(*) AS n FROM documents) total
-        """,
-        # cross-source duplicate matrix over the same planted dup mass
-        # as q_dup_rate_by_source (CASE replicated; count(*) over the
-        # DISTINCT (source, txt) set = distinct shared texts per pair)
-        "q_cross_source_dups": r"""
-            WITH t AS (
-              SELECT DISTINCT source,
-                     CASE WHEN doc_id % 7 = 0
-                          THEN 'dup-' || CAST((doc_id // 7) % 13 AS VARCHAR)
-                          ELSE text END AS txt
-              FROM documents
-            )
-            SELECT a.source AS source_a, b.source AS source_b,
-                   CAST(count(*) AS BIGINT) AS n_shared
-            FROM t a JOIN t b ON a.txt = b.txt AND a.source < b.source
-            GROUP BY 1, 2
-        """,
-        # nDCG@10 with arithmetic queries/scores/graded labels; both
-        # rankings tie-break on doc_id (equal-rel swaps leave the DCG
-        # sum invariant); e6 half-away rounding via FLOOR(x + 0.5)
-        "q_ndcg": r"""
-            WITH s AS (
-              SELECT doc_id, doc_id % 10 AS qid,
-                     (doc_id * 2654435761) % 1000003 AS score,
-                     (doc_id * 7 + doc_id % 13) % 4 AS rel
-              FROM documents
-            ), ranked AS (
-              SELECT qid, rel, row_number() OVER (
-                       PARTITION BY qid ORDER BY score DESC, doc_id) AS rn
-              FROM s
-            ), ideal AS (
-              SELECT qid, rel, row_number() OVER (
-                       PARTITION BY qid ORDER BY rel DESC, doc_id) AS rn
-              FROM s
-            ), dcg AS (
-              SELECT qid, SUM((POW(2, rel) - 1) / LOG2(rn + 1)) AS v
-              FROM ranked WHERE rn <= 10 GROUP BY qid
-            ), idcg AS (
-              SELECT qid, SUM((POW(2, rel) - 1) / LOG2(rn + 1)) AS v
-              FROM ideal WHERE rn <= 10 GROUP BY qid
-            )
-            SELECT CAST(d.qid AS BIGINT) AS qid,
-                   CAST(FLOOR(d.v / i.v * 1000000 + 0.5) AS BIGINT) AS ndcg_e6
-            FROM dcg d JOIN idcg i ON d.qid = i.qid
-        """,
         # quality-aware exact dedup: keep max-n_chars (doc_id tiebreak)
-        # per distinct text, same planted dup mass as q_cross_source_dups
+        # per distinct text; dup mass planted as 'dup-' || (doc_id//7)%13
+        # on every 7th doc
         "q_dedup_keep_best": r"""
             WITH d AS (
               SELECT doc_id, n_chars,
@@ -2127,52 +1464,6 @@ def oracle_sql() -> dict[str, str]:
               ORDER BY key, doc_id
               LIMIT 100
             )
-        """,
-        # common-neighbor link prediction over the deterministic
-        # customer graph (q_pagerank's edge set); hub_cap inactive at
-        # fixture scale so the wedge self-join is exact
-        "q_common_neighbors": r"""
-            WITH e AS (
-              SELECT DISTINCT o_custkey AS src,
-                     o_orderkey % (SELECT count(*) FROM customer) AS dst
-              FROM orders
-            )
-            SELECT a.src AS node_a, b.src AS node_b,
-                   CAST(count(*) AS BIGINT) AS n_common
-            FROM e a JOIN e b ON a.dst = b.dst AND a.src < b.src
-            GROUP BY 1, 2
-            HAVING count(*) >= 3
-        """,
-        # degree assortativity: exact int64 moments, one final float
-        # Pearson with the identical operation order (each moment
-        # < 2^53, so product/sqrt round identically), e6 half-away
-        "q_degree_assortativity": r"""
-            WITH e AS (
-              SELECT DISTINCT o_custkey AS src,
-                     o_orderkey % (SELECT count(*) FROM customer) AS dst
-              FROM orders
-            ), od AS (
-              SELECT src, CAST(count(*) AS BIGINT) AS x FROM e GROUP BY 1
-            ), idg AS (
-              SELECT dst, CAST(count(*) AS BIGINT) AS y FROM e GROUP BY 1
-            ), j AS (
-              SELECT od.x, idg.y
-              FROM e JOIN od USING (src) JOIN idg USING (dst)
-            ), s AS (
-              SELECT CAST(count(*) AS BIGINT) AS n,
-                     CAST(sum(x) AS BIGINT) AS sx,
-                     CAST(sum(y) AS BIGINT) AS sy,
-                     CAST(sum(x * y) AS BIGINT) AS sxy,
-                     CAST(sum(x * x) AS BIGINT) AS sxx,
-                     CAST(sum(y * y) AS BIGINT) AS syy
-              FROM j
-            )
-            SELECT n AS n_edges,
-                   CAST(FLOOR(
-                     (n * sxy - sx * sy)
-                     / sqrt((n * sxx - sx * sx) * 1.0 * (n * syy - sy * sy))
-                     * 1000000 + 0.5) AS BIGINT) AS assortativity_e6
-            FROM s
         """,
         # personalized PageRank: q_pagerank's integer fixed-point CTE
         # with teleport + init concentrated on seeds (node % 41 = 0),
@@ -2380,37 +1671,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST((2 * n_reciprocal * 1000000 + n_edges)
                         // (2 * n_edges) AS BIGINT) AS reciprocity_e6
             FROM stats
-        """,
-        # component-size twin: recursive-CTE transitive closure over
-        # the sparsified symmetric edge set (tractable at oracle scale;
-        # the engine uses log-diameter label propagation instead),
-        # min-label per node, histogram + isolated singletons
-        "q_cc_sizes": """
-            WITH RECURSIVE
-            n AS (SELECT count(*) AS n_nodes FROM customer),
-            e0 AS (
-              SELECT DISTINCT o_custkey AS a,
-                     o_orderkey % (SELECT n_nodes FROM n) AS b
-              FROM orders WHERE o_orderkey % 17 = 0
-            ),
-            edges AS (SELECT a, b FROM e0 UNION SELECT b, a FROM e0),
-            reach(node, lbl) AS (
-              SELECT DISTINCT a, a FROM edges
-              UNION
-              SELECT e.b, r.lbl FROM edges e JOIN reach r ON r.node = e.a
-            ),
-            comp AS (SELECT node, min(lbl) AS c FROM reach GROUP BY node),
-            sizes AS (SELECT c, count(*) AS sz FROM comp GROUP BY c),
-            hist AS (SELECT sz AS component_size,
-                            count(*) AS n_components
-                     FROM sizes GROUP BY sz),
-            iso AS (SELECT count(*) AS n FROM customer
-                    WHERE c_custkey NOT IN (SELECT node FROM comp))
-            SELECT CAST(component_size AS BIGINT) AS component_size,
-                   CAST(SUM(n_components) AS BIGINT) AS n_components
-            FROM (SELECT component_size, n_components FROM hist
-                  UNION ALL SELECT 1, n FROM iso WHERE n > 0)
-            GROUP BY 1
         """,
         # blur-gate twin: planted truth is key parity; a decode /
         # Laplacian / threshold regression flips rows

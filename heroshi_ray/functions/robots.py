@@ -2,11 +2,13 @@
 
 Heroshi's io-worker fetches and honors robots.txt per host (reference
 unavailable — SURVEY.md §0 [UPSTREAM-H]). This implements the public
-robots exclusion protocol (RFC 9309): group selection for our UA (we
-match the ``*`` group plus an optional explicit UA group), ``Allow`` /
-``Disallow`` with longest-match-wins (allow wins length ties), ``*``
-wildcards and ``$`` end anchors, and ``Crawl-delay`` (non-RFC but
-widely used; heroshi-era crawlers honor it).
+robots exclusion protocol (RFC 9309): group selection for our UA (the
+longest group token that prefixes it, else ``*``; every group naming
+that token applies, merged), ``Allow`` / ``Disallow`` with
+longest-match-wins (allow wins length ties), ``*`` wildcards and ``$``
+end anchors, and ``Crawl-delay`` (non-RFC but widely used; heroshi-era
+crawlers honor it). Rule patterns are percent-normalised like the
+canonical URLs they are matched against.
 
 Parsing returns a plain tuple-of-tuples (picklable, broadcastable via
 ``ray.put``); matching compiles each rule to a regex lazily with an
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+
+from .urlnorm import pct_normalize
 
 DEFAULT_CRAWL_DELAY_S = 1.0
 
@@ -67,11 +71,11 @@ def parse_robots(body: str | None, status: int = 200, ua: str = "heroshi-ray") -
         last_was_ua = False
         if field == "disallow":
             if value:
-                cur_rules.append((value, False))
+                cur_rules.append((pct_normalize(value), False))
             # empty Disallow: allow all (no rule)
         elif field == "allow":
             if value:
-                cur_rules.append((value, True))
+                cur_rules.append((pct_normalize(value), True))
         elif field == "crawl-delay":
             try:
                 cur_delay = float(value)
@@ -79,24 +83,20 @@ def parse_robots(body: str | None, status: int = 200, ua: str = "heroshi-ray") -
                 pass
     flush()
 
-    # pick the most specific matching group: exact UA (longest prefix) else "*"
-    best: tuple[list[tuple[str, bool]], float | None] | None = None
-    best_len = -1
-    for uas, rules, delay in groups:
-        for g in uas:
-            if g == "*":
-                if best_len < 0:
-                    best, best_len = (rules, delay), 0
-            elif ua.startswith(g):
-                # RFC 9309 matches the product token: the group token must
-                # equal the UA product token or be a prefix of it — NOT an
-                # arbitrary substring (a group "a" must not grab "heroshi-ray")
-                if len(g) > best_len:
-                    best, best_len = (rules, delay), len(g)
-    if best is None:
+    # the token we obey: the longest group token that is a prefix of our
+    # UA, else "*". A prefix, not an arbitrary substring: a group "a"
+    # must not grab "heroshi-ray", while a group "heroshi" applies to it
+    tokens = {g for uas, _, _ in groups for g in uas}
+    named = [g for g in tokens if g != "*" and ua.startswith(g)]
+    token = max(named, key=len) if named else "*"
+    # RFC 9309 §2.2.1: every group naming that token applies, merged; the
+    # first Crawl-delay among them wins
+    merged = [(rules, delay) for uas, rules, delay in groups if token in uas]
+    if not merged:
         return ALLOW_ALL
-    rules, delay = best
-    return tuple(rules), (delay if delay is not None else DEFAULT_CRAWL_DELAY_S)
+    rules = tuple(r for rs, _ in merged for r in rs)
+    delays = [d for _, d in merged if d is not None]
+    return rules, (delays[0] if delays else DEFAULT_CRAWL_DELAY_S)
 
 
 @lru_cache(maxsize=8192)

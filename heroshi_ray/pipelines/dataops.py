@@ -1,18 +1,21 @@
-"""Training-data pipeline operators over the testdata tables: exact +
-near dedup (n-gram Jaccard, embedding cosine), similarity search (brute
-force + IVF-bucketed near-dup), text analysis, image decode.
+"""Training-data analytics over the testdata tables, each with a DuckDB
+twin in ``__ray_entry__.oracle_sql()``: exact and near dedup (char-gram
+containment, edit distance, duplicated spans, embedding cosine),
+similarity search (brute force + IVF-bucketed near-dup), text
+statistics and quality scores, sampling and mixing, link-graph ranks
+(PageRank, PPR, degree and reciprocity), image checks and codec decode.
+No crawl path imports this module: only the registry and the tests do.
 
-These are first-class engine components for a 100-TB corpus pipeline.
-Every stage follows the scale pattern it documents:
+Every operator follows the scale pattern it documents:
 - dedup: content-hash inside map_batches, ONE shuffle on the hash bucket;
 - ANN: per-batch matmul against a broadcast query matrix, partial top-k
   merged at the end (the only driver-side object is k rows/query);
 - IVF: fit coarse centroids on a sample, assign = one map_batches pass.
 
 Public designs implemented here (no reference code exists — SURVEY.md
-§0): all-pairs prefix filtering (Bayardo, Ma & Srikant, WWW'07); IVF
-coarse quantization (Jégou et al., "Product quantization for nearest
-neighbor search", PAMI'11 — coarse stage only).
+§0): prefix filtering (Bayardo, Ma & Srikant, WWW'07); IVF coarse
+quantization (Jégou et al., "Product quantization for nearest neighbor
+search", PAMI'11 — coarse stage only).
 """
 
 from __future__ import annotations
@@ -172,8 +175,7 @@ def q_dedup_cluster_hist(sf_dir: str):
 
 def _group_pairs(group_key: np.ndarray, payloads: list) -> list:
     """All unordered within-group pairs, degree-class-vectorized (the
-    shared core of q_triangle_count's wedge stage and q_edit_neardup's
-    candidate stage): rows must arrive SORTED by group_key; rows are
+    core of q_edit_neardup's candidate stage): rows must arrive SORTED by group_key; rows are
     re-ordered by group size so every same-size group stacks into one
     (m, k) matrix and a single triu gather emits all pairs — zero
     per-group Python. Returns [(pay_a, pay_b), ...] per payload array."""
@@ -232,35 +234,6 @@ def _dedup_pairs(cand: "ray.data.Dataset", a_col: str, b_col: str,
         cand.map_batches(add_pk, batch_format="pyarrow")
         .groupby("__pk")
         .map_groups(drop_dup, batch_format="pandas")
-    )
-
-
-def _attach_pair_texts(
-    cand: "ray.data.Dataset", ds: "ray.data.Dataset", n_cand: int
-) -> "ray.data.Dataset":
-    """Attach both documents' texts to each of the ``n_cand`` (doc_a,
-    doc_b) candidate pairs for an exact verify stage: two distributed
-    hash joins back to the documents table, so neither the corpus nor
-    anything candidate-sized reaches the driver."""
-    tune_join_resources()
-    # squeeze out zero-row blocks (sparse pair buckets): Ray's hash
-    # join aborts on partitions that receive only empty blocks
-    cand = cand.repartition(max(1, min(8, n_cand // 1000)))
-
-    def _renamed(col_id: str, col_text: str):
-        return ds.map_batches(
-            lambda b, ci=col_id, ct=col_text: pa.table(
-                {ci: b.column("doc_id"), ct: b.column("text")}
-            ),
-            batch_format="pyarrow",
-        )
-
-    return cand.join(
-        _renamed("doc_a", "__text_a"), join_type="inner",
-        num_partitions=join_partitions(8), on=("doc_a",),
-    ).join(
-        _renamed("doc_b", "__text_b"), join_type="inner",
-        num_partitions=join_partitions(8), on=("doc_b",),
     )
 
 
@@ -962,8 +935,8 @@ def _cc_labels_distributed(edges_tbl: pa.Table, max_iters: int, stats: dict | No
     from ray.data.aggregate import Min
 
     if isinstance(edges_tbl, ray.data.Dataset):
-        # dataset-resident edge sets (q_cc_sizes' 100-TB fork): never
-        # collected; the row count comes from count()
+        # dataset-resident edge sets: never collected; the row count
+        # comes from count()
         n_edge_rows = edges_tbl.count()
         edges_in = edges_tbl
     else:
@@ -1069,7 +1042,7 @@ def q_pagerank(
     lookup; above it ranks stay a Dataset and the join is a distributed
     hash join (both paths equivalence-tested).
 
-    Size-adaptive driver fork (the q_opic/q_degree_stats pattern):
+    Size-adaptive driver fork (the q_degree_stats pattern):
     below ``driver_edges_max`` orders rows (exact parquet metadata, no
     scan) the whole power iteration runs in one driver numpy pass —
     the per-iteration Ray plan launches were the entire cost at small
@@ -1421,412 +1394,6 @@ def q_sample(sf_dir: str, mod: int = 97):
     return ds.map_batches(sample, batch_format="pyarrow", zero_copy_batch=True)
 
 
-# -------------------------------------------- exact n-gram Jaccard join --
-def q_ngram_jaccard(
-    sf_dir: str,
-    threshold_e4: int = 6000,
-    n: int = 12,
-    broadcast_limit: int = 2_000_000,
-    df_broadcast_limit: int = 5_000_000,
-):
-    """EXACT character-n-gram Jaccard similarity self-join: all
-    document pairs with trigram-set Jaccard >= threshold, no false
-    negatives.
-
-    Scale layout is the AllPairs/prefix-filtering algorithm (Bayardo,
-    Ma & Srikant, "Scaling Up All Pairs Similarity Search", WWW'07):
-    a pair at Jaccard >= t shares at least ceil(t*|A|) grams, so it is
-    guaranteed to collide on at least one gram inside each document's
-    PREFIX — the first L = |A| - ceil(t*|A|) + 1 grams under any fixed
-    global gram order (here: order by 64-bit gram hash). Only prefix
-    grams are exploded and grouped, cutting candidate generation by
-    ~(1-t) squared versus a full inverted index, with zero recall loss
-    (candidates and verify both operate on 64-bit polynomial gram
-    hashes; a collision — deterministic for the fixed base,
-    random-model rate ~|grams|²·2⁻⁶⁴ ≈ 10⁻¹⁴ per doc — could merge two
-    distinct grams and shift a count by one; accepted and documented,
-    the same trade every hash-fingerprint dedup in this module makes).
-
-    The global gram order is ASCENDING DOCUMENT FREQUENCY (AllPairs'
-    key trick): prefixes then hold each document's RAREST grams, so two
-    documents only become a candidate pair when they share a rare gram
-    — on a template-heavy corpus (where every pair shares hundreds of
-    common grams) this cuts candidates by orders of magnitude versus a
-    hash-ordered prefix, with zero recall loss (the lemma holds for ANY
-    fixed total order). DF is one extra combiner explode pass, then
-    SIZE-ADAPTIVE on the per-block partial row count (an upper bound on
-    |vocab|; ``df_broadcast_limit``):
-    - bounded gram space (char n-grams): per-block DF partials merge on
-      the DRIVER (the map is broadcast right after, so a distributed
-      groupby first is a pure all-to-all tax — measured 11.2 of 17.8 s
-      at sf0.1) and ship as two sorted numpy arrays;
-    - unbounded gram space: a distributed hash join of DF onto the
-      exploded (doc, gram) rows, then a groupby(doc) prefix selection
-      — nothing vocab-sized touches the driver. Both paths are
-      equivalence-tested (tests/test_neardup_distributed.py).
-
-    Two further AllPairs prunes ride along: the LENGTH filter (a pair
-    at Jaccard >= t needs t*max(|A|,|B|) <= min(|A|,|B|), checked from
-    set sizes carried on the prefix rows) and a per-doc gram-set cache
-    in the verify stage (each doc's set is built once per verify batch,
-    not once per pair). The gram width n is a knob: wider grams
-    are more discriminative — on template-heavy corpora (like this
-    fixture, whose 500 docs share ~all character trigrams) n=12 keeps
-    the candidate set ~100x below all-pairs where n=3 cannot prune at
-    all; the result is exact at every n, only the similarity DEFINITION
-    (n-gram resemblance) shifts.
-
-    Stages: explode distinct grams → DF groupby → per-doc DF-sorted
-    prefix rows (map_batches) → groupby(gram bucket) in-bucket pair
-    generation (bucket-local dedup only — cross-bucket duplicates are
-    cheaper to re-verify than to shuffle away) → verify. The verify is
-    size-adaptive: when the candidate set is bounded, the candidate
-    docs' SORTED GRAM-HASH ARRAYS (8 bytes/gram — corpus text never
-    moves) are broadcast and each pair intersects two sorted int64
-    arrays via one vectorized searchsorted; past the bound it falls
-    back to the distributed text hash-join (_attach_pair_texts) with a
-    per-doc gram-array cache. Keep iff |A∩B|*10^4 >= t_e4*|A∪B| —
-    integer floor division on both sides makes the DuckDB twin
-    hash-exact.
-    Returns (doc_a, doc_b, jac_e4), doc_a < doc_b, sorted."""
-    from ray.data.aggregate import Sum
-
-    # a single parquet file arrives as ~1 block; the gram passes are
-    # CPU-bound per doc, so split the read across the cluster
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        override_num_blocks=default_buckets(),
-    )
-    pw = _poly_powers(n)
-    empty = pa.table(
-        {
-            "doc_a": pa.array([], pa.int64()),
-            "doc_b": pa.array([], pa.int64()),
-            "jac_e4": pa.array([], pa.int64()),
-        }
-    )
-
-    def _gram_hashes(t: str) -> np.ndarray:
-        # single-doc wrapper over the vectorized batch kernel (used by
-        # the per-doc caches in the verify stages). Hashes come back in
-        # uint64 order — re-sort the INT64 view, because the verify's
-        # searchsorted intersection compares as int64
-        _d, hh = _batch_distinct_grams([t], n, pw)
-        return np.sort(hh.view(np.int64))
-
-    def explode_grams(batch: pa.Table) -> pa.Table:
-        # partial DF inside the batch (combiner): one row per distinct
-        # gram per batch, so the groupby moves ~|vocab| rows per block.
-        # _batch_distinct_grams is already per-doc-distinct, so the
-        # unique-counts here ARE document frequencies.
-        texts = batch.column("text").to_pylist()
-        _d, hh = _batch_distinct_grams(texts, n, pw)
-        uniq, counts = np.unique(hh, return_counts=True)
-        return pa.table(
-            {"gram": pa.array(uniq.view(np.int64), pa.int64()),
-             "df": pa.array(counts.astype(np.int64), pa.int64())}
-        )
-
-    _empty_pref = pa.table(
-        {"gram": pa.array([], pa.int64()),
-         "doc_id": pa.array([], pa.int64()),
-         "sz": pa.array([], pa.int64())}
-    )
-    df_parts = ds.map_batches(explode_grams, batch_format="pyarrow").materialize()
-    n_part_rows = df_parts.count()  # >= |vocab|; block-partial DF rows
-
-    if n_part_rows <= df_broadcast_limit:
-        # bounded gram space: the DF map ends up broadcast to every
-        # task anyway, so a distributed groupby before the driver pull
-        # is a pure all-to-all tax — MEASURED 11.2 s of a 17.8 s total
-        # at sf0.1/32cpu for a 131k vocab. Merge the per-block partials
-        # on the driver instead (vocab-bounded rows, exact int sums)
-        # and broadcast two sorted numpy arrays — a searchsorted lookup
-        # is vectorized where a dict probe is a Python loop per gram.
-        from ..runtime import arrow_blocks as _ab
-
-        _parts = _ab(df_parts)
-        if not _parts:  # no doc long enough to yield a single n-gram
-            return empty
-        part_tbl = pa.concat_tables(_parts, promote_options="none")
-        g_all = part_tbl.column("gram").to_numpy(zero_copy_only=False)
-        d_all = part_tbl.column("df").to_numpy(zero_copy_only=False)
-        dfk_s, inv = np.unique(g_all, return_inverse=True)
-        dfv_s = np.zeros(len(dfk_s), np.int64)
-        np.add.at(dfv_s, inv, d_all)
-        df_ref = ray.put((dfk_s, dfv_s))
-
-        def prefix_rows(batch: pa.Table) -> pa.Table:
-            dfk_s, dfv_s = ray.get(df_ref)
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            texts = batch.column("text").to_pylist()
-            d, hh = _batch_distinct_grams(texts, n, pw)
-            if not len(d):
-                return _empty_pref
-            h_all = hh.view(np.int64)
-            dfs_all = dfv_s[np.searchsorted(dfk_s, h_all)]
-            # per-doc boundaries (d is sorted by construction)
-            bounds = np.flatnonzero(np.r_[True, d[1:] != d[:-1]])
-            ends = np.r_[bounds[1:], len(d)]
-            out_g, out_d, out_s = [], [], []
-            for s0, e0 in zip(bounds, ends):
-                h = h_all[s0:e0]
-                dfs = dfs_all[s0:e0]
-                m = e0 - s0
-                order = np.lexsort((h, dfs))  # rare grams first, hash tiebreak
-                L = m - (threshold_e4 * m + 9999) // 10000 + 1
-                did = int(ids[d[s0]])
-                out_g.append(h[order[:L]])
-                out_d.append(np.full(L, did, dtype=np.int64))
-                out_s.append(np.full(L, m, dtype=np.int64))
-            return pa.table(
-                {
-                    "gram": pa.array(np.concatenate(out_g), pa.int64()),
-                    "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-                    "sz": pa.array(np.concatenate(out_s), pa.int64()),
-                }
-            )
-
-        pref = ds.map_batches(prefix_rows, batch_format="pyarrow")
-    else:
-        # unbounded gram space: hash-join DF onto the exploded
-        # (doc, gram) rows, then select each doc's DF-ascending prefix
-        # in a groupby(doc_id) — the driver never sees the vocab
-        def explode_doc_grams(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-            texts = batch.column("text").to_pylist()
-            d, hh = _batch_distinct_grams(texts, n, pw)
-            if not len(d):
-                return _empty_pref
-            # per-doc sizes scattered back onto the gram rows
-            sizes = np.bincount(d, minlength=len(texts)).astype(np.int64)
-            return pa.table(
-                {
-                    "gram": pa.array(hh.view(np.int64), pa.int64()),
-                    "doc_id": pa.array(ids[d].astype(np.int64), pa.int64()),
-                    "sz": pa.array(sizes[d], pa.int64()),
-                }
-            )
-
-        tune_join_resources()
-        df_ds = (
-            df_parts.groupby("gram")
-            .aggregate(Sum("df", alias_name="df"))
-            .materialize()
-        )
-        n_vocab = df_ds.count()
-        dg = ds.map_batches(explode_doc_grams, batch_format="pyarrow").materialize()
-        n_dg = dg.count()
-        if n_dg == 0:
-            return empty
-        dg = dg.repartition(max(1, min(join_partitions(), n_dg // 4096)))
-        df_rp = df_ds.repartition(max(1, min(join_partitions(), n_vocab // 4096)))
-        joined = dg.join(
-            df_rp, join_type="inner", num_partitions=join_partitions(),
-            on=("gram",),
-        )
-
-        def doc_prefix(g: pd.DataFrame) -> pd.DataFrame:
-            # grams are distinct per doc, so m == len(g) == sz
-            order = np.lexsort((g["gram"].to_numpy(), g["df"].to_numpy()))
-            m = int(g["sz"].iloc[0])
-            L = m - (threshold_e4 * m + 9999) // 10000 + 1
-            sel = order[:L]
-            return pd.DataFrame(
-                {
-                    "gram": g["gram"].to_numpy()[sel],
-                    "doc_id": g["doc_id"].to_numpy()[sel],
-                    "sz": g["sz"].to_numpy()[sel],
-                }
-            )
-
-        pref = joined.groupby("doc_id").map_groups(
-            doc_prefix, batch_format="pandas"
-        )
-
-    # Hoisted to the driver so every map task closes over the SAME
-    # modulus: default_buckets() reads live cluster CPU state, and a
-    # mid-run cluster resize would otherwise give different tasks
-    # different moduli, splitting a shared gram across __bkt groups and
-    # silently dropping candidate pairs (recall loss in an EXACT op).
-    n_bkt = np.uint64(default_buckets(per_cpu=8, hi=1024))
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        # coarse bucket over the gram id: shuffle on ~B buckets, not on
-        # millions of singleton gram groups
-        b = (
-            batch.column("gram").to_numpy(zero_copy_only=False).astype(np.uint64)
-            % n_bkt
-        ).astype(np.int32)
-        return batch.append_column("__bkt", pa.array(b, pa.int32()))
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # all within-gram pairs through the shared degree-class-
-        # vectorized kernel (_group_pairs), then ONE vectorized
-        # AllPairs length filter: J >= t forces
-        # t * max(|A|,|B|) <= min(|A|,|B|). Zero Python per pair.
-        g = g.drop_duplicates(["gram", "doc_id"]).sort_values(
-            ["gram", "doc_id"], kind="mergesort"
-        )
-        (da, db), (sa, sb) = _group_pairs(
-            g["gram"].to_numpy(),
-            [g["doc_id"].to_numpy(), g["sz"].to_numpy()],
-        )
-        if not len(da):
-            return pd.DataFrame(
-                {"doc_a": pd.Series(dtype=np.int64), "doc_b": pd.Series(dtype=np.int64)}
-            )
-        m = np.minimum(sa, sb) * 10000 >= threshold_e4 * np.maximum(sa, sb)
-        return pd.DataFrame({"doc_a": da[m], "doc_b": db[m]})
-
-    cand = (
-        pref.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bkt")
-        .map_groups(
-            lambda g: bucket_pairs(g).drop_duplicates(["doc_a", "doc_b"]),
-            batch_format="pandas",
-        )
-    ).materialize()
-    # cross-bucket duplicate candidates are NOT shuffled away here:
-    # they die in the verify-stage driver dedup (bounded branch) or the
-    # final drop_duplicates — a driver pair walk was measured NO faster
-    # than this bucket plan once bucket_pairs went vectorized (the pair
-    # expansion itself is the cost, and the shuffle spreads it)
-    n_cand = cand.count()
-    if n_cand == 0:
-        return empty
-
-    def _intersect_count(A: np.ndarray, B: np.ndarray) -> int:
-        # |A ∩ B| for two SORTED int64 arrays: one vectorized
-        # searchsorted — O(|A| log |B|), no Python-level set ops
-        if len(A) > len(B):
-            A, B = B, A
-        pos = np.searchsorted(B, A)
-        mask = pos < len(B)
-        return int((B[pos[mask]] == A[mask]).sum())
-
-    def _emit_pairs(da, db, arr_of) -> pa.Table:
-        out_a, out_b, out_j = [], [], []
-        for a, b in zip(da, db):
-            A = arr_of(a)
-            B = arr_of(b)
-            if A is None or B is None or not len(A) or not len(B):
-                continue
-            ni = _intersect_count(A, B)
-            un = len(A) + len(B) - ni
-            if ni * 10000 >= threshold_e4 * un:
-                out_a.append(a)
-                out_b.append(b)
-                out_j.append(ni * 10000 // un)
-        return pa.table(
-            {
-                "doc_a": pa.array(out_a, pa.int64()),
-                "doc_b": pa.array(out_b, pa.int64()),
-                "jac_e4": pa.array(out_j, pa.int64()),
-            }
-        )
-
-    if n_cand <= broadcast_limit:
-        # gram-ARRAY broadcast verify: candidate docs' sorted gram
-        # hashes (8 bytes/gram) are gathered in one streaming pass and
-        # broadcast; pairs never carry text at all. Cross-bucket
-        # duplicate candidates (a pair sharing k prefix grams arrives k
-        # times) are dropped HERE in one driver drop_duplicates — the
-        # pull is already O(candidates), and each duplicate would cost
-        # a full searchsorted verify downstream (measured ~3x dup
-        # factor on the template-heavy fixture).
-        cd = cand.to_pandas().drop_duplicates(["doc_a", "doc_b"])
-        ids = pa.array(sorted(set(cd["doc_a"]) | set(cd["doc_b"])), pa.int64())
-        ids_ref = ray.put(ids)
-
-        def doc_arrays(batch: pa.Table) -> pa.Table:
-            b = batch.filter(
-                pc.is_in(batch.column("doc_id"), value_set=ray.get(ids_ref))
-            )
-            texts = b.column("text").to_pylist()
-            d, hh = _batch_distinct_grams(texts, n, pw)
-            h_all = hh.view(np.int64)  # per-doc slices already sorted asc
-            bounds = np.flatnonzero(np.r_[True, d[1:] != d[:-1]]) if len(d) else np.empty(0, np.int64)
-            ends = np.r_[bounds[1:], len(d)] if len(d) else np.empty(0, np.int64)
-            arrs = [np.empty(0, np.int64)] * len(texts)
-            for s0, e0 in zip(bounds, ends):
-                # uint64-order slice -> int64-order for the verify's
-                # searchsorted intersection
-                arrs[d[s0]] = np.sort(h_all[s0:e0])
-            return pa.table(
-                {
-                    "doc_id": b.column("doc_id"),
-                    "grams": pa.array([a.tolist() for a in arrs], pa.list_(pa.int64())),
-                }
-            )
-
-        gdf = ds.map_batches(doc_arrays, batch_format="pyarrow").to_pandas()
-        gmap_ref = ray.put(
-            {int(i): np.asarray(g, dtype=np.int64) for i, g in
-             zip(gdf["doc_id"], gdf["grams"])}
-        )
-
-        def verify(batch: pa.Table) -> pa.Table:
-            gm = ray.get(gmap_ref)
-            return _emit_pairs(
-                batch.column("doc_a").to_pylist(),
-                batch.column("doc_b").to_pylist(),
-                gm.get,
-            )
-
-        # verify the DEDUPED pair set, re-blocked so the searchsorted
-        # work spreads across the cluster
-        cand_dd = ray.data.from_arrow(
-            pa.Table.from_pandas(cd[["doc_a", "doc_b"]], preserve_index=False)
-        ).repartition(max(1, min(default_buckets(), len(cd) // 4096)))
-        verified = cand_dd.map_batches(verify, batch_format="pyarrow")
-    else:
-        # corpus-scale fallback: distributed text attach, per-doc
-        # gram-array cache inside the verify batch
-        joined = _attach_pair_texts(cand, ds, n_cand)
-
-        def verify(batch: pa.Table) -> pa.Table:
-            da = batch.column("doc_a").to_pylist()
-            db = batch.column("doc_b").to_pylist()
-            ta = batch.column("__text_a").to_pylist()
-            tb = batch.column("__text_b").to_pylist()
-            texts = {}
-            for i, a in enumerate(da):
-                texts.setdefault(a, ta[i])
-            for i, b in enumerate(db):
-                texts.setdefault(b, tb[i])
-            cache: dict[int, np.ndarray] = {}
-
-            def arr_of(did: int):
-                a = cache.get(did)
-                if a is None:
-                    a = np.sort(_gram_hashes(texts.get(did) or ""))
-                    cache[did] = a
-                return a
-
-            return _emit_pairs(da, db, arr_of)
-
-        verified = joined.map_batches(verify, batch_format="pyarrow")
-
-    blocks = arrow_blocks(verified)
-    if not blocks:
-        return empty
-    merged = (
-        pa.concat_tables(blocks, promote_options="none")
-        .to_pandas()
-        .drop_duplicates(["doc_a", "doc_b"])
-        .sort_values(["doc_a", "doc_b"], kind="mergesort")
-    )
-    return pa.table(
-        {
-            "doc_a": pa.array(merged["doc_a"], pa.int64()),
-            "doc_b": pa.array(merged["doc_b"], pa.int64()),
-            "jac_e4": pa.array(merged["jac_e4"], pa.int64()),
-        }
-    )
-
-
 # ------------------------------------------------------ frequent items --
 def q_frequent_items(sf_dir: str, phi_e4: int = 75, k: int = 134):
     """EXACT φ-frequent-items (keys with count >= φ·N) in two passes —
@@ -2075,123 +1642,6 @@ def q_chunk(sf_dir: str, size: int = 200, stride: int = 150):
     return ds.map_batches(chunks, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def q_decontaminate(sf_dir: str, n: int = 16, eval_mod: int = 97):
-    """Benchmark decontamination: flag training documents sharing any
-    character ``n``-gram with the eval set (docs where
-    doc_id % eval_mod == 0 stand in for a benchmark). The standard
-    pre-training hygiene pass (e.g. GPT-3 appendix C / PaLM-style
-    13-gram overlap, done here at n=16 chars).
-
-    Scale layout: the eval side of this op is a BENCHMARK — fixed-size
-    by definition (thousands of questions), never corpus-sized — so its
-    distinct-gram set is built distributed (explode -> groupby) and then
-    broadcast once via ray.put; the 100-TB train side streams through
-    one map_batches pass per batch. No shuffle touches the train
-    corpus.
-
-    The train-side gram pass is fully vectorized: per batch, ONE
-    codepoint sliding-window polynomial-hash sweep
-    (`_batch_distinct_grams` — the same kernel the containment/span
-    family uses; zero Python per gram) and one np.isin against the
-    broadcast uint64 eval-gram hashes prefilters candidate docs; only
-    docs with >= 1 hash hit (contamination is sparse by construction)
-    fall back to exact STRING extraction + pc.is_in, so the emitted
-    (n_grams, hit_grams) stay string-exact with no collision caveat —
-    hash collisions only cost a wasted verify, never a wrong row — and
-    the DuckDB twin hash-matches.
-
-    Returns (doc_id, n_grams, hit_grams) for contaminated train docs
-    (hit_grams >= 1), where n_grams is the doc's distinct-gram count —
-    the pair gives the overlap fraction downstream filters threshold
-    on."""
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def eval_grams(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        texts = batch.column("text").to_pylist()
-        grams: set[str] = set()
-        for i, t in zip(ids, texts):
-            if int(i) % eval_mod == 0 and t and len(t) >= n:
-                grams.update(t[j : j + n] for j in range(len(t) - n + 1))
-        return pa.table({"g": pa.array(sorted(grams), pa.string())})
-
-    # distinct across batches (combiner already dedups within a batch):
-    # the distinct set is benchmark-bounded and pulled to the driver
-    # either way, so a distributed groupby first was a pure string
-    # all-to-all tax — one driver set-union replaces it
-    ev_strings = sorted(
-        set(
-            ds.map_batches(
-                eval_grams, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .to_pandas()["g"]
-        )
-    )  # driver contact = benchmark gram set, fixed-size by definition
-    ev_set = pa.array(ev_strings, pa.string())
-    pw = _poly_powers(n)
-    # each eval gram is an n-char text with exactly one window — hashing
-    # them through the same kernel guarantees both sides agree bit-exact
-    _d, ev_hh = _batch_distinct_grams(ev_strings, n, pw)
-    ev_ref = ray.put((ev_set, np.unique(ev_hh)))
-
-    def hits(batch: pa.Table) -> pa.Table:
-        ev_arr, ev_hashes = ray.get(ev_ref)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        texts = batch.column("text").to_pylist()
-        kept_ids, kept_texts = [], []
-        for i, t in zip(ids, texts):
-            if int(i) % eval_mod == 0 or not t or len(t) < n:
-                continue
-            kept_ids.append(int(i))
-            kept_texts.append(t)
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_grams": pa.array([], pa.int64()),
-                "hit_grams": pa.array([], pa.int64()),
-            }
-        )
-        if not kept_texts:
-            return empty
-        # vectorized prefilter: one hash sweep + one np.isin C kernel
-        d, hh = _batch_distinct_grams(kept_texts, n, pw)
-        if not len(d):
-            return empty
-        cand_docs = np.unique(d[np.isin(hh, ev_hashes)])
-        if not len(cand_docs):
-            return empty
-        # exact string verify, candidate docs only (sparse): per-doc
-        # distinct gram strings -> one pc.is_in against the eval set
-        doc_ids, n_grams, hit_grams = [], [], []
-        for di in cand_docs:
-            t = kept_texts[int(di)]
-            grams = list({t[j : j + n] for j in range(len(t) - n + 1)})
-            nh = int(
-                pc.sum(
-                    pc.cast(
-                        pc.is_in(pa.array(grams, pa.string()), value_set=ev_arr),
-                        pa.int64(),
-                    )
-                ).as_py()
-                or 0
-            )
-            if nh > 0:
-                doc_ids.append(kept_ids[int(di)])
-                n_grams.append(len(grams))
-                hit_grams.append(nh)
-        if not doc_ids:
-            return empty
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "n_grams": pa.array(n_grams, pa.int64()),
-                "hit_grams": pa.array(hit_grams, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(hits, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def q_pack_sequences(sf_dir: str, budget: int = 512):
     """Sequence packing for training (token-budget bin assignment):
     docs in doc_id order are laid head-to-tail on the global token
@@ -2355,432 +1805,6 @@ def q_quantize_embeddings(sf_dir: str, dims: int = 64, levels: int = 255):
         )
 
     return ds.map_batches(quant, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def _link_edges(sf_dir: str, n_nodes: int) -> "ray.data.Dataset":
-    """DISTINCT undirected (u < v) edges of the synthetic link graph
-    (node = c_custkey, edge o_custkey <-> o_orderkey mod n_nodes,
-    self-loops dropped) — the ONE graph definition shared by
-    q_triangle_count and q_bfs_distance, so the "same link graph"
-    queries and their oracles cannot silently diverge. q_pagerank keeps
-    parallel edges and direction, so it builds its own edge list.
-    Per-batch combiner dedup, then one distinct groupby; materialized
-    because both consumers scan it repeatedly."""
-    orders = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderkey"], split=True)
-
-    def to_edges(batch: pa.Table, _n=n_nodes) -> pa.Table:
-        return _link_edge_batch(batch, _n)
-
-    return (
-        orders.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["u", "v"])
-        .count()
-        .select_columns(["u", "v"])
-        .materialize()
-    )
-
-
-def _link_edge_batch(batch: pa.Table, n_nodes: int) -> pa.Table:
-    """Per-block kernel of the shared link-graph edge definition (see
-    _link_edges) — factored out so the size-adaptive driver fork and
-    the distributed groupby fork cannot diverge on edge semantics."""
-    a = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-    b = (
-        batch.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        % n_nodes
-    )
-    u, v = np.minimum(a, b), np.maximum(a, b)
-    keep = u != v  # drop self-loops
-    pairs = np.unique(np.stack([u[keep], v[keep]], axis=1), axis=0)
-    return pa.table(
-        {"u": pa.array(pairs[:, 0], pa.int64()),
-         "v": pa.array(pairs[:, 1], pa.int64())}
-    )
-
-
-def _link_edges_driver(sf_dir: str, n_nodes: int):
-    """Driver-combined DISTINCT link-graph edges: one distributed
-    map_batches builds per-block deduped (u, v) partials (<= one row
-    per orders row — callers gate on the orders parquet row count), the
-    driver merges them with one np.unique on packed int64 keys. Returns
-    sorted packed keys k = u*n_nodes + v (u < v)."""
-    orders = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderkey"], split=True)
-    parts = orders.map_batches(
-        lambda b, _n=n_nodes: _link_edge_batch(b, _n),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).to_pandas()
-    return np.unique(
-        parts["u"].to_numpy() * np.int64(n_nodes) + parts["v"].to_numpy()
-    )
-
-
-def q_triangle_count(
-    sf_dir: str,
-    broadcast_limit: int = 5_000_000,
-    driver_edges_max: int = 4_000_000,
-    wedge_driver_max: int = 30_000_000,
-    force_distributed: bool = False,
-):
-    """Distributed triangle counting over the q_pagerank link graph
-    (node = c_custkey, distinct undirected edges from
-    o_custkey <-> o_orderkey mod |nodes|) — the third graph-analytics
-    member after PageRank and connected components; triangle density is
-    the standard web-graph spam/community signal.
-
-    Layout is the node-iterator++ / degree-ordering algorithm (Schank &
-    Wagner 2005; the MapReduce form in Suri & Vassilvitskii, WWW'11):
-    orient every edge from the (degree, node)-lower endpoint to the
-    higher; each triangle then has exactly ONE vertex with two outgoing
-    oriented edges, so emitting out-neighbor pairs per vertex counts
-    every triangle once and the quadratic wedge blowup concentrates on
-    the LOWEST-degree centers (max out-degree is O(sqrt(|E|))
-    regardless of skew — the reason this survives power-law web graphs
-    where naive neighbor-pairing dies on hub nodes).
-
-    Stages: distinct-edge groupby -> degree combiner groupby -> wedge
-    generation inside map_groups (vectorized np pair expansion per
-    center) -> hash-bucket shuffle of wedges against oriented edges ->
-    per-bucket sorted-array membership (searchsorted). Driver sees one
-    int64.
-
-    Size-adaptive triple fork (q_opic's pattern, gated on EXACT parquet
-    row counts — no scan):
-    - |orders| <= driver_edges_max AND the exact oriented wedge count
-      (computed from driver-resident out-degrees, Σ k(k-1)/2) <=
-      wedge_driver_max: per-block edge partials merge in one driver
-      np.unique pass and the whole count — degrees, orientation,
-      degree-class wedge expansion, searchsorted membership — is pure
-      vectorized numpy, zero shuffles (profiled 5.0 s -> ~0.5 s at
-      sf0.1: four shuffle stages were fixed overhead on a ~150k-edge
-      graph).
-    - the degree table is node-scale: under ``broadcast_limit`` nodes
-      it rides ``ray.put`` as one int64 array and orientation is a
-      map-side gather; above the bound (or ``force_distributed``)
-      degrees stay a Dataset and attach to the edge list via two
-      distributed hash joins (deg(u), deg(v)) — nothing node-scale
-      touches the driver. All forks equivalence-tested."""
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Sum
-
-    n_nodes = pq_mod.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
-    orders_rows = pq_mod.read_metadata(
-        os.path.join(sf_dir, "orders.parquet")
-    ).num_rows
-
-    if orders_rows <= driver_edges_max and not force_distributed:
-        k = _link_edges_driver(sf_dir, n_nodes)  # sorted packed (u<v) keys
-        eu = (k // n_nodes).astype(np.int64)
-        ev = (k % n_nodes).astype(np.int64)
-        deg = np.bincount(eu, minlength=n_nodes) + np.bincount(
-            ev, minlength=n_nodes
-        )
-        rank = deg.astype(np.int64) * np.int64(n_nodes) + np.arange(
-            n_nodes, dtype=np.int64
-        )
-        swap = rank[eu] > rank[ev]
-        src = np.where(swap, ev, eu)
-        dst = np.where(swap, eu, ev)
-        od = np.bincount(src, minlength=n_nodes).astype(np.int64)
-        n_wedges = int((od * (od - 1) // 2).sum())
-        if n_wedges <= wedge_driver_max:
-            order = np.lexsort((dst, src))
-            ((a, b),) = _group_pairs(src[order], [dst[order]])
-            wk = np.minimum(a, b) * np.int64(n_nodes) + np.maximum(a, b)
-            # k is exactly the sorted (u<v)-packed distinct edge set
-            pos = np.clip(np.searchsorted(k, wk), 0, max(len(k) - 1, 0))
-            total = int((k[pos] == wk).sum()) if len(k) else 0
-            return pa.table({"n_triangles": pa.array([total], pa.int64())})
-        # wedge blowup too large for the driver: fall through to the
-        # shuffled wedge pipeline below
-
-    edges = _link_edges(sf_dir, n_nodes)
-
-    # degrees: one combiner groupby over both endpoints
-    def deg_partial(batch: pa.Table) -> pa.Table:
-        both = np.concatenate(
-            [
-                batch.column("u").to_numpy(zero_copy_only=False),
-                batch.column("v").to_numpy(zero_copy_only=False),
-            ]
-        )
-        k, c = np.unique(both, return_counts=True)
-        return pa.table(
-            {"node": pa.array(k.astype(np.int64), pa.int64()),
-             "d": pa.array(c.astype(np.int64), pa.int64())}
-        )
-
-    deg_ds = (
-        edges.map_batches(deg_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("node")
-        .aggregate(Sum("d", alias_name="deg"))
-        .materialize()
-    )
-
-    n_bkt = default_buckets()
-
-    if n_nodes <= broadcast_limit and not force_distributed:
-        deg = deg_ds.to_pandas()  # node-scale ints, under the bound
-        dmap = np.zeros(n_nodes, np.int64)
-        dmap[deg["node"].to_numpy()] = deg["deg"].to_numpy()
-        # total order: (degree, node) — rank = deg*n_nodes + node fits i64
-        rank = dmap * np.int64(n_nodes)
-        rank += np.arange(n_nodes, dtype=np.int64)
-        rank_ref = ray.put(rank)
-
-        def orient(batch: pa.Table) -> pa.Table:
-            r = ray.get(rank_ref)
-            u = batch.column("u").to_numpy(zero_copy_only=False)
-            v = batch.column("v").to_numpy(zero_copy_only=False)
-            swap = r[u] > r[v]
-            src = np.where(swap, v, u).astype(np.int64)
-            dst = np.where(swap, u, v).astype(np.int64)
-            return pa.table(
-                {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
-            )
-
-        oriented = edges.map_batches(
-            orient, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-    else:
-        # degrees stay a Dataset: attach deg(u) and deg(v) to the edge
-        # list via two distributed hash joins, orient per row
-        tune_join_resources()
-        nparts = join_partitions()
-        n_e = edges.count()
-        eparts = max(2, min(nparts, n_e // 4096 + 1))
-        dparts = max(2, min(nparts, deg_ds.count() // 4096 + 1))
-        du = deg_ds.map_batches(
-            lambda b: pa.table(
-                {"u": b.column("node"), "deg_u": b.column("deg")}
-            ),
-            batch_format="pyarrow",
-        ).repartition(dparts)
-        dv = deg_ds.map_batches(
-            lambda b: pa.table(
-                {"v": b.column("node"), "deg_v": b.column("deg")}
-            ),
-            batch_format="pyarrow",
-        ).repartition(dparts)
-        e2 = (
-            edges.repartition(eparts)
-            .join(du, join_type="inner", on=("u",), num_partitions=nparts)
-            .join(dv, join_type="inner", on=("v",), num_partitions=nparts)
-        )
-
-        def orient_joined(batch: pa.Table) -> pa.Table:
-            u = batch.column("u").to_numpy(zero_copy_only=False)
-            v = batch.column("v").to_numpy(zero_copy_only=False)
-            ru = batch.column("deg_u").to_numpy(zero_copy_only=False) * np.int64(
-                n_nodes
-            ) + u
-            rv = batch.column("deg_v").to_numpy(zero_copy_only=False) * np.int64(
-                n_nodes
-            ) + v
-            swap = ru > rv
-            src = np.where(swap, v, u).astype(np.int64)
-            dst = np.where(swap, u, v).astype(np.int64)
-            return pa.table(
-                {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
-            )
-
-        oriented = e2.map_batches(
-            orient_joined, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-
-    # wedges: per-center out-neighbor pairs. The shuffle keys on
-    # src%B (coarse buckets — a center's out-edges co-locate, the sort
-    # moves B distinct ints, not the node id range) and the kernel is
-    # vectorized BY OUT-DEGREE CLASS: rows sort by (degree, center),
-    # every center with the same out-degree k stacks into an (m, k)
-    # matrix and one triu gather emits all their pairs — zero
-    # per-center Python (out-degree is O(sqrt|E|) under the degree
-    # orientation, so there are few distinct classes).
-    def add_src_bucket(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__sb", pa.array((s % n_bkt).astype(np.int32), pa.int32())
-        )
-
-    def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.sort_values(["src", "dst"], kind="mergesort")
-        ((a, b),) = _group_pairs(df["src"].to_numpy(), [df["dst"].to_numpy()])
-        # out-neighbors were dst-sorted within each src, so a < b holds
-        return pd.DataFrame({"u": a, "v": b, "__b": (a * 31 + b) % n_bkt})
-
-    wedge_ds = (
-        oriented.map_batches(add_src_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__sb")
-        .map_groups(wedges, batch_format="pandas")
-    )
-
-    # closing-edge membership: bucket both sides on the same key, then a
-    # per-bucket sorted int64 membership test
-    def edge_key(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        d = batch.column("dst").to_numpy(zero_copy_only=False)
-        # oriented edges have rank(src)<rank(dst) but a wedge (u,v) is
-        # sorted by NODE id; normalize to (min,max) node order
-        u, v = np.minimum(s, d), np.maximum(s, d)
-        return pa.table(
-            {
-                "k": pa.array(u * np.int64(n_nodes) + v, pa.int64()),
-                "__b": pa.array((u * 31 + v) % n_bkt, pa.int64()),
-                "is_edge": pa.array(np.ones(len(u), np.int64), pa.int64()),
-            }
-        )
-
-    def wedge_key(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_numpy(zero_copy_only=False)
-        v = batch.column("v").to_numpy(zero_copy_only=False)
-        uu, vv = np.minimum(u, v), np.maximum(u, v)
-        return pa.table(
-            {
-                "k": pa.array(uu * np.int64(n_nodes) + vv, pa.int64()),
-                "__b": pa.array(batch.column("__b").to_numpy(zero_copy_only=False).astype(np.int64), pa.int64()),
-                "is_edge": pa.array(np.zeros(len(uu), np.int64), pa.int64()),
-            }
-        )
-
-    tagged = oriented.map_batches(
-        edge_key, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        wedge_ds.map_batches(wedge_key, batch_format="pyarrow", zero_copy_batch=True)
-    )
-
-    def count_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        ek = np.sort(g.loc[g["is_edge"] == 1, "k"].to_numpy())
-        wk = g.loc[g["is_edge"] == 0, "k"].to_numpy()
-        if len(ek) == 0 or len(wk) == 0:
-            return pd.DataFrame({"n": [0]})
-        pos = np.clip(np.searchsorted(ek, wk), 0, len(ek) - 1)
-        return pd.DataFrame({"n": [int((ek[pos] == wk).sum())]})
-
-    parts = (
-        tagged.groupby("__b")
-        .map_groups(count_in_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    total = int(parts["n"].sum())
-    return pa.table({"n_triangles": pa.array([total], pa.int64())})
-
-
-def q_bfs_distance(
-    sf_dir: str,
-    source: int = 0,
-    max_depth: int = 6,
-    driver_edges_max: int = 4_000_000,
-    force_distributed: bool = False,
-):
-    """BFS shortest-path distances from a seed node over the
-    q_pagerank/q_triangle_count link graph — crawl-depth / link-distance
-    analysis (heroshi tracks depth-from-seed for scheduling), and the
-    third iterative-graph member after PageRank and connected
-    components. Output (node, dist) for nodes within ``max_depth``.
-
-    Layout per round: ONE map_batches over the (materialized once)
-    distinct edge list emits the neighbors of the broadcast frontier —
-    partials are np.unique'd per batch, so the driver merge handles at
-    most |new frontier| x blocks ints. Frontier and visited sets are
-    REACHED-node-scale on the driver (bounded by max_depth's ball, the
-    quantity a crawl scheduler budget-caps anyway); for
-    unbounded-diameter full-graph labeling the Dataset-resident
-    propagation machinery in q_dedup_clusters is the scale path, as its
-    docstring documents. The DuckDB twin unrolls the same rounds as
-    nested CTEs (the q_pagerank oracle pattern).
-
-    Size-adaptive driver fork (q_triangle_count's gate): below
-    ``driver_edges_max`` orders rows the per-depth frontier expansion
-    was max_depth full Ray plan launches over a bench-scale edge list —
-    the fork runs ONE distributed edge-dedup pass
-    (_link_edges_driver) and the identical searchsorted kernel per
-    depth on the driver arrays; set semantics make the forks exactly
-    equal (equivalence-tested)."""
-    import pyarrow.parquet as pq_mod
-
-    n_nodes = pq_mod.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
-
-    if (
-        pq_mod.read_metadata(os.path.join(sf_dir, "orders.parquet")).num_rows
-        <= driver_edges_max
-        and not force_distributed
-    ):
-        k = _link_edges_driver(sf_dir, n_nodes)
-        eu = (k // n_nodes).astype(np.int64)
-        ev = (k % n_nodes).astype(np.int64)
-        visited = {int(source): 0}
-        frontier = np.array([source], np.int64)
-        for depth in range(1, max_depth + 1):
-            f = np.sort(frontier)
-            pu = np.clip(np.searchsorted(f, eu), 0, max(0, len(f) - 1))
-            pv = np.clip(np.searchsorted(f, ev), 0, max(0, len(f) - 1))
-            mu = f[pu] == eu
-            mv = f[pv] == ev
-            reached = np.unique(np.concatenate([ev[mu], eu[mv]]))
-            frontier = np.array(
-                [n for n in reached if int(n) not in visited], np.int64
-            )
-            if len(frontier) == 0:
-                break
-            for n in frontier:
-                visited[int(n)] = depth
-        nodes = sorted(visited)
-        return pa.table(
-            {
-                "node": pa.array(nodes, pa.int64()),
-                "dist": pa.array([visited[n] for n in nodes], pa.int64()),
-            }
-        )
-
-    edges = _link_edges(sf_dir, n_nodes)
-
-    visited = {int(source): 0}
-    frontier = np.array([source], np.int64)
-    for depth in range(1, max_depth + 1):
-        f_ref = ray.put(np.sort(frontier))
-
-        def neighbors(batch: pa.Table) -> pa.Table:
-            f = ray.get(f_ref)
-            u = batch.column("u").to_numpy(zero_copy_only=False)
-            v = batch.column("v").to_numpy(zero_copy_only=False)
-            pu = np.clip(np.searchsorted(f, u), 0, max(0, len(f) - 1))
-            pv = np.clip(np.searchsorted(f, v), 0, max(0, len(f) - 1))
-            mu = f[pu] == u
-            mv = f[pv] == v
-            out = np.unique(np.concatenate([v[mu], u[mv]]))
-            return pa.table({"node": pa.array(out, pa.int64())})
-
-        reached = np.unique(
-            np.concatenate(
-                [
-                    b["node"].to_numpy()
-                    for b in edges.map_batches(
-                        neighbors, batch_format="pyarrow", zero_copy_batch=True
-                    ).iter_batches(batch_format="pandas")
-                ]
-                or [np.empty(0, np.int64)]
-            )
-        )
-        frontier = np.array(
-            [n for n in reached if int(n) not in visited], np.int64
-        )
-        if len(frontier) == 0:
-            break
-        for n in frontier:
-            visited[int(n)] = depth
-
-    nodes = sorted(visited)
-    return pa.table(
-        {
-            "node": pa.array(nodes, pa.int64()),
-            "dist": pa.array([visited[n] for n in nodes], pa.int64()),
-        }
-    )
 
 
 def q_train_split(sf_dir: str, val_pct: int = 10, test_pct: int = 10):
@@ -3213,7 +2237,7 @@ def q_edit_neardup(sf_dir: str, n_buckets: int | None = None):
     position, grouped by length class; zero Python per row), batch-
     local distinct -> ONE bucketed shuffle on hash(variant)%B ->
     per-bucket candidate pairs (degree-class-vectorized triu over
-    variant groups, the q_triangle_count kernel) verified EXACTLY
+    variant groups, `_group_pairs`) verified EXACTLY
     (equal length: <=1 mismatching char column; length±1: one-deletion
     alignment) -> distributed pair dedup (`_dedup_pairs` — a pair can
     surface in many buckets). Candidates are neighborhood-scale, never
@@ -3317,12 +2341,12 @@ def q_semantic_decontaminate(
     sf_dir: str, eval_mod: int = 41, threshold_e4: int = 3500
 ):
     """EMBEDDING-level benchmark decontamination (the semantic cousin of
-    q_decontaminate's exact n-gram pass): flag training vectors whose
+    an exact n-gram overlap pass): flag training vectors whose
     best cosine against the eval set clears ``threshold_e4``, reporting
     the argmax eval id — paraphrased benchmark leakage that exact gram
     overlap misses. vec_id % eval_mod == 0 stands in for the benchmark.
 
-    Scale layout mirrors q_decontaminate: the eval side is a BENCHMARK,
+    Scale layout: the eval side is a BENCHMARK,
     fixed-size by definition, so its normalized matrix broadcasts once
     (ray.put); the 100-TB train side streams through ONE map_batches
     matmul+argmax pass — no shuffle, no train-side materialization.
@@ -3468,8 +2492,7 @@ def q_containment_neardup(
     constructible in principle though vanishing for natural text
     (random-model rate ~1e-19 per pair at fixture gram counts); a
     collision overcounts ni by 1. The DuckDB twin hash-matched at both
-    test SFs. Same stopword-gram blowup caveat as q_ngram_jaccard:
-    an exact op has no df cap; deployments that accept recall loss cap
+    test SFs. Stopword grams blow up posting lists: an exact op has no df cap; deployments that accept recall loss cap
     posting length at step 2.
 
     FAST PATH (bounded gram space, the default below
@@ -3484,8 +2507,7 @@ def q_containment_neardup(
     collisions only — no length filter exists for containment (a tiny
     doc inside a huge one qualifies), but DF-ordered prefixes keep the
     expansion candidate-scale. Exact verify recomputes |A∩B| from the
-    candidate docs' sorted gram-hash arrays (q_ngram_jaccard's
-    broadcast verify), so the result is bit-identical to the pairwise
+    candidate docs' sorted gram-hash arrays (a broadcast verify), so the result is bit-identical to the pairwise
     plan — equivalence-tested; the pairwise plan remains the
     ``force_distributed`` / unbounded-gram-space fork."""
     from ray.data.aggregate import Sum
@@ -4410,303 +3432,6 @@ def q_lm_score(
     return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
 
 
-# Gopher A1.1's "contains >= 2 of" stop list (Rae et al. 2021) — fixed
-# here so the DuckDB twin can inline the identical literal set.
-GOPHER_STOP8 = ("the", "be", "to", "of", "and", "that", "have", "with")
-
-
-def gopher_flags(text_col) -> pa.Table:
-    """q_gopher_gate's exact rule kernel: Arrow string column in,
-    Arrow table (n_words, wchars, n_sym, n_alpha, n_stop, keep) out.
-    All ratios cross-multiplied int64 — see q_gopher_gate."""
-    import polars as pl
-
-    s = pl.from_arrow(text_col).rename("t")
-    toks = s.str.extract_all(r"\S+")
-    d = pl.select(
-        n_words=toks.list.len().cast(pl.Int64),
-        wchars=s.str.count_matches(r"\S").cast(pl.Int64),
-        n_sym=(
-            s.str.count_matches("#", literal=True)
-            + s.str.count_matches(r"\.\.\.")
-        ).cast(pl.Int64),
-        n_alpha=toks.list.eval(pl.element().str.contains("[A-Za-z]"))
-        .list.sum()
-        .fill_null(0)
-        .cast(pl.Int64),
-        n_stop=toks.list.eval(
-            pl.element().str.to_lowercase().is_in(list(GOPHER_STOP8))
-        )
-        .list.sum()
-        .fill_null(0)
-        .cast(pl.Int64),
-    )
-    return d.with_columns(
-        keep=(
-            (pl.col("n_words") >= 8)
-            & (pl.col("n_words") <= 50_000)
-            & (2 * pl.col("n_words") <= pl.col("wchars"))
-            & (pl.col("wchars") <= 12 * pl.col("n_words"))
-            & (10 * pl.col("n_sym") <= pl.col("n_words"))
-            & (5 * pl.col("n_alpha") >= 4 * pl.col("n_words"))
-            & (pl.col("n_stop") >= 2)
-        ).cast(pl.Int64)
-    ).to_arrow()
-
-
-def q_gopher_gate(sf_dir: str):
-    """Gopher/MassiveText rule-based quality gate (Rae et al. 2021,
-    Appendix A1.1), integer-exact so it hash-checks against the DuckDB
-    twin. Per doc: whitespace-token count, non-whitespace char count,
-    symbol count ('#' + non-overlapping '...'), count of tokens
-    containing an alphabetic char, count of tokens in the 8-word Gopher
-    stop set — then the composite keep flag:
-
-      R1 word count in [8, 50000]
-      R2 mean word length in [2, 12]   (2*n_words <= wchars <= 12*n_words)
-      R3 symbol-to-word ratio <= 0.1   (10*n_sym <= n_words)
-      R4 >= 80% of words alphabetic    (5*n_alpha >= 4*n_words)
-      R5 >= 2 stop-set hits
-
-    All ratios are cross-multiplied so no float ever crosses the
-    comparison; fully vectorized (polars regex + list kernels), pure
-    streaming map, zero shuffle."""
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def gate(batch: pa.Table) -> pa.Table:
-        d = gopher_flags(batch.column("text"))
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "n_words": d.column("n_words"),
-                "wchars": d.column("wchars"),
-                "n_sym": d.column("n_sym"),
-                "n_alpha": d.column("n_alpha"),
-                "n_stop": d.column("n_stop"),
-                "keep": d.column("keep"),
-            }
-        )
-
-    return ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_dsir_weights(sf_dir: str, target_lang: str = "en", V: int = 129):
-    """DSIR importance weights (Xie et al. 2023, Data Selection via
-    Importance Resampling): per-doc log-likelihood ratio between a
-    TARGET-domain bag-of-features model (docs with lang == target_lang)
-    and the SOURCE model (the whole corpus), with char bigrams standing
-    in for DSIR's hashed word n-grams. The dataflow is the production
-    one: ONE count pass over the corpus emitting (bigram, c_source,
-    c_target) partials — the shuffle is key-bounded at V² regardless of
-    corpus size — then both Laplace-smoothed models are derived on the
-    driver (2x V² int64 ≈ 260 KB) and broadcast once via ray.put for a
-    single vectorized scoring pass.
-
-      w(doc) = Σ_bigrams [ (ln(c_t+1) - ln(r_t+V)) - (ln(c_s+1) - ln(r_s+V)) ]
-               / n_bigrams, e4 fixed-point
-
-    Bigrams absent from the target model contribute ln(1)=0 / ln(V)
-    exactly as the twin's COALESCE(.,0) does; e4 rounding absorbs
-    summation-order ulp drift (q_lm_score's parity recipe)."""
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text", "lang"], split=True)
-
-    def _cp(t: str) -> np.ndarray:
-        cp = np.frombuffer((t or "").encode("utf-32-le"), np.uint32)
-        return np.minimum(cp, V - 1).astype(np.int64)
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        langs = batch.column("lang").to_pylist()
-        src, tgt = [], []
-        for t, lg in zip(batch.column("text").to_pylist(), langs):
-            cp = _cp(t)
-            if len(cp) >= 2:
-                bg = cp[:-1] * V + cp[1:]
-                src.append(bg)
-                if lg == target_lang:
-                    tgt.append(bg)
-        if not src:
-            return pa.table(
-                {
-                    "idx": pa.array([], pa.int64()),
-                    "cs": pa.array([], pa.int64()),
-                    "ct": pa.array([], pa.int64()),
-                }
-            )
-        cs = np.bincount(np.concatenate(src), minlength=V * V)
-        ct = (
-            np.bincount(np.concatenate(tgt), minlength=V * V)
-            if tgt
-            else np.zeros(V * V, np.int64)
-        )
-        nz = np.nonzero(cs)[0]  # ct's support is a subset of cs's
-        return pa.table(
-            {
-                "idx": pa.array(nz, pa.int64()),
-                "cs": pa.array(cs[nz], pa.int64()),
-                "ct": pa.array(ct[nz], pa.int64()),
-            }
-        )
-
-    counts = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("idx")
-        .aggregate(Sum("cs", alias_name="cs"), Sum("ct", alias_name="ct"))
-        .to_pandas()  # <= V*V rows, corpus-size-independent
-    )
-    CS = np.zeros(V * V, np.int64)
-    CT = np.zeros(V * V, np.int64)
-    CS[counts["idx"].to_numpy()] = counts["cs"].to_numpy()
-    CT[counts["idx"].to_numpy()] = counts["ct"].to_numpy()
-    CS2, CT2 = CS.reshape(V, V), CT.reshape(V, V)
-    # per-bigram log term of each model, row-normalized with +V smoothing
-    lt = np.log(CT2 + 1.0) - np.log(CT2.sum(axis=1) + float(V))[:, None]
-    ls = np.log(CS2 + 1.0) - np.log(CS2.sum(axis=1) + float(V))[:, None]
-    model = ray.put(lt - ls)
-
-    def score(batch: pa.Table) -> pa.Table:
-        ratio = ray.get(model)
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        out_id, out_w = [], []
-        for i, t in enumerate(batch.column("text").to_pylist()):
-            cp = _cp(t)
-            if len(cp) < 2:
-                continue
-            s = ratio[cp[:-1], cp[1:]].sum()
-            out_id.append(int(ids[i]))
-            out_w.append(int(np.round(s / (len(cp) - 1) * 10_000)))
-        return pa.table(
-            {
-                "doc_id": pa.array(out_id, pa.int64()),
-                "dsir_e4": pa.array(out_w, pa.int64()),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_minhash_sig(sf_dir: str, n_perms: int = 16, P: int = 1_000_000_007):
-    """MinHash signatures over distinct whitespace-word sets (Broder
-    1997), HASH-CHECKED end-to-end against a DuckDB twin. Word hash
-    is a 31-base Horner fold of codepoints mod P seeded at 7; permutation j
-    is the affine map (a_j*h + b_j) mod P with a_j, b_j derived from j
-    by fixed integer formulas, so the SQL twin reconstructs every
-    constant. sig[doc, j] = min over the doc's DISTINCT words.
-
-    Vectorized: one padded-matrix Horner pass per batch (no per-word
-    Python), then an (n_words x n_perms) affine map + np.minimum.at
-    segment-min per doc. Pure streaming map, zero shuffle; int64 never
-    overflows (a_j, h < P = 1e9+7, so a_j*h + b_j < 2^63). Docs with no
-    words emit no rows (the twin's unnest does the same)."""
-    import polars as pl
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
-    j = np.arange(n_perms, dtype=np.int64)
-    A = (2654435761 * (j + 1)) % P
-    Bc = (40503 * (j + 1) + 17) % P
-
-    def sig(batch: pa.Table) -> pa.Table:
-        s = pl.from_arrow(batch.column("text")).rename("t")
-        toks = s.str.extract_all(r"\S+").list.unique()
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        counts = toks.list.len().fill_null(0).to_numpy().astype(np.int64)
-        flat = toks.explode().drop_nulls()
-        words = flat.to_list()
-        if not words:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "perm": pa.array([], pa.int64()),
-                    "sig": pa.array([], pa.int64()),
-                }
-            )
-        # padded-matrix Horner: h = fold(acc*31 + cp) mod P, acc0 = 7
-        maxlen = max(len(w) for w in words)
-        mat = np.zeros((len(words), maxlen), np.int64)
-        lens = np.empty(len(words), np.int64)
-        for i, w in enumerate(words):
-            cp = np.frombuffer(w.encode("utf-32-le"), np.uint32)
-            mat[i, : len(cp)] = cp
-            lens[i] = len(cp)
-        h = np.full(len(words), 7, np.int64)
-        for col in range(maxlen):
-            active = lens > col
-            h[active] = (h[active] * 31 + mat[active, col]) % P
-        doc_idx = np.repeat(np.arange(len(ids)), counts)
-        vals = (h[:, None] * A[None, :] + Bc[None, :]) % P
-        out = np.full((len(ids), n_perms), P, np.int64)
-        np.minimum.at(out, doc_idx, vals)
-        nz = counts > 0
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids[nz], n_perms), pa.int64()),
-                "perm": pa.array(np.tile(j, int(nz.sum())), pa.int64()),
-                "sig": pa.array(out[nz].ravel(), pa.int64()),
-            }
-        )
-
-    return ds.map_batches(sig, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_simhash_sig(sf_dir: str, n_bits: int = 32):
-    """SimHash signatures over distinct whitespace-word sets (Charikar
-    2002), HASH-CHECKED against a DuckDB twin. Word hash =
-    q_minhash_sig's Horner fold mod 1e9+7, widened to 61 bits by one
-    affine step mod 2^61-1; signature bit t is 1 iff the +1/-1 majority
-    over the doc's DISTINCT words at bit t is strictly positive.
-
-    Vectorized: padded-matrix Horner, then an (n_words x n_bits) bit
-    unpack + np.add.at segment majority. Pure streaming map, zero
-    shuffle. Docs with no words emit no rows."""
-    import polars as pl
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"])
-    P = 1_000_000_007
-    M61 = 2305843009213693951
-    t = np.arange(n_bits, dtype=np.int64)
-
-    def sig(batch: pa.Table) -> pa.Table:
-        s = pl.from_arrow(batch.column("text")).rename("t")
-        toks = s.str.extract_all(r"\S+").list.unique()
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        counts = toks.list.len().fill_null(0).to_numpy().astype(np.int64)
-        words = toks.explode().drop_nulls().to_list()
-        if not words:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "simhash": pa.array([], pa.int64()),
-                }
-            )
-        maxlen = max(len(w) for w in words)
-        mat = np.zeros((len(words), maxlen), np.int64)
-        lens = np.empty(len(words), np.int64)
-        for i, w in enumerate(words):
-            cp = np.frombuffer(w.encode("utf-32-le"), np.uint32)
-            mat[i, : len(cp)] = cp
-            lens[i] = len(cp)
-        h = np.full(len(words), 7, np.int64)
-        for col in range(maxlen):
-            active = lens > col
-            h[active] = (h[active] * 31 + mat[active, col]) % P
-        h2 = (h * 48271) % M61
-        pm = (((h2[:, None] >> t[None, :]) & 1) * 2 - 1).astype(np.int64)
-        doc_idx = np.repeat(np.arange(len(ids)), counts)
-        maj = np.zeros((len(ids), n_bits), np.int64)
-        np.add.at(maj, doc_idx, pm)
-        simhash = ((maj > 0).astype(np.int64) << t[None, :]).sum(axis=1)
-        nz = counts > 0
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[nz], pa.int64()),
-                "simhash": pa.array(simhash[nz], pa.int64()),
-            }
-        )
-
-    return ds.map_batches(sig, batch_format="pyarrow", zero_copy_batch=True)
-
-
 def q_aspect_bucket(sf_dir: str):
     """Aspect-ratio bucketing for image-training batch assembly (the
     NovelAI/SDXL bucketing scheme: every image joins the ladder bucket
@@ -4740,255 +3465,6 @@ def q_aspect_bucket(sf_dir: str):
         )
 
     return ds.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_hits(
-    sf_dir: str,
-    broadcast_limit: int = 2_000_000,
-    driver_edges_max: int = 4_000_000,
-    force_distributed: bool = False,
-):
-    """HITS hubs & authorities (Kleinberg, JACM 1999) over q_pagerank's
-    deterministic customer link graph — the third link-analysis member
-    (with PageRank and BFS) of the crawl-prioritization family: a
-    crawler boosts authority pages for fetch and hub pages for
-    DISCOVERY. Two power-iteration rounds, all int64 fixed-point:
-    instead of L2 normalization (float, summation-order-dependent),
-    each round rescales by the GLOBAL MAX to e6 with floor division —
-    the DuckDB unrolled twin applies the identical rule, so the check
-    is bit-exact.
-
-      a1 = in-cnt sums            -> a1s = a1*10^6 // max(a1)
-      h1[u] = Σ_{u->v} cnt*a1s[v] -> h1s = h1*10^6 // max(h1)
-      a2[v] = Σ_{u->v} cnt*h1s[u] -> a2s = a2*10^6 // max(a2)
-
-    Output (custkey, auth_e6, hub_e6). Scale shape is q_opic's
-    size-adaptive triple fork (gates on EXACT parquet row counts, no
-    scan): edges pre-aggregate to (src, dst, cnt).
-    - |orders| <= driver_edges_max AND |nodes| <= broadcast_limit:
-      per-block edge partials combine in one vectorized driver pass
-      and the three spreads are pure int64 numpy — zero per-round Ray
-      jobs (profiled 5.1 s -> ~1 s at sf0.1).
-    - |nodes| <= broadcast_limit only: the score vector rides ray.put;
-      per round ONE map_batches over the edges Dataset + a groupby-sum.
-    - else (or force_distributed): the vector stays a Dataset and both
-      joins are distributed hash joins. All forks equivalence-tested."""
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Max, Sum
-
-    cust = pq_mod.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
-    )
-    n_nodes = cust.num_rows
-    nodes = cust.column("c_custkey").to_numpy()
-    E6 = np.int64(10**6)
-
-    orders = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderkey"], split=True)
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        src = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        dst = batch.column("o_orderkey").to_numpy(zero_copy_only=False) % n_nodes
-        key = src.astype(np.int64) * n_nodes + dst
-        u, c = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "src": pa.array((u // n_nodes).astype(np.int64), pa.int64()),
-                "dst": pa.array((u % n_nodes).astype(np.int64), pa.int64()),
-                "cnt": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    orders_rows = pq_mod.ParquetFile(
-        os.path.join(sf_dir, "orders.parquet")
-    ).metadata.num_rows
-
-    if (
-        orders_rows <= driver_edges_max
-        and n_nodes <= broadcast_limit
-        and not force_distributed
-    ):
-        # driver-combine fork (q_opic's): per-block edge partials total
-        # <= orders_rows rows — bounded by the gate; spreads are pure
-        # int64 numpy so all three rounds cost zero Ray jobs.
-        parts = orders.map_batches(
-            to_edges, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas()
-        key = parts["src"].to_numpy() * n_nodes + parts["dst"].to_numpy()
-        u, inv = np.unique(key, return_inverse=True)
-        cnt = np.zeros(len(u), np.int64)
-        np.add.at(cnt, inv, parts["cnt"].to_numpy())
-        src = (u // n_nodes).astype(np.int64)
-        dst = (u % n_nodes).astype(np.int64)
-
-        def spread_np(vec: np.ndarray, f: np.ndarray, t: np.ndarray) -> np.ndarray:
-            out = np.zeros(n_nodes, np.int64)
-            np.add.at(out, t, cnt * vec[f])
-            return out
-
-        def rescale_np(v: np.ndarray) -> np.ndarray:
-            return v * E6 // max(int(v.max()), 1)
-
-        a1s = rescale_np(spread_np(np.ones(n_nodes, np.int64), src, dst))
-        h1s = rescale_np(spread_np(a1s, dst, src))
-        a2s = rescale_np(spread_np(h1s, src, dst))
-        return pa.table(
-            {
-                "custkey": pa.array(nodes.astype(np.int64), pa.int64()),
-                "auth_e6": pa.array(a2s, pa.int64()),
-                "hub_e6": pa.array(h1s, pa.int64()),
-            }
-        )
-
-    edges = (
-        orders.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["src", "dst"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .materialize()
-    )
-
-    if n_nodes <= broadcast_limit and not force_distributed:
-
-        def spread(vec: np.ndarray, from_col: str, to_col: str) -> np.ndarray:
-            ref = ray.put(vec)
-
-            def contrib(batch: pa.Table, _ref=ref) -> pa.Table:
-                v = ray.get(_ref)
-                f = batch.column(from_col).to_numpy(zero_copy_only=False)
-                t = batch.column(to_col).to_numpy(zero_copy_only=False)
-                c = batch.column("cnt").to_numpy(zero_copy_only=False)
-                w = c * v[f]
-                u, inv = np.unique(t, return_inverse=True)
-                agg = np.zeros(len(u), dtype=np.int64)
-                np.add.at(agg, inv, w)
-                return pa.table(
-                    {"k": pa.array(u, pa.int64()), "c": pa.array(agg, pa.int64())}
-                )
-
-            rows = (
-                edges.map_batches(contrib, batch_format="pyarrow")
-                .groupby("k")
-                .aggregate(Sum("c", alias_name="c"))
-                .to_pandas()
-            )  # O(n_nodes) rows in the broadcast regime — vectorized gather
-            out = np.zeros(n_nodes, dtype=np.int64)
-            out[rows["k"].to_numpy()] = rows["c"].to_numpy()
-            return out
-
-        def rescale(v: np.ndarray) -> np.ndarray:
-            return v * E6 // max(int(v.max()), 1)
-
-        a1s = rescale(spread(np.ones(n_nodes, np.int64), "src", "dst"))
-        h1s = rescale(spread(a1s, "dst", "src"))
-        a2s = rescale(spread(h1s, "src", "dst"))
-        return pa.table(
-            {
-                "custkey": pa.array(nodes.astype(np.int64), pa.int64()),
-                "auth_e6": pa.array(a2s, pa.int64()),
-                "hub_e6": pa.array(h1s, pa.int64()),
-            }
-        )
-
-    # ---- distributed path: score vectors never leave the cluster ----
-    tune_join_resources()
-    nparts = join_partitions(8)
-    nodes_ds = ray.data.from_arrow(
-        pa.table({"node": pa.array(nodes.astype(np.int64), pa.int64())})
-    ).repartition(nparts).materialize()
-
-    def spread_ds(vec_ds, from_col: str, to_col: str):
-        """vec_ds: (node, v). Returns (node, v) = Σ cnt * v[from] per to."""
-        contrib = (
-            edges.repartition(nparts)
-            .join(
-                vec_ds.map_batches(
-                    lambda b, _f=from_col: pa.table(
-                        {_f: b.column("node"), "v": b.column("v")}
-                    ),
-                    batch_format="pyarrow",
-                ).repartition(nparts),
-                join_type="inner",
-                num_partitions=nparts,
-                on=(from_col,),
-            )
-            .map_batches(
-                lambda b, _t=to_col: pa.table(
-                    {
-                        "node": b.column(_t),
-                        "c": pc.multiply(b.column("cnt"), b.column("v")),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        zeros = nodes_ds.map_batches(
-            lambda b: pa.table(
-                {
-                    "node": b.column("node"),
-                    "c": pa.array(np.zeros(b.num_rows, np.int64), pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        return (
-            contrib.union(zeros)
-            .groupby("node")
-            .aggregate(Sum("c", alias_name="v"))
-            .materialize()
-        )
-
-    def rescale_ds(vec_ds):
-        mx = max(int(vec_ds.max("v")), 1)  # scalar aggregate to the driver
-
-        def scale(b: pa.Table, _m=mx) -> pa.Table:
-            v = b.column("v").to_numpy(zero_copy_only=False)
-            return pa.table(
-                {"node": b.column("node"), "v": pa.array(v * E6 // _m, pa.int64())}
-            )
-
-        return vec_ds.map_batches(scale, batch_format="pyarrow").materialize()
-
-    ones = nodes_ds.map_batches(
-        lambda b: pa.table(
-            {
-                "node": b.column("node"),
-                "v": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    a1s = rescale_ds(spread_ds(ones, "src", "dst"))
-    h1s = rescale_ds(spread_ds(a1s, "dst", "src"))
-    a2s = rescale_ds(spread_ds(h1s, "src", "dst"))
-    joined = (
-        a2s.map_batches(
-            lambda b: pa.table({"node": b.column("node"), "auth_e6": b.column("v")}),
-            batch_format="pyarrow",
-        )
-        .repartition(nparts)
-        .join(
-            h1s.map_batches(
-                lambda b: pa.table(
-                    {"node": b.column("node"), "hub_e6": b.column("v")}
-                ),
-                batch_format="pyarrow",
-            ).repartition(nparts),
-            join_type="inner",
-            num_partitions=nparts,
-            on=("node",),
-        )
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "custkey": b.column("node"),
-                    "auth_e6": b.column("auth_e6"),
-                    "hub_e6": b.column("hub_e6"),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    return joined
 
 
 def q_ann_filtered(sf_dir: str, n_queries: int = 5, k: int = 3):
@@ -5034,265 +3510,6 @@ def q_ann_filtered(sf_dir: str, n_queries: int = 5, k: int = 3):
 
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
     return _merge_topk(parts, k)
-
-
-def q_bm25(sf_dir: str, terms: tuple = ("data", "join", "stream")):
-    """Okapi BM25 retrieval scoring (Robertson & Zaragoza 2009, k1=1.2,
-    b=0.75) of every document against a fixed conjunctive query — the
-    ranking function behind classic search and the standard lexical
-    retriever in RAG stacks (q_tfidf's stronger sibling: BM25 adds tf
-    saturation and doc-length normalization). Tokens are lowercase
-    [a-z]+ runs; tf/df/dl all integer-exact.
-
-    Dataflow: ONE combiner stats pass (per-batch partials of N, Σdl and
-    per-term document frequencies — a |terms|+2-column row per batch,
-    corpus-size-independent shuffle), scalars broadcast in the closure,
-    then one vectorized scoring pass. The float BM25 expression is
-    written identically on both sides and rounded e4 (the q_lm_score
-    ulp-parity recipe); docs score 0 when no query term appears —
-    including empty docs — and every doc_id is returned."""
-    import polars as pl
-
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-    k1, b = 1.2, 0.75
-
-    def stats(batch: pa.Table) -> pa.Table:
-        s = pl.from_arrow(batch.column("text")).rename("t")
-        toks = s.str.to_lowercase().str.extract_all(r"[a-z]+")
-        dl = toks.list.len().fill_null(0).cast(pl.Int64)
-        cols = {
-            "n": pa.array([len(s)], pa.int64()),
-            "sdl": pa.array([int(dl.sum())], pa.int64()),
-        }
-        for i, t in enumerate(terms):
-            tf = (
-                toks.list.eval(pl.element() == t)
-                .list.sum()
-                .fill_null(0)
-                .cast(pl.Int64)
-            )
-            cols[f"df{i}"] = pa.array([int((tf > 0).sum())], pa.int64())
-        return pa.table(cols)
-
-    g = (
-        ds.map_batches(stats, batch_format="pyarrow")
-        .sum(["n", "sdl"] + [f"df{i}" for i in range(len(terms))])
-    )
-    N = int(g["sum(n)"])
-    avgdl = g["sum(sdl)"] / N  # float, same expression as the twin
-    idf = [
-        np.log(1.0 + (N - int(g[f"sum(df{i})"]) + 0.5) / (int(g[f"sum(df{i})"]) + 0.5))
-        for i in range(len(terms))
-    ]
-
-    def score(batch: pa.Table) -> pa.Table:
-        s = pl.from_arrow(batch.column("text")).rename("t")
-        toks = s.str.to_lowercase().str.extract_all(r"[a-z]+")
-        dl = toks.list.len().fill_null(0).cast(pl.Int64).to_numpy().astype(np.float64)
-        total = np.zeros(len(s), np.float64)
-        for i, t in enumerate(terms):
-            tf = (
-                toks.list.eval(pl.element() == t)
-                .list.sum()
-                .fill_null(0)
-                .cast(pl.Int64)
-                .to_numpy()
-                .astype(np.float64)
-            )
-            # literals 2.2 / 1.2 / 0.25 / 0.75 match the twin's text
-            # exactly — computing k1+1 or 1-b here could round to a
-            # DIFFERENT double than the SQL literal and break e4 parity
-            total = total + idf[i] * (tf * 2.2) / (
-                tf + 1.2 * (0.25 + 0.75 * dl / avgdl)
-            )
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "bm25_e4": pa.array(
-                    np.round(total * 10_000).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-
-    return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_cooccur_pairs(sf_dir: str, min_len: int = 5, sup_den: int = 10):
-    """Frequent co-occurring word PAIRS (the market-basket / collocation
-    -network shape — Agrawal & Srikant's frequent-itemset problem at
-    size 2, counted exactly): all unordered pairs of distinct content
-    words (lowercase [a-z]+ runs of length >= ``min_len``) appearing in
-    the same document, kept when their document support reaches
-    N_docs // ``sup_den``. Support counts DOCUMENTS (per-doc distinct),
-    not occurrences.
-
-    Layout: per batch, words map to batch-local vocab ids (np.unique),
-    per-doc sorted-distinct pairs explode via triu indices into int64
-    pair keys and pre-aggregate (combiner) BEFORE the one pair-key
-    groupby shuffle; the support threshold is computed from a combiner
-    doc count. Pair volume is quadratic in per-doc distinct words but
-    linear in corpus size — the standard frequent-pairs cost. Output
-    (w1, w2, n_docs), w1 < w2."""
-    import polars as pl
-
-    from ray.data.aggregate import Sum
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        s = pl.from_arrow(batch.column("text")).rename("t")
-        toks = (
-            s.str.to_lowercase()
-            .str.extract_all(r"[a-z]{%d,}" % min_len)
-            .list.unique()
-        )
-        counts = toks.list.len().fill_null(0).to_numpy().astype(np.int64)
-        words = np.asarray(toks.explode().drop_nulls().to_list(), dtype=object)
-        if len(words) == 0:
-            return pa.table(
-                {
-                    "w1": pa.array([], pa.string()),
-                    "w2": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        vocab, ids = np.unique(words, return_inverse=True)
-        nv = len(vocab)
-        doc_ofs = np.concatenate(([0], np.cumsum(counts)))
-        keys = []
-        for i in range(len(counts)):
-            w = np.sort(ids[doc_ofs[i] : doc_ofs[i + 1]].astype(np.int64))
-            if len(w) < 2:
-                continue
-            a, b = np.triu_indices(len(w), k=1)
-            keys.append(w[a] * nv + w[b])  # w sorted asc => w1 < w2
-        if not keys:
-            return pa.table(
-                {
-                    "w1": pa.array([], pa.string()),
-                    "w2": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        u, c = np.unique(np.concatenate(keys), return_counts=True)
-        return pa.table(
-            {
-                "w1": pa.array(vocab[(u // nv)], pa.string()),
-                "w2": pa.array(vocab[(u % nv)], pa.string()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def ndocs(batch: pa.Table) -> pa.Table:
-        return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
-
-    n_docs = int(ds.map_batches(ndocs, batch_format="pyarrow").sum("n"))
-    minsup = max(n_docs // sup_den, 1)
-
-    counts = (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby(["w1", "w2"])
-        .aggregate(Sum("c", alias_name="n_docs"))
-    )
-    def sup_gate(batch: pa.Table) -> pa.Table:
-        return batch.filter(
-            pc.greater_equal(batch.column("n_docs"), pa.scalar(minsup, pa.int64()))
-        )
-
-    return counts.map_batches(sup_gate, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def q_dup_rate_by_source(sf_dir: str):
-    """Duplicate-rate attribution by source (the curation diagnostic
-    run before spending dedup compute: WHICH feeds are duplicate-heavy
-    — CCNet/Dolma-style corpus reports): per source, total docs vs
-    distinct texts, dup rate in e4. Exact distinct via the salted
-    two-level layout (per-batch local dedup on the text's xxhash,
-    shuffle on (source, hash-salt) — disjoint key ranges per salt, so
-    per-salt nunique sums are exact and a template-heavy source never
-    lands in one group). Counting hash64(text) instead of the string
-    keeps the shuffle payload at 8 bytes/row (the module's standard
-    fingerprint-collision trade, ~2^-64 per pair, documented).
-    The DuckDB twin counts DISTINCT text directly — a hash collision
-    would show up as a hash-check failure, so the twin doubles as the
-    collision canary at fixture scale."""
-    import polars as pl
-
-    from ray.data.aggregate import Sum
-
-    from ..functions.hashing import hash64
-
-    B = default_buckets()
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "source", "text"], split=True)
-
-    def to_keys(batch: pa.Table) -> pa.Table:
-        src = batch.column("source").to_numpy(zero_copy_only=False)
-        did = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        # the fixture corpus is dup-free; plant deterministic dup mass
-        # (every 7th doc collapses to a per-source template) so the
-        # operator measures something — the twin applies the same CASE
-        texts = np.asarray(batch.column("text").to_pylist(), dtype=object)
-        mask = did % 7 == 0
-        texts[mask] = np.char.add("dup-", src[mask].astype(str)).astype(object)
-        h = hash64(texts.tolist()).astype(np.int64)
-        df = pd.DataFrame({"source": src, "h": h})
-        n_raw = df.groupby("source", sort=False).size()
-        sub = df.drop_duplicates()
-        out_n = pd.DataFrame(
-            {"source": n_raw.index, "kind": 0, "h": 0, "c": n_raw.to_numpy()}
-        )
-        out_d = pd.DataFrame(
-            {"source": sub["source"], "kind": 1, "h": sub["h"], "c": 0}
-        )
-        both = pd.concat([out_n, out_d])
-        salt = (both["h"].to_numpy().astype(np.uint64) % np.uint64(B)).astype(
-            np.int32
-        )
-        return pa.table(
-            {
-                "source": pa.array(both["source"].to_numpy(), pa.string()),
-                "kind": pa.array(both["kind"].to_numpy().astype(np.int32), pa.int32()),
-                "h": pa.array(both["h"].to_numpy().astype(np.int64), pa.int64()),
-                "c": pa.array(both["c"].to_numpy().astype(np.int64), pa.int64()),
-                "__salt": pa.array(salt, pa.int32()),
-            }
-        )
-
-    def reduce_group(g: pd.DataFrame) -> pd.DataFrame:
-        if int(g["kind"].iloc[0]) == 0:
-            n = int(g["c"].sum())
-        else:
-            n = int(g["h"].nunique())
-        return pd.DataFrame(
-            {
-                "source": [g["source"].iloc[0]],
-                "kind": np.array([g["kind"].iloc[0]], np.int32),
-                "n": np.array([n], np.int64),
-            }
-        )
-
-    counts = (
-        ds.map_batches(to_keys, batch_format="pyarrow")
-        .groupby(["source", "kind", "__salt"])
-        .map_groups(reduce_group, batch_format="pandas")
-        .groupby(["source", "kind"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # source-count-sized (2 rows per source)
-    )
-    wide = counts.pivot(index="source", columns="kind", values="n").reset_index()
-    n_docs = wide[0].astype(np.int64)
-    n_distinct = wide[1].astype(np.int64)
-    dup = (n_docs - n_distinct) * 10_000 // n_docs
-    return pa.table(
-        {
-            "source": pa.array(wide["source"], pa.string()),
-            "n_docs": pa.array(n_docs, pa.int64()),
-            "n_distinct": pa.array(n_distinct, pa.int64()),
-            "dup_rate_e4": pa.array(dup.to_numpy(), pa.int64()),
-        }
-    )
 
 
 def q_maxsim(sf_dir: str, n_qtokens: int = 3):
@@ -5387,210 +3604,6 @@ def q_temperature_mix(sf_dir: str, alpha_num: int = 7, alpha_den: int = 10):
             "target_n": pa.array(target, pa.int64()),
         }
     )
-
-
-def q_rrf_fusion(sf_dir: str, topn: int = 100, kk: int = 60):
-    """Reciprocal-Rank Fusion of two retrieval rankers (Cormack,
-    Clarke & Buettcher, SIGIR'09 — the standard hybrid-search combiner:
-    modern stacks fuse a lexical and a second ranking exactly this
-    way): RRF@``topn`` over q_bm25 and q_tfidf,
-
-        rrf(d) = Σ_r [d ∈ top-n of r] * 1 / (kk + rank_r(d)).
-
-    Ranks are over INTEGER scores (bm25_e4 / tfidf_e6) with doc_id
-    tie-break, so both sides rank identically; the two reciprocal
-    terms sum in fixed (bm25, tfidf) order and round e6.
-
-    Scale shape: each ranker's global top-n is a per-block partial
-    top-n + tiny driver merge (no full sort); the fusion itself
-    touches at most 2*topn rows. Output: (doc_id, rrf_e6) for the
-    union of both top-n lists."""
-    def top_ranks(ds, col: str) -> dict:
-        def part(batch: pa.Table, _c=col) -> pa.Table:
-            order = pc.sort_indices(
-                batch,
-                sort_keys=[(_c, "descending"), ("doc_id", "ascending")],
-            )
-            return batch.take(order[:topn])
-
-        df = (
-            ds.map_batches(part, batch_format="pyarrow")
-            .to_pandas()  # <= topn * n_blocks rows
-            .sort_values([col, "doc_id"], ascending=[False, True],
-                         kind="mergesort")
-            .head(topn)
-        )
-        return {int(d): i + 1 for i, d in enumerate(df["doc_id"])}
-
-    rb = top_ranks(q_bm25(sf_dir), "bm25_e4")
-    rt = top_ranks(q_tfidf(sf_dir), "tfidf_e6")
-    ids = sorted(set(rb) | set(rt))
-    rrf = [
-        (1.0 / (kk + rb[d]) if d in rb else 0.0)
-        + (1.0 / (kk + rt[d]) if d in rt else 0.0)
-        for d in ids
-    ]
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, pa.int64()),
-            # DuckDB round() is half-AWAY-FROM-ZERO; np.round is
-            # half-even (banker's) and diverges on exact .5 ties
-            # (e.g. rank 68 -> 1/128 * 1e6 = 7812.5). Values are
-            # nonnegative, so floor(x + 0.5) matches the oracle.
-            "rrf_e6": pa.array(
-                np.floor(np.asarray(rrf) * 1_000_000 + 0.5).astype(np.int64),
-                pa.int64(),
-            ),
-        }
-    )
-
-
-def q_c4_clean(sf_dir: str):
-    """C4 line-level page cleaning (Raffel et al., JMLR 2020 §2.2 — the
-    rule set behind the C4 corpus, still the canonical pre-tokenization
-    page scrub): keep only lines that end in terminal punctuation
-    (. ! ? "), have >= 5 words, and don't mention javascript; drop the
-    whole page if it contains "lorem ipsum" or a "{", or retains fewer
-    than 3 lines.
-
-    The corpus fixture has no multi-line pages, so — exactly like
-    q_pii_redact builds contact strings — the page is assembled by a
-    FIXED 9-line template over each document's words (conditional lines
-    keyed on doc_id residues so every rule fires at every sf), which
-    lets the DuckDB twin construct the identical pages and hash-check
-    the cleaned text.
-
-    Scale shape: ONE streaming map_batches pass, zero shuffle, zero
-    Python per row (polars Rust-regex line filter inside list.eval);
-    at 100 TB this is bandwidth-bound, the shape you want. Output:
-    (doc_id, clean_text, n_kept) for surviving pages."""
-    import polars as pl
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def clean(batch: pa.Table) -> pa.Table:
-        toks = pl.col("text").str.split(" ")
-
-        def seg(a: int, b: int):
-            return toks.list.slice(a - 1, b - a + 1).list.join(" ")
-
-        did = pl.col("doc_id")
-        nl = pl.lit("\n")
-        page = pl.concat_str(
-            pl.when(did % 7 == 0).then(seg(1, 3)).otherwise(seg(1, 6)),
-            pl.lit("."), nl,
-            seg(7, 9), pl.lit("."), nl,
-            seg(1, 8), nl,
-            pl.when(did % 5 == 0)
-            .then(pl.lit("please enable javascript to view this page."))
-            .otherwise(pl.lit("")), nl,
-            pl.when(did % 13 == 0)
-            .then(pl.lit("lorem ipsum dolor sit amet."))
-            .otherwise(pl.lit("")), nl,
-            pl.when(did % 17 == 0)
-            .then(pl.lit('var config = { "k": 1 };'))
-            .otherwise(pl.lit("")), nl,
-            seg(2, 7), pl.lit("?"), nl,
-            seg(3, 8), pl.lit("!"), nl,
-            pl.when(did % 3 == 0)
-            .then(pl.concat_str(seg(4, 9), pl.lit('."')))
-            .otherwise(pl.lit("")),
-        )
-        df = pl.from_arrow(batch).with_columns(page.alias("page"))
-        kept = (
-            pl.col("page")
-            .str.split("\n")
-            .list.eval(
-                pl.element().filter(
-                    pl.element().str.contains(r'[.!?"]$')
-                    & (pl.element().str.split(" ").list.len() >= 5)
-                    & ~pl.element().str.contains("javascript", literal=True)
-                )
-            )
-        )
-        out = (
-            df.with_columns(kept.alias("kept"))
-            .filter(
-                ~pl.col("page").str.contains("lorem ipsum", literal=True)
-                & ~pl.col("page").str.contains("{", literal=True)
-                & (pl.col("kept").list.len() >= 3)
-            )
-            .select(
-                "doc_id",
-                clean_text=pl.col("kept").list.join("\n"),
-                n_kept=pl.col("kept").list.len().cast(pl.Int64),
-            )
-        )
-        return out.to_arrow()
-
-    return ds.map_batches(clean, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def quality_z(text_col) -> np.ndarray:
-    """q_quality_classifier's exact logit kernel: Arrow string column
-    in, float64 z vector out. Literals must stay text-identical to the
-    DuckDB twin."""
-    import polars as pl
-
-    toks = pl.from_arrow(text_col).str.split(" ")
-    w = toks.list.len().cast(pl.Int64).to_numpy().astype(np.float64)
-    c = (
-        pl.from_arrow(text_col)
-        .str.len_chars()
-        .cast(pl.Int64)
-        .to_numpy()
-        .astype(np.float64)
-    )
-    u = toks.list.unique().list.len().cast(pl.Int64).to_numpy().astype(
-        np.float64
-    )
-    s = (
-        (toks.list.count_matches("the") + toks.list.count_matches("a"))
-        .cast(pl.Int64)
-        .to_numpy()
-        .astype(np.float64)
-    )
-    return -2.5 + 0.021 * w + 0.0017 * c + 0.045 * u - 0.09 * s
-
-
-def q_quality_classifier(sf_dir: str):
-    """GPT-3-style logistic-regression document-quality gate (Brown et
-    al. 2020, Appendix A: a linear classifier over cheap text features
-    scores every page; only high-scoring pages enter the corpus — the
-    same shape fasttext-based quality filters use today). Features are
-    integer-exact (word count, char count, distinct-word count,
-    stopword count), the logit is a fixed-weight dot product
-
-        z = -2.5 + 0.021*w + 0.0017*c + 0.045*u - 0.09*s
-
-    and the gate is ``z > 0`` — pure IEEE double arithmetic with
-    text-identical literals on both sides (the float-parity recipe from
-    q_bm25), so the kept set hash-matches DuckDB exactly; the reported
-    sigmoid quality_e4 rounds half-away-from-zero like SQL round().
-
-    Scale shape: ONE streaming map_batches pass, zero shuffle, polars
-    list kernels for the features + numpy for the logit — bandwidth
-    bound at 100 TB. Output: (doc_id, quality_e4) for kept docs."""
-    import polars as pl
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def score(batch: pa.Table) -> pa.Table:
-        z = quality_z(batch.column("text"))
-        p = 1.0 / (1.0 + np.exp(-z))
-        out = pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "quality_e4": pa.array(
-                    np.floor(p * 10_000 + 0.5).astype(np.int64), pa.int64()
-                ),
-                "z": pa.array(z, pa.float64()),
-            }
-        )
-        out = out.filter(pc.greater(out.column("z"), 0.0))
-        return out.drop_columns(["z"])
-
-    return ds.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def q_ccnet_bucket(
@@ -5743,335 +3756,6 @@ def q_train_val_split(sf_dir: str, val_permille: int = 50):
     return ds.map_batches(split, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def q_shard_assign(sf_dir: str, n_shards: int = 16):
-    """Balanced index-shard routing by global size rank: docs ranked by
-    (token count desc, doc_id asc), shard = rank % n_shards — the
-    round-robin-by-decreasing-size rule (the classic LPT greedy's
-    zero-coordination cousin) that bounds shard skew to one max-doc.
-    Output: per-shard (shard, n_docs, tok_total) so the balance is the
-    checked artifact.
-
-    Scale shape: NO global sort. Token counts are small ints, so the
-    global rank decomposes as rank = (#docs with larger w) + (rank of
-    doc_id within its own w): per-w counts are ONE combiner groupby
-    (|distinct w| rows -> broadcast offset map), within-w ranks come
-    from groupby(w).map_groups (each group is one token-length slice,
-    ~corpus/|w| rows; a distributed sort is the fallback if lengths
-    are unbounded). One final n_shards-row groupby."""
-    import polars as pl
-    from ray.data.aggregate import Count, Sum
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def toklen(batch: pa.Table) -> pa.Table:
-        w = (
-            pl.from_arrow(batch.column("text"))
-            .str.split(" ")
-            .list.len()
-            .cast(pl.Int64)
-            .to_numpy()
-        )
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "w": pa.array(w, pa.int64())}
-        )
-
-    lens = ds.map_batches(
-        toklen, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()  # reused by both passes; (id, int64) pairs only
-
-    return (
-        size_rank_shards(lens, n_shards)
-        .groupby("shard")
-        .aggregate(
-            Count(alias_name="n_docs"), Sum("w", alias_name="tok_total")
-        )
-    )
-
-
-def size_rank_shards(lens, n_shards: int):
-    """q_shard_assign's per-doc routing: (doc_id, w) Dataset in,
-    (doc_id, w, shard) out, shard = global (w desc, doc_id asc) rank %
-    n_shards — computed WITHOUT a global sort (per-w offsets + within-w
-    ranks)."""
-    from ray.data.aggregate import Count
-
-    wcounts = {
-        r["w"]: r["c"]
-        for r in lens.groupby("w").aggregate(Count(alias_name="c")).take_all()
-    }  # |distinct w| rows — the only driver contact
-    ws = sorted(wcounts, reverse=True)
-    acc, offset = 0, {}
-    for w in ws:
-        offset[w] = acc
-        acc += wcounts[w]
-
-    def rank_in_w(g: pd.DataFrame) -> pd.DataFrame:
-        w = int(g["w"].iloc[0])
-        ids = np.sort(g["doc_id"].to_numpy())
-        rn = offset[w] + np.arange(len(ids), dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "doc_id": ids,
-                "w": np.full(len(ids), w, np.int64),
-                "shard": rn % n_shards,
-            }
-        )
-
-    return lens.groupby("w").map_groups(rank_in_w, batch_format="pandas")
-
-
-def q_opic(
-    sf_dir: str,
-    n_rounds: int = 3,
-    broadcast_limit: int = 2_000_000,
-    driver_edges_max: int = 4_000_000,
-    force_distributed: bool = False,
-):
-    """OPIC — On-line Page Importance Computation (Abiteboul, Preda &
-    Cobena, WWW 2003), the crawler-NATIVE importance measure: unlike
-    PageRank it needs no convergence before being useful, so frontier
-    schedulers rank by accumulated cash history while the crawl runs.
-    Fourth link-analysis member over q_pagerank's deterministic
-    customer graph (node = c_custkey, edge o_custkey ->
-    o_orderkey % n, parallel edges keep multiplicity).
-
-    Integer fixed-point replica of the algorithm, ``n_rounds`` rounds:
-
-      cash_0[v]  = 10^12 // n                  (uniform init)
-      share[u]   = cash_t[u] // outdeg[u]      (floored per-edge share)
-      pool_t     = Σ cash_t over dangling nodes (virtual page)
-      cash_t+1[v]= Σ_{u->v} share[u]*cnt + pool_t // n
-      history[v] = Σ_t cash_t[v]               (the importance score)
-
-    Every operation is int64 (floor divisions are the determinism
-    anchor), so the DuckDB unrolled-CTE twin is bit-exact.
-
-    Scale shape (q_hits' triple fork, size-adaptive on EXACT parquet
-    row counts — no scan): edges pre-aggregate to (src, dst, cnt).
-    - |orders| <= driver_edges_max AND |nodes| <= broadcast_limit: one
-      distributed map_batches builds per-block edge partials, which
-      combine in one vectorized driver pass (np.unique on packed keys);
-      all rounds are then pure int64 numpy — zero per-round Ray jobs
-      (profiled 7.1 s -> ~1 s at sf0.1: the per-round groupby shuffles
-      were fixed overhead moving O(n_nodes) ints).
-    - |nodes| <= broadcast_limit only: edges stay a Dataset; the cash
-      vector rides ray.put and each round is ONE map_batches over edges
-      + an O(n)-row groupby.
-    - else (or force_distributed): cash/history stay node-keyed
-      Datasets and each round is two distributed hash joins + a
-      groupby-sum — pool and the global max are the only scalars on
-      the driver. All three forks equivalence-tested.
-    Output: (custkey, history)."""
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Sum
-
-    cust = pq_mod.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey"]
-    )
-    n_nodes = cust.num_rows
-    nodes = cust.column("c_custkey").to_numpy().astype(np.int64)
-    TOTAL = np.int64(10**12)
-
-    orders = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderkey"], split=True)
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        src = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        dst = batch.column("o_orderkey").to_numpy(zero_copy_only=False) % n_nodes
-        key = src.astype(np.int64) * n_nodes + dst
-        u, c = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "src": pa.array((u // n_nodes).astype(np.int64), pa.int64()),
-                "dst": pa.array((u % n_nodes).astype(np.int64), pa.int64()),
-                "cnt": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    orders_rows = pq_mod.ParquetFile(
-        os.path.join(sf_dir, "orders.parquet")
-    ).metadata.num_rows
-
-    if (
-        orders_rows <= driver_edges_max
-        and n_nodes <= broadcast_limit
-        and not force_distributed
-    ):
-        # driver-combine fork: per-block (src,dst,cnt) partials total
-        # <= orders_rows rows (each order row contributes one edge
-        # occurrence) — bounded by the gate, so the combine is a single
-        # vectorized pass; every round is then pure int64 numpy.
-        parts = orders.map_batches(
-            to_edges, batch_format="pyarrow", zero_copy_batch=True
-        ).to_pandas()
-        key = parts["src"].to_numpy() * n_nodes + parts["dst"].to_numpy()
-        u, inv = np.unique(key, return_inverse=True)
-        cnt = np.zeros(len(u), np.int64)
-        np.add.at(cnt, inv, parts["cnt"].to_numpy())
-        src = (u // n_nodes).astype(np.int64)
-        dst = (u % n_nodes).astype(np.int64)
-        outdeg = np.zeros(n_nodes, np.int64)
-        np.add.at(outdeg, src, cnt)
-        cash = np.full(n_nodes, TOTAL // n_nodes, np.int64)
-        history = np.zeros(n_nodes, np.int64)
-        for _ in range(n_rounds):
-            history += cash
-            share = np.where(outdeg > 0, cash // np.maximum(outdeg, 1), 0)
-            pool = int(cash[outdeg == 0].sum())
-            recv = np.zeros(n_nodes, np.int64)
-            np.add.at(recv, dst, cnt * share[src])
-            cash = recv + pool // n_nodes
-        return pa.table(
-            {
-                "custkey": pa.array(nodes, pa.int64()),
-                "history": pa.array(history, pa.int64()),
-            }
-        )
-
-    edges = (
-        orders.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["src", "dst"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .materialize()
-    )
-
-    if n_nodes <= broadcast_limit and not force_distributed:
-        outdeg = np.zeros(n_nodes, np.int64)
-        od = edges.groupby("src").aggregate(
-            Sum("cnt", alias_name="od")
-        ).to_pandas()  # O(n_nodes) rows in the broadcast regime
-        outdeg[od["src"].to_numpy()] = od["od"].to_numpy()
-
-        cash = np.full(n_nodes, TOTAL // n_nodes, np.int64)
-        history = np.zeros(n_nodes, np.int64)
-        for _ in range(n_rounds):
-            history += cash
-            share = np.where(outdeg > 0, cash // np.maximum(outdeg, 1), 0)
-            pool = int(cash[outdeg == 0].sum())
-            ref = ray.put(share)
-
-            def contrib(batch: pa.Table, _ref=ref) -> pa.Table:
-                s = ray.get(_ref)
-                f = batch.column("src").to_numpy(zero_copy_only=False)
-                t = batch.column("dst").to_numpy(zero_copy_only=False)
-                c = batch.column("cnt").to_numpy(zero_copy_only=False)
-                w = c * s[f]
-                u, inv = np.unique(t, return_inverse=True)
-                agg = np.zeros(len(u), dtype=np.int64)
-                np.add.at(agg, inv, w)
-                return pa.table(
-                    {"k": pa.array(u, pa.int64()), "c": pa.array(agg, pa.int64())}
-                )
-
-            recv = np.zeros(n_nodes, np.int64)
-            rc = (
-                edges.map_batches(contrib, batch_format="pyarrow")
-                .groupby("k")
-                .aggregate(Sum("c", alias_name="c"))
-                .to_pandas()  # O(n_nodes) ints — vectorized gather
-            )
-            recv[rc["k"].to_numpy()] = rc["c"].to_numpy()
-            cash = recv + pool // n_nodes
-
-        return pa.table(
-            {
-                "custkey": pa.array(nodes, pa.int64()),
-                "history": pa.array(history, pa.int64()),
-            }
-        )
-
-    # ---- distributed path: cash/history never leave the cluster ----
-    tune_join_resources()
-    nparts = join_partitions(8)
-    nodes_ds = ray.data.from_arrow(
-        pa.table({"node": pa.array(nodes, pa.int64())})
-    ).repartition(nparts).materialize()
-    outd = (
-        edges.map_batches(
-            lambda b: pa.table({"node": b.column("src"), "cnt": b.column("cnt")}),
-            batch_format="pyarrow",
-        )
-        .groupby("node")
-        .aggregate(Sum("cnt", alias_name="od"))
-        .repartition(nparts)
-        .materialize()
-    )
-
-    def const_vec(value: int):
-        return nodes_ds.map_batches(
-            lambda b, _v=int(value): pa.table(
-                {
-                    "node": b.column("node"),
-                    "v": pa.array(np.full(b.num_rows, _v, np.int64), pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        ).materialize()
-
-    def add_vecs(a, b):
-        return (
-            a.union(b).groupby("node").aggregate(Sum("v", alias_name="v"))
-            .materialize()
-        )
-
-    cash = const_vec(int(TOTAL) // n_nodes)
-    history = const_vec(0)
-    for _ in range(n_rounds):
-        history = add_vecs(history, cash)
-        total_cash = int(cash.sum("v"))
-        share = (
-            cash.repartition(nparts)
-            .join(outd, join_type="inner", num_partitions=nparts, on=("node",))
-            .map_batches(
-                lambda b: pa.table(
-                    {
-                        "node": b.column("node"),
-                        "v": pa.array(
-                            b.column("v").to_numpy(zero_copy_only=False)
-                            // b.column("od").to_numpy(zero_copy_only=False),
-                            pa.int64(),
-                        ),
-                        "held": b.column("v"),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-        pool = total_cash - int(share.sum("held") or 0)
-        contrib = (
-            edges.repartition(nparts)
-            .join(
-                share.map_batches(
-                    lambda b: pa.table(
-                        {"src": b.column("node"), "v": b.column("v")}
-                    ),
-                    batch_format="pyarrow",
-                ).repartition(nparts),
-                join_type="inner",
-                num_partitions=nparts,
-                on=("src",),
-            )
-            .map_batches(
-                lambda b: pa.table(
-                    {
-                        "node": b.column("dst"),
-                        "v": pc.multiply(b.column("cnt"), b.column("v")),
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        cash = add_vecs(contrib, const_vec(pool // n_nodes))
-
-    return history.map_batches(
-        lambda b: pa.table(
-            {"custkey": b.column("node"), "history": b.column("v")}
-        ),
-        batch_format="pyarrow",
-    )
-
-
 def q_winnowing(sf_dir: str, k: int = 5, w: int = 4):
     """Winnowing document fingerprints (Schleimer, Wilkerson & Aiken,
     SIGMOD 2003 — the MOSS algorithm): slide a window of ``w``
@@ -6118,75 +3802,6 @@ def q_winnowing(sf_dir: str, k: int = 5, w: int = 4):
     return ds.map_batches(fp, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def q_corpus_card(sf_dir: str):
-    """Corpus datasheet / data card rollup (the per-slice composition
-    table a dataset release ships — Gebru et al. 2021 'Datasheets for
-    Datasets' §3.2 made it standard practice): per (lang, source) the
-    doc count, token mass, token length min/max, and how many docs pass
-    the Gopher rule gate and the LR quality gate — the numbers mixture
-    planning (q_data_mix / q_temperature_mix) consumes.
-
-    Scale shape: ONE streaming pass computes every per-doc metric with
-    the SAME factored kernels the oracled gates run (gopher_flags /
-    quality_z), a per-batch combiner collapses to (lang, source)
-    partials, and the only shuffle is the |lang x source|-row groupby —
-    corpus-size-independent payload."""
-    import polars as pl
-    from ray.data.aggregate import Max, Min, Sum
-
-    ds = _pq(
-        sf_dir, "documents", columns=["doc_id", "text", "lang", "source"],
-        split=True,
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = (
-            pl.from_arrow(batch.column("text"))
-            .str.split(" ")
-            .list.len()
-            .cast(pl.Int64)
-            .to_numpy()
-        )
-        gop = gopher_flags(batch.column("text")).column("keep").to_numpy(
-            zero_copy_only=False
-        )
-        qual = (quality_z(batch.column("text")) > 0.0).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "lang": batch.column("lang").to_pylist(),
-                "source": batch.column("source").to_pylist(),
-                "n_docs": 1,
-                "n_tokens": toks,
-                "min_tokens": toks,
-                "max_tokens": toks,
-                "n_gopher_pass": gop,
-                "n_quality_pass": qual,
-            }
-        )
-        g = df.groupby(["lang", "source"], sort=True).agg(
-            n_docs=("n_docs", "sum"),
-            n_tokens=("n_tokens", "sum"),
-            min_tokens=("min_tokens", "min"),
-            max_tokens=("max_tokens", "max"),
-            n_gopher_pass=("n_gopher_pass", "sum"),
-            n_quality_pass=("n_quality_pass", "sum"),
-        )
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "source"])
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("n_tokens", alias_name="n_tokens"),
-            Min("min_tokens", alias_name="min_tokens"),
-            Max("max_tokens", alias_name="max_tokens"),
-            Sum("n_gopher_pass", alias_name="n_gopher_pass"),
-            Sum("n_quality_pass", alias_name="n_quality_pass"),
-        )
-    )
-
-
 def q_degree_stats(
     sf_dir: str,
     driver_edges_max: int = 4_000_000,
@@ -6203,7 +3818,7 @@ def q_degree_stats(
     ``driver_edges_max`` orders rows (exact parquet metadata, no scan)
     the <=|orders|-row per-block degree partials combine in one driver
     np.unique pass and the histogram is pure numpy — zero shuffles
-    (q_opic's size-adaptive pattern; profiled 2.9 s -> ~0.5 s at
+    (size-adaptive; profiled 2.9 s -> ~0.5 s at
     sf0.1). Above the gate (or force_distributed) ONE node-keyed
     groupby combines the partials and the output is the
     |degree classes|² histogram — corpus-size-independent. Class of a
@@ -6296,7 +3911,7 @@ def q_kl_drift(sf_dir: str):
     """Per-source distribution drift vs the corpus: KL(P_source ||
     P_global) over unigram token distributions — the monitor a corpus
     pipeline runs per ingest batch to catch a source going off-profile
-    (DSIR/q_dsir_weights' LLR machinery turned into a per-slice scalar;
+    (DSIR's LLR machinery turned into a per-slice scalar;
     drift alarms threshold exactly this number).
 
         kl_e4 = round(Σ_w (c/n) * ln((c/n) / (gc/gn)) * 10⁴)
@@ -6369,8 +3984,7 @@ def q_incremental_dedup(sf_dir: str):
     rejected: the dedup path is exercised, not vacuous.
 
     Scale shape: both sides stream to 8-byte text hashes (hash64 —
-    the SQL text twin doubles as the collision canary, the
-    q_dup_rate_by_source contract); ONE hash-bucket shuffle co-locates
+    the SQL text twin doubles as the collision canary); ONE hash-bucket shuffle co-locates
     snapshot and epoch rows; per bucket a vectorized np.isin drops
     epoch rows whose hash exists in the snapshot slice. Text never
     moves — only (id, hash, side) ints; the snapshot side needs no
@@ -6486,8 +4100,7 @@ def q_embedding_norms(sf_dir: str):
     """Per-label embedding L2-norm profile: count and integer-floor
     average of the e4-fixed-point norms. Norms are computed per row in
     one vectorized float64 matmul-free pass (square + row-sum + sqrt),
-    snapped to int64 at e4 with half-away-from-zero rounding (the
-    q_rrf_fusion recipe), and only integer partials cross the shuffle —
+    snapped to int64 at e4 with half-away-from-zero rounding, and only integer partials cross the shuffle —
     so the group average is order-independent and hash-exact vs the SQL
     twin's list_transform/list_aggregate pipeline."""
     from ray.data.aggregate import Sum
@@ -6756,262 +4369,15 @@ def q_embedding_dim_stats(sf_dir: str):
 
 
 # ------------------------------------------------ round-5 final wave ----
-def q_freq_filter(sf_dir: str, min_count: int = 5, max_df_pct: int = 60):
-    """Vocabulary frequency-pruning PLAN (the min-count / max-document-
-    frequency gate every tokenizer- or embedding-vocab build runs
-    before fitting — the sklearn CountVectorizer min_df/max_df
-    contract, Manning/Raghavan/Schuetze IIR ch.2 term statistics):
-    per token, total count, document frequency, and the gate decision
-    — 'drop_rare' (cnt < ``min_count``), 'drop_common' (stopword-like:
-    df > ``max_df_pct``% of docs), else 'keep'. Emitting the full
-    plan rather than the survivors is what a curation run records
-    anyway (the drop lists ARE the artifact), and it hash-checks every
-    vocabulary row. The fixture vocab is fully saturated (every
-    natural token clears min_count), so — the q_dup_rate_by_source
-    planting discipline — every 11th doc contributes a doc-unique
-    'rare-<id>' token so the drop_rare branch fires at every sf; the
-    twin plants the identical rows via UNION ALL.
-
-    Scale shape: ONE corpus pass — each batch lowercases + whitespace-
-    tokenizes in polars (Rust regex, zero Python per row) and emits
-    per-batch (token, cnt, df) partials; because every document lives
-    in exactly one batch, per-batch distinct-doc counts are exact df
-    partials and the single token-keyed groupby moves per-batch
-    vocabulary partials, never one row per occurrence. The df gate
-    compares integers (df * 100 <= max_df_pct * N) with N from parquet
-    metadata (exact, no scan)."""
-    import polars as pl
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Sum
-
-    n_docs = pq_mod.read_metadata(
-        os.path.join(sf_dir, "documents.parquet")
-    ).num_rows
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "text"], split=True)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = (
-            pl.from_arrow(batch)
-            .select(
-                doc_id=pl.col("doc_id"),
-                token=pl.col("text").str.to_lowercase().str.extract_all(r"\S+"),
-            )
-            .explode("token")
-            .drop_nulls("token")
-        )
-        planted = (
-            pl.from_arrow(batch)
-            .filter(pl.col("doc_id") % 11 == 0)
-            .select(
-                doc_id=pl.col("doc_id"),
-                token=pl.lit("rare-") + pl.col("doc_id").cast(pl.String),
-            )
-        )
-        df = pl.concat([toks, planted])
-        cnt = df.group_by("token").len().rename({"len": "cnt"})
-        dfreq = (
-            df.unique(subset=["doc_id", "token"])
-            .group_by("token")
-            .len()
-            .rename({"len": "df"})
-        )
-        j = cnt.join(dfreq, on="token")
-        return pa.table(
-            {
-                "token": j["token"].to_arrow(),
-                "cnt": j["cnt"].cast(pl.Int64).to_arrow(),
-                "df": j["df"].cast(pl.Int64).to_arrow(),
-            }
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token")
-        .aggregate(Sum("cnt", alias_name="cnt"), Sum("df", alias_name="df"))
-    )
-
-    def gate(batch: pa.Table) -> pa.Table:
-        cnt = batch.column("cnt")
-        dfc = batch.column("df")
-        rare = pc.less(cnt, min_count)
-        common = pc.greater(pc.multiply(dfc, 100), max_df_pct * n_docs)
-        action = pc.if_else(
-            rare,
-            pa.scalar("drop_rare"),
-            pc.if_else(common, pa.scalar("drop_common"), pa.scalar("keep")),
-        )
-        return batch.append_column("action", action)
-
-    return agg.map_batches(gate, batch_format="pyarrow")
-
-
-def q_cross_source_dups(sf_dir: str):
-    """Cross-source duplicate matrix (the corpus-forensics report run
-    before mixing feeds: which source PAIRS share identical documents —
-    mirror feeds, syndication, scraper overlap; Dolma/CCNet-style
-    provenance diagnostics): for every source pair (a < b), the number
-    of distinct texts present in BOTH sources.
-
-    The fixture corpus is dup-free, so — exactly like
-    q_dup_rate_by_source — deterministic dup mass is planted (every
-    7th doc collapses to the shared template 'dup-' || (doc_id//7)%13;
-    source is doc_id%20 in the fixture, so the 13 templates land in
-    rotating sources and genuinely cross source boundaries) and the
-    DuckDB twin applies the same CASE, doubling as the hash-collision
-    canary.
-
-    Scale shape: per-batch local unique on (source, hash64(text))
-    8-byte keys, ONE text-hash-keyed shuffle; each map_group holds one
-    text's source set (bounded by the source COUNT, a small constant by
-    definition — never corpus-sized) and emits its (a < b) pairs via
-    np.triu_indices; a final tiny pair-keyed groupby sums. Only
-    (source_a, source_b, n) rows ever reach the driver."""
-    import polars as pl
-
-    from ray.data.aggregate import Sum
-
-    from ..functions.hashing import hash64
-
-    ds = _pq(sf_dir, "documents", columns=["doc_id", "source", "text"], split=True)
-
-    def to_keys(batch: pa.Table) -> pa.Table:
-        df = pl.from_arrow(batch).select(
-            source=pl.col("source"),
-            key=pl.when(pl.col("doc_id") % 7 == 0)
-            .then(
-                pl.lit("dup-")
-                + ((pl.col("doc_id") // 7) % 13).cast(pl.String)
-            )
-            .otherwise(pl.col("text")),
-        )
-        sub = df.unique()
-        h = hash64(sub["key"].to_list()).astype(np.int64)
-        return pa.table(
-            {
-                "source": sub["source"].to_arrow(),
-                "h": pa.array(h, pa.int64()),
-            }
-        )
-
-    def pairs(g: pa.Table) -> pa.Table:
-        srcs = np.sort(
-            np.asarray(pc.unique(g.column("source")).to_pylist(), dtype=object)
-        )
-        if len(srcs) < 2:
-            return pa.table(
-                {"source_a": pa.array([], pa.string()),
-                 "source_b": pa.array([], pa.string()),
-                 "n": pa.array([], pa.int64())}
-            )
-        ia, ib = np.triu_indices(len(srcs), k=1)
-        return pa.table(
-            {"source_a": pa.array(srcs[ia], pa.string()),
-             "source_b": pa.array(srcs[ib], pa.string()),
-             "n": pa.array(np.ones(len(ia), np.int64), pa.int64())}
-        )
-
-    return (
-        ds.map_batches(to_keys, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("h")
-        .map_groups(pairs, batch_format="pyarrow")
-        .groupby(["source_a", "source_b"])
-        .aggregate(Sum("n", alias_name="n_shared"))
-    )
-
-
-def q_ndcg(sf_dir: str, k: int = 10, n_queries: int = 10):
-    """nDCG@k ranking-quality evaluation (Jarvelin & Kekalainen, TOIS
-    2002 — the standard graded-relevance retrieval metric; every
-    search/RAG eval harness reports it): per query, DCG@k of the
-    system ranking over IDCG@k of the ideal ordering, with the
-    exponential gain (2^rel - 1) / log2(pos + 1).
-
-    Queries, scores and graded labels are deterministic arithmetic
-    over doc_id (qid = doc_id % n_queries; score = Knuth
-    multiplicative hash mod 1000003; rel = (doc_id*7 + doc_id%13) % 4)
-    so the DuckDB window-function twin constructs the identical eval
-    set. Both rankings tie-break on doc_id; within equal rel the DCG
-    sum is ordering-invariant (the position->rel map is unchanged
-    under equal-rel swaps), so engine and twin agree exactly; the
-    float ratio rounds e6 half-away-from-zero (the q_rrf_fusion
-    convention).
-
-    Scale shape: per-batch partial top-k per qid for BOTH orderings
-    (system: score desc; ideal: rel desc), merged on the driver with no
-    full sort, so the driver merge sees <= 2*k*n_queries*blocks label
-    rows, never the corpus. Output: (qid, ndcg_e6)."""
-    ds = _pq(sf_dir, "documents", columns=["doc_id"], split=True)
-
-    def part(batch: pa.Table) -> pa.Table:
-        did = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        qid = did % n_queries
-        score = (did * 2654435761) % 1000003
-        rel = (did * 7 + did % 13) % 4
-        out = []
-        for kind, order_key in ((0, score), (1, rel)):
-            # per-qid partial top-k: lexsort on (qid, -key, doc_id)
-            idx = np.lexsort((did, -order_key, qid))
-            q_sorted = qid[idx]
-            pos = np.arange(len(idx)) - np.searchsorted(
-                q_sorted, q_sorted, side="left"
-            )
-            keep = idx[pos < k]
-            out.append(
-                pd.DataFrame(
-                    {"qid": qid[keep], "kind": kind, "rel": rel[keep],
-                     "score": score[keep], "doc_id": did[keep]}
-                )
-            )
-        m = pd.concat(out)
-        return pa.table(
-            {
-                "qid": pa.array(m["qid"].to_numpy(), pa.int64()),
-                "kind": pa.array(m["kind"].to_numpy().astype(np.int32), pa.int32()),
-                "rel": pa.array(m["rel"].to_numpy(), pa.int64()),
-                "score": pa.array(m["score"].to_numpy(), pa.int64()),
-                "doc_id": pa.array(m["doc_id"].to_numpy(), pa.int64()),
-            }
-        )
-
-    parts = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .to_pandas()  # <= 2*k*n_queries*blocks rows
-    )
-    disc = 1.0 / np.log2(np.arange(1, k + 1) + 1.0)
-    qids, ndcg = [], []
-    for qid, g in parts.groupby("qid", sort=True):
-        sys_g = g[g["kind"] == 0].sort_values(
-            ["score", "doc_id"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        ide_g = g[g["kind"] == 1].sort_values(
-            ["rel", "doc_id"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        gain_s = (2.0 ** sys_g["rel"].to_numpy(dtype=np.float64)) - 1.0
-        gain_i = (2.0 ** ide_g["rel"].to_numpy(dtype=np.float64)) - 1.0
-        dcg = float(np.sum(gain_s * disc[: len(gain_s)]))
-        idcg = float(np.sum(gain_i * disc[: len(gain_i)]))
-        qids.append(int(qid))
-        ndcg.append(
-            int(np.floor(dcg / idcg * 1_000_000 + 0.5)) if idcg > 0 else 0
-        )
-    return pa.table(
-        {
-            "qid": pa.array(qids, pa.int64()),
-            "ndcg_e6": pa.array(ndcg, pa.int64()),
-        }
-    )
-
-
 def q_dedup_keep_best(sf_dir: str):
     """Quality-aware exact dedup (keep-BEST, not keep-first — the LLM-
     curation flavor: when a page is scraped N times, keep the longest/
     highest-quality capture and drop the rest; CCNet and RefinedWeb
     both resolve exact-dup groups by a quality key, not arrival order).
     Per distinct text, keep the doc with the largest ``n_chars``
-    (doc_id ascending tie-break). Dup mass is planted exactly like
-    q_cross_source_dups ('dup-' || (doc_id//7)%13 for every 7th doc)
-    and the twin applies the same CASE.
+    (doc_id ascending tie-break). Dup mass is planted in the text
+    ('dup-' || (doc_id//7)%13 for every 7th doc) and the twin applies
+    the same CASE.
 
     Scale shape: the max/argmax combiner is associative, so each batch
     first reduces to its LOCAL best per 8-byte text hash (one polars
@@ -7084,8 +4450,7 @@ def q_soft_dedup(sf_dir: str):
     group of size n trains at weight 1/n and the group contributes one
     effective copy). Per distinct text, every doc keeps
     ``weight = 1/n_dups``. Dup mass is planted exactly like
-    q_dedup_keep_best / q_cross_source_dups ('dup-' || (doc_id//7)%13
-    for every 7th doc) and the DuckDB twin applies the same CASE.
+    q_dedup_keep_best ('dup-' || (doc_id//7)%13 for every 7th doc) and the DuckDB twin applies the same CASE.
 
     Scale shape: docs travel ONE shuffle as (h, doc_id) 8+8-byte rows,
     keyed on the COARSE bucket h % n_buckets (the dedup_first
@@ -7277,204 +4642,6 @@ def q_weighted_sample(sf_dir: str, n_sample: int = 100):
     pre = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
     final = pre.sort(["key", "doc_id"]).limit(n_sample)
     return final.select_columns(["doc_id", "n_chars"])
-
-
-# --------------------------------------- link prediction (common neighbors) --
-def q_common_neighbors(sf_dir: str, min_common: int = 3, hub_cap: int = 65536):
-    """Common-neighbor link prediction over the deterministic customer
-    graph (the q_pagerank / q_degree_stats edge set: src = o_custkey,
-    dst = o_orderkey % |customer|) — the classic similarity score
-    (Liben-Nowell & Kleinberg 2003) a crawl planner uses to find
-    mirror-candidate hosts / co-citation pairs: node pairs (a < b)
-    whose OUT-neighborhoods share at least ``min_common`` targets,
-    with the shared count.
-
-    Scale shape: the pair explosion is Σ indeg² over dst groups — the
-    wedge count, exactly q_triangle_count's shape — so dst groups
-    co-locate via ONE bucketed shuffle (dst % n_buckets), each bucket
-    dedups its (src, dst) edges globally and emits wedge pairs through
-    the vectorized ``_group_pairs`` kernel (zero per-group Python),
-    pre-counted per bucket; the cross-bucket merge keys on the COARSE
-    pair-hash bucket (the _dedup_pairs discipline — a raw
-    (a, b)-keyed Ray aggregate pays per-group reduce overhead on
-    #distinct-pairs groups, measured 58 s vs 0.4 s at sf0.1) and sums
-    + thresholds with one vectorized polars pass per bucket.
-    ``hub_cap`` drops dst groups above that
-    in-degree (a 10^7-indeg hub contributes Σcap² wedges to EVERY
-    pair — the standard heavy-hub exclusion, inactive at fixture
-    scale so the DuckDB twin stays exact)."""
-    import polars as pl
-
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Sum
-
-    n_nodes = pq_mod.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
-    orders = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderkey"], split=True)
-    n_buckets = default_buckets()
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        src = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = (
-            batch.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            % n_nodes
-        )
-        df = pl.DataFrame({"src": src, "dst": dst}).unique()
-        return pa.table(
-            {
-                "b": pa.array(
-                    (df["dst"].to_numpy() % n_buckets).astype(np.int32), pa.int32()
-                ),
-                "src": df["src"].to_arrow(),
-                "dst": df["dst"].to_arrow(),
-            }
-        )
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        df = pl.from_pandas(g[["src", "dst"]]).unique()
-        deg = df.group_by("dst").len(name="d")
-        keep = deg.filter(pl.col("d") <= hub_cap)["dst"]
-        df = df.filter(pl.col("dst").is_in(keep)).sort("dst")
-        dst = df["dst"].to_numpy()
-        src = df["src"].to_numpy()
-        if len(dst) == 0:
-            return pd.DataFrame(
-                {"node_a": pd.Series([], dtype=np.int64),
-                 "node_b": pd.Series([], dtype=np.int64),
-                 "n": pd.Series([], dtype=np.int64)}
-            )
-        (pa_, pb_), = _group_pairs(dst, [src])
-        lo, hi = np.minimum(pa_, pb_), np.maximum(pa_, pb_)
-        out = (
-            pl.DataFrame({"node_a": lo, "node_b": hi})
-            .group_by(["node_a", "node_b"])
-            .len(name="n")
-            .with_columns(pl.col("n").cast(pl.Int64))
-        )
-        b2 = (
-            (
-                out["node_a"].to_numpy().astype(np.uint64)
-                * np.uint64(2654435761)
-                ^ out["node_b"].to_numpy().astype(np.uint64)
-            )
-            % np.uint64(n_buckets)
-        ).astype(np.int32)
-        return out.with_columns(b2=pl.Series(b2)).to_pandas()
-
-    def merge_counts(g: pd.DataFrame) -> pd.DataFrame:
-        out = (
-            pl.from_pandas(g[["node_a", "node_b", "n"]])
-            .group_by(["node_a", "node_b"])
-            .agg(pl.col("n").sum().alias("n_common"))
-            .filter(pl.col("n_common") >= min_common)
-        )
-        return out.to_pandas()
-
-    return (
-        orders.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("b")
-        .map_groups(bucket_pairs, batch_format="pandas")
-        .groupby("b2")
-        .map_groups(merge_counts, batch_format="pandas")
-    )
-
-
-# ------------------------------------------------ degree assortativity ----
-def q_degree_assortativity(sf_dir: str):
-    """Degree assortativity of the deterministic customer graph (Newman
-    2002): the Pearson correlation between out-degree(src) and
-    in-degree(dst) across distinct edges — positive means hubs link to
-    hubs (social-network shape), negative means hubs link to leaves
-    (the web/crawl-graph shape that makes per-host budgets matter).
-
-    Determinism contract: every moment (n, Σx, Σy, Σxy, Σx², Σy²) is an
-    EXACT int64 — batching/order-free — and the final Pearson formula
-    runs ONCE on the driver with the same operation order as the DuckDB
-    twin (each int moment < 2^53, so the float product/sqrt round
-    identically), rounded half-away to e6.
-
-    Scale shape: two bucketed shuffles, both node-co-locating — edges
-    dedup + out-degree resolve in src buckets (every (src, *) row lands
-    in src's bucket, so the local count IS the global out-degree), then
-    in-degree + moment partials resolve in dst buckets; only
-    6-number moment rows ever reach the driver."""
-    import polars as pl
-
-    import pyarrow.parquet as pq_mod
-
-    n_nodes = pq_mod.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
-    orders = _pq(sf_dir, "orders", columns=["o_custkey", "o_orderkey"], split=True)
-    n_buckets = default_buckets()
-
-    def to_edges(batch: pa.Table) -> pa.Table:
-        src = batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = (
-            batch.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-            % n_nodes
-        )
-        df = pl.DataFrame({"src": src, "dst": dst}).unique()
-        return pa.table(
-            {
-                "bs": pa.array(
-                    (df["src"].to_numpy() % n_buckets).astype(np.int32), pa.int32()
-                ),
-                "src": df["src"].to_arrow(),
-                "dst": df["dst"].to_arrow(),
-            }
-        )
-
-    def src_resolve(g: pd.DataFrame) -> pd.DataFrame:
-        df = pl.from_pandas(g[["src", "dst"]]).unique()
-        df = df.with_columns(
-            x=pl.len().over("src").cast(pl.Int64)  # global out-degree
-        )
-        bd = (df["dst"].to_numpy().astype(np.int64) % n_buckets).astype(np.int32)
-        out = df.select(["dst", "x"]).to_pandas()
-        out["bd"] = bd
-        return out
-
-    def dst_moments(g: pd.DataFrame) -> pd.DataFrame:
-        df = pl.from_pandas(g[["dst", "x"]]).with_columns(
-            y=pl.len().over("dst").cast(pl.Int64)  # global in-degree
-        )
-        x = df["x"].to_numpy().astype(np.int64)
-        y = df["y"].to_numpy().astype(np.int64)
-        return pd.DataFrame(
-            {
-                "n": [np.int64(len(x))],
-                "sx": [x.sum()],
-                "sy": [y.sum()],
-                "sxy": [(x * y).sum()],
-                "sxx": [(x * x).sum()],
-                "syy": [(y * y).sum()],
-            }
-        )
-
-    parts = (
-        orders.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bs")
-        .map_groups(src_resolve, batch_format="pandas")
-        .groupby("bd")
-        .map_groups(dst_moments, batch_format="pandas")
-    ).to_pandas()  # <= n_buckets moment rows
-
-    n = int(parts["n"].sum())
-    sx, sy = int(parts["sx"].sum()), int(parts["sy"].sum())
-    sxy = int(parts["sxy"].sum())
-    sxx, syy = int(parts["sxx"].sum()), int(parts["syy"].sum())
-    num = float(n * sxy - sx * sy)
-    den = float(np.sqrt(float(n * sxx - sx * sx) * float(n * syy - sy * sy)))
-    r = num / den
-    return pd.DataFrame(
-        {
-            "n_edges": [np.int64(n)],
-            "assortativity_e6": [np.int64(np.floor(r * 1_000_000 + 0.5))],
-        }
-    )
 
 
 # -------------------------------------------- personalized PageRank (PPR) --
@@ -7814,158 +4981,6 @@ def q_reciprocity(sf_dir: str, n_buckets: int | None = None):
             "n_edges": pa.array([n_edges], pa.int64()),
             "n_reciprocal": pa.array([n_recip], pa.int64()),
             "reciprocity_e6": pa.array([rec_e6], pa.int64()),
-        }
-    )
-
-
-# ------------------------------------------------- component size profile ----
-def q_cc_sizes(
-    sf_dir: str,
-    max_iters: int = 64,
-    driver_edges_max: int = 4_000_000,
-    force_distributed: bool = False,
-    edge_mod: int = 17,
-):
-    """Connected-component SIZE histogram over a sparsified view of the
-    deterministic customer graph (undirected; only orders with
-    o_orderkey % edge_mod == 0 contribute edges, which puts the mean
-    degree below the giant-component threshold so the profile has a
-    real island tail — the full graph is supercritical and collapses
-    to one component, an uninformative histogram) — the web-graph
-    fragmentation report (Broder et al. 2000's 'bow tie' paper
-    measures exactly this profile; a crawl planner reads it as "how
-    much of the frontier is reachable from the seeds"). Output
-    (component_size, n_components), customers with no qualifying
-    orders counted as singleton components.
-
-    Layout: per-batch distinct symmetrized (src, dst) partials, then
-    the SHARED hash-min pointer-doubling CC core (q_dedup_clusters'):
-    - orders rows <= driver_edges_max (exact parquet metadata, no
-      scan): partial-distinct edge pairs collapse in one driver
-      np.unique, labels resident on the driver, edge passes
-      distributed (_cc_labels_driver);
-    - above the gate (or force_distributed): distinct edges stay a
-      DATASET (groupby distinct), labels stay dataset-resident through
-      _cc_labels_distributed, and the histogram is two groupby-counts
-      (per-label size, then per-size count) — nothing corpus-sized
-      ever lands on the driver. Forks equivalence-tested.
-
-    The DuckDB twin computes the same components via a recursive-CTE
-    transitive closure (tractable at oracle scales; the giant
-    component makes closure pairs O(n^2), which is exactly why the
-    ENGINE uses log-diameter label propagation instead)."""
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Count, Sum
-
-    n_nodes = pq_mod.read_metadata(
-        os.path.join(sf_dir, "customer.parquet")
-    ).num_rows
-    orders_rows = pq_mod.read_metadata(
-        os.path.join(sf_dir, "orders.parquet")
-    ).num_rows
-
-    ds = _pq(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ok = batch.column("o_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = ok % edge_mod == 0
-        a = (
-            batch.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.int64)
-        )[keep]
-        b = ok[keep] % n_nodes
-        sym = np.unique(
-            np.concatenate(
-                [np.stack([a, b], axis=1), np.stack([b, a], axis=1)], axis=0
-            ),
-            axis=0,
-        )
-        return pa.table(
-            {
-                "src": pa.array(sym[:, 0], pa.int64()),
-                "dst": pa.array(sym[:, 1], pa.int64()),
-            }
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-
-    if orders_rows <= driver_edges_max and not force_distributed:
-        pairs = parts.to_pandas()  # ≤ 2·orders partial-distinct rows
-        edges = np.unique(
-            np.stack([pairs["src"].to_numpy(np.int64), pairs["dst"].to_numpy(np.int64)], axis=1),
-            axis=0,
-        )
-        # below the gate the whole edge set is already driver-resident,
-        # so per-round DISTRIBUTED edge passes (_cc_labels_driver) are
-        # pure scheduling overhead — the same hash-min + pointer-double
-        # kernel in numpy converges in microseconds (profiled 12 s ->
-        # <1 s at sf0.1: ~10 groupby rounds of Ray overhead removed)
-        nodes = np.unique(edges)
-        src_i = np.searchsorted(nodes, edges[:, 0])
-        dst_i = np.searchsorted(nodes, edges[:, 1])
-        labels = np.arange(len(nodes), dtype=np.int64)
-        for _ in range(max_iters):
-            new = labels.copy()
-            np.minimum.at(new, dst_i, labels[src_i])
-            new = new[new]  # pointer doubling
-            new = new[new]
-            if np.array_equal(new, labels):
-                break
-            labels = new
-        else:
-            raise RuntimeError(
-                "q_cc_sizes: numpy label propagation did not converge"
-            )
-        sizes = np.unique(labels, return_counts=True)[1]
-        hist_sz, hist_n = np.unique(sizes, return_counts=True)
-        hist = dict(zip(hist_sz.tolist(), hist_n.tolist()))
-        n_iso = n_nodes - int(len(labels))
-        if n_iso:
-            hist[1] = hist.get(1, 0) + n_iso
-        out_sz = sorted(hist)
-        return pa.table(
-            {
-                "component_size": pa.array(out_sz, pa.int64()),
-                "n_components": pa.array([hist[s] for s in out_sz], pa.int64()),
-            }
-        )
-
-    # 100-TB fork: distinct edges and labels stay dataset-resident
-    edges_ds = parts.groupby(["src", "dst"]).aggregate(Count(alias_name="_c")).map_batches(
-        lambda b: b.select(["src", "dst"]), batch_format="pyarrow"
-    )
-    labels_ds = _cc_labels_distributed(edges_ds, max_iters, None)
-    n_labeled = labels_ds.count()
-    hist = (
-        labels_ds.groupby("lbl")
-        .aggregate(Count(alias_name="component_size"))
-        .map_batches(
-            lambda b: pa.table(
-                {
-                    "component_size": pc.cast(b.column("component_size"), pa.int64()),
-                    "one": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("component_size")
-        .aggregate(Sum("one", alias_name="n_components"))
-        .to_pandas()  # |distinct sizes| rows — output-scale
-    )
-    n_iso = n_nodes - int(n_labeled)
-    if n_iso:
-        if (hist["component_size"] == 1).any():
-            hist.loc[hist["component_size"] == 1, "n_components"] += n_iso
-        else:
-            hist = pd.concat(
-                [hist, pd.DataFrame({"component_size": [1], "n_components": [n_iso]})],
-                ignore_index=True,
-            )
-    hist = hist.sort_values("component_size").reset_index(drop=True)
-    return pa.table(
-        {
-            "component_size": pa.array(hist["component_size"].astype("int64"), pa.int64()),
-            "n_components": pa.array(hist["n_components"].astype("int64"), pa.int64()),
         }
     )
 

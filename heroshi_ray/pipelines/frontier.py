@@ -22,6 +22,7 @@ import ray.data
 from ..functions.hashing import assert_uniform_hashing
 from ..runtime import arrow_blocks
 from ..stages.canonicalize import canonicalize_dataset
+from ..stages.schedule import run_rank, vector_robots_for
 from ..state.seen import SeenSet
 
 
@@ -112,13 +113,7 @@ def _local_topk(hh, prio, sh, budget):
     """Indices of per-host top-``budget`` rows under
     (host, priority desc, surt-hash asc) — pure numpy lexsort on ints."""
     o = np.lexsort((sh, -prio, hh))
-    hs = hh[o]
-    start = np.empty(len(o), dtype=bool)
-    start[0] = True
-    np.not_equal(hs[1:], hs[:-1], out=start[1:])
-    idx_all = np.arange(len(o))
-    rank = idx_all - np.maximum.accumulate(np.where(start, idx_all, 0))
-    return o[rank < budget]
+    return o[run_rank(hh[o]) < budget]
 
 
 class GateAndCap:
@@ -165,8 +160,6 @@ class GateAndCap:
             # per-instance cache is useless here because map_batches
             # re-deserializes this callable into every task, which
             # rebuilt the pattern/host index once per BLOCK
-            from ..stages.schedule import vector_robots_for
-
             vr = vector_robots_for(self.robots_ref)
             # Arrow columns go straight in — no numpy-object
             # materialization of 150k urls/hosts per block

@@ -1,15 +1,17 @@
 """Exact first-per-key dedup — D1 (SURVEY.md §2.7).
 
 Needed *in addition to* the approximate seen-filter (J1): within one
-epoch, candidates for the same surt arrive in different blocks and the
+epoch, candidates for the same surt arrive from many pages and the
 cuckoo test-and-set is per-shard-call, so batch-internal duplicates
 must be collapsed exactly first.
 
-Scalable pattern (avoids one Python call per group): hash-bucket the
-key into ``n_buckets`` coarse partitions, shuffle ONCE on the bucket
-id, then run a *vectorized* drop-duplicates inside each bucket
-(sort_indices + unique-first within a pandas/pyarrow kernel). With
-B buckets the per-group Python overhead is O(B), not O(#groups).
+``_first_per_key`` is the kernel: keep the minimum row per key under
+``(key, *tie_cols)``. The crawl calls it on the driver over one epoch's
+extracted links. ``dedup_first`` runs the same kernel over a Dataset
+for the ``dataops`` analytics: hash-bucket the key into ``n_buckets``
+coarse partitions, shuffle ONCE on the bucket id, then drop duplicates
+inside each bucket, so the per-group Python overhead is O(B), not
+O(#groups).
 """
 
 from __future__ import annotations

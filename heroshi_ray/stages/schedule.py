@@ -25,8 +25,8 @@ sorts them.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
@@ -63,18 +63,30 @@ def vector_robots_for(robots_ref):
     return vr
 
 
-def _budget_cap_indices(host, priority, surt, budgets, default_budget=0) -> np.ndarray:
-    """Row indices surviving the per-host budget cap under
-    (priority desc, surt asc) within-host order. Pure index computation:
-    callers ``take`` on the Arrow table, so schemas never round-trip
-    through pandas."""
-    df = pd.DataFrame({"host": host, "priority": priority, "surt": surt})
-    g = df.sort_values(
-        ["host", "priority", "surt"], ascending=[True, False, True], kind="mergesort"
-    )
-    rank = g.groupby("host", sort=False).cumcount().to_numpy()
-    cap = g["host"].map(budgets).fillna(default_budget).to_numpy()
-    return np.sort(g.index.to_numpy()[rank < cap])
+def run_rank(keys: np.ndarray) -> np.ndarray:
+    """The 0-based rank of each row within its run of equal ``keys``.
+    On rows sorted by (host, within-host order) that is each row's rank
+    inside its host, so ``rank < cap`` is a per-host cap; shared by the
+    crawl's budget cap and the flagship's ``_local_topk``."""
+    start = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    idx = np.arange(len(keys))
+    return idx - np.maximum.accumulate(np.where(start, idx, 0))
+
+
+def _budget_cap_indices(tbl: pa.Table, budgets: dict) -> np.ndarray:
+    """Row indices of ``tbl`` surviving the per-host budget cap under
+    (priority desc, surt asc) within-host order, ascending. A host
+    missing from ``budgets`` gets 0 rows. One stable Arrow sort; the
+    caps are looked up once per distinct host."""
+    order = pc.sort_indices(
+        tbl,
+        sort_keys=[("host", "ascending"), ("priority", "descending"), ("surt", "ascending")],
+    ).to_numpy()
+    enc = tbl.column("host").combine_chunks().dictionary_encode()
+    caps = np.array([budgets.get(h, 0) for h in enc.dictionary.to_pylist()], np.int64)
+    codes = enc.indices.to_numpy(zero_copy_only=False)[order]
+    return np.sort(order[run_rank(codes) < caps[codes]])
 
 
 def budget_topk_order_table(
@@ -86,14 +98,8 @@ def budget_topk_order_table(
     if tbl.num_rows == 0:
         return tbl
     merged = tbl.combine_chunks()
-    idx = _budget_cap_indices(
-        merged.column("host").to_pandas(),
-        merged.column("priority").to_pandas(),
-        merged.column("surt").to_pandas(),
-        budgets,
-    )
-    exact = merged.take(pa.array(idx))
-    order = pa.compute.sort_indices(
+    exact = merged.take(pa.array(_budget_cap_indices(merged, budgets)))
+    order = pc.sort_indices(
         exact, sort_keys=[("priority", "descending"), ("surt", "ascending")]
     )
     return exact.take(order.slice(0, epoch_budget))
@@ -107,8 +113,6 @@ def can_enter(part: pa.Table, cand: pa.Table, epoch_budget: int) -> pa.Table:
     better rows of their hosts fill all ``epoch_budget`` slots first."""
     if cand.num_rows < epoch_budget:
         return part
-    import pyarrow.compute as pc
-
     p, s = cand.column("priority")[-1], cand.column("surt")[-1]
     pr = part.column("priority")
     return part.filter(
@@ -177,8 +181,6 @@ class VectorRobots:
     def mask(self, urls, hosts) -> np.ndarray:
         """urls/hosts: pyarrow Array/ChunkedArray (zero-copy hot path)
         or any sequence (converted). Returns a bool allow-mask."""
-        import pyarrow.compute as pc
-
         if not isinstance(urls, (pa.Array, pa.ChunkedArray)):
             urls = pa.array(list(urls), pa.string())
         if not isinstance(hosts, (pa.Array, pa.ChunkedArray)):

@@ -1,7 +1,7 @@
 """Every module-level import is read somewhere in its file; every
 top-level function and class of ``heroshi_ray/{functions,stages,
-sources,state}`` is named somewhere outside its own body; and only the
-registry imports the analytics modules.
+sources,state,pipelines}`` is named somewhere outside its own body; and
+only the registry imports the analytics modules.
 
 An AST scan over the package, the two entry scripts and the tests. A
 name counts as read when an expression names it, when ``__all__`` lists
@@ -130,16 +130,16 @@ UNCALLED_ALLOWED = {
 
 def test_no_uncalled_kernels():
     """A top-level function or class of ``heroshi_ray/functions``,
-    ``stages``, ``sources`` or ``state`` that nothing in the package,
-    the entry scripts or the benchmark names is dead code kept alive
-    only by its tests."""
+    ``stages``, ``sources``, ``state`` or ``pipelines`` that nothing in
+    the package, the entry scripts or the benchmark names is dead code
+    kept alive only by its tests."""
     where: dict[str, list[tuple[str, int]]] = {}
     for path in _files(("heroshi_ray", "perfbench")):
         with open(path) as f:
             for name, line in _named_lines(ast.parse(f.read(), filename=path)):
                 where.setdefault(name, []).append((path, line))
     uncalled = []
-    for sub in ("functions", "stages", "sources", "state"):
+    for sub in ("functions", "stages", "sources", "state", "pipelines"):
         fdir = os.path.join(ROOT, "heroshi_ray", sub)
         for n in sorted(os.listdir(fdir)):
             path = os.path.join(fdir, n)

@@ -5,8 +5,8 @@ q_embed_neardup runs its verify/merge steps as map_groups + pair-dedup
 shuffles rather than on the driver. These tests recompute the expected
 pair sets with plain Python/numpy (same candidate-generation semantics,
 no Ray) and assert exact equality — rows AND values — and hold every
-size-gated fork (driver vs Dataset labels, DF join, broadcast vs join
-graph ranks, containment prefix filter) to the default path's output.
+size-gated fork (driver vs Dataset labels, broadcast vs join graph
+ranks, containment prefix filter) to the default path's output.
 """
 
 from __future__ import annotations
@@ -92,23 +92,6 @@ def test_dedup_clusters_transitive_chain(ray_session, tmp_path):
     )
     assert out[10] == out[20] == out[30] == 10  # one transitive cluster, min id
     assert out[99] == 99  # isolated: own id
-
-
-def test_ngram_df_join_path_equals_broadcast(ray_session):
-    """df_broadcast_limit=0 forces the distributed DF hash join +
-    groupby(doc) prefix selection; results must be identical (the
-    AllPairs prefix lemma holds for any path computing the same DF
-    order). broadcast_limit=0 forces the verify through the distributed
-    text attach (_attach_pair_texts) instead of the gram-array
-    broadcast; it must return the same pairs and values."""
-    from heroshi_ray.pipelines.dataops import q_ngram_jaccard
-
-    a = q_ngram_jaccard(SF_DIR).to_pandas()
-    b = q_ngram_jaccard(SF_DIR, df_broadcast_limit=0).to_pandas()
-    assert a.equals(b)
-    assert len(a) > 0
-    c = q_ngram_jaccard(SF_DIR, broadcast_limit=0).to_pandas()
-    assert a.equals(c)
 
 
 def _chain_embeddings(tmp_path, n: int):
@@ -225,52 +208,6 @@ def test_pagerank_distributed_path_equals_broadcast(ray_session):
     # rank mass is conserved up to per-node floor loss: sum <= 10^12,
     # within n_nodes + n_edges units of it
     assert a["pagerank_e12"].sum() <= 10**12
-
-
-def test_hits_distributed_path_equals_broadcast(ray_session):
-    """q_hits' Dataset-resident score-vector path (the 100-TB regime)
-    must reproduce the broadcast path bit-for-bit — all arithmetic is
-    int64 fixed-point with a global-max rescale, so equality is exact."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.dataops import q_hits
-
-    def norm(res):
-        df = res.to_pandas() if hasattr(res, "to_pandas") else res
-        return df.sort_values("custkey").reset_index(drop=True).astype("int64")
-
-    a = norm(q_hits(SF_DIR))  # driver-combine fork at sf0.001
-    b = norm(q_hits(SF_DIR, force_distributed=True))
-    c = norm(q_hits(SF_DIR, driver_edges_max=0))  # broadcast mid fork
-    pd.testing.assert_frame_equal(a, b, check_exact=True)
-    pd.testing.assert_frame_equal(a, c, check_exact=True)
-    # rescale invariant: every round tops out at exactly e6
-    assert a["auth_e6"].max() == 10**6 and a["hub_e6"].max() == 10**6
-
-
-def test_opic_distributed_matches_broadcast(ray_session):
-    """q_opic's Dataset-resident cash/history path (the 100-TB regime)
-    must reproduce the broadcast path bit-for-bit — all arithmetic is
-    int64 with floored divisions, so equality is exact; and total cash
-    is conserved up to the deterministic flooring losses (history sums
-    to <= n_rounds * 10^12, > 90% of it)."""
-    import pandas as pd
-
-    from heroshi_ray.pipelines.dataops import q_opic
-
-    def norm(res):
-        df = res.to_pandas() if hasattr(res, "to_pandas") else res
-        return df.sort_values("custkey").reset_index(drop=True).astype("int64")
-
-    a = norm(q_opic(SF_DIR))  # driver-combine fork at sf0.001
-    b = norm(q_opic(SF_DIR, force_distributed=True))
-    c = norm(q_opic(SF_DIR, driver_edges_max=0))  # broadcast mid fork
-    pd.testing.assert_frame_equal(a, b, check_exact=True)
-    pd.testing.assert_frame_equal(a, c, check_exact=True)
-    total = int(a["history"].sum())
-    assert total <= 3 * 10**12
-    assert total > 0.9 * 3 * 10**12  # flooring loses < 10% of the mass
-    assert a["history"].nunique() > 1  # the graph actually differentiates
 
 
 def test_containment_prefix_fork_equivalence(ray_session):

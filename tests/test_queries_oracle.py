@@ -142,20 +142,6 @@ def test_entry_smoke(ray_session):
     assert "surt" in df.columns
 
 
-def test_triangle_count_distributed_fork_equivalence(ray_session):
-    """Node-scale degree broadcast vs distributed degree-join orientation
-    must count identically."""
-    from heroshi_ray.pipelines import dataops as d
-
-    a = to_df(d.q_triangle_count(SF_DIR))  # driver fork at sf0.001
-    b = to_df(d.q_triangle_count(SF_DIR, force_distributed=True))
-    c = to_df(d.q_triangle_count(SF_DIR, driver_edges_max=0))  # broadcast
-    e = to_df(d.q_triangle_count(SF_DIR, wedge_driver_max=0))  # wedge fallthrough
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    pd.testing.assert_frame_equal(a, c, check_dtype=False, check_exact=True)
-    pd.testing.assert_frame_equal(a, e, check_dtype=False, check_exact=True)
-
-
 def test_trap_detect_distributed_fork_equivalence(ray_session):
     """Driver-combined exact-distinct counts must equal the salted
     two-level shuffle path exactly."""

@@ -133,12 +133,3 @@ def test_ppr_distributed_path_equals_broadcast(ray_session):
     assert (nonseeds["ppr_e12"] > 0).any()
 
 
-def test_bfs_driver_fork_equals_distributed(ray_session):
-    from heroshi_ray.pipelines.dataops import q_bfs_distance
-
-    def norm(r):
-        return r.to_pandas().sort_values("node").reset_index(drop=True)
-
-    a = norm(q_bfs_distance(SF_DIR))
-    b = norm(q_bfs_distance(SF_DIR, force_distributed=True))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)

@@ -207,25 +207,6 @@ def test_seen_fpr_under_fan_bound():
     pd.testing.assert_frame_equal(df, again)
 
 
-def test_cc_sizes_forks_equivalent_and_account_all_nodes(ray_session):
-    """Driver-labels and dataset-resident-labels forks must agree
-    bit-for-bit, and the histogram must account for every customer
-    (components partition the node set)."""
-    import pyarrow.parquet as pq
-
-    from heroshi_ray.pipelines.dataops import q_cc_sizes
-
-    def norm(r):
-        df = r.to_pandas()
-        return df.sort_values("component_size").reset_index(drop=True)
-
-    a = norm(q_cc_sizes(SF_DIR))
-    b = norm(q_cc_sizes(SF_DIR, force_distributed=True))
-    pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=True)
-    n_cust = pq.read_metadata(f"{SF_DIR}/customer.parquet").num_rows
-    assert int((a["component_size"] * a["n_components"]).sum()) == n_cust
-
-
 def test_hamilton_kernel_properties_hypothesis():
     """Property test for the apportionment kernel: for ANY demand
     vector and budget, sum(alloc) == budget exactly and every

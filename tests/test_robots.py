@@ -59,6 +59,42 @@ def test_tie_allow_wins():
     assert allowed(r, "/a/x")
 
 
+# RFC 9309 forms the fixture robots never use: percent-escaped rule
+# patterns (matched against percent-normalised URL paths) and two groups
+# for the same agent, which §2.2.1 merges
+PCT_BODY = "User-agent: *\nDisallow: /%7Ejoe/\nDisallow: /a%2fb\n"
+TWO_STAR_BODY = "User-agent: *\nDisallow: /a\n\nUser-agent: *\nDisallow: /b\n"
+
+
+def test_rule_patterns_percent_normalised():
+    r = parse_robots(PCT_BODY)
+    assert not allowed(r, "/~joe/x")
+    assert not allowed(r, "/a%2Fb")
+    assert allowed(r, "/joe/x")
+
+
+def test_same_agent_groups_merge():
+    r = parse_robots(TWO_STAR_BODY)
+    assert not allowed(r, "/a/x")
+    assert not allowed(r, "/b/x")
+    assert allowed(r, "/c")
+
+
+def test_agent_token_prefix_choice():
+    """A group applies when its token is a prefix of our agent
+    ``heroshi-ray`` (so ``heroshi`` does), the longest such token wins
+    over ``*``, and a token our agent does not start with never does."""
+    body = (
+        "User-agent: *\nDisallow: /star\n\n"
+        "User-agent: heroshi\nDisallow: /h\n\n"
+        "User-agent: heroshi-ray-beta\nDisallow: /beta\n"
+    )
+    r = parse_robots(body)
+    assert not allowed(r, "/h")
+    assert allowed(r, "/star")
+    assert allowed(r, "/beta")
+
+
 def test_token_bucket_budget():
     tb = TokenBuckets(epoch_seconds=60, burst=5)
     # fresh host: full burst
@@ -78,7 +114,8 @@ def test_vector_robots_matches_scalar_allowed():
     """VectorRobots (the flagship's vectorized gate) must be
     bit-identical to the per-row allowed() matcher across rule shapes:
     plain prefixes, longest-match Allow overrides, '*' wildcards, '$'
-    anchors, allow-wins-ties, rule-less hosts, absent hosts."""
+    anchors, allow-wins-ties, rule-less hosts, absent hosts,
+    percent-escaped patterns and merged same-agent groups."""
     import numpy as np
 
     from heroshi_ray.functions.robots import allowed, parse_robots
@@ -90,13 +127,17 @@ def test_vector_robots_matches_scalar_allowed():
     )
     rules_b = parse_robots("User-agent: *\nDisallow: /\nAllow: /pub\n")
     robots = {"a.example": rules_a, "b.example": rules_b,
-              "empty.example": parse_robots("")}
+              "empty.example": parse_robots(""),
+              "pct.example": parse_robots(PCT_BODY),
+              "two.example": parse_robots(TWO_STAR_BODY)}
     vr = VectorRobots(robots)
 
     paths = ["/o/1", "/o/2", "/o/22", "/o/23/l/4", "/o/22x", "/xaaz", "/xz",
-             "/end", "/endq", "/", "/pub/x", "/private", "/o/2?q=1"]
+             "/end", "/endq", "/", "/pub/x", "/private", "/o/2?q=1",
+             "/~joe/x", "/a%2Fb", "/b/x"]
     urls, hosts = [], []
-    for h in ("a.example", "b.example", "empty.example", "absent.example"):
+    for h in ("a.example", "b.example", "empty.example", "absent.example",
+              "pct.example", "two.example"):
         for p in paths:
             urls.append(f"http://{h}{p}")
             hosts.append(h)
@@ -108,3 +149,8 @@ def test_vector_robots_matches_scalar_allowed():
         ]
     )
     assert (got == exp).all(), list(zip(urls, got.tolist(), exp.tolist()))
+    denied = {u for u, ok in zip(urls, got.tolist()) if not ok}
+    assert {
+        "http://pct.example/~joe/x", "http://pct.example/a%2Fb",
+        "http://two.example/a%2Fb", "http://two.example/b/x",
+    } <= denied

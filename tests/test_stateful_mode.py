@@ -273,6 +273,39 @@ def test_budget_topk_fold_equals_whole_table():
             assert kept < n / 2 if prune else kept == n
 
 
+def test_budget_cap_matches_python_reference():
+    """The per-host cap keeps, for each host, the first ``budget[host]``
+    rows under (priority desc, surt asc), as a plain sort-and-count
+    does: random tables with priority and surt ties, non-ASCII surts,
+    zero budgets and hosts missing from ``budgets`` (cap 0)."""
+    import numpy as np
+    import pyarrow as pa
+
+    from heroshi_ray.stages.schedule import _budget_cap_indices
+
+    rng = np.random.default_rng(11)
+    alphabet = ["a", "b", "z", "é", "ä", "日", "/"]
+    for _ in range(50):
+        n = int(rng.integers(0, 300))
+        hosts = [f"h{i}" for i in rng.integers(0, 12, n)]
+        surts = ["".join(rng.choice(alphabet, int(rng.integers(0, 4)))) for _ in range(n)]
+        prios = [float(p) for p in np.round(rng.random(n), 1)]
+        budgets = {f"h{i}": int(rng.integers(0, 5)) for i in range(12) if i % 4}
+        tbl = pa.table(
+            {
+                "host": pa.array(hosts, pa.string()),
+                "priority": pa.array(prios, pa.float64()),
+                "surt": pa.array(surts, pa.string()),
+            }
+        )
+        want, taken = [], {}
+        for i in sorted(range(n), key=lambda i: (hosts[i], -prios[i], surts[i], i)):
+            if taken.get(hosts[i], 0) < budgets.get(hosts[i], 0):
+                taken[hosts[i]] = taken.get(hosts[i], 0) + 1
+                want.append(i)
+        assert _budget_cap_indices(tbl, budgets).tolist() == sorted(want)
+
+
 def test_seed_chunk_size_invariance(ray_session, tmp_path_factory, monkeypatch):
     """Admitting the seed file two lines at a time gives the schedule
     order and corpus of the default chunk size."""
