@@ -65,7 +65,8 @@ def parse_robots(body: str | None, status: int = 200, ua: str = "heroshi-ray") -
         if field == "user-agent":
             if not last_was_ua:
                 flush()
-            cur_uas.append(value.lower())
+            if value:  # an empty token names no crawler
+                cur_uas.append(value.lower())
             last_was_ua = True
             continue
         last_was_ua = False

@@ -232,173 +232,111 @@ def canonicalize_batch(urls) -> tuple[list, list, list, list]:
 
 
 # ------------------------------------------------- vectorized fast path --
-# Arrow/RE2 kernels canonicalize the overwhelmingly common URL shapes in
-# C; rows needing percent-normalization, control characters, userinfo,
-# IPv6, odd ports, or a dot-segment fixpoint that does not converge fall
-# back to the per-string Python path (bit-identical by construction —
-# tests/test_urlnorm.py pins equivalence on adversarial inputs).
-
+# One anchored RE2 split takes the common URL shape; every row it
+# rejects goes through the per-string Python path instead (bit-identical
+# by construction; tests/test_urlnorm.py pins the equivalence on
+# adversarial inputs). It rejects a host outside the ASCII reg-name
+# charset (userinfo, IPv6, percent-escapes, non-ASCII), a port with a
+# non-digit, a '%' in the path or query, and any control or whitespace
+# character: str.strip and RE2 disagree on what whitespace is. The path
+# must start with '/', and the query keeps its '?' so that an empty
+# query stays distinct from none. The pattern is kept one-pass so that
+# RE2 runs its fastest matcher: no two groups may match the same
+# character at the same point, and at most 4 capture groups (above that
+# RE2 falls back to a slower matcher).
+# C0, space, DEL, C1 and NBSP, then the rest of what str.isspace accepts
+_WS = r"\x00-\x20\x7F-\xA0" + "\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000"
 _VEC_SPLIT = (
-    r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.\-]*)://"
-    r"(?P<auth>[^/?#]*)(?P<path>[^?#]*)(?P<tail>[?#].*)?$"
+    r"^(?P<prefix>[A-Za-z][A-Za-z0-9+.\-]*://"
+    r"[A-Za-z0-9._~!$&'()*+,;=\-]+(?::[0-9]*)?)"
+    rf"(?P<path>/[^?#%{_WS}]*)?(?P<q>\?[^#%{_WS}]*)?(?:#[^{_WS}]*)?$"
 )
-_VEC_AUTH = r"^(?P<h>[a-z0-9._~!$&'()*+,;=\-]+)(?::(?P<p>[0-9]*))?$"
-_DOT_DETECT = r"(^|/)\.\.?(/|$)"
-_SEG_NOT_DOTS = r"(?:[^/.][^/]*|\.[^/.][^/]*|\.\.[^/]+)"
+_DOT_DETECT = r"/\.\.?(?:/|$)"
+# one remove_dot_segments step, each branch replaced by "/": a leading
+# "/..", a segment popped by the ".." after it (not "." or ".." itself,
+# or a global pass could pop it before its own turn) and a run of "/."
+# segments
+_DOT_STEP = (
+    r"^/\.\.(?:/|$)|/(?:[^/.][^/]*|\.[^/.][^/]*|\.\.[^/]+)/\.\.(?:/|$)"
+    r"|/(?:\.(?:/|$))+"
+)
 
 
-def _rev_hostport(hp: str) -> str:
-    if ":" in hp:
-        h, p = hp.rsplit(":", 1)
-        return ",".join(reversed(h.split("."))) + ":" + p
-    return ",".join(reversed(hp.split(".")))
+def _fast_prefix(prefix: str) -> tuple[str, str, str]:
+    """``scheme://authority`` the split regex took -> (canonical prefix,
+    SURT prefix, host), by the scalar path's own helpers."""
+    scheme, _, authority = prefix.lower().partition("://")
+    host, port = _norm_authority(scheme, authority)
+    hostport = host if port is None else f"{host}:{port}"
+    return f"{scheme}://{hostport}", _surt(scheme, host, port, "", None), host
 
 
 def canonicalize_batch_arrow(col):
     """Vectorized canonicalize over an Arrow string column.
 
     Returns ``(canon, surt, host, ok)`` as Arrow arrays, value-identical
-    to running :func:`canonicalize` per row. The fast path handles
-    already-clean URLs plus case/port normalization, fragment drop and a
-    bounded dot-segment fixpoint entirely in Arrow/RE2 kernels; all
-    other rows (and any row the fixpoint cannot prove clean) go through
-    the scalar Python path and are stitched back with replace_with_mask.
+    to running :func:`canonicalize` per row. For the rows the split
+    regex takes, the scheme and authority are normalized once per
+    distinct ``scheme://authority`` (they repeat heavily), and the path
+    gets a bounded dot-segment fixpoint in RE2; all other rows (and any
+    row the fixpoint cannot prove clean) go through the scalar Python
+    path and are stitched back with replace_with_mask.
     """
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
+    def _mask(x):
+        return pc.fill_null(x, False).to_numpy(zero_copy_only=False)
+
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     n = len(col)
-    empty_str = pa.nulls(n, pa.string())
     if n == 0:
+        empty_str = pa.nulls(0, pa.string())
         return empty_str, empty_str, empty_str, pa.nulls(0, pa.bool_())
 
-    def _b(x):
-        return pc.fill_null(x, False)
-
-    # any control char / whitespace anywhere -> Python (str.strip and
-    # interior-space semantics differ from RE2's \s)
-    clean_chars = pc.invert(_b(pc.match_substring_regex(col, r"[\x00-\x20\x7F]")))
     ext = pc.extract_regex(col, _VEC_SPLIT)
-    matched = pc.is_valid(ext)
-    scheme = pc.utf8_lower(pc.struct_field(ext, "scheme"))
-    auth_l = pc.utf8_lower(pc.struct_field(ext, "auth"))
+    fast = pc.is_valid(ext).to_numpy(zero_copy_only=False)
     path = pc.struct_field(ext, "path")
-    tail = pc.struct_field(ext, "tail")
+    query = pc.struct_field(ext, "q")
 
-    hp = pc.extract_regex(auth_l, _VEC_AUTH)
-    auth_ok = pc.is_valid(hp)
-    host = pc.struct_field(hp, "h")
-    port = pc.struct_field(hp, "p")  # "" when absent or explicitly empty
-    port_default = pc.or_kleene(
-        pc.and_kleene(pc.equal(scheme, "http"), pc.equal(port, "80")),
-        pc.and_kleene(pc.equal(scheme, "https"), pc.equal(port, "443")),
-    )
-    port_empty = pc.equal(port, "")
-    port_plain = pc.match_substring_regex(port, r"^[1-9][0-9]{0,8}$")
-    port_ok = pc.or_kleene(pc.or_kleene(port_empty, port_default), port_plain)
-    drop_port = _b(pc.or_kleene(port_empty, port_default))
-
-    qext = pc.extract_regex(pc.fill_null(tail, ""), r"^\?(?P<q>[^#]*)")
-    has_q = pc.is_valid(qext)
-    query = pc.struct_field(qext, "q")
-
-    no_pct = pc.invert(
-        pc.or_kleene(
-            pc.match_substring(path, "%"),
-            pc.fill_null(pc.match_substring(pc.fill_null(query, ""), "%"), False),
-        )
-    )
-    fast = pc.and_kleene(
-        pc.and_kleene(_b(matched), clean_chars),
-        pc.and_kleene(_b(auth_ok), pc.and_kleene(_b(port_ok), _b(no_pct))),
-    )
-    fast = _b(fast)
-
-    # bounded dot-segment fixpoint (semantics of remove_dot_segments for
-    # authority-rooted paths; rows not converged stay on the slow path).
-    # Applied ONLY to the needy subset, scattered back with replace_with_mask
-    # — clean-path rows (the common case) never pay the replace passes.
-    needs = pc.and_kleene(fast, _b(pc.match_substring_regex(path, _DOT_DETECT)))
-    # empty segments ("//") interact with dot-pops in ways the regex
-    # rules don't reproduce (a ".." may pop an EMPTY segment) — those
-    # rare rows take the Python path instead
-    has_dslash = _b(pc.match_substring(pc.fill_null(path, ""), "//"))
-    fast = pc.and_kleene(fast, pc.invert(pc.and_kleene(needs, has_dslash)))
-    needs = pc.and_kleene(needs, pc.invert(has_dslash))
-    needs_np = _b(needs).to_numpy(zero_copy_only=False)
-    if needs_np.any():
-        p = pc.fill_null(path, "").take(pa.array(np.flatnonzero(needs_np)))
+    # bounded dot-segment fixpoint on the rows that have dot segments.
+    # Rows with an empty segment ("//") take the slow path, since
+    # remove_dot_segments lets a ".." pop it and a trailing "." merge
+    # with it; so do rows the fixpoint does not converge on
+    dots = _mask(pc.match_substring_regex(path, _DOT_DETECT))
+    if dots.any():
+        idx = np.flatnonzero(dots)
+        p = path.take(pa.array(idx))
+        fast[idx[_mask(pc.match_substring(p, "//"))]] = False
         for _ in range(12):
-            p = pc.replace_substring_regex(p, pattern=r"/(\./)+", replacement="/")
-            p = pc.replace_substring_regex(p, pattern=r"/\.$", replacement="/")
-            # the popped segment must itself not be "." or ".." — else a
-            # GlobalReplace pass can consume a ".." that had not yet
-            # popped its own predecessor
-            p = pc.replace_substring_regex(
-                p, pattern="/" + _SEG_NOT_DOTS + r"/\.\./", replacement="/"
-            )
-            p = pc.replace_substring_regex(
-                p, pattern="/" + _SEG_NOT_DOTS + r"/\.\.$", replacement="/"
-            )
-            p = pc.replace_substring_regex(p, pattern=r"^/\.\./", replacement="/")
-            p = pc.replace_substring_regex(p, pattern=r"^/\.\.$", replacement="/")
-            if not pc.any(_b(pc.match_substring_regex(p, _DOT_DETECT))).as_py():
+            p = pc.replace_substring_regex(p, pattern=_DOT_STEP, replacement="/")
+            left = _mask(pc.match_substring_regex(p, _DOT_DETECT))
+            if not left.any():
                 break
-        unresolved = _b(pc.match_substring_regex(p, _DOT_DETECT))
-        path = pc.replace_with_mask(
-            pc.fill_null(path, ""), pa.array(needs_np), p
-        )
-        # rows whose fixpoint did not converge stay on the slow path
-        un_full = np.zeros(n, dtype=bool)
-        un_full[np.flatnonzero(needs_np)] = unresolved.to_numpy(zero_copy_only=False)
-        fast = pc.and_kleene(fast, pa.array(~un_full))
+        fast[idx[left]] = False
+        path = pc.replace_with_mask(path, pa.array(dots), p)
+    no_path = _mask(pc.equal(path, ""))
+    if no_path.any():
+        path = pc.if_else(pa.array(no_path), "/", path)
 
-    path_f = pc.if_else(pc.equal(pc.fill_null(path, ""), ""), "/", path)
-    hostport = pc.if_else(
-        drop_port,
-        host,
-        pc.binary_join_element_wise(host, pc.fill_null(port, ""), ":"),
+    prefix = pc.dictionary_encode(pc.struct_field(ext, "prefix"))
+    parts = [_fast_prefix(x) for x in prefix.dictionary.to_pylist()]
+    canon_p, surt_p, host = (
+        pa.array([x[i] for x in parts], pa.string()).take(prefix.indices)
+        for i in range(3)
     )
-    canon_fast = pc.binary_join_element_wise(
-        pc.fill_null(scheme, ""), "://", pc.fill_null(hostport, ""),
-        pc.fill_null(path_f, ""), "",
-    )
-    with_q = pc.binary_join_element_wise(
-        canon_fast, "?", pc.fill_null(query, ""), ""
-    )
-    canon_fast = pc.if_else(_b(has_q), with_q, canon_fast)
+    canon = pc.binary_join_element_wise(canon_p, path, query, "")
+    surt = pc.binary_join_element_wise(surt_p, path, query, "")
 
-    # SURT host-part via dictionary gather: hostports repeat heavily, so
-    # the Python label-reversal runs once per UNIQUE hostport
-    hp_dict = pc.dictionary_encode(pc.fill_null(hostport, "")).combine_chunks() \
-        if isinstance(hostport, pa.ChunkedArray) else pc.dictionary_encode(pc.fill_null(hostport, ""))
-    rev = pa.array(
-        [_rev_hostport(x) if x else "" for x in hp_dict.dictionary.to_pylist()],
-        pa.string(),
+    if fast.all():
+        return canon, surt, host, pa.array(fast)
+    slow = pa.array(~fast)
+    c2, s2, h2, o2 = canonicalize_batch(col.filter(slow).to_pylist())
+    return (
+        pc.replace_with_mask(canon, slow, pa.array(c2, pa.string())),
+        pc.replace_with_mask(surt, slow, pa.array(s2, pa.string())),
+        pc.replace_with_mask(host, slow, pa.array(h2, pa.string())),
+        pc.replace_with_mask(pa.array(fast), slow, pa.array(o2, pa.bool_())),
     )
-    surt_hp = rev.take(hp_dict.indices)
-    surt_fast = pc.binary_join_element_wise(
-        pc.fill_null(scheme, ""), "://(", surt_hp, ",)",
-        pc.fill_null(path_f, ""), "",
-    )
-    surt_q = pc.binary_join_element_wise(surt_fast, "?", pc.fill_null(query, ""), "")
-    surt_fast = pc.if_else(_b(has_q), surt_q, surt_fast)
-
-    fast_np = fast.to_numpy(zero_copy_only=False)
-    if fast_np.all():
-        ok = pa.array(np.ones(n, dtype=bool))
-        return canon_fast, surt_fast, host, ok
-
-    slow_mask = pa.array(~fast_np)
-    slow_idx = np.flatnonzero(~fast_np)
-    c2, s2, h2, o2 = canonicalize_batch(col.take(pa.array(slow_idx)).to_pylist())
-    canon = pc.replace_with_mask(canon_fast, slow_mask, pa.array(c2, pa.string()))
-    surt = pc.replace_with_mask(surt_fast, slow_mask, pa.array(s2, pa.string()))
-    host_o = pc.replace_with_mask(host, slow_mask, pa.array(h2, pa.string()))
-    ok = pc.replace_with_mask(
-        pa.array(fast_np), slow_mask, pa.array(o2, pa.bool_())
-    )
-    return canon, surt, host_o, ok

@@ -62,23 +62,30 @@ def canonicalize_candidates(
             url_filter(canon_arr.to_pylist(), host_arr.to_pylist(), depth),
             dtype=bool,
         )
-    idx = np.flatnonzero(mask)
-    n = len(idx)
-    take = pa.array(idx)
-    depth_a = depth[idx]
+    # no parent column: n_in empty strings, i.e. all-zero offsets
     parent_a = (
-        batch.column(parent_col).take(take)
+        batch.column(parent_col)
         if parent_col
-        else pa.array([""] * n, pa.string())
+        else pa.Array.from_buffers(
+            pa.string(), n_in,
+            [None, pa.py_buffer(np.zeros(n_in + 1, np.int32)), pa.py_buffer(b"")],
+        )
     )
-    score = (priority_fn or priority_score)(depth_a)
+    if not mask.all():
+        take = pa.array(np.flatnonzero(mask))
+        canon_arr, surt_arr, host_arr, parent_a = (
+            a.take(take) for a in (canon_arr, surt_arr, host_arr, parent_a)
+        )
+        depth = depth[mask]
+    n = len(depth)
+    score = (priority_fn or priority_score)(depth)
     return pa.table(
         {
-            "url": canon_arr.take(take),
-            "surt": surt_arr.take(take),
-            "host": host_arr.take(take),
+            "url": canon_arr,
+            "surt": surt_arr,
+            "host": host_arr,
             "priority": pa.array(score, pa.float64()),
-            "depth": pa.array(depth_a, pa.int32()),
+            "depth": pa.array(depth, pa.int32()),
             "parent_surt": parent_a,
             "discovered_at": pa.array(np.full(n, now_us, dtype=np.int64), pa.timestamp("us")),
             "state": pa.array(np.full(n, STATE_PENDING, dtype=np.uint8), pa.uint8()),

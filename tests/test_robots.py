@@ -64,6 +64,9 @@ def test_tie_allow_wins():
 # for the same agent, which §2.2.1 merges
 PCT_BODY = "User-agent: *\nDisallow: /%7Ejoe/\nDisallow: /a%2fb\n"
 TWO_STAR_BODY = "User-agent: *\nDisallow: /a\n\nUser-agent: *\nDisallow: /b\n"
+# a group whose User-agent line is empty: an empty token names no
+# crawler, so only the "*" group applies to us
+EMPTY_AGENT_BODY = "User-agent:\nDisallow: /\n\nUser-agent: *\nDisallow: /x\n"
 
 
 def test_rule_patterns_percent_normalised():
@@ -78,6 +81,13 @@ def test_same_agent_groups_merge():
     assert not allowed(r, "/a/x")
     assert not allowed(r, "/b/x")
     assert allowed(r, "/c")
+
+
+def test_empty_agent_token_names_no_crawler():
+    r = parse_robots(EMPTY_AGENT_BODY)
+    assert r[0] == (("/x", False),)
+    assert allowed(r, "/a")
+    assert not allowed(r, "/x/1")
 
 
 def test_agent_token_prefix_choice():
@@ -129,7 +139,8 @@ def test_vector_robots_matches_scalar_allowed():
     robots = {"a.example": rules_a, "b.example": rules_b,
               "empty.example": parse_robots(""),
               "pct.example": parse_robots(PCT_BODY),
-              "two.example": parse_robots(TWO_STAR_BODY)}
+              "two.example": parse_robots(TWO_STAR_BODY),
+              "emptyua.example": parse_robots(EMPTY_AGENT_BODY)}
     vr = VectorRobots(robots)
 
     paths = ["/o/1", "/o/2", "/o/22", "/o/23/l/4", "/o/22x", "/xaaz", "/xz",
@@ -137,7 +148,7 @@ def test_vector_robots_matches_scalar_allowed():
              "/~joe/x", "/a%2Fb", "/b/x"]
     urls, hosts = [], []
     for h in ("a.example", "b.example", "empty.example", "absent.example",
-              "pct.example", "two.example"):
+              "pct.example", "two.example", "emptyua.example"):
         for p in paths:
             urls.append(f"http://{h}{p}")
             hosts.append(h)
@@ -153,4 +164,6 @@ def test_vector_robots_matches_scalar_allowed():
     assert {
         "http://pct.example/~joe/x", "http://pct.example/a%2Fb",
         "http://two.example/a%2Fb", "http://two.example/b/x",
+        "http://emptyua.example/xz",
     } <= denied
+    assert "http://emptyua.example/o/1" not in denied

@@ -130,6 +130,71 @@ def test_idempotent(host, path):
     assert c2[2] == c1[2]
 
 
+# the four spellings of one URL that perfbench/inputs.py writes: plain,
+# upper case with the default port, a "/x/.." segment with a fragment,
+# and a "/." segment
+PERFBENCH_SPELLINGS = [
+    "http://host3.example/o/17/l/2/v/0",
+    "HTTP://HOST3.EXAMPLE:80/o/17/l/2/v/0",
+    "http://host3.example/x/../o/17/l/2/v/0#frag",
+    "http://host3.example/./o/17/l/2/v/0",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    host=st.from_regex(r"[a-z][a-z0-9-]{0,10}(\.[a-z]{2,5}){1,2}", fullmatch=True),
+    path=_path_chars,
+)
+def test_arrow_idempotent(host, path):
+    import pyarrow as pa
+
+    from heroshi_ray.functions.urlnorm import canonicalize_batch_arrow
+
+    c1, s1, h1, o1 = canonicalize_batch_arrow(pa.array([f"http://{host}/{path}"]))
+    if not o1[0].as_py():
+        return
+    c2, s2, h2, o2 = canonicalize_batch_arrow(c1)
+    assert o2[0].as_py()
+    assert [a.to_pylist() for a in (c2, s2, h2)] == [
+        a.to_pylist() for a in (c1, s1, h1)
+    ]
+
+
+def test_split_pattern_is_one_pass_shaped():
+    # RE2 runs its one-pass matcher only when the pattern is anchored,
+    # no two groups can match the same character at the same point, and
+    # it has at most 4 capture groups; above that the same split took
+    # about 5x as long on a perfbench block
+    import re
+
+    from heroshi_ray.functions.urlnorm import _VEC_SPLIT
+
+    assert _VEC_SPLIT.startswith("^") and _VEC_SPLIT.endswith("$")
+    assert re.compile(_VEC_SPLIT).groups <= 4
+
+
+def test_perfbench_spellings_stay_on_the_fast_path(monkeypatch):
+    import pyarrow as pa
+
+    from heroshi_ray.functions import urlnorm
+
+    rows = []
+
+    def spy(urls):
+        urls = list(urls)
+        rows.extend(urls)
+        return canonicalize_batch(urls)
+
+    monkeypatch.setattr(urlnorm, "canonicalize_batch", spy)
+    canon, _, _, ok = urlnorm.canonicalize_batch_arrow(
+        pa.array(PERFBENCH_SPELLINGS * 100)
+    )
+    assert rows == []
+    assert ok.to_pylist() == [True] * 400
+    assert set(canon.to_pylist()) == {"http://host3.example/o/17/l/2/v/0"}
+
+
 def test_arrow_canonicalizer_matches_scalar():
     """canonicalize_batch_arrow must be value-identical to the scalar
     path on adversarial inputs: dot segments (incl. empty-segment
@@ -161,6 +226,19 @@ def test_arrow_canonicalizer_matches_scalar():
         "http://h/p q", " http://h/p ", "\thttp://h/p\n", "http://h\x1c/p",
         "http://h/a/b/..", "http://h/a/b/.", "http://h/a/./", "http://h//",
         "HtTpS://MiXeD.CaSe/P/Q", "http://h/a%2Fb", None,
+        # every port form: empty, zero, leading zero, the other scheme's
+        # default, ten digits
+        "http://h:/", "http://h:0", "http://h:080?q", "http://h:443/p",
+        "https://h:443", "https://h:80/p", "https://h:0443/p",
+        "http://h:1234567890/p", "http://h:123456789/p",
+        "http://h?x", "http://h/p?a/../b/./c", "http://h/a/../b?x/..",
+        "http://h/p#%41", "http://h/p#a b", "http://h/p?q#f g",
+        # the Kelvin sign lowercases to ASCII "k" under str.lower
+        "HOST\u212a.e", "http://HOST\u212a.e/p", "http://\u0130x.e/p",
+        # whitespace str.strip removes but RE2 does not call a control
+        "http://h/p\xa0", "http://h/p?q\u3000", "http://h/p\x85",
+        "http://h/a//.", "http://h/a//..", "http://h/.//.",
+        *PERFBENCH_SPELLINGS,
     ]
     rng = random.Random(11)
     segs = ["", ".", "..", "a", "bb", "...", ".x", "x.", "a.b", "..c"]
@@ -168,7 +246,7 @@ def test_arrow_canonicalizer_matches_scalar():
         cases.append(
             "http://h.e/" + "/".join(rng.choice(segs) for _ in range(rng.randrange(0, 10)))
         )
-    alph = "abcXYZ019.-_~%/?#:@[]\\ é\t"
+    alph = "abcXYZ019.-_~%/?#:@[]\\ é\t\u212a\u0130\xa0"
     for _ in range(2000):
         cases.append("http://" + "".join(rng.choice(alph) for _ in range(rng.randrange(1, 30))))
     for _ in range(1000):
